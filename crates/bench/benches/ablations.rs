@@ -1,13 +1,12 @@
 //! Ablation benches for the design choices DESIGN.md calls out: what changes
 //! when the Fetch credentials partition is dropped, when ORIGIN frames are
 //! honoured, when DNS load balancing is synchronized, and what a redundant
-//! connection costs in handshake latency and header-compression state.
+//! connection costs in handshake latency.
 
 use connreuse_bench::{bench_environment, BENCH_SEED};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_dns::{LoadBalancePolicy, QueryContext, ResolverId, Vantage};
-use netsim_h2::hpack::HpackContext;
 use netsim_tls::{HandshakeConfig, TlsVersion};
 use netsim_types::{DomainName, Duration, Instant, IpAddr};
 use std::hint::black_box;
@@ -101,44 +100,5 @@ fn bench_handshake_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// The header-compression price of a redundant connection: encoding the same
-/// request stream on one long-lived context vs. restarting the dictionary.
-fn bench_hpack_restart_cost(c: &mut Criterion) {
-    let requests: Vec<Vec<netsim_h2::Header>> = (0..50)
-        .map(|i| {
-            HpackContext::request_headers("www.google-analytics.com", &format!("/collect?cid={i}"), None)
-        })
-        .collect();
-    let mut group = c.benchmark_group("ablation_hpack_restart");
-    group.sample_size(50);
-    group.bench_function("single_connection", |b| {
-        b.iter(|| {
-            let mut ctx = HpackContext::default();
-            let mut total = 0usize;
-            for headers in &requests {
-                total += ctx.encode_block_size(headers);
-            }
-            black_box(total)
-        })
-    });
-    group.bench_function("fresh_connection_per_request", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for headers in &requests {
-                let mut ctx = HpackContext::default();
-                total += ctx.encode_block_size(headers);
-            }
-            black_box(total)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    ablations,
-    bench_reuse_policy_ablation,
-    bench_dns_policy_ablation,
-    bench_handshake_cost,
-    bench_hpack_restart_cost
-);
+criterion_group!(ablations, bench_reuse_policy_ablation, bench_dns_policy_ablation, bench_handshake_cost);
 criterion_main!(ablations);

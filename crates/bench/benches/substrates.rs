@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the substrates everything else is built on: DNS
-//! resolution, the reuse predicate, HTTP/2 frame codec, HPACK, population
+//! resolution, the reuse predicate, HTTP/2 frame codec, population
 //! generation and single page loads.
 
 use connreuse_bench::{bench_environment, BENCH_SEED};
@@ -7,7 +7,6 @@ use connreuse_experiments::sweep::{run_sweep, SweepConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_browser::{Browser, BrowserConfig};
 use netsim_dns::{RecursiveResolver, ResolverConfig, ResolverId, Vantage};
-use netsim_h2::hpack::HpackContext;
 use netsim_h2::reuse::{evaluate, ReusePolicy};
 use netsim_h2::{Connection, Frame, OriginEntry, Settings, StreamId};
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer};
@@ -82,7 +81,7 @@ fn bench_reuse_predicate(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_h2_frames_and_hpack(c: &mut Criterion) {
+fn bench_h2_frames(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_h2");
     group.sample_size(100);
     let origin_frame = Frame::Origin {
@@ -102,12 +101,6 @@ fn bench_h2_frames_and_hpack(c: &mut Criterion) {
             let mut wire = headers_frame.encode();
             black_box(Frame::decode(&mut wire).unwrap())
         })
-    });
-    let request = HpackContext::request_headers("www.example.com", "/assets/app.js", Some("sid=abc"));
-    group.bench_function("hpack_encode_warm", |b| {
-        let mut ctx = HpackContext::default();
-        ctx.encode_block_size(&request);
-        b.iter(|| black_box(ctx.encode_block_size(&request)))
     });
     group.finish();
 }
@@ -167,7 +160,7 @@ criterion_group!(
     substrates,
     bench_dns_resolution,
     bench_reuse_predicate,
-    bench_h2_frames_and_hpack,
+    bench_h2_frames,
     bench_population_and_page_load,
     bench_mitigation_sweep
 );

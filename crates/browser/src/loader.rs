@@ -629,9 +629,8 @@ impl Browser {
         };
 
         let encode_guard = netsim_types::profile::enter(Stage::RequestEncode);
-        let cookie = if credentialed { Some("sid=0123456789abcdef") } else { None };
         let connection = &mut scratch.connections[index];
-        let stream = match connection.send_request(&planned.domain, &planned.path, cookie) {
+        let stream = match connection.send_request() {
             Ok(stream) => stream,
             Err(_) => return FetchAttempt::Skip,
         };

@@ -4,13 +4,12 @@
 //! A crawl worker processes thousands of page visits back to back, and the
 //! original loader paid an allocation storm for each one: fresh
 //! `Vec<Connection>` / request-log vectors, a fresh DNS resolver with a fresh
-//! cache, a cloned certificate per connection and a freshly allocated HPACK
-//! table per connection. [`VisitScratch`] owns all of those buffers once per
-//! worker and recycles them between visits:
+//! cache and a cloned certificate per connection. [`VisitScratch`] owns all
+//! of those buffers once per worker and recycles them between visits:
 //!
 //! * connections opened by a visit become pooled *shells*
-//!   ([`netsim_h2::Connection::reestablish`]) whose stream tables and HPACK
-//!   dictionaries keep their heap capacity,
+//!   ([`netsim_h2::Connection::reestablish`]) whose stream tables keep their
+//!   heap capacity,
 //! * the request log is a vector of copyable [`ScratchRequest`] records (the
 //!   resource path stays in the site's plan and is only materialised when a
 //!   full [`PageVisit`] is needed),

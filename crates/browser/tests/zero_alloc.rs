@@ -2,7 +2,7 @@
 //!
 //! The whole point of [`netsim_browser::VisitScratch`] is that a steady-state
 //! page visit performs **zero** heap allocations: every buffer (connection
-//! shells, request log, DNS cache lines, HPACK tables, refusal sets) is
+//! shells, request log, DNS cache lines, refusal sets) is
 //! recycled across visits. This test pins that property with a counting
 //! global allocator: after two warm-up passes over a population (which grow
 //! every buffer to its high-water mark), a third pass over the same sites

@@ -297,7 +297,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     #[test]
     fn results_are_in_task_order_at_any_thread_count() {
@@ -355,24 +355,35 @@ mod tests {
 
     #[test]
     fn skewed_workloads_are_stolen_from_the_slow_worker() {
-        // Worker 0's initial block starts with one long task; the others'
-        // blocks are all trivial. While worker 0 sleeps, its siblings drain
-        // their own deques and then steal the rest of worker 0's block.
+        // Worker 0's initial block is tasks 0..16. Task 0 is held on a latch
+        // until some other task of that block has completed. The worker
+        // running task 0 is stuck inside it, so the releasing task can only
+        // have run on a sibling that stole it: no timing assumption is
+        // involved.
+        let block_task_done = AtomicBool::new(false);
         let outcome = run_indexed(
             4,
             64,
-            |_| (),
-            |(), task| {
+            |worker| worker,
+            |worker, task| {
                 if task == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(60));
+                    while !block_task_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                } else if task < 16 {
+                    block_task_done.store(true, Ordering::Release);
                 }
-                task
+                (*worker, task)
             },
         );
-        assert_eq!(outcome.results, (0..64).collect::<Vec<_>>());
-        assert!(outcome.stats.steals > 0, "expected steals from the sleeping worker's deque");
-        // The sleeping worker cannot have run its whole 16-task block.
-        assert!(outcome.stats.executed[0] < 16, "worker 0 executed {}", outcome.stats.executed[0]);
+        assert_eq!(
+            outcome.results.iter().map(|&(_, task)| task).collect::<Vec<_>>(),
+            (0..64).collect::<Vec<_>>()
+        );
+        assert!(outcome.stats.steals > 0, "expected steals from the held worker's deque");
+        // Either task 0 itself was stolen, or worker 0 was held while a
+        // sibling ran part of its block: worker 0 never runs the whole block.
+        assert!(outcome.results[..16].iter().any(|&(worker, _)| worker != 0), "worker 0 ran its whole block");
     }
 
     #[test]

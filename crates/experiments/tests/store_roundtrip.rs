@@ -8,11 +8,17 @@
 //!   rebuild byte-for-byte.
 //! * **Corruption** — truncation, bit flips and fingerprint tampering are
 //!   refused with the matching typed [`StoreError`], never served.
+//! * **Untrusted input** — shard decoding over arbitrary and damaged bytes
+//!   and query parsing over arbitrary text return typed errors and never
+//!   panic (proptest).
 
 use connreuse_experiments::store::{
     answer_in_memory, answer_query, build_store, open_store, run_store, StoreConfig, StoreQuery,
 };
-use netsim_store::{BuildPlan, ShardStore, StoreError, StoreLayout, MANIFEST_FILE};
+use netsim_store::{
+    BuildPlan, ShardFile, ShardRecord, ShardStore, StoreError, StoreLayout, HEADER_WORDS, MAGIC,
+    MANIFEST_FILE,
+};
 use netsim_types::{fnv1a, MitigationSet};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -49,7 +55,89 @@ fn store_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// Grammar fragments that steer generated queries into every parse branch.
+const QUERY_KEYS: [&str; 3] = ["mitigations=", "profile=", "ranks="];
+const QUERY_VALUES: [&str; 11] =
+    ["none", "all", "ORIGIN", "POOL-CRED", "+", "=", "..", "broadband", "0", "8", "24"];
+
+/// Arbitrary Unicode text (surrogate code points are skipped).
+fn unicode_text(max_chars: usize) -> impl Strategy<Value = String> {
+    prop::collection::vec(0u32..0x11_0000, 0..max_chars)
+        .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+}
+
+/// Query-like text: space-separated `key=value` tokens assembled from the
+/// grammar fragments, any of which may be arbitrary characters instead.
+fn query_text() -> impl Strategy<Value = String> {
+    let piece = |choices: &'static [&'static str]| {
+        (0..choices.len() + 1, unicode_text(3))
+            .prop_map(|(index, raw)| choices.get(index).map_or(raw, |c| c.to_string()))
+    };
+    let token = (piece(&QUERY_KEYS), prop::collection::vec(piece(&QUERY_VALUES), 0usize..4));
+    prop::collection::vec(token, 0usize..4).prop_map(|tokens| {
+        tokens.into_iter().map(|(key, value)| key + &value.concat()).collect::<Vec<_>>().join(" ")
+    })
+}
+
 proptest! {
+    /// Shard decoding is total. Arbitrary bytes (bare or behind the magic),
+    /// and a valid shard with an arbitrary header word (record count and
+    /// width included), byte edits and a truncation, re-sealed past the
+    /// checksum or not, either fail with a typed error or decode to a shard
+    /// that re-encodes to exactly the input.
+    #[test]
+    fn shard_decode_is_total(
+        noise in prop::collection::vec(any::<u8>(), 0usize..160),
+        records in 0usize..4,
+        header in (0..HEADER_WORDS, any::<u64>()),
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0usize..4),
+        cut in any::<usize>(),
+    ) {
+        let records = vec![ShardRecord::default(); records];
+        let shard = ShardFile { fingerprint: 7, chunk_index: 1, start: 8, len: 8, records };
+        let mut damaged = shard.encode();
+        let offset = MAGIC.len() + header.0 * 8;
+        damaged[offset..offset + 8].copy_from_slice(&header.1.to_le_bytes());
+        for (position, mask) in edits {
+            let len = damaged.len();
+            damaged[position % len] ^= mask;
+        }
+        damaged.truncate(cut % (damaged.len() + 1));
+        let mut resealed = damaged.clone();
+        if let Some(body) = resealed.len().checked_sub(8) {
+            let checksum = fnv1a(&resealed[..body]).to_le_bytes();
+            resealed[body..].copy_from_slice(&checksum);
+        }
+        let behind_magic = [MAGIC.as_slice(), &noise].concat();
+        for bytes in [noise, behind_magic, damaged, resealed] {
+            match ShardFile::decode("prop.shard", &bytes, None) {
+                Ok(decoded) => prop_assert_eq!(decoded.encode(), bytes),
+                Err(error) => prop_assert!(!error.to_string().is_empty()),
+            }
+        }
+    }
+
+    /// Query parsing is total: arbitrary text is refused with a message,
+    /// and anything accepted is a servable query that re-renders to itself.
+    #[test]
+    fn store_query_parse_is_total(
+        texts in prop::collection::vec(query_text(), 16usize..17),
+        raw in unicode_text(24),
+    ) {
+        let config = tiny(24, 8, 1, 1);
+        for input in texts.into_iter().chain([raw]) {
+            match StoreQuery::parse(&input, &config) {
+                Ok(query) => {
+                    prop_assert!(config.mitigations.contains(&query.mitigations));
+                    prop_assert!(query.profile_index < config.profiles().len());
+                    prop_assert!(query.lo < query.hi && query.hi <= config.sites as u64);
+                    prop_assert_eq!(StoreQuery::parse(&query.render(&config), &config), Ok(query));
+                }
+                Err(message) => prop_assert!(!message.is_empty()),
+            }
+        }
+    }
+
     /// The store is a cache, never an approximation: for arbitrary
     /// population sizes, chunk sizes, seeds and thread counts, every demo
     /// query answered from disk must equal — struct and rendered bytes —

@@ -8,7 +8,6 @@
 //! RFC 8336 origin set, and the stream/transfer bookkeeping that the HAR and
 //! NetLog substrates serialise.
 
-use crate::hpack::HpackContext;
 use crate::settings::Settings;
 use crate::stream::{StreamId, StreamState};
 use netsim_tls::Certificate;
@@ -110,8 +109,6 @@ pub struct Connection {
     pub close_reason: Option<CloseReason>,
     /// Lifecycle state.
     pub state: ConnectionState,
-    /// Our settings.
-    pub local_settings: Settings,
     /// The peer's settings.
     pub remote_settings: Settings,
     /// Domains the server answered with HTTP 421 (Misdirected Request):
@@ -127,11 +124,8 @@ pub struct Connection {
     /// incrementally so the reuse predicate's concurrency check is O(1).
     open_count: u32,
     next_stream: StreamId,
-    encoder: HpackContext,
     /// Number of requests sent on this connection.
     pub requests_sent: u64,
-    /// Total encoded header octets sent.
-    pub header_octets_sent: u64,
     /// Total body octets received.
     pub body_octets_received: u64,
 }
@@ -160,25 +154,22 @@ impl Connection {
             closed_at: None,
             close_reason: None,
             state: ConnectionState::Open,
-            local_settings: Settings::chromium_client(),
             remote_settings,
             excluded_domains: BTreeSet::new(),
             origin_set: None,
             streams: Vec::new(),
             open_count: 0,
             next_stream: StreamId::FIRST_CLIENT,
-            encoder: HpackContext::default(),
             requests_sent: 0,
-            header_octets_sent: 0,
             body_octets_received: 0,
         }
     }
 
     /// Re-establish a pooled connection shell in place, exactly as
     /// [`Connection::establish`] would construct it but retaining the heap
-    /// capacity of the stream table and HPACK dynamic table. This is the
-    /// zero-allocation path the per-worker visit scratch uses: recycled
-    /// shells make opening a connection allocation-free in the steady state.
+    /// capacity of the stream table. This is the zero-allocation path the
+    /// per-worker visit scratch uses: recycled shells make opening a
+    /// connection allocation-free in the steady state.
     #[allow(clippy::too_many_arguments)]
     pub fn reestablish(
         &mut self,
@@ -200,16 +191,13 @@ impl Connection {
         self.closed_at = None;
         self.close_reason = None;
         self.state = ConnectionState::Open;
-        self.local_settings = Settings::chromium_client();
         self.remote_settings = remote_settings;
         self.excluded_domains.clear();
         self.origin_set = None;
         self.streams.clear();
         self.open_count = 0;
         self.next_stream = StreamId::FIRST_CLIENT;
-        self.encoder.reset();
         self.requests_sent = 0;
-        self.header_octets_sent = 0;
         self.body_octets_received = 0;
     }
 
@@ -228,26 +216,14 @@ impl Connection {
         self.open_count as usize
     }
 
-    /// Total streams ever opened.
-    pub fn total_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// `true` if a new stream can be opened right now.
     pub fn can_open_stream(&self) -> bool {
         self.state == ConnectionState::Open
             && (self.open_streams() as u32) < self.remote_settings.max_concurrent_streams
     }
 
-    /// Send a request for `authority`/`path`, opening a new stream. Returns
-    /// the stream id. The header block is HPACK-encoded against the
-    /// connection's encoder context so repeated requests get cheaper.
-    pub fn send_request(
-        &mut self,
-        authority: &DomainName,
-        path: &str,
-        cookie: Option<&str>,
-    ) -> Result<StreamId, ConnectionError> {
+    /// Send a request, opening a new stream. Returns the stream id.
+    pub fn send_request(&mut self) -> Result<StreamId, ConnectionError> {
         if self.state != ConnectionState::Open {
             return Err(ConnectionError::NotAcceptingStreams(self.state));
         }
@@ -256,8 +232,6 @@ impl Connection {
         }
         let stream_id = self.next_stream;
         self.next_stream = self.next_stream.next_same_peer();
-        let encoded = self.encoder.encode_request_size(authority.as_str(), path, cookie);
-        self.header_octets_sent += encoded as u64;
         self.requests_sent += 1;
         let state = StreamState::Idle.send_headers(true).expect("idle stream always accepts HEADERS");
         if !state.is_closed() {
@@ -338,17 +312,6 @@ impl Connection {
     pub fn lifetime(&self) -> Option<netsim_types::Duration> {
         self.closed_at.map(|closed| closed - self.established_at)
     }
-
-    /// `true` if the presented certificate covers `domain` and the server has
-    /// not excluded it via 421.
-    pub fn covers_domain(&self, domain: &DomainName) -> bool {
-        !self.excluded_domains.contains(domain) && self.certificate.covers(domain)
-    }
-
-    /// The HPACK compression ratio achieved on this connection so far.
-    pub fn header_compression_ratio(&self) -> f64 {
-        self.encoder.compression_ratio()
-    }
 }
 
 #[cfg(test)]
@@ -388,9 +351,9 @@ mod tests {
         // PartialEq` covers every logical field, so a forgotten reset in
         // `reestablish` fails this test directly.
         let mut shell = connection();
-        let s1 = shell.send_request(&d("www.example.com"), "/", Some("sid=1")).unwrap();
+        let s1 = shell.send_request().unwrap();
         shell.complete_response(s1, &d("www.example.com"), 200, 1_000).unwrap();
-        let s2 = shell.send_request(&d("img.example.com"), "/x.png", None).unwrap();
+        let s2 = shell.send_request().unwrap();
         shell.complete_response(s2, &d("img.example.com"), 421, 0).unwrap();
         shell.receive_origin_set([d("img.example.com")]);
         shell.receive_goaway();
@@ -422,8 +385,8 @@ mod tests {
     fn establish_and_send_requests() {
         let mut conn = connection();
         assert!(conn.can_open_stream());
-        let s1 = conn.send_request(&d("www.example.com"), "/", Some("sid=1")).unwrap();
-        let s2 = conn.send_request(&d("img.example.com"), "/logo.png", None).unwrap();
+        let s1 = conn.send_request().unwrap();
+        let s2 = conn.send_request().unwrap();
         assert_eq!(s1, StreamId::new(1));
         assert_eq!(s2, StreamId::new(3));
         assert_eq!(conn.open_streams(), 2);
@@ -437,20 +400,19 @@ mod tests {
     fn concurrency_limit_is_enforced() {
         let mut conn = connection();
         conn.remote_settings.max_concurrent_streams = 2;
-        conn.send_request(&d("www.example.com"), "/a", None).unwrap();
-        conn.send_request(&d("www.example.com"), "/b", None).unwrap();
-        let err = conn.send_request(&d("www.example.com"), "/c", None).unwrap_err();
+        conn.send_request().unwrap();
+        conn.send_request().unwrap();
+        let err = conn.send_request().unwrap_err();
         assert_eq!(err, ConnectionError::ConcurrencyLimit(2));
     }
 
     #[test]
     fn http_421_excludes_domain_from_reuse() {
         let mut conn = connection();
-        assert!(conn.covers_domain(&d("img.example.com")));
-        let s = conn.send_request(&d("img.example.com"), "/x.png", None).unwrap();
+        let s = conn.send_request().unwrap();
         conn.complete_response(s, &d("img.example.com"), 421, 0).unwrap();
-        assert!(!conn.covers_domain(&d("img.example.com")));
-        assert!(conn.covers_domain(&d("www.example.com")));
+        assert!(conn.excluded_domains.contains(&d("img.example.com")));
+        assert!(!conn.excluded_domains.contains(&d("www.example.com")));
     }
 
     #[test]
@@ -458,7 +420,7 @@ mod tests {
         let mut conn = connection();
         conn.receive_goaway();
         assert_eq!(conn.state, ConnectionState::GoingAway);
-        assert!(conn.send_request(&d("www.example.com"), "/", None).is_err());
+        assert!(conn.send_request().is_err());
         assert!(conn.is_open_at(Instant::from_millis(100)));
         conn.close(Instant::from_millis(5000));
         assert!(!conn.is_open_at(Instant::from_millis(6000)));
@@ -499,16 +461,5 @@ mod tests {
         let set = conn.origin_set.as_ref().unwrap();
         assert_eq!(set.len(), 1);
         assert!(set.contains(&d("c.example.com")));
-    }
-
-    #[test]
-    fn header_compression_improves_over_connection_lifetime() {
-        let mut conn = connection();
-        for i in 0..10 {
-            let s = conn.send_request(&d("www.example.com"), &format!("/asset-{i}.js"), None).unwrap();
-            conn.complete_response(s, &d("www.example.com"), 200, 500).unwrap();
-        }
-        assert!(conn.header_compression_ratio() < 0.5);
-        assert!(conn.header_octets_sent > 0);
     }
 }

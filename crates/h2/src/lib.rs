@@ -9,9 +9,6 @@
 //!
 //! * [`frame`] — the HTTP/2 framing layer (RFC 7540 §4/§6) plus the ORIGIN
 //!   frame of RFC 8336, with a binary codec over [`bytes`],
-//! * [`hpack`] — a compact HPACK model (static table + dynamic table) so the
-//!   cost of restarting header compression on redundant connections can be
-//!   quantified,
 //! * [`settings`] — connection settings exchanged in SETTINGS frames,
 //! * [`stream`] — the per-stream state machine (§5.1),
 //! * [`cwnd`] — the cold congestion-window model: the slow-start round trips
@@ -32,7 +29,6 @@
 pub mod connection;
 pub mod cwnd;
 pub mod frame;
-pub mod hpack;
 pub mod reuse;
 pub mod settings;
 pub mod stream;
@@ -40,7 +36,6 @@ pub mod stream;
 pub use connection::{CloseReason, Connection, ConnectionError, ConnectionState};
 pub use cwnd::{slow_start_rounds, INITIAL_CWND_OCTETS};
 pub use frame::{Frame, FrameDecodeError, FrameType, OriginEntry};
-pub use hpack::{Header, HpackContext};
 pub use reuse::{RefusalSet, ReuseDecision, ReuseRefusal};
 pub use settings::Settings;
 pub use stream::{StreamError, StreamId, StreamState};

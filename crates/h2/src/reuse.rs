@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn http_421_exclusion_blocks_reuse() {
         let mut c = conn(&["www.example.com", "api.example.com"], IP_A, true);
-        let stream = c.send_request(&d("api.example.com"), "/v1", None).unwrap();
+        let stream = c.send_request().unwrap();
         c.complete_response(stream, &d("api.example.com"), 421, 0).unwrap();
         let decision =
             evaluate(&c, &Origin::https(d("api.example.com")), IP_A, true, &ReusePolicy::chromium());
@@ -482,7 +482,7 @@ mod tests {
     fn concurrency_exhaustion_refuses_reuse() {
         let mut c = conn(&["www.example.com"], IP_A, true);
         c.remote_settings.max_concurrent_streams = 1;
-        c.send_request(&d("www.example.com"), "/", None).unwrap();
+        c.send_request().unwrap();
         let decision =
             evaluate(&c, &Origin::https(d("www.example.com")), IP_A, true, &ReusePolicy::chromium());
         assert!(decision.refused_because(ReuseRefusal::ConcurrencyExhausted));

@@ -45,19 +45,6 @@ impl Default for Settings {
 }
 
 impl Settings {
-    /// The settings Chromium advertises as a client (push disabled since M106
-    /// but still on in Chromium 87; window raised to 6 MiB via WINDOW_UPDATE,
-    /// which the connection model applies separately).
-    pub fn chromium_client() -> Self {
-        Settings {
-            header_table_size: 65_536,
-            enable_push: true,
-            max_concurrent_streams: 1000,
-            initial_window_size: 6 * 1024 * 1024,
-            max_frame_size: 16_384,
-        }
-    }
-
     /// Serialise into SETTINGS frame (identifier, value) pairs.
     pub fn to_parameters(&self) -> Vec<(u16, u32)> {
         vec![
@@ -100,7 +87,8 @@ mod tests {
 
     #[test]
     fn parameter_roundtrip() {
-        let original = Settings::chromium_client();
+        let original =
+            Settings { header_table_size: 65_536, max_concurrent_streams: 1000, ..Settings::default() };
         let mut rebuilt = Settings::default();
         rebuilt.apply_parameters(&original.to_parameters());
         assert_eq!(rebuilt, original);

@@ -16,16 +16,12 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a hash of a byte string — the workspace's one shared definition
-/// (used by the intern table, the HPACK fingerprints and DNS load-balance
-/// bucketing). `const` so fingerprints of fixed strings fold at compile
-/// time.
-pub const fn fnv1a(bytes: &[u8]) -> u64 {
+/// (used by the shard-store checksums and DNS load-balance bucketing).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut i = 0;
-    while i < bytes.len() {
-        hash ^= bytes[i] as u64;
+    for &byte in bytes {
+        hash ^= byte as u64;
         hash = hash.wrapping_mul(0x1000_0000_01b3);
-        i += 1;
     }
     hash
 }

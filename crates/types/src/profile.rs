@@ -2,7 +2,7 @@
 //! profiling of the visit fast path.
 //!
 //! The bench guard sees whole-run sites/s, so a regression inside one visit
-//! stage (the DNS walk, handshake pricing, HPACK encode, transfer clock,
+//! stage (the DNS walk, handshake pricing, request streams, transfer clock,
 //! classification, cost fold) surfaces only as an anonymous throughput drop.
 //! This module names the stage:
 //!
@@ -59,8 +59,8 @@ pub enum Stage {
     /// Opening a connection: handshake pricing (RTTs, octets, loss carry),
     /// establishment, ORIGIN-frame receipt.
     Handshake,
-    /// Encoding the request and response over the chosen session (HPACK
-    /// dynamic-table work lives here).
+    /// Sending the request over the chosen session: opening and completing
+    /// its stream, plus the injected reset and GOAWAY fault draws.
     RequestEncode,
     /// Charging the transfer clock and folding per-request cost counters.
     TransferClock,

@@ -11,7 +11,6 @@ use connreuse::core::{
 use connreuse::cost::{CostTotals, LinkProfile, VisitTimeline};
 use connreuse::dns::{LoadBalancePolicy, QueryContext, ResolverId, Vantage};
 use connreuse::experiments::{run_cost, CostConfig, CostReport};
-use connreuse::h2::hpack::HpackContext;
 use connreuse::h2::reuse::{evaluate, ReusePolicy};
 use connreuse::h2::{CloseReason, Connection, ConnectionState, Settings};
 use connreuse::tls::{Certificate, CertificateId, CertificateStore, IssuancePolicy, Issuer, SanEntry};
@@ -543,24 +542,5 @@ proptest! {
             lend_shells.iter().filter(|s| s.close_reason == Some(CloseReason::DeadOnReuse)).count()
         );
         prop_assert_eq!(stats.closed() + stats.lent, stats.inserted);
-    }
-
-    /// HPACK: the encoded block is never larger than the uncompressed header
-    /// list plus per-field overhead, and repeated encoding monotonically
-    /// improves the cumulative compression ratio.
-    #[test]
-    fn hpack_encoding_is_bounded_and_improves(path in "/[a-z0-9/]{0,40}", repeats in 1usize..12) {
-        let headers = HpackContext::request_headers("www.example.com", &path, Some("sid=token"));
-        let uncompressed: usize = headers.iter().map(|h| h.name.len() + h.value.len() + 4).sum();
-        let mut ctx = HpackContext::default();
-        let mut previous_ratio = f64::INFINITY;
-        for _ in 0..repeats {
-            let encoded = ctx.encode_block_size(&headers);
-            prop_assert!(encoded > 0);
-            prop_assert!(encoded <= uncompressed + headers.len());
-            let ratio = ctx.compression_ratio();
-            prop_assert!(ratio <= previous_ratio + 1e-9);
-            previous_ratio = ratio;
-        }
     }
 }
