@@ -85,6 +85,10 @@ pub struct RunOutcome<R> {
 /// executor degenerates to a plain sequential loop with no locking at all.
 /// Panics in `init` or `run` propagate to the caller once all workers have
 /// stopped (the underlying scoped threads re-raise on join).
+///
+/// This is [`run_indexed_streaming`] with room in the channel for every
+/// result, so workers never block on the caller, and a consumer that files
+/// each result into its index slot.
 pub fn run_indexed<S, R, I, F>(threads: usize, tasks: usize, init: I, run: F) -> RunOutcome<R>
 where
     S: Send,
@@ -92,81 +96,12 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let workers = threads.clamp(1, tasks.max(1));
-    if workers <= 1 {
-        let mut state = init(0);
-        let results = (0..tasks).map(|task| run(&mut state, task)).collect();
-        return RunOutcome { results, stats: PoolStats { workers: 1, executed: vec![tasks], steals: 0 } };
-    }
-
-    // Initial distribution: contiguous blocks, so a steal-free run matches
-    // the cache-friendly static split and task 0 starts on worker 0.
-    let block = tasks.div_ceil(workers);
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|worker| {
-            let start = worker * block;
-            let end = tasks.min(start + block);
-            Mutex::new((start..end.max(start)).collect())
-        })
-        .collect();
-
-    // Result slots are index-addressed; each slot is written exactly once, by
-    // whichever worker ran the task.
-    let mut slots: Vec<Mutex<Option<R>>> = Vec::new();
-    slots.resize_with(tasks, || Mutex::new(None));
-    let executed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let steals = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let executed = &executed;
-            let steals = &steals;
-            let init = &init;
-            let run = &run;
-            scope.spawn(move || {
-                let mut state = init(worker);
-                loop {
-                    // Own deque first (front: the contiguous-block order),
-                    // then scan siblings in a fixed rotation and steal from
-                    // the back (the far end of *their* block).
-                    let mut task = deques[worker].lock().expect("executor deque poisoned").pop_front();
-                    if task.is_none() {
-                        for offset in 1..workers {
-                            let victim = (worker + offset) % workers;
-                            let stolen = deques[victim].lock().expect("executor deque poisoned").pop_back();
-                            if stolen.is_some() {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                                task = stolen;
-                                break;
-                            }
-                        }
-                    }
-                    // No task anywhere: all remaining tasks are in flight on
-                    // other workers (nothing enqueues after start), so this
-                    // worker is done.
-                    let Some(task) = task else { break };
-                    let result = run(&mut state, task);
-                    *slots[task].lock().expect("executor slot poisoned") = Some(result);
-                    executed[worker].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("executor slot poisoned").expect("every task ran"))
-        .collect();
-    RunOutcome {
-        results,
-        stats: PoolStats {
-            workers,
-            executed: executed.iter().map(|count| count.load(Ordering::Relaxed) as usize).collect(),
-            steals: steals.load(Ordering::Relaxed),
-        },
-    }
+    let mut slots: Vec<Option<R>> = Vec::new();
+    slots.resize_with(tasks, || None);
+    let stats =
+        run_indexed_streaming(threads, tasks, tasks, init, run, |task, result| slots[task] = Some(result));
+    let results = slots.into_iter().map(|slot| slot.expect("every task ran")).collect();
+    RunOutcome { results, stats }
 }
 
 /// Run `tasks` task indices across `threads` workers with work stealing,
@@ -174,13 +109,13 @@ where
 /// thread as soon as it is produced, through a bounded channel of `capacity`
 /// results.
 ///
-/// This is the merge-while-crawling variant of [`run_indexed`]: instead of
-/// buffering every result until the run finishes, the caller folds (or
-/// persists) results while the workers are still computing. The channel is a
-/// [`std::sync::mpsc::sync_channel`], so when `consume` falls behind by more
-/// than `capacity` results the **workers block on send** — a slow consumer
-/// applies backpressure to the producers instead of growing an unbounded
-/// buffer.
+/// This is the executor's one worker loop; [`run_indexed`] is the buffered
+/// special case. Instead of buffering every result until the run finishes,
+/// the caller folds (or persists) results while the workers are still
+/// computing. The channel is a [`std::sync::mpsc::sync_channel`], so when
+/// `consume` falls behind by more than `capacity` results the **workers
+/// block on send** — a slow consumer applies backpressure to the producers
+/// instead of growing an unbounded buffer.
 ///
 /// Results arrive in **completion order**, which is timing-dependent; the
 /// task index accompanies every result so an order-sensitive caller can
@@ -230,6 +165,8 @@ where
         return PoolStats { workers: 1, executed: vec![tasks], steals: 0 };
     }
 
+    // Initial distribution: contiguous blocks, so a steal-free run matches
+    // the cache-friendly static split and task 0 starts on worker 0.
     let block = tasks.div_ceil(workers);
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|worker| {
@@ -253,6 +190,9 @@ where
             scope.spawn(move || {
                 let mut state = init(worker);
                 loop {
+                    // Own deque first (front: the contiguous-block order),
+                    // then scan siblings in a fixed rotation and steal from
+                    // the back (the far end of *their* block).
                     let mut task = deques[worker].lock().expect("executor deque poisoned").pop_front();
                     if task.is_none() {
                         for offset in 1..workers {
@@ -265,6 +205,9 @@ where
                             }
                         }
                     }
+                    // No task anywhere: all remaining tasks are in flight on
+                    // other workers (nothing enqueues after start), so this
+                    // worker is done.
                     let Some(task) = task else { break };
                     let result = run(&mut state, task);
                     executed[worker].fetch_add(1, Ordering::Relaxed);

@@ -57,6 +57,9 @@ fn parse_args() -> Result<CliOptions, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
+    if config.sites == 0 {
+        return Err("--sites must be at least 1".to_string());
+    }
     Ok(CliOptions { config, out, check_threads, help })
 }
 
@@ -99,9 +102,19 @@ fn main() {
         return;
     }
 
-    // Determinism check: the same grid sharded over different thread counts
-    // must render byte-identically (the shard-merge contract).
-    if !options.check_threads.is_empty() {
+    let text = if options.check_threads.is_empty() {
+        eprintln!(
+            "injecting faults into {} sessions per cell over {} sites: seed={} threads={}",
+            options.config.sessions, options.config.sites, options.config.seed, options.config.threads
+        );
+        let start = std::time::Instant::now();
+        let report = run_chaos(&options.config);
+        eprintln!("chaos done in {:.1}s", start.elapsed().as_secs_f64());
+        report.render()
+    } else {
+        // Determinism check: the same grid scheduled over different thread
+        // counts must render byte-identically (the shard-merge contract).
+        // The checked report is the one printed and written to --out.
         let mut reference: Option<(usize, String)> = None;
         for &threads in &options.check_threads {
             let config = ChaosConfig { threads, ..options.config };
@@ -119,19 +132,9 @@ fn main() {
                 }
             }
         }
-        println!("{}", reference.expect("at least two runs").1);
-        return;
-    }
+        reference.expect("at least two runs").1
+    };
 
-    eprintln!(
-        "injecting faults into {} sessions per cell over {} sites: seed={} threads={}",
-        options.config.sessions, options.config.sites, options.config.seed, options.config.threads
-    );
-    let start = std::time::Instant::now();
-    let report = run_chaos(&options.config);
-    eprintln!("chaos done in {:.1}s", start.elapsed().as_secs_f64());
-
-    let text = report.render();
     println!("{text}");
     if let Some(path) = &options.out {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {

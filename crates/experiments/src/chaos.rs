@@ -26,37 +26,29 @@
 //!
 //! ## Sharding and determinism
 //!
-//! Mitigation combinations shard across worker threads exactly like the cost
-//! sweep's (one population build per combination, nine cells crawled from
-//! it). Every fault draw comes from a per-visit `fork("fault")` stream of
-//! the session RNGs, which fork off the global session index — never a
-//! worker id — so reports are byte-identical at any `--threads` value and
-//! the calm cells are *provably* fault-free (pinned in the golden). The
-//! navigation trace replays identically in all 145 cells: cells differ only
-//! in deployment, failure level, link and retry policy.
+//! The 16 mitigation combinations (one population build each, nine cells
+//! crawled from it) and the hedged cell are the 17 tasks of one
+//! [`connreuse_executor::run_indexed`] run, exactly like the cost sweep's
+//! cells; results come back in task order. Every cell replays the fleet's
+//! session loop (`replay_sessions`) under the chaos stream labels. Every
+//! fault draw comes from a per-visit `fork("fault")` stream of the session
+//! RNGs, which fork off the global session index — never a worker id — so
+//! reports are byte-identical at any `--threads` value and the calm cells
+//! are *provably* fault-free (pinned in the golden). The navigation trace
+//! replays identically in all 145 cells: cells differ only in deployment,
+//! failure level, link and retry policy.
 
-use crate::fleet::choose_site;
+use crate::fleet::{replay_sessions, run_chunks, SessionStreams};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_POPULATION_SEED_OFFSET};
-use netsim_browser::{
-    Browser, BrowserConfig, FaultProfile, PoolConfig, PoolLifecycleStats, RetryPolicy, UserSession,
-    VisitScratch,
-};
+use crate::scenario::{alexa_population, ScenarioConfig};
+use netsim_browser::{BrowserConfig, FaultProfile, PoolConfig, PoolLifecycleStats, RetryPolicy};
 use netsim_cost::{LinkProfile, SessionTotals};
-use netsim_types::{Duration, Instant, MitigationSet, SimClock, SimRng};
-use netsim_web::{PopulationBuilder, PopulationProfile, WebEnvironment};
+use netsim_types::MitigationSet;
 use serde::{Deserialize, Serialize};
 
-/// Seed offset of the chaos session streams (population uses
-/// [`ALEXA_POPULATION_SEED_OFFSET`]; crawl/fleet offsets stay clear).
-const CHAOS_SESSION_SEED_OFFSET: u64 = 50;
-
-/// Identifier spacing between sessions so connection/request ids never
-/// collide across a cell (mirrors the fleet's stride).
-const ID_STRIDE: u64 = 1_000_000;
-
-/// Simulated spacing between consecutive session start times.
-const SESSION_SPACING_SECS: u64 = 900;
+/// The chaos grid's session streams (seed offset clear of the fleet's).
+const CHAOS_STREAMS: SessionStreams =
+    SessionStreams { seed_offset: 50, nav: "chaos-nav", visit: "chaos-visit" };
 
 /// The failure levels: every fault process runs at the same ppm rate.
 /// `calm` doubles as the 0-ppm control — its cells must count zero faults,
@@ -73,7 +65,7 @@ pub struct ChaosConfig {
     /// Root seed; cells share it so that only deployment, level, link and
     /// retry policy differ.
     pub seed: u64,
-    /// Worker threads the mitigation combinations are sharded across.
+    /// Worker threads the mitigation combinations are scheduled across.
     pub threads: usize,
 }
 
@@ -138,54 +130,23 @@ pub struct ChaosReport {
 }
 
 /// Run the chaos grid: every mitigation combination builds its population
-/// once and crawls the nine (level × profile) cells from it, sharded across
-/// `config.threads` worker threads; the hedged cell runs last.
+/// once and crawls the nine (level × profile) cells from it; the hedged cell
+/// is one more task of the same run. Tasks are scheduled across
+/// `config.threads` workers and come back in task order.
 pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let mut rows: Vec<Option<Vec<ChaosCell>>> = Vec::new();
-    rows.resize_with(combos.len(), || None);
-
-    let threads = config.threads.clamp(1, combos.len());
-    if threads <= 1 {
-        for (row, combo) in rows.iter_mut().zip(&combos) {
-            *row = Some(run_combo(config, *combo, &profiles));
-        }
-    } else {
-        let chunk = combos.len().div_ceil(threads);
-        let profiles = &profiles;
-        std::thread::scope(|scope| {
-            for (slot, shard) in rows.chunks_mut(chunk).zip(combos.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (row, combo) in slot.iter_mut().zip(shard) {
-                        *row = Some(run_combo(config, *combo, profiles));
-                    }
-                });
-            }
-        });
-    }
-
-    let mut cells: Vec<ChaosCell> =
-        rows.into_iter().flat_map(|row| row.expect("every combination ran")).collect();
-    cells.push(run_hedged_cell(config, &profiles));
-    ChaosReport { config: *config, profiles, cells }
+    let rows = run_chunks(config.threads, combos.len() + 1, |task| match combos.get(task) {
+        Some(&mitigations) => run_combo(config, mitigations, &profiles),
+        None => vec![run_hedged_cell(config, &profiles)],
+    });
+    ChaosReport { config: *config, profiles, cells: rows.into_iter().flatten().collect() }
 }
 
 /// Crawl one mitigation combination's nine cells (level-major,
 /// profile-minor) from a single population build.
 fn run_combo(config: &ChaosConfig, mitigations: MitigationSet, profiles: &[LinkProfile]) -> Vec<ChaosCell> {
-    // One combination is the chaos grid's chunk: a scaffold-stage envelope
-    // around every session page of its nine cells, flushed to the
-    // process-wide profile table before the worker moves on.
-    let combo_guard = netsim_types::profile::enter(netsim_types::profile::Stage::ChunkLoop);
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .with_mitigations(mitigations)
-    .build();
-
+    let env = alexa_population(config.sites, config.seed, mitigations);
     let mut cells = Vec::with_capacity(FAULT_LEVELS.len() * profiles.len());
     for (level, (_, ppm)) in FAULT_LEVELS.iter().enumerate() {
         for (profile_index, profile) in profiles.iter().enumerate() {
@@ -193,7 +154,14 @@ fn run_combo(config: &ChaosConfig, mitigations: MitigationSet, profiles: &[LinkP
                 faults: FaultProfile::uniform(*ppm),
                 ..BrowserConfig::with_mitigations(mitigations).over_link(profile)
             };
-            let (totals, lifecycle, degraded_pages) = run_sessions(config, &env, &browser_config);
+            let (totals, lifecycle, degraded_pages) = replay_sessions(
+                &CHAOS_STREAMS,
+                config.seed,
+                config.sessions,
+                &env,
+                &browser_config,
+                Some(PoolConfig::default()),
+            );
             cells.push(ChaosCell {
                 mitigations,
                 level,
@@ -205,21 +173,13 @@ fn run_combo(config: &ChaosConfig, mitigations: MitigationSet, profiles: &[LinkP
             });
         }
     }
-    drop(combo_guard);
-    netsim_types::profile::flush_local();
     cells
 }
 
 /// The hedged-dial cell: the unmitigated web at the hostile level on lossy
 /// cellular, dialing redundantly instead of backing off.
 fn run_hedged_cell(config: &ChaosConfig, profiles: &[LinkProfile]) -> ChaosCell {
-    let cell_guard = netsim_types::profile::enter(netsim_types::profile::Stage::ChunkLoop);
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .build();
+    let env = alexa_population(config.sites, config.seed, MitigationSet::empty());
     let level = FAULT_LEVELS.len() - 1;
     let profile_index = profiles.len() - 1;
     let browser_config = BrowserConfig {
@@ -227,9 +187,14 @@ fn run_hedged_cell(config: &ChaosConfig, profiles: &[LinkProfile]) -> ChaosCell 
         retry: RetryPolicy { hedged_dials: true, ..RetryPolicy::default() },
         ..BrowserConfig::with_mitigations(MitigationSet::empty()).over_link(&profiles[profile_index])
     };
-    let (totals, lifecycle, degraded_pages) = run_sessions(config, &env, &browser_config);
-    drop(cell_guard);
-    netsim_types::profile::flush_local();
+    let (totals, lifecycle, degraded_pages) = replay_sessions(
+        &CHAOS_STREAMS,
+        config.seed,
+        config.sessions,
+        &env,
+        &browser_config,
+        Some(PoolConfig::default()),
+    );
     ChaosCell {
         mitigations: MitigationSet::empty(),
         level,
@@ -239,51 +204,6 @@ fn run_hedged_cell(config: &ChaosConfig, profiles: &[LinkProfile]) -> ChaosCell 
         lifecycle,
         degraded_pages,
     }
-}
-
-/// Drive `config.sessions` warm multi-page sessions under `browser_config`.
-/// The navigation trace (sites, page counts, dwells, simulated instants) is
-/// identical in every cell; only the fault stream's consequences differ.
-fn run_sessions(
-    config: &ChaosConfig,
-    env: &WebEnvironment,
-    browser_config: &BrowserConfig,
-) -> (SessionTotals, PoolLifecycleStats, u64) {
-    let mut scratch = VisitScratch::without_netlog();
-    let mut totals = SessionTotals::new();
-    let mut session = UserSession::new(PoolConfig::default());
-    let mut visited: Vec<usize> = Vec::new();
-    let mut degraded_pages = 0u64;
-
-    for session_index in 0..config.sessions as u64 {
-        let mut nav_rng =
-            SimRng::new(config.seed + CHAOS_SESSION_SEED_OFFSET).fork_indexed("chaos-nav", session_index);
-        let visit_streams =
-            SimRng::new(config.seed + CHAOS_SESSION_SEED_OFFSET).fork_indexed("chaos-visit", session_index);
-        let mut clock =
-            SimClock::starting_at(Instant::EPOCH + Duration::from_secs(SESSION_SPACING_SECS * session_index));
-        let mut browser = Browser::with_id_base(browser_config.clone(), session_index * ID_STRIDE);
-        visited.clear();
-
-        let pages = nav_rng.in_range(2..=7usize);
-        for page in 0..pages as u64 {
-            let site_index = choose_site(&mut nav_rng, &visited, config.sites);
-            visited.push(site_index);
-            let mut page_rng = visit_streams.fork_indexed("page", page);
-            let site = &env.sites[site_index];
-            browser.load_session_page_into(&mut scratch, &mut session, env, site, &mut clock, &mut page_rng);
-            totals.absorb_page(scratch.timeline());
-            if !scratch.outcome().is_complete() {
-                degraded_pages += 1;
-            }
-            let dwell = nav_rng.in_range(5..=120u64);
-            clock.advance(Duration::from_secs(dwell));
-        }
-        session.end(&mut scratch, clock.now());
-        totals.end_session();
-    }
-
-    (totals, session.take_stats(), degraded_pages)
 }
 
 impl ChaosReport {
@@ -330,12 +250,17 @@ impl ChaosReport {
         cell.degraded_pages as f64 / pages as f64
     }
 
+    /// The calm (0 ppm) cells of the grid.
+    fn calm_cells(&self) -> impl Iterator<Item = &ChaosCell> {
+        self.cells.iter().filter(|cell| cell.level == 0 && !cell.hedged)
+    }
+
     /// Faults injected and retries spent across every calm (0 ppm) cell —
     /// the control total the golden pins at zero.
     pub fn calm_totals(&self) -> (u64, u64) {
         let mut faults = 0;
         let mut retries = 0;
-        for cell in self.cells.iter().filter(|cell| cell.level == 0 && !cell.hedged) {
+        for cell in self.calm_cells() {
             faults += cell.totals.totals.sums.faults_injected;
             retries += cell.totals.totals.sums.retries;
         }
@@ -441,10 +366,11 @@ impl ChaosReport {
         ));
         let (calm_faults, calm_retries) = self.calm_totals();
         out.push_str(&format!(
-            "calm control: {} faults injected, {} retries across all 48 calm cells — at 0 ppm the \
+            "calm control: {} faults injected, {} retries across all {} calm cells — at 0 ppm the \
              fault layer draws nothing and charges nothing\n",
             format_count(calm_faults as usize),
             format_count(calm_retries as usize),
+            self.calm_cells().count(),
         ));
         out.push_str(
             "note: every cell replays the identical navigation trace (same pages, same simulated \
@@ -576,9 +502,13 @@ mod tests {
     fn chaos_is_thread_invariant() {
         let config = ChaosConfig { sites: 16, sessions: 4, seed: 20_210_420, threads: 1 };
         let sequential = run_chaos(&config);
-        let sharded = run_chaos(&ChaosConfig { threads: 8, ..config });
-        assert_eq!(sequential.cells, sharded.cells);
-        assert_eq!(sequential.render(), sharded.render());
+        // Three workers split the 17 tasks into uneven blocks, so steals
+        // actually happen.
+        for threads in [2, 3, 8] {
+            let sharded = run_chaos(&ChaosConfig { threads, ..config });
+            assert_eq!(sequential.cells, sharded.cells, "cells diverged at threads={threads}");
+            assert_eq!(sequential.render(), sharded.render(), "render diverged at threads={threads}");
+        }
     }
 
     #[test]

@@ -24,23 +24,24 @@
 //!
 //! ## Sharding and determinism
 //!
-//! Mitigation cells are independent; the 16 of them are sharded across
-//! worker threads exactly like the sweep's. One population is generated per
-//! cell and crawled under all three profiles (the population depends only on
+//! Mitigation cells are independent; the 16 of them are the tasks of one
+//! [`connreuse_executor::run_indexed`] run, exactly like the sweep's. One
+//! population is generated per cell and crawled under all three profiles (the population depends only on
 //! the mitigation deployment, never on the link). Every stochastic choice
-//! flows from RNG streams forked off the root seed by stable labels, so
-//! `threads = 1` and `threads = 8` render byte-identical reports (asserted
-//! in `tests/determinism.rs`). Costs are integer counts plus integer
+//! flows from RNG streams forked off the root seed by stable labels, and
+//! results come back in task order whichever worker ran them, so every
+//! thread count renders byte-identical reports (asserted in
+//! `tests/determinism.rs`). Costs are integer counts plus integer
 //! simulated milliseconds — nothing machine-dependent enters the report.
 
 use crate::atlas::classify_scratch;
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
+use crate::scenario::{alexa_population, ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use connreuse_core::{classify_site, site_from_visit, Accumulator, DurationModel, FastVisitClassifier};
+use connreuse_executor::run_indexed;
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::MitigationSet;
-use netsim_web::{PopulationBuilder, PopulationProfile};
 use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one cost sweep.
@@ -105,37 +106,17 @@ pub struct CostReport {
 }
 
 /// Run the cost sweep: every mitigation combination crawled under every
-/// link profile, sharded across `config.threads` worker threads.
+/// link profile, scheduled across `config.threads` workers.
 pub fn run_cost(config: &CostConfig) -> CostReport {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let mut rows: Vec<Option<Vec<CostCell>>> = Vec::new();
-    rows.resize_with(combos.len(), || None);
-
-    let threads = config.threads.clamp(1, combos.len());
-    if threads <= 1 {
-        for (row, combo) in rows.iter_mut().zip(&combos) {
-            *row = Some(run_cell(config, *combo, &profiles));
-        }
-    } else {
-        let chunk = combos.len().div_ceil(threads);
-        let profiles = &profiles;
-        std::thread::scope(|scope| {
-            for (slot, shard) in rows.chunks_mut(chunk).zip(combos.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (row, combo) in slot.iter_mut().zip(shard) {
-                        *row = Some(run_cell(config, *combo, profiles));
-                    }
-                });
-            }
-        });
-    }
-
-    CostReport {
-        config: *config,
-        profiles,
-        cells: rows.into_iter().flat_map(|row| row.expect("every cell ran")).collect(),
-    }
+    let rows = run_indexed(
+        config.threads,
+        combos.len(),
+        |_| (),
+        |(), task| run_cell(config, combos[task], &profiles),
+    );
+    CostReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() }
 }
 
 /// Measure one mitigation cell under every profile: the population is built
@@ -143,13 +124,7 @@ pub fn run_cost(config: &CostConfig) -> CostReport {
 /// profile through the zero-allocation scratch, folding each visit's
 /// timeline and streamed classification as it completes.
 fn run_cell(config: &CostConfig, mitigations: MitigationSet, profiles: &[LinkProfile]) -> Vec<CostCell> {
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .with_mitigations(mitigations)
-    .build();
+    let env = alexa_population(config.sites, config.seed, mitigations);
     let planned_octets = env.total_planned_octets();
     let label = mitigations.label();
 

@@ -25,27 +25,27 @@
 //!
 //! ## Sharding and determinism
 //!
-//! Cells are independent and shard across worker threads exactly like the
-//! cost sweep's. Within a cell, every stochastic choice forks off the global
-//! *session* index (`fork_indexed("fleet-nav", session)` for the navigation
-//! trace, `fork_indexed("fleet-visit", session)` for in-visit lifetime
-//! draws), never off a worker id — rule 1 of the determinism contract — and
-//! the navigation RNG is consumed identically in every cell, so all 29 cells
-//! replay the *same pages at the same simulated instants* and differ only in
-//! deployment and pool policy. Reports are byte-identical at any `--threads`
-//! value (asserted in `tests/determinism.rs`).
+//! Cells are independent: the 29 of them are the tasks of one
+//! [`connreuse_executor::run_indexed`] run, whose results come back in task
+//! order whichever worker ran them. Within a cell, one session loop
+//! (`replay_sessions`, shared with the chaos grid) draws every stochastic
+//! choice off the global *session* index (`fork_indexed("fleet-nav",
+//! session)` for the navigation trace, `fork_indexed("fleet-visit",
+//! session)` for in-visit lifetime draws), never off a worker id — rule 1 of
+//! the determinism contract — and the navigation RNG is consumed identically
+//! in every cell, so all 29 cells replay the *same pages at the same
+//! simulated instants* and differ only in deployment and pool policy.
+//! Reports are byte-identical at any `--threads` value (asserted in
+//! `tests/determinism.rs`).
 
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_POPULATION_SEED_OFFSET};
+use crate::scenario::{alexa_population, ScenarioConfig};
+use connreuse_executor::run_indexed;
 use netsim_browser::{Browser, BrowserConfig, PoolConfig, PoolLifecycleStats, UserSession, VisitScratch};
 use netsim_cost::SessionTotals;
-use netsim_types::{Duration, Instant, MitigationSet, SimClock, SimRng};
-use netsim_web::{PopulationBuilder, PopulationProfile};
+use netsim_types::{profile, Duration, Instant, MitigationSet, SimClock, SimRng};
+use netsim_web::WebEnvironment;
 use serde::{Deserialize, Serialize};
-
-/// Seed offset of the fleet's session streams (population uses
-/// [`ALEXA_POPULATION_SEED_OFFSET`]; crawl offsets stay clear of both).
-const FLEET_SESSION_SEED_OFFSET: u64 = 40;
 
 /// Identifier spacing between sessions so connection/request ids never
 /// collide across a cell (mirrors the crawler's per-site stride).
@@ -146,39 +146,45 @@ fn cell_plans() -> Vec<(MitigationSet, Option<PoolConfig>)> {
     plans
 }
 
-/// Run the fleet: every cell replays the same session trace, sharded across
-/// `config.threads` worker threads.
+/// Run the fleet: every cell replays the same session trace, scheduled
+/// across `config.threads` workers.
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     let plans = cell_plans();
-    let mut rows: Vec<Option<FleetCell>> = Vec::new();
-    rows.resize_with(plans.len(), || None);
+    let cells = run_chunks(config.threads, plans.len(), |task| {
+        let (mitigations, pool) = plans[task];
+        let env = alexa_population(config.sites, config.seed, mitigations);
+        let browser_config = BrowserConfig::with_mitigations(mitigations);
+        let (totals, lifecycle, _) =
+            replay_sessions(&FLEET_STREAMS, config.seed, config.sessions, &env, &browser_config, pool);
+        FleetCell { mitigations, pool, totals, lifecycle }
+    });
+    FleetReport { config: *config, cells }
+}
 
-    let threads = config.threads.clamp(1, plans.len());
-    if threads <= 1 {
-        for (row, plan) in rows.iter_mut().zip(&plans) {
-            *row = Some(run_cell(config, plan.0, plan.1));
-        }
-    } else {
-        let chunk = plans.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (slot, shard) in rows.chunks_mut(chunk).zip(plans.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (row, plan) in slot.iter_mut().zip(shard) {
-                        *row = Some(run_cell(config, plan.0, plan.1));
-                    }
-                });
-            }
-        });
-    }
-
-    FleetReport { config: *config, cells: rows.into_iter().map(|row| row.expect("every cell ran")).collect() }
+/// Run `tasks` grid tasks on the work-stealing executor, results in task
+/// order. Each task is the grid's chunk: a scaffold-stage envelope around
+/// every session page it replays, flushed to the process-wide profile table
+/// before the worker moves on.
+pub(crate) fn run_chunks<R: Send>(threads: usize, tasks: usize, run: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    run_indexed(
+        threads,
+        tasks,
+        |_| (),
+        |(), task| {
+            let chunk_guard = profile::enter(profile::Stage::ChunkLoop);
+            let result = run(task);
+            drop(chunk_guard);
+            profile::flush_local();
+            result
+        },
+    )
+    .results
 }
 
 /// Pick the next page of a session: revisit a page already seen with
 /// probability [`REVISIT_PROBABILITY`], otherwise navigate somewhere new.
-/// Consumes the same RNG draws in every cell (the trace is cell-invariant;
-/// the chaos grid shares this navigation model).
-pub(crate) fn choose_site(rng: &mut SimRng, visited: &[usize], sites: usize) -> usize {
+/// Consumes the same RNG draws in every cell (the trace is cell-invariant).
+fn choose_site(rng: &mut SimRng, visited: &[usize], sites: usize) -> usize {
     if !visited.is_empty() && rng.chance(REVISIT_PROBABILITY) {
         *rng.pick(visited).expect("visited is non-empty")
     } else {
@@ -186,34 +192,53 @@ pub(crate) fn choose_site(rng: &mut SimRng, visited: &[usize], sites: usize) -> 
     }
 }
 
-/// Run one cell: `config.sessions` multi-page sessions over the deployment's
-/// population, warm through a [`UserSession`] or cold through the per-visit
-/// path when `pool` is `None`.
-fn run_cell(config: &FleetConfig, mitigations: MitigationSet, pool: Option<PoolConfig>) -> FleetCell {
-    // One fleet cell is the fleet's chunk: a scaffold-stage envelope around
-    // every session page it replays, flushed to the process-wide profile
-    // table before the worker thread moves on (or dies with the scope).
-    let cell_guard = netsim_types::profile::enter(netsim_types::profile::Stage::ChunkLoop);
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .with_mitigations(mitigations)
-    .build();
-    let browser_config = BrowserConfig::with_mitigations(mitigations);
+/// The seed offset and RNG labels that set one session grid's trace apart
+/// from another's.
+pub(crate) struct SessionStreams {
+    /// Added to the root seed (population uses
+    /// [`crate::scenario::ALEXA_POPULATION_SEED_OFFSET`]; crawl offsets stay
+    /// clear of every grid's).
+    pub(crate) seed_offset: u64,
+    /// Label of the per-session navigation stream (sites, page counts,
+    /// dwells).
+    pub(crate) nav: &'static str,
+    /// Label of the per-session visit stream (in-visit lifetime and fault
+    /// draws, forked per page).
+    pub(crate) visit: &'static str,
+}
 
+/// The fleet's session streams.
+const FLEET_STREAMS: SessionStreams =
+    SessionStreams { seed_offset: 40, nav: "fleet-nav", visit: "fleet-visit" };
+
+/// Replay `sessions` multi-page sessions over `env` under `browser_config`:
+/// warm through one [`UserSession`] when `pool` is set, cold through the
+/// per-visit path when it is `None`. The session loop of both the fleet and
+/// the chaos grid.
+///
+/// The navigation trace (sites, page counts, dwells, simulated instants)
+/// forks off the global session index and is identical in every cell that
+/// shares `streams` and `seed`; only deployment, pool and fault consequences
+/// differ. Returns the cross-page totals, the pool lifecycle (all zero when
+/// cold) and the pages that ended degraded.
+pub(crate) fn replay_sessions(
+    streams: &SessionStreams,
+    seed: u64,
+    sessions: usize,
+    env: &WebEnvironment,
+    browser_config: &BrowserConfig,
+    pool: Option<PoolConfig>,
+) -> (SessionTotals, PoolLifecycleStats, u64) {
     let mut scratch = VisitScratch::without_netlog();
     let mut totals = SessionTotals::new();
-    let mut lifecycle = PoolLifecycleStats::default();
     let mut session_state = pool.map(UserSession::new);
     let mut visited: Vec<usize> = Vec::new();
+    let mut degraded_pages = 0u64;
+    let root = SimRng::new(seed + streams.seed_offset);
 
-    for session_index in 0..config.sessions as u64 {
-        let mut nav_rng =
-            SimRng::new(config.seed + FLEET_SESSION_SEED_OFFSET).fork_indexed("fleet-nav", session_index);
-        let visit_streams =
-            SimRng::new(config.seed + FLEET_SESSION_SEED_OFFSET).fork_indexed("fleet-visit", session_index);
+    for session_index in 0..sessions as u64 {
+        let mut nav_rng = root.fork_indexed(streams.nav, session_index);
+        let visit_streams = root.fork_indexed(streams.visit, session_index);
         let mut clock =
             SimClock::starting_at(Instant::EPOCH + Duration::from_secs(SESSION_SPACING_SECS * session_index));
         let mut browser = Browser::with_id_base(browser_config.clone(), session_index * ID_STRIDE);
@@ -221,7 +246,7 @@ fn run_cell(config: &FleetConfig, mitigations: MitigationSet, pool: Option<PoolC
 
         let pages = nav_rng.in_range(2..=7usize);
         for page in 0..pages as u64 {
-            let site_index = choose_site(&mut nav_rng, &visited, config.sites);
+            let site_index = choose_site(&mut nav_rng, &visited, env.sites.len());
             visited.push(site_index);
             let mut page_rng = visit_streams.fork_indexed("page", page);
             let site = &env.sites[site_index];
@@ -230,17 +255,20 @@ fn run_cell(config: &FleetConfig, mitigations: MitigationSet, pool: Option<PoolC
                     browser.load_session_page_into(
                         &mut scratch,
                         session,
-                        &env,
+                        env,
                         site,
                         &mut clock,
                         &mut page_rng,
                     );
                 }
                 None => {
-                    browser.load_page_into(&mut scratch, &env, site, &mut clock, &mut page_rng);
+                    browser.load_page_into(&mut scratch, env, site, &mut clock, &mut page_rng);
                 }
             }
             totals.absorb_page(scratch.timeline());
+            if !scratch.outcome().is_complete() {
+                degraded_pages += 1;
+            }
             // Dwell before the next navigation (drawn even after the last
             // page so the trace stays cell-invariant).
             let dwell = nav_rng.in_range(5..=120u64);
@@ -252,12 +280,8 @@ fn run_cell(config: &FleetConfig, mitigations: MitigationSet, pool: Option<PoolC
         totals.end_session();
     }
 
-    if let Some(session) = session_state.as_mut() {
-        lifecycle.merge(&session.take_stats());
-    }
-    drop(cell_guard);
-    netsim_types::profile::flush_local();
-    FleetCell { mitigations, pool, totals, lifecycle }
+    let lifecycle = session_state.as_mut().map(UserSession::take_stats).unwrap_or_default();
+    (totals, lifecycle, degraded_pages)
 }
 
 impl FleetReport {

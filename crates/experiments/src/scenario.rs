@@ -4,6 +4,7 @@
 use connreuse_core::{dataset_from_crawl, dataset_from_har, Dataset};
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_har::{ArchivePipeline, FilterStatistics};
+use netsim_types::MitigationSet;
 use netsim_web::{PopulationBuilder, PopulationProfile, WebEnvironment};
 use serde::{Deserialize, Serialize};
 
@@ -15,6 +16,16 @@ pub const ALEXA_POPULATION_SEED_OFFSET: u64 = 1;
 /// Seed offset of the Alexa crawls (stock and patched) relative to the root
 /// seed. Shared with the mitigation sweep and the `whatif` experiment.
 pub const ALEXA_CRAWL_SEED_OFFSET: u64 = 10;
+
+/// The Alexa-shaped population of `sites` sites under root seed `seed`,
+/// deployed with `mitigations`. Every mitigation grid (sweep, cost, fleet,
+/// chaos) builds its cells from this one population recipe, and with no
+/// mitigation it is the scenario's own Alexa environment.
+pub(crate) fn alexa_population(sites: usize, seed: u64, mitigations: MitigationSet) -> WebEnvironment {
+    PopulationBuilder::new(PopulationProfile::alexa(), sites, seed + ALEXA_POPULATION_SEED_OFFSET)
+        .with_mitigations(mitigations)
+        .build()
+}
 
 /// Sizing and seeding of the simulated measurement campaign.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,12 +99,7 @@ impl Scenario {
     pub fn build(config: ScenarioConfig) -> Scenario {
         let archive_env =
             PopulationBuilder::new(PopulationProfile::archive(), config.archive_sites, config.seed).build();
-        let alexa_env = PopulationBuilder::new(
-            PopulationProfile::alexa(),
-            config.alexa_sites,
-            config.seed + ALEXA_POPULATION_SEED_OFFSET,
-        )
-        .build();
+        let alexa_env = alexa_population(config.alexa_sites, config.seed, MitigationSet::empty());
         let overlap_env =
             PopulationBuilder::new(PopulationProfile::alexa(), config.overlap_sites, config.seed + 2).build();
 

@@ -28,22 +28,23 @@
 //!
 //! ## Sharding and determinism
 //!
-//! Cells are independent, so the runner shards the grid across worker
-//! threads in fixed-size chunks (cell index = mitigation bits). Every
-//! stochastic choice inside a cell flows from RNG streams forked off the
-//! root seed by *stable labels* (site index, visit index), never from shard
-//! or thread identity — so `threads = 1` and `threads = 8` produce
-//! byte-identical reports (asserted in `tests/determinism.rs`). All cells
+//! Cells are independent, so the 16 of them are the tasks of one
+//! [`connreuse_executor::run_indexed`] run (task index = mitigation bits):
+//! workers steal cells from each other, and the results come back in task
+//! order. Every stochastic choice inside a cell flows from RNG streams
+//! forked off the root seed by *stable labels* (site index, visit index),
+//! never from worker identity or steal schedule — so every thread count
+//! produces byte-identical reports (asserted in `tests/determinism.rs`). All cells
 //! deliberately share the same population and crawl seeds: a cell differs
 //! from the baseline only by its deployment, which is what makes the
 //! per-mitigation deltas meaningful.
 
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
+use crate::scenario::{alexa_population, ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use connreuse_core::{classify_dataset, dataset_from_crawl, Cause, DatasetSummary, DurationModel};
+use connreuse_executor::run_indexed;
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_types::{Mitigation, MitigationSet};
-use netsim_web::{PopulationBuilder, PopulationProfile};
 use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one sweep run.
@@ -98,32 +99,12 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
 }
 
-/// Run the full mitigation sweep: all 16 cells, sharded across
-/// `config.threads` worker threads.
+/// Run the full mitigation sweep: all 16 cells, scheduled across
+/// `config.threads` workers.
 pub fn run_sweep(config: &SweepConfig) -> SweepReport {
     let combos = MitigationSet::all_combinations();
-    let mut cells: Vec<Option<SweepCell>> = Vec::new();
-    cells.resize_with(combos.len(), || None);
-
-    let threads = config.threads.clamp(1, combos.len());
-    if threads <= 1 {
-        for (cell, combo) in cells.iter_mut().zip(&combos) {
-            *cell = Some(run_cell(config, *combo));
-        }
-    } else {
-        let chunk = combos.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (slot, shard) in cells.chunks_mut(chunk).zip(combos.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (cell, combo) in slot.iter_mut().zip(shard) {
-                        *cell = Some(run_cell(config, *combo));
-                    }
-                });
-            }
-        });
-    }
-
-    SweepReport { config: *config, cells: cells.into_iter().map(|c| c.expect("every cell ran")).collect() }
+    let cells = run_indexed(config.threads, combos.len(), |_| (), |(), task| run_cell(config, combos[task]));
+    SweepReport { config: *config, cells: cells.results }
 }
 
 /// Measure one cell: population deployed under the mitigations, crawled with
@@ -135,13 +116,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepReport {
 /// the cell level, and visit results are independent of crawl threading
 /// anyway.
 fn run_cell(config: &SweepConfig, mitigations: MitigationSet) -> SweepCell {
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .with_mitigations(mitigations)
-    .build();
+    let env = alexa_population(config.sites, config.seed, mitigations);
     let label = mitigations.label();
     let report = Crawler::new(
         &label,
