@@ -15,16 +15,17 @@
 //!   via [`netsim_web::PopulationBuilder::with_site_offset`]. A chunk
 //!   environment contains only its slice of sites (plus the shared service
 //!   catalog), so memory is bounded by `chunk_sites`, not `sites`.
-//! * **Streaming classification** — every visit is converted, classified and
-//!   folded into a per-chunk [`connreuse_core::Accumulator`] immediately,
-//!   then dropped. Nothing proportional to the population survives a chunk.
+//! * **Streaming classification** — each chunk is one task of the crate's
+//!   grid kernel: every visit is classified and folded into the chunk's
+//!   [`connreuse_core::Accumulator`] and cost totals immediately, then
+//!   dropped. Nothing proportional to the population survives a chunk.
 //! * **Work-stealing execution** — chunks are scheduled over worker threads
 //!   by [`connreuse_executor::run_indexed`]: each worker owns a deque of
 //!   chunk indices and steals from a sibling's when its own runs dry, so the
 //!   expensive Zipf-head chunks spread over all cores instead of pinning one.
 //!   Each worker draws a pooled [`netsim_browser::ScratchPool`] arena and a
 //!   streaming classifier once, and reuses them for every chunk it runs.
-//! * **Deterministic chunk-ordered merge** — the per-chunk accumulators are
+//! * **Deterministic chunk-ordered merge** — the per-chunk records are
 //!   index-addressed by the executor and merged *in chunk order* afterwards.
 //!   `Accumulator::merge` is associative and order-insensitive, and every
 //!   stochastic choice flows from RNG streams forked off the root seed by
@@ -50,17 +51,14 @@
 //! separately ([`AtlasMetrics`]) so golden snapshots and thread-invariance
 //! checks stay byte-stable.
 
+use crate::grid::{atlas_population, chunk_layout, run_grid, CellRecord};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
-use connreuse_core::{
-    classify_site, site_from_visit, Accumulator, Cause, DatasetSummary, DurationModel, FastVisitClassifier,
-};
-use connreuse_executor::run_indexed;
-use netsim_browser::{BrowserConfig, Crawler, PooledScratch, ScratchPool, VisitScratch};
+use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
+use connreuse_core::{Cause, DatasetSummary, DurationModel, FastVisitClassifier};
+use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 use netsim_cost::{CostTotals, LinkProfile};
-use netsim_types::profile::Stage;
 use netsim_types::{interned_domain_count, interned_domain_octets, MitigationSet};
-use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile};
+use netsim_web::DeploymentCache;
 use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one atlas run.
@@ -137,29 +135,7 @@ impl AtlasConfig {
 
     /// The chunk ranges `[start, start + len)` covering the population.
     fn chunks(&self) -> Vec<(usize, usize)> {
-        let chunk = self.chunk_sites.max(1);
-        (0..self.sites.div_ceil(chunk))
-            .map(|i| {
-                let start = i * chunk;
-                (start, chunk.min(self.sites - start))
-            })
-            .collect()
-    }
-}
-
-/// Deterministic per-chunk tallies beyond the classification counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct AtlasTallies {
-    /// Requests sent across all visits.
-    requests: usize,
-    /// Requests planned across all generated sites.
-    planned_requests: usize,
-}
-
-impl AtlasTallies {
-    fn merge(&mut self, other: &AtlasTallies) {
-        self.requests += other.requests;
-        self.planned_requests += other.planned_requests;
+        chunk_layout(self.sites, self.chunk_sites)
     }
 }
 
@@ -266,43 +242,42 @@ pub fn run_atlas_partitioned(config: &AtlasConfig, chunks: &[(usize, usize)]) ->
     let started = std::time::Instant::now();
 
     // One memoized service deployment for the whole run: the catalog's
-    // zones/certs/prefixes are issued once and shared by every chunk. One
-    // scratch pool: each executor worker checks an arena out once and keeps
-    // it for every chunk it runs (stolen or not).
+    // zones/certs/prefixes are issued once and shared by every chunk.
     let deployments = DeploymentCache::standard();
-    let scratch_pool = ScratchPool::without_netlog();
+    let crawler =
+        Crawler::new("atlas", BrowserConfig::alexa_measurement(), config.seed + ALEXA_CRAWL_SEED_OFFSET);
 
     // Work-stealing execution with index-addressed results: scheduling moves
     // *chunks between workers*, never sites between chunks, so the merge
     // below sees exactly the same per-chunk values at any thread count.
-    let outcome = run_indexed(
-        config.threads,
-        chunks.len(),
-        |_worker| ChunkWorker::from_pool(&scratch_pool),
-        |worker, index| worker.run_chunk(config, chunks[index], &deployments),
-    );
+    let outcome = run_grid(config.threads, chunks.len(), |worker, index| {
+        let env = atlas_population(
+            config.seed,
+            config.zipf_exponent,
+            chunks[index],
+            &deployments,
+            MitigationSet::empty(),
+        );
+        worker.measure(&env, &crawler)
+    });
 
     // Deterministic merge in chunk order (any order would do — merge is
     // order-insensitive — but fixed order keeps the intent obvious).
-    let mut accumulator = Accumulator::new();
-    let mut tallies = AtlasTallies::default();
-    let mut cost = CostTotals::new();
-    for (chunk_accumulator, chunk_tallies, chunk_cost) in &outcome.results {
-        accumulator.merge(chunk_accumulator);
-        tallies.merge(chunk_tallies);
-        cost.merge(chunk_cost);
+    let mut total = CellRecord::default();
+    for record in &outcome.results {
+        total.merge(record);
     }
 
     let elapsed = started.elapsed().as_secs_f64();
-    let observed_sites = accumulator.observed_sites();
+    let observed_sites = total.accumulator.observed_sites();
     AtlasReport {
         config: *config,
-        summary: accumulator.finish("atlas"),
+        summary: total.accumulator.finish("atlas"),
         observed_sites,
         chunk_count: chunks.len(),
-        requests: tallies.requests,
-        planned_requests: tallies.planned_requests,
-        cost,
+        requests: total.requests as usize,
+        planned_requests: total.planned_requests as usize,
+        cost: total.cost,
         metrics: AtlasMetrics {
             elapsed_secs: elapsed,
             sites_per_second: if elapsed > 0.0 { config.sites as f64 / elapsed } else { 0.0 },
@@ -312,80 +287,6 @@ pub fn run_atlas_partitioned(config: &AtlasConfig, chunks: &[(usize, usize)]) ->
             scheduler_workers: outcome.stats.workers,
             scheduler_steals: outcome.stats.steals,
         },
-    }
-}
-
-/// A chunk worker's reusable state: the visit scratch arena (checked out of
-/// the run's [`ScratchPool`]) and the streaming classifier survive across
-/// every chunk the worker processes — including chunks it *stole* — so the
-/// steady-state visit loop allocates nothing.
-struct ChunkWorker<'pool> {
-    scratch: PooledScratch<'pool>,
-    classifier: FastVisitClassifier,
-}
-
-impl<'pool> ChunkWorker<'pool> {
-    fn from_pool(pool: &'pool ScratchPool) -> Self {
-        // NetLog events would be dropped unread — the pool hands out
-        // recording-disabled arenas so the visit loop stays allocation-free.
-        ChunkWorker { scratch: pool.checkout(), classifier: FastVisitClassifier::new() }
-    }
-
-    /// Generate, crawl and classify one chunk `[start, start + len)`.
-    fn run_chunk(
-        &mut self,
-        config: &AtlasConfig,
-        (start, len): (usize, usize),
-        deployments: &DeploymentCache,
-    ) -> (Accumulator, AtlasTallies, CostTotals) {
-        // The whole chunk is one scaffold-stage scope: its wall-clock total
-        // is the envelope the interior visit stages must sum under, and its
-        // count is the number of chunks this worker ran.
-        let chunk_guard = netsim_types::profile::enter(Stage::ChunkLoop);
-        // Both profiles carry the scenario name so generated domains read
-        // `atlas-site-000123.<tld>` regardless of which profile a rank draws.
-        let mut head = PopulationProfile::alexa();
-        head.name = "atlas".to_string();
-        let mut tail = PopulationProfile::archive();
-        tail.name = "atlas".to_string();
-
-        let env = PopulationBuilder::new(tail, len, config.seed + ALEXA_POPULATION_SEED_OFFSET)
-            .with_site_offset(start)
-            .with_zipf_profile_mix(head, config.zipf_exponent)
-            .with_shared_deployment(deployments.deployment(MitigationSet::empty()))
-            .build();
-
-        let crawler =
-            Crawler::new("atlas", BrowserConfig::alexa_measurement(), config.seed + ALEXA_CRAWL_SEED_OFFSET);
-
-        let mut accumulator = Accumulator::new();
-        let mut tallies = AtlasTallies { requests: 0, planned_requests: env.total_planned_requests() };
-        let mut cost = CostTotals::new();
-        for index in 0..env.sites.len() {
-            // Visit → classify → fold, all through the per-worker scratch:
-            // nothing proportional to the page load is allocated, let alone
-            // outlives this iteration.
-            let times = crawler.visit_site_into(&mut self.scratch, &env, index);
-            tallies.requests += self.scratch.requests().len();
-            cost.absorb_visit(self.scratch.timeline());
-            if self.scratch.all_ok() {
-                netsim_types::stage!(Stage::Classify);
-                let counts = classify_scratch(&mut self.classifier, &self.scratch, DurationModel::Recorded);
-                accumulator.observe_counts(&counts);
-            } else {
-                // A non-200 response (HTTP 421 exclusion) appeared: fall
-                // back to the full observation pipeline for this site.
-                netsim_types::stage!(Stage::Classify);
-                let visit = self.scratch.to_page_visit(&env.sites[index], times);
-                accumulator.observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
-            }
-        }
-        drop(chunk_guard);
-        // One mutex hop per chunk: merge this worker's stage table into the
-        // process-wide one before the executor moves on (worker threads die
-        // with the run, thread-local tables must not die with them).
-        netsim_types::profile::flush_local();
-        (accumulator, tallies, cost)
     }
 }
 
@@ -584,9 +485,11 @@ impl AtlasReport {
             format_percent(1.0),
         ]);
 
-        // Aggregate connection-setup cost, priced on the broadband profile
-        // the atlas crawl runs over. Pure integer sums of the per-visit
-        // timelines — byte-identical across thread counts.
+        // Aggregate connection-setup cost, priced at the broadband profile's
+        // RTT and bandwidth. The crawl itself runs over the browser's default
+        // path: broadband's RTT and bandwidth, but without its 0.1 % loss.
+        // Pure integer sums of the per-visit timelines — byte-identical
+        // across thread counts.
         let link = LinkProfile::broadband();
         let sums = &self.cost.sums;
         let mut cost =
@@ -724,18 +627,18 @@ mod tests {
         // Compare planned-request mass per site between the first and last
         // chunk of a run.
         let config = AtlasConfig { sites: 4_000, chunk_sites: 200, ..tiny() };
-        let mut head_profile = PopulationProfile::alexa();
-        head_profile.name = "atlas".to_string();
-        let mut tail_profile = PopulationProfile::archive();
-        tail_profile.name = "atlas".to_string();
-        let head_env =
-            PopulationBuilder::new(tail_profile.clone(), 200, config.seed + ALEXA_POPULATION_SEED_OFFSET)
-                .with_zipf_profile_mix(head_profile.clone(), config.zipf_exponent)
-                .build();
-        let tail_env = PopulationBuilder::new(tail_profile, 200, config.seed + ALEXA_POPULATION_SEED_OFFSET)
-            .with_site_offset(3_800)
-            .with_zipf_profile_mix(head_profile, config.zipf_exponent)
-            .build();
+        let deployments = DeploymentCache::standard();
+        let slice = |start| {
+            atlas_population(
+                config.seed,
+                config.zipf_exponent,
+                (start, 200),
+                &deployments,
+                MitigationSet::empty(),
+            )
+        };
+        let head_env = slice(0);
+        let tail_env = slice(3_800);
         let head_mass = head_env.total_planned_requests() as f64 / 200.0;
         let tail_mass = tail_env.total_planned_requests() as f64 / 200.0;
         assert!(

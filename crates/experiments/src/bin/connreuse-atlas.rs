@@ -109,6 +109,11 @@ fn parse_args() -> Result<CliOptions, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
+    // NaN would silently send every site to the tail profile, a negative
+    // exponent every site to the head profile.
+    if !(config.zipf_exponent.is_finite() && config.zipf_exponent >= 0.0) {
+        return Err(format!("--zipf must be a finite, non-negative exponent, got {}", config.zipf_exponent));
+    }
     if quick && bench_json.as_deref().is_some_and(resolves_to_default_baseline) {
         return Err(format!(
             "--quick refuses to write the default {BENCH_JSON_PATH} (the committed copy is the \
@@ -155,7 +160,7 @@ fn print_usage() {
     println!("  --chunk N    sites per generation/crawl chunk (default 1000; bounds memory)");
     println!("  --seed N     root seed (default 20210420)");
     println!("  --threads N  worker threads the work-stealing executor uses");
-    println!("  --zipf X     Zipf exponent of the head/tail profile mix (default 0.35)");
+    println!("  --zipf X     Zipf exponent (finite, >= 0) of the head/tail profile mix (default 0.35)");
     println!("  --quick      use the small test-sized population (400 sites)");
     println!("  --million    use the million-site population (1000000 sites, 2000-site chunks)");
     println!("  --bench-threads L  run once per thread count in the comma list (e.g. 1,2,8),");

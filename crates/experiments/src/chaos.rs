@@ -38,7 +38,8 @@
 //! replays identically in all 145 cells: cells differ only in deployment,
 //! failure level, link and retry policy.
 
-use crate::fleet::{replay_sessions, run_chunks, SessionStreams};
+use crate::fleet::{replay_sessions, SessionStreams};
+use crate::grid::run_grid;
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{alexa_population, ScenarioConfig};
 use netsim_browser::{BrowserConfig, FaultProfile, PoolConfig, PoolLifecycleStats, RetryPolicy};
@@ -136,11 +137,11 @@ pub struct ChaosReport {
 pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let rows = run_chunks(config.threads, combos.len() + 1, |task| match combos.get(task) {
+    let rows = run_grid(config.threads, combos.len() + 1, |_, task| match combos.get(task) {
         Some(&mitigations) => run_combo(config, mitigations, &profiles),
         None => vec![run_hedged_cell(config, &profiles)],
     });
-    ChaosReport { config: *config, profiles, cells: rows.into_iter().flatten().collect() }
+    ChaosReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() }
 }
 
 /// Crawl one mitigation combination's nine cells (level-major,

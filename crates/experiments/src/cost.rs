@@ -7,9 +7,10 @@
 //! page-load-time inflation attributable to the redundant connections it
 //! removes. It runs the same 2^4 mitigation grid, but each cell is crawled
 //! under three [`LinkProfile`]s (datacenter / broadband / lossy cellular per
-//! Goel et al.), with the browser's zero-allocation visit fast path
-//! accumulating a [`netsim_cost::VisitTimeline`] per visit and a streaming
-//! [`CostTotals`] per cell:
+//! Goel et al.) through the crate's grid kernel: the browser's
+//! zero-allocation visit fast path accumulates a
+//! [`netsim_cost::VisitTimeline`] per visit and a streaming [`CostTotals`]
+//! per cell:
 //!
 //! * **handshake RTTs / octets** — TCP + TLS flights of every opened
 //!   connection (`netsim_tls::HandshakeConfig`), resumption-aware,
@@ -26,20 +27,18 @@
 //!
 //! Mitigation cells are independent; the 16 of them are the tasks of one
 //! [`connreuse_executor::run_indexed`] run, exactly like the sweep's. One
-//! population is generated per cell and crawled under all three profiles (the population depends only on
-//! the mitigation deployment, never on the link). Every stochastic choice
+//! population is generated per cell and crawled under all three profiles
+//! (the population depends only on the mitigation deployment, never on the
+//! link). Every stochastic choice
 //! flows from RNG streams forked off the root seed by stable labels, and
 //! results come back in task order whichever worker ran them, so every
 //! thread count renders byte-identical reports (asserted in
 //! `tests/determinism.rs`). Costs are integer counts plus integer
 //! simulated milliseconds — nothing machine-dependent enters the report.
 
-use crate::atlas::classify_scratch;
+use crate::grid::{run_grid, GridWorker};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{alexa_population, ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
-use connreuse_core::{classify_site, site_from_visit, Accumulator, DurationModel, FastVisitClassifier};
-use connreuse_executor::run_indexed;
-use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::MitigationSet;
 use serde::{Deserialize, Serialize};
@@ -110,56 +109,34 @@ pub struct CostReport {
 pub fn run_cost(config: &CostConfig) -> CostReport {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let rows = run_indexed(
-        config.threads,
-        combos.len(),
-        |_| (),
-        |(), task| run_cell(config, combos[task], &profiles),
-    );
+    let rows = run_grid(config.threads, combos.len(), |worker, task| {
+        run_cell(worker, config, combos[task], &profiles)
+    });
     CostReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() }
 }
 
 /// Measure one mitigation cell under every profile: the population is built
 /// once (it depends on the deployment, not the link) and crawled per
-/// profile through the zero-allocation scratch, folding each visit's
-/// timeline and streamed classification as it completes.
-fn run_cell(config: &CostConfig, mitigations: MitigationSet, profiles: &[LinkProfile]) -> Vec<CostCell> {
+/// profile through the grid kernel.
+fn run_cell(
+    worker: &mut GridWorker<'_>,
+    config: &CostConfig,
+    mitigations: MitigationSet,
+    profiles: &[LinkProfile],
+) -> Vec<CostCell> {
     let env = alexa_population(config.sites, config.seed, mitigations);
     let planned_octets = env.total_planned_octets();
     let label = mitigations.label();
-
-    let mut scratch = VisitScratch::without_netlog();
-    let mut classifier = FastVisitClassifier::new();
-    profiles
-        .iter()
+    worker
+        .measure_links(&env, mitigations, profiles, config.seed + ALEXA_CRAWL_SEED_OFFSET)
+        .into_iter()
         .enumerate()
-        .map(|(profile_index, profile)| {
-            let crawler = Crawler::new(
-                &label,
-                BrowserConfig::with_mitigations(mitigations).over_link(profile),
-                config.seed + ALEXA_CRAWL_SEED_OFFSET,
-            );
-            let mut totals = CostTotals::new();
-            let mut accumulator = Accumulator::new();
-            for index in 0..env.sites.len() {
-                let times = crawler.visit_site_into(&mut scratch, &env, index);
-                totals.absorb_visit(scratch.timeline());
-                if scratch.all_ok() {
-                    let counts = classify_scratch(&mut classifier, &scratch, DurationModel::Recorded);
-                    accumulator.observe_counts(&counts);
-                } else {
-                    // HTTP 421 exclusions: fall back to the full pipeline.
-                    let visit = scratch.to_page_visit(&env.sites[index], times);
-                    accumulator.observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
-                }
-            }
-            CostCell {
-                mitigations,
-                profile: profile_index,
-                totals,
-                redundant_connections: accumulator.finish(&label).redundant.connections,
-                planned_octets,
-            }
+        .map(|(profile, record)| CostCell {
+            mitigations,
+            profile,
+            totals: record.cost,
+            redundant_connections: record.accumulator.finish(&label).redundant.connections,
+            planned_octets,
         })
         .collect()
 }
@@ -387,9 +364,13 @@ mod tests {
 
     #[test]
     fn broadband_baseline_matches_the_sweep_measurement() {
-        // The cost sweep's broadband baseline runs the exact crawl the
-        // mitigation sweep's baseline cell runs (same seeds, same link
-        // parameters), so the two engines must count the same connections.
+        // Every broadband cell of the cost sweep crawls the population the
+        // matching mitigation-sweep cell crawls, with the same seeds. The
+        // links differ: the sweep runs over the browser's default path —
+        // broadband's RTT and bandwidth without its 0.1 % loss. Loss only
+        // stretches handshakes and transfers; it never changes which
+        // connections open, so the two engines must count the same
+        // connections in all 16 cells.
         let config = CostConfig { sites: 40, seed: 20_210_420, threads: 4 };
         let cost = run_cost(&config);
         let sweep = crate::sweep::run_sweep(&crate::sweep::SweepConfig {
@@ -399,14 +380,11 @@ mod tests {
         });
         let broadband = 1;
         assert_eq!(cost.profiles[broadband].name, "broadband");
-        assert_eq!(
-            cost.baseline(broadband).totals.sums.connections_opened as usize,
-            sweep.baseline().summary.total.connections,
-        );
-        assert_eq!(
-            cost.baseline(broadband).redundant_connections,
-            sweep.baseline().summary.redundant.connections,
-        );
+        for combo in MitigationSet::all_combinations() {
+            let (priced, swept) = (cost.cell(broadband, combo), &sweep.cell(combo).summary);
+            assert_eq!(priced.totals.sums.connections_opened as usize, swept.total.connections, "{combo}");
+            assert_eq!(priced.redundant_connections, swept.redundant.connections, "{combo}");
+        }
     }
 
     #[test]

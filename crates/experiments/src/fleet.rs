@@ -38,12 +38,12 @@
 //! Reports are byte-identical at any `--threads` value (asserted in
 //! `tests/determinism.rs`).
 
+use crate::grid::run_grid;
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{alexa_population, ScenarioConfig};
-use connreuse_executor::run_indexed;
 use netsim_browser::{Browser, BrowserConfig, PoolConfig, PoolLifecycleStats, UserSession, VisitScratch};
 use netsim_cost::SessionTotals;
-use netsim_types::{profile, Duration, Instant, MitigationSet, SimClock, SimRng};
+use netsim_types::{Duration, Instant, MitigationSet, SimClock, SimRng};
 use netsim_web::WebEnvironment;
 use serde::{Deserialize, Serialize};
 
@@ -150,7 +150,7 @@ fn cell_plans() -> Vec<(MitigationSet, Option<PoolConfig>)> {
 /// across `config.threads` workers.
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     let plans = cell_plans();
-    let cells = run_chunks(config.threads, plans.len(), |task| {
+    let cells = run_grid(config.threads, plans.len(), |_, task| {
         let (mitigations, pool) = plans[task];
         let env = alexa_population(config.sites, config.seed, mitigations);
         let browser_config = BrowserConfig::with_mitigations(mitigations);
@@ -158,27 +158,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
             replay_sessions(&FLEET_STREAMS, config.seed, config.sessions, &env, &browser_config, pool);
         FleetCell { mitigations, pool, totals, lifecycle }
     });
-    FleetReport { config: *config, cells }
-}
-
-/// Run `tasks` grid tasks on the work-stealing executor, results in task
-/// order. Each task is the grid's chunk: a scaffold-stage envelope around
-/// every session page it replays, flushed to the process-wide profile table
-/// before the worker moves on.
-pub(crate) fn run_chunks<R: Send>(threads: usize, tasks: usize, run: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    run_indexed(
-        threads,
-        tasks,
-        |_| (),
-        |(), task| {
-            let chunk_guard = profile::enter(profile::Stage::ChunkLoop);
-            let result = run(task);
-            drop(chunk_guard);
-            profile::flush_local();
-            result
-        },
-    )
-    .results
+    FleetReport { config: *config, cells: cells.results }
 }
 
 /// Pick the next page of a session: revisit a page already seen with

@@ -1,0 +1,198 @@
+//! The grid kernel. Every fast-path measurement in the crate — atlas chunks,
+//! store shards, cost and sweep cells, the `whatif` deployments — runs one
+//! visit → classify → fold loop ([`GridWorker::measure`]) on a per-worker
+//! scratch arena and streaming classifier, and folds its [`CellRecord`]s
+//! through one merge. Every visit is a pure function of the crawler's seed
+//! and the site's global index, and the executor returns results by task
+//! index, so no record depends on the thread count or the steal schedule.
+
+use crate::atlas::classify_scratch;
+use crate::scenario::ALEXA_POPULATION_SEED_OFFSET;
+use connreuse_core::{classify_site, site_from_visit, Accumulator, DurationModel, FastVisitClassifier};
+use connreuse_executor::{run_indexed, run_indexed_streaming, PoolStats, RunOutcome};
+use netsim_browser::{BrowserConfig, Crawler, PooledScratch, ScratchPool};
+use netsim_cost::{CostTotals, LinkProfile};
+use netsim_store::ShardRecord;
+use netsim_types::profile::{self, Stage};
+use netsim_types::MitigationSet;
+use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, WebEnvironment};
+
+/// What one measured cell leaves behind, or the fold of several.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct CellRecord {
+    /// Streamed classification of every visit (recorded durations).
+    pub(crate) accumulator: Accumulator,
+    /// Requests sent across all visits.
+    pub(crate) requests: u64,
+    /// Requests the crawled sites planned.
+    pub(crate) planned_requests: u64,
+    /// Aggregate of the per-visit cost timelines.
+    pub(crate) cost: CostTotals,
+}
+
+impl CellRecord {
+    /// Fold another record into this one (associative and order-insensitive,
+    /// like every counter inside it).
+    pub(crate) fn merge(&mut self, other: &CellRecord) {
+        self.accumulator.merge(&other.accumulator);
+        self.requests += other.requests;
+        self.planned_requests += other.planned_requests;
+        self.cost.merge(&other.cost);
+    }
+
+    /// The record as the store persists it under one
+    /// `(mitigation_bits, profile_index)` key.
+    pub(crate) fn to_shard(&self, (mitigation_bits, profile_index): (u64, u64)) -> ShardRecord {
+        ShardRecord {
+            mitigation_bits,
+            profile_index,
+            accumulator: self.accumulator.state(),
+            requests: self.requests,
+            planned_requests: self.planned_requests,
+            cost: self.cost,
+        }
+    }
+
+    /// A persisted store record, back in memory.
+    pub(crate) fn from_shard(record: &ShardRecord) -> Self {
+        CellRecord {
+            accumulator: Accumulator::from_state(&record.accumulator),
+            requests: record.requests,
+            planned_requests: record.planned_requests,
+            cost: record.cost,
+        }
+    }
+}
+
+/// A grid worker's reusable state, kept across every task it runs (stolen or
+/// not): the visit scratch arena, checked out of the run's [`ScratchPool`],
+/// and the streaming classifier.
+pub(crate) struct GridWorker<'pool> {
+    scratch: PooledScratch<'pool>,
+    classifier: FastVisitClassifier,
+}
+
+impl GridWorker<'_> {
+    /// Visit every site of `env` with `crawler` → classify → fold. The
+    /// scratch holds each visit only until the next one starts, so the
+    /// steady-state loop allocates nothing.
+    pub(crate) fn measure(&mut self, env: &WebEnvironment, crawler: &Crawler) -> CellRecord {
+        let mut record =
+            CellRecord { planned_requests: env.total_planned_requests() as u64, ..CellRecord::default() };
+        for index in 0..env.sites.len() {
+            let times = crawler.visit_site_into(&mut self.scratch, env, index);
+            record.requests += self.scratch.requests().len() as u64;
+            record.cost.absorb_visit(self.scratch.timeline());
+            netsim_types::stage!(Stage::Classify);
+            if self.scratch.all_ok() {
+                let counts = classify_scratch(&mut self.classifier, &self.scratch, DurationModel::Recorded);
+                record.accumulator.observe_counts(&counts);
+            } else {
+                // A non-200 response (HTTP 421 exclusion) appeared: fall
+                // back to the full observation pipeline for this site.
+                let visit = self.scratch.to_page_visit(&env.sites[index], times);
+                record.accumulator.observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
+            }
+        }
+        record
+    }
+
+    /// [`GridWorker::measure`] once per link profile, in profile order: `env`
+    /// crawled with the browser policy for `mitigations` over each path.
+    pub(crate) fn measure_links(
+        &mut self,
+        env: &WebEnvironment,
+        mitigations: MitigationSet,
+        profiles: &[LinkProfile],
+        crawl_seed: u64,
+    ) -> Vec<CellRecord> {
+        let label = mitigations.label();
+        let browser = BrowserConfig::with_mitigations(mitigations);
+        profiles
+            .iter()
+            .map(|profile| {
+                self.measure(env, &Crawler::new(&label, browser.clone().over_link(profile), crawl_seed))
+            })
+            .collect()
+    }
+}
+
+/// Run `tasks` grid tasks on the work-stealing executor, results in task
+/// order. Each worker checks one [`GridWorker`] out for every task it runs;
+/// the session grids (fleet, chaos) leave it unused, their replay loop
+/// brings its own browser.
+pub(crate) fn run_grid<R: Send>(
+    threads: usize,
+    tasks: usize,
+    task: impl Fn(&mut GridWorker<'_>, usize) -> R + Sync,
+) -> RunOutcome<R> {
+    let pool = ScratchPool::without_netlog();
+    run_indexed(threads, tasks, |_| worker(&pool), |worker, index| in_chunk(|| task(worker, index)))
+}
+
+/// [`run_grid`], streaming each `(task, result)` to `consume` on the caller
+/// thread through a channel of `capacity` results (workers block when the
+/// consumer lags).
+pub(crate) fn stream_grid<R: Send>(
+    threads: usize,
+    tasks: usize,
+    capacity: usize,
+    task: impl Fn(&mut GridWorker<'_>, usize) -> R + Sync,
+    consume: impl FnMut(usize, R),
+) -> PoolStats {
+    let pool = ScratchPool::without_netlog();
+    let run = |worker: &mut GridWorker<'_>, index| in_chunk(|| task(worker, index));
+    run_indexed_streaming(threads, tasks, capacity, |_| worker(&pool), run, consume)
+}
+
+fn worker(pool: &ScratchPool) -> GridWorker<'_> {
+    // NetLog events would be dropped unread: the pool hands out
+    // recording-disabled arenas so the visit loop stays allocation-free.
+    GridWorker { scratch: pool.checkout(), classifier: FastVisitClassifier::new() }
+}
+
+/// Every grid task is one scaffold [`Stage::ChunkLoop`] scope: its wall-clock
+/// total is the envelope the interior stages must sum under, its count the
+/// number of tasks run. The worker's thread-local stage table is merged into
+/// the process-wide one before the executor moves on, because worker threads
+/// die with the run.
+fn in_chunk<R>(body: impl FnOnce() -> R) -> R {
+    let guard = profile::enter(Stage::ChunkLoop);
+    let result = body();
+    drop(guard);
+    profile::flush_local();
+    result
+}
+
+/// The chunk ranges `[start, start + len)` that cover `sites` sites in
+/// chunks of `chunk_sites` (at least 1).
+pub(crate) fn chunk_layout(sites: usize, chunk_sites: usize) -> Vec<(usize, usize)> {
+    let chunk = chunk_sites.max(1);
+    (0..sites.div_ceil(chunk)).map(|i| (i * chunk, chunk.min(sites - i * chunk))).collect()
+}
+
+/// The atlas population recipe: the slice `[start, start + len)` of a
+/// population that mixes the Alexa profile in by Zipf rank over the archive
+/// profile, deployed under `mitigations` from the run's shared deployment
+/// cache. Every stochastic choice forks off the global site index, so any
+/// chunking generates the same sites.
+pub(crate) fn atlas_population(
+    seed: u64,
+    zipf_exponent: f64,
+    (start, len): (usize, usize),
+    deployments: &DeploymentCache,
+    mitigations: MitigationSet,
+) -> WebEnvironment {
+    // Both profiles carry the scenario name so generated domains read
+    // `atlas-site-000123.<tld>` regardless of which profile a rank draws.
+    let mut head = PopulationProfile::alexa();
+    head.name = "atlas".to_string();
+    let mut tail = PopulationProfile::archive();
+    tail.name = "atlas".to_string();
+    PopulationBuilder::new(tail, len, seed + ALEXA_POPULATION_SEED_OFFSET)
+        .with_site_offset(start)
+        .with_zipf_profile_mix(head, zipf_exponent)
+        .with_shared_deployment(deployments.deployment(mitigations))
+        .with_mitigations(mitigations)
+        .build()
+}

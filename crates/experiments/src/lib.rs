@@ -28,11 +28,11 @@
 //! | `fleet`    | multi-page user sessions over a first-class connection-pool lifecycle (warm vs. cold redundancy tax) |
 //! | `chaos`    | deterministic fault injection over the warm session trace (failure levels × deployments × links, plus hedged dials) |
 //!
-//! The [`atlas`] module is the scale engine: it fans fixed site chunks over
-//! the work-stealing executor (`connreuse_executor`), one pooled
-//! [`VisitScratch`] arena per worker, and merges per-chunk
-//! `Accumulator`/`CostTotals` shards in chunk order — so the rendered
-//! report is byte-identical at any `--threads` value (see
+//! Atlas, store, cost, sweep and `whatif` measure every cell through one
+//! grid kernel: tasks on the work-stealing executor (`connreuse_executor`),
+//! one pooled [`VisitScratch`] arena per worker, one visit → classify →
+//! fold loop, and `Accumulator`/`CostTotals` records merged in task order —
+//! so every rendered report is byte-identical at any `--threads` value (see
 //! `ARCHITECTURE.md` for the determinism contract).
 //!
 //! Run everything with `cargo run -p connreuse-experiments --bin repro --release -- all`,
@@ -51,6 +51,7 @@ pub mod atlas;
 pub mod chaos;
 pub mod cost;
 pub mod fleet;
+mod grid;
 pub mod paper;
 pub mod profile;
 pub mod render;

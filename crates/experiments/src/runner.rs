@@ -597,7 +597,7 @@ fn filters(scenario: &Scenario) -> String {
 /// honour them, if providers synchronize their DNS load balancing, if the
 /// Fetch credentials flag is dropped, and if all three happen at once.
 fn whatif(scenario: &Scenario) -> String {
-    use connreuse_core::dataset_from_crawl;
+    use crate::scenario::{ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
     use netsim_browser::{BrowserConfig, Crawler};
     use netsim_web::{PopulationBuilder, PopulationProfile, ServiceCatalog};
 
@@ -605,33 +605,33 @@ fn whatif(scenario: &Scenario) -> String {
     let baseline = summary(&scenario.alexa, DurationModel::Recorded, "baseline");
     let without_fetch = summary(&scenario.alexa_without_fetch, DurationModel::Recorded, "w/o Fetch");
 
-    let crawl = |env: &netsim_web::WebEnvironment, label: &str, browser: BrowserConfig| {
-        let report = Crawler::new(label, browser, config.seed + crate::scenario::ALEXA_CRAWL_SEED_OFFSET)
-            .with_threads(config.threads)
-            .crawl(env);
-        summary(&dataset_from_crawl(&report), DurationModel::Recorded, label)
-    };
-
-    // ORIGIN-frame adoption on the unchanged web.
-    let origin_frames = crawl(&scenario.alexa_env, "ORIGIN frames", BrowserConfig::with_origin_frames());
-
     // Providers synchronize their DNS (same population size and seed, fixed
-    // catalog), measured with stock Chromium.
+    // catalog).
     let synchronized_env = PopulationBuilder::new(
         PopulationProfile::alexa(),
         config.alexa_sites,
-        config.seed + crate::scenario::ALEXA_POPULATION_SEED_OFFSET,
+        config.seed + ALEXA_POPULATION_SEED_OFFSET,
     )
     .with_catalog(ServiceCatalog::standard().with_synchronized_dns())
     .build();
-    let synchronized = crawl(&synchronized_env, "synchronized DNS", BrowserConfig::alexa_measurement());
+    let mut all_mitigations = BrowserConfig::with_origin_frames();
+    all_mitigations.reuse_policy.follow_fetch_credentials = false;
 
-    // Everything at once.
-    let all_mitigations = crawl(&synchronized_env, "all mitigations", {
-        let mut browser = BrowserConfig::with_origin_frames();
-        browser.reuse_policy.follow_fetch_credentials = false;
-        browser
+    // One grid cell per deployment: ORIGIN-frame adoption on the unchanged
+    // web, synchronized DNS measured with stock Chromium, and everything at
+    // once.
+    let cells = [
+        ("ORIGIN frames", &scenario.alexa_env, BrowserConfig::with_origin_frames()),
+        ("synchronized DNS", &synchronized_env, BrowserConfig::alexa_measurement()),
+        ("all mitigations", &synchronized_env, all_mitigations),
+    ];
+    let measured = crate::grid::run_grid(config.threads, cells.len(), |worker, task| {
+        let (label, env, browser) = &cells[task];
+        let crawler = Crawler::new(label, browser.clone(), config.seed + ALEXA_CRAWL_SEED_OFFSET);
+        worker.measure(env, &crawler).accumulator.finish(label)
     });
+    let [origin_frames, synchronized, all_mitigations] =
+        <[DatasetSummary; 3]>::try_from(measured.results).expect("one summary per cell");
 
     let mut table = TextTable::new(
         "What-if: redundancy under the mitigations the paper proposes (Alexa population, recorded durations)",

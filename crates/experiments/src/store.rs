@@ -3,13 +3,14 @@
 //! columnar shards and served back **without re-crawling**.
 //!
 //! Every other experiment recomputes its population on each run. This module
-//! turns the atlas pipeline into a build step: each population chunk is
-//! generated and crawled once per stored deployment and link profile, and the
-//! resulting `Accumulator` state + request tallies + [`CostTotals`] are
-//! written as one fixed-width [`netsim_store::ShardFile`]. A what-if query —
-//! *"what does COALESCE-CERT buy on lossy cellular for the top 50 k sites?"*
-//! — then folds the persisted records through the same shard-merge monoid the
-//! atlas uses in memory, in milliseconds instead of a crawl.
+//! turns the atlas pipeline into a build step: each population chunk is one
+//! task of the crate's grid kernel, generated once per stored deployment and
+//! crawled once per link profile, and the resulting `Accumulator` state +
+//! request tallies + [`CostTotals`] of every cell are written as one
+//! fixed-width [`netsim_store::ShardFile`]. A what-if query — *"what does
+//! COALESCE-CERT buy on lossy cellular for the top 50 k sites?"* — then folds
+//! the persisted records through the same record merge the atlas uses in
+//! memory, in milliseconds instead of a crawl.
 //!
 //! ## Determinism to disk
 //!
@@ -39,21 +40,17 @@
 //! buffering unboundedly. Query answering reads shards through the same
 //! bounded stream, merging on the caller thread as chunks arrive.
 
-use crate::atlas::classify_scratch;
+use crate::grid::{atlas_population, chunk_layout, stream_grid, CellRecord, GridWorker};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
-use connreuse_core::{
-    classify_site, site_from_visit, Accumulator, DatasetSummary, DurationModel, FastVisitClassifier,
-};
+use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
+use connreuse_core::DatasetSummary;
 use connreuse_executor::run_indexed_streaming;
-use netsim_browser::{BrowserConfig, Crawler, PooledScratch, ScratchPool};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_store::{
-    finalize_manifest, write_shard, BuildPlan, ShardFile, ShardRecord, ShardStore, StoreError, StoreLayout,
+    finalize_manifest, write_shard, BuildPlan, ShardFile, ShardStore, StoreError, StoreLayout,
 };
-use netsim_types::profile::Stage;
 use netsim_types::{Fingerprint, FingerprintBuilder, Mitigation, MitigationSet};
-use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile};
+use netsim_web::DeploymentCache;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -146,13 +143,7 @@ impl StoreConfig {
 
     /// The chunk ranges `[start, start + len)` covering the population.
     pub fn chunks(&self) -> Vec<(usize, usize)> {
-        let chunk = self.chunk_sites.max(1);
-        (0..self.sites.div_ceil(chunk))
-            .map(|i| {
-                let start = i * chunk;
-                (start, chunk.min(self.sites - start))
-            })
-            .collect()
+        chunk_layout(self.sites, self.chunk_sites)
     }
 
     /// The `(mitigation_bits, profile_index)` record keys every shard
@@ -402,18 +393,25 @@ pub fn build_store(config: &StoreConfig, dir: &Path) -> Result<BuildReport, Stor
     let layout = config.layout();
     let plan = BuildPlan::assess(dir, &layout)?;
     let chunks = config.chunks();
-    let profiles = config.profiles();
     let deployments = DeploymentCache::standard();
-    let scratch_pool = ScratchPool::without_netlog();
 
     let dirty = &plan.dirty;
     let mut write_error: Option<StoreError> = None;
-    run_indexed_streaming(
+    stream_grid(
         config.threads,
         dirty.len(),
         config.channel_capacity,
-        |_worker| StoreWorker::from_pool(&scratch_pool),
-        |worker, task| worker.run_chunk(config, dirty[task], chunks[dirty[task]], &deployments, &profiles),
+        |worker, task| {
+            let (start, len) = chunks[dirty[task]];
+            let cells = measure_chunk(worker, config, (start, len), &deployments);
+            ShardFile {
+                fingerprint: layout.fingerprint,
+                chunk_index: dirty[task] as u64,
+                start: start as u64,
+                len: len as u64,
+                records: cells.iter().zip(&layout.keys).map(|(cell, &key)| cell.to_shard(key)).collect(),
+            }
+        },
         |_task, shard| {
             if write_error.is_none() {
                 if let Err(error) = write_shard(dir, &shard) {
@@ -443,98 +441,25 @@ pub fn open_store(config: &StoreConfig, dir: &Path) -> Result<ShardStore, StoreE
     ShardStore::open_with_fingerprint(dir, config.fingerprint())
 }
 
-/// A store worker's reusable state, mirroring the atlas chunk worker: one
-/// pooled scratch arena and one streaming classifier per executor worker,
-/// reused across every chunk (stolen or not).
-struct StoreWorker<'pool> {
-    scratch: PooledScratch<'pool>,
-    classifier: FastVisitClassifier,
-}
-
-impl<'pool> StoreWorker<'pool> {
-    fn from_pool(pool: &'pool ScratchPool) -> Self {
-        StoreWorker { scratch: pool.checkout(), classifier: FastVisitClassifier::new() }
+/// Measure one chunk under every stored (deployment × profile) cell, in
+/// record order ([`StoreConfig::keys`]): the population is generated once
+/// per deployment (it depends on the deployment, never on the link) and
+/// crawled once per profile — the cost engine's cell discipline at the
+/// atlas's population shape.
+fn measure_chunk(
+    worker: &mut GridWorker<'_>,
+    config: &StoreConfig,
+    chunk: (usize, usize),
+    deployments: &DeploymentCache,
+) -> Vec<CellRecord> {
+    let profiles = config.profiles();
+    let crawl_seed = config.seed + ALEXA_CRAWL_SEED_OFFSET;
+    let mut cells = Vec::with_capacity(config.mitigations.len() * profiles.len());
+    for &mitigations in &config.mitigations {
+        let env = atlas_population(config.seed, config.zipf_exponent, chunk, deployments, mitigations);
+        cells.extend(worker.measure_links(&env, mitigations, &profiles, crawl_seed));
     }
-
-    /// Crawl one chunk under every stored (deployment × profile) cell and
-    /// assemble its shard. The population is generated once per deployment
-    /// (it depends on the deployment, never on the link) and crawled once
-    /// per profile — exactly the cost engine's cell discipline at the
-    /// atlas's population shape, so every stochastic stream forks off the
-    /// global site index.
-    fn run_chunk(
-        &mut self,
-        config: &StoreConfig,
-        chunk_index: usize,
-        (start, len): (usize, usize),
-        deployments: &DeploymentCache,
-        profiles: &[LinkProfile],
-    ) -> ShardFile {
-        let chunk_guard = netsim_types::profile::enter(Stage::ChunkLoop);
-        let mut records = Vec::with_capacity(config.mitigations.len() * profiles.len());
-        for &mitigations in &config.mitigations {
-            // Both profiles carry the atlas scenario name so generated
-            // domains are identical to the atlas population's.
-            let mut head = PopulationProfile::alexa();
-            head.name = "atlas".to_string();
-            let mut tail = PopulationProfile::archive();
-            tail.name = "atlas".to_string();
-
-            let env = PopulationBuilder::new(tail, len, config.seed + ALEXA_POPULATION_SEED_OFFSET)
-                .with_site_offset(start)
-                .with_zipf_profile_mix(head, config.zipf_exponent)
-                .with_shared_deployment(deployments.deployment(mitigations))
-                .with_mitigations(mitigations)
-                .build();
-            let planned_requests = env.total_planned_requests() as u64;
-            let label = mitigations.label();
-
-            for (profile_index, profile) in profiles.iter().enumerate() {
-                let crawler = Crawler::new(
-                    &label,
-                    BrowserConfig::with_mitigations(mitigations).over_link(profile),
-                    config.seed + ALEXA_CRAWL_SEED_OFFSET,
-                );
-                let mut accumulator = Accumulator::new();
-                let mut requests = 0u64;
-                let mut cost = CostTotals::new();
-                for index in 0..env.sites.len() {
-                    let times = crawler.visit_site_into(&mut self.scratch, &env, index);
-                    requests += self.scratch.requests().len() as u64;
-                    cost.absorb_visit(self.scratch.timeline());
-                    if self.scratch.all_ok() {
-                        netsim_types::stage!(Stage::Classify);
-                        let counts =
-                            classify_scratch(&mut self.classifier, &self.scratch, DurationModel::Recorded);
-                        accumulator.observe_counts(&counts);
-                    } else {
-                        // HTTP 421 exclusions: fall back to the full pipeline.
-                        netsim_types::stage!(Stage::Classify);
-                        let visit = self.scratch.to_page_visit(&env.sites[index], times);
-                        accumulator
-                            .observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
-                    }
-                }
-                records.push(ShardRecord {
-                    mitigation_bits: mitigations.bits() as u64,
-                    profile_index: profile_index as u64,
-                    accumulator: accumulator.state(),
-                    requests,
-                    planned_requests,
-                    cost,
-                });
-            }
-        }
-        drop(chunk_guard);
-        netsim_types::profile::flush_local();
-        ShardFile {
-            fingerprint: config.fingerprint(),
-            chunk_index: chunk_index as u64,
-            start: start as u64,
-            len: len as u64,
-            records,
-        }
-    }
+    cells
 }
 
 /// The answer to one what-if query: the queried slice's classification
@@ -558,49 +483,6 @@ pub struct QueryAnswer {
     pub planned_requests: u64,
     /// Aggregate visit timelines of the slice under the cell.
     pub cost: CostTotals,
-}
-
-/// The shard-merge fold shared by the store path and the in-memory path.
-struct QueryFold {
-    accumulator: Accumulator,
-    requests: u64,
-    planned_requests: u64,
-    cost: CostTotals,
-    chunks: usize,
-}
-
-impl QueryFold {
-    fn new() -> Self {
-        QueryFold {
-            accumulator: Accumulator::new(),
-            requests: 0,
-            planned_requests: 0,
-            cost: CostTotals::new(),
-            chunks: 0,
-        }
-    }
-
-    fn absorb(&mut self, record: &ShardRecord) {
-        self.accumulator.merge(&Accumulator::from_state(&record.accumulator));
-        self.requests += record.requests;
-        self.planned_requests += record.planned_requests;
-        self.cost.merge(&record.cost);
-        self.chunks += 1;
-    }
-
-    fn finish(self, config: &StoreConfig, query: &StoreQuery) -> QueryAnswer {
-        let observed_sites = self.accumulator.observed_sites();
-        QueryAnswer {
-            query: *query,
-            profile: config.profiles()[query.profile_index].clone(),
-            chunks: self.chunks,
-            summary: self.accumulator.finish(&query.mitigations.label()),
-            observed_sites,
-            requests: self.requests,
-            planned_requests: self.planned_requests,
-            cost: self.cost,
-        }
-    }
 }
 
 /// The record index of a query's (deployment, profile) cell, and the chunk
@@ -632,7 +514,7 @@ pub fn answer_query(
     query: &StoreQuery,
 ) -> Result<QueryAnswer, StoreError> {
     let (record_index, covered) = query_targets(config, query)?;
-    let mut fold = QueryFold::new();
+    let mut fold = CellRecord::default();
     let mut failure: Option<StoreError> = None;
     run_indexed_streaming(
         config.threads,
@@ -641,7 +523,7 @@ pub fn answer_query(
         |_worker| (),
         |_state, task| store.read_chunk(covered[task]),
         |_task, result| match result {
-            Ok(shard) => fold.absorb(&shard.records[record_index]),
+            Ok(shard) => fold.merge(&CellRecord::from_shard(&shard.records[record_index])),
             Err(error) => {
                 if failure.is_none() {
                     failure = Some(error);
@@ -652,7 +534,7 @@ pub fn answer_query(
     if let Some(error) = failure {
         return Err(error);
     }
-    Ok(fold.finish(config, query))
+    Ok(QueryAnswer::from_fold(config, query, covered.len(), fold))
 }
 
 /// Answer the same query **without** a store: crawl the covered chunks in
@@ -662,24 +544,33 @@ pub fn answer_query(
 pub fn answer_in_memory(config: &StoreConfig, query: &StoreQuery) -> Result<QueryAnswer, StoreError> {
     let (record_index, covered) = query_targets(config, query)?;
     let chunks = config.chunks();
-    let profiles = config.profiles();
     let deployments = DeploymentCache::standard();
-    let scratch_pool = ScratchPool::without_netlog();
-    let mut fold = QueryFold::new();
-    run_indexed_streaming(
+    let mut fold = CellRecord::default();
+    stream_grid(
         config.threads,
         covered.len(),
         config.channel_capacity,
-        |_worker| StoreWorker::from_pool(&scratch_pool),
-        |worker, task| {
-            worker.run_chunk(config, covered[task], chunks[covered[task]], &deployments, &profiles)
-        },
-        |_task, shard| fold.absorb(&shard.records[record_index]),
+        |worker, task| measure_chunk(worker, config, chunks[covered[task]], &deployments),
+        |_task, cells| fold.merge(&cells[record_index]),
     );
-    Ok(fold.finish(config, query))
+    Ok(QueryAnswer::from_fold(config, query, covered.len(), fold))
 }
 
 impl QueryAnswer {
+    /// The answer to `query` from the fold of its `chunks` covered records.
+    fn from_fold(config: &StoreConfig, query: &StoreQuery, chunks: usize, fold: CellRecord) -> Self {
+        QueryAnswer {
+            query: *query,
+            profile: config.profiles()[query.profile_index].clone(),
+            chunks,
+            observed_sites: fold.accumulator.observed_sites(),
+            summary: fold.accumulator.finish(&query.mitigations.label()),
+            requests: fold.requests,
+            planned_requests: fold.planned_requests,
+            cost: fold.cost,
+        }
+    }
+
     /// Deterministic answer table: the slice's redundancy and its price
     /// under the queried link.
     pub fn render(&self, config: &StoreConfig) -> String {

@@ -7,7 +7,9 @@
 //! and [`Mitigation::CredentialPooling`] — 16 cells. Each cell generates an
 //! Alexa-shaped population deployed under its mitigation set (same sites,
 //! same request plans; only DNS/PKI deployment differs), crawls it with the
-//! matching browser policy, classifies the redundancy, and the report
+//! matching browser policy and classifies the redundancy through the crate's
+//! grid kernel (the streaming classifier, licensed against the reference
+//! batch pipeline by `tests/fastpath_equivalence.rs`), and the report
 //! compares:
 //!
 //! * per-cell measurements (connections opened, classified redundancy,
@@ -39,10 +41,10 @@
 //! from the baseline only by its deployment, which is what makes the
 //! per-mitigation deltas meaningful.
 
+use crate::grid::{run_grid, GridWorker};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{alexa_population, ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
-use connreuse_core::{classify_dataset, dataset_from_crawl, Cause, DatasetSummary, DurationModel};
-use connreuse_executor::run_indexed;
+use connreuse_core::{Cause, DatasetSummary};
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_types::{Mitigation, MitigationSet};
 use serde::{Deserialize, Serialize};
@@ -103,31 +105,26 @@ pub struct SweepReport {
 /// `config.threads` workers.
 pub fn run_sweep(config: &SweepConfig) -> SweepReport {
     let combos = MitigationSet::all_combinations();
-    let cells = run_indexed(config.threads, combos.len(), |_| (), |(), task| run_cell(config, combos[task]));
+    let cells = run_grid(config.threads, combos.len(), |worker, task| run_cell(worker, config, combos[task]));
     SweepReport { config: *config, cells: cells.results }
 }
 
 /// Measure one cell: population deployed under the mitigations, crawled with
-/// the matching browser policy, classified with recorded durations.
+/// the matching browser policy through the grid kernel, classified with
+/// recorded durations.
 ///
 /// The seeds reuse [`crate::scenario::Scenario::build`]'s Alexa offsets, so
 /// the baseline cell equals the scenario's own Alexa run (asserted in the
-/// tests below). Crawls are single-threaded here — the parallelism lives at
-/// the cell level, and visit results are independent of crawl threading
-/// anyway.
-fn run_cell(config: &SweepConfig, mitigations: MitigationSet) -> SweepCell {
+/// tests below).
+fn run_cell(worker: &mut GridWorker<'_>, config: &SweepConfig, mitigations: MitigationSet) -> SweepCell {
     let env = alexa_population(config.sites, config.seed, mitigations);
     let label = mitigations.label();
-    let report = Crawler::new(
+    let crawler = Crawler::new(
         &label,
         BrowserConfig::with_mitigations(mitigations),
         config.seed + ALEXA_CRAWL_SEED_OFFSET,
-    )
-    .crawl(&env);
-    let dataset = dataset_from_crawl(&report);
-    let summary =
-        DatasetSummary::from_classifications(&label, &classify_dataset(&dataset, DurationModel::Recorded));
-    SweepCell { mitigations, summary }
+    );
+    SweepCell { mitigations, summary: worker.measure(&env, &crawler).accumulator.finish(&label) }
 }
 
 impl SweepReport {
@@ -327,7 +324,7 @@ mod tests {
     #[test]
     fn baseline_cell_reproduces_the_scenario_alexa_measurement() {
         use crate::scenario::{Scenario, ScenarioConfig};
-        use connreuse_core::classify_dataset;
+        use connreuse_core::{classify_dataset, DurationModel};
 
         let config = ScenarioConfig {
             archive_sites: 30,

@@ -4,13 +4,16 @@
 //! accumulator as the batch pipeline (`PageVisit` → `site_from_visit` →
 //! `classify_site` → `observe`) over real generated page loads.
 //!
-//! This is the equivalence the atlas scale scenario's byte-identical golden
-//! report rests on: the fast path must agree with the reference pipeline on
-//! every visit, across duration models, profiles and seeds.
+//! This is the equivalence the crate's grid kernel rests on — the atlas, the
+//! store, the cost grid, the mitigation sweep and the `whatif` experiment all
+//! classify through the fast path — so it must agree with the reference
+//! pipeline on every visit, across duration models, profiles, seeds and
+//! every mitigation deployment.
 
 use connreuse_core::{classify_site, site_from_visit, Accumulator, DurationModel, FastVisitClassifier};
 use connreuse_experiments::atlas::classify_scratch;
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
+use netsim_types::MitigationSet;
 use netsim_web::{PopulationBuilder, PopulationProfile};
 use proptest::prelude::*;
 
@@ -30,12 +33,14 @@ proptest! {
         sites in 1usize..12,
         profile_index in 0u8..2,
         model_index in 0u8..3,
+        mitigation_bits in 0u8..16,
     ) {
         let profile =
             if profile_index == 0 { PopulationProfile::alexa() } else { PopulationProfile::archive() };
         let model = duration_model(model_index);
-        let env = PopulationBuilder::new(profile, sites, seed).build();
-        let crawler = Crawler::new("equivalence", BrowserConfig::alexa_measurement(), crawl_seed);
+        let mitigations = MitigationSet::from_bits(mitigation_bits);
+        let env = PopulationBuilder::new(profile, sites, seed).with_mitigations(mitigations).build();
+        let crawler = Crawler::new("equivalence", BrowserConfig::with_mitigations(mitigations), crawl_seed);
 
         let mut scratch = VisitScratch::without_netlog();
         let mut classifier = FastVisitClassifier::new();
