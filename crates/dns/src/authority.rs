@@ -1,34 +1,41 @@
 //! The authoritative side of the simulated DNS.
 //!
-//! [`Authority`] aggregates all zones of a simulation run. Recursive resolvers
-//! send it name queries together with a [`QueryContext`]; it finds the zone
-//! responsible for the name and returns the matching records. Zone cuts and
+//! [`Authority`] aggregates all zone data of a simulation run. Recursive
+//! resolvers send it name queries together with a [`QueryContext`]; it looks
+//! the owner name up and returns the matching records. Zone cuts and
 //! delegation latency are not modelled — the analysis only depends on *which
 //! addresses* come back, not on how many referrals it took to find them.
 
 use crate::query::QueryContext;
 use crate::record::ResourceRecord;
-use crate::zone::{Zone, ZoneEntry};
-use netsim_types::DomainName;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use crate::zone::ZoneEntry;
+use netsim_types::{DomainName, FnvHashMap};
+use std::sync::Arc;
 
-/// The collection of all authoritative zones.
+/// The collection of all authoritative zone data.
+///
+/// Entries are indexed by owner name alone. That answers exactly what a
+/// longest-suffix walk over per-registrable-domain zones would: the walk
+/// ends in the zone that holds the name's entry when there is one, and
+/// answers NXDOMAIN otherwise (`tests/authority_equivalence.rs` keeps the
+/// walk as its reference). A lookup is one interned-id hash probe per
+/// layer, with no call into the intern table. The index serves lookups
+/// only; nothing iterates it into output, so its hash order never reaches a
+/// report.
 ///
 /// An authority can be *layered* on top of a shared, immutable base
 /// ([`Authority::with_base`]): the two layers must hold **disjoint** name
 /// sets (asserted in debug builds on insertion), and queries probe the base
-/// first — it is small and densely hit — before walking the local zones.
-/// The population generator uses this to issue the third-party service
-/// zones once per (catalog, mitigation-set) and share them across every
-/// chunk of a large population instead of reinstalling them per chunk.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// first before the local layer. The population generator uses this to issue
+/// the third-party service zones once per (catalog, mitigation-set) and share
+/// them across every chunk of a large population instead of reinstalling
+/// them per chunk.
+#[derive(Clone, Debug, Default)]
 pub struct Authority {
-    /// Zones indexed by their apex. Lookup walks from the most specific
-    /// enclosing apex outwards.
-    zones: BTreeMap<DomainName, Zone>,
-    /// Shared read-only zones consulted when the local layer has no data.
-    base: Option<std::sync::Arc<Authority>>,
+    /// Owner name → entry.
+    entries: FnvHashMap<DomainName, ZoneEntry>,
+    /// Shared read-only entries consulted before the local layer.
+    base: Option<Arc<Authority>>,
 }
 
 impl Authority {
@@ -41,59 +48,23 @@ impl Authority {
     /// must stay disjoint: the base answers first, so a local entry for a
     /// base-known name would be shadowed (debug-asserted in
     /// [`Authority::insert_entry`]).
-    pub fn with_base(base: std::sync::Arc<Authority>) -> Self {
-        Authority { zones: BTreeMap::new(), base: Some(base) }
+    pub fn with_base(base: Arc<Authority>) -> Self {
+        Authority { entries: FnvHashMap::default(), base: Some(base) }
     }
 
-    /// Add (or replace) a zone rooted at `apex`.
-    pub fn add_zone(&mut self, apex: DomainName, zone: Zone) -> &mut Self {
-        self.zones.insert(apex, zone);
-        self
-    }
-
-    /// Convenience: ensure a zone exists for `apex` and return a mutable
-    /// reference to it.
-    pub fn zone_mut(&mut self, apex: DomainName) -> &mut Zone {
-        self.zones.entry(apex).or_insert_with(|| Zone::rooted(apex))
-    }
-
-    /// Insert a single entry, creating the zone for the name's registrable
-    /// domain if needed. This is the common path for the population generator.
+    /// Insert (or replace) the entry for `name`. This is the common path for
+    /// the population generator.
     pub fn insert_entry(&mut self, name: DomainName, entry: ZoneEntry) {
         debug_assert!(
             self.base.as_ref().is_none_or(|base| !base.knows(&name)),
             "layered authority inserted {name}, which the shared base already answers"
         );
-        let apex = name.registrable();
-        self.zone_mut(apex).insert(name, entry);
+        self.entries.insert(name, entry);
     }
 
-    /// Number of zones.
-    pub fn zone_count(&self) -> usize {
-        self.zones.len()
-    }
-
-    /// Total number of owner names across all zones.
+    /// Number of owner names in the local layer.
     pub fn name_count(&self) -> usize {
-        self.zones.values().map(Zone::len).sum()
-    }
-
-    /// The zone responsible for `name`: the zone whose apex is the longest
-    /// suffix of `name`.
-    pub fn zone_for(&self, name: &DomainName) -> Option<&Zone> {
-        let mut candidate = Some(*name);
-        while let Some(current) = candidate {
-            if let Some(zone) = self.zones.get(&current) {
-                if zone.entry(name).is_some() || &current == name {
-                    return Some(zone);
-                }
-                // The apex matches but holds no entry for the name; keep the
-                // zone anyway — it is still the authoritative one.
-                return Some(zone);
-            }
-            candidate = current.parent();
-        }
-        None
+        self.entries.len()
     }
 
     /// Answer a query: the records for `name` under `ctx`, or an empty vector
@@ -109,9 +80,8 @@ impl Authority {
     /// across lookups.
     pub fn query_into(&self, name: &DomainName, ctx: &QueryContext, out: &mut Vec<ResourceRecord>) {
         // Layered authorities keep the (small, densely hit) shared service
-        // zones in the base and the per-site zones locally; apexes are
-        // disjoint, so probe the cheap base first. Monolithic authorities
-        // skip straight to their own zones.
+        // entries in the base and the per-site entries locally; the name
+        // sets are disjoint, so probe the base first.
         let before = out.len();
         if let Some(base) = &self.base {
             base.query_into(name, ctx, out);
@@ -119,15 +89,14 @@ impl Authority {
                 return;
             }
         }
-        if let Some(zone) = self.zone_for(name) {
-            zone.records_into(name, ctx, out);
+        if let Some(entry) = self.entries.get(name) {
+            entry.records_into(name, ctx, out);
         }
     }
 
-    /// `true` if some zone has an entry for `name`.
+    /// `true` if some layer has an entry for `name`.
     pub fn knows(&self, name: &DomainName) -> bool {
-        self.zone_for(name).map(|z| z.entry(name).is_some()).unwrap_or(false)
-            || self.base.as_ref().is_some_and(|base| base.knows(name))
+        self.entries.contains_key(name) || self.base.as_ref().is_some_and(|base| base.knows(name))
     }
 }
 
@@ -158,9 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn zones_are_created_per_registrable_domain() {
+    fn entries_are_indexed_by_owner_name() {
         let auth = authority();
-        assert_eq!(auth.zone_count(), 2);
         assert_eq!(auth.name_count(), 3);
         assert!(auth.knows(&d("www.example.com")));
         assert!(!auth.knows(&d("mail.example.com")));
@@ -178,12 +146,5 @@ mod tests {
         assert!(auth.query(&d("nothing.example.org"), &ctx()).is_empty());
         // Name under a known zone but without an entry: empty answer.
         assert!(auth.query(&d("mail.example.com"), &ctx()).is_empty());
-    }
-
-    #[test]
-    fn zone_for_walks_up_the_tree() {
-        let auth = authority();
-        assert!(auth.zone_for(&d("a.b.c.example.com")).is_some());
-        assert!(auth.zone_for(&d("example.org")).is_none());
     }
 }

@@ -19,7 +19,7 @@
 //! * [`loadbalance`] — answer-selection policies: static, rotating pools,
 //!   per-resolver (unsynchronized) pools, vantage-dependent and synchronized
 //!   anycast-style policies,
-//! * [`authority`] — the authoritative side: a registry of zones queried by
+//! * [`authority`] — the authoritative side: an owner-name index queried by
 //!   resolvers,
 //! * [`resolver`] — recursive resolvers with TTL caches, CNAME chasing and an
 //!   optional EDNS Client Subnet flag,
@@ -42,4 +42,4 @@ pub use loadbalance::LoadBalancePolicy;
 pub use query::{QueryContext, ResolverId, Vantage};
 pub use record::{Answer, RecordData, ResourceRecord};
 pub use resolver::{RecursiveResolver, ResolutionError, ResolverConfig};
-pub use zone::{Zone, ZoneEntry};
+pub use zone::ZoneEntry;

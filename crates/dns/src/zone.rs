@@ -1,7 +1,8 @@
 //! Authoritative zone data.
 //!
-//! A [`Zone`] maps owner names to either a CNAME alias or an address-selection
-//! policy. Real deployments mix both: `connect.facebook.net` might be a CNAME
+//! A [`ZoneEntry`] binds one owner name to either a CNAME alias or an
+//! address-selection policy; [`crate::Authority`] indexes them by owner
+//! name. Real deployments mix both: `connect.facebook.net` might be a CNAME
 //! into a CDN zone whose apex is load balanced; small sites have a single
 //! static A record.
 
@@ -10,7 +11,6 @@ use crate::query::QueryContext;
 use crate::record::{RecordData, ResourceRecord};
 use netsim_types::{DomainName, Duration, IpAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Default TTL handed out when an entry does not override it (5 minutes, a
 /// common value for load-balanced names).
@@ -57,71 +57,15 @@ impl ZoneEntry {
             ZoneEntry::Alias { ttl, .. } | ZoneEntry::Addresses { ttl, .. } => *ttl,
         }
     }
-}
 
-/// An authoritative zone: a named collection of entries.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Zone {
-    /// The zone apex (informational; lookups are by full owner name).
-    pub apex: Option<DomainName>,
-    entries: BTreeMap<DomainName, ZoneEntry>,
-}
-
-impl Zone {
-    /// An empty zone without an apex.
-    pub fn new() -> Self {
-        Zone::default()
-    }
-
-    /// An empty zone rooted at `apex`.
-    pub fn rooted(apex: DomainName) -> Self {
-        Zone { apex: Some(apex), entries: BTreeMap::new() }
-    }
-
-    /// Insert or replace the entry for `name`.
-    pub fn insert(&mut self, name: DomainName, entry: ZoneEntry) -> &mut Self {
-        self.entries.insert(name, entry);
-        self
-    }
-
-    /// Look up the entry for `name`.
-    pub fn entry(&self, name: &DomainName) -> Option<&ZoneEntry> {
-        self.entries.get(name)
-    }
-
-    /// Number of owner names in the zone.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if the zone holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// All owner names in the zone.
-    pub fn names(&self) -> impl Iterator<Item = &DomainName> {
-        self.entries.keys()
-    }
-
-    /// Materialise the resource records the zone would return for `name`
-    /// under `ctx`: either one CNAME record or one A record per selected
-    /// address. Empty if the name is not in the zone.
-    pub fn records_for(&self, name: &DomainName, ctx: &QueryContext) -> Vec<ResourceRecord> {
-        let mut records = Vec::new();
-        self.records_into(name, ctx, &mut records);
-        records
-    }
-
-    /// Like [`Zone::records_for`], but appends to `out` instead of
-    /// allocating — the resolver hot path reuses one records buffer.
+    /// Append the resource records this entry answers for `name` under
+    /// `ctx`: either one CNAME record or one A record per selected address.
     pub fn records_into(&self, name: &DomainName, ctx: &QueryContext, out: &mut Vec<ResourceRecord>) {
-        match self.entries.get(name) {
-            None => {}
-            Some(ZoneEntry::Alias { target, ttl }) => {
+        match self {
+            ZoneEntry::Alias { target, ttl } => {
                 out.push(ResourceRecord { name: *name, ttl: *ttl, data: RecordData::Cname(*target) });
             }
-            Some(ZoneEntry::Addresses { policy, ttl }) => {
+            ZoneEntry::Addresses { policy, ttl } => {
                 policy.select_each(name, ctx, |ip| out.push(ResourceRecord::a(*name, ip, *ttl)));
             }
         }
@@ -138,49 +82,36 @@ mod tests {
         DomainName::literal(s)
     }
 
-    fn ctx() -> QueryContext {
-        QueryContext::new(ResolverId(0), Vantage::Europe, Instant::EPOCH)
-    }
-
-    #[test]
-    fn insert_and_lookup() {
-        let mut zone = Zone::rooted(d("example.com"));
-        zone.insert(d("example.com"), ZoneEntry::single(IpAddr::new(192, 0, 2, 1)))
-            .insert(d("www.example.com"), ZoneEntry::alias(d("example.com")));
-        assert_eq!(zone.len(), 2);
-        assert!(!zone.is_empty());
-        assert!(zone.entry(&d("example.com")).is_some());
-        assert!(zone.entry(&d("missing.example.com")).is_none());
-        assert_eq!(zone.names().count(), 2);
+    fn records(entry: &ZoneEntry, name: &str) -> Vec<ResourceRecord> {
+        let mut out = Vec::new();
+        entry.records_into(
+            &d(name),
+            &QueryContext::new(ResolverId(0), Vantage::Europe, Instant::EPOCH),
+            &mut out,
+        );
+        out
     }
 
     #[test]
     fn records_for_alias_and_addresses() {
-        let mut zone = Zone::new();
-        zone.insert(d("www.example.com"), ZoneEntry::alias(d("example.com")));
-        zone.insert(d("example.com"), ZoneEntry::single(IpAddr::new(192, 0, 2, 1)));
-        let alias_records = zone.records_for(&d("www.example.com"), &ctx());
+        let alias_records = records(&ZoneEntry::alias(d("example.com")), "www.example.com");
         assert_eq!(alias_records.len(), 1);
+        assert_eq!(alias_records[0].name, d("www.example.com"));
         assert_eq!(alias_records[0].data.as_cname(), Some(&d("example.com")));
-        let a_records = zone.records_for(&d("example.com"), &ctx());
+        let a_records = records(&ZoneEntry::single(IpAddr::new(192, 0, 2, 1)), "example.com");
         assert_eq!(a_records.len(), 1);
         assert_eq!(a_records[0].data.as_a(), Some(IpAddr::new(192, 0, 2, 1)));
-        assert!(zone.records_for(&d("nx.example.com"), &ctx()).is_empty());
     }
 
     #[test]
     fn multi_address_answers() {
-        let mut zone = Zone::new();
         let pool: Vec<IpAddr> = (0..4).map(|i| IpAddr::new(10, 0, 0, i)).collect();
-        zone.insert(
-            d("cdn.example.com"),
-            ZoneEntry::balanced(LoadBalancePolicy::RotatingPool {
-                pool,
-                answer_size: 2,
-                rotation_period: Duration::from_secs(60),
-            }),
-        );
-        let records = zone.records_for(&d("cdn.example.com"), &ctx());
+        let entry = ZoneEntry::balanced(LoadBalancePolicy::RotatingPool {
+            pool,
+            answer_size: 2,
+            rotation_period: Duration::from_secs(60),
+        });
+        let records = records(&entry, "cdn.example.com");
         assert_eq!(records.len(), 2);
         assert!(records.iter().all(|r| r.data.as_a().is_some()));
         assert_eq!(records[0].ttl, DEFAULT_TTL);

@@ -440,6 +440,14 @@ mod tests {
     }
 
     #[test]
+    fn origin_entries_with_misplaced_wildcards_have_no_domain() {
+        let entry = |origin: &str| OriginEntry { origin: origin.to_string() };
+        assert_eq!(entry("https://a*b.example.com").domain(), None);
+        assert_eq!(entry("https://www.*.example.com:443").domain(), None);
+        assert_eq!(entry("https://*.example.com").domain(), Some(DomainName::literal("*.example.com")));
+    }
+
+    #[test]
     fn decode_rejects_garbage() {
         let mut empty = Bytes::from_static(b"\x00\x00");
         assert_eq!(Frame::decode(&mut empty), Err(FrameDecodeError::Truncated));

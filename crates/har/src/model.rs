@@ -195,5 +195,9 @@ mod tests {
         let mut entry = sample().entries[0].clone();
         entry.url = "not a url".to_string();
         assert!(entry.host().is_none());
+        for url in ["https://a*b.example.com/x.js", "https://www.*.example.com:443/", "https://*/"] {
+            entry.url = url.to_string();
+            assert!(entry.host().is_none(), "{url}");
+        }
     }
 }

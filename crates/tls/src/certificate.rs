@@ -46,13 +46,9 @@ impl SanEntry {
     pub fn covers(&self, domain: &DomainName) -> bool {
         match self {
             SanEntry::Dns(name) => name == domain,
-            SanEntry::Wildcard(base) => match domain.parent() {
-                // wildcard spans exactly one label: parent of the candidate
-                // must equal the wildcard base and the candidate must be a
-                // strict subdomain (i.e. not the base itself).
-                Some(parent) => &parent == base && domain != base,
-                None => false,
-            },
+            // A wildcard spans exactly one label: the candidate's parent must
+            // be the wildcard base (which also makes it a strict subdomain).
+            SanEntry::Wildcard(base) => domain.parent_str() == Some(base.as_str()),
         }
     }
 

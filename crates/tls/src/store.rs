@@ -10,7 +10,7 @@
 use crate::certificate::{Certificate, CertificateId, SanEntry};
 use crate::issuer::Issuer;
 use crate::policy::IssuancePolicy;
-use netsim_types::{DomainName, Duration, Instant};
+use netsim_types::{DomainName, Duration, FnvHashMap, Instant};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -26,13 +26,18 @@ const DEFAULT_VALIDITY: Duration = Duration::from_days(90);
 /// can also be *layered* over a shared immutable base
 /// ([`CertificateStore::with_base`]): ids continue after the base's, lookups
 /// consult both layers, and the newest certificate still wins SNI selection.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Both name indexes are hash maps that serve lookups only — nothing
+/// iterates them into output. The exact index is keyed by interned id; the
+/// wildcard index by the zone's canonical `'static` text, so an SNI lookup
+/// probes it with [`DomainName::parent_str`] and never interns a parent.
+#[derive(Clone, Debug, Default)]
 pub struct CertificateStore {
     certificates: Vec<Arc<Certificate>>,
     /// Exact-name index: domain → certificates listing it as a DNS SAN.
-    by_domain: BTreeMap<DomainName, Vec<CertificateId>>,
-    /// Wildcard index: zone → certificates listing `*.zone`.
-    by_wildcard_zone: BTreeMap<DomainName, Vec<CertificateId>>,
+    by_domain: FnvHashMap<DomainName, Vec<CertificateId>>,
+    /// Wildcard index: zone text → certificates listing `*.zone`.
+    by_wildcard_zone: FnvHashMap<&'static str, Vec<CertificateId>>,
     /// Shared read-only certificates with ids `0..base.len()`.
     base: Option<Arc<CertificateStore>>,
 }
@@ -48,8 +53,8 @@ impl CertificateStore {
     pub fn with_base(base: Arc<CertificateStore>) -> Self {
         CertificateStore {
             certificates: Vec::new(),
-            by_domain: BTreeMap::new(),
-            by_wildcard_zone: BTreeMap::new(),
+            by_domain: FnvHashMap::default(),
+            by_wildcard_zone: FnvHashMap::default(),
             base: Some(base),
         }
     }
@@ -84,7 +89,7 @@ impl CertificateStore {
         for entry in &cert.san {
             match entry {
                 SanEntry::Dns(d) => self.by_domain.entry(*d).or_default().push(id),
-                SanEntry::Wildcard(z) => self.by_wildcard_zone.entry(*z).or_default().push(id),
+                SanEntry::Wildcard(z) => self.by_wildcard_zone.entry(z.as_str()).or_default().push(id),
             }
         }
         self.certificates.push(Arc::new(cert));
@@ -153,14 +158,17 @@ impl CertificateStore {
         if let Some(exact) = self.by_domain.get(domain) {
             out.extend(exact.iter().copied());
         }
-        if let Some(parent) = domain.parent() {
-            if let Some(wc) = self.by_wildcard_zone.get(&parent) {
-                out.extend(wc.iter().copied());
-            }
+        if let Some(wc) = self.wildcards_for(domain) {
+            out.extend(wc.iter().copied());
         }
         if let Some(base) = &self.base {
             base.matching_ids(domain, out);
         }
+    }
+
+    /// This layer's certificates listing `*.parent` for `domain`'s parent.
+    fn wildcards_for(&self, domain: &DomainName) -> Option<&Vec<CertificateId>> {
+        self.by_wildcard_zone.get(domain.parent_str()?)
     }
 
     /// The certificate a server presents for SNI name `domain`, if any.
@@ -177,10 +185,8 @@ impl CertificateStore {
         if let Some(exact) = self.by_domain.get(domain) {
             best = exact.iter().copied().max();
         }
-        if let Some(parent) = domain.parent() {
-            if let Some(wc) = self.by_wildcard_zone.get(&parent) {
-                best = best.into_iter().chain(wc.iter().copied()).max();
-            }
+        if let Some(wc) = self.wildcards_for(domain) {
+            best = best.into_iter().chain(wc.iter().copied()).max();
         }
         match (best, &self.base) {
             (Some(id), _) => self.get_arc(id),

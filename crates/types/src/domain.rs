@@ -30,8 +30,9 @@ pub enum DomainError {
     /// A label was empty (`"a..b"`), longer than 63 octets, or the full name
     /// exceeded 253 octets.
     BadLength(String),
-    /// A label contained a character outside `[a-z0-9-]` (after lowercasing)
-    /// or started/ended with a hyphen.
+    /// A label contained a character outside `[a-z0-9_-]` (after
+    /// lowercasing), started/ended with a hyphen, or used `*` anywhere but as
+    /// the whole leftmost label of a multi-label name.
     BadCharacter(String),
 }
 
@@ -74,7 +75,11 @@ impl DomainName {
     /// Parse and canonicalise a domain name.
     ///
     /// Accepts an optional trailing dot and upper-case letters; rejects empty
-    /// labels, over-long labels/names and characters outside the LDH set.
+    /// labels, over-long labels/names and characters outside the LDH set plus
+    /// `_`. A wildcard `*` is accepted only as the whole leftmost label
+    /// (`*.example.com`), never inside a label (`a*b.example.com`) or further
+    /// right (`www.*.example.com`) — hosts from HAR files and ORIGIN frames
+    /// are untrusted input.
     pub fn parse(input: &str) -> Result<Self, DomainError> {
         let trimmed = input.trim().trim_end_matches('.');
         if trimmed.is_empty() {
@@ -84,16 +89,18 @@ impl DomainName {
         if lowered.len() > 253 {
             return Err(DomainError::BadLength(lowered));
         }
-        for label in lowered.split('.') {
+        for (index, label) in lowered.split('.').enumerate() {
             if label.is_empty() || label.len() > 63 {
                 return Err(DomainError::BadLength(label.to_string()));
             }
             if label.starts_with('-') || label.ends_with('-') {
                 return Err(DomainError::BadCharacter(label.to_string()));
             }
-            if !label
-                .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_' || b == b'*')
+            // The wildcard label: the whole leftmost label of a longer name.
+            if index == 0 && label == "*" && label.len() < lowered.len() {
+                continue;
+            }
+            if !label.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_')
             {
                 return Err(DomainError::BadCharacter(label.to_string()));
             }
@@ -209,8 +216,13 @@ impl DomainName {
     /// The parent domain (`example.com` for `www.example.com`), or `None` for
     /// a single-label name.
     pub fn parent(&self) -> Option<DomainName> {
-        let idx = self.name.find('.')?;
-        Some(DomainName::from_canonical(&self.name[idx + 1..]))
+        self.parent_str().map(DomainName::from_canonical)
+    }
+
+    /// The parent's canonical text, sliced out of this name without touching
+    /// the intern table — the form wildcard and SNI matching compare on.
+    pub fn parent_str(&self) -> Option<&'static str> {
+        self.name.split_once('.').map(|(_, parent)| parent)
     }
 
     /// `true` if the leftmost label is the wildcard label `*`.
@@ -336,6 +348,34 @@ mod tests {
         assert!(matches!(DomainName::parse(&format!("{long_label}.com")), Err(DomainError::BadLength(_))));
         let long_name = format!("{}.com", vec!["abcdefgh"; 32].join("."));
         assert!(matches!(DomainName::parse(&long_name), Err(DomainError::BadLength(_))));
+    }
+
+    #[test]
+    fn wildcard_is_only_the_whole_leftmost_label() {
+        assert_eq!(DomainName::parse("*.Example.COM").unwrap().as_str(), "*.example.com");
+        assert!(DomainName::parse("*.example.com").unwrap().is_wildcard());
+        let rejected = [
+            ("a*b.example.com", "a*b"),
+            ("*a.example.com", "*a"),
+            ("www.*.example.com", "*"),
+            ("example.*", "*"),
+            ("**.example.com", "**"),
+            ("*", "*"),
+            ("*.", "*"),
+        ];
+        for (input, label) in rejected {
+            assert_eq!(
+                DomainName::parse(input),
+                Err(DomainError::BadCharacter(label.to_string())),
+                "{input}"
+            );
+        }
+    }
+
+    #[test]
+    fn underscore_labels_stay_accepted() {
+        assert_eq!(DomainName::parse("_dmarc.example.com").unwrap().as_str(), "_dmarc.example.com");
+        assert_eq!(DomainName::parse("a_b.example.com").unwrap().label_count(), 3);
     }
 
     #[test]

@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn issued_deployment_contains_the_catalog_services() {
         let deployment = SharedDeployment::issue(&ServiceCatalog::standard(), MitigationSet::empty());
-        assert!(deployment.authority.zone_count() > 0);
+        assert!(deployment.authority.name_count() > 0);
         assert!(!deployment.certificates.is_empty());
         let analytics = netsim_types::DomainName::literal("www.google-analytics.com");
         assert!(deployment.authority.knows(&analytics));

@@ -5,13 +5,12 @@ use netsim_asdb::{AsRegistry, AutonomousSystem};
 use netsim_dns::Authority;
 use netsim_tls::{Certificate, CertificateStore};
 use netsim_types::{DomainName, IpAddr, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// Everything the browser substrate needs to load the generated population:
 /// the DNS authority, the certificate inventory (servers present the
 /// certificate selected for the SNI name), the IP → AS registry used by the
 /// attribution tables, and the per-site fetch plans.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WebEnvironment {
     /// Authoritative DNS data for every generated domain.
     pub authority: Authority,

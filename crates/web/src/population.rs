@@ -11,7 +11,6 @@ use netsim_dns::{Authority, LoadBalancePolicy, ZoneEntry};
 use netsim_fetch::RequestDestination;
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer, IssuerCatalog};
 use netsim_types::{DomainName, Duration, Instant, IpAddr, Mitigation, MitigationSet, SimRng, SiteId};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Subdomain labels used for first-party shards.
@@ -152,7 +151,11 @@ impl PopulationBuilder {
     /// Generate the population.
     pub fn build(&self) -> WebEnvironment {
         let root = SimRng::new(self.seed);
-        let mut misc_installed: BTreeSet<usize> = BTreeSet::new();
+        // The misc third parties this build has named and installed, by pool
+        // slot: each is formatted, parsed and installed once per build.
+        let misc_pool = self.zipf_head.as_ref().map_or(0, |(head, _)| head.misc_third_party_pool);
+        let mut misc_names: Vec<Option<DomainName>> =
+            vec![None; self.profile.misc_third_party_pool.max(misc_pool)];
         let mitigated_catalog;
         let (mut env, catalog): (WebEnvironment, &ServiceCatalog) = match &self.deployment {
             // Layered build: the shared deployment already carries the
@@ -190,7 +193,7 @@ impl PopulationBuilder {
             let index = self.site_offset + local;
             let mut rng = root.fork_indexed("site", index as u64);
             let site =
-                self.generate_site(&mut env, catalog, &caches, &root, &mut misc_installed, index, &mut rng);
+                self.generate_site(&mut env, catalog, &caches, &root, &mut misc_names, index, &mut rng);
             env.sites.push(site);
         }
         env
@@ -208,7 +211,7 @@ impl PopulationBuilder {
         catalog: &ServiceCatalog,
         caches: &GenCaches,
         root: &SimRng,
-        misc_installed: &mut BTreeSet<usize>,
+        misc_names: &mut [Option<DomainName>],
         index: usize,
         rng: &mut SimRng,
     ) -> Website {
@@ -334,10 +337,15 @@ impl PopulationBuilder {
         let misc_count = rng.in_range(misc_low..=misc_high);
         for _ in 0..misc_count {
             let pool_index = rng.in_range(0..profile.misc_third_party_pool);
-            let misc_domain = misc_domain_for(pool_index);
-            if misc_installed.insert(pool_index) {
-                self.install_misc_third_party(env, root, pool_index, &misc_domain);
-            }
+            let misc_domain = match misc_names[pool_index] {
+                Some(name) => name,
+                None => {
+                    let name = misc_domain_for(pool_index);
+                    self.install_misc_third_party(env, root, pool_index, &name);
+                    misc_names[pool_index] = Some(name);
+                    name
+                }
+            };
             let destination =
                 if rng.chance(0.6) { RequestDestination::Script } else { RequestDestination::Image };
             let size = rng.in_range(1_000u64..120_000);
