@@ -20,213 +20,124 @@
 //! mismatch is refused (exit 1) instead of serving numbers from a different
 //! experiment.
 
+use connreuse_experiments::cli::{self, CliError, Flag, Spec};
 use connreuse_experiments::store::{
     answer_query, open_store, run_store, BuildReport, StoreConfig, StoreQuery, StoreRunReport,
 };
+use std::error::Error;
 use std::io::BufRead;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-struct CliOptions {
-    config: StoreConfig,
-    store: PathBuf,
-    build: bool,
-    serve: bool,
-    queries: Vec<String>,
-    out: Option<PathBuf>,
-    help: bool,
-}
+const SPEC: Spec = Spec::new(
+    "connreuse-serve",
+    "persistent shard store + priced what-if queries",
+    &[
+        Flag::value("--store", "DIR", "store directory (required)"),
+        Flag::switch("--build", "build or incrementally refresh the store first"),
+        Flag::switch("--quick", "start from the small test-sized configuration (default)"),
+        Flag::switch("--full", "start from the paper-scale store: 100k sites, all 16 deployments"),
+        Flag::value("--sites", "N", "population size (growth only appends chunks)"),
+        Flag::value("--chunk-sites", "N", "sites per shard (changes the fingerprint)"),
+        Flag::value("--seed", "N", "root seed (changes the fingerprint)"),
+        Flag::value("--threads", "N", "worker threads for building and query folds"),
+        Flag::value(
+            "--query",
+            "Q",
+            "answer Q (repeatable); default: the demo query set\n\
+             grammar: mitigations=<label> [profile=<name>] [ranks=<lo>..<hi>]",
+        ),
+        Flag::switch("--serve", "after the flag queries, answer one query per stdin line"),
+        Flag::value("--out", "FILE", "also write the build/answer report to FILE"),
+    ],
+);
 
-fn parse_args() -> Result<CliOptions, String> {
-    let mut config = StoreConfig::quick();
-    let mut store = None;
-    let mut build = false;
-    let mut serve = false;
-    let mut queries = Vec::new();
-    let mut out = None;
-    let mut help = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--store" => {
-                let value = args.next().ok_or("--store requires a directory path")?;
-                store = Some(PathBuf::from(value));
-            }
-            "--build" => build = true,
-            "--serve" => serve = true,
-            "--quick" => config = StoreConfig::quick(),
-            "--full" => config = StoreConfig::full(),
-            "--sites" => config.sites = parse_value(&mut args, &arg)?,
-            "--chunk-sites" => config.chunk_sites = parse_value(&mut args, &arg)?,
-            "--seed" => config.seed = parse_value(&mut args, &arg)?,
-            "--threads" => config.threads = parse_value(&mut args, &arg)?,
-            "--query" => {
-                queries.push(args.next().ok_or("--query requires a query string")?);
-            }
-            "--out" => {
-                let value = args.next().ok_or("--out requires a file path")?;
-                out = Some(PathBuf::from(value));
-            }
-            "--help" | "-h" => help = true,
-            other => return Err(format!("unknown option {other}")),
+fn main() -> ExitCode {
+    cli::run(&SPEC, |args| {
+        let mut config = match args.preset(&["--quick", "--full"])? {
+            Some("--full") => StoreConfig::full(),
+            _ => StoreConfig::quick(),
+        };
+        args.set("--sites", &mut config.sites)?;
+        args.set_count("--chunk-sites", &mut config.chunk_sites)?;
+        args.set("--seed", &mut config.seed)?;
+        args.set_count("--threads", &mut config.threads)?;
+        let dir: PathBuf =
+            args.value("--store")?.ok_or(CliError::Invalid("--store DIR is required".into()))?;
+        // Bad query grammar is an argument error, caught before any build
+        // work starts.
+        let mut queries = Vec::new();
+        for query in args.all("--query") {
+            queries.push(StoreQuery::parse(query, &config).map_err(CliError::Invalid)?);
         }
-    }
-    let store = match store {
-        Some(store) => store,
-        None if help => PathBuf::new(),
-        None => return Err("--store DIR is required".to_string()),
-    };
-    Ok(CliOptions { config, store, build, serve, queries, out, help })
-}
-
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let value = args.next().ok_or_else(|| format!("{flag} requires a value"))?;
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
-fn print_usage() {
-    println!("connreuse-serve — persistent shard store + priced what-if queries");
-    println!();
-    println!("usage: connreuse-serve --store DIR [options]");
-    println!();
-    println!("options:");
-    println!("  --store DIR          store directory (required)");
-    println!("  --build              build or incrementally refresh the store first");
-    println!("  --quick              the small test-sized configuration (default)");
-    println!("  --full               the paper-scale store: 100k sites, all 16 deployments");
-    println!("  --sites N            population size (growth only appends chunks)");
-    println!("  --chunk-sites N      sites per shard (changes the fingerprint)");
-    println!("  --seed N             root seed (changes the fingerprint)");
-    println!("  --threads N          worker threads for building and query folds");
-    println!("  --query Q            answer Q (repeatable); default: the demo query set");
-    println!("                       grammar: mitigations=<label> [profile=<name>] [ranks=<lo>..<hi>]");
-    println!("  --serve              after the flag queries, answer one query per stdin line");
-    println!("  --out FILE           also write the build/answer report to FILE");
-    println!();
-    println!("exit status: 0 on success, 1 on check/IO failure, 2 on bad arguments");
-}
-
-fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            print_usage();
-            std::process::exit(2);
+        if queries.is_empty() {
+            queries = config.demo_queries();
         }
-    };
-    if options.help {
-        print_usage();
-        return;
-    }
-
-    // Bad query grammar is an argument error (exit 2), caught before any
-    // build work starts.
-    let queries = if options.queries.is_empty() {
-        options.config.demo_queries()
-    } else {
-        match options.queries.iter().map(|q| StoreQuery::parse(q, &options.config)).collect() {
-            Ok(queries) => queries,
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
-        }
-    };
-
-    let start = std::time::Instant::now();
-    let report = if options.build {
-        run_store(&options.config, &options.store, &queries)
-    } else {
-        // Serve-only: the store must already exist and match the config;
-        // nothing on disk is touched.
-        open_store(&options.config, &options.store).and_then(|store| {
-            let mut answers = Vec::with_capacity(queries.len());
-            for query in &queries {
-                answers.push(answer_query(&store, &options.config, query)?);
-            }
-            let build = BuildReport {
-                config: options.config.clone(),
-                fingerprint: store.manifest().fingerprint,
-                chunk_count: store.chunk_count(),
-                records_per_shard: store.manifest().keys.len(),
-                rewritten: 0,
-                reused: store.chunk_count(),
-                removed: 0,
+        let (build, serve) = (args.has("--build"), args.has("--serve"));
+        let out: Option<PathBuf> = args.value("--out")?;
+        Ok(move || {
+            let start = std::time::Instant::now();
+            let report = if build {
+                run_store(&config, &dir, &queries)
+            } else {
+                // Serve-only: the store must already exist and match the
+                // config; nothing on disk is touched.
+                open_store(&config, &dir).and_then(|store| {
+                    let mut answers = Vec::with_capacity(queries.len());
+                    for query in &queries {
+                        answers.push(answer_query(&store, &config, query)?);
+                    }
+                    let build = BuildReport {
+                        config: config.clone(),
+                        fingerprint: store.manifest().fingerprint,
+                        chunk_count: store.chunk_count(),
+                        records_per_shard: store.manifest().keys.len(),
+                        rewritten: 0,
+                        reused: store.chunk_count(),
+                        removed: 0,
+                    };
+                    Ok(StoreRunReport { build, answers })
+                })
             };
-            Ok(StoreRunReport { build, answers })
-        })
-    };
-    let report = match report {
-        Ok(report) => report,
-        Err(error) => {
-            eprintln!("error: {error}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "store at {} ready in {:.1}s ({} shards rewritten, {} reused)",
-        options.store.display(),
-        start.elapsed().as_secs_f64(),
-        report.build.rewritten,
-        report.build.reused
-    );
-
-    let text = report.render();
-    println!("{text}");
-    if let Some(path) = &options.out {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(error) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {error}", parent.display());
-                std::process::exit(1);
+            let report = report?;
+            eprintln!(
+                "store at {} ready in {:.1}s ({} shards rewritten, {} reused)",
+                dir.display(),
+                start.elapsed().as_secs_f64(),
+                report.build.rewritten,
+                report.build.reused
+            );
+            let text = report.render();
+            println!("{text}");
+            if let Some(path) = &out {
+                cli::write_output(path, &text)?;
             }
-        }
-        if let Err(error) = std::fs::write(path, &text) {
-            eprintln!("error: cannot write {}: {error}", path.display());
-            std::process::exit(1);
-        }
-    }
-
-    if options.serve {
-        serve_stdin(&options);
-    }
+            if serve {
+                serve_stdin(&config, &dir)?;
+            }
+            Ok(())
+        })
+    })
 }
 
 /// The long-running loop: one query per stdin line, one answer per query.
 /// Malformed queries get an `error:` line and the loop continues; store
 /// corruption discovered mid-read is fatal (exit 1) — better down than
 /// wrong.
-fn serve_stdin(options: &CliOptions) {
-    let store = match open_store(&options.config, &options.store) {
-        Ok(store) => store,
-        Err(error) => {
-            eprintln!("error: {error}");
-            std::process::exit(1);
-        }
-    };
+fn serve_stdin(config: &StoreConfig, dir: &Path) -> Result<(), Box<dyn Error>> {
+    let store = open_store(config, dir)?;
     eprintln!("serving queries from stdin (one per line; EOF ends the session)");
     for line in std::io::stdin().lock().lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(error) => {
-                eprintln!("error: stdin: {error}");
-                std::process::exit(1);
-            }
-        };
+        let line = line.map_err(|error| format!("stdin: {error}"))?;
         if line.trim().is_empty() {
             continue;
         }
-        match StoreQuery::parse(&line, &options.config) {
+        match StoreQuery::parse(&line, config) {
             Err(message) => println!("error: {message}"),
-            Ok(query) => match answer_query(&store, &options.config, &query) {
-                Ok(answer) => println!("{}", answer.render(&options.config)),
-                Err(error) => {
-                    eprintln!("error: {error}");
-                    std::process::exit(1);
-                }
-            },
+            Ok(query) => {
+                println!("{}", answer_query(&store, config, &query)?.render(config));
+            }
         }
     }
+    Ok(())
 }

@@ -8,94 +8,40 @@
 //!     --sites 4000 --seed 7 --threads 8 --out results/sweep.txt
 //! ```
 
+use connreuse_experiments::cli::{self, Flag, Spec};
 use connreuse_experiments::sweep::{run_sweep, SweepConfig};
 use std::path::PathBuf;
+use std::process::ExitCode;
 
-struct CliOptions {
-    config: SweepConfig,
-    out: Option<PathBuf>,
-    help: bool,
-}
+const SPEC: Spec = Spec::new(
+    "connreuse-sweep",
+    "the 2^4 mitigation matrix over HTTP/2 connection-reuse fixes",
+    &[
+        Flag::value("--sites", "N", "sites per cell population (default 1500)"),
+        Flag::value("--seed", "N", "root seed shared by every cell (default 20210420)"),
+        Flag::value("--threads", "N", "worker threads the 16 cells shard across"),
+        Flag::switch("--quick", "start from the small test-sized population (120 sites)"),
+        Flag::value("--out", "FILE", "also write the report to FILE"),
+    ],
+);
 
-fn parse_args() -> Result<CliOptions, String> {
-    let mut config = SweepConfig::default();
-    let mut out = None;
-    let mut help = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--sites" => config.sites = parse_value(&mut args, &arg)?,
-            "--seed" => config.seed = parse_value(&mut args, &arg)?,
-            "--threads" => config.threads = parse_value(&mut args, &arg)?,
-            "--quick" => config.sites = SweepConfig::quick().sites,
-            "--out" => {
-                let value = args.next().ok_or("--out requires a file path")?;
-                out = Some(PathBuf::from(value));
-            }
-            "--help" | "-h" => help = true,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    Ok(CliOptions { config, out, help })
-}
-
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let value = args.next().ok_or_else(|| format!("{flag} requires a value"))?;
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
-fn print_usage() {
-    println!("connreuse-sweep — the 2^4 mitigation matrix over HTTP/2 connection-reuse fixes");
-    println!();
-    println!("usage: connreuse-sweep [options]");
-    println!();
-    println!("options:");
-    println!("  --sites N    sites per cell population (default 1500)");
-    println!("  --seed N     root seed shared by every cell (default 20210420)");
-    println!("  --threads N  worker threads the 16 cells shard across");
-    println!("  --quick      use the small test-sized population (120 sites)");
-    println!("  --out FILE   also write the report to FILE");
-    println!();
-    println!("exit status: 0 on success, 1 on IO failure, 2 on bad arguments");
-}
-
-fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        print_usage();
-        return;
-    }
-
-    eprintln!(
-        "sweeping 16 mitigation combinations: sites={} seed={} threads={}",
-        options.config.sites, options.config.seed, options.config.threads
-    );
-    let start = std::time::Instant::now();
-    let report = run_sweep(&options.config);
-    eprintln!("sweep done in {:.1}s", start.elapsed().as_secs_f64());
-
-    let text = report.render();
-    println!("{text}");
-    if let Some(path) = &options.out {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(error) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {error}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        if let Err(error) = std::fs::write(path, &text) {
-            eprintln!("error: cannot write {}: {error}", path.display());
-            std::process::exit(1);
-        }
-    }
+fn main() -> ExitCode {
+    cli::run(&SPEC, |args| {
+        let mut config = if args.has("--quick") { SweepConfig::quick() } else { SweepConfig::default() };
+        args.set("--sites", &mut config.sites)?;
+        args.set("--seed", &mut config.seed)?;
+        args.set_count("--threads", &mut config.threads)?;
+        let out: Option<PathBuf> = args.value("--out")?;
+        Ok(move || {
+            eprintln!(
+                "sweeping 16 mitigation combinations: sites={} seed={} threads={}",
+                config.sites, config.seed, config.threads
+            );
+            let start = std::time::Instant::now();
+            let text = run_sweep(&config).render();
+            eprintln!("sweep done in {:.1}s", start.elapsed().as_secs_f64());
+            println!("{text}");
+            out.map_or(Ok(()), |path| cli::write_output(&path, &text))
+        })
+    })
 }

@@ -49,6 +49,7 @@
 
 pub mod atlas;
 pub mod chaos;
+pub mod cli;
 pub mod cost;
 pub mod fleet;
 mod grid;
