@@ -1,14 +1,13 @@
 //! Benchmarks of the latency & cost accounting engine.
 //!
-//! The headline comparison is `visit_with_cost_accounting` vs
-//! `visit_no_cost_baseline`: the identical visit loop through the
-//! zero-allocation scratch fast path, with the per-visit
-//! [`netsim_cost::VisitTimeline`] accumulation switched on and off. The cost
-//! model's contract is that the delta stays within a few percent — a
-//! handful of integer adds per request plus the post-visit connection walk,
-//! no allocations (asserted by `crates/browser/tests/zero_alloc.rs`); the
-//! committed `BENCH_atlas.json` refresh recorded ~7 % on the full atlas,
-//! and CI's bench guard fails the build past 25 %.
+//! Accounting is always on: the loader bumps the per-visit
+//! [`netsim_cost::VisitTimeline`] as the visit unfolds, with a handful of
+//! integer adds per request plus the post-visit connection walk and no
+//! allocations (asserted by `crates/browser/tests/zero_alloc.rs`).
+//! `visit_and_fold` times the zero-allocation scratch visit loop with every
+//! timeline folded into [`netsim_cost::CostTotals`]; its share of the full
+//! atlas is the `cost-fold` stage of the hotpath profile, which CI's bench
+//! guard checks against `BENCH_stages.json`.
 //!
 //! The `pricing` pair measures the read side: folding a crawl's worth of
 //! timelines into [`netsim_cost::CostTotals`] and re-pricing the totals
@@ -27,8 +26,8 @@ fn bench_cost_accounting(c: &mut Criterion) {
     let mut group = c.benchmark_group("cost");
     group.sample_size(20);
 
-    group.bench_function("visit_with_cost_accounting", |b| {
-        let mut scratch = VisitScratch::without_netlog().with_cost_accounting(true);
+    group.bench_function("visit_and_fold", |b| {
+        let mut scratch = VisitScratch::without_netlog();
         b.iter(|| {
             let mut totals = CostTotals::new();
             for index in 0..env.sites.len() {
@@ -36,18 +35,6 @@ fn bench_cost_accounting(c: &mut Criterion) {
                 totals.absorb_visit(scratch.timeline());
             }
             black_box(totals)
-        })
-    });
-
-    group.bench_function("visit_no_cost_baseline", |b| {
-        let mut scratch = VisitScratch::without_netlog().with_cost_accounting(false);
-        b.iter(|| {
-            let mut requests = 0usize;
-            for index in 0..env.sites.len() {
-                let _ = crawler.visit_site_into(&mut scratch, &env, index);
-                requests += scratch.requests().len();
-            }
-            black_box(requests)
         })
     });
 

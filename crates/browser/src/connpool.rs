@@ -55,38 +55,29 @@ impl Default for PoolConfig {
     }
 }
 
-/// Lifecycle counters of one pool (or, merged, of a whole fleet cell).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PoolLifecycleStats {
-    /// Connections newly absorbed into the pool.
-    pub inserted: u64,
-    /// Connections handed to a page alive (the cross-page reuse supply).
-    pub lent: u64,
-    /// Connections closed by the client's idle timeout.
-    pub idle_expired: u64,
-    /// Connections closed by the server's lifetime churn.
-    pub lifetime_churned: u64,
-    /// LRU victims of the max-size cap.
-    pub capacity_evicted: u64,
-    /// Connections still pooled when the session ended.
-    pub session_closed: u64,
-    /// Parked connections that were dead when the session tried to lend them
-    /// (the fault model's dead-on-reuse process).
-    pub dead_on_reuse: u64,
+netsim_types::counters! {
+    /// Lifecycle counters of one pool (or, merged, of a whole fleet cell).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct PoolLifecycleStats {
+        /// Connections newly absorbed into the pool.
+        pub inserted: u64,
+        /// Connections handed to a page alive (the cross-page reuse supply).
+        pub lent: u64,
+        /// Connections closed by the client's idle timeout.
+        pub idle_expired: u64,
+        /// Connections closed by the server's lifetime churn.
+        pub lifetime_churned: u64,
+        /// LRU victims of the max-size cap.
+        pub capacity_evicted: u64,
+        /// Connections still pooled when the session ended.
+        pub session_closed: u64,
+        /// Parked connections that were dead when the session tried to lend
+        /// them (the fault model's dead-on-reuse process).
+        pub dead_on_reuse: u64,
+    }
 }
 
 impl PoolLifecycleStats {
-    /// Merge another pool's counters (associative, order-insensitive).
-    pub fn merge(&mut self, other: &PoolLifecycleStats) {
-        self.inserted += other.inserted;
-        self.lent += other.lent;
-        self.idle_expired += other.idle_expired;
-        self.lifetime_churned += other.lifetime_churned;
-        self.capacity_evicted += other.capacity_evicted;
-        self.session_closed += other.session_closed;
-        self.dead_on_reuse += other.dead_on_reuse;
-    }
-
     /// Every connection the pool closed, for any reason.
     pub fn closed(&self) -> u64 {
         self.idle_expired
@@ -292,6 +283,14 @@ impl ConnectionPool {
             self.stats.capacity_evicted += 1;
             shells.push(entry.connection);
         }
+        // Every closed or still pooled connection was inserted once; a lent
+        // connection that died mid-page left without a counter.
+        debug_assert!(
+            self.stats.closed() + self.entries.len() as u64 <= self.stats.inserted,
+            "{:?} with {} pooled",
+            self.stats,
+            self.entries.len()
+        );
     }
 
     /// End the session: close every pooled connection
@@ -305,7 +304,9 @@ impl ConnectionPool {
         }
     }
 
-    /// Take the accumulated lifecycle counters, resetting them to zero.
+    /// Take the accumulated lifecycle counters, resetting them to zero. Take
+    /// them between sessions: a connection still pooled would close under
+    /// counters that never saw it inserted.
     pub fn take_stats(&mut self) -> PoolLifecycleStats {
         std::mem::take(&mut self.stats)
     }

@@ -180,10 +180,8 @@ impl Browser {
                 session.pool_mut().lend(started_at, connections, shells, &self.config.faults, &mut fault_rng);
             (connections.len(), dead)
         };
-        if scratch.cost_enabled() {
-            scratch.timeline.dead_on_reuse += dead;
-            scratch.timeline.faults_injected += dead;
-        }
+        scratch.timeline.dead_on_reuse += dead;
+        scratch.timeline.faults_injected += dead;
 
         let finished_at = self.walk_plan(
             scratch,
@@ -239,10 +237,8 @@ impl Browser {
                 stage!(Stage::TransferClock);
                 finished_at =
                     finished_at.max(entry.started_at + rtt + transfer_time(entry.body_size, &self.config));
-                if scratch.cost_enabled() {
-                    scratch.timeline.requests += 1;
-                    scratch.timeline.body_octets += entry.body_size;
-                }
+                scratch.timeline.requests += 1;
+                scratch.timeline.body_octets += entry.body_size;
                 scratch.requests.push(entry);
             }
         }
@@ -265,17 +261,19 @@ impl Browser {
                 .netlog
                 .record(finished_at, NetLogEventKind::PageLoadFinished { requests: scratch.requests.len() });
         }
-        if scratch.cost_enabled() {
-            stage!(Stage::CostFold);
-            // Cold-window penalty: every opened connection pays the
-            // slow-start rounds its delivered bytes needed (a reused
-            // connection would have carried them on an already-grown
-            // window).
-            for connection in &scratch.connections[first_new..] {
-                scratch.timeline.cold_cwnd_rtts += u64::from(connection.cold_cwnd_rtts());
-            }
-            scratch.timeline.plt_millis = (finished_at - started_at).as_millis();
+        stage!(Stage::CostFold);
+        // Cold-window penalty: every opened connection pays the slow-start
+        // rounds its delivered bytes needed (a reused connection would have
+        // carried them on an already-grown window).
+        for connection in &scratch.connections[first_new..] {
+            scratch.timeline.cold_cwnd_rtts += u64::from(connection.cold_cwnd_rtts());
         }
+        scratch.timeline.plt_millis = (finished_at - started_at).as_millis();
+        let timeline = &scratch.timeline;
+        // Only an opened connection can resume; only a recursive walk
+        // (injected failures count as one) can fail.
+        debug_assert!(timeline.resumed_handshakes <= timeline.connections_opened, "{timeline:?}");
+        debug_assert!(timeline.dns_failures <= timeline.dns_recursive_walks, "{timeline:?}");
         VisitTimes { started_at, finished_at }
     }
 
@@ -314,10 +312,8 @@ impl Browser {
                 }
                 backoff_spent = backoff_spent + wait;
                 clock.advance(wait);
-                if scratch.cost_enabled() {
-                    scratch.timeline.retries += 1;
-                    scratch.timeline.retry_backoff_millis += wait.as_millis();
-                }
+                scratch.timeline.retries += 1;
+                scratch.timeline.retry_backoff_millis += wait.as_millis();
             }
             match self.fetch_attempt(
                 scratch,
@@ -337,10 +333,7 @@ impl Browser {
         }
         // Retries exhausted: degrade gracefully — the page renders without
         // this resource, and the outcome records it.
-        scratch.failed_resources += 1;
-        if scratch.cost_enabled() {
-            scratch.timeline.failed_resources += 1;
-        }
+        scratch.timeline.failed_resources += 1;
         None
     }
 
@@ -397,7 +390,6 @@ impl Browser {
         let target_ip = {
             stage!(Stage::DnsWalk);
             let netlog_enabled = scratch.netlog_enabled();
-            let cost_enabled = scratch.cost_enabled();
             // Injected SERVFAIL/lost-query: drawn before the resolver runs,
             // so a faulted attempt performs no authority walk (and caches
             // nothing) — exactly a query that never came back.
@@ -418,15 +410,13 @@ impl Browser {
                 }
             };
             let stats_after = resolver.stats();
-            if cost_enabled {
-                scratch.timeline.dns_cache_hits += stats_after.cache_hits - stats_before.cache_hits;
-                scratch.timeline.dns_recursive_walks += stats_after.cache_misses - stats_before.cache_misses;
-                scratch.timeline.dns_authority_queries +=
-                    stats_after.authority_queries - stats_before.authority_queries;
-                scratch.timeline.dns_failures += stats_after.failures - stats_before.failures;
-                if injected {
-                    scratch.timeline.faults_injected += 1;
-                }
+            scratch.timeline.dns_cache_hits += stats_after.cache_hits - stats_before.cache_hits;
+            scratch.timeline.dns_recursive_walks += stats_after.cache_misses - stats_before.cache_misses;
+            scratch.timeline.dns_authority_queries +=
+                stats_after.authority_queries - stats_before.authority_queries;
+            scratch.timeline.dns_failures += stats_after.failures - stats_before.failures;
+            if injected {
+                scratch.timeline.faults_injected += 1;
             }
             match outcome {
                 Ok((target_ip, addresses)) => {
@@ -492,9 +482,7 @@ impl Browser {
         // 3. Open a new session when nothing qualified.
         let index = match chosen {
             Some(index) => {
-                if scratch.cost_enabled() {
-                    scratch.timeline.connections_reused += 1;
-                }
+                scratch.timeline.connections_reused += 1;
                 if scratch.netlog_enabled() {
                     scratch.netlog.record(
                         clock.now(),
@@ -523,19 +511,21 @@ impl Browser {
                 };
                 let setup_rtts = u64::from(handshake.setup_rtts());
                 // Loss retransmissions are priced exactly (in microseconds)
-                // and folded into a per-visit carry; the integer-millisecond
-                // clock is charged each time the carry crosses another whole
+                // and summed per visit in the timeline; the integer-millisecond
+                // clock is charged each time the sum crosses another whole
                 // millisecond. Rounding therefore happens once per visit —
                 // truncating per connection let every sub-millisecond setup
                 // penalty (all of broadband's) ride for free. A dial that
-                // fails below still travelled its round trips, so the carry
+                // fails below still travelled its round trips, so the sum
                 // advances either way.
                 let loss_micros = loss_retransmit_extra_micros(rtt, setup_rtts, self.config.loss_ppm);
-                let charged_ms = scratch.loss_carry_micros / 1_000;
-                scratch.loss_carry_micros += loss_micros;
-                let loss_ms = scratch.loss_carry_micros / 1_000 - charged_ms;
+                let charged_ms = scratch.timeline.loss_retransmit_micros / 1_000;
+                scratch.timeline.loss_retransmit_micros += loss_micros;
+                let loss_ms = scratch.timeline.loss_retransmit_micros / 1_000 - charged_ms;
                 let setup = handshake.setup_latency(rtt) + Duration::from_millis(loss_ms);
                 clock.advance(setup);
+                scratch.timeline.handshake_rtts += setup_rtts;
+                scratch.timeline.handshake_millis += setup.as_millis();
                 // Injected TLS dial failure. Under hedged dials a second
                 // attempt races the first (drawn only when the primary
                 // failed): the dial fails only if both racers fail, and it
@@ -550,34 +540,24 @@ impl Browser {
                 if dial_failed {
                     // The dial burned its full setup latency (charged above)
                     // but only the client's first flight made it to the wire.
-                    if scratch.cost_enabled() {
-                        scratch.timeline.faults_injected += 1;
-                        scratch.timeline.handshake_rtts += setup_rtts;
-                        scratch.timeline.handshake_millis += setup.as_millis();
-                        scratch.timeline.loss_retransmit_micros += loss_micros;
+                    scratch.timeline.faults_injected += 1;
+                    scratch.timeline.handshake_octets += handshake.aborted_handshake_octets();
+                    if hedged {
+                        scratch.timeline.hedged_dials += 1;
                         scratch.timeline.handshake_octets += handshake.aborted_handshake_octets();
-                        if hedged {
-                            scratch.timeline.hedged_dials += 1;
-                            scratch.timeline.handshake_octets += handshake.aborted_handshake_octets();
-                        }
                     }
                     return FetchAttempt::Fault;
                 }
-                if scratch.cost_enabled() {
-                    scratch.timeline.connections_opened += 1;
-                    scratch.timeline.handshake_rtts += setup_rtts;
+                scratch.timeline.connections_opened += 1;
+                scratch.timeline.handshake_octets += handshake.handshake_octets();
+                if handshake.session_resumption {
+                    scratch.timeline.resumed_handshakes += 1;
+                }
+                if hedged {
+                    // The losing racer completed (or aborted) its own
+                    // handshake on the wire before being discarded.
+                    scratch.timeline.hedged_dials += 1;
                     scratch.timeline.handshake_octets += handshake.handshake_octets();
-                    scratch.timeline.handshake_millis += setup.as_millis();
-                    scratch.timeline.loss_retransmit_micros += loss_micros;
-                    if handshake.session_resumption {
-                        scratch.timeline.resumed_handshakes += 1;
-                    }
-                    if hedged {
-                        // The losing racer completed (or aborted) its own
-                        // handshake on the wire before being discarded.
-                        scratch.timeline.hedged_dials += 1;
-                        scratch.timeline.handshake_octets += handshake.handshake_octets();
-                    }
                 }
                 // Every completed handshake (full or resumed) mints a fresh
                 // ticket for the origin.
@@ -641,9 +621,7 @@ impl Browser {
             let connection_id = connection.id;
             connection.close_with_reason(clock.now(), CloseReason::TransportReset);
             drop(encode_guard);
-            if scratch.cost_enabled() {
-                scratch.timeline.faults_injected += 1;
-            }
+            scratch.timeline.faults_injected += 1;
             if scratch.netlog_enabled() {
                 scratch
                     .netlog
@@ -662,10 +640,8 @@ impl Browser {
         // requests fall through to other sessions or fresh dials.
         if fault_rng.chance_ppm(self.config.faults.goaway_ppm) && connection.state == ConnectionState::Open {
             connection.receive_goaway();
-            if scratch.cost_enabled() {
-                scratch.timeline.faults_injected += 1;
-                scratch.timeline.goaways_received += 1;
-            }
+            scratch.timeline.faults_injected += 1;
+            scratch.timeline.goaways_received += 1;
         }
         drop(encode_guard);
         if status != 200 {

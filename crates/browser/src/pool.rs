@@ -20,21 +20,20 @@ use std::sync::Mutex;
 
 /// A thread-safe pool of recycled [`VisitScratch`] arenas.
 ///
-/// All arenas in one pool share a configuration (NetLog recording, cost
-/// accounting), fixed at pool construction — a checked-out arena is always
-/// ready to use as-is.
+/// All arenas in one pool share a configuration (NetLog recording on or
+/// off), fixed at pool construction — a checked-out arena is always ready to
+/// use as-is.
 #[derive(Debug)]
 pub struct ScratchPool {
     idle: Mutex<Vec<VisitScratch>>,
     netlog_enabled: bool,
-    cost_enabled: bool,
 }
 
 impl ScratchPool {
     /// A pool of measurement-compatible arenas ([`VisitScratch::new`]:
-    /// NetLog recording on, cost accounting on).
+    /// NetLog recording on).
     pub fn new() -> Self {
-        ScratchPool { idle: Mutex::new(Vec::new()), netlog_enabled: true, cost_enabled: true }
+        ScratchPool { idle: Mutex::new(Vec::new()), netlog_enabled: true }
     }
 
     /// A pool of streaming-path arenas ([`VisitScratch::without_netlog`]) —
@@ -43,20 +42,16 @@ impl ScratchPool {
         ScratchPool { netlog_enabled: false, ..ScratchPool::new() }
     }
 
-    /// Enable or disable cost accounting for every arena this pool hands out
-    /// (on by default).
-    pub fn with_cost_accounting(mut self, enabled: bool) -> Self {
-        self.cost_enabled = enabled;
-        self
-    }
-
     /// Check an arena out: recycle an idle one, or build a fresh one if the
     /// pool has run dry. The arena returns to the pool when the guard drops.
     pub fn checkout(&self) -> PooledScratch<'_> {
         let recycled = self.idle.lock().expect("scratch pool poisoned").pop();
         let scratch = recycled.unwrap_or_else(|| {
-            let base = if self.netlog_enabled { VisitScratch::new() } else { VisitScratch::without_netlog() };
-            base.with_cost_accounting(self.cost_enabled)
+            if self.netlog_enabled {
+                VisitScratch::new()
+            } else {
+                VisitScratch::without_netlog()
+            }
         });
         PooledScratch { pool: self, scratch: Some(scratch) }
     }
@@ -117,7 +112,7 @@ mod tests {
             let second = pool.checkout();
             assert_eq!(pool.idle_arenas(), 0);
             assert!(!first.netlog_enabled());
-            assert!(second.cost_enabled());
+            assert!(!second.netlog_enabled());
         }
         assert_eq!(pool.idle_arenas(), 2);
     }
@@ -134,14 +129,6 @@ mod tests {
         assert!(guard.netlog_enabled());
         drop(guard);
         assert_eq!(pool.idle_arenas(), 1);
-    }
-
-    #[test]
-    fn pool_configuration_reaches_every_arena() {
-        let pool = ScratchPool::without_netlog().with_cost_accounting(false);
-        let arena = pool.checkout();
-        assert!(!arena.netlog_enabled());
-        assert!(!arena.cost_enabled());
     }
 
     #[test]

@@ -93,46 +93,26 @@ pub struct VisitScratch {
     /// `true` if any response of the current visit had a non-200 status —
     /// the streaming classifier falls back to the full path then.
     pub(crate) any_non_ok: bool,
-    /// The current visit's cost timeline (all zero while disabled). A block
-    /// of `Copy` integer counters — accounting never allocates.
+    /// The current visit's cost timeline. A block of `Copy` integer
+    /// counters — accounting never allocates. The loader also reads it back:
+    /// `loss_retransmit_micros` is the running sum it charges the clock
+    /// from, and `failed_resources` decides the visit's [`VisitOutcome`].
     pub(crate) timeline: VisitTimeline,
-    cost_enabled: bool,
-    /// Running per-visit sum of exact loss-retransmission microseconds. The
-    /// loader charges the clock only each time this crosses another whole
-    /// millisecond, so rounding happens once per visit instead of once per
-    /// connection (the free-ride fix). Lives outside the `cost_enabled` gate:
-    /// the clock must advance identically whether or not a timeline is kept.
-    pub(crate) loss_carry_micros: u64,
-    /// Resources the current visit abandoned after exhausting their retry
-    /// budget. Like the loss carry this lives outside the `cost_enabled`
-    /// gate: the visit's [`VisitOutcome`] must not depend on whether a
-    /// timeline is kept.
-    pub(crate) failed_resources: u64,
 }
 
 impl VisitScratch {
     /// A scratch with NetLog recording enabled (the measurement-compatible
     /// default: materialised [`PageVisit`]s carry the full event log).
-    /// Cost accounting is on.
     pub fn new() -> Self {
-        VisitScratch { netlog_enabled: true, cost_enabled: true, ..VisitScratch::default() }
+        VisitScratch { netlog_enabled: true, ..VisitScratch::default() }
     }
 
     /// A scratch with NetLog recording disabled — the streaming
     /// classification path, where the event log would be dropped unread and
     /// its per-event allocations (answer address lists, request paths) would
-    /// break the zero-allocation property. Cost accounting is on (it is
-    /// allocation-free by construction).
+    /// break the zero-allocation property.
     pub fn without_netlog() -> Self {
-        VisitScratch { netlog_enabled: false, cost_enabled: true, ..VisitScratch::default() }
-    }
-
-    /// Enable or disable cost accounting (on by default). Disabling it skips
-    /// the timeline counters entirely — the no-cost baseline the `cost`
-    /// criterion group compares against.
-    pub fn with_cost_accounting(mut self, enabled: bool) -> Self {
-        self.cost_enabled = enabled;
-        self
+        VisitScratch { netlog_enabled: false, ..VisitScratch::default() }
     }
 
     /// `true` if this scratch records NetLog events.
@@ -140,13 +120,7 @@ impl VisitScratch {
         self.netlog_enabled
     }
 
-    /// `true` if this scratch accumulates a cost timeline.
-    pub fn cost_enabled(&self) -> bool {
-        self.cost_enabled
-    }
-
-    /// The cost timeline of the current visit (all zero when cost accounting
-    /// is disabled).
+    /// The cost timeline of the current visit.
     pub fn timeline(&self) -> &VisitTimeline {
         &self.timeline
     }
@@ -160,8 +134,6 @@ impl VisitScratch {
         self.netlog.clear();
         self.any_non_ok = false;
         self.timeline.reset();
-        self.loss_carry_micros = 0;
-        self.failed_resources = 0;
         let rebuild = match &self.resolver {
             Some(existing) => existing.config().id != resolver || existing.config().vantage != vantage,
             None => true,
@@ -195,8 +167,6 @@ impl VisitScratch {
         self.netlog.clear();
         self.any_non_ok = false;
         self.timeline.reset();
-        self.loss_carry_micros = 0;
-        self.failed_resources = 0;
         let rebuild = match &self.resolver {
             Some(existing) => existing.config().id != resolver || existing.config().vantage != vantage,
             None => true,
@@ -266,10 +236,9 @@ impl VisitScratch {
     /// How the current visit ended: [`VisitOutcome::Complete`] when every
     /// resource was fetched (possibly after retries),
     /// [`VisitOutcome::Degraded`] with the abandoned-resource count when the
-    /// retry budget ran out somewhere. Valid independently of cost
-    /// accounting.
+    /// retry budget ran out somewhere.
     pub fn outcome(&self) -> VisitOutcome {
-        VisitOutcome::from_failures(self.failed_resources)
+        VisitOutcome::from_failures(self.timeline.failed_resources)
     }
 
     /// Materialise the current scratch state into an owned [`PageVisit`] —

@@ -118,13 +118,13 @@ fn steady_state_visits_allocate_nothing() {
 
 #[test]
 fn cost_accounting_keeps_the_zero_allocation_guarantee() {
-    // The latency/byte cost timeline must ride the fast path for free: with
-    // cost accounting explicitly enabled (the default) a steady-state pass
+    // The latency/byte cost timeline must ride the fast path for free: a
+    // steady-state pass that also folds every timeline into `CostTotals`
     // performs zero heap allocations *and* produces non-trivial totals — so
-    // the zero cannot be explained by the accounting having been skipped.
+    // the zero cannot be explained by the accounting doing nothing.
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 40, 2024).build();
     let crawler = Crawler::new("alloc-gate-cost", BrowserConfig::alexa_measurement(), 5);
-    let mut scratch = VisitScratch::without_netlog().with_cost_accounting(true);
+    let mut scratch = VisitScratch::without_netlog();
 
     // Warm-up to the buffers' high-water marks (see the main gate above).
     for _ in 0..8 {

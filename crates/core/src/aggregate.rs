@@ -27,14 +27,6 @@ pub struct CauseCounts {
     pub connections: usize,
 }
 
-impl CauseCounts {
-    /// Component-wise sum (the shard-merge primitive).
-    fn absorb(&mut self, other: CauseCounts) {
-        self.sites += other.sites;
-        self.connections += other.connections;
-    }
-}
-
 /// Per-site cause totals in the fixed [`Cause::ALL`] order — the compact,
 /// allocation-free form the streaming fast path
 /// ([`crate::FastVisitClassifier`]) produces and
@@ -69,39 +61,19 @@ impl SiteCounts {
 /// One accumulator per worker shard; observe each classification as soon as
 /// it is produced, drop the classification, and merge the shards afterwards.
 /// Every counter is additive over disjoint site sets, so the merge order
-/// never changes the outcome. The per-cause counters live in a fixed array
-/// (indexed by [`Cause::index`]) so the per-site fold is a handful of integer
-/// adds; the table-ordered `BTreeMap` of [`DatasetSummary`] is built once in
-/// [`Accumulator::finish`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// never changes the outcome. The fold writes straight into the
+/// [`AccumulatorState`] the shard store persists — a handful of integer adds
+/// per site; the table-ordered `BTreeMap` of [`DatasetSummary`] is built once
+/// in [`Accumulator::finish`].
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Accumulator {
-    /// Per-cause counts in [`Cause::ALL`] order.
-    causes: [CauseCounts; 3],
-    /// Sites with ≥1 redundant connection / total redundant connections.
-    redundant: CauseCounts,
-    /// HTTP/2 sites / HTTP/2 connections.
-    total: CauseCounts,
-    /// Every site observed, including those without any HTTP/2 connection
-    /// (excluded from `total` per Table 1 but reported by the atlas scenario).
-    observed_sites: usize,
-}
-
-impl Default for Accumulator {
-    /// Same as [`Accumulator::new`].
-    fn default() -> Self {
-        Accumulator::new()
-    }
+    state: AccumulatorState,
 }
 
 impl Accumulator {
     /// An empty accumulator.
     pub fn new() -> Self {
-        Accumulator {
-            causes: [CauseCounts::default(); 3],
-            redundant: CauseCounts::default(),
-            total: CauseCounts::default(),
-            observed_sites: 0,
-        }
+        Accumulator::default()
     }
 
     /// Fold one site's classification into the running counts.
@@ -113,22 +85,23 @@ impl Accumulator {
     /// allocation-free fold behind [`Accumulator::observe`], fed directly by
     /// the streaming visit classifier.
     pub fn observe_counts(&mut self, counts: &SiteCounts) {
-        self.observed_sites += 1;
+        let state = &mut self.state;
+        state.observed_sites += 1;
         // Sites that never opened an HTTP/2 connection are outside the
         // analysis population (Table 1 counts only HTTP/2 sites).
         if counts.total_connections == 0 {
             return;
         }
-        self.total.sites += 1;
-        self.total.connections += counts.total_connections;
+        state.total_sites += 1;
+        state.total_connections += counts.total_connections as u64;
         if counts.redundant_connections > 0 {
-            self.redundant.sites += 1;
+            state.redundant_sites += 1;
         }
-        self.redundant.connections += counts.redundant_connections;
-        for (entry, count) in self.causes.iter_mut().zip(counts.cause_connections) {
-            entry.connections += count;
+        state.redundant_connections += counts.redundant_connections as u64;
+        for (index, count) in counts.cause_connections.into_iter().enumerate() {
+            state.cause_connections[index] += count as u64;
             if count > 0 {
-                entry.sites += 1;
+                state.cause_sites[index] += 1;
             }
         }
     }
@@ -166,132 +139,73 @@ impl Accumulator {
     /// assert_eq!(forward.observed_sites(), 2);
     /// ```
     pub fn merge(&mut self, other: &Accumulator) {
-        for (entry, theirs) in self.causes.iter_mut().zip(other.causes) {
-            entry.absorb(theirs);
-        }
-        self.redundant.absorb(other.redundant);
-        self.total.absorb(other.total);
-        self.observed_sites += other.observed_sites;
+        self.state.merge(&other.state);
     }
 
     /// Number of sites observed so far (including non-HTTP/2 sites).
     pub fn observed_sites(&self) -> usize {
-        self.observed_sites
+        self.state.observed_sites as usize
     }
 
-    /// Export the running counts as a fixed-width word snapshot — the
+    /// The running counts as a fixed-width word snapshot — the
     /// serialisation surface the on-disk shard store uses. Round-trips
     /// exactly through [`Accumulator::from_state`].
     pub fn state(&self) -> AccumulatorState {
-        let mut cause_sites = [0u64; 3];
-        let mut cause_connections = [0u64; 3];
-        for (index, cause) in self.causes.iter().enumerate() {
-            cause_sites[index] = cause.sites as u64;
-            cause_connections[index] = cause.connections as u64;
-        }
-        AccumulatorState {
-            cause_sites,
-            cause_connections,
-            redundant_sites: self.redundant.sites as u64,
-            redundant_connections: self.redundant.connections as u64,
-            total_sites: self.total.sites as u64,
-            total_connections: self.total.connections as u64,
-            observed_sites: self.observed_sites as u64,
-        }
+        self.state
     }
 
     /// Rebuild an accumulator from an exported snapshot.
     pub fn from_state(state: &AccumulatorState) -> Self {
-        let mut causes = [CauseCounts::default(); 3];
-        for (index, entry) in causes.iter_mut().enumerate() {
-            entry.sites = state.cause_sites[index] as usize;
-            entry.connections = state.cause_connections[index] as usize;
-        }
-        Accumulator {
-            causes,
-            redundant: CauseCounts {
-                sites: state.redundant_sites as usize,
-                connections: state.redundant_connections as usize,
-            },
-            total: CauseCounts {
-                sites: state.total_sites as usize,
-                connections: state.total_connections as usize,
-            },
-            observed_sites: state.observed_sites as usize,
-        }
+        Accumulator { state: *state }
     }
 
     /// Finish the stream: the dataset summary under `label`. The per-cause
-    /// array is materialised into the table-ordered map here, once, so the
+    /// arrays are materialised into the table-ordered map here, once, so the
     /// summary (and every report rendered from it) is byte-identical to the
     /// pre-array implementation.
     pub fn finish(self, label: &str) -> DatasetSummary {
+        let state = self.state;
+        let counts = |sites: u64, connections: u64| CauseCounts {
+            sites: sites as usize,
+            connections: connections as usize,
+        };
         DatasetSummary {
             label: label.to_string(),
-            causes: Cause::ALL.iter().copied().zip(self.causes).collect(),
-            redundant: self.redundant,
-            total: self.total,
+            causes: Cause::ALL
+                .into_iter()
+                .map(|cause| {
+                    (cause, counts(state.cause_sites[cause.index()], state.cause_connections[cause.index()]))
+                })
+                .collect(),
+            redundant: counts(state.redundant_sites, state.redundant_connections),
+            total: counts(state.total_sites, state.total_connections),
         }
     }
 }
 
-/// The complete internal state of an [`Accumulator`], as plain u64 words.
-///
-/// This is the persistence contract: every counter the accumulator tracks,
-/// nothing derived. [`AccumulatorState::to_words`] /
-/// [`AccumulatorState::from_words`] give the fixed-width little-endian layout
-/// the shard store writes; the field order is frozen — appending is a schema
-/// bump, reordering is forbidden.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccumulatorState {
-    /// Sites per cause, in [`Cause::ALL`] order.
-    pub cause_sites: [u64; 3],
-    /// Connections per cause, in [`Cause::ALL`] order.
-    pub cause_connections: [u64; 3],
-    /// Sites with at least one redundant connection.
-    pub redundant_sites: u64,
-    /// Total redundant connections.
-    pub redundant_connections: u64,
-    /// Sites with at least one HTTP/2 connection.
-    pub total_sites: u64,
-    /// Total HTTP/2 connections.
-    pub total_connections: u64,
-    /// Every site observed, including non-HTTP/2 sites.
-    pub observed_sites: u64,
-}
-
-impl AccumulatorState {
-    /// Number of words in the fixed-width layout.
-    pub const WORDS: usize = 11;
-
-    /// The fixed-width word layout (frozen field order).
-    pub fn to_words(&self) -> [u64; Self::WORDS] {
-        [
-            self.cause_sites[0],
-            self.cause_sites[1],
-            self.cause_sites[2],
-            self.cause_connections[0],
-            self.cause_connections[1],
-            self.cause_connections[2],
-            self.redundant_sites,
-            self.redundant_connections,
-            self.total_sites,
-            self.total_connections,
-            self.observed_sites,
-        ]
-    }
-
-    /// Rebuild from the fixed-width word layout.
-    pub fn from_words(words: &[u64; Self::WORDS]) -> Self {
-        AccumulatorState {
-            cause_sites: [words[0], words[1], words[2]],
-            cause_connections: [words[3], words[4], words[5]],
-            redundant_sites: words[6],
-            redundant_connections: words[7],
-            total_sites: words[8],
-            total_connections: words[9],
-            observed_sites: words[10],
-        }
+netsim_types::counters! {
+    /// The complete state of an [`Accumulator`], as plain u64 words.
+    ///
+    /// This is the persistence contract: every counter the accumulator
+    /// tracks, nothing derived. `to_words` / `from_words` give the
+    /// fixed-width layout the shard store writes; the field order is frozen —
+    /// appending is a schema bump, reordering is forbidden.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct AccumulatorState {
+        /// Sites per cause, in [`Cause::ALL`] order.
+        pub cause_sites: [u64; 3],
+        /// Connections per cause, in [`Cause::ALL`] order.
+        pub cause_connections: [u64; 3],
+        /// Sites with at least one redundant connection.
+        pub redundant_sites: u64,
+        /// Total redundant connections.
+        pub redundant_connections: u64,
+        /// Sites with at least one HTTP/2 connection.
+        pub total_sites: u64,
+        /// Total HTTP/2 connections.
+        pub total_connections: u64,
+        /// Every site observed, including non-HTTP/2 sites.
+        pub observed_sites: u64,
     }
 }
 

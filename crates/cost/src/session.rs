@@ -10,21 +10,25 @@
 //! [`SessionTotals`] wraps [`CostTotals`] with a session counter so reports
 //! can derive per-session (not just per-page) metrics. Like every aggregate
 //! in this workspace, [`SessionTotals::merge`] is an associative,
-//! order-insensitive integer sum — shard rule 3 of the determinism contract.
+//! order-insensitive integer sum (generated by
+//! [`netsim_types::counters!`]) — shard rule 3 of the determinism contract.
 
 use crate::timeline::VisitTimeline;
 use crate::totals::CostTotals;
 use serde::{Deserialize, Serialize};
 
-/// Aggregate cost counters over a set of multi-page sessions.
-///
-/// `totals.visits` counts *pages*; `sessions` counts completed sessions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SessionTotals {
-    /// Number of completed sessions folded in.
-    pub sessions: u64,
-    /// Page-level totals across every session.
-    pub totals: CostTotals,
+netsim_types::counters! {
+    /// Aggregate cost counters over a set of multi-page sessions; the
+    /// generated `merge` folds another shard's totals.
+    ///
+    /// `totals.visits` counts *pages*; `sessions` counts completed sessions.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct SessionTotals {
+        /// Number of completed sessions folded in.
+        pub sessions: u64,
+        /// Page-level totals across every session.
+        pub totals: CostTotals,
+    }
 }
 
 impl SessionTotals {
@@ -42,12 +46,6 @@ impl SessionTotals {
     /// last page has been absorbed.
     pub fn end_session(&mut self) {
         self.sessions += 1;
-    }
-
-    /// Merge another shard's totals (associative, order-insensitive).
-    pub fn merge(&mut self, other: &SessionTotals) {
-        self.sessions += other.sessions;
-        self.totals.merge(&other.totals);
     }
 
     /// Number of pages folded in across all sessions.

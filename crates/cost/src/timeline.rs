@@ -15,75 +15,78 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Fixed-size per-visit cost counters. All fields are totals over one page
-/// visit; the aggregating side ([`crate::CostTotals`]) sums them across
-/// visits and shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VisitTimeline {
-    /// DNS lookups answered from the resolver cache (free).
-    pub dns_cache_hits: u64,
-    /// DNS lookups that required a recursive walk to the authority.
-    pub dns_recursive_walks: u64,
-    /// Authority queries those walks performed (CNAME chains count each hop).
-    pub dns_authority_queries: u64,
-    /// Resolutions that failed (NXDOMAIN, empty answers, CNAME loops).
-    pub dns_failures: u64,
-    /// Connections the visit had to open.
-    pub connections_opened: u64,
-    /// Requests that rode an existing connection (pool hit or §9.1.1
-    /// coalescing) instead of opening a new one.
-    pub connections_reused: u64,
-    /// Round trips spent in TCP + TLS handshakes across all opened
-    /// connections (before loss retransmissions).
-    pub handshake_rtts: u64,
-    /// Octets spent on handshake frames (SYNs, hellos, certificate chains).
-    pub handshake_octets: u64,
-    /// Milliseconds the simulated clock actually charged for connection
-    /// setup, including the loss-retransmission penalty.
-    pub handshake_millis: u64,
-    /// Exact expected loss-retransmission latency across the visit's
-    /// connection setups, in **microseconds**. The clock charges the
-    /// whole-millisecond prefix of the running per-visit sum (the loader's
-    /// carry), so this field audits what the rounding kept: the visit's
-    /// charged loss milliseconds are `loss_retransmit_micros / 1000`.
-    pub loss_retransmit_micros: u64,
-    /// Opened connections charged under the handshake config's
-    /// session-resumption discount (fewer round trips, no certificate-chain
-    /// flight). The model applies the discount per configuration, not per
-    /// origin cache, so this audits *which tariff* the RTT/octet sums were
-    /// computed under; the measurement presets reset caches between visits
-    /// and therefore always record zero here.
-    pub resumed_handshakes: u64,
-    /// Extra round trips spent growing cold congestion windows: each opened
-    /// connection pays the slow-start rounds its delivered bytes needed.
-    pub cold_cwnd_rtts: u64,
-    /// Requests the visit sent.
-    pub requests: u64,
-    /// Response body octets the visit received.
-    pub body_octets: u64,
-    /// Page-load time of the visit (first request to last response), in
-    /// milliseconds of simulated time.
-    pub plt_millis: u64,
-    /// Faults the injection layer fired during the visit, over every process
-    /// (DNS, TLS, reset, dead-on-reuse, GOAWAY).
-    pub faults_injected: u64,
-    /// Extra fetch attempts the retry policy spent recovering from faults
-    /// (the first attempt of each resource is not counted).
-    pub retries: u64,
-    /// Milliseconds the simulated clock charged for retry backoff waits
-    /// (exponential schedule plus deterministic jitter).
-    pub retry_backoff_millis: u64,
-    /// Resources abandoned after exhausting their retry budget — the
-    /// degraded remainder a `VisitOutcome::Degraded` reports.
-    pub failed_resources: u64,
-    /// Server GOAWAY frames received mid-page (the connection finished its
-    /// in-flight streams but accepted no new ones).
-    pub goaways_received: u64,
-    /// Pooled connections that turned out dead when the session lent them.
-    pub dead_on_reuse: u64,
-    /// Redundant connection dials raced by the hedged-request mitigation;
-    /// each charged a second handshake's octets.
-    pub hedged_dials: u64,
+netsim_types::counters! {
+    merge = absorb;
+    /// Fixed-size per-visit cost counters. All fields are totals over one page
+    /// visit; the aggregating side ([`crate::CostTotals`]) sums them across
+    /// visits and shards with the generated `absorb`.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct VisitTimeline {
+        /// DNS lookups answered from the resolver cache (free).
+        pub dns_cache_hits: u64,
+        /// DNS lookups that required a recursive walk to the authority.
+        pub dns_recursive_walks: u64,
+        /// Authority queries those walks performed (CNAME chains count each hop).
+        pub dns_authority_queries: u64,
+        /// Resolutions that failed (NXDOMAIN, empty answers, CNAME loops).
+        pub dns_failures: u64,
+        /// Connections the visit had to open.
+        pub connections_opened: u64,
+        /// Requests that rode an existing connection (pool hit or §9.1.1
+        /// coalescing) instead of opening a new one.
+        pub connections_reused: u64,
+        /// Round trips spent in TCP + TLS handshakes across all opened
+        /// connections (before loss retransmissions).
+        pub handshake_rtts: u64,
+        /// Octets spent on handshake frames (SYNs, hellos, certificate chains).
+        pub handshake_octets: u64,
+        /// Milliseconds the simulated clock actually charged for connection
+        /// setup, including the loss-retransmission penalty.
+        pub handshake_millis: u64,
+        /// Exact expected loss-retransmission latency across the visit's
+        /// connection setups, in **microseconds**. The loader charges the
+        /// clock each time this running sum crosses another whole
+        /// millisecond, so rounding happens once per visit: the visit's
+        /// charged loss milliseconds are `loss_retransmit_micros / 1000`.
+        pub loss_retransmit_micros: u64,
+        /// Opened connections charged under the handshake config's
+        /// session-resumption discount (fewer round trips, no certificate-chain
+        /// flight). The model applies the discount per configuration, not per
+        /// origin cache, so this audits *which tariff* the RTT/octet sums were
+        /// computed under; the measurement presets reset caches between visits
+        /// and therefore always record zero here.
+        pub resumed_handshakes: u64,
+        /// Extra round trips spent growing cold congestion windows: each opened
+        /// connection pays the slow-start rounds its delivered bytes needed.
+        pub cold_cwnd_rtts: u64,
+        /// Requests the visit sent.
+        pub requests: u64,
+        /// Response body octets the visit received.
+        pub body_octets: u64,
+        /// Page-load time of the visit (first request to last response), in
+        /// milliseconds of simulated time.
+        pub plt_millis: u64,
+        /// Faults the injection layer fired during the visit, over every process
+        /// (DNS, TLS, reset, dead-on-reuse, GOAWAY).
+        pub faults_injected: u64,
+        /// Extra fetch attempts the retry policy spent recovering from faults
+        /// (the first attempt of each resource is not counted).
+        pub retries: u64,
+        /// Milliseconds the simulated clock charged for retry backoff waits
+        /// (exponential schedule plus deterministic jitter).
+        pub retry_backoff_millis: u64,
+        /// Resources abandoned after exhausting their retry budget — the
+        /// degraded remainder a `VisitOutcome::Degraded` reports.
+        pub failed_resources: u64,
+        /// Server GOAWAY frames received mid-page (the connection finished its
+        /// in-flight streams but accepted no new ones).
+        pub goaways_received: u64,
+        /// Pooled connections that turned out dead when the session lent them.
+        pub dead_on_reuse: u64,
+        /// Redundant connection dials raced by the hedged-request mitigation;
+        /// each charged a second handshake's octets.
+        pub hedged_dials: u64,
+    }
 }
 
 impl VisitTimeline {
@@ -91,94 +94,6 @@ impl VisitTimeline {
     /// allocation, no reconstruction).
     pub fn reset(&mut self) {
         *self = VisitTimeline::default();
-    }
-
-    /// Component-wise sum — the shard-merge primitive [`crate::CostTotals`]
-    /// is built on.
-    pub fn absorb(&mut self, other: &VisitTimeline) {
-        self.dns_cache_hits += other.dns_cache_hits;
-        self.dns_recursive_walks += other.dns_recursive_walks;
-        self.dns_authority_queries += other.dns_authority_queries;
-        self.dns_failures += other.dns_failures;
-        self.connections_opened += other.connections_opened;
-        self.connections_reused += other.connections_reused;
-        self.handshake_rtts += other.handshake_rtts;
-        self.handshake_octets += other.handshake_octets;
-        self.handshake_millis += other.handshake_millis;
-        self.loss_retransmit_micros += other.loss_retransmit_micros;
-        self.resumed_handshakes += other.resumed_handshakes;
-        self.cold_cwnd_rtts += other.cold_cwnd_rtts;
-        self.requests += other.requests;
-        self.body_octets += other.body_octets;
-        self.plt_millis += other.plt_millis;
-        self.faults_injected += other.faults_injected;
-        self.retries += other.retries;
-        self.retry_backoff_millis += other.retry_backoff_millis;
-        self.failed_resources += other.failed_resources;
-        self.goaways_received += other.goaways_received;
-        self.dead_on_reuse += other.dead_on_reuse;
-        self.hedged_dials += other.hedged_dials;
-    }
-
-    /// Number of words in the fixed-width persistence layout.
-    pub const WORDS: usize = 22;
-
-    /// The fixed-width word layout the shard store persists. Field order is
-    /// frozen (declaration order); appending a counter is a store schema
-    /// bump, reordering is forbidden.
-    pub fn to_words(&self) -> [u64; Self::WORDS] {
-        [
-            self.dns_cache_hits,
-            self.dns_recursive_walks,
-            self.dns_authority_queries,
-            self.dns_failures,
-            self.connections_opened,
-            self.connections_reused,
-            self.handshake_rtts,
-            self.handshake_octets,
-            self.handshake_millis,
-            self.loss_retransmit_micros,
-            self.resumed_handshakes,
-            self.cold_cwnd_rtts,
-            self.requests,
-            self.body_octets,
-            self.plt_millis,
-            self.faults_injected,
-            self.retries,
-            self.retry_backoff_millis,
-            self.failed_resources,
-            self.goaways_received,
-            self.dead_on_reuse,
-            self.hedged_dials,
-        ]
-    }
-
-    /// Rebuild from the fixed-width word layout.
-    pub fn from_words(words: &[u64; Self::WORDS]) -> Self {
-        VisitTimeline {
-            dns_cache_hits: words[0],
-            dns_recursive_walks: words[1],
-            dns_authority_queries: words[2],
-            dns_failures: words[3],
-            connections_opened: words[4],
-            connections_reused: words[5],
-            handshake_rtts: words[6],
-            handshake_octets: words[7],
-            handshake_millis: words[8],
-            loss_retransmit_micros: words[9],
-            resumed_handshakes: words[10],
-            cold_cwnd_rtts: words[11],
-            requests: words[12],
-            body_octets: words[13],
-            plt_millis: words[14],
-            faults_injected: words[15],
-            retries: words[16],
-            retry_backoff_millis: words[17],
-            failed_resources: words[18],
-            goaways_received: words[19],
-            dead_on_reuse: words[20],
-            hedged_dials: words[21],
-        }
     }
 
     /// Total round trips attributable to connection setup: handshakes plus

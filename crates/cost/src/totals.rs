@@ -16,13 +16,18 @@ use crate::timeline::VisitTimeline;
 use netsim_types::Duration;
 use serde::{Deserialize, Serialize};
 
-/// Aggregate cost counters over a set of visits.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CostTotals {
-    /// Number of visits folded in.
-    pub visits: u64,
-    /// Component-wise sums of the per-visit timelines.
-    pub sums: VisitTimeline,
+netsim_types::counters! {
+    /// Aggregate cost counters over a set of visits. The generated `merge`
+    /// folds another shard's totals (associative, order-insensitive); the
+    /// word layout is the visit count followed by the [`VisitTimeline`]
+    /// words.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CostTotals {
+        /// Number of visits folded in.
+        pub visits: u64,
+        /// Component-wise sums of the per-visit timelines.
+        pub sums: VisitTimeline,
+    }
 }
 
 impl CostTotals {
@@ -35,31 +40,6 @@ impl CostTotals {
     pub fn absorb_visit(&mut self, timeline: &VisitTimeline) {
         self.visits += 1;
         self.sums.absorb(timeline);
-    }
-
-    /// Merge another shard's totals (associative, order-insensitive).
-    pub fn merge(&mut self, other: &CostTotals) {
-        self.visits += other.visits;
-        self.sums.absorb(&other.sums);
-    }
-
-    /// Number of words in the fixed-width persistence layout: the visit
-    /// count followed by the [`VisitTimeline`] words.
-    pub const WORDS: usize = 1 + VisitTimeline::WORDS;
-
-    /// The fixed-width word layout the shard store persists.
-    pub fn to_words(&self) -> [u64; Self::WORDS] {
-        let mut words = [0u64; Self::WORDS];
-        words[0] = self.visits;
-        words[1..].copy_from_slice(&self.sums.to_words());
-        words
-    }
-
-    /// Rebuild from the fixed-width word layout.
-    pub fn from_words(words: &[u64; Self::WORDS]) -> Self {
-        let mut timeline = [0u64; VisitTimeline::WORDS];
-        timeline.copy_from_slice(&words[1..]);
-        CostTotals { visits: words[0], sums: VisitTimeline::from_words(&timeline) }
     }
 
     /// Wall-clock spent in TCP/TLS handshakes under `profile`, including its

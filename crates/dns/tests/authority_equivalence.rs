@@ -15,8 +15,27 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Multi-label public suffixes among the generated names; every other
+/// name's public suffix is its last label.
+const MULTI_LABEL_SUFFIXES: [&str; 1] = ["co.uk"];
+
+/// The registrable domain: the public suffix plus one label, or the name
+/// itself when it has no label ahead of its suffix.
+fn registrable(name: &DomainName) -> DomainName {
+    let text = name.as_str();
+    let multi = MULTI_LABEL_SUFFIXES.iter().any(|suffix| text.ends_with(&format!(".{suffix}")));
+    let labels: Vec<&str> = text.split('.').collect();
+    let keep = labels.len().min(if multi { 3 } else { 2 });
+    DomainName::literal(&labels[labels.len() - keep..].join("."))
+}
+
+/// The parent domain, or `None` for a single-label name.
+fn parent(name: &DomainName) -> Option<DomainName> {
+    name.parent_str().map(DomainName::literal)
+}
+
 /// The pre-index authority: zones keyed by the registrable domain of the
-/// names they hold, queried by walking `DomainName::parent` until an apex
+/// names they hold, queried by walking up the parents until an apex
 /// matches.
 #[derive(Default)]
 struct ZoneWalk {
@@ -26,7 +45,7 @@ struct ZoneWalk {
 
 impl ZoneWalk {
     fn insert_entry(&mut self, name: DomainName, entry: ZoneEntry) {
-        self.zones.entry(name.registrable()).or_default().insert(name, entry);
+        self.zones.entry(registrable(&name)).or_default().insert(name, entry);
     }
 
     fn zone_for(&self, name: &DomainName) -> Option<&BTreeMap<DomainName, ZoneEntry>> {
@@ -35,7 +54,7 @@ impl ZoneWalk {
             if let Some(zone) = self.zones.get(&current) {
                 return Some(zone);
             }
-            candidate = current.parent();
+            candidate = parent(&current);
         }
         None
     }

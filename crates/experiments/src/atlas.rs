@@ -275,7 +275,7 @@ pub fn run_atlas_partitioned(config: &AtlasConfig, chunks: &[(usize, usize)]) ->
         summary: total.accumulator.finish("atlas"),
         observed_sites,
         chunk_count: chunks.len(),
-        requests: total.requests as usize,
+        requests: total.cost.sums.requests as usize,
         planned_requests: total.planned_requests as usize,
         cost: total.cost,
         metrics: AtlasMetrics {

@@ -22,11 +22,10 @@ use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, WebEnvir
 pub(crate) struct CellRecord {
     /// Streamed classification of every visit (recorded durations).
     pub(crate) accumulator: Accumulator,
-    /// Requests sent across all visits.
-    pub(crate) requests: u64,
     /// Requests the crawled sites planned.
     pub(crate) planned_requests: u64,
-    /// Aggregate of the per-visit cost timelines.
+    /// Aggregate of the per-visit cost timelines; `cost.sums.requests`
+    /// counts the requests sent.
     pub(crate) cost: CostTotals,
 }
 
@@ -35,19 +34,19 @@ impl CellRecord {
     /// like every counter inside it).
     pub(crate) fn merge(&mut self, other: &CellRecord) {
         self.accumulator.merge(&other.accumulator);
-        self.requests += other.requests;
         self.planned_requests += other.planned_requests;
         self.cost.merge(&other.cost);
     }
 
     /// The record as the store persists it under one
-    /// `(mitigation_bits, profile_index)` key.
+    /// `(mitigation_bits, profile_index)` key. The frozen word layout keeps
+    /// its own request word, written from the timeline sum.
     pub(crate) fn to_shard(&self, (mitigation_bits, profile_index): (u64, u64)) -> ShardRecord {
         ShardRecord {
             mitigation_bits,
             profile_index,
             accumulator: self.accumulator.state(),
-            requests: self.requests,
+            requests: self.cost.sums.requests,
             planned_requests: self.planned_requests,
             cost: self.cost,
         }
@@ -57,7 +56,6 @@ impl CellRecord {
     pub(crate) fn from_shard(record: &ShardRecord) -> Self {
         CellRecord {
             accumulator: Accumulator::from_state(&record.accumulator),
-            requests: record.requests,
             planned_requests: record.planned_requests,
             cost: record.cost,
         }
@@ -81,7 +79,6 @@ impl GridWorker<'_> {
             CellRecord { planned_requests: env.total_planned_requests() as u64, ..CellRecord::default() };
         for index in 0..env.sites.len() {
             let times = crawler.visit_site_into(&mut self.scratch, env, index);
-            record.requests += self.scratch.requests().len() as u64;
             record.cost.absorb_visit(self.scratch.timeline());
             netsim_types::stage!(Stage::Classify);
             if self.scratch.all_ok() {
@@ -94,6 +91,7 @@ impl GridWorker<'_> {
                 record.accumulator.observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
             }
         }
+        debug_assert!(conserved(&record), "{record:?}");
         record
     }
 
@@ -115,6 +113,23 @@ impl GridWorker<'_> {
             })
             .collect()
     }
+}
+
+/// The laws between a live cell's counters: every visit was classified;
+/// redundant sites are HTTP/2 sites, which are observed sites; a cause marks
+/// only redundant connections, at least one per site it marks, and every
+/// redundant connection carries a cause.
+fn conserved(record: &CellRecord) -> bool {
+    let state = record.accumulator.state();
+    let causes = state.cause_sites.iter().zip(&state.cause_connections).all(|(&sites, &connections)| {
+        sites <= state.redundant_sites && sites <= connections && connections <= state.redundant_connections
+    });
+    record.cost.visits == state.observed_sites
+        && state.redundant_sites <= state.total_sites
+        && state.total_sites <= state.observed_sites
+        && state.redundant_connections <= state.total_connections
+        && state.redundant_connections <= state.cause_connections.iter().sum()
+        && causes
 }
 
 /// Run `tasks` grid tasks on the work-stealing executor, results in task

@@ -565,7 +565,7 @@ impl QueryAnswer {
             chunks,
             observed_sites: fold.accumulator.observed_sites(),
             summary: fold.accumulator.finish(&query.mitigations.label()),
-            requests: fold.requests,
+            requests: fold.cost.sums.requests,
             planned_requests: fold.planned_requests,
             cost: fold.cost,
         }

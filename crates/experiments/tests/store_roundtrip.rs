@@ -6,8 +6,9 @@
 //! * **Incremental recrawl** — growing the population dirties only the new
 //!   and resized chunks, and the refreshed store equals a from-scratch
 //!   rebuild byte-for-byte.
-//! * **Corruption** — truncation, bit flips and fingerprint tampering are
-//!   refused with the matching typed [`StoreError`], never served.
+//! * **Corruption** — truncation, bit flips, fingerprint tampering and
+//!   re-sealed shards whose records drift off the layout are refused with
+//!   the matching typed [`StoreError`], never served.
 //! * **Untrusted input** — shard decoding over arbitrary and damaged bytes
 //!   and query parsing over arbitrary text return typed errors and never
 //!   panic (proptest).
@@ -16,7 +17,7 @@ use connreuse_experiments::store::{
     answer_in_memory, answer_query, build_store, open_store, run_store, StoreConfig, StoreQuery,
 };
 use netsim_store::{
-    BuildPlan, ShardFile, ShardRecord, ShardStore, StoreError, StoreLayout, HEADER_WORDS, MAGIC,
+    BuildPlan, Manifest, ShardFile, ShardRecord, ShardStore, StoreError, StoreLayout, HEADER_WORDS, MAGIC,
     MANIFEST_FILE,
 };
 use netsim_types::{fnv1a, MitigationSet};
@@ -252,6 +253,35 @@ fn corruption_is_refused_with_typed_errors_and_repaired_incrementally() {
     assert!(matches!(store.read_chunk(1), Err(StoreError::ChecksumMismatch { .. })));
     let decoded = netsim_store::ShardFile::decode("chunk-000001.shard", &foreign, Some(config.fingerprint()));
     assert!(matches!(decoded, Err(StoreError::FingerprintMismatch { .. })));
+
+    // Re-sealed records off the layout: one record fewer, or two records
+    // swapped, re-encoded with the manifest's file checksum updated to
+    // match. Every byte-level check passes; the record count and keys must
+    // not, or the query would index past the records or fold another cell.
+    let shard = ShardFile::decode("chunk-000001.shard", &pristine, None).expect("pristine decodes");
+    let mut short = shard.clone();
+    short.records.pop();
+    let last = shard.records.len() - 1;
+    let mut swapped = shard.clone();
+    swapped.records.swap(0, last);
+    for (resealed, record_index) in [(short, last), (swapped, 0)] {
+        let bytes = resealed.encode();
+        std::fs::write(&victim, &bytes).unwrap();
+        let mut manifest = Manifest::load(&dir).expect("manifest");
+        manifest.chunks[1].checksum = fnv1a(&bytes);
+        manifest.write(&dir).expect("rewrite manifest");
+        let resealed_store = ShardStore::open(&dir).expect("re-sealed store opens");
+        assert!(matches!(resealed_store.read_chunk(1), Err(StoreError::LayoutMismatch { .. })));
+        let (bits, profile_index) = config.keys()[record_index];
+        let query = StoreQuery {
+            mitigations: MitigationSet::from_bits(bits as u8),
+            profile_index: profile_index as usize,
+            lo: 0,
+            hi: config.sites as u64,
+        };
+        let answer = answer_query(&resealed_store, &config, &query);
+        assert!(matches!(answer, Err(StoreError::LayoutMismatch { .. })), "{answer:?}");
+    }
 
     // The planner marks only the damaged chunk dirty, and the refresh
     // repairs it back to the pristine bytes.

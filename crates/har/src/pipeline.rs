@@ -22,46 +22,36 @@ const LOADS_PER_SITE: usize = 3;
 /// Identifier spacing so ids are unique across sites and repeat loads.
 const ID_STRIDE: u64 = 1_000_000;
 
-/// Counters describing what the filter step removed — the §4.3 bookkeeping.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FilterStatistics {
-    /// Entries with socket id 0.
-    pub zero_socket_id: u64,
-    /// Entries without a server IP.
-    pub missing_ip: u64,
-    /// Entries with an invalid request method.
-    pub invalid_method: u64,
-    /// Entries logged as HTTP/1.
-    pub http1: u64,
-    /// Entries logged as HTTP/3.
-    pub http3: u64,
-    /// Entries without certificate details.
-    pub missing_certificate: u64,
-    /// Entries referencing a non-existent page.
-    pub bad_page_reference: u64,
-    /// HTTP/2 entries that survived every check.
-    pub retained_http2: u64,
-    /// Total entries inspected.
-    pub total_entries: u64,
+netsim_types::counters! {
+    /// Counters describing what the filter step removed — the §4.3
+    /// bookkeeping. The generated `merge` folds another site's statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct FilterStatistics {
+        /// Entries with socket id 0.
+        pub zero_socket_id: u64,
+        /// Entries without a server IP.
+        pub missing_ip: u64,
+        /// Entries with an invalid request method.
+        pub invalid_method: u64,
+        /// Entries logged as HTTP/1.
+        pub http1: u64,
+        /// Entries logged as HTTP/3.
+        pub http3: u64,
+        /// Entries without certificate details.
+        pub missing_certificate: u64,
+        /// Entries referencing a non-existent page.
+        pub bad_page_reference: u64,
+        /// HTTP/2 entries that survived every check.
+        pub retained_http2: u64,
+        /// Total entries inspected.
+        pub total_entries: u64,
+    }
 }
 
 impl FilterStatistics {
     /// Total entries dropped for any reason.
     pub fn dropped(&self) -> u64 {
         self.total_entries - self.retained_http2
-    }
-
-    /// Merge another site's statistics into this one.
-    pub fn merge(&mut self, other: &FilterStatistics) {
-        self.zero_socket_id += other.zero_socket_id;
-        self.missing_ip += other.missing_ip;
-        self.invalid_method += other.invalid_method;
-        self.http1 += other.http1;
-        self.http3 += other.http3;
-        self.missing_certificate += other.missing_certificate;
-        self.bad_page_reference += other.bad_page_reference;
-        self.retained_http2 += other.retained_http2;
-        self.total_entries += other.total_entries;
     }
 }
 

@@ -27,7 +27,7 @@
 use crate::error::StoreError;
 use connreuse_core::AccumulatorState;
 use netsim_cost::CostTotals;
-use netsim_types::fnv1a;
+use netsim_types::{fnv1a, Counters};
 
 /// First eight bytes of every shard file.
 pub const MAGIC: [u8; 8] = *b"CRSHARD1";
@@ -59,35 +59,30 @@ pub struct ShardRecord {
 }
 
 impl ShardRecord {
-    /// The fixed-width word layout (frozen order; a change is a schema bump).
+    /// The fixed-width word layout (frozen order; a change is a schema bump):
+    /// the key pair, then each block's generated layout in field order.
     pub fn to_words(&self) -> [u64; RECORD_WORDS] {
         let mut words = [0u64; RECORD_WORDS];
-        words[0] = self.mitigation_bits;
-        words[1] = self.profile_index;
-        let mut cursor = 2;
-        words[cursor..cursor + AccumulatorState::WORDS].copy_from_slice(&self.accumulator.to_words());
-        cursor += AccumulatorState::WORDS;
-        words[cursor] = self.requests;
-        words[cursor + 1] = self.planned_requests;
-        cursor += 2;
-        words[cursor..cursor + CostTotals::WORDS].copy_from_slice(&self.cost.to_words());
+        let out = &mut &mut words[..];
+        self.mitigation_bits.put_words(out);
+        self.profile_index.put_words(out);
+        self.accumulator.put_words(out);
+        self.requests.put_words(out);
+        self.planned_requests.put_words(out);
+        self.cost.put_words(out);
         words
     }
 
     /// Rebuild from the fixed-width word layout.
     pub fn from_words(words: &[u64; RECORD_WORDS]) -> Self {
-        let mut accumulator = [0u64; AccumulatorState::WORDS];
-        accumulator.copy_from_slice(&words[2..2 + AccumulatorState::WORDS]);
-        let tally_base = 2 + AccumulatorState::WORDS;
-        let mut cost = [0u64; CostTotals::WORDS];
-        cost.copy_from_slice(&words[tally_base + 2..]);
+        let words = &mut &words[..];
         ShardRecord {
-            mitigation_bits: words[0],
-            profile_index: words[1],
-            accumulator: AccumulatorState::from_words(&accumulator),
-            requests: words[tally_base],
-            planned_requests: words[tally_base + 1],
-            cost: CostTotals::from_words(&cost),
+            mitigation_bits: Counters::take_words(words),
+            profile_index: Counters::take_words(words),
+            accumulator: Counters::take_words(words),
+            requests: Counters::take_words(words),
+            planned_requests: Counters::take_words(words),
+            cost: Counters::take_words(words),
         }
     }
 }

@@ -83,7 +83,30 @@ impl StoreLayout {
         dir.join(SHARDS_DIR).join(StoreLayout::shard_name(index))
     }
 
-    /// Does a decoded shard match this layout at `index`?
+    /// Refuse a decoded shard that does not match this layout at `index`:
+    /// the one predicate the build's manifest commit and every read apply.
+    fn check(&self, index: usize, path: &Path, shard: &ShardFile) -> Result<(), StoreError> {
+        if self.matches(index, shard) {
+            return Ok(());
+        }
+        let (start, len) = self.chunks[index];
+        Err(StoreError::LayoutMismatch {
+            path: path.display().to_string(),
+            message: format!(
+                "chunk {index} expects [{start}, {start}+{len}) with {} records, shard has chunk {} [{}, {}+{}) \
+                 with {} records",
+                self.keys.len(),
+                shard.chunk_index,
+                shard.start,
+                shard.start,
+                shard.len,
+                shard.records.len()
+            ),
+        })
+    }
+
+    /// Does a decoded shard match this layout at `index`: fingerprint, chunk
+    /// bounds, record count and record keys in order?
     fn matches(&self, index: usize, shard: &ShardFile) -> bool {
         let (start, len) = self.chunks[index];
         shard.fingerprint == self.fingerprint
@@ -177,15 +200,7 @@ pub fn finalize_manifest(dir: &Path, layout: &StoreLayout) -> Result<Manifest, S
         let path = StoreLayout::shard_path(dir, index);
         let bytes = std::fs::read(&path).map_err(|error| StoreError::io(&path, error))?;
         let shard = ShardFile::decode(&path.display().to_string(), &bytes, Some(layout.fingerprint))?;
-        if !layout.matches(index, &shard) {
-            return Err(StoreError::LayoutMismatch {
-                path: path.display().to_string(),
-                message: format!(
-                    "chunk {index} expects [{start}, {start}+{len}) with {} records",
-                    layout.keys.len()
-                ),
-            });
-        }
+        layout.check(index, &path, &shard)?;
         chunks.push(ManifestChunk {
             index: index as u64,
             start,
@@ -214,13 +229,20 @@ pub fn finalize_manifest(dir: &Path, layout: &StoreLayout) -> Result<Manifest, S
 pub struct ShardStore {
     dir: PathBuf,
     manifest: Manifest,
+    /// The layout the manifest commits to; every read is checked against it.
+    layout: StoreLayout,
 }
 
 impl ShardStore {
     /// Open a store directory: load its manifest or refuse.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
         let manifest = Manifest::load(dir)?;
-        Ok(ShardStore { dir: dir.to_path_buf(), manifest })
+        let layout = StoreLayout {
+            fingerprint: manifest.fingerprint,
+            chunks: manifest.chunks.iter().map(|chunk| (chunk.start, chunk.len)).collect(),
+            keys: manifest.keys.iter().map(|key| (key.mitigation_bits, key.profile_index)).collect(),
+        };
+        Ok(ShardStore { dir: dir.to_path_buf(), manifest, layout })
     }
 
     /// Open and additionally require the store's fingerprint to match the
@@ -249,7 +271,8 @@ impl ShardStore {
     }
 
     /// Read and fully verify one chunk's shard: file checksum against the
-    /// manifest, format checksum, fingerprint, and chunk bounds.
+    /// manifest, format checksum, fingerprint, and the manifest's layout
+    /// (chunk bounds, record count and keys).
     pub fn read_chunk(&self, index: usize) -> Result<ShardFile, StoreError> {
         let entry = self.manifest.chunks.get(index).ok_or_else(|| StoreError::LayoutMismatch {
             path: StoreLayout::shard_path(&self.dir, index).display().to_string(),
@@ -261,22 +284,7 @@ impl ShardStore {
             return Err(StoreError::ChecksumMismatch { path: path.display().to_string() });
         }
         let shard = ShardFile::decode(&path.display().to_string(), &bytes, Some(self.manifest.fingerprint))?;
-        if shard.chunk_index != entry.index || shard.start != entry.start || shard.len != entry.len {
-            return Err(StoreError::LayoutMismatch {
-                path: path.display().to_string(),
-                message: format!(
-                    "shard says chunk {} [{}, {}+{}), manifest says chunk {} [{}, {}+{})",
-                    shard.chunk_index,
-                    shard.start,
-                    shard.start,
-                    shard.len,
-                    entry.index,
-                    entry.start,
-                    entry.start,
-                    entry.len
-                ),
-            });
-        }
+        self.layout.check(index, &path, &shard)?;
         Ok(shard)
     }
 }

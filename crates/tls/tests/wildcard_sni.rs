@@ -1,5 +1,5 @@
 //! Wildcard coverage and SNI selection compare `'static` name slices; these
-//! tests hold them to the `DomainName::parent`-based definition they
+//! tests hold them to the interned-parent definition they
 //! replaced, for names of one to four labels and stores layered over a
 //! shared base. The single-label cases (`*.example.com` covers
 //! `a.example.com` but neither `example.com` nor `a.b.example.com`) are
@@ -15,7 +15,9 @@ use std::sync::Arc;
 fn covers_by_parent(entry: &SanEntry, domain: &DomainName) -> bool {
     match entry {
         SanEntry::Dns(name) => name == domain,
-        SanEntry::Wildcard(base) => domain.parent().as_ref() == Some(base) && domain != base,
+        SanEntry::Wildcard(base) => {
+            domain.parent_str().map(DomainName::literal).as_ref() == Some(base) && domain != base
+        }
     }
 }
 

@@ -1,13 +1,10 @@
-//! DNS domain names with lightweight validation and a small public-suffix
-//! model.
+//! DNS domain names with lightweight validation.
 //!
 //! The connection-reuse analysis constantly needs to answer questions such as
-//! "is `img.example.com` a subdomain of `example.com`?", "what is the
-//! registrable (second-level) domain of `www.google-analytics.com`?" and
-//! "does the wildcard `*.shop.example` cover `img.shop.example`?". This module
-//! provides a canonicalised [`DomainName`] type that answers them without
-//! pulling in the full public-suffix list: a compact built-in suffix set
-//! covers the suffixes that appear in the simulated web population.
+//! "is `img.example.com` a subdomain of `example.com`?" and "does the
+//! wildcard `*.shop.example` cover `img.shop.example`?". This module provides
+//! a canonicalised [`DomainName`] type that answers them on the canonical
+//! text.
 //!
 //! `DomainName` is a **copyable interned handle**: parsing canonicalises the
 //! text once and stores it in the global intern table (see
@@ -47,16 +44,6 @@ impl fmt::Display for DomainError {
 }
 
 impl std::error::Error for DomainError {}
-
-/// Multi-label public suffixes understood by [`DomainName::registrable`].
-///
-/// The simulated population only uses a handful of country-code second-level
-/// suffixes; anything not listed here is treated as a single-label suffix
-/// (`com`, `net`, `de`, ...).
-const MULTI_LABEL_SUFFIXES: &[&str] = &[
-    "co.uk", "org.uk", "ac.uk", "com.au", "net.au", "co.jp", "com.br", "com.cn", "co.kr", "com.tr", "com.mx",
-    "co.in", "co.za", "com.ar", "gov.uk",
-];
 
 /// A canonicalised (lower-case, no trailing dot) DNS domain name, stored as a
 /// copyable handle into the global intern table.
@@ -155,72 +142,15 @@ impl DomainName {
             && self.name.as_bytes()[self.name.len() - other.name.len() - 1] == b'.'
     }
 
-    /// Byte length of this name's public suffix: a strict multi-label suffix
-    /// match from [`MULTI_LABEL_SUFFIXES`], else the last label (the whole
-    /// name when it has a single label). Purely textual — the shared core of
-    /// [`DomainName::public_suffix`] and [`DomainName::registrable`], which
-    /// run on population-generation and DNS hot paths and must not touch the
-    /// intern table until the final answer.
-    fn public_suffix_len(&self) -> usize {
-        for suffix in MULTI_LABEL_SUFFIXES {
-            let is_strict_subdomain = self.name.len() > suffix.len()
-                && self.name.ends_with(suffix)
-                && self.name.as_bytes()[self.name.len() - suffix.len() - 1] == b'.';
-            if is_strict_subdomain {
-                return suffix.len();
-            }
-        }
-        match self.name.rfind('.') {
-            Some(idx) => self.name.len() - idx - 1,
-            None => self.name.len(),
-        }
-    }
-
-    /// The public suffix of this name (e.g. `co.uk` for `shop.example.co.uk`).
-    pub fn public_suffix(&self) -> DomainName {
-        let suffix_len = self.public_suffix_len();
-        if suffix_len == self.name.len() {
-            return *self;
-        }
-        DomainName::from_canonical(&self.name[self.name.len() - suffix_len..])
-    }
-
-    /// The registrable ("second-level") domain: the public suffix plus one
-    /// label. For `www.google-analytics.com` this is `google-analytics.com`.
-    /// A name that *is* a public suffix is returned unchanged.
-    pub fn registrable(&self) -> DomainName {
-        let suffix_len = self.public_suffix_len();
-        if suffix_len == self.name.len() {
-            // The name is its own suffix (single label).
-            return *self;
-        }
-        // `head` is everything before the suffix (exclusive of the dot); the
-        // registrable domain keeps one label ahead of the suffix.
-        let head = &self.name[..self.name.len() - suffix_len - 1];
-        let start = head.rfind('.').map(|idx| idx + 1).unwrap_or(0);
-        DomainName::from_canonical(&self.name[start..])
-    }
-
-    /// `true` if two names share the same registrable domain — the paper's
-    /// notion of "same party" used when reasoning about domain sharding
-    /// (`img.example.com` and `www.example.com` are shards of one site).
-    pub fn same_registrable(&self, other: &DomainName) -> bool {
-        self.registrable() == other.registrable()
-    }
-
     /// Prepend a label, producing `label.self`.
     pub fn with_subdomain(&self, label: &str) -> Result<DomainName, DomainError> {
         DomainName::parse(&format!("{label}.{}", self.name))
     }
 
-    /// The parent domain (`example.com` for `www.example.com`), or `None` for
-    /// a single-label name.
-    pub fn parent(&self) -> Option<DomainName> {
-        self.parent_str().map(DomainName::from_canonical)
-    }
-
-    /// The parent's canonical text, sliced out of this name without touching
-    /// the intern table — the form wildcard and SNI matching compare on.
+    /// The parent domain's canonical text (`example.com` for
+    /// `www.example.com`), or `None` for a single-label name. Sliced out of
+    /// this name without touching the intern table — the form wildcard and
+    /// SNI matching compare on.
     pub fn parent_str(&self) -> Option<&'static str> {
         self.name.split_once('.').map(|(_, parent)| parent)
     }
@@ -419,26 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn registrable_domain() {
-        assert_eq!(
-            DomainName::literal("www.google-analytics.com").registrable().as_str(),
-            "google-analytics.com"
-        );
-        assert_eq!(DomainName::literal("a.b.shop.example.co.uk").registrable().as_str(), "example.co.uk");
-        assert_eq!(DomainName::literal("com").registrable().as_str(), "com");
-        assert_eq!(DomainName::literal("example.de").registrable().as_str(), "example.de");
-    }
-
-    #[test]
-    fn same_registrable_party() {
-        let a = DomainName::literal("img.shop.example.com");
-        let b = DomainName::literal("static.example.com");
-        let c = DomainName::literal("example.org");
-        assert!(a.same_registrable(&b));
-        assert!(!a.same_registrable(&c));
-    }
-
-    #[test]
     fn wildcard_matching_single_label_only() {
         let wc = DomainName::literal("*.example.com");
         assert!(wc.wildcard_matches(&DomainName::literal("img.example.com")));
@@ -454,8 +364,8 @@ mod tests {
     fn parent_and_subdomain_builders() {
         let d = DomainName::literal("example.com");
         assert_eq!(d.with_subdomain("img").unwrap().as_str(), "img.example.com");
-        assert_eq!(d.parent().unwrap().as_str(), "com");
-        assert_eq!(DomainName::literal("com").parent(), None);
+        assert_eq!(d.parent_str(), Some("com"));
+        assert_eq!(DomainName::literal("com").parent_str(), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # netsim-types
 //!
-//! Shared vocabulary for the `connreuse` workspace: domain names with a small
-//! public-suffix model, HTTPS origins, IPv4 addresses and prefixes, a
+//! Shared vocabulary for the `connreuse` workspace: domain names, HTTPS
+//! origins, IPv4 addresses and prefixes, a
 //! simulated clock, stable identifiers and a deterministic, fork-able RNG.
 //!
 //! Every other crate in the workspace builds on these types so that the
@@ -12,10 +12,14 @@
 //! serde-serialisable, so they can flow through HAR files, NetLog events and
 //! report tables without conversion layers.
 //!
+//! The [`mod@counters`] module declares the additive tallies every report is
+//! built from once each ([`counters!`]), with their merge and word layout.
+//!
 //! The [`profile`] module is the one observability exception: feature-gated
 //! (`hotpath-profile`) wall-clock stage attribution for the visit fast path,
 //! compiled to nothing by default.
 
+pub mod counters;
 pub mod domain;
 pub mod fingerprint;
 pub mod hash;
@@ -28,6 +32,7 @@ pub mod profile;
 pub mod rng;
 pub mod time;
 
+pub use counters::Counters;
 pub use domain::{DomainError, DomainName};
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use hash::{fnv1a, FnvBuildHasher, FnvHashMap, FnvHasher};
