@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_browser::{Browser, BrowserConfig};
 use netsim_dns::{RecursiveResolver, ResolverConfig, ResolverId, Vantage};
 use netsim_h2::reuse::{evaluate, ReusePolicy};
-use netsim_h2::{Connection, Frame, OriginEntry, Settings, StreamId};
+use netsim_h2::{Connection, Frame, OriginEntry, StreamId};
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer};
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr, MitigationSet, Origin, SimClock, SimRng};
 use netsim_web::{PopulationBuilder, PopulationProfile};
@@ -51,7 +51,6 @@ fn bench_reuse_predicate(c: &mut Criterion) {
         certificate,
         true,
         Instant::EPOCH,
-        Settings::default(),
     );
     let target = Origin::https(domains[49]);
     let mut group = c.benchmark_group("substrate_reuse_predicate");
@@ -140,7 +139,6 @@ fn bench_mitigation_sweep(c: &mut Criterion) {
         std::sync::Arc::clone(store.get_arc(ids[0]).unwrap()),
         true,
         Instant::EPOCH,
-        Settings::default(),
     );
     connection.receive_origin_set(domains.iter().cloned());
     let target = Origin::https(domains[15]);

@@ -1,17 +1,19 @@
 //! Browser configuration.
 //!
 //! The knobs mirror the measurement setup described in §4.2.2 of the paper:
-//! Chromium 87 with QUIC disabled and field trials off, a 300 s page-load
-//! timeout, certificate errors not ignored, caches reset between visits —
-//! plus the one deliberate patch the authors apply for their second Alexa
-//! run, ignoring the Fetch credentials flag (`privacy_mode`).
+//! Chromium 87 with a 300 s page-load timeout, certificate errors not
+//! ignored, caches reset between visits — plus the one deliberate patch the
+//! authors apply for their second Alexa run, ignoring the Fetch credentials
+//! flag (`privacy_mode`). The authors also disabled QUIC and Chromium's field
+//! trials; the model needs no knob for either, since it speaks only HTTP/2
+//! and has no field trials.
 
 use crate::fault::{FaultProfile, RetryPolicy};
 use netsim_cost::LinkProfile;
 use netsim_dns::{ResolverId, Vantage};
 use netsim_h2::reuse::ReusePolicy;
 use netsim_tls::HandshakeConfig;
-use netsim_types::{Duration, Mitigation, MitigationSet};
+use netsim_types::{Duration, MitigationSet};
 use serde::{Deserialize, Serialize};
 
 /// How connection end times are produced by the simulation.
@@ -38,6 +40,10 @@ pub enum ConnectionDurationModel {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BrowserConfig {
     /// Connection-reuse policy (Fetch credentials partition, ORIGIN frames).
+    /// Simulated servers announce an RFC 8336 ORIGIN frame — every exact DNS
+    /// name of the presented certificate — on each new connection exactly
+    /// when the policy honours ORIGIN frames (Chromium does not, so only the
+    /// what-if deployments announce them).
     pub reuse_policy: ReusePolicy,
     /// TLS/TCP handshake cost model.
     pub handshake: HandshakeConfig,
@@ -54,17 +60,6 @@ pub struct BrowserConfig {
     pub duration_model: ConnectionDurationModel,
     /// Page-load timeout (requests beyond it are dropped).
     pub page_timeout: Duration,
-    /// If `true`, simulated servers announce an RFC 8336 ORIGIN frame on
-    /// every new connection listing all exact DNS names of the presented
-    /// certificate. Only meaningful together with a reuse policy that honours
-    /// ORIGIN frames (Chromium does not implement them, so this is `false`
-    /// for all measurement presets and `true` only in the what-if analysis).
-    pub servers_announce_origin_sets: bool,
-    /// QUIC disabled (documented measurement choice; the model only speaks
-    /// HTTP/2 either way).
-    pub disable_quic: bool,
-    /// Chromium field trials disabled for reproducibility.
-    pub disable_field_trials: bool,
     /// Identity of the recursive resolver the browser uses.
     pub resolver: ResolverId,
     /// Vantage point of the measurement host.
@@ -95,9 +90,6 @@ impl Default for BrowserConfig {
                 median_lifetime_secs: 122,
             },
             page_timeout: Duration::from_secs(300),
-            servers_announce_origin_sets: false,
-            disable_quic: true,
-            disable_field_trials: true,
             resolver: ResolverId(1000),
             vantage: Vantage::Europe,
             visit_spacing_secs: 3,
@@ -136,26 +128,18 @@ impl BrowserConfig {
     /// A what-if deployment in which servers announce RFC 8336 ORIGIN frames
     /// and the client honours them (neither is true in the measured web).
     pub fn with_origin_frames() -> Self {
-        BrowserConfig {
-            reuse_policy: ReusePolicy::with_origin_frame(),
-            servers_announce_origin_sets: true,
-            ..BrowserConfig::default()
-        }
+        BrowserConfig { reuse_policy: ReusePolicy::with_origin_frame(), ..BrowserConfig::default() }
     }
 
     /// The browser-side deployment of a mitigation combination, measured like
     /// the paper's Alexa run: the reuse policy honours ORIGIN frames and/or
     /// drops the credentials partition per
-    /// [`ReusePolicy::with_mitigations`], and servers announce origin sets
-    /// exactly when [`Mitigation::OriginFrames`] is deployed. All other
-    /// knobs stay at the measurement defaults so sweep cells differ only in
-    /// the mitigation under test.
+    /// [`ReusePolicy::with_mitigations`], so servers announce origin sets
+    /// exactly when [`netsim_types::Mitigation::OriginFrames`] is deployed.
+    /// All other knobs stay at the measurement defaults so sweep cells differ
+    /// only in the mitigation under test.
     pub fn with_mitigations(mitigations: MitigationSet) -> Self {
-        BrowserConfig {
-            reuse_policy: ReusePolicy::with_mitigations(mitigations),
-            servers_announce_origin_sets: mitigations.contains(Mitigation::OriginFrames),
-            ..BrowserConfig::default()
-        }
+        BrowserConfig { reuse_policy: ReusePolicy::with_mitigations(mitigations), ..BrowserConfig::default() }
     }
 
     /// Check the configuration for values that are always a
@@ -194,6 +178,7 @@ impl BrowserConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim_types::Mitigation;
 
     #[test]
     fn presets_differ_where_the_paper_says_they_do() {
@@ -214,16 +199,14 @@ mod tests {
         let none = BrowserConfig::with_mitigations(MitigationSet::empty());
         assert!(none.reuse_policy.follow_fetch_credentials);
         assert!(!none.reuse_policy.honor_origin_frame);
-        assert!(!none.servers_announce_origin_sets);
 
         let origin = BrowserConfig::with_mitigations(MitigationSet::single(Mitigation::OriginFrames));
         assert!(origin.reuse_policy.honor_origin_frame);
         assert!(!origin.reuse_policy.strict_origin_set);
-        assert!(origin.servers_announce_origin_sets);
 
         let pooled = BrowserConfig::with_mitigations(MitigationSet::single(Mitigation::CredentialPooling));
         assert!(!pooled.reuse_policy.follow_fetch_credentials);
-        assert!(!pooled.servers_announce_origin_sets);
+        assert!(!pooled.reuse_policy.honor_origin_frame);
 
         // Environment-side mitigations leave the browser untouched.
         let dns = BrowserConfig::with_mitigations(MitigationSet::single(Mitigation::SynchronizedDns));
@@ -235,8 +218,7 @@ mod tests {
         let cfg = BrowserConfig::default();
         assert!(cfg.faults.is_inert(), "measurement presets inject no faults");
         assert!(!cfg.retry.hedged_dials);
-        assert!(cfg.disable_quic);
-        assert!(cfg.disable_field_trials);
+        assert!(!cfg.reuse_policy.honor_origin_frame, "Chromium ignores ORIGIN frames");
         assert_eq!(cfg.page_timeout, Duration::from_secs(300));
         assert_eq!(cfg.loss_ppm, 0, "the measurement setup models a loss-free path");
         assert!(matches!(cfg.duration_model, ConnectionDurationModel::IdleTimeouts { .. }));

@@ -21,7 +21,7 @@
 //!
 //! The pool participates in the zero-allocation visit fast path: lending and
 //! absorbing move `Connection` values between pre-grown vectors, closed
-//! connections recycle into the scratch's shell pool, and eviction decisions
+//! connections land in the scratch's closed list, and eviction decisions
 //! are comparisons over `Copy` metadata. Determinism contract: entries are
 //! processed in insertion order, the churn draw happens exactly once per
 //! connection at absorb time (in establishment order), and the LRU victim
@@ -171,7 +171,7 @@ impl ConnectionPool {
 
     /// Start a page: move every pooled connection that survives the idle
     /// timeout and the server lifetime at `now` into `connections` (the
-    /// page's live set); close the rest and recycle them into `shells`.
+    /// page's live set); close the rest and push them onto `closed`.
     ///
     /// Each surviving connection additionally rolls the fault model's
     /// dead-on-reuse process (`faults.dead_on_reuse_ppm`, in insertion order,
@@ -187,7 +187,7 @@ impl ConnectionPool {
         &mut self,
         now: Instant,
         connections: &mut Vec<Connection>,
-        shells: &mut Vec<Connection>,
+        closed: &mut Vec<Connection>,
         faults: &FaultProfile,
         rng: &mut SimRng,
     ) -> u64 {
@@ -197,17 +197,17 @@ impl ConnectionPool {
             if let Some(expires) = entry.expires_at.filter(|expires| *expires <= now) {
                 entry.connection.close_with_reason(expires, CloseReason::ServerLifetime);
                 self.stats.lifetime_churned += 1;
-                shells.push(entry.connection);
+                closed.push(entry.connection);
             } else if now.since(entry.last_used_at) > self.config.idle_timeout {
                 let closed_at = entry.last_used_at + self.config.idle_timeout;
                 entry.connection.close_with_reason(closed_at, CloseReason::IdleTimeout);
                 self.stats.idle_expired += 1;
-                shells.push(entry.connection);
+                closed.push(entry.connection);
             } else if rng.chance_ppm(faults.dead_on_reuse_ppm) {
                 entry.connection.close_with_reason(now, CloseReason::DeadOnReuse);
                 self.stats.dead_on_reuse += 1;
                 dead += 1;
-                shells.push(entry.connection);
+                closed.push(entry.connection);
             } else {
                 self.stats.lent += 1;
                 self.lent.push(LentEntry {
@@ -227,19 +227,19 @@ impl ConnectionPool {
     /// once (in establishment order, off the visit's `rng` stream); returning
     /// lent connections keep their original draw. Connections that can no
     /// longer carry streams — or whose sampled lifetime already passed —
-    /// close and recycle into `shells`, and the pool then evicts LRU victims
-    /// down to its max-size cap.
+    /// close and are pushed onto `closed`, and the pool then evicts LRU
+    /// victims down to its max-size cap.
     pub fn absorb(
         &mut self,
         now: Instant,
         connections: &mut Vec<Connection>,
-        shells: &mut Vec<Connection>,
+        closed: &mut Vec<Connection>,
         rng: &mut SimRng,
         churn: &ConnectionDurationModel,
     ) {
         for mut connection in connections.drain(..) {
             if connection.state != ConnectionState::Open {
-                shells.push(connection);
+                closed.push(connection);
                 continue;
             }
             let returning = self.lent.iter().find(|lent| lent.id == connection.id).copied();
@@ -256,7 +256,7 @@ impl ConnectionPool {
             if let Some(expires) = expires_at.filter(|expires| *expires <= now) {
                 connection.close_with_reason(expires, CloseReason::ServerLifetime);
                 self.stats.lifetime_churned += 1;
-                shells.push(connection);
+                closed.push(connection);
                 continue;
             }
             self.entries.push(PoolEntry { connection, last_used_at, expires_at });
@@ -281,7 +281,7 @@ impl ConnectionPool {
             let mut entry = self.entries.remove(victim);
             entry.connection.close_with_reason(now, CloseReason::PoolCapacity);
             self.stats.capacity_evicted += 1;
-            shells.push(entry.connection);
+            closed.push(entry.connection);
         }
         // Every closed or still pooled connection was inserted once; a lent
         // connection that died mid-page left without a counter.
@@ -294,13 +294,13 @@ impl ConnectionPool {
     }
 
     /// End the session: close every pooled connection
-    /// ([`netsim_h2::CloseReason::SessionEnd`]) and recycle it into `shells`.
-    pub fn drain_all(&mut self, now: Instant, shells: &mut Vec<Connection>) {
+    /// ([`netsim_h2::CloseReason::SessionEnd`]) and push it onto `closed`.
+    pub fn drain_all(&mut self, now: Instant, closed: &mut Vec<Connection>) {
         debug_assert!(self.lent.is_empty(), "cannot end a session mid-page");
         for mut entry in self.entries.drain(..) {
             entry.connection.close_with_reason(now, CloseReason::SessionEnd);
             self.stats.session_closed += 1;
-            shells.push(entry.connection);
+            closed.push(entry.connection);
         }
     }
 
@@ -345,7 +345,6 @@ pub(crate) fn sample_server_lifetime(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim_h2::Settings;
 
     /// The documented exception to the all-integer virtual clock (see the
     /// determinism-contract section of ARCHITECTURE.md): the lifetime spread
@@ -400,16 +399,15 @@ mod tests {
             certificate(domain),
             true,
             Instant::from_millis(established_ms),
-            Settings::default(),
         )
     }
 
     fn absorb_fresh(pool: &mut ConnectionPool, now: Instant, fresh: Vec<Connection>) -> Vec<Connection> {
         let mut connections = fresh;
-        let mut shells = Vec::new();
+        let mut closed = Vec::new();
         let mut rng = SimRng::new(7);
-        pool.absorb(now, &mut connections, &mut shells, &mut rng, &ConnectionDurationModel::KeepOpen);
-        shells
+        pool.absorb(now, &mut connections, &mut closed, &mut rng, &ConnectionDurationModel::KeepOpen);
+        closed
     }
 
     #[test]
@@ -442,18 +440,18 @@ mod tests {
         assert!(pool.find(&origin, true, Instant::from_millis(12_000)).is_none());
         // …and closed (with the idle reason, at the timeout instant) on lend.
         let mut live = Vec::new();
-        let mut shells = Vec::new();
+        let mut closed = Vec::new();
         pool.lend(
             Instant::from_millis(12_000),
             &mut live,
-            &mut shells,
+            &mut closed,
             &FaultProfile::default(),
             &mut SimRng::new(0),
         );
         assert!(live.is_empty());
-        assert_eq!(shells.len(), 1);
-        assert_eq!(shells[0].close_reason, Some(CloseReason::IdleTimeout));
-        assert_eq!(shells[0].closed_at, Some(Instant::from_millis(11_000)));
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].close_reason, Some(CloseReason::IdleTimeout));
+        assert_eq!(closed[0].closed_at, Some(Instant::from_millis(11_000)));
         assert_eq!(pool.stats().idle_expired, 1);
     }
 
@@ -463,7 +461,7 @@ mod tests {
         let mut pool = ConnectionPool::new(config);
         // Three connections absorbed at the same instant: LRU falls back to
         // establishment time, then id — connection 1 is the victim.
-        let shells = absorb_fresh(
+        let closed = absorb_fresh(
             &mut pool,
             Instant::from_millis(5_000),
             vec![
@@ -472,9 +470,9 @@ mod tests {
                 connection(3, "c.example.com", 300),
             ],
         );
-        assert_eq!(shells.len(), 1);
-        assert_eq!(shells[0].id, ConnectionId(1));
-        assert_eq!(shells[0].close_reason, Some(CloseReason::PoolCapacity));
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].id, ConnectionId(1));
+        assert_eq!(closed[0].close_reason, Some(CloseReason::PoolCapacity));
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.stats().capacity_evicted, 1);
     }
@@ -488,11 +486,11 @@ mod tests {
         // Lend it out for a page that never uses it, and absorb it back
         // together with a fresh connection the page did open.
         let mut live = Vec::new();
-        let mut shells = Vec::new();
+        let mut closed = Vec::new();
         pool.lend(
             Instant::from_millis(2_000),
             &mut live,
-            &mut shells,
+            &mut closed,
             &FaultProfile::default(),
             &mut SimRng::new(0),
         );
@@ -502,7 +500,7 @@ mod tests {
         pool.absorb(
             Instant::from_millis(3_000),
             &mut live,
-            &mut shells,
+            &mut closed,
             &mut rng,
             &ConnectionDurationModel::KeepOpen,
         );
@@ -515,7 +513,7 @@ mod tests {
             Instant::from_millis(3_100),
         );
         assert!(survivor.is_some());
-        assert_eq!(shells.iter().filter(|s| s.id == ConnectionId(1)).count(), 1);
+        assert_eq!(closed.iter().filter(|s| s.id == ConnectionId(1)).count(), 1);
     }
 
     #[test]
@@ -524,9 +522,9 @@ mod tests {
             ConnectionDurationModel::IdleTimeouts { close_probability: 1.0, median_lifetime_secs: 10 };
         let mut pool = ConnectionPool::new(PoolConfig::default());
         let mut connections = vec![connection(1, "a.example.com", 0)];
-        let mut shells = Vec::new();
+        let mut closed = Vec::new();
         let mut rng = SimRng::new(42);
-        pool.absorb(Instant::from_millis(100), &mut connections, &mut shells, &mut rng, &churn);
+        pool.absorb(Instant::from_millis(100), &mut connections, &mut closed, &mut rng, &churn);
         assert_eq!(pool.len(), 1, "sampled lifetime (5–20 s) has not passed at absorb time");
 
         // Far past any possible draw: the next lend tears it down.
@@ -534,14 +532,14 @@ mod tests {
         pool.lend(
             Instant::from_millis(30_000),
             &mut live,
-            &mut shells,
+            &mut closed,
             &FaultProfile::default(),
             &mut SimRng::new(0),
         );
         assert!(live.is_empty());
-        assert_eq!(shells.len(), 1);
-        assert_eq!(shells[0].close_reason, Some(CloseReason::ServerLifetime));
-        let closed_at = shells[0].closed_at.expect("churned connections record a close time");
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].close_reason, Some(CloseReason::ServerLifetime));
+        let closed_at = closed[0].closed_at.expect("churned connections record a close time");
         // 0.5×..2× the 10 s median, anchored at establishment.
         assert!(closed_at >= Instant::from_millis(5_000) && closed_at <= Instant::from_millis(20_000));
         assert_eq!(pool.stats().lifetime_churned, 1);
@@ -555,11 +553,11 @@ mod tests {
             Instant::from_millis(500),
             vec![connection(1, "a.example.com", 0), connection(2, "b.example.com", 0)],
         );
-        let mut shells = Vec::new();
-        pool.drain_all(Instant::from_millis(9_000), &mut shells);
+        let mut closed = Vec::new();
+        pool.drain_all(Instant::from_millis(9_000), &mut closed);
         assert!(pool.is_empty());
-        assert_eq!(shells.len(), 2);
-        assert!(shells.iter().all(|s| s.close_reason == Some(CloseReason::SessionEnd)));
+        assert_eq!(closed.len(), 2);
+        assert!(closed.iter().all(|s| s.close_reason == Some(CloseReason::SessionEnd)));
         let stats = pool.take_stats();
         assert_eq!(stats.session_closed, 2);
         assert_eq!(stats.inserted, 2);
@@ -573,14 +571,14 @@ mod tests {
         // never abort the crawl: the eviction loop is total.
         let config = PoolConfig { max_connections: 0, idle_timeout: Duration::from_secs(60) };
         let mut pool = ConnectionPool::new(config);
-        let shells = absorb_fresh(
+        let closed = absorb_fresh(
             &mut pool,
             Instant::from_millis(1_000),
             vec![connection(1, "a.example.com", 0), connection(2, "b.example.com", 0)],
         );
         assert!(pool.is_empty());
-        assert_eq!(shells.len(), 2);
-        assert!(shells.iter().all(|s| s.close_reason == Some(CloseReason::PoolCapacity)));
+        assert_eq!(closed.len(), 2);
+        assert!(closed.iter().all(|s| s.close_reason == Some(CloseReason::PoolCapacity)));
         assert_eq!(pool.stats().capacity_evicted, 2);
     }
 
@@ -614,15 +612,15 @@ mod tests {
             vec![connection(1, "a.example.com", 0), connection(2, "b.example.com", 0)],
         );
         let mut live = Vec::new();
-        let mut shells = Vec::new();
+        let mut closed = Vec::new();
         let faults = FaultProfile { dead_on_reuse_ppm: 1_000_000, ..Default::default() };
         let dead =
-            pool.lend(Instant::from_millis(2_000), &mut live, &mut shells, &faults, &mut SimRng::new(5));
+            pool.lend(Instant::from_millis(2_000), &mut live, &mut closed, &faults, &mut SimRng::new(5));
         assert_eq!(dead, 2);
         assert!(live.is_empty());
-        assert_eq!(shells.len(), 2);
-        assert!(shells.iter().all(|s| s.close_reason == Some(CloseReason::DeadOnReuse)));
-        assert!(shells.iter().all(|s| s.closed_at == Some(Instant::from_millis(2_000))));
+        assert_eq!(closed.len(), 2);
+        assert!(closed.iter().all(|s| s.close_reason == Some(CloseReason::DeadOnReuse)));
+        assert!(closed.iter().all(|s| s.closed_at == Some(Instant::from_millis(2_000))));
         let stats = pool.stats();
         assert_eq!(stats.dead_on_reuse, 2);
         assert_eq!(stats.lent, 0);
@@ -634,13 +632,13 @@ mod tests {
         let mut pool = ConnectionPool::new(PoolConfig::default());
         absorb_fresh(&mut pool, Instant::from_millis(1_000), vec![connection(1, "a.example.com", 0)]);
         let mut live = Vec::new();
-        let mut shells = Vec::new();
+        let mut closed = Vec::new();
         let mut rng = SimRng::new(11);
         let mut probe = rng.clone();
         let dead = pool.lend(
             Instant::from_millis(2_000),
             &mut live,
-            &mut shells,
+            &mut closed,
             &FaultProfile::default(),
             &mut rng,
         );

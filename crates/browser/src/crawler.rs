@@ -6,7 +6,9 @@
 //! configuration, spacing visits in simulated time (which matters because
 //! DNS load-balancer assignments drift across epochs) and producing the
 //! [`PageVisit`] dataset the analysis core ingests. Visits are independent of
-//! each other, so they can run on several threads without changing results.
+//! each other: a caller that wants several threads schedules
+//! [`Crawler::visit_site_into`] itself, one [`VisitScratch`] per worker, and
+//! gets the same visits.
 
 use crate::config::BrowserConfig;
 use crate::loader::Browser;
@@ -52,19 +54,17 @@ pub struct Crawler {
     config: BrowserConfig,
     label: String,
     seed: u64,
-    threads: usize,
 }
 
 impl Crawler {
     /// A crawler with the given configuration and seed.
     pub fn new(label: &str, config: BrowserConfig, seed: u64) -> Self {
-        Crawler { config, label: label.to_string(), seed, threads: 1 }
+        Crawler { config, label: label.to_string(), seed }
     }
 
-    /// Use up to `threads` worker threads (visits stay deterministic).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+    /// The label reports head their tables with.
+    pub fn label(&self) -> &str {
+        &self.label
     }
 
     /// The browser configuration.
@@ -72,41 +72,16 @@ impl Crawler {
         &self.config
     }
 
-    /// Visit every site of `env`.
+    /// Visit every site of `env`, in site order.
     pub fn crawl(&self, env: &WebEnvironment) -> CrawlReport {
-        let site_count = env.sites.len();
-        let mut visits: Vec<Option<PageVisit>> = Vec::new();
-        visits.resize_with(site_count, || None);
-
-        if self.threads <= 1 || site_count < 2 {
-            let mut scratch = VisitScratch::new();
-            for (index, slot) in visits.iter_mut().enumerate() {
+        let mut scratch = VisitScratch::new();
+        let visits = (0..env.sites.len())
+            .map(|index| {
                 let times = self.visit_site_into(&mut scratch, env, index);
-                *slot = Some(scratch.to_page_visit(&env.sites[index], times));
-            }
-        } else {
-            let threads = self.threads.min(site_count);
-            let chunk = site_count.div_ceil(threads);
-            let chunks: Vec<&mut [Option<PageVisit>]> = visits.chunks_mut(chunk).collect();
-            std::thread::scope(|scope| {
-                for (chunk_index, slot) in chunks.into_iter().enumerate() {
-                    let start = chunk_index * chunk;
-                    scope.spawn(move || {
-                        let mut scratch = VisitScratch::new();
-                        for (offset, out) in slot.iter_mut().enumerate() {
-                            let index = start + offset;
-                            let times = self.visit_site_into(&mut scratch, env, index);
-                            *out = Some(scratch.to_page_visit(&env.sites[index], times));
-                        }
-                    });
-                }
-            });
-        }
-
-        CrawlReport {
-            label: self.label.clone(),
-            visits: visits.into_iter().map(|v| v.expect("every site visited")).collect(),
-        }
+                scratch.to_page_visit(&env.sites[index], times)
+            })
+            .collect();
+        CrawlReport { label: self.label.clone(), visits }
     }
 
     /// Visit one site at its slot in the crawl timeline.
@@ -163,19 +138,6 @@ mod tests {
         assert!(report.total_connections() >= 25);
         for (index, visit) in report.visits.iter().enumerate() {
             assert_eq!(visit.site.value(), index as u64);
-        }
-    }
-
-    #[test]
-    fn parallel_crawl_matches_sequential() {
-        let environment = env(16);
-        let sequential = Crawler::new("alexa", BrowserConfig::alexa_measurement(), 9).crawl(&environment);
-        let parallel =
-            Crawler::new("alexa", BrowserConfig::alexa_measurement(), 9).with_threads(4).crawl(&environment);
-        assert_eq!(sequential.total_connections(), parallel.total_connections());
-        assert_eq!(sequential.total_requests(), parallel.total_requests());
-        for (a, b) in sequential.visits.iter().zip(parallel.visits.iter()) {
-            assert_eq!(a.requests, b.requests);
         }
     }
 

@@ -10,7 +10,7 @@ use netsim_cost::loss_retransmit_extra_micros;
 use netsim_dns::{Authority, RecursiveResolver, ResolverConfig};
 use netsim_fetch::partition_for_planned;
 use netsim_h2::reuse::evaluate_set;
-use netsim_h2::{CloseReason, Connection, ConnectionState, Settings};
+use netsim_h2::{CloseReason, Connection, ConnectionState};
 use netsim_types::profile::Stage;
 use netsim_types::stage;
 use netsim_types::{ConnectionId, Duration, IdAllocator, Instant, Origin, RequestId, SimClock, SimRng};
@@ -175,9 +175,9 @@ impl Browser {
         // per-request draws of the plan walk.
         let mut fault_rng = rng.fork("fault");
         let (warm, dead) = {
-            let (connections, shells) = scratch.connections_and_shells_mut();
+            let (connections, closed) = scratch.connections_and_closed_mut();
             let dead =
-                session.pool_mut().lend(started_at, connections, shells, &self.config.faults, &mut fault_rng);
+                session.pool_mut().lend(started_at, connections, closed, &self.config.faults, &mut fault_rng);
             (connections.len(), dead)
         };
         scratch.timeline.dead_on_reuse += dead;
@@ -194,8 +194,8 @@ impl Browser {
         );
         let times = self.finish_page(scratch, started_at, finished_at, warm);
 
-        let (connections, shells) = scratch.connections_and_shells_mut();
-        session.pool_mut().absorb(clock.now(), connections, shells, rng, &self.config.duration_model);
+        let (connections, closed) = scratch.connections_and_closed_mut();
+        session.pool_mut().absorb(clock.now(), connections, closed, rng, &self.config.duration_model);
         session.note_page_loaded();
         times
     }
@@ -565,30 +565,17 @@ impl Browser {
                     tickets.insert(target_origin, clock.now());
                 }
                 let id: ConnectionId = self.connection_ids.issue_as();
-                let mut connection = match scratch.take_shell() {
-                    Some(mut shell) => {
-                        shell.reestablish(
-                            id,
-                            target_origin,
-                            target_ip,
-                            certificate,
-                            credentialed,
-                            clock.now(),
-                            Settings::default(),
-                        );
-                        shell
-                    }
-                    None => Connection::establish(
-                        id,
-                        target_origin,
-                        target_ip,
-                        certificate,
-                        credentialed,
-                        clock.now(),
-                        Settings::default(),
-                    ),
-                };
-                if self.config.servers_announce_origin_sets {
+                let mut connection = Connection::establish(
+                    id,
+                    target_origin,
+                    target_ip,
+                    certificate,
+                    credentialed,
+                    clock.now(),
+                );
+                // Servers announce an origin set exactly where the client
+                // honours one (the ORIGIN-frame mitigation).
+                if self.config.reuse_policy.honor_origin_frame {
                     let origins: Vec<_> = connection.certificate.dns_names().into_iter().cloned().collect();
                     connection.receive_origin_set(origins);
                 }
@@ -610,10 +597,9 @@ impl Browser {
 
         let encode_guard = netsim_types::profile::enter(Stage::RequestEncode);
         let connection = &mut scratch.connections[index];
-        let stream = match connection.send_request() {
-            Ok(stream) => stream,
-            Err(_) => return FetchAttempt::Skip,
-        };
+        if connection.send_request().is_err() {
+            return FetchAttempt::Skip;
+        }
         // Injected mid-transfer reset: the request went out but the transport
         // died before the response completed. The connection is torn down —
         // the retry (if any) must redial — and the attempt fails.
@@ -630,9 +616,7 @@ impl Browser {
             return FetchAttempt::Fault;
         }
         let status = 200;
-        connection
-            .complete_response(stream, &planned.domain, status, planned.body_size)
-            .expect("stream was just opened");
+        connection.complete_response(&planned.domain, status, planned.body_size);
         let connection_id = connection.id;
         // Injected server GOAWAY: the response that just completed was the
         // connection's last — the server is draining it. The request
@@ -1025,7 +1009,7 @@ mod tests {
         );
         assert_eq!(session.pages_loaded(), 2);
 
-        // Ending the session recycles the pool into scratch shells.
+        // Ending the session closes every pooled connection.
         session.end(&mut scratch, clock.now());
         assert!(session.pool().is_empty());
     }

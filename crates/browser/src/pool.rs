@@ -6,7 +6,7 @@
 //! every buffer grown to the hot set's high-water mark — returns to the pool
 //! when the worker finishes. The next run (another thread count, another
 //! population prefix, a repeated determinism check) starts warm instead of
-//! re-growing connection shells, resolver cache lines and request logs from
+//! re-growing connection lists, resolver cache lines and request logs from
 //! empty.
 //!
 //! Checkout order is irrelevant to results: an arena carries no visit state

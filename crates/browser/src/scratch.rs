@@ -7,9 +7,8 @@
 //! cache and a cloned certificate per connection. [`VisitScratch`] owns all
 //! of those buffers once per worker and recycles them between visits:
 //!
-//! * connections opened by a visit become pooled *shells*
-//!   ([`netsim_h2::Connection::reestablish`]) whose stream tables keep their
-//!   heap capacity,
+//! * the connection list keeps its capacity; a connection itself owns no
+//!   heap memory ([`netsim_h2::Connection::establish`] allocates nothing),
 //! * the request log is a vector of copyable [`ScratchRequest`] records (the
 //!   resource path stays in the site's plan and is only materialised when a
 //!   full [`PageVisit`] is needed),
@@ -79,8 +78,9 @@ pub struct VisitTimes {
 pub struct VisitScratch {
     /// Sessions opened by the current visit, in establishment order.
     pub(crate) connections: Vec<Connection>,
-    /// Recycled connection shells awaiting re-establishment.
-    shells: Vec<Connection>,
+    /// Connections a session's pool closed since the page started (its
+    /// out-parameter); cleared at the next page start.
+    closed: Vec<Connection>,
     /// Requests sent by the current visit, in send order.
     pub(crate) requests: Vec<ScratchRequest>,
     /// Per-request buffer of refused reuse candidates.
@@ -125,10 +125,11 @@ impl VisitScratch {
         &self.timeline
     }
 
-    /// Prepare for the next visit: recycle the previous visit's connections
-    /// into shells, clear the logs and flush (not drop) the resolver cache.
-    pub(crate) fn begin_visit(&mut self, resolver: ResolverId, vantage: Vantage) {
-        self.shells.append(&mut self.connections);
+    /// Reset the per-page state and return the resolver, rebuilt only when
+    /// the config identity changes.
+    fn begin_page(&mut self, resolver: ResolverId, vantage: Vantage) -> &mut RecursiveResolver {
+        self.connections.clear();
+        self.closed.clear();
         self.requests.clear();
         self.refusals.clear();
         self.netlog.clear();
@@ -142,7 +143,13 @@ impl VisitScratch {
             self.resolver =
                 Some(RecursiveResolver::new(ResolverConfig::new(resolver, vantage, "measurement-resolver")));
         }
-        self.resolver.as_mut().expect("resolver just ensured").flush_cache();
+        self.resolver.as_mut().expect("resolver just ensured")
+    }
+
+    /// Prepare for the next visit: drop the previous visit's connections,
+    /// clear the logs and flush (not drop) the resolver cache.
+    pub(crate) fn begin_visit(&mut self, resolver: ResolverId, vantage: Vantage) {
+        self.begin_page(resolver, vantage).flush_cache();
     }
 
     /// Prepare for the next page of a *multi-page session* visit. Unlike
@@ -151,9 +158,7 @@ impl VisitScratch {
     /// pages: the resolver is flushed only on the session's first page and
     /// merely sweeps TTL-expired lines (`expire_stale`) afterwards. Within a
     /// session the connection list is already empty here (the session's
-    /// [`crate::ConnectionPool`] absorbed it at the previous page's end);
-    /// leftovers from an interleaved legacy visit are recycled into shells
-    /// like [`VisitScratch::begin_visit`] does.
+    /// [`crate::ConnectionPool`] absorbed it at the previous page's end).
     pub(crate) fn begin_session_page(
         &mut self,
         resolver: ResolverId,
@@ -161,21 +166,7 @@ impl VisitScratch {
         first_page: bool,
         now: Instant,
     ) {
-        self.shells.append(&mut self.connections);
-        self.requests.clear();
-        self.refusals.clear();
-        self.netlog.clear();
-        self.any_non_ok = false;
-        self.timeline.reset();
-        let rebuild = match &self.resolver {
-            Some(existing) => existing.config().id != resolver || existing.config().vantage != vantage,
-            None => true,
-        };
-        if rebuild {
-            self.resolver =
-                Some(RecursiveResolver::new(ResolverConfig::new(resolver, vantage, "measurement-resolver")));
-        }
-        let resolver = self.resolver.as_mut().expect("resolver just ensured");
+        let resolver = self.begin_page(resolver, vantage);
         if first_page {
             resolver.flush_cache();
         } else {
@@ -188,22 +179,16 @@ impl VisitScratch {
         self.resolver.as_mut().expect("begin_visit initialises the resolver")
     }
 
-    /// Split borrows of the live-connection list and the shell pool (the
+    /// Split borrows of the live-connection list and the closed list (the
     /// session's connection pool moves entries between both at page
     /// boundaries).
-    pub(crate) fn connections_and_shells_mut(&mut self) -> (&mut Vec<Connection>, &mut Vec<Connection>) {
-        (&mut self.connections, &mut self.shells)
+    pub(crate) fn connections_and_closed_mut(&mut self) -> (&mut Vec<Connection>, &mut Vec<Connection>) {
+        (&mut self.connections, &mut self.closed)
     }
 
-    /// The recycled-shell pool (session teardown drains pooled connections
-    /// into it).
-    pub(crate) fn shells_mut(&mut self) -> &mut Vec<Connection> {
-        &mut self.shells
-    }
-
-    /// Take a recycled connection shell, if one is available.
-    pub(crate) fn take_shell(&mut self) -> Option<Connection> {
-        self.shells.pop()
+    /// The closed list (session teardown drains pooled connections into it).
+    pub(crate) fn closed_mut(&mut self) -> &mut Vec<Connection> {
+        &mut self.closed
     }
 
     /// Split borrows of the connection list and the NetLog (the

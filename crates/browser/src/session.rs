@@ -9,8 +9,8 @@
 //! the session's first page and only sweeps expired lines afterwards
 //! ([`netsim_dns::RecursiveResolver::expire_stale`]).
 //!
-//! Everything here is reusable: ending a session recycles the pooled
-//! connections into the scratch's shell pool and retains ticket/entry
+//! Everything here is reusable: ending a session closes the pooled
+//! connections into the scratch's closed list and retains ticket/entry
 //! capacities, so a worker simulating thousands of sessions back to back
 //! allocates nothing in the steady state.
 //!
@@ -153,12 +153,12 @@ impl UserSession {
     }
 
     /// End the session at `now`: close every pooled connection
-    /// (`CloseReason::SessionEnd`), recycling it into `scratch`'s shell pool,
+    /// (`CloseReason::SessionEnd`) into `scratch`'s closed list,
     /// and forget the TLS tickets. The session object is immediately
     /// reusable for the next simulated user — lifecycle counters keep
     /// accumulating until [`UserSession::take_stats`].
     pub fn end(&mut self, scratch: &mut VisitScratch, now: Instant) {
-        self.pool.drain_all(now, scratch.shells_mut());
+        self.pool.drain_all(now, scratch.closed_mut());
         self.tickets.clear();
         self.pages_loaded = 0;
     }

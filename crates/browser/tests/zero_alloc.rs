@@ -2,8 +2,8 @@
 //!
 //! The whole point of [`netsim_browser::VisitScratch`] is that a steady-state
 //! page visit performs **zero** heap allocations: every buffer (connection
-//! shells, request log, DNS cache lines, refusal sets) is
-//! recycled across visits. This test pins that property with a counting
+//! list, request log, DNS cache lines, refusal sets) is recycled across
+//! visits, and opening a connection allocates nothing. This test pins that property with a counting
 //! global allocator: after two warm-up passes over a population (which grow
 //! every buffer to its high-water mark), a third pass over the same sites
 //! must allocate exactly **nothing**. Any regression — a stray `clone`, a
@@ -77,9 +77,8 @@ fn steady_state_visits_allocate_nothing() {
     let mut scratch = VisitScratch::without_netlog();
 
     // Warm-up: every pooled buffer's capacity only ever ratchets upwards,
-    // and recycled shells rotate through different connections across
-    // passes, so a handful of passes reaches the fixed point where nothing
-    // grows any more. Converging within this bound is part of the contract —
+    // so a handful of passes reaches the fixed point where nothing grows any
+    // more. Converging within this bound is part of the contract —
     // a scratch that kept allocating would never hit zero.
     const MAX_WARMUP_PASSES: usize = 8;
     let mut converged_after = None;
@@ -231,10 +230,10 @@ fn faulted_visits_keep_the_zero_allocation_guarantee() {
     let mut scratch = VisitScratch::without_netlog();
     let mut session = UserSession::new(PoolConfig::default());
 
-    // Faults perturb which recycled shell lands on which connection, so the
-    // rotation takes longer than the fault-free loops to cycle every shell
-    // through the high-water-mark connection — a generous bound, same
-    // converge-or-fail contract as the main gate.
+    // Faults perturb how many connections a page opens and closes, so the
+    // buffers take longer than in the fault-free loops to reach their
+    // high-water marks — a generous bound, same converge-or-fail contract as
+    // the main gate.
     const MAX_WARMUP_PASSES: usize = 32;
     let mut converged = false;
     for _ in 0..MAX_WARMUP_PASSES {

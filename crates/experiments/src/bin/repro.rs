@@ -36,7 +36,7 @@ fn main() -> ExitCode {
         let mut config =
             if args.has("--quick") { ScenarioConfig::quick() } else { ScenarioConfig::default() };
         args.set("--archive-sites", &mut config.archive_sites)?;
-        args.set("--alexa-sites", &mut config.alexa_sites)?;
+        args.set_count("--alexa-sites", &mut config.alexa_sites)?;
         args.set("--overlap-sites", &mut config.overlap_sites)?;
         args.set("--seed", &mut config.seed)?;
         args.set_count("--threads", &mut config.threads)?;

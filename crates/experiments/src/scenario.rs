@@ -2,8 +2,9 @@
 //! experiment.
 
 use connreuse_core::{dataset_from_crawl, dataset_from_har, Dataset};
-use netsim_browser::{BrowserConfig, Crawler};
-use netsim_har::{ArchivePipeline, FilterStatistics};
+use connreuse_executor::run_indexed;
+use netsim_browser::{BrowserConfig, CrawlReport, Crawler, VisitScratch};
+use netsim_har::{ArchivePipeline, FilterStatistics, HarDataset};
 use netsim_types::MitigationSet;
 use netsim_web::{PopulationBuilder, PopulationProfile, WebEnvironment};
 use serde::{Deserialize, Serialize};
@@ -25,6 +26,29 @@ pub(crate) fn alexa_population(sites: usize, seed: u64, mitigations: MitigationS
     PopulationBuilder::new(PopulationProfile::alexa(), sites, seed + ALEXA_POPULATION_SEED_OFFSET)
         .with_mitigations(mitigations)
         .build()
+}
+
+/// [`Crawler::crawl`] on `threads` executor workers, one [`VisitScratch`]
+/// each; the visits come back in site order, identical to a serial crawl.
+fn crawl(crawler: &Crawler, env: &WebEnvironment, threads: usize) -> CrawlReport {
+    let visits = run_indexed(
+        threads,
+        env.sites.len(),
+        |_| VisitScratch::new(),
+        |scratch, index| {
+            let times = crawler.visit_site_into(scratch, env, index);
+            scratch.to_page_visit(&env.sites[index], times)
+        },
+    );
+    CrawlReport { label: crawler.label().to_string(), visits: visits.results }
+}
+
+/// [`ArchivePipeline::run`] on `threads` executor workers, documents in site
+/// order.
+fn capture_har(pipeline: &ArchivePipeline, env: &WebEnvironment, threads: usize) -> HarDataset {
+    let documents =
+        run_indexed(threads, env.sites.len(), |_| (), |(), index| pipeline.crawl_site(env, index));
+    HarDataset { documents: documents.results, filter_statistics: FilterStatistics::default() }
 }
 
 /// Sizing and seeding of the simulated measurement campaign.
@@ -103,35 +127,27 @@ impl Scenario {
         let overlap_env =
             PopulationBuilder::new(PopulationProfile::alexa(), config.overlap_sites, config.seed + 2).build();
 
-        let mut har_corpus = ArchivePipeline::new(config.seed).with_threads(config.threads).run(&archive_env);
+        let threads = config.threads;
+        let mut har_corpus = capture_har(&ArchivePipeline::new(config.seed), &archive_env, threads);
         let har_filter_statistics = har_corpus.filter();
         let har = dataset_from_har(&har_corpus, "HAR");
 
-        let alexa_report =
-            Crawler::new("Alexa", BrowserConfig::alexa_measurement(), config.seed + ALEXA_CRAWL_SEED_OFFSET)
-                .with_threads(config.threads)
-                .crawl(&alexa_env);
-        let alexa = dataset_from_crawl(&alexa_report);
+        let alexa_seed = config.seed + ALEXA_CRAWL_SEED_OFFSET;
+        let alexa_crawler = Crawler::new("Alexa", BrowserConfig::alexa_measurement(), alexa_seed);
+        let alexa = dataset_from_crawl(&crawl(&alexa_crawler, &alexa_env, threads));
 
-        let patched_report = Crawler::new(
-            "Alexa w/o Fetch",
-            BrowserConfig::alexa_without_fetch(),
-            config.seed + ALEXA_CRAWL_SEED_OFFSET,
-        )
-        .with_threads(config.threads)
-        .crawl(&alexa_env);
-        let alexa_without_fetch = dataset_from_crawl(&patched_report);
+        let patched_crawler =
+            Crawler::new("Alexa w/o Fetch", BrowserConfig::alexa_without_fetch(), alexa_seed);
+        let alexa_without_fetch = dataset_from_crawl(&crawl(&patched_crawler, &alexa_env, threads));
 
         let mut overlap_har_corpus =
-            ArchivePipeline::new(config.seed + 20).with_threads(config.threads).run(&overlap_env);
+            capture_har(&ArchivePipeline::new(config.seed + 20), &overlap_env, threads);
         overlap_har_corpus.filter();
         let overlap_har = dataset_from_har(&overlap_har_corpus, "HAR Overlap");
 
-        let overlap_report =
-            Crawler::new("Alexa Overlap", BrowserConfig::alexa_measurement(), config.seed + 21)
-                .with_threads(config.threads)
-                .crawl(&overlap_env);
-        let overlap_alexa = dataset_from_crawl(&overlap_report);
+        let overlap_crawler =
+            Crawler::new("Alexa Overlap", BrowserConfig::alexa_measurement(), config.seed + 21);
+        let overlap_alexa = dataset_from_crawl(&crawl(&overlap_crawler, &overlap_env, threads));
 
         Scenario {
             config,

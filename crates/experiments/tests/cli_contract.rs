@@ -80,6 +80,9 @@ fn zero_sizes_and_thread_lists_are_bad_arguments() {
         &["--store", &store, "--chunk-sites", "0"],
         "--chunk-sites must be at least 1",
     );
+    // Fleet and chaos sample sessions from the Alexa population, so an
+    // empty one cannot run.
+    assert_refused("repro", &["--quick", "--alexa-sites", "0", "fleet"], "--alexa-sites must be at least 1");
     for name in ["connreuse-fleet", "connreuse-chaos"] {
         assert_refused(name, &["--check-threads", "0,1"], "--check-threads must be at least 1");
         assert_refused(name, &["--check-threads", "2"], "--check-threads needs at least two thread counts");

@@ -5,11 +5,9 @@
 //! during the handshake, the domain the connection was initially opened for,
 //! whether requests on it carry credentials (the Fetch "privacy mode"
 //! partition), which domains the server refused with HTTP 421, an optional
-//! RFC 8336 origin set, and the stream/transfer bookkeeping that the HAR and
+//! RFC 8336 origin set, and the request/transfer counts that the HAR and
 //! NetLog substrates serialise.
 
-use crate::settings::Settings;
-use crate::stream::{StreamId, StreamState};
 use netsim_tls::Certificate;
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr, Origin};
 use serde::{Deserialize, Serialize};
@@ -55,10 +53,6 @@ pub enum CloseReason {
 pub enum ConnectionError {
     /// A new stream was requested but the connection no longer accepts any.
     NotAcceptingStreams(ConnectionState),
-    /// The peer's MAX_CONCURRENT_STREAMS limit is reached.
-    ConcurrencyLimit(u32),
-    /// The referenced stream does not exist.
-    UnknownStream(StreamId),
 }
 
 impl fmt::Display for ConnectionError {
@@ -67,10 +61,6 @@ impl fmt::Display for ConnectionError {
             ConnectionError::NotAcceptingStreams(state) => {
                 write!(f, "connection in state {state:?} does not accept new streams")
             }
-            ConnectionError::ConcurrencyLimit(limit) => {
-                write!(f, "peer concurrency limit of {limit} streams reached")
-            }
-            ConnectionError::UnknownStream(id) => write!(f, "unknown {id}"),
         }
     }
 }
@@ -79,9 +69,10 @@ impl std::error::Error for ConnectionError {}
 
 /// One HTTP/2 session.
 ///
-/// `PartialEq` compares the full logical state (heap capacities excluded by
-/// construction) — its main consumer is the test pinning
-/// [`Connection::reestablish`] to [`Connection::establish`] field for field.
+/// It keeps only what the reuse predicate and the reports read. Every request
+/// opens its stream and completes its response in the same step, so no
+/// stream table is kept: there is never more than one stream open, far below
+/// any peer's concurrency limit.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Connection {
     /// Identifier, equal to the socket id recorded in HAR files.
@@ -109,21 +100,11 @@ pub struct Connection {
     pub close_reason: Option<CloseReason>,
     /// Lifecycle state.
     pub state: ConnectionState,
-    /// The peer's settings.
-    pub remote_settings: Settings,
     /// Domains the server answered with HTTP 421 (Misdirected Request):
     /// excluded from future reuse on this connection.
     pub excluded_domains: BTreeSet<DomainName>,
     /// The origin set announced via an RFC 8336 ORIGIN frame, if any.
     pub origin_set: Option<BTreeSet<DomainName>>,
-    /// Streams in open order. A `Vec` (rather than a map) so that a pooled
-    /// connection shell retains its capacity across visits; streams per
-    /// connection are few, so lookups stay linear.
-    streams: Vec<(StreamId, StreamState)>,
-    /// Number of entries in `streams` whose state is not closed, maintained
-    /// incrementally so the reuse predicate's concurrency check is O(1).
-    open_count: u32,
-    next_stream: StreamId,
     /// Number of requests sent on this connection.
     pub requests_sent: u64,
     /// Total body octets received.
@@ -131,8 +112,8 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Establish a connection.
-    #[allow(clippy::too_many_arguments)]
+    /// Establish a connection. Allocates nothing: the certificate is shared
+    /// and the 421 set starts empty.
     pub fn establish(
         id: ConnectionId,
         initial_origin: Origin,
@@ -140,7 +121,6 @@ impl Connection {
         certificate: Arc<Certificate>,
         credentialed: bool,
         established_at: Instant,
-        remote_settings: Settings,
     ) -> Self {
         let port = initial_origin.port;
         Connection {
@@ -154,51 +134,11 @@ impl Connection {
             closed_at: None,
             close_reason: None,
             state: ConnectionState::Open,
-            remote_settings,
             excluded_domains: BTreeSet::new(),
             origin_set: None,
-            streams: Vec::new(),
-            open_count: 0,
-            next_stream: StreamId::FIRST_CLIENT,
             requests_sent: 0,
             body_octets_received: 0,
         }
-    }
-
-    /// Re-establish a pooled connection shell in place, exactly as
-    /// [`Connection::establish`] would construct it but retaining the heap
-    /// capacity of the stream table. This is the zero-allocation path the
-    /// per-worker visit scratch uses: recycled shells make opening a
-    /// connection allocation-free in the steady state.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reestablish(
-        &mut self,
-        id: ConnectionId,
-        initial_origin: Origin,
-        remote_ip: IpAddr,
-        certificate: Arc<Certificate>,
-        credentialed: bool,
-        established_at: Instant,
-        remote_settings: Settings,
-    ) {
-        self.id = id;
-        self.port = initial_origin.port;
-        self.initial_origin = initial_origin;
-        self.remote_ip = remote_ip;
-        self.certificate = certificate;
-        self.credentialed = credentialed;
-        self.established_at = established_at;
-        self.closed_at = None;
-        self.close_reason = None;
-        self.state = ConnectionState::Open;
-        self.remote_settings = remote_settings;
-        self.excluded_domains.clear();
-        self.origin_set = None;
-        self.streams.clear();
-        self.open_count = 0;
-        self.next_stream = StreamId::FIRST_CLIENT;
-        self.requests_sent = 0;
-        self.body_octets_received = 0;
     }
 
     /// The domain the connection was initially opened for.
@@ -206,68 +146,27 @@ impl Connection {
         &self.initial_origin.host
     }
 
-    /// Number of currently open (not closed) streams.
-    pub fn open_streams(&self) -> usize {
-        debug_assert_eq!(
-            self.open_count as usize,
-            self.streams.iter().filter(|(_, s)| !s.is_closed()).count(),
-            "open-stream counter out of sync"
-        );
-        self.open_count as usize
-    }
-
     /// `true` if a new stream can be opened right now.
     pub fn can_open_stream(&self) -> bool {
         self.state == ConnectionState::Open
-            && (self.open_streams() as u32) < self.remote_settings.max_concurrent_streams
     }
 
-    /// Send a request, opening a new stream. Returns the stream id.
-    pub fn send_request(&mut self) -> Result<StreamId, ConnectionError> {
-        if self.state != ConnectionState::Open {
+    /// Send a request on a new stream.
+    pub fn send_request(&mut self) -> Result<(), ConnectionError> {
+        if !self.can_open_stream() {
             return Err(ConnectionError::NotAcceptingStreams(self.state));
         }
-        if self.open_streams() as u32 >= self.remote_settings.max_concurrent_streams {
-            return Err(ConnectionError::ConcurrencyLimit(self.remote_settings.max_concurrent_streams));
-        }
-        let stream_id = self.next_stream;
-        self.next_stream = self.next_stream.next_same_peer();
         self.requests_sent += 1;
-        let state = StreamState::Idle.send_headers(true).expect("idle stream always accepts HEADERS");
-        if !state.is_closed() {
-            self.open_count += 1;
-        }
-        self.streams.push((stream_id, state));
-        Ok(stream_id)
+        Ok(())
     }
 
-    /// Record the response for `stream`: status code and body size. A 421
+    /// Record a completed response: status code and body size. A 421
     /// response marks `domain` as excluded from reuse on this connection.
-    pub fn complete_response(
-        &mut self,
-        stream: StreamId,
-        domain: &DomainName,
-        status: u16,
-        body_octets: u64,
-    ) -> Result<(), ConnectionError> {
-        // Newest first: the overwhelmingly common case is completing the
-        // stream that was just opened (the last entry).
-        let state = self
-            .streams
-            .iter_mut()
-            .rev()
-            .find_map(|(id, state)| (*id == stream).then_some(state))
-            .ok_or(ConnectionError::UnknownStream(stream))?;
-        let was_open = !state.is_closed();
-        *state = state.receive_end_stream().unwrap_or(StreamState::Closed);
-        if was_open && state.is_closed() {
-            self.open_count -= 1;
-        }
+    pub fn complete_response(&mut self, domain: &DomainName, status: u16, body_octets: u64) {
         self.body_octets_received += body_octets;
         if status == 421 {
             self.excluded_domains.insert(*domain);
         }
-        Ok(())
     }
 
     /// Handle a received ORIGIN frame: replace the origin set.
@@ -339,78 +238,27 @@ mod tests {
             certificate_for(&["www.example.com", "img.example.com"]),
             true,
             Instant::EPOCH,
-            Settings::default(),
         )
-    }
-
-    #[test]
-    fn reestablish_equals_a_fresh_establish() {
-        // A pooled shell that lived a full life — requests, 421 exclusion,
-        // origin set, GOAWAY, close — must come back exactly as
-        // `Connection::establish` would construct it. `Connection:
-        // PartialEq` covers every logical field, so a forgotten reset in
-        // `reestablish` fails this test directly.
-        let mut shell = connection();
-        let s1 = shell.send_request().unwrap();
-        shell.complete_response(s1, &d("www.example.com"), 200, 1_000).unwrap();
-        let s2 = shell.send_request().unwrap();
-        shell.complete_response(s2, &d("img.example.com"), 421, 0).unwrap();
-        shell.receive_origin_set([d("img.example.com")]);
-        shell.receive_goaway();
-        shell.close_with_reason(Instant::from_millis(9_000), CloseReason::IdleTimeout);
-
-        let certificate = certificate_for(&["shop.example.org"]);
-        shell.reestablish(
-            ConnectionId(77),
-            Origin::https(d("shop.example.org")),
-            IpAddr::new(10, 1, 2, 3),
-            Arc::clone(&certificate),
-            false,
-            Instant::from_millis(12_345),
-            Settings::default(),
-        );
-        let fresh = Connection::establish(
-            ConnectionId(77),
-            Origin::https(d("shop.example.org")),
-            IpAddr::new(10, 1, 2, 3),
-            certificate,
-            false,
-            Instant::from_millis(12_345),
-            Settings::default(),
-        );
-        assert_eq!(shell, fresh);
     }
 
     #[test]
     fn establish_and_send_requests() {
         let mut conn = connection();
         assert!(conn.can_open_stream());
-        let s1 = conn.send_request().unwrap();
-        let s2 = conn.send_request().unwrap();
-        assert_eq!(s1, StreamId::new(1));
-        assert_eq!(s2, StreamId::new(3));
-        assert_eq!(conn.open_streams(), 2);
+        conn.send_request().unwrap();
+        conn.send_request().unwrap();
         assert_eq!(conn.requests_sent, 2);
-        conn.complete_response(s1, &d("www.example.com"), 200, 15_000).unwrap();
-        assert_eq!(conn.open_streams(), 1);
-        assert_eq!(conn.body_octets_received, 15_000);
-    }
-
-    #[test]
-    fn concurrency_limit_is_enforced() {
-        let mut conn = connection();
-        conn.remote_settings.max_concurrent_streams = 2;
-        conn.send_request().unwrap();
-        conn.send_request().unwrap();
-        let err = conn.send_request().unwrap_err();
-        assert_eq!(err, ConnectionError::ConcurrencyLimit(2));
+        conn.complete_response(&d("www.example.com"), 200, 15_000);
+        conn.complete_response(&d("www.example.com"), 200, 5_000);
+        assert_eq!(conn.body_octets_received, 20_000);
+        assert!(conn.excluded_domains.is_empty());
     }
 
     #[test]
     fn http_421_excludes_domain_from_reuse() {
         let mut conn = connection();
-        let s = conn.send_request().unwrap();
-        conn.complete_response(s, &d("img.example.com"), 421, 0).unwrap();
+        conn.send_request().unwrap();
+        conn.complete_response(&d("img.example.com"), 421, 0);
         assert!(conn.excluded_domains.contains(&d("img.example.com")));
         assert!(!conn.excluded_domains.contains(&d("www.example.com")));
     }
@@ -420,7 +268,11 @@ mod tests {
         let mut conn = connection();
         conn.receive_goaway();
         assert_eq!(conn.state, ConnectionState::GoingAway);
-        assert!(conn.send_request().is_err());
+        assert!(!conn.can_open_stream());
+        assert_eq!(
+            conn.send_request(),
+            Err(ConnectionError::NotAcceptingStreams(ConnectionState::GoingAway))
+        );
         assert!(conn.is_open_at(Instant::from_millis(100)));
         conn.close(Instant::from_millis(5000));
         assert!(!conn.is_open_at(Instant::from_millis(6000)));
@@ -443,13 +295,6 @@ mod tests {
         let mut plain = connection();
         plain.close(Instant::from_millis(1_000));
         assert_eq!(plain.close_reason, None);
-    }
-
-    #[test]
-    fn unknown_stream_errors() {
-        let mut conn = connection();
-        let err = conn.complete_response(StreamId::new(99), &d("www.example.com"), 200, 0).unwrap_err();
-        assert_eq!(err, ConnectionError::UnknownStream(StreamId::new(99)));
     }
 
     #[test]

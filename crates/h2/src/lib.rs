@@ -8,15 +8,16 @@
 //! the protocol pieces that govern connection reuse:
 //!
 //! * [`frame`] — the HTTP/2 framing layer (RFC 7540 §4/§6) plus the ORIGIN
-//!   frame of RFC 8336, with a binary codec over [`bytes`],
+//!   frame of RFC 8336, with a binary codec over [`bytes`] and the
+//!   [`StreamId`]s it carries,
 //! * [`settings`] — connection settings exchanged in SETTINGS frames,
-//! * [`stream`] — the per-stream state machine (§5.1),
 //! * [`cwnd`] — the cold congestion-window model: the slow-start round trips
 //!   a fresh connection pays that a reused one would not (the transfer-side
 //!   cost of redundancy, priced by `netsim-cost`),
-//! * [`connection`] — an HTTP/2 session: stream bookkeeping, flow control,
-//!   the TLS certificate presented at establishment, the ORIGIN set, 421
-//!   exclusions and GOAWAY handling,
+//! * [`connection`] — an HTTP/2 session as the reuse predicate reads it:
+//!   destination, the TLS certificate presented at establishment, the
+//!   credentials partition, the ORIGIN set, 421 exclusions, GOAWAY handling
+//!   and request/byte counts,
 //! * [`reuse`] — the §9.1.1 Connection Reuse predicate that decides whether a
 //!   request for another domain may ride an existing connection, and a
 //!   diagnosis of *why not* when it may not (the paper's CERT / IP causes).
@@ -38,4 +39,4 @@ pub use cwnd::{slow_start_rounds, INITIAL_CWND_OCTETS};
 pub use frame::{Frame, FrameDecodeError, FrameType, OriginEntry};
 pub use reuse::{RefusalSet, ReuseDecision, ReuseRefusal};
 pub use settings::Settings;
-pub use stream::{StreamError, StreamId, StreamState};
+pub use stream::StreamId;

@@ -17,7 +17,7 @@
 //! allows the analysis layer to attribute one redundant connection to several
 //! root causes, exactly as described in §4.1 of the paper.
 
-use crate::connection::{Connection, ConnectionState};
+use crate::connection::Connection;
 use netsim_types::{DomainName, IpAddr, Mitigation, MitigationSet, Origin};
 use serde::{Deserialize, Serialize};
 
@@ -42,13 +42,11 @@ pub enum ReuseRefusal {
     CredentialsMismatch,
     /// The connection is draining (GOAWAY received) or closed.
     NotAcceptingStreams,
-    /// The peer's concurrent-stream limit leaves no room for another stream.
-    ConcurrencyExhausted,
 }
 
 impl ReuseRefusal {
     /// All refusal reasons in declaration (= `Ord`) order.
-    pub const ALL: [ReuseRefusal; 8] = [
+    pub const ALL: [ReuseRefusal; 7] = [
         ReuseRefusal::SchemePortMismatch,
         ReuseRefusal::IpMismatch,
         ReuseRefusal::CertificateMismatch,
@@ -56,7 +54,6 @@ impl ReuseRefusal {
         ReuseRefusal::NotInOriginSet,
         ReuseRefusal::CredentialsMismatch,
         ReuseRefusal::NotAcceptingStreams,
-        ReuseRefusal::ConcurrencyExhausted,
     ];
 
     /// The bit this reason occupies in a [`RefusalSet`].
@@ -164,19 +161,11 @@ pub struct ReusePolicy {
     /// makes enabling ORIGIN frames a pure relaxation of the predicate
     /// (reuse decisions stay monotone under mitigation).
     pub strict_origin_set: bool,
-    /// Require the destination IP to match (the RFC rule). Only disabled in
-    /// what-if ablations together with `honor_origin_frame`.
-    pub require_ip_match: bool,
 }
 
 impl Default for ReusePolicy {
     fn default() -> Self {
-        ReusePolicy {
-            follow_fetch_credentials: true,
-            honor_origin_frame: false,
-            strict_origin_set: true,
-            require_ip_match: true,
-        }
+        ReusePolicy { follow_fetch_credentials: true, honor_origin_frame: false, strict_origin_set: true }
     }
 }
 
@@ -214,7 +203,6 @@ impl ReusePolicy {
             follow_fetch_credentials: !mitigations.contains(Mitigation::CredentialPooling),
             honor_origin_frame: mitigations.contains(Mitigation::OriginFrames),
             strict_origin_set: false,
-            require_ip_match: true,
         }
     }
 }
@@ -248,10 +236,8 @@ pub fn evaluate_set(
         refusals.insert(ReuseRefusal::SchemePortMismatch);
     }
 
-    if connection.state != ConnectionState::Open {
+    if !connection.can_open_stream() {
         refusals.insert(ReuseRefusal::NotAcceptingStreams);
-    } else if !connection.can_open_stream() {
-        refusals.insert(ReuseRefusal::ConcurrencyExhausted);
     }
 
     if connection.excluded_domains.contains(&target.host) {
@@ -273,7 +259,7 @@ pub fn evaluate_set(
             refusals.insert(ReuseRefusal::NotInOriginSet);
         }
         _ => {
-            if policy.require_ip_match && connection.remote_ip != target_ip {
+            if connection.remote_ip != target_ip {
                 refusals.insert(ReuseRefusal::IpMismatch);
             }
         }
@@ -295,7 +281,6 @@ fn origin_set_contains(connection: &Connection, host: &DomainName) -> Option<boo
 mod tests {
     use super::*;
     use crate::connection::Connection;
-    use crate::settings::Settings;
     use netsim_tls::{CertificateStore, IssuancePolicy, Issuer};
     use netsim_types::{ConnectionId, Instant};
 
@@ -319,7 +304,6 @@ mod tests {
             std::sync::Arc::clone(store.get_arc(ids[0]).unwrap()),
             credentialed,
             Instant::EPOCH,
-            Settings::default(),
         )
     }
 
@@ -383,8 +367,8 @@ mod tests {
     #[test]
     fn http_421_exclusion_blocks_reuse() {
         let mut c = conn(&["www.example.com", "api.example.com"], IP_A, true);
-        let stream = c.send_request().unwrap();
-        c.complete_response(stream, &d("api.example.com"), 421, 0).unwrap();
+        c.send_request().unwrap();
+        c.complete_response(&d("api.example.com"), 421, 0);
         let decision =
             evaluate(&c, &Origin::https(d("api.example.com")), IP_A, true, &ReusePolicy::chromium());
         assert!(decision.refused_because(ReuseRefusal::ExcludedByServer));
@@ -476,15 +460,5 @@ mod tests {
         let draining =
             evaluate(&c, &Origin::https(d("www.example.com")), IP_A, true, &ReusePolicy::chromium());
         assert!(draining.refused_because(ReuseRefusal::NotAcceptingStreams));
-    }
-
-    #[test]
-    fn concurrency_exhaustion_refuses_reuse() {
-        let mut c = conn(&["www.example.com"], IP_A, true);
-        c.remote_settings.max_concurrent_streams = 1;
-        c.send_request().unwrap();
-        let decision =
-            evaluate(&c, &Origin::https(d("www.example.com")), IP_A, true, &ReusePolicy::chromium());
-        assert!(decision.refused_because(ReuseRefusal::ConcurrencyExhausted));
     }
 }

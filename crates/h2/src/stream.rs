@@ -1,4 +1,5 @@
-//! HTTP/2 stream identifiers and the per-stream state machine (RFC 7540 §5.1).
+//! HTTP/2 stream identifiers (RFC 7540 §5.1.1), as the frame codec carries
+//! them.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -13,9 +14,6 @@ impl StreamId {
     /// The connection-control stream (id 0).
     pub const CONNECTION: StreamId = StreamId(0);
 
-    /// The first client-initiated stream.
-    pub const FIRST_CLIENT: StreamId = StreamId(1);
-
     /// Create a stream id (masked to 31 bits).
     pub const fn new(value: u32) -> Self {
         StreamId(value & 0x7FFF_FFFF)
@@ -24,16 +22,6 @@ impl StreamId {
     /// The numeric value.
     pub const fn value(self) -> u32 {
         self.0
-    }
-
-    /// `true` for client-initiated (odd) stream ids.
-    pub const fn is_client_initiated(self) -> bool {
-        self.0 % 2 == 1
-    }
-
-    /// The next stream id usable by the same peer (id + 2).
-    pub const fn next_same_peer(self) -> StreamId {
-        StreamId((self.0 + 2) & 0x7FFF_FFFF)
     }
 }
 
@@ -49,146 +37,14 @@ impl fmt::Debug for StreamId {
     }
 }
 
-/// The stream states of RFC 7540 §5.1 (the subset reachable without
-/// PUSH_PROMISE, which the simulation does not send).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StreamState {
-    /// Not yet used.
-    Idle,
-    /// HEADERS sent/received, both directions open.
-    Open,
-    /// The local endpoint finished sending (END_STREAM sent).
-    HalfClosedLocal,
-    /// The remote endpoint finished sending (END_STREAM received).
-    HalfClosedRemote,
-    /// Both directions finished, or the stream was reset.
-    Closed,
-}
-
-/// Errors from illegal stream-state transitions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamError {
-    /// An action was attempted in a state that does not allow it.
-    InvalidTransition {
-        /// State the stream was in.
-        from: StreamState,
-        /// Human-readable action name.
-        action: &'static str,
-    },
-}
-
-impl fmt::Display for StreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamError::InvalidTransition { from, action } => {
-                write!(f, "cannot {action} in state {from:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl StreamState {
-    /// Transition for sending HEADERS (opening the stream).
-    pub fn send_headers(self, end_stream: bool) -> Result<StreamState, StreamError> {
-        match self {
-            StreamState::Idle => {
-                Ok(if end_stream { StreamState::HalfClosedLocal } else { StreamState::Open })
-            }
-            from => Err(StreamError::InvalidTransition { from, action: "send HEADERS" }),
-        }
-    }
-
-    /// Transition for sending END_STREAM (on DATA or trailing HEADERS).
-    pub fn send_end_stream(self) -> Result<StreamState, StreamError> {
-        match self {
-            StreamState::Open => Ok(StreamState::HalfClosedLocal),
-            StreamState::HalfClosedRemote => Ok(StreamState::Closed),
-            from => Err(StreamError::InvalidTransition { from, action: "send END_STREAM" }),
-        }
-    }
-
-    /// Transition for receiving END_STREAM from the peer.
-    pub fn receive_end_stream(self) -> Result<StreamState, StreamError> {
-        match self {
-            StreamState::Open => Ok(StreamState::HalfClosedRemote),
-            StreamState::HalfClosedLocal => Ok(StreamState::Closed),
-            from => Err(StreamError::InvalidTransition { from, action: "receive END_STREAM" }),
-        }
-    }
-
-    /// Transition for RST_STREAM (either direction): always closes.
-    pub fn reset(self) -> StreamState {
-        StreamState::Closed
-    }
-
-    /// `true` once no further frames may flow on the stream.
-    pub fn is_closed(self) -> bool {
-        self == StreamState::Closed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn stream_id_parity_and_sequence() {
-        assert!(StreamId::FIRST_CLIENT.is_client_initiated());
-        assert!(!StreamId::CONNECTION.is_client_initiated());
-        assert_eq!(StreamId::new(1).next_same_peer(), StreamId::new(3));
+    fn stream_ids_are_masked_to_31_bits() {
         assert_eq!(StreamId::new(0x8000_0001).value(), 1, "high bit is masked");
+        assert_eq!(StreamId::CONNECTION.value(), 0);
         assert_eq!(StreamId::new(5).to_string(), "stream-5");
-    }
-
-    #[test]
-    fn request_response_lifecycle() {
-        // Typical GET: client sends HEADERS+END_STREAM, server answers.
-        let s = StreamState::Idle.send_headers(true).unwrap();
-        assert_eq!(s, StreamState::HalfClosedLocal);
-        let s = s.receive_end_stream().unwrap();
-        assert!(s.is_closed());
-    }
-
-    #[test]
-    fn post_lifecycle_with_body() {
-        let s = StreamState::Idle.send_headers(false).unwrap();
-        assert_eq!(s, StreamState::Open);
-        let s = s.send_end_stream().unwrap();
-        assert_eq!(s, StreamState::HalfClosedLocal);
-        let s = s.receive_end_stream().unwrap();
-        assert_eq!(s, StreamState::Closed);
-    }
-
-    #[test]
-    fn server_finishing_first() {
-        let s = StreamState::Idle.send_headers(false).unwrap();
-        let s = s.receive_end_stream().unwrap();
-        assert_eq!(s, StreamState::HalfClosedRemote);
-        let s = s.send_end_stream().unwrap();
-        assert!(s.is_closed());
-    }
-
-    #[test]
-    fn invalid_transitions_are_rejected() {
-        assert!(StreamState::Closed.send_headers(false).is_err());
-        assert!(StreamState::Idle.send_end_stream().is_err());
-        assert!(StreamState::HalfClosedRemote.receive_end_stream().is_err());
-        let err = StreamState::Closed.send_headers(true).unwrap_err();
-        assert!(err.to_string().contains("HEADERS"));
-    }
-
-    #[test]
-    fn reset_closes_from_any_state() {
-        for state in [
-            StreamState::Idle,
-            StreamState::Open,
-            StreamState::HalfClosedLocal,
-            StreamState::HalfClosedRemote,
-            StreamState::Closed,
-        ] {
-            assert!(state.reset().is_closed());
-        }
     }
 }

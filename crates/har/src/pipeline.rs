@@ -128,7 +128,6 @@ pub struct ArchivePipeline {
     config: BrowserConfig,
     inconsistencies: InconsistencyConfig,
     seed: u64,
-    threads: usize,
 }
 
 impl ArchivePipeline {
@@ -139,7 +138,6 @@ impl ArchivePipeline {
             config: BrowserConfig::http_archive_crawler(),
             inconsistencies: InconsistencyConfig::default(),
             seed,
-            threads: 1,
         }
     }
 
@@ -155,44 +153,18 @@ impl ArchivePipeline {
         self
     }
 
-    /// Use up to `threads` worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Crawl the population and produce the HAR corpus (unfiltered).
     pub fn run(&self, env: &WebEnvironment) -> HarDataset {
-        let site_count = env.sites.len();
-        let mut documents: Vec<Option<HarDocument>> = Vec::new();
-        documents.resize_with(site_count, || None);
-        if self.threads <= 1 || site_count < 2 {
-            for (index, slot) in documents.iter_mut().enumerate() {
-                *slot = Some(self.crawl_site(env, index));
-            }
-        } else {
-            let threads = self.threads.min(site_count);
-            let chunk = site_count.div_ceil(threads);
-            let chunks: Vec<&mut [Option<HarDocument>]> = documents.chunks_mut(chunk).collect();
-            std::thread::scope(|scope| {
-                for (chunk_index, slot) in chunks.into_iter().enumerate() {
-                    let start = chunk_index * chunk;
-                    scope.spawn(move || {
-                        for (offset, out) in slot.iter_mut().enumerate() {
-                            *out = Some(self.crawl_site(env, start + offset));
-                        }
-                    });
-                }
-            });
-        }
         HarDataset {
-            documents: documents.into_iter().map(|d| d.expect("every site crawled")).collect(),
+            documents: (0..env.sites.len()).map(|index| self.crawl_site(env, index)).collect(),
             filter_statistics: FilterStatistics::default(),
         }
     }
 
     /// Crawl one site: three loads, median selection, defect injection.
-    fn crawl_site(&self, env: &WebEnvironment, index: usize) -> HarDocument {
+    /// Sites are independent, so a caller may crawl them on several threads
+    /// and collect the documents in site order.
+    pub fn crawl_site(&self, env: &WebEnvironment, index: usize) -> HarDocument {
         let site = &env.sites[index];
         let base = Instant::EPOCH + Duration::from_secs(self.config.visit_spacing_secs * index as u64);
         let mut loads = Vec::with_capacity(LOADS_PER_SITE);
@@ -270,10 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_is_deterministic_and_parallel_safe() {
+    fn pipeline_is_deterministic() {
         let environment = env(8);
         let a = ArchivePipeline::new(11).run(&environment);
-        let b = ArchivePipeline::new(11).with_threads(4).run(&environment);
+        let b = ArchivePipeline::new(11).run(&environment);
         assert_eq!(a.documents, b.documents);
     }
 

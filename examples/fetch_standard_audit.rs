@@ -13,7 +13,7 @@ use connreuse::core::DatasetSummary;
 use connreuse::prelude::*;
 
 fn summarize(label: &str, env: &WebEnvironment, config: BrowserConfig, seed: u64) -> DatasetSummary {
-    let report = Crawler::new(label, config, seed).with_threads(4).crawl(env);
+    let report = Crawler::new(label, config, seed).crawl(env);
     let dataset = dataset_from_crawl(&report);
     DatasetSummary::from_classifications(label, &classify_dataset(&dataset, DurationModel::Recorded))
 }

@@ -18,7 +18,7 @@ fn main() {
     let env = PopulationBuilder::new(PopulationProfile::archive(), sites, seed).build();
 
     println!("running the archive pipeline (3 loads per site, median HAR, defect injection)...");
-    let mut corpus = ArchivePipeline::new(seed).with_threads(4).run(&env);
+    let mut corpus = ArchivePipeline::new(seed).run(&env);
     let stats = corpus.filter();
 
     println!();

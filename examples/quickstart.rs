@@ -24,7 +24,7 @@ fn main() {
     );
 
     println!("crawling with the stock Chromium configuration (Fetch credentials respected)...");
-    let report = Crawler::new("Alexa", BrowserConfig::alexa_measurement(), seed).with_threads(4).crawl(&env);
+    let report = Crawler::new("Alexa", BrowserConfig::alexa_measurement(), seed).crawl(&env);
     println!(
         "  {} page visits, {} HTTP/2 connections, {} requests",
         report.site_count(),

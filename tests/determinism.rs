@@ -34,9 +34,9 @@ fn deterministic_across_profiles() {
     }
 }
 
-/// A scenario built with one worker thread and with eight must yield
-/// byte-identical datasets: parallelism shards the work, never the RNG
-/// streams (which are forked per site, not per thread).
+/// A scenario built with one worker thread and with two, three or eight must
+/// yield byte-identical datasets: the executor shards the work, never the
+/// RNG streams (which are forked per site, not per thread).
 #[test]
 fn scenario_datasets_are_thread_count_invariant() {
     let config = ScenarioConfig {
@@ -47,13 +47,16 @@ fn scenario_datasets_are_thread_count_invariant() {
         threads: 1,
     };
     let sequential = Scenario::build(config);
-    let parallel = Scenario::build(ScenarioConfig { threads: 8, ..config });
-    assert_eq!(sequential.har, parallel.har);
-    assert_eq!(sequential.har_filter_statistics, parallel.har_filter_statistics);
-    assert_eq!(sequential.alexa, parallel.alexa);
-    assert_eq!(sequential.alexa_without_fetch, parallel.alexa_without_fetch);
-    assert_eq!(sequential.overlap_har, parallel.overlap_har);
-    assert_eq!(sequential.overlap_alexa, parallel.overlap_alexa);
+    // Three workers split the sites into uneven blocks and steal.
+    for threads in [2, 3, 8] {
+        let parallel = Scenario::build(ScenarioConfig { threads, ..config });
+        assert_eq!(sequential.har, parallel.har, "threads = {threads}");
+        assert_eq!(sequential.har_filter_statistics, parallel.har_filter_statistics, "threads = {threads}");
+        assert_eq!(sequential.alexa, parallel.alexa, "threads = {threads}");
+        assert_eq!(sequential.alexa_without_fetch, parallel.alexa_without_fetch, "threads = {threads}");
+        assert_eq!(sequential.overlap_har, parallel.overlap_har, "threads = {threads}");
+        assert_eq!(sequential.overlap_alexa, parallel.overlap_alexa, "threads = {threads}");
+    }
 }
 
 /// The atlas engine generates, crawls and classifies its population in

@@ -12,7 +12,7 @@ fn build_and_crawl(
     config: BrowserConfig,
 ) -> (WebEnvironment, Dataset) {
     let env = PopulationBuilder::new(profile, sites, seed).build();
-    let report = Crawler::new("test", config, seed).with_threads(2).crawl(&env);
+    let report = Crawler::new("test", config, seed).crawl(&env);
     let dataset = dataset_from_crawl(&report);
     (env, dataset)
 }
@@ -40,9 +40,8 @@ fn full_pipeline_reproduces_the_cause_ordering() {
 #[test]
 fn patched_browser_removes_cred_and_reduces_redundancy() {
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 200, 3).build();
-    let stock = Crawler::new("stock", BrowserConfig::alexa_measurement(), 3).with_threads(2).crawl(&env);
-    let patched =
-        Crawler::new("patched", BrowserConfig::alexa_without_fetch(), 3).with_threads(2).crawl(&env);
+    let stock = Crawler::new("stock", BrowserConfig::alexa_measurement(), 3).crawl(&env);
+    let patched = Crawler::new("patched", BrowserConfig::alexa_without_fetch(), 3).crawl(&env);
 
     let stock_summary = DatasetSummary::from_classifications(
         "stock",
@@ -143,7 +142,7 @@ fn probe_and_crawl_agree_on_the_analytics_pair() {
     // Space the visits out so the crawl covers several load-balancing epochs,
     // like the real multi-day measurement does.
     let config = BrowserConfig { visit_spacing_secs: 300, ..BrowserConfig::alexa_measurement() };
-    let report = Crawler::new("alexa", config, 13).with_threads(2).crawl(&env);
+    let report = Crawler::new("alexa", config, 13).crawl(&env);
     let dataset = dataset_from_crawl(&report);
     let classifications = classify_dataset(&dataset, DurationModel::Recorded);
     let origins = attribution::top_origins_for_cause(&dataset, &classifications, Cause::Ip, 30);

@@ -16,13 +16,12 @@ fn clean_har_and_netlog_classify_identically_under_endless() {
     let env = environment(120, 21);
     let config = BrowserConfig::http_archive_crawler();
 
-    let report = Crawler::new("netlog", config.clone(), 5).with_threads(2).crawl(&env);
+    let report = Crawler::new("netlog", config.clone(), 5).crawl(&env);
     let netlog_dataset = dataset_from_crawl(&report);
 
     let mut corpus = ArchivePipeline::new(5)
         .with_config(config)
         .with_inconsistencies(InconsistencyConfig::none())
-        .with_threads(2)
         .run(&env);
     corpus.filter();
     let har_dataset = dataset_from_har(&corpus, "har");
@@ -49,11 +48,10 @@ fn defect_injection_only_removes_information() {
     let mut clean = ArchivePipeline::new(9)
         .with_config(config.clone())
         .with_inconsistencies(InconsistencyConfig::none())
-        .with_threads(2)
         .run(&env);
     let clean_stats: FilterStatistics = clean.filter();
 
-    let mut noisy = ArchivePipeline::new(9).with_config(config).with_threads(2).run(&env);
+    let mut noisy = ArchivePipeline::new(9).with_config(config).run(&env);
     let noisy_stats: FilterStatistics = noisy.filter();
 
     assert_eq!(clean_stats.dropped(), 0);
@@ -80,8 +78,7 @@ fn defect_injection_only_removes_information() {
 #[test]
 fn har_json_roundtrip_preserves_the_classification() {
     let env = environment(40, 23);
-    let mut corpus =
-        ArchivePipeline::new(11).with_inconsistencies(InconsistencyConfig::none()).with_threads(2).run(&env);
+    let mut corpus = ArchivePipeline::new(11).with_inconsistencies(InconsistencyConfig::none()).run(&env);
     corpus.filter();
 
     // Serialise every document to JSON and parse it back, as an external

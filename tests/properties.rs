@@ -12,7 +12,7 @@ use connreuse::cost::{CostTotals, LinkProfile, VisitTimeline};
 use connreuse::dns::{LoadBalancePolicy, QueryContext, ResolverId, Vantage};
 use connreuse::experiments::{run_cost, CostConfig, CostReport};
 use connreuse::h2::reuse::{evaluate, ReusePolicy};
-use connreuse::h2::{CloseReason, Connection, ConnectionState, Settings};
+use connreuse::h2::{CloseReason, Connection, ConnectionState};
 use connreuse::tls::{Certificate, CertificateId, CertificateStore, IssuancePolicy, Issuer, SanEntry};
 use connreuse::types::{
     ConnectionId, DomainName, Duration, Instant, IpAddr, Mitigation, MitigationSet, Origin, SimClock, SimRng,
@@ -119,7 +119,6 @@ fn reuse_connection(
         std::sync::Arc::clone(store.get_arc(ids[0]).unwrap()),
         credentialed,
         Instant::EPOCH,
-        Settings::default(),
     );
     if let Some(mask) = origin_set_mask {
         // An arbitrary announced set — deliberately not tied to the
@@ -431,7 +430,7 @@ proptest! {
     /// The pool never lends a stale connection. For any absorbed set, idle
     /// timeout, lend gap, churn model and dead-on-reuse rate: every
     /// connection handed to the page is still open within its idle deadline,
-    /// everything else comes back as a closed shell with the right lifecycle
+    /// everything else comes back closed with the right lifecycle
     /// reason (a server-lifetime close always lands inside the sampler's
     /// `0.5×..2×`-median window and never after the lend instant), and no
     /// connection is lost or duplicated on the way through.
@@ -464,7 +463,6 @@ proptest! {
                     std::sync::Arc::clone(store.get_arc(ids[0]).unwrap()),
                     true,
                     Instant::EPOCH + Duration::from_millis(index as u64),
-                    Settings::default(),
                 )
             })
             .collect();
@@ -474,23 +472,23 @@ proptest! {
             close_probability: close_ppm as f64 / 1_000_000.0,
             median_lifetime_secs: median_secs,
         };
-        let mut absorb_shells = Vec::new();
+        let mut absorb_closed = Vec::new();
         let mut rng = SimRng::new(seed);
-        pool.absorb(absorbed_at, &mut connections, &mut absorb_shells, &mut rng, &churn);
+        pool.absorb(absorbed_at, &mut connections, &mut absorb_closed, &mut rng, &churn);
 
         let lent_at = absorbed_at + Duration::from_millis(gap_ms);
         let faults = FaultProfile { dead_on_reuse_ppm: dead_ppm, ..FaultProfile::default() };
         let mut live = Vec::new();
-        let mut lend_shells = Vec::new();
-        let dead = pool.lend(lent_at, &mut live, &mut lend_shells, &faults, &mut rng.fork("fault"));
+        let mut lend_closed = Vec::new();
+        let dead = pool.lend(lent_at, &mut live, &mut lend_closed, &faults, &mut rng.fork("fault"));
 
         // Conservation: every absorbed connection is either an absorb-time
-        // churn shell, lent alive, or a lend-time shell — exactly once.
-        prop_assert_eq!(absorb_shells.len() + live.len() + lend_shells.len(), count);
-        let mut ids: Vec<u64> = absorb_shells
+        // churn close, lent alive, or a lend-time close — exactly once.
+        prop_assert_eq!(absorb_closed.len() + live.len() + lend_closed.len(), count);
+        let mut ids: Vec<u64> = absorb_closed
             .iter()
             .chain(&live)
-            .chain(&lend_shells)
+            .chain(&lend_closed)
             .map(|connection| connection.id.0)
             .collect();
         ids.sort_unstable();
@@ -509,15 +507,15 @@ proptest! {
             prop_assert!(live.is_empty(), "a certain dead-on-reuse draw kills every survivor");
         }
 
-        for shell in absorb_shells.iter().chain(&lend_shells) {
-            let closed_at = shell.closed_at.expect("every shell records a close time");
+        for closed in absorb_closed.iter().chain(&lend_closed) {
+            let closed_at = closed.closed_at.expect("every closed connection records a close time");
             prop_assert!(closed_at <= lent_at);
-            match shell.close_reason.expect("every shell records a close reason") {
+            match closed.close_reason.expect("every closed connection records a close reason") {
                 CloseReason::ServerLifetime => {
                     // The sampled expiry is anchored at establishment and
                     // spread 0.5×..2× the median; a connection is never lent
                     // at or past it.
-                    let lifetime = closed_at.since(shell.established_at);
+                    let lifetime = closed_at.since(closed.established_at);
                     prop_assert!(lifetime >= Duration::from_millis(median_secs * 500));
                     prop_assert!(lifetime <= Duration::from_secs(median_secs * 2));
                 }
@@ -539,7 +537,7 @@ proptest! {
         prop_assert_eq!(stats.dead_on_reuse, dead);
         prop_assert_eq!(
             dead as usize,
-            lend_shells.iter().filter(|s| s.close_reason == Some(CloseReason::DeadOnReuse)).count()
+            lend_closed.iter().filter(|s| s.close_reason == Some(CloseReason::DeadOnReuse)).count()
         );
         prop_assert_eq!(stats.closed() + stats.lent, stats.inserted);
     }
