@@ -6,7 +6,7 @@
 use connreuse_bench::{bench_environment, BENCH_SEED};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_browser::{BrowserConfig, Crawler};
-use netsim_dns::{LoadBalancePolicy, QueryContext, ResolverId, Vantage};
+use netsim_dns::{LoadBalancePolicy, QueryContext, ResolverId};
 use netsim_tls::{HandshakeConfig, TlsVersion};
 use netsim_types::{DomainName, Duration, Instant, IpAddr};
 use std::hint::black_box;
@@ -51,9 +51,10 @@ fn bench_dns_policy_ablation(c: &mut Criterion) {
             b.iter(|| {
                 let mut overlapping = 0u32;
                 for resolver in 0..14u32 {
-                    let ctx = QueryContext::new(ResolverId(resolver), Vantage::Europe, Instant::EPOCH);
-                    let a = policy.select(&analytics, &ctx);
-                    let b_answer = policy.select(&tag_manager, &ctx);
+                    let ctx = QueryContext::new(ResolverId(resolver), Instant::EPOCH);
+                    let (mut a, mut b_answer) = (Vec::new(), Vec::new());
+                    policy.select_each(&analytics, &ctx, |ip| a.push(ip));
+                    policy.select_each(&tag_manager, &ctx, |ip| b_answer.push(ip));
                     if a.iter().any(|ip| b_answer.contains(ip)) {
                         overlapping += 1;
                     }

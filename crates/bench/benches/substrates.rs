@@ -6,7 +6,7 @@ use connreuse_bench::{bench_environment, BENCH_SEED};
 use connreuse_experiments::sweep::{run_sweep, SweepConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_browser::{Browser, BrowserConfig};
-use netsim_dns::{RecursiveResolver, ResolverConfig, ResolverId, Vantage};
+use netsim_dns::{RecursiveResolver, ResolverId};
 use netsim_h2::reuse::{evaluate, ReusePolicy};
 use netsim_h2::{Connection, Frame, OriginEntry, StreamId};
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer};
@@ -21,14 +21,12 @@ fn bench_dns_resolution(c: &mut Criterion) {
     group.sample_size(50);
     group.bench_function("resolve_cold", |b| {
         b.iter(|| {
-            let mut resolver =
-                RecursiveResolver::new(ResolverConfig::new(ResolverId(1), Vantage::Europe, "bench"));
+            let mut resolver = RecursiveResolver::new(ResolverId(1));
             black_box(resolver.resolve(&env.authority, &analytics, Instant::EPOCH).unwrap().primary_address())
         })
     });
     group.bench_function("resolve_cached", |b| {
-        let mut resolver =
-            RecursiveResolver::new(ResolverConfig::new(ResolverId(1), Vantage::Europe, "bench"));
+        let mut resolver = RecursiveResolver::new(ResolverId(1));
         resolver.resolve(&env.authority, &analytics, Instant::EPOCH).unwrap();
         b.iter(|| {
             black_box(resolver.resolve(&env.authority, &analytics, Instant::EPOCH).unwrap().primary_address())

@@ -10,7 +10,7 @@
 
 use crate::fault::{FaultProfile, RetryPolicy};
 use netsim_cost::LinkProfile;
-use netsim_dns::{ResolverId, Vantage};
+use netsim_dns::ResolverId;
 use netsim_h2::reuse::ReusePolicy;
 use netsim_tls::HandshakeConfig;
 use netsim_types::{Duration, MitigationSet};
@@ -60,10 +60,10 @@ pub struct BrowserConfig {
     pub duration_model: ConnectionDurationModel,
     /// Page-load timeout (requests beyond it are dropped).
     pub page_timeout: Duration,
-    /// Identity of the recursive resolver the browser uses.
+    /// Identity of the recursive resolver the browser uses (part of the
+    /// authoritative load-balancing key, so two crawlers with different
+    /// resolvers see different pool members).
     pub resolver: ResolverId,
-    /// Vantage point of the measurement host.
-    pub vantage: Vantage,
     /// Seconds of simulated spacing between consecutive site visits during a
     /// crawl (advances the global clock, which matters for time-varying DNS).
     pub visit_spacing_secs: u64,
@@ -91,7 +91,6 @@ impl Default for BrowserConfig {
             },
             page_timeout: Duration::from_secs(300),
             resolver: ResolverId(1000),
-            vantage: Vantage::Europe,
             visit_spacing_secs: 3,
             faults: FaultProfile::default(),
             retry: RetryPolicy::default(),
@@ -101,7 +100,7 @@ impl Default for BrowserConfig {
 
 impl BrowserConfig {
     /// The configuration of the paper's own Alexa measurement (Chromium 87,
-    /// Fetch credentials respected, European university vantage).
+    /// Fetch credentials respected, the university's own resolver).
     pub fn alexa_measurement() -> Self {
         BrowserConfig::default()
     }
@@ -119,7 +118,6 @@ impl BrowserConfig {
         BrowserConfig {
             duration_model: ConnectionDurationModel::KeepOpen,
             resolver: ResolverId(2000),
-            vantage: Vantage::NorthAmerica,
             visit_spacing_secs: 1,
             ..BrowserConfig::default()
         }
@@ -186,12 +184,11 @@ mod tests {
         let patched = BrowserConfig::alexa_without_fetch();
         assert!(alexa.reuse_policy.follow_fetch_credentials);
         assert!(!patched.reuse_policy.follow_fetch_credentials);
-        assert_eq!(alexa.vantage, Vantage::Europe);
+        assert_eq!(alexa.resolver, ResolverId(1000));
 
         let archive = BrowserConfig::http_archive_crawler();
         assert_eq!(archive.duration_model, ConnectionDurationModel::KeepOpen);
-        assert_eq!(archive.vantage, Vantage::NorthAmerica);
-        assert_ne!(archive.resolver, alexa.resolver);
+        assert_eq!(archive.resolver, ResolverId(2000));
     }
 
     #[test]

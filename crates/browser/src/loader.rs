@@ -7,7 +7,6 @@ use crate::scratch::{ScratchRequest, VisitScratch, VisitTimes};
 use crate::session::{ResumptionCache, UserSession};
 use crate::visit::PageVisit;
 use netsim_cost::loss_retransmit_extra_micros;
-use netsim_dns::{Authority, RecursiveResolver, ResolverConfig};
 use netsim_fetch::partition_for_planned;
 use netsim_h2::reuse::evaluate_set;
 use netsim_h2::{CloseReason, Connection, ConnectionState};
@@ -98,7 +97,7 @@ impl Browser {
         let started_at = clock.now();
         // Caches are reset between visits (only in-visit DNS reuse happens);
         // the scratch flushes rather than drops the resolver.
-        scratch.begin_visit(self.config.resolver, self.config.vantage);
+        scratch.begin_visit(self.config.resolver);
         if scratch.netlog_enabled() {
             scratch.netlog.record(started_at, NetLogEventKind::PageLoadStarted { domain: site.domain });
         }
@@ -165,7 +164,7 @@ impl Browser {
     ) -> VisitTimes {
         let started_at = clock.now();
         let first_page = session.pages_loaded() == 0;
-        scratch.begin_session_page(self.config.resolver, self.config.vantage, first_page, started_at);
+        scratch.begin_session_page(self.config.resolver, first_page, started_at);
         if scratch.netlog_enabled() {
             scratch.netlog.record(started_at, NetLogEventKind::PageLoadStarted { domain: site.domain });
         }
@@ -271,9 +270,15 @@ impl Browser {
         scratch.timeline.plt_millis = (finished_at - started_at).as_millis();
         let timeline = &scratch.timeline;
         // Only an opened connection can resume; only a recursive walk
-        // (injected failures count as one) can fail.
+        // (injected failures count as one) can fail; every walk asks the
+        // authority exactly once unless the fault layer failed it first.
         debug_assert!(timeline.resumed_handshakes <= timeline.connections_opened, "{timeline:?}");
         debug_assert!(timeline.dns_failures <= timeline.dns_recursive_walks, "{timeline:?}");
+        debug_assert!(timeline.dns_authority_queries <= timeline.dns_recursive_walks, "{timeline:?}");
+        debug_assert!(
+            timeline.dns_recursive_walks <= timeline.dns_authority_queries + timeline.faults_injected,
+            "{timeline:?}"
+        );
         VisitTimes { started_at, finished_at }
     }
 
@@ -686,19 +691,6 @@ enum FetchAttempt {
 /// [`BrowserConfig`] construction, so the division is always well-defined.
 fn transfer_time(body_size: u64, config: &BrowserConfig) -> Duration {
     Duration::from_millis(body_size.div_ceil(config.bandwidth_bytes_per_ms))
-}
-
-/// Convenience used by tests and examples: resolve a domain once with a fresh
-/// resolver configured like the browser would.
-pub fn resolve_once(
-    authority: &Authority,
-    config: &BrowserConfig,
-    domain: &netsim_types::DomainName,
-    now: Instant,
-) -> Option<netsim_types::IpAddr> {
-    let mut resolver =
-        RecursiveResolver::new(ResolverConfig::new(config.resolver, config.vantage, "adhoc-resolver"));
-    resolver.resolve(authority, domain, now).ok().and_then(|a| a.primary_address())
 }
 
 #[cfg(test)]

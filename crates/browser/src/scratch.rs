@@ -30,7 +30,7 @@ use crate::fault::VisitOutcome;
 use crate::netlog::NetLog;
 use crate::visit::{PageVisit, RequestLogEntry};
 use netsim_cost::VisitTimeline;
-use netsim_dns::{RecursiveResolver, ResolverConfig, ResolverId, Vantage};
+use netsim_dns::{RecursiveResolver, ResolverId};
 use netsim_fetch::RequestDestination;
 use netsim_h2::reuse::RefusalSet;
 use netsim_h2::Connection;
@@ -88,7 +88,7 @@ pub struct VisitScratch {
     /// The current visit's event log (empty while disabled).
     pub(crate) netlog: NetLog,
     netlog_enabled: bool,
-    /// The reusable resolver; rebuilt only when the config identity changes.
+    /// The reusable resolver; rebuilt only when the resolver id changes.
     resolver: Option<RecursiveResolver>,
     /// `true` if any response of the current visit had a non-200 status —
     /// the streaming classifier falls back to the full path then.
@@ -126,8 +126,8 @@ impl VisitScratch {
     }
 
     /// Reset the per-page state and return the resolver, rebuilt only when
-    /// the config identity changes.
-    fn begin_page(&mut self, resolver: ResolverId, vantage: Vantage) -> &mut RecursiveResolver {
+    /// the resolver id changes.
+    fn begin_page(&mut self, resolver: ResolverId) -> &mut RecursiveResolver {
         self.connections.clear();
         self.closed.clear();
         self.requests.clear();
@@ -135,21 +135,16 @@ impl VisitScratch {
         self.netlog.clear();
         self.any_non_ok = false;
         self.timeline.reset();
-        let rebuild = match &self.resolver {
-            Some(existing) => existing.config().id != resolver || existing.config().vantage != vantage,
-            None => true,
-        };
-        if rebuild {
-            self.resolver =
-                Some(RecursiveResolver::new(ResolverConfig::new(resolver, vantage, "measurement-resolver")));
+        if self.resolver.as_ref().is_none_or(|existing| existing.id() != resolver) {
+            self.resolver = Some(RecursiveResolver::new(resolver));
         }
         self.resolver.as_mut().expect("resolver just ensured")
     }
 
     /// Prepare for the next visit: drop the previous visit's connections,
     /// clear the logs and flush (not drop) the resolver cache.
-    pub(crate) fn begin_visit(&mut self, resolver: ResolverId, vantage: Vantage) {
-        self.begin_page(resolver, vantage).flush_cache();
+    pub(crate) fn begin_visit(&mut self, resolver: ResolverId) {
+        self.begin_page(resolver).flush_cache();
     }
 
     /// Prepare for the next page of a *multi-page session* visit. Unlike
@@ -159,14 +154,8 @@ impl VisitScratch {
     /// merely sweeps TTL-expired lines (`expire_stale`) afterwards. Within a
     /// session the connection list is already empty here (the session's
     /// [`crate::ConnectionPool`] absorbed it at the previous page's end).
-    pub(crate) fn begin_session_page(
-        &mut self,
-        resolver: ResolverId,
-        vantage: Vantage,
-        first_page: bool,
-        now: Instant,
-    ) {
-        let resolver = self.begin_page(resolver, vantage);
+    pub(crate) fn begin_session_page(&mut self, resolver: ResolverId, first_page: bool, now: Instant) {
+        let resolver = self.begin_page(resolver);
         if first_page {
             resolver.flush_cache();
         } else {

@@ -26,9 +26,11 @@ netsim_types::counters! {
         pub dns_cache_hits: u64,
         /// DNS lookups that required a recursive walk to the authority.
         pub dns_recursive_walks: u64,
-        /// Authority queries those walks performed (CNAME chains count each hop).
+        /// Authority queries those walks performed: one per walk, none for a
+        /// walk the fault layer failed before it reached the authority.
         pub dns_authority_queries: u64,
-        /// Resolutions that failed (NXDOMAIN, empty answers, CNAME loops).
+        /// Resolutions that failed (NXDOMAIN, empty answers, injected
+        /// failures).
         pub dns_failures: u64,
         /// Connections the visit had to open.
         pub connections_opened: u64,

@@ -1,15 +1,16 @@
 //! The authoritative side of the simulated DNS.
 //!
-//! [`Authority`] aggregates all zone data of a simulation run. Recursive
+//! [`Authority`] aggregates all zone data of a simulation run: every owner
+//! name maps to the [`LoadBalancePolicy`] that picks its addresses. Recursive
 //! resolvers send it name queries together with a [`QueryContext`]; it looks
-//! the owner name up and returns the matching records. Zone cuts and
-//! delegation latency are not modelled — the analysis only depends on *which
-//! addresses* come back, not on how many referrals it took to find them.
+//! the owner name up and emits the selected addresses. Zone cuts, aliases
+//! and delegation latency are not modelled — the analysis only depends on
+//! *which addresses* come back, not on how many referrals it took to find
+//! them.
 
+use crate::loadbalance::LoadBalancePolicy;
 use crate::query::QueryContext;
-use crate::record::ResourceRecord;
-use crate::zone::ZoneEntry;
-use netsim_types::{DomainName, FnvHashMap};
+use netsim_types::{DomainName, FnvHashMap, IpAddr};
 use std::sync::Arc;
 
 /// The collection of all authoritative zone data.
@@ -32,8 +33,8 @@ use std::sync::Arc;
 /// them per chunk.
 #[derive(Clone, Debug, Default)]
 pub struct Authority {
-    /// Owner name → entry.
-    entries: FnvHashMap<DomainName, ZoneEntry>,
+    /// Owner name → address-selection policy.
+    entries: FnvHashMap<DomainName, LoadBalancePolicy>,
     /// Shared read-only entries consulted before the local layer.
     base: Option<Arc<Authority>>,
 }
@@ -47,19 +48,19 @@ impl Authority {
     /// An empty authority layered over a shared base. The layers' name sets
     /// must stay disjoint: the base answers first, so a local entry for a
     /// base-known name would be shadowed (debug-asserted in
-    /// [`Authority::insert_entry`]).
+    /// [`Authority::insert`]).
     pub fn with_base(base: Arc<Authority>) -> Self {
         Authority { entries: FnvHashMap::default(), base: Some(base) }
     }
 
-    /// Insert (or replace) the entry for `name`. This is the common path for
-    /// the population generator.
-    pub fn insert_entry(&mut self, name: DomainName, entry: ZoneEntry) {
+    /// Insert (or replace) the policy answering for `name`. This is the
+    /// common path for the population generator.
+    pub fn insert(&mut self, name: DomainName, policy: LoadBalancePolicy) {
         debug_assert!(
             self.base.as_ref().is_none_or(|base| !base.knows(&name)),
             "layered authority inserted {name}, which the shared base already answers"
         );
-        self.entries.insert(name, entry);
+        self.entries.insert(name, policy);
     }
 
     /// Number of owner names in the local layer.
@@ -67,30 +68,23 @@ impl Authority {
         self.entries.len()
     }
 
-    /// Answer a query: the records for `name` under `ctx`, or an empty vector
-    /// for names nobody is authoritative for (NXDOMAIN).
-    pub fn query(&self, name: &DomainName, ctx: &QueryContext) -> Vec<ResourceRecord> {
-        let mut records = Vec::new();
-        self.query_into(name, ctx, &mut records);
-        records
-    }
-
-    /// Like [`Authority::query`], but appends the records to `out` instead of
-    /// allocating a fresh vector — the resolver hot path reuses one buffer
-    /// across lookups.
-    pub fn query_into(&self, name: &DomainName, ctx: &QueryContext, out: &mut Vec<ResourceRecord>) {
+    /// Answer a query: append the addresses `name`'s policy selects under
+    /// `ctx` to `out` and return `true`, or return `false` (NXDOMAIN) when
+    /// no layer has an entry for `name`. The resolver hot path passes its
+    /// answer buffer, so a lookup allocates nothing.
+    pub fn addresses_into(&self, name: &DomainName, ctx: &QueryContext, out: &mut Vec<IpAddr>) -> bool {
         // Layered authorities keep the (small, densely hit) shared service
         // entries in the base and the per-site entries locally; the name
         // sets are disjoint, so probe the base first.
-        let before = out.len();
-        if let Some(base) = &self.base {
-            base.query_into(name, ctx, out);
-            if out.len() > before {
-                return;
-            }
+        if self.base.as_ref().is_some_and(|base| base.addresses_into(name, ctx, out)) {
+            return true;
         }
-        if let Some(entry) = self.entries.get(name) {
-            entry.records_into(name, ctx, out);
+        match self.entries.get(name) {
+            Some(policy) => {
+                policy.select_each(name, ctx, |ip| out.push(ip));
+                true
+            }
+            None => false,
         }
     }
 
@@ -103,27 +97,25 @@ impl Authority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loadbalance::LoadBalancePolicy;
-    use crate::query::{ResolverId, Vantage};
-    use netsim_types::{Instant, IpAddr};
+    use crate::query::ResolverId;
+    use netsim_types::Instant;
 
     fn d(s: &str) -> DomainName {
         DomainName::literal(s)
     }
 
-    fn ctx() -> QueryContext {
-        QueryContext::new(ResolverId(0), Vantage::Europe, Instant::EPOCH)
-    }
-
     fn authority() -> Authority {
         let mut auth = Authority::new();
-        auth.insert_entry(d("example.com"), ZoneEntry::single(IpAddr::new(192, 0, 2, 1)));
-        auth.insert_entry(d("www.example.com"), ZoneEntry::alias(d("example.com")));
-        auth.insert_entry(
-            d("cdn.provider.net"),
-            ZoneEntry::balanced(LoadBalancePolicy::single(IpAddr::new(198, 51, 100, 7))),
-        );
+        auth.insert(d("example.com"), LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 1)));
+        auth.insert(d("www.example.com"), LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 2)));
+        auth.insert(d("cdn.provider.net"), LoadBalancePolicy::single(IpAddr::new(198, 51, 100, 7)));
         auth
+    }
+
+    fn addresses(auth: &Authority, name: &str) -> Option<Vec<IpAddr>> {
+        let ctx = QueryContext::new(ResolverId(0), Instant::EPOCH);
+        let mut out = Vec::new();
+        auth.addresses_into(&d(name), &ctx, &mut out).then_some(out)
     }
 
     #[test]
@@ -136,15 +128,24 @@ mod tests {
     }
 
     #[test]
-    fn query_returns_records_or_nxdomain() {
+    fn query_returns_addresses_or_nxdomain() {
         let auth = authority();
-        let records = auth.query(&d("example.com"), &ctx());
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].data.as_a(), Some(IpAddr::new(192, 0, 2, 1)));
-        let alias = auth.query(&d("www.example.com"), &ctx());
-        assert_eq!(alias[0].data.as_cname(), Some(&d("example.com")));
-        assert!(auth.query(&d("nothing.example.org"), &ctx()).is_empty());
-        // Name under a known zone but without an entry: empty answer.
-        assert!(auth.query(&d("mail.example.com"), &ctx()).is_empty());
+        assert_eq!(addresses(&auth, "example.com"), Some(vec![IpAddr::new(192, 0, 2, 1)]));
+        assert_eq!(addresses(&auth, "www.example.com"), Some(vec![IpAddr::new(192, 0, 2, 2)]));
+        assert_eq!(addresses(&auth, "nothing.example.org"), None);
+        // Name under a known zone but without an entry: NXDOMAIN.
+        assert_eq!(addresses(&auth, "mail.example.com"), None);
+    }
+
+    #[test]
+    fn layered_lookups_probe_the_base_then_the_local_layer() {
+        let mut base = Authority::new();
+        base.insert(d("shared.net"), LoadBalancePolicy::single(IpAddr::new(198, 51, 100, 1)));
+        let mut layered = Authority::with_base(Arc::new(base));
+        layered.insert(d("site.com"), LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 9)));
+        assert_eq!(layered.name_count(), 1);
+        assert_eq!(addresses(&layered, "shared.net"), Some(vec![IpAddr::new(198, 51, 100, 1)]));
+        assert_eq!(addresses(&layered, "site.com"), Some(vec![IpAddr::new(192, 0, 2, 9)]));
+        assert_eq!(addresses(&layered, "other.com"), None);
     }
 }

@@ -9,21 +9,17 @@
 //! resolve to *slightly different* addresses in the same /24 — so RFC 7540
 //! Connection Reuse never fires. Appendix A.4 then probes 14 public resolvers
 //! every six minutes for days to show that whether two domains' answers
-//! overlap depends on time and vantage point.
+//! overlap depends on time and resolver.
 //!
 //! This crate models exactly the moving parts behind that phenomenon:
 //!
-//! * [`record`] — resource records (A, CNAME) and answer sets,
-//! * [`zone`] — authoritative zone data binding a domain to either static
-//!   records or a [`loadbalance::LoadBalancePolicy`],
-//! * [`loadbalance`] — answer-selection policies: static, rotating pools,
-//!   per-resolver (unsynchronized) pools, vantage-dependent and synchronized
-//!   anycast-style policies,
-//! * [`authority`] — the authoritative side: an owner-name index queried by
-//!   resolvers,
-//! * [`resolver`] — recursive resolvers with TTL caches, CNAME chasing and an
-//!   optional EDNS Client Subnet flag,
-//! * [`query`] — the query context (who asks, from where, when).
+//! * [`loadbalance`] — answer-selection policies: static, per-resolver
+//!   (unsynchronized) pools and synchronized anycast-style pools,
+//! * [`authority`] — the authoritative side: an owner-name → policy index
+//!   queried by resolvers,
+//! * [`resolver`] — recursive resolvers caching address answers for one
+//!   fixed TTL,
+//! * [`query`] — the query context (which resolver asks, and when).
 
 // The zero-allocation visit fast path made these hot paths clone-free;
 // keep them that way.
@@ -33,13 +29,9 @@
 pub mod authority;
 pub mod loadbalance;
 pub mod query;
-pub mod record;
 pub mod resolver;
-pub mod zone;
 
 pub use authority::Authority;
 pub use loadbalance::LoadBalancePolicy;
-pub use query::{QueryContext, ResolverId, Vantage};
-pub use record::{Answer, RecordData, ResourceRecord};
-pub use resolver::{RecursiveResolver, ResolutionError, ResolverConfig};
-pub use zone::ZoneEntry;
+pub use query::{QueryContext, ResolverId};
+pub use resolver::{Answer, RecursiveResolver, ResolutionError, ANSWER_TTL};

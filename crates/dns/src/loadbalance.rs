@@ -4,10 +4,11 @@
 //! *unsynchronized* DNS load balancing: each domain of a provider is balanced
 //! independently, so `www.googletagmanager.com` and `www.google-analytics.com`
 //! land on different members of the same address pool even though either host
-//! could serve both. The policies below reproduce that spectrum, from fully
-//! static answers to per-resolver, per-domain, time-varying selections — and a
-//! `SynchronizedPool` policy representing the fix the paper suggests (same
-//! CNAME / anycast address for all of a provider's domains).
+//! could serve both. The policies below are the three the generated web
+//! deploys: fully static answers, per-resolver, per-domain, time-varying
+//! selections — and a `SynchronizedPool` policy representing the fix the
+//! paper suggests (same CNAME / anycast address for all of a provider's
+//! domains).
 //!
 //! All selections are **deterministic** functions of the pool, the domain and
 //! the [`QueryContext`], so simulation runs are reproducible.
@@ -23,17 +24,6 @@ pub enum LoadBalancePolicy {
     Static {
         /// The fixed answer.
         addresses: Vec<IpAddr>,
-    },
-    /// Return `answer_size` consecutive pool members starting at an offset
-    /// that rotates with time (one step per `rotation_period`), identically
-    /// for every resolver. Classic round-robin rotation at the authority.
-    RotatingPool {
-        /// Candidate addresses.
-        pool: Vec<IpAddr>,
-        /// Number of addresses per answer.
-        answer_size: usize,
-        /// How often the rotation offset advances.
-        rotation_period: Duration,
     },
     /// Each (resolver, domain, time-bucket) triple is hashed to an offset into
     /// the pool — answers differ between resolvers and between domains even
@@ -60,14 +50,6 @@ pub enum LoadBalancePolicy {
         /// Assignment stability window.
         epoch: Duration,
     },
-    /// The answer depends only on the client's vantage point (geo-DNS):
-    /// each vantage gets a fixed slice of the pool.
-    VantageSteered {
-        /// Candidate addresses; sliced per vantage.
-        pool: Vec<IpAddr>,
-        /// Number of addresses per answer.
-        answer_size: usize,
-    },
 }
 
 impl LoadBalancePolicy {
@@ -76,39 +58,16 @@ impl LoadBalancePolicy {
         LoadBalancePolicy::Static { addresses: vec![address] }
     }
 
-    /// The full candidate pool of the policy.
-    pub fn pool(&self) -> &[IpAddr] {
-        match self {
-            LoadBalancePolicy::Static { addresses } => addresses,
-            LoadBalancePolicy::RotatingPool { pool, .. }
-            | LoadBalancePolicy::PerResolverPool { pool, .. }
-            | LoadBalancePolicy::SynchronizedPool { pool, .. }
-            | LoadBalancePolicy::VantageSteered { pool, .. } => pool,
-        }
-    }
-
-    /// Select the answer addresses for `domain` under context `ctx`.
-    ///
-    /// The returned list is never longer than the pool and never empty unless
-    /// the pool itself is empty.
-    pub fn select(&self, domain: &DomainName, ctx: &QueryContext) -> Vec<IpAddr> {
-        let mut addresses = Vec::new();
-        self.select_each(domain, ctx, |ip| addresses.push(ip));
-        addresses
-    }
-
-    /// Allocation-free form of [`LoadBalancePolicy::select`]: call `emit`
-    /// once per selected address, in answer order.
+    /// Select the answer addresses for `domain` under context `ctx`: call
+    /// `emit` once per selected address, in answer order. A selection is
+    /// never longer than the pool and never empty unless the pool itself is
+    /// empty.
     pub fn select_each<F: FnMut(IpAddr)>(&self, domain: &DomainName, ctx: &QueryContext, mut emit: F) {
         match self {
             LoadBalancePolicy::Static { addresses } => {
                 for ip in addresses {
                     emit(*ip);
                 }
-            }
-            LoadBalancePolicy::RotatingPool { pool, answer_size, rotation_period } => {
-                let bucket = time_bucket(ctx, *rotation_period);
-                emit_wrapped(pool, bucket as usize, *answer_size, &mut emit);
             }
             LoadBalancePolicy::PerResolverPool { pool, answer_size, epoch } => {
                 let bucket = time_bucket(ctx, *epoch);
@@ -120,14 +79,6 @@ impl LoadBalancePolicy {
                 let h = mix(((ctx.resolver.0 as u64) << 32) ^ bucket);
                 emit_wrapped(pool, h as usize, *answer_size, &mut emit);
             }
-            LoadBalancePolicy::VantageSteered { pool, answer_size } => {
-                if pool.is_empty() {
-                    return;
-                }
-                let slice = pool.len().div_ceil(4).max(1);
-                let start = (ctx.vantage.index() as usize * slice) % pool.len();
-                emit_wrapped(pool, start, *answer_size, &mut emit);
-            }
         }
     }
 
@@ -135,8 +86,8 @@ impl LoadBalancePolicy {
     /// unsynchronized [`LoadBalancePolicy::PerResolverPool`] becomes a
     /// [`LoadBalancePolicy::SynchronizedPool`] over the same pool (the
     /// per-domain hash is dropped, so co-hosted domains land on the same
-    /// member). Every other policy is already domain-agnostic and is
-    /// returned unchanged.
+    /// member). A static policy is already domain-agnostic and is returned
+    /// unchanged.
     #[must_use]
     pub fn synchronized(self) -> LoadBalancePolicy {
         match self {
@@ -174,7 +125,7 @@ fn mix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{ResolverId, Vantage};
+    use crate::query::ResolverId;
     use netsim_types::Instant;
 
     fn d(s: &str) -> DomainName {
@@ -186,14 +137,20 @@ mod tests {
     }
 
     fn ctx(resolver: u32, millis: u64) -> QueryContext {
-        QueryContext::new(ResolverId(resolver), Vantage::Europe, Instant::from_millis(millis))
+        QueryContext::new(ResolverId(resolver), Instant::from_millis(millis))
+    }
+
+    fn select(policy: &LoadBalancePolicy, domain: &str, ctx: &QueryContext) -> Vec<IpAddr> {
+        let mut addresses = Vec::new();
+        policy.select_each(&d(domain), ctx, |ip| addresses.push(ip));
+        addresses
     }
 
     #[test]
     fn static_policy_is_constant() {
         let p = LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 1));
-        assert_eq!(p.select(&d("x.example"), &ctx(0, 0)), vec![IpAddr::new(192, 0, 2, 1)]);
-        assert_eq!(p.select(&d("y.example"), &ctx(5, 999_999)), vec![IpAddr::new(192, 0, 2, 1)]);
+        assert_eq!(select(&p, "x.example", &ctx(0, 0)), vec![IpAddr::new(192, 0, 2, 1)]);
+        assert_eq!(select(&p, "y.example", &ctx(5, 999_999)), vec![IpAddr::new(192, 0, 2, 1)]);
     }
 
     #[test]
@@ -204,40 +161,30 @@ mod tests {
         assert_eq!(synced, LoadBalancePolicy::SynchronizedPool { pool: pool(8), answer_size: 1, epoch });
         // Synchronized answers agree across domains for the same context.
         let c = ctx(3, 1_000);
-        assert_eq!(synced.select(&d("a.example"), &c), synced.select(&d("b.example"), &c));
-        // Non-pool policies are unchanged.
+        assert_eq!(select(&synced, "a.example", &c), select(&synced, "b.example", &c));
+        // Static policies are unchanged.
         let stat = LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 7));
         assert_eq!(stat.clone().synchronized(), stat);
     }
 
     #[test]
-    fn rotating_pool_changes_with_time_not_resolver() {
-        let p = LoadBalancePolicy::RotatingPool {
-            pool: pool(4),
-            answer_size: 1,
-            rotation_period: Duration::from_secs(60),
-        };
-        let a0 = p.select(&d("x.example"), &ctx(0, 0));
-        let a1 = p.select(&d("x.example"), &ctx(7, 0));
-        assert_eq!(a0, a1, "same time, different resolver -> same answer");
-        let later = p.select(&d("x.example"), &ctx(0, 60_001));
-        assert_ne!(a0, later, "next rotation period -> next pool member");
-    }
-
-    #[test]
-    fn per_resolver_pool_differs_across_domains_and_resolvers() {
+    fn per_resolver_pool_differs_across_domains_resolvers_and_epochs() {
         let p = LoadBalancePolicy::PerResolverPool {
             pool: pool(16),
             answer_size: 1,
             epoch: Duration::from_mins(30),
         };
-        let ga = p.select(&d("www.google-analytics.com"), &ctx(1, 0));
-        let gtm = p.select(&d("www.googletagmanager.com"), &ctx(1, 0));
+        let ga = select(&p, "www.google-analytics.com", &ctx(1, 0));
+        let gtm = select(&p, "www.googletagmanager.com", &ctx(1, 0));
         assert_ne!(ga, gtm, "independent per-domain balancing");
-        let ga_other_resolver = p.select(&d("www.google-analytics.com"), &ctx(2, 0));
+        let ga_other_resolver = select(&p, "www.google-analytics.com", &ctx(2, 0));
         assert_ne!(ga, ga_other_resolver, "independent per-resolver balancing");
-        // deterministic within the epoch
-        assert_eq!(ga, p.select(&d("www.google-analytics.com"), &ctx(1, 100)));
+        // deterministic within the epoch, re-hashed in the next one
+        assert_eq!(ga, select(&p, "www.google-analytics.com", &ctx(1, 100)));
+        let next_epoch = (1..8u64)
+            .map(|epoch| select(&p, "www.google-analytics.com", &ctx(1, epoch * 30 * 60_000)))
+            .find(|answer| *answer != ga);
+        assert!(next_epoch.is_some(), "later epochs re-hash the assignment");
     }
 
     #[test]
@@ -247,43 +194,31 @@ mod tests {
             answer_size: 1,
             epoch: Duration::from_mins(30),
         };
-        let a = p.select(&d("www.google-analytics.com"), &ctx(1, 0));
-        let b = p.select(&d("www.googletagmanager.com"), &ctx(1, 0));
+        let a = select(&p, "www.google-analytics.com", &ctx(1, 0));
+        let b = select(&p, "www.googletagmanager.com", &ctx(1, 0));
         assert_eq!(a, b, "synchronized: all domains land on the same address");
     }
 
     #[test]
-    fn vantage_steering_partitions_the_pool() {
-        let p = LoadBalancePolicy::VantageSteered { pool: pool(8), answer_size: 1 };
-        let eu =
-            p.select(&d("x.example"), &QueryContext::new(ResolverId(0), Vantage::Europe, Instant::EPOCH));
-        let na = p.select(
-            &d("x.example"),
-            &QueryContext::new(ResolverId(0), Vantage::NorthAmerica, Instant::EPOCH),
-        );
-        assert_ne!(eu, na);
-    }
-
-    #[test]
     fn answer_size_is_clamped_and_empty_pool_is_empty() {
-        let p = LoadBalancePolicy::RotatingPool {
+        let p = LoadBalancePolicy::SynchronizedPool {
             pool: pool(3),
             answer_size: 10,
-            rotation_period: Duration::from_secs(60),
+            epoch: Duration::from_secs(60),
         };
-        assert_eq!(p.select(&d("x.example"), &ctx(0, 0)).len(), 3);
-        let empty = LoadBalancePolicy::RotatingPool {
+        assert_eq!(select(&p, "x.example", &ctx(0, 0)).len(), 3);
+        let empty = LoadBalancePolicy::PerResolverPool {
             pool: vec![],
             answer_size: 2,
-            rotation_period: Duration::from_secs(60),
+            epoch: Duration::from_secs(60),
         };
-        assert!(empty.select(&d("x.example"), &ctx(0, 0)).is_empty());
+        assert!(select(&empty, "x.example", &ctx(0, 0)).is_empty());
         let zero = LoadBalancePolicy::PerResolverPool {
             pool: pool(3),
             answer_size: 0,
             epoch: Duration::from_secs(60),
         };
-        assert_eq!(zero.select(&d("x.example"), &ctx(0, 0)).len(), 1);
+        assert_eq!(select(&zero, "x.example", &ctx(0, 0)).len(), 1);
     }
 
     #[test]
@@ -294,8 +229,8 @@ mod tests {
             epoch: Duration::from_mins(5),
         };
         for r in 0..20 {
-            for addr in p.select(&d("cdn.example"), &ctx(r, 1234)) {
-                assert!(p.pool().contains(&addr));
+            for addr in select(&p, "cdn.example", &ctx(r, 1234)) {
+                assert!(pool(16).contains(&addr));
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Query context: who asks, from where, and when.
+//! Query context: which resolver asks, and when.
 //!
 //! The paper's central DNS observation is that the *same* question can yield
 //! different answers depending on which recursive resolver asks (their caches
@@ -28,79 +28,19 @@ impl fmt::Debug for ResolverId {
     }
 }
 
-/// A coarse geographic / topological vantage point. Authoritative
-/// load balancers that steer by client location condition on this value; it
-/// also distinguishes the HTTP-Archive crawler (US) from the authors' German
-/// university vantage point, which the paper notes leads to e.g.
-/// `www.google.de` redirects.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
-pub enum Vantage {
-    /// North-America vantage (the HTTP Archive crawler).
-    NorthAmerica,
-    /// European vantage (the authors' measurement host at RWTH Aachen).
-    Europe,
-    /// Asia-Pacific vantage (several of the probe resolvers).
-    AsiaPacific,
-    /// South-America vantage.
-    SouthAmerica,
-}
-
-impl Vantage {
-    /// A stable small integer for hashing into load-balancer pools.
-    pub const fn index(self) -> u32 {
-        match self {
-            Vantage::NorthAmerica => 0,
-            Vantage::Europe => 1,
-            Vantage::AsiaPacific => 2,
-            Vantage::SouthAmerica => 3,
-        }
-    }
-
-    /// All vantage points.
-    pub const fn all() -> [Vantage; 4] {
-        [Vantage::NorthAmerica, Vantage::Europe, Vantage::AsiaPacific, Vantage::SouthAmerica]
-    }
-}
-
-impl fmt::Display for Vantage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Vantage::NorthAmerica => "north-america",
-            Vantage::Europe => "europe",
-            Vantage::AsiaPacific => "asia-pacific",
-            Vantage::SouthAmerica => "south-america",
-        };
-        f.write_str(name)
-    }
-}
-
 /// The context in which a DNS query reaches an authoritative server.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryContext {
     /// The recursive resolver forwarding the query.
     pub resolver: ResolverId,
-    /// Where the resolver (or, with ECS, the client) is located.
-    pub vantage: Vantage,
     /// Simulated time of the query.
     pub now: Instant,
-    /// Whether the resolver forwards an EDNS Client Subnet option. The probe
-    /// explicitly selects resolvers *without* ECS support; when present,
-    /// vantage-steering policies see the client's vantage rather than the
-    /// resolver's.
-    pub ecs: bool,
 }
 
 impl QueryContext {
-    /// A query context at `now` from `resolver` located at `vantage`,
-    /// without ECS.
-    pub fn new(resolver: ResolverId, vantage: Vantage, now: Instant) -> Self {
-        QueryContext { resolver, vantage, now, ecs: false }
-    }
-
-    /// The same context with ECS enabled.
-    pub fn with_ecs(mut self) -> Self {
-        self.ecs = true;
-        self
+    /// A query context at `now` from `resolver`.
+    pub fn new(resolver: ResolverId, now: Instant) -> Self {
+        QueryContext { resolver, now }
     }
 }
 
@@ -109,20 +49,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vantage_indices_are_distinct() {
-        let mut seen = std::collections::BTreeSet::new();
-        for v in Vantage::all() {
-            assert!(seen.insert(v.index()));
-        }
-        assert_eq!(seen.len(), 4);
-    }
-
-    #[test]
     fn context_builder() {
-        let ctx = QueryContext::new(ResolverId(3), Vantage::Europe, Instant::from_millis(500));
-        assert!(!ctx.ecs);
-        assert!(ctx.with_ecs().ecs);
+        let ctx = QueryContext::new(ResolverId(3), Instant::from_millis(500));
+        assert_eq!(ctx.resolver, ResolverId(3));
+        assert_eq!(ctx.now, Instant::from_millis(500));
         assert_eq!(ctx.resolver.to_string(), "resolver-3");
-        assert_eq!(Vantage::Europe.to_string(), "europe");
     }
 }

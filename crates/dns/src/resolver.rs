@@ -1,4 +1,4 @@
-//! Recursive resolvers with TTL caches and CNAME chasing.
+//! Recursive resolvers with TTL caches.
 //!
 //! The browser in the measurement setup uses "our own recursive resolver";
 //! the Appendix A.4 probe uses 14 public resolvers spread around the world.
@@ -9,68 +9,61 @@
 //!    resolver can hold non-overlapping answers for them.
 //! 2. **Resolver identity is part of the load-balancing key.** Authorities
 //!    that hash by resolver hand different pool members to different
-//!    resolvers, so the vantage point changes what the browser connects to.
+//!    resolvers, so the resolver a browser uses changes what it connects to.
 
 use crate::authority::Authority;
-use crate::query::{QueryContext, ResolverId, Vantage};
-use crate::record::{Answer, RecordData, ResourceRecord};
-use netsim_types::{DomainName, Duration, FnvHashMap, Instant};
+use crate::query::{QueryContext, ResolverId};
+use netsim_types::{DomainName, Duration, FnvHashMap, Instant, IpAddr};
 use serde::{Deserialize, Serialize};
 
-/// Maximum CNAME chain length before the resolver gives up (loop protection).
-const MAX_CNAME_DEPTH: usize = 8;
+/// The TTL of every address answer (5 minutes, a common value for
+/// load-balanced names). A resolver caches an answer for exactly this long.
+pub const ANSWER_TTL: Duration = Duration::from_secs(300);
 
-/// Configuration of one recursive resolver.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ResolverConfig {
-    /// Stable identity, part of the authoritative load-balancing key.
-    pub id: ResolverId,
-    /// Where the resolver sits.
-    pub vantage: Vantage,
-    /// Whether it forwards EDNS Client Subnet (the probe resolvers were
-    /// chosen not to).
-    pub ecs: bool,
-    /// Human-readable operator label (Table 11).
-    pub label: String,
-    /// Cap applied on top of record TTLs (some resolvers clamp TTLs).
-    pub max_ttl: Duration,
+/// The answer a resolver hands back to a client for an address query.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Answer {
+    /// The addresses, in the order the authority returned them. Browsers
+    /// typically connect to the first address.
+    pub addresses: Vec<IpAddr>,
+    /// When a cached copy of this answer must be discarded.
+    pub expires_at: Instant,
 }
 
-impl ResolverConfig {
-    /// A resolver with sensible defaults at the given vantage.
-    pub fn new(id: ResolverId, vantage: Vantage, label: &str) -> Self {
-        ResolverConfig { id, vantage, ecs: false, label: label.to_string(), max_ttl: Duration::from_hours(1) }
+impl Answer {
+    /// The address a client will connect to (the first one), if any.
+    pub fn primary_address(&self) -> Option<IpAddr> {
+        self.addresses.first().copied()
+    }
+
+    /// `true` if `self` and `other` share at least one address — the overlap
+    /// criterion of the Appendix A.4 probe.
+    pub fn overlaps(&self, other: &Answer) -> bool {
+        self.addresses.iter().any(|a| other.addresses.contains(a))
+    }
+
+    /// `true` if the answer is still valid at `now`.
+    pub fn fresh_at(&self, now: Instant) -> bool {
+        now < self.expires_at
     }
 }
 
 /// Errors a resolution can produce.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ResolutionError {
-    /// No authoritative data exists for the name.
+    /// No authoritative addresses exist for the name.
     NxDomain(DomainName),
-    /// The name only resolved to a CNAME chain that never reached addresses.
-    NoAddress(DomainName),
-    /// The CNAME chain exceeded the resolver's depth limit (8 hops).
-    CnameLoop(DomainName),
 }
 
 impl std::fmt::Display for ResolutionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResolutionError::NxDomain(d) => write!(f, "NXDOMAIN for {d}"),
-            ResolutionError::NoAddress(d) => write!(f, "no address records for {d}"),
-            ResolutionError::CnameLoop(d) => write!(f, "CNAME chain too long resolving {d}"),
         }
     }
 }
 
 impl std::error::Error for ResolutionError {}
-
-/// One cached answer.
-#[derive(Clone, Debug)]
-struct CacheLine {
-    answer: Answer,
-}
 
 /// A caching recursive resolver.
 ///
@@ -83,12 +76,11 @@ struct CacheLine {
 /// cached answer rather than a clone.
 #[derive(Clone, Debug)]
 pub struct RecursiveResolver {
-    config: ResolverConfig,
-    cache: FnvHashMap<DomainName, CacheLine>,
-    /// Recycled `(addresses, cname_chain)` buffers from flushed cache lines.
-    pool: Vec<(Vec<netsim_types::IpAddr>, Vec<DomainName>)>,
-    /// Scratch buffer for authority queries (reused across lookups).
-    records: Vec<ResourceRecord>,
+    /// Stable identity, part of the authoritative load-balancing key.
+    id: ResolverId,
+    cache: FnvHashMap<DomainName, Answer>,
+    /// Recycled address buffers from flushed cache lines.
+    pool: Vec<Vec<IpAddr>>,
     /// Scratch buffer of names collected by [`RecursiveResolver::expire_stale`]
     /// (reused across sweeps).
     expired: Vec<DomainName>,
@@ -103,29 +95,29 @@ pub struct ResolverStats {
     pub cache_hits: u64,
     /// Queries that required contacting the authority.
     pub cache_misses: u64,
-    /// Individual authority queries performed by recursive walks (every
-    /// CNAME hop counts one — the latency unit the cost model charges).
+    /// Authority queries performed by recursive walks — exactly one per walk
+    /// (the latency unit the cost model charges); an injected failure never
+    /// reaches the authority.
     pub authority_queries: u64,
     /// Resolutions that ended in an error.
     pub failures: u64,
 }
 
 impl RecursiveResolver {
-    /// Create a resolver from its configuration.
-    pub fn new(config: ResolverConfig) -> Self {
+    /// Create a resolver with identity `id`.
+    pub fn new(id: ResolverId) -> Self {
         RecursiveResolver {
-            config,
+            id,
             cache: FnvHashMap::default(),
             pool: Vec::new(),
-            records: Vec::new(),
             expired: Vec::new(),
             stats: ResolverStats::default(),
         }
     }
 
-    /// The resolver's configuration.
-    pub fn config(&self) -> &ResolverConfig {
-        &self.config
+    /// The resolver's identity.
+    pub fn id(&self) -> ResolverId {
+        self.id
     }
 
     /// Activity counters.
@@ -153,11 +145,8 @@ impl RecursiveResolver {
     /// between site visits). The answers' buffers are recycled into an
     /// internal pool so subsequent resolutions reuse them.
     pub fn flush_cache(&mut self) {
-        for (_, line) in self.cache.drain() {
-            let Answer { mut addresses, mut cname_chain, .. } = line.answer;
-            addresses.clear();
-            cname_chain.clear();
-            self.pool.push((addresses, cname_chain));
+        for (_, answer) in self.cache.drain() {
+            self.pool.push(recycled(answer));
         }
     }
 
@@ -170,23 +159,20 @@ impl RecursiveResolver {
     /// [`RecursiveResolver::cache_len`] an honest live-entry count.
     pub fn expire_stale(&mut self, now: Instant) {
         self.expired.clear();
-        for (name, line) in self.cache.iter() {
-            if !line.answer.fresh_at(now) {
+        for (name, answer) in self.cache.iter() {
+            if !answer.fresh_at(now) {
                 self.expired.push(*name);
             }
         }
         for index in 0..self.expired.len() {
-            if let Some(line) = self.cache.remove(&self.expired[index]) {
-                let Answer { mut addresses, mut cname_chain, .. } = line.answer;
-                addresses.clear();
-                cname_chain.clear();
-                self.pool.push((addresses, cname_chain));
+            if let Some(answer) = self.cache.remove(&self.expired[index]) {
+                self.pool.push(recycled(answer));
             }
         }
     }
 
     /// Resolve `name` to addresses at simulated time `now`, consulting the
-    /// cache first and chasing CNAMEs through `authority` otherwise.
+    /// cache first and querying `authority` otherwise.
     ///
     /// Returns a borrow of the cached answer; clone it only if it must
     /// outlive the next call on this resolver.
@@ -196,179 +182,75 @@ impl RecursiveResolver {
         name: &DomainName,
         now: Instant,
     ) -> Result<&Answer, ResolutionError> {
-        if self.cache.get(name).is_some_and(|line| line.answer.fresh_at(now)) {
+        if self.cache.get(name).is_some_and(|answer| answer.fresh_at(now)) {
             self.stats.cache_hits += 1;
-            return Ok(&self.cache.get(name).expect("entry just checked").answer);
+            return Ok(self.cache.get(name).expect("entry just checked"));
         }
         self.stats.cache_misses += 1;
-        let ctx = QueryContext {
-            resolver: self.config.id,
-            vantage: self.config.vantage,
-            now,
-            ecs: self.config.ecs,
-        };
-        match self.resolve_uncached(authority, name, &ctx) {
-            Ok(answer) => {
-                // Replacing a stale line recycles its buffers first.
-                if let Some(stale) = self.cache.remove(name) {
-                    let Answer { mut addresses, mut cname_chain, .. } = stale.answer;
-                    addresses.clear();
-                    cname_chain.clear();
-                    self.pool.push((addresses, cname_chain));
-                }
-                let line = self.cache.entry(*name).or_insert(CacheLine { answer });
-                Ok(&line.answer)
-            }
-            Err(err) => {
-                self.stats.failures += 1;
-                Err(err)
-            }
+        self.stats.authority_queries += 1;
+        let mut addresses = self.pool.pop().unwrap_or_default();
+        authority.addresses_into(name, &QueryContext::new(self.id, now), &mut addresses);
+        if addresses.is_empty() {
+            self.pool.push(addresses);
+            self.stats.failures += 1;
+            return Err(ResolutionError::NxDomain(*name));
         }
-    }
-
-    fn resolve_uncached(
-        &mut self,
-        authority: &Authority,
-        name: &DomainName,
-        ctx: &QueryContext,
-    ) -> Result<Answer, ResolutionError> {
-        let (mut addresses, mut chain) = self.pool.pop().unwrap_or_default();
-        let mut records = std::mem::take(&mut self.records);
-        let result = Self::chase(
-            authority,
-            name,
-            ctx,
-            self.config.max_ttl,
-            &mut addresses,
-            &mut chain,
-            &mut records,
-            &mut self.stats.authority_queries,
-        );
-        records.clear();
-        self.records = records;
-        match result {
-            Ok((canonical_name, expires_at)) => {
-                Ok(Answer { query_name: *name, canonical_name, cname_chain: chain, addresses, expires_at })
-            }
-            Err(err) => {
-                addresses.clear();
-                chain.clear();
-                self.pool.push((addresses, chain));
-                Err(err)
-            }
+        // Replacing a stale line recycles its buffer first.
+        if let Some(stale) = self.cache.remove(name) {
+            self.pool.push(recycled(stale));
         }
-    }
-
-    /// Chase CNAMEs from `name`, filling `addresses`/`chain` in place.
-    /// Returns the canonical name and expiry on success.
-    #[allow(clippy::too_many_arguments)]
-    fn chase(
-        authority: &Authority,
-        name: &DomainName,
-        ctx: &QueryContext,
-        max_ttl: Duration,
-        addresses: &mut Vec<netsim_types::IpAddr>,
-        chain: &mut Vec<DomainName>,
-        records: &mut Vec<ResourceRecord>,
-        queries: &mut u64,
-    ) -> Result<(DomainName, Instant), ResolutionError> {
-        let mut current = *name;
-        let mut min_ttl = max_ttl;
-        for _ in 0..MAX_CNAME_DEPTH {
-            records.clear();
-            *queries += 1;
-            authority.query_into(&current, ctx, records);
-            if records.is_empty() {
-                return if chain.is_empty() {
-                    Err(ResolutionError::NxDomain(*name))
-                } else {
-                    Err(ResolutionError::NoAddress(*name))
-                };
-            }
-            // Either a CNAME (single record) or a set of A records.
-            if let Some(target) = records[0].data.as_cname() {
-                min_ttl = min_duration(min_ttl, records[0].ttl);
-                chain.push(*target);
-                current = *target;
-                continue;
-            }
-            for record in records.iter() {
-                match &record.data {
-                    RecordData::A(ip) => {
-                        min_ttl = min_duration(min_ttl, record.ttl);
-                        addresses.push(*ip);
-                    }
-                    RecordData::Cname(_) => {}
-                }
-            }
-            if addresses.is_empty() {
-                return Err(ResolutionError::NoAddress(*name));
-            }
-            let effective_ttl = min_duration(min_ttl, max_ttl);
-            return Ok((current, ctx.now + effective_ttl));
-        }
-        Err(ResolutionError::CnameLoop(*name))
+        Ok(self.cache.entry(*name).or_insert(Answer { addresses, expires_at: now + ANSWER_TTL }))
     }
 }
 
-fn min_duration(a: Duration, b: Duration) -> Duration {
-    if a <= b {
-        a
-    } else {
-        b
-    }
+/// An answer's address buffer, emptied for reuse.
+fn recycled(answer: Answer) -> Vec<IpAddr> {
+    let mut addresses = answer.addresses;
+    addresses.clear();
+    addresses
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loadbalance::LoadBalancePolicy;
-    use crate::zone::ZoneEntry;
-    use netsim_types::IpAddr;
 
     fn d(s: &str) -> DomainName {
         DomainName::literal(s)
     }
 
     fn resolver() -> RecursiveResolver {
-        RecursiveResolver::new(ResolverConfig::new(ResolverId(1), Vantage::Europe, "internal"))
+        RecursiveResolver::new(ResolverId(1))
     }
 
     fn authority() -> Authority {
         let mut auth = Authority::new();
-        auth.insert_entry(d("example.com"), ZoneEntry::single(IpAddr::new(192, 0, 2, 1)));
-        auth.insert_entry(d("www.example.com"), ZoneEntry::alias(d("example.com")));
-        auth.insert_entry(d("a.example.com"), ZoneEntry::alias(d("b.example.com")));
-        auth.insert_entry(d("b.example.com"), ZoneEntry::alias(d("a.example.com")));
-        auth.insert_entry(
+        auth.insert(d("example.com"), LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 1)));
+        auth.insert(d("empty.example.com"), LoadBalancePolicy::Static { addresses: Vec::new() });
+        auth.insert(
             d("lb.example.com"),
-            ZoneEntry::Addresses {
-                policy: LoadBalancePolicy::RotatingPool {
-                    pool: (0..4).map(|i| IpAddr::new(10, 0, 0, i)).collect(),
-                    answer_size: 1,
-                    rotation_period: Duration::from_secs(60),
-                },
-                ttl: Duration::from_secs(30),
+            LoadBalancePolicy::PerResolverPool {
+                pool: (0..16).map(|i| IpAddr::new(10, 0, 0, i)).collect(),
+                answer_size: 1,
+                epoch: Duration::from_secs(60),
             },
         );
         auth
     }
 
     #[test]
-    fn resolves_direct_and_via_cname() {
+    fn resolves_addresses_with_the_fixed_ttl() {
         let auth = authority();
         let mut r = resolver();
-        let direct = r.resolve(&auth, &d("example.com"), Instant::EPOCH).unwrap();
-        assert_eq!(direct.primary_address(), Some(IpAddr::new(192, 0, 2, 1)));
-        assert!(direct.cname_chain.is_empty());
-        let via = r.resolve(&auth, &d("www.example.com"), Instant::EPOCH).unwrap();
-        assert_eq!(via.canonical_name, d("example.com"));
-        assert_eq!(via.cname_chain, vec![d("example.com")]);
-        assert_eq!(via.primary_address(), Some(IpAddr::new(192, 0, 2, 1)));
+        let t0 = Instant::from_millis(1_000);
+        let answer = r.resolve(&auth, &d("example.com"), t0).unwrap();
+        assert_eq!(answer.primary_address(), Some(IpAddr::new(192, 0, 2, 1)));
+        assert_eq!(answer.expires_at, t0 + ANSWER_TTL);
+        assert_eq!(r.id(), ResolverId(1));
     }
 
     #[test]
-    fn errors_for_unknown_and_loops() {
+    fn unknown_names_and_empty_answers_are_nxdomain() {
         let auth = authority();
         let mut r = resolver();
         assert_eq!(
@@ -376,10 +258,11 @@ mod tests {
             Err(ResolutionError::NxDomain(d("nx.invalid")))
         );
         assert_eq!(
-            r.resolve(&auth, &d("a.example.com"), Instant::EPOCH),
-            Err(ResolutionError::CnameLoop(d("a.example.com")))
+            r.resolve(&auth, &d("empty.example.com"), Instant::EPOCH),
+            Err(ResolutionError::NxDomain(d("empty.example.com")))
         );
         assert_eq!(r.stats().failures, 2);
+        assert_eq!(r.cache_len(), 0);
     }
 
     #[test]
@@ -401,37 +284,34 @@ mod tests {
         let mut r = resolver();
         let t0 = Instant::EPOCH;
         let first = r.resolve(&auth, &d("lb.example.com"), t0).unwrap().clone();
-        // Within the 30 s TTL: cached, identical answer even though the
-        // rotation period has advanced.
-        let t1 = t0 + Duration::from_secs(25) + Duration::from_secs(45);
-        let _ = t1;
-        let cached = r.resolve(&auth, &d("lb.example.com"), t0 + Duration::from_secs(20)).unwrap().clone();
-        assert_eq!(first.addresses, cached.addresses);
-        assert_eq!(r.stats().cache_hits, 1);
+        // Within the TTL: cached, identical answer even though later
+        // load-balancer epochs would pick other members.
+        for secs in [61, 181, 299] {
+            let cached = r.resolve(&auth, &d("lb.example.com"), t0 + Duration::from_secs(secs)).unwrap();
+            assert_eq!(first.addresses, cached.addresses);
+        }
+        assert_eq!(r.stats().cache_hits, 3);
         assert_eq!(r.stats().cache_misses, 1);
-        // After expiry the authority is asked again and rotation has moved on.
-        let refreshed = r.resolve(&auth, &d("lb.example.com"), t0 + Duration::from_secs(120)).unwrap();
-        assert_ne!(first.addresses, refreshed.addresses);
+        // After expiry the authority is asked again, in a later epoch.
+        let refreshed = r.resolve(&auth, &d("lb.example.com"), t0 + ANSWER_TTL).unwrap();
+        assert_eq!(refreshed.expires_at, t0 + ANSWER_TTL + ANSWER_TTL);
         assert_eq!(r.stats().cache_misses, 2);
     }
 
     #[test]
-    fn authority_queries_count_every_cname_hop() {
+    fn every_recursive_walk_is_one_authority_query() {
         let auth = authority();
         let mut r = resolver();
-        // Direct name: one authority query.
         r.resolve(&auth, &d("example.com"), Instant::EPOCH).unwrap();
         assert_eq!(r.stats().authority_queries, 1);
-        // One CNAME hop: alias + target = two queries.
-        r.resolve(&auth, &d("www.example.com"), Instant::EPOCH).unwrap();
-        assert_eq!(r.stats().authority_queries, 3);
         // A cache hit performs no authority query at all.
         r.resolve(&auth, &d("example.com"), Instant::EPOCH).unwrap();
-        assert_eq!(r.stats().authority_queries, 3);
+        assert_eq!(r.stats().authority_queries, 1);
         assert_eq!(r.stats().cache_hits, 1);
-        // A CNAME loop burns the full depth budget before giving up.
-        let _ = r.resolve(&auth, &d("a.example.com"), Instant::EPOCH);
-        assert_eq!(r.stats().authority_queries, 3 + 8);
+        // A failed walk still asked the authority once.
+        let _ = r.resolve(&auth, &d("nx.invalid"), Instant::EPOCH);
+        assert_eq!(r.stats().authority_queries, 2);
+        assert_eq!(r.stats().cache_misses, 2);
     }
 
     #[test]
@@ -451,22 +331,23 @@ mod tests {
         let auth = authority();
         let mut r = resolver();
         let t0 = Instant::EPOCH;
-        // Two lines: lb has a 30 s TTL, example.com the 1 h resolver clamp.
+        // Two lines cached 200 s apart.
         let stale_ptr = r.resolve(&auth, &d("lb.example.com"), t0).unwrap().addresses.as_ptr();
-        r.resolve(&auth, &d("example.com"), t0).unwrap();
+        let t1 = t0 + Duration::from_secs(200);
+        r.resolve(&auth, &d("example.com"), t1).unwrap();
         assert_eq!(r.cache_len(), 2);
-        // At t0+45 s only the lb line has expired.
-        r.expire_stale(t0 + Duration::from_secs(45));
+        // Once the first TTL has passed only the lb line has expired.
+        let t2 = t0 + ANSWER_TTL;
+        r.expire_stale(t2);
         assert_eq!(r.cache_len(), 1);
         // The fresh line still serves from cache...
-        r.resolve(&auth, &d("example.com"), t0 + Duration::from_secs(45)).unwrap();
+        r.resolve(&auth, &d("example.com"), t2).unwrap();
         assert_eq!(r.stats().cache_hits, 1);
         // ...and re-resolving the expired name reuses the recycled buffer.
-        let reused_ptr =
-            r.resolve(&auth, &d("lb.example.com"), t0 + Duration::from_secs(45)).unwrap().addresses.as_ptr();
+        let reused_ptr = r.resolve(&auth, &d("lb.example.com"), t2).unwrap().addresses.as_ptr();
         assert_eq!(stale_ptr, reused_ptr, "expire_stale must recycle buffers into the pool");
         // A sweep with nothing expired is a no-op.
-        r.expire_stale(t0 + Duration::from_secs(46));
+        r.expire_stale(t2 + Duration::from_secs(1));
         assert_eq!(r.cache_len(), 2);
     }
 
@@ -501,20 +382,35 @@ mod tests {
         // The unsynchronized pool hands different members to different
         // resolver ids — the mechanism behind the paper's IP cause.
         let mut auth = Authority::new();
-        auth.insert_entry(
+        auth.insert(
             d("www.google-analytics.com"),
-            ZoneEntry::balanced(LoadBalancePolicy::PerResolverPool {
+            LoadBalancePolicy::PerResolverPool {
                 pool: (0..32).map(|i| IpAddr::new(142, 250, 74, i)).collect(),
                 answer_size: 1,
                 epoch: Duration::from_mins(30),
-            }),
+            },
         );
-        let mut r1 = RecursiveResolver::new(ResolverConfig::new(ResolverId(1), Vantage::Europe, "a"));
-        let mut r2 = RecursiveResolver::new(ResolverConfig::new(ResolverId(2), Vantage::Europe, "b"));
+        let mut r1 = RecursiveResolver::new(ResolverId(1));
+        let mut r2 = RecursiveResolver::new(ResolverId(2));
         let a1 = r1.resolve(&auth, &d("www.google-analytics.com"), Instant::EPOCH).unwrap();
         let a2 = r2.resolve(&auth, &d("www.google-analytics.com"), Instant::EPOCH).unwrap();
         assert_ne!(a1.addresses, a2.addresses);
         // But both stay within the same /24 — the paper's observation.
         assert!(a1.primary_address().unwrap().same_slash24(a2.primary_address().unwrap()));
+    }
+
+    #[test]
+    fn answer_overlap_and_freshness() {
+        let base = Answer {
+            addresses: vec![IpAddr::new(10, 0, 0, 1), IpAddr::new(10, 0, 0, 2)],
+            expires_at: Instant::from_millis(10_000),
+        };
+        let overlapping = Answer { addresses: vec![IpAddr::new(10, 0, 0, 2)], expires_at: base.expires_at };
+        let disjoint = Answer { addresses: vec![IpAddr::new(10, 0, 0, 9)], expires_at: base.expires_at };
+        assert!(base.overlaps(&overlapping));
+        assert!(!base.overlaps(&disjoint));
+        assert_eq!(base.primary_address(), Some(IpAddr::new(10, 0, 0, 1)));
+        assert!(base.fresh_at(Instant::from_millis(9_999)));
+        assert!(!base.fresh_at(Instant::from_millis(10_000)));
     }
 }

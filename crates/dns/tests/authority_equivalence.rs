@@ -2,13 +2,12 @@
 //! replaced: one zone per registrable domain, a query walks from the name
 //! towards the root and the first zone apex found answers for the name (or
 //! answers NXDOMAIN when that zone has no entry). The walk is kept here as
-//! the reference, over random `insert_entry` sets that mix multi-label public
-//! suffixes, names under a known apex without an entry, CNAME chains and
-//! loops, and a shared base layered under a local one.
+//! the reference, over random `insert` sets that mix multi-label public
+//! suffixes, names under a known apex without an entry, empty answers, and a
+//! shared base layered under a local one.
 
 use netsim_dns::{
-    Authority, LoadBalancePolicy, QueryContext, RecordData, RecursiveResolver, ResolutionError,
-    ResolverConfig, ResolverId, ResourceRecord, Vantage, ZoneEntry,
+    Authority, LoadBalancePolicy, QueryContext, RecursiveResolver, ResolutionError, ResolverId,
 };
 use netsim_types::{DomainName, Duration, Instant, IpAddr};
 use proptest::prelude::*;
@@ -39,16 +38,16 @@ fn parent(name: &DomainName) -> Option<DomainName> {
 /// matches.
 #[derive(Default)]
 struct ZoneWalk {
-    zones: BTreeMap<DomainName, BTreeMap<DomainName, ZoneEntry>>,
+    zones: BTreeMap<DomainName, BTreeMap<DomainName, LoadBalancePolicy>>,
     base: Option<Arc<ZoneWalk>>,
 }
 
 impl ZoneWalk {
-    fn insert_entry(&mut self, name: DomainName, entry: ZoneEntry) {
-        self.zones.entry(registrable(&name)).or_default().insert(name, entry);
+    fn insert(&mut self, name: DomainName, policy: LoadBalancePolicy) {
+        self.zones.entry(registrable(&name)).or_default().insert(name, policy);
     }
 
-    fn zone_for(&self, name: &DomainName) -> Option<&BTreeMap<DomainName, ZoneEntry>> {
+    fn zone_for(&self, name: &DomainName) -> Option<&BTreeMap<DomainName, LoadBalancePolicy>> {
         let mut candidate = Some(*name);
         while let Some(current) = candidate {
             if let Some(zone) = self.zones.get(&current) {
@@ -59,45 +58,24 @@ impl ZoneWalk {
         None
     }
 
-    fn query(&self, name: &DomainName, ctx: &QueryContext) -> Vec<ResourceRecord> {
-        if let Some(base) = &self.base {
-            let records = base.query(name, ctx);
-            if !records.is_empty() {
-                return records;
-            }
+    /// The selected addresses, or `None` (NXDOMAIN) when no layer's zone
+    /// has an entry for `name`.
+    fn query(&self, name: &DomainName, ctx: &QueryContext) -> Option<Vec<IpAddr>> {
+        if let Some(addresses) = self.base.as_ref().and_then(|base| base.query(name, ctx)) {
+            return Some(addresses);
         }
-        let mut out = Vec::new();
-        if let Some(entry) = self.zone_for(name).and_then(|zone| zone.get(name)) {
-            entry.records_into(name, ctx, &mut out);
-        }
-        out
+        let policy = self.zone_for(name)?.get(name)?;
+        let mut addresses = Vec::new();
+        policy.select_each(name, ctx, |ip| addresses.push(ip));
+        Some(addresses)
     }
 
-    /// The resolver's CNAME chase (8 hops) over the walk: canonical name,
-    /// chain and addresses, or the error the resolver reports.
-    fn resolve(
-        &self,
-        name: &DomainName,
-        ctx: &QueryContext,
-    ) -> Result<(DomainName, Vec<DomainName>, Vec<IpAddr>), ResolutionError> {
-        let mut current = *name;
-        let mut chain = Vec::new();
-        for _ in 0..8 {
-            let records = self.query(&current, ctx);
-            match records.first().map(|record| &record.data) {
-                None if chain.is_empty() => return Err(ResolutionError::NxDomain(*name)),
-                None => return Err(ResolutionError::NoAddress(*name)),
-                Some(RecordData::Cname(target)) => {
-                    chain.push(*target);
-                    current = *target;
-                }
-                Some(RecordData::A(_)) => {
-                    let addresses = records.iter().filter_map(|record| record.data.as_a()).collect();
-                    return Ok((current, chain, addresses));
-                }
-            }
-        }
-        Err(ResolutionError::CnameLoop(*name))
+    /// What the resolver reports over the walk: the addresses, or NXDOMAIN
+    /// for an unknown name or an empty answer.
+    fn resolve(&self, name: &DomainName, ctx: &QueryContext) -> Result<Vec<IpAddr>, ResolutionError> {
+        self.query(name, ctx)
+            .filter(|addresses| !addresses.is_empty())
+            .ok_or(ResolutionError::NxDomain(*name))
     }
 }
 
@@ -119,37 +97,32 @@ fn universe() -> Vec<DomainName> {
     names
 }
 
-/// One zone entry drawn from `(kind, value)`: a single address, a multi-address
-/// pool (answer order matters), an empty pool, or a CNAME to a universe name.
-fn entry(kind: u8, value: usize, names: &[DomainName]) -> ZoneEntry {
+/// One policy drawn from `(kind, value)`: a single address, a
+/// multi-address pool (answer order matters), or an empty pool.
+fn policy(kind: u8, value: usize) -> LoadBalancePolicy {
     let pool = |size: usize| (0..size).map(|i| IpAddr::new(10, (value % 200) as u8, 0, i as u8)).collect();
     match kind {
-        0 => ZoneEntry::single(IpAddr::new(192, 0, 2, (value % 250) as u8)),
-        1 => ZoneEntry::balanced(LoadBalancePolicy::RotatingPool {
+        0 => LoadBalancePolicy::single(IpAddr::new(192, 0, 2, (value % 250) as u8)),
+        1 => LoadBalancePolicy::SynchronizedPool {
             pool: pool(4),
             answer_size: 2,
-            rotation_period: Duration::from_secs(60),
-        }),
-        2 => ZoneEntry::balanced(LoadBalancePolicy::PerResolverPool {
+            epoch: Duration::from_secs(60),
+        },
+        2 => LoadBalancePolicy::PerResolverPool {
             pool: pool(6),
             answer_size: 3,
             epoch: Duration::from_mins(10),
-        }),
-        3 => ZoneEntry::balanced(LoadBalancePolicy::Static { addresses: Vec::new() }),
-        _ => ZoneEntry::alias(names[value % names.len()]),
+        },
+        _ => LoadBalancePolicy::Static { addresses: Vec::new() },
     }
 }
 
 fn contexts() -> Vec<QueryContext> {
     let mut contexts = Vec::new();
-    for (resolver, vantage) in [(0, Vantage::Europe), (3, Vantage::AsiaPacific), (11, Vantage::NorthAmerica)]
-    {
+    for resolver in [0, 3, 11] {
         for minutes in [0, 7, 95] {
-            contexts.push(QueryContext::new(
-                ResolverId(resolver),
-                vantage,
-                Instant::EPOCH + Duration::from_mins(minutes),
-            ));
+            contexts
+                .push(QueryContext::new(ResolverId(resolver), Instant::EPOCH + Duration::from_mins(minutes)));
         }
     }
     contexts
@@ -165,8 +138,8 @@ fn build(picks: &[(usize, u8, usize)], base_share: usize) -> (Authority, ZoneWal
     let mut base = Authority::new();
     let mut base_walk = ZoneWalk::default();
     for &(name, kind, value) in base_picks {
-        base.insert_entry(names[name % names.len()], entry(kind, value, &names));
-        base_walk.insert_entry(names[name % names.len()], entry(kind, value, &names));
+        base.insert(names[name % names.len()], policy(kind, value));
+        base_walk.insert(names[name % names.len()], policy(kind, value));
     }
     let (mut authority, mut walk) = if base_share > 0 {
         (
@@ -185,8 +158,8 @@ fn build(picks: &[(usize, u8, usize)], base_share: usize) -> (Authority, ZoneWal
         {
             continue;
         }
-        authority.insert_entry(name, entry(kind, value, &names));
-        walk.insert_entry(name, entry(kind, value, &names));
+        authority.insert(name, policy(kind, value));
+        walk.insert(name, policy(kind, value));
     }
     (authority, walk)
 }
@@ -194,20 +167,19 @@ fn build(picks: &[(usize, u8, usize)], base_share: usize) -> (Authority, ZoneWal
 fn assert_equivalent(authority: &Authority, walk: &ZoneWalk, names: &[DomainName]) {
     for name in names {
         for ctx in contexts() {
-            assert_eq!(authority.query(name, &ctx), walk.query(name, &ctx), "query {name} at {ctx:?}");
+            let mut addresses = Vec::new();
+            let known = authority.addresses_into(name, &ctx, &mut addresses);
+            assert_eq!(known.then_some(addresses), walk.query(name, &ctx), "query {name} at {ctx:?}");
         }
     }
 }
 
 fn assert_resolves_alike(authority: &Authority, walk: &ZoneWalk, names: &[DomainName]) {
     for ctx in contexts() {
-        let mut resolver =
-            RecursiveResolver::new(ResolverConfig::new(ctx.resolver, ctx.vantage, "equivalence"));
+        let mut resolver = RecursiveResolver::new(ctx.resolver);
         for name in names {
             resolver.flush_cache();
-            let got = resolver
-                .resolve(authority, name, ctx.now)
-                .map(|answer| (answer.canonical_name, answer.cname_chain.clone(), answer.addresses.clone()));
+            let got = resolver.resolve(authority, name, ctx.now).map(|answer| answer.addresses.clone());
             assert_eq!(got, walk.resolve(name, &ctx), "resolve {name} at {ctx:?}");
         }
     }
@@ -216,7 +188,7 @@ fn assert_resolves_alike(authority: &Authority, walk: &ZoneWalk, names: &[Domain
 proptest! {
     #[test]
     fn query_matches_the_longest_suffix_walk(
-        picks in prop::collection::vec((0usize..64, 0u8..6, 0usize..1000), 0usize..40),
+        picks in prop::collection::vec((0usize..64, 0u8..4, 0usize..1000), 0usize..40),
     ) {
         let (authority, walk) = build(&picks, 0);
         assert_equivalent(&authority, &walk, &universe());
@@ -224,7 +196,7 @@ proptest! {
 
     #[test]
     fn layered_query_matches_the_layered_walk(
-        picks in prop::collection::vec((0usize..64, 0u8..6, 0usize..1000), 0usize..40),
+        picks in prop::collection::vec((0usize..64, 0u8..4, 0usize..1000), 0usize..40),
         base_share in 1usize..20,
     ) {
         let (authority, walk) = build(&picks, base_share);
@@ -232,8 +204,8 @@ proptest! {
     }
 
     #[test]
-    fn cname_chasing_matches_the_walk(
-        picks in prop::collection::vec((0usize..64, 0u8..6, 0usize..1000), 0usize..40),
+    fn resolution_matches_the_walk(
+        picks in prop::collection::vec((0usize..64, 0u8..4, 0usize..1000), 0usize..40),
         base_share in 0usize..20,
     ) {
         let (authority, walk) = build(&picks, base_share);
@@ -242,57 +214,50 @@ proptest! {
 }
 
 #[test]
-fn pinned_suffix_nxdomain_chain_loop_and_layer_cases() {
+fn pinned_suffix_nxdomain_and_layer_cases() {
     let d = DomainName::literal;
-    let ctx = QueryContext::new(ResolverId(0), Vantage::Europe, Instant::EPOCH);
+    let ctx = QueryContext::new(ResolverId(0), Instant::EPOCH);
     let mut base = Authority::new();
     let mut base_walk = ZoneWalk::default();
     let mut local_walk = ZoneWalk::default();
     let shared = [
-        ("cdn.provider.net", ZoneEntry::single(IpAddr::new(198, 51, 100, 7))),
-        ("co.uk", ZoneEntry::single(IpAddr::new(198, 51, 100, 8))),
+        ("cdn.provider.net", LoadBalancePolicy::single(IpAddr::new(198, 51, 100, 7))),
+        ("co.uk", LoadBalancePolicy::single(IpAddr::new(198, 51, 100, 8))),
     ];
-    for (name, entry) in shared {
-        base.insert_entry(d(name), entry.clone());
-        base_walk.insert_entry(d(name), entry);
+    for (name, policy) in shared {
+        base.insert(d(name), policy.clone());
+        base_walk.insert(d(name), policy);
     }
     let mut local = Authority::with_base(Arc::new(base));
     local_walk.base = Some(Arc::new(base_walk));
-    let mut entries = vec![
+    let entries = [
         // Multi-label suffix: filed under `shop.co.uk`, not `co.uk`.
-        (d("www.shop.co.uk"), ZoneEntry::alias(d("shop.co.uk"))),
-        (d("shop.co.uk"), ZoneEntry::alias(d("cdn.provider.net"))),
-        (d("example.com"), ZoneEntry::single(IpAddr::new(192, 0, 2, 1))),
+        (d("www.shop.co.uk"), LoadBalancePolicy::single(IpAddr::new(203, 0, 113, 1))),
+        (d("shop.co.uk"), LoadBalancePolicy::single(IpAddr::new(203, 0, 113, 2))),
+        (d("example.com"), LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 1))),
+        (d("empty.example.com"), LoadBalancePolicy::Static { addresses: Vec::new() }),
     ];
-    // A nine-name CNAME ring: longer than the resolver's 8-hop limit.
-    let ring: Vec<DomainName> = (0..9).map(|hop| d(&format!("l{hop}.loop.net"))).collect();
-    for hop in 0..ring.len() {
-        entries.push((ring[hop], ZoneEntry::alias(ring[(hop + 1) % ring.len()])));
-    }
-    let mut names = vec![d("co.uk"), d("mail.example.com"), d("x.shop.co.uk"), d("uk")];
-    for (name, entry) in entries {
+    let mut names =
+        vec![d("cdn.provider.net"), d("co.uk"), d("mail.example.com"), d("x.shop.co.uk"), d("uk")];
+    for (name, policy) in entries {
         names.push(name);
-        local.insert_entry(name, entry.clone());
-        local_walk.insert_entry(name, entry);
+        local.insert(name, policy.clone());
+        local_walk.insert(name, policy);
     }
     assert_equivalent(&local, &local_walk, &names);
 
-    // Two hops through both layers to the base's address.
-    let mut resolver = RecursiveResolver::new(ResolverConfig::new(ResolverId(0), Vantage::Europe, "pinned"));
+    let mut resolver = RecursiveResolver::new(ResolverId(0));
     let answer = resolver.resolve(&local, &d("www.shop.co.uk"), ctx.now).unwrap();
-    assert_eq!(answer.cname_chain, vec![d("shop.co.uk"), d("cdn.provider.net")]);
-    assert_eq!(answer.addresses, vec![IpAddr::new(198, 51, 100, 7)]);
+    assert_eq!(answer.addresses, vec![IpAddr::new(203, 0, 113, 1)]);
     // The bare suffix answers from the base; a name under a known apex
-    // without an entry is NXDOMAIN.
-    assert_eq!(local.query(&d("co.uk"), &ctx)[0].data.as_a(), Some(IpAddr::new(198, 51, 100, 8)));
-    assert!(local.query(&d("mail.example.com"), &ctx).is_empty());
-    assert_eq!(
-        resolver.resolve(&local, &d("mail.example.com"), ctx.now).unwrap_err(),
-        ResolutionError::NxDomain(d("mail.example.com"))
-    );
-    assert_eq!(
-        resolver.resolve(&local, &d("l0.loop.net"), ctx.now).unwrap_err(),
-        ResolutionError::CnameLoop(d("l0.loop.net"))
-    );
+    // without an entry, or with an empty answer, is NXDOMAIN.
+    let answer = resolver.resolve(&local, &d("co.uk"), ctx.now).unwrap();
+    assert_eq!(answer.addresses, vec![IpAddr::new(198, 51, 100, 8)]);
+    for name in ["mail.example.com", "empty.example.com"] {
+        assert_eq!(
+            resolver.resolve(&local, &d(name), ctx.now).unwrap_err(),
+            ResolutionError::NxDomain(d(name))
+        );
+    }
     assert_resolves_alike(&local, &local_walk, &names);
 }

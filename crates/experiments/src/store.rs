@@ -236,9 +236,9 @@ impl StoreQuery {
     /// ```
     ///
     /// Errors are user-facing strings (the serve bin maps them to exit
-    /// status 2): unknown keys, deployments the store does not price, and
-    /// rank bounds that do not land on chunk boundaries are all refused
-    /// with the valid alternatives spelled out.
+    /// status 2): unknown or repeated keys, deployments the store does not
+    /// price, and rank bounds that do not land on chunk boundaries are all
+    /// refused with the valid alternatives spelled out.
     pub fn parse(text: &str, config: &StoreConfig) -> Result<StoreQuery, String> {
         let mut mitigations = None;
         let mut profile = None;
@@ -246,13 +246,16 @@ impl StoreQuery {
         for token in text.split_whitespace() {
             let (key, value) =
                 token.split_once('=').ok_or_else(|| format!("token '{token}' is not key=value"))?;
-            match key {
-                "mitigations" => mitigations = Some(parse_mitigations(value, config)?),
-                "profile" => profile = Some(parse_profile(value, config)?),
-                "ranks" => ranks = Some(parse_ranks(value, config)?),
+            let repeated = match key {
+                "mitigations" => mitigations.replace(parse_mitigations(value, config)?).is_some(),
+                "profile" => profile.replace(parse_profile(value, config)?).is_some(),
+                "ranks" => ranks.replace(parse_ranks(value, config)?).is_some(),
                 other => {
                     return Err(format!("unknown key '{other}' (expected mitigations=, profile=, ranks=)"))
                 }
+            };
+            if repeated {
+                return Err(format!("key '{key}' is given twice (each key may appear once)"));
             }
         }
         let mitigations = mitigations.ok_or("query needs mitigations=<label>")?;
@@ -788,16 +791,19 @@ mod tests {
         assert_eq!((default.lo, default.hi), (0, 36));
 
         for bad in [
-            "profile=broadband",               // no deployment
-            "mitigations=WARP-DRIVE",          // unknown label
-            "mitigations=ORIGIN",              // known label, not stored
-            "mitigations=none profile=dialup", // unknown profile
-            "mitigations=none ranks=5..36",    // misaligned lo
-            "mitigations=none ranks=0..13",    // misaligned hi
-            "mitigations=none ranks=24..12",   // reversed
-            "mitigations=none ranks=0..99",    // beyond the store
-            "mitigations=none speed=11",       // unknown key
-            "gibberish",                       // not key=value
+            "profile=broadband",                          // no deployment
+            "mitigations=WARP-DRIVE",                     // unknown label
+            "mitigations=ORIGIN",                         // known label, not stored
+            "mitigations=none profile=dialup",            // unknown profile
+            "mitigations=none ranks=5..36",               // misaligned lo
+            "mitigations=none ranks=0..13",               // misaligned hi
+            "mitigations=none ranks=24..12",              // reversed
+            "mitigations=none ranks=0..99",               // beyond the store
+            "mitigations=none speed=11",                  // unknown key
+            "gibberish",                                  // not key=value
+            "mitigations=none mitigations=COALESCE-CERT", // repeated key
+            "mitigations=none profile=datacenter profile=lossy-cellular",
+            "mitigations=none ranks=0..12 ranks=12..36",
         ] {
             assert!(StoreQuery::parse(bad, &config).is_err(), "'{bad}' should not parse");
         }

@@ -9,7 +9,8 @@
 //! connection would be tainted with identifying information" (paper §3,
 //! cause `CRED`).
 
-use crate::request::{CredentialsMode, FetchRequest};
+use crate::request::{CredentialsMode, RequestDestination};
+use netsim_types::Origin;
 use serde::{Deserialize, Serialize};
 
 /// The two connection-pool partitions Chromium derives from the credentials
@@ -30,17 +31,10 @@ impl CredentialsPartition {
     }
 }
 
-/// Whether a request includes credentials per Fetch §4.6 step 8 / §2.5.
-pub fn includes_credentials(request: &FetchRequest) -> bool {
-    match request.credentials {
-        CredentialsMode::Include => true,
-        CredentialsMode::Omit => false,
-        CredentialsMode::SameOrigin => request.is_same_origin(),
-    }
-}
-
-/// The pool partition a request lands in — the key the browser loader uses
-/// for its HTTP/2 session pool.
+/// The pool partition of a planned fetch of `destination` from `url_origin`,
+/// initiated by a document on `initiator`; `anonymous` is the author's
+/// `crossorigin="anonymous"` — the key the browser loader uses for its
+/// HTTP/2 session pool.
 ///
 /// The [`Mitigation::CredentialPooling`] deployment does *not* change this
 /// key: requests still land in their Fetch-§4.6 partition (credentials are
@@ -51,30 +45,17 @@ pub fn includes_credentials(request: &FetchRequest) -> bool {
 /// rather than mislabelling them.
 ///
 /// [`Mitigation::CredentialPooling`]: netsim_types::Mitigation::CredentialPooling
-pub fn partition_for(request: &FetchRequest) -> CredentialsPartition {
-    if includes_credentials(request) {
-        CredentialsPartition::Credentialed
-    } else {
-        CredentialsPartition::Anonymous
-    }
-}
-
-/// The pool partition of a planned sub-resource fetch, computed from its
-/// parts without materialising a [`FetchRequest`] (which owns the path as a
-/// heap `String`). Equivalent to
-/// `partition_for(&FetchRequest::with_defaults(..).anonymous()?)` — the
-/// allocation-free form the browser's visit fast path uses.
 pub fn partition_for_planned(
-    url_origin: &netsim_types::Origin,
-    initiator: &netsim_types::Origin,
-    destination: crate::request::RequestDestination,
+    url_origin: &Origin,
+    initiator: &Origin,
+    destination: RequestDestination,
     anonymous: bool,
 ) -> CredentialsPartition {
-    let (_, credentials) =
-        if anonymous { destination.anonymous_parameters() } else { destination.default_parameters() };
+    // `crossorigin="anonymous"` switches any destination to CORS with
+    // "same-origin" credentials.
+    let credentials = if anonymous { CredentialsMode::SameOrigin } else { destination.default_credentials() };
     let included = match credentials {
         CredentialsMode::Include => true,
-        CredentialsMode::Omit => false,
         CredentialsMode::SameOrigin => url_origin == initiator,
     };
     if included {
@@ -87,8 +68,7 @@ pub fn partition_for_planned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestDestination;
-    use netsim_types::{DomainName, Origin};
+    use netsim_types::DomainName;
 
     fn o(host: &str) -> Origin {
         Origin::https(DomainName::literal(host))
@@ -96,10 +76,10 @@ mod tests {
 
     #[test]
     fn navigation_is_credentialed() {
-        let nav = FetchRequest::navigation(DomainName::literal("example.com"));
-        assert!(includes_credentials(&nav));
-        assert_eq!(partition_for(&nav), CredentialsPartition::Credentialed);
-        assert!(partition_for(&nav).is_credentialed());
+        let page = o("example.com");
+        let partition = partition_for_planned(&page, &page, RequestDestination::Document, false);
+        assert_eq!(partition, CredentialsPartition::Credentialed);
+        assert!(partition.is_credentialed());
     }
 
     #[test]
@@ -107,58 +87,44 @@ mod tests {
         // The canonical CRED trigger: fonts.gstatic.com font fetched from a
         // page on another origin — CORS + same-origin credentials, which
         // cross-origin means "omit".
-        let font = FetchRequest::with_defaults(
-            o("fonts.gstatic.com"),
-            "/s/roboto/v30/font.woff2",
-            o("example.com"),
+        let partition = partition_for_planned(
+            &o("fonts.gstatic.com"),
+            &o("example.com"),
             RequestDestination::Font,
+            false,
         );
-        assert!(!includes_credentials(&font));
-        assert_eq!(partition_for(&font), CredentialsPartition::Anonymous);
+        assert_eq!(partition, CredentialsPartition::Anonymous);
+        assert!(!partition.is_credentialed());
     }
 
     #[test]
     fn same_origin_font_keeps_credentials() {
-        let font = FetchRequest::with_defaults(
-            o("example.com"),
-            "/fonts/brand.woff2",
-            o("example.com"),
-            RequestDestination::Font,
-        );
-        assert!(includes_credentials(&font));
+        let page = o("example.com");
+        let partition = partition_for_planned(&page, &page, RequestDestination::Font, false);
+        assert_eq!(partition, CredentialsPartition::Credentialed);
     }
 
     #[test]
     fn cross_origin_nocors_image_keeps_credentials() {
         // Plain <img> to a third party: no-cors + include, so cookies go
         // along — this request shares the credentialed pool.
-        let pixel = FetchRequest::with_defaults(
-            o("www.facebook.com"),
-            "/tr?id=pixel",
-            o("example.com"),
+        let partition = partition_for_planned(
+            &o("www.facebook.com"),
+            &o("example.com"),
             RequestDestination::Image,
+            false,
         );
-        assert!(includes_credentials(&pixel));
+        assert_eq!(partition, CredentialsPartition::Credentialed);
     }
 
     #[test]
     fn anonymous_script_is_partitioned_away() {
-        let script = FetchRequest::with_defaults(
-            o("cdn.example.com"),
-            "/lib.js",
-            o("example.com"),
-            RequestDestination::Script,
-        )
-        .anonymous();
-        assert!(!includes_credentials(&script));
-        assert_eq!(partition_for(&script), CredentialsPartition::Anonymous);
-    }
-
-    #[test]
-    fn explicit_omit_is_always_anonymous() {
-        let mut xhr =
-            FetchRequest::with_defaults(o("example.com"), "/api", o("example.com"), RequestDestination::Xhr);
-        xhr.credentials = CredentialsMode::Omit;
-        assert!(!includes_credentials(&xhr));
+        let script = (o("cdn.example.com"), RequestDestination::Script);
+        let page = o("example.com");
+        assert_eq!(
+            partition_for_planned(&script.0, &page, script.1, false),
+            CredentialsPartition::Credentialed
+        );
+        assert_eq!(partition_for_planned(&script.0, &page, script.1, true), CredentialsPartition::Anonymous);
     }
 }

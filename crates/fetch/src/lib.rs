@@ -14,25 +14,18 @@
 //! page's own credentialed requests — and a second connection to the same
 //! server is opened.
 //!
-//! * [`request`] — request destinations, modes and credentials modes with the
-//!   defaults HTML assigns to each resource kind,
+//! * [`request`] — request destinations and the credentials mode HTML
+//!   assigns to each resource kind,
 //! * [`credentials`] — the credentials-inclusion decision and the resulting
-//!   pool partition key,
-//! * [`tainting`] — response tainting (basic / cors / opaque),
-//! * [`cors`] — a minimal CORS check used by the browser model when a
-//!   cross-origin resource requires it.
+//!   pool partition key.
 
 // The zero-allocation visit fast path made these hot paths clone-free;
 // keep them that way.
 #![deny(clippy::redundant_clone)]
 #![deny(clippy::clone_on_copy)]
 
-pub mod cors;
 pub mod credentials;
 pub mod request;
-pub mod tainting;
 
-pub use cors::{CorsCheck, CorsPolicy};
-pub use credentials::{includes_credentials, partition_for, partition_for_planned, CredentialsPartition};
-pub use request::{CredentialsMode, FetchRequest, RequestDestination, RequestMode};
-pub use tainting::ResponseTainting;
+pub use credentials::{partition_for_planned, CredentialsPartition};
+pub use request::{CredentialsMode, RequestDestination};

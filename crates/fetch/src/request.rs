@@ -1,13 +1,12 @@
-//! Fetch requests: destinations, modes and credentials modes.
+//! Request destinations and their credentials modes.
 //!
-//! The Fetch Standard assigns each kind of resource a *destination*, a
-//! *request mode* and a *credentials mode*; HTML fills in defaults depending
-//! on the element that triggered the load (e.g. `@font-face` fonts must use
-//! CORS with "same-origin" credentials, a plain `<img>` uses `no-cors` with
-//! "include"). Those defaults decide whether a request carries credentials
+//! The Fetch Standard assigns each kind of resource a *destination*, and
+//! HTML fills in a *credentials mode* depending on the element that
+//! triggered the load (e.g. `@font-face` fonts must use CORS with
+//! "same-origin" credentials, a plain `<img>` uses `no-cors` with
+//! "include"). That mode decides whether a request carries credentials
 //! cross-origin, which in turn decides its connection-pool partition.
 
-use netsim_types::{DomainName, Origin};
 use serde::{Deserialize, Serialize};
 
 /// What kind of resource the request is for (Fetch "destination").
@@ -36,26 +35,10 @@ pub enum RequestDestination {
     Other,
 }
 
-/// The Fetch request mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
-pub enum RequestMode {
-    /// Only same-origin requests allowed.
-    SameOrigin,
-    /// Cross-origin allowed without CORS; response is opaque cross-origin.
-    NoCors,
-    /// Cross-origin with CORS checks.
-    Cors,
-    /// Top-level navigation.
-    Navigate,
-}
-
-/// The Fetch credentials mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+/// The Fetch credentials mode. No destination defaults to "omit", so the
+/// model has no `Omit` mode.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CredentialsMode {
-    /// Never send credentials.
-    Omit,
     /// Send credentials only for same-origin requests.
     SameOrigin,
     /// Always send credentials.
@@ -63,102 +46,26 @@ pub enum CredentialsMode {
 }
 
 impl RequestDestination {
-    /// The default (mode, credentials mode) HTML assigns to this destination
-    /// when the author did not opt into CORS (`crossorigin` absent).
-    pub fn default_parameters(self) -> (RequestMode, CredentialsMode) {
+    /// The credentials mode HTML assigns to this destination when the author
+    /// did not opt into CORS (`crossorigin` absent).
+    pub fn default_credentials(self) -> CredentialsMode {
         match self {
-            RequestDestination::Document | RequestDestination::Iframe => {
-                (RequestMode::Navigate, CredentialsMode::Include)
-            }
+            // Navigations always include credentials.
+            RequestDestination::Document | RequestDestination::Iframe => CredentialsMode::Include,
             // Fonts must be requested with CORS and "same-origin" credentials
             // (CSS Fonts §4.9 via Fetch) — the canonical CRED trigger.
-            RequestDestination::Font => (RequestMode::Cors, CredentialsMode::SameOrigin),
+            RequestDestination::Font => CredentialsMode::SameOrigin,
             // Beacons / analytics submissions ride fetch(keepalive) or
-            // sendBeacon, which default to CORS + include.
-            RequestDestination::Beacon | RequestDestination::Xhr => {
-                (RequestMode::Cors, CredentialsMode::SameOrigin)
-            }
+            // sendBeacon, which default to CORS + same-origin.
+            RequestDestination::Beacon | RequestDestination::Xhr => CredentialsMode::SameOrigin,
             // Classic sub-resources without `crossorigin` are no-cors and
             // include credentials.
             RequestDestination::Script
             | RequestDestination::Style
             | RequestDestination::Image
             | RequestDestination::Media
-            | RequestDestination::Other => (RequestMode::NoCors, CredentialsMode::Include),
+            | RequestDestination::Other => CredentialsMode::Include,
         }
-    }
-
-    /// The parameters when the author adds `crossorigin="anonymous"`.
-    pub fn anonymous_parameters(self) -> (RequestMode, CredentialsMode) {
-        (RequestMode::Cors, CredentialsMode::SameOrigin)
-    }
-
-    /// The parameters when the author adds `crossorigin="use-credentials"`.
-    pub fn use_credentials_parameters(self) -> (RequestMode, CredentialsMode) {
-        (RequestMode::Cors, CredentialsMode::Include)
-    }
-}
-
-/// A fetch as the browser model issues it: the target URL's origin and path,
-/// the initiating document's origin, and the resolved Fetch parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FetchRequest {
-    /// The origin of the requested URL.
-    pub url_origin: Origin,
-    /// Path component of the requested URL.
-    pub path: String,
-    /// Origin of the document (or worker) that initiated the fetch.
-    pub initiator: Origin,
-    /// Resource kind.
-    pub destination: RequestDestination,
-    /// Request mode.
-    pub mode: RequestMode,
-    /// Credentials mode.
-    pub credentials: CredentialsMode,
-}
-
-impl FetchRequest {
-    /// A request with the destination's default parameters.
-    pub fn with_defaults(
-        url_origin: Origin,
-        path: &str,
-        initiator: Origin,
-        destination: RequestDestination,
-    ) -> Self {
-        let (mode, credentials) = destination.default_parameters();
-        FetchRequest { url_origin, path: path.to_string(), initiator, destination, mode, credentials }
-    }
-
-    /// A navigation request for a landing page.
-    pub fn navigation(host: DomainName) -> Self {
-        let origin = Origin::https(host);
-        FetchRequest {
-            url_origin: origin,
-            path: "/".to_string(),
-            initiator: origin,
-            destination: RequestDestination::Document,
-            mode: RequestMode::Navigate,
-            credentials: CredentialsMode::Include,
-        }
-    }
-
-    /// Override the mode/credentials with the `crossorigin="anonymous"`
-    /// parameters.
-    pub fn anonymous(mut self) -> Self {
-        let (mode, credentials) = self.destination.anonymous_parameters();
-        self.mode = mode;
-        self.credentials = credentials;
-        self
-    }
-
-    /// `true` if the requested URL is same-origin with the initiator.
-    pub fn is_same_origin(&self) -> bool {
-        self.url_origin == self.initiator
-    }
-
-    /// The requested host.
-    pub fn host(&self) -> &DomainName {
-        &self.url_origin.host
     }
 }
 
@@ -166,66 +73,11 @@ impl FetchRequest {
 mod tests {
     use super::*;
 
-    fn o(host: &str) -> Origin {
-        Origin::https(DomainName::literal(host))
-    }
-
     #[test]
     fn defaults_per_destination() {
-        assert_eq!(
-            RequestDestination::Image.default_parameters(),
-            (RequestMode::NoCors, CredentialsMode::Include)
-        );
-        assert_eq!(
-            RequestDestination::Font.default_parameters(),
-            (RequestMode::Cors, CredentialsMode::SameOrigin)
-        );
-        assert_eq!(
-            RequestDestination::Document.default_parameters(),
-            (RequestMode::Navigate, CredentialsMode::Include)
-        );
-        assert_eq!(
-            RequestDestination::Xhr.default_parameters(),
-            (RequestMode::Cors, CredentialsMode::SameOrigin)
-        );
-    }
-
-    #[test]
-    fn crossorigin_attribute_switches_to_cors() {
-        assert_eq!(
-            RequestDestination::Script.anonymous_parameters(),
-            (RequestMode::Cors, CredentialsMode::SameOrigin)
-        );
-        assert_eq!(
-            RequestDestination::Script.use_credentials_parameters(),
-            (RequestMode::Cors, CredentialsMode::Include)
-        );
-    }
-
-    #[test]
-    fn request_builders() {
-        let nav = FetchRequest::navigation(DomainName::literal("example.com"));
-        assert!(nav.is_same_origin());
-        assert_eq!(nav.credentials, CredentialsMode::Include);
-
-        let img = FetchRequest::with_defaults(
-            o("cdn.example.com"),
-            "/logo.png",
-            o("example.com"),
-            RequestDestination::Image,
-        );
-        assert!(!img.is_same_origin());
-        assert_eq!(img.mode, RequestMode::NoCors);
-        assert_eq!(img.host().as_str(), "cdn.example.com");
-
-        let anon_script = FetchRequest::with_defaults(
-            o("static.example.com"),
-            "/app.js",
-            o("example.com"),
-            RequestDestination::Script,
-        )
-        .anonymous();
-        assert_eq!(anon_script.mode, RequestMode::Cors);
-        assert_eq!(anon_script.credentials, CredentialsMode::SameOrigin);
+        assert_eq!(RequestDestination::Image.default_credentials(), CredentialsMode::Include);
+        assert_eq!(RequestDestination::Font.default_credentials(), CredentialsMode::SameOrigin);
+        assert_eq!(RequestDestination::Document.default_credentials(), CredentialsMode::Include);
+        assert_eq!(RequestDestination::Xhr.default_credentials(), CredentialsMode::SameOrigin);
     }
 }

@@ -1,7 +1,7 @@
 //! The probe loop and its overlap matrix (Figure 3).
 
 use crate::pairs::{default_pairs, DomainPair};
-use crate::resolvers::{resolver_panel, ResolverDescription};
+use crate::resolvers::{panel_resolver_id, resolver_panel, ResolverDescription};
 use netsim_dns::{Authority, RecursiveResolver};
 use netsim_types::{Duration, Instant};
 use serde::{Deserialize, Serialize};
@@ -109,12 +109,8 @@ impl ProbeExperiment {
     /// Run the probe against an authority (typically
     /// `WebEnvironment::authority` from a generated population).
     pub fn run(&self, authority: &Authority) -> OverlapMatrix {
-        let mut resolvers: Vec<RecursiveResolver> = self
-            .panel
-            .iter()
-            .enumerate()
-            .map(|(index, description)| RecursiveResolver::new(description.to_config(index)))
-            .collect();
+        let mut resolvers: Vec<RecursiveResolver> =
+            (0..self.panel.len()).map(|index| RecursiveResolver::new(panel_resolver_id(index))).collect();
 
         let slots = self.config.slot_count();
         let mut timestamps = Vec::with_capacity(slots);

@@ -11,7 +11,7 @@
 //! Reuse would have been possible at that moment. Figure 3 plots that count
 //! over time.
 //!
-//! * [`resolvers`] — the 14-resolver panel (Table 11),
+//! * [`resolvers`] — the 14-resolver panel (Table 11) and its resolver ids,
 //! * [`pairs`] — the probed domain pairs (the Table 12 top pairs, restricted
 //!   to the domains the simulated population actually serves),
 //! * [`experiment`] — the probe loop and the resulting overlap matrix.

@@ -2,11 +2,39 @@
 //!
 //! The paper selects 14 public resolvers spread around the world, checks that
 //! they have reverse DNS entries and that none forwards EDNS Client Subnet.
-//! The panel below mirrors that table; the addresses are labels only (the
-//! simulation routes queries by [`netsim_dns::ResolverId`]).
+//! The panel below mirrors that table; the addresses and regions are labels
+//! only (the simulation routes queries by [`netsim_dns::ResolverId`]).
 
-use netsim_dns::{ResolverConfig, ResolverId, Vantage};
+use netsim_dns::ResolverId;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// The coarse world region a panel resolver sits in (Table 11's location
+/// column, summarised). A label only: no simulated load balancer steers by
+/// it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+pub enum Vantage {
+    /// North America.
+    NorthAmerica,
+    /// Europe (including the authors' university resolver at RWTH Aachen).
+    Europe,
+    /// Asia-Pacific.
+    AsiaPacific,
+    /// South America.
+    SouthAmerica,
+}
+
+impl fmt::Display for Vantage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match self {
+            Vantage::NorthAmerica => "north-america",
+            Vantage::Europe => "europe",
+            Vantage::AsiaPacific => "asia-pacific",
+            Vantage::SouthAmerica => "south-america",
+        };
+        f.write_str(name)
+    }
+}
 
 /// One row of Table 11.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -17,7 +45,7 @@ pub struct ResolverDescription {
     pub country: String,
     /// Operating organisation.
     pub operator: String,
-    /// The vantage region used for load-balancing decisions.
+    /// The region the resolver sits in.
     pub vantage: Vantage,
 }
 
@@ -30,11 +58,12 @@ impl ResolverDescription {
             vantage,
         }
     }
+}
 
-    /// The resolver configuration for the panel member at `index`.
-    pub fn to_config(&self, index: usize) -> ResolverConfig {
-        ResolverConfig::new(ResolverId(index as u32 + 1), self.vantage, &self.operator)
-    }
+/// The resolver identity of the panel member at `index` (ids start at 1,
+/// clear of the crawlers' own resolvers).
+pub(crate) fn panel_resolver_id(index: usize) -> ResolverId {
+    ResolverId(index as u32 + 1)
 }
 
 /// The 14-resolver panel of Table 11.
@@ -72,21 +101,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn panel_has_fourteen_members_without_ecs() {
-        let panel = resolver_panel();
-        assert_eq!(panel.len(), 14);
-        for (index, description) in panel.iter().enumerate() {
-            let config = description.to_config(index);
-            assert!(!config.ecs, "panel resolvers must not forward ECS");
-            assert_eq!(config.vantage, description.vantage);
-        }
+    fn panel_has_fourteen_members() {
+        assert_eq!(resolver_panel().len(), 14);
+        assert_eq!(Vantage::Europe.to_string(), "europe");
     }
 
     #[test]
     fn panel_ids_are_distinct() {
         let panel = resolver_panel();
-        let ids: std::collections::BTreeSet<_> =
-            panel.iter().enumerate().map(|(i, d)| d.to_config(i).id).collect();
+        let ids: std::collections::BTreeSet<_> = (0..panel.len()).map(panel_resolver_id).collect();
         assert_eq!(ids.len(), panel.len());
     }
 

@@ -7,7 +7,7 @@ use crate::resources::PlannedRequest;
 use crate::services::{DnsDeployment, ServiceCatalog, ThirdPartyService};
 use crate::site::{ShardingPlan, Website};
 use netsim_asdb::{well_known, AsCatalog, AsRegistry};
-use netsim_dns::{Authority, LoadBalancePolicy, ZoneEntry};
+use netsim_dns::{Authority, LoadBalancePolicy};
 use netsim_fetch::RequestDestination;
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer, IssuerCatalog};
 use netsim_types::{DomainName, Duration, Instant, IpAddr, Mitigation, MitigationSet, SimRng, SiteId};
@@ -279,12 +279,12 @@ impl PopulationBuilder {
                 if self.mitigations.contains(Mitigation::SynchronizedDns) {
                     policy = policy.synchronized();
                 }
-                env.authority.insert_entry(*fp_domain, ZoneEntry::balanced(policy));
+                env.authority.insert(*fp_domain, policy);
             }
         } else {
             let ip = prefix.host(10);
             for fp_domain in &first_party {
-                env.authority.insert_entry(*fp_domain, ZoneEntry::single(ip));
+                env.authority.insert(*fp_domain, LoadBalancePolicy::single(ip));
             }
         }
 
@@ -383,7 +383,7 @@ impl PopulationBuilder {
             self.as_catalog.generic_for(rng.in_range(0..1_000_000u32))
         };
         let prefix = env.registry.allocate_slash24(autonomous_system);
-        env.authority.insert_entry(*domain, ZoneEntry::single(prefix.host(20)));
+        env.authority.insert(*domain, LoadBalancePolicy::single(prefix.host(20)));
         let issuer =
             self.issuers.issuer_at(rng.pick_weighted_index(&self.issuer_weights).unwrap_or(0)).clone();
         env.certificates.issue_with_policy(
@@ -461,20 +461,20 @@ pub(crate) fn install_service(
                 let prefix = registry.allocate_slash24(hosting.autonomous_system.clone());
                 let ip = prefix.host(10);
                 for domain in &cluster.domains {
-                    authority.insert_entry(*domain, ZoneEntry::single(ip));
+                    authority.insert(*domain, LoadBalancePolicy::single(ip));
                 }
             }
             DnsDeployment::UnsynchronizedPool { pool_size, answer_size } => {
                 let prefix = registry.allocate_slash24(hosting.autonomous_system.clone());
                 let pool: Vec<IpAddr> = (0..*pool_size).map(|i| prefix.host(10 + i as u64)).collect();
                 for domain in &cluster.domains {
-                    authority.insert_entry(
+                    authority.insert(
                         *domain,
-                        ZoneEntry::balanced(LoadBalancePolicy::PerResolverPool {
+                        LoadBalancePolicy::PerResolverPool {
                             pool: pool.clone(),
                             answer_size: *answer_size,
                             epoch: LB_EPOCH,
-                        }),
+                        },
                     );
                 }
             }
@@ -482,20 +482,20 @@ pub(crate) fn install_service(
                 let prefix = registry.allocate_slash24(hosting.autonomous_system.clone());
                 let pool: Vec<IpAddr> = (0..*pool_size).map(|i| prefix.host(10 + i as u64)).collect();
                 for domain in &cluster.domains {
-                    authority.insert_entry(
+                    authority.insert(
                         *domain,
-                        ZoneEntry::balanced(LoadBalancePolicy::SynchronizedPool {
+                        LoadBalancePolicy::SynchronizedPool {
                             pool: pool.clone(),
                             answer_size: *answer_size,
                             epoch: LB_EPOCH,
-                        }),
+                        },
                     );
                 }
             }
             DnsDeployment::DistinctNetworks => {
                 for domain in &cluster.domains {
                     let prefix = registry.allocate_slash24(hosting.autonomous_system.clone());
-                    authority.insert_entry(*domain, ZoneEntry::single(prefix.host(10)));
+                    authority.insert(*domain, LoadBalancePolicy::single(prefix.host(10)));
                 }
             }
         }
@@ -641,16 +641,10 @@ mod tests {
         let env = build_small(PopulationProfile::archive(), 10, 9);
         // The analytics cluster is announced by GOOGLE.
         let ga = DomainName::literal("www.google-analytics.com");
-        let records = env.authority.query(
-            &ga,
-            &netsim_dns::QueryContext::new(
-                netsim_dns::ResolverId(0),
-                netsim_dns::Vantage::Europe,
-                Instant::EPOCH,
-            ),
-        );
-        assert!(!records.is_empty());
-        let ip = records[0].data.as_a().unwrap();
+        let mut addresses = Vec::new();
+        let ctx = netsim_dns::QueryContext::new(netsim_dns::ResolverId(0), Instant::EPOCH);
+        assert!(env.authority.addresses_into(&ga, &ctx, &mut addresses));
+        let ip = addresses[0];
         assert_eq!(env.asn_for(ip).unwrap().name, "GOOGLE");
     }
 

@@ -10,7 +10,10 @@
 //!   sites; a cause marks only redundant connections, at least one per site
 //!   it marks; every redundant connection carries at least one cause.
 //! * **Per visit**: only an opened connection resumes a handshake; only a
-//!   recursive DNS walk (an injected failure counts as one) fails.
+//!   recursive DNS walk (an injected failure counts as one) fails; every
+//!   walk makes exactly one authority query unless the fault layer injected
+//!   its failure, so `authority queries ≤ walks ≤ authority queries +
+//!   injected faults`.
 //! * **Pool, between pages**: every closed or still pooled connection was
 //!   inserted once (a lent connection that dies mid-page leaves without a
 //!   counter, hence `≤`).
@@ -30,6 +33,12 @@ fn visit_laws(timeline: &VisitTimeline) -> Result<(), String> {
     }
     if timeline.dns_failures > timeline.dns_recursive_walks {
         return Err(format!("DNS failures exceed recursive walks: {timeline:?}"));
+    }
+    if timeline.dns_authority_queries > timeline.dns_recursive_walks {
+        return Err(format!("DNS authority queries exceed recursive walks: {timeline:?}"));
+    }
+    if timeline.dns_recursive_walks > timeline.dns_authority_queries + timeline.faults_injected {
+        return Err(format!("DNS walks without an authority query or an injected fault: {timeline:?}"));
     }
     Ok(())
 }

@@ -9,7 +9,7 @@ use connreuse::core::{
     classify_site, Cause, DurationModel, ObservedConnection, ObservedRequest, SiteObservation,
 };
 use connreuse::cost::{CostTotals, LinkProfile, VisitTimeline};
-use connreuse::dns::{LoadBalancePolicy, QueryContext, ResolverId, Vantage};
+use connreuse::dns::{LoadBalancePolicy, QueryContext, ResolverId};
 use connreuse::experiments::{run_cost, CostConfig, CostReport};
 use connreuse::h2::reuse::{evaluate, ReusePolicy};
 use connreuse::h2::{CloseReason, Connection, ConnectionState};
@@ -357,16 +357,17 @@ proptest! {
             epoch: Duration::from_mins(30),
         };
         let domain = domain_universe()[domain_index];
-        let ctx = QueryContext::new(
-            ResolverId(resolver),
-            Vantage::Europe,
-            Instant::EPOCH + Duration::from_mins(minutes),
-        );
-        let answer = policy.select(&domain, &ctx);
+        let ctx = QueryContext::new(ResolverId(resolver), Instant::EPOCH + Duration::from_mins(minutes));
+        let select = || {
+            let mut answer = Vec::new();
+            policy.select_each(&domain, &ctx, |ip| answer.push(ip));
+            answer
+        };
+        let answer = select();
         prop_assert!(!answer.is_empty());
         prop_assert!(answer.len() <= pool.len());
         prop_assert!(answer.iter().all(|ip| pool.contains(ip)));
-        prop_assert_eq!(answer.clone(), policy.select(&domain, &ctx));
+        prop_assert_eq!(answer, select());
     }
 
     /// A warm session never opens *more* connections than the same pages
