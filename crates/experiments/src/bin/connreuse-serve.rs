@@ -22,11 +22,12 @@
 
 use connreuse_experiments::cli::{self, CliError, Flag, Spec};
 use connreuse_experiments::store::{
-    answer_query, open_store, run_store, BuildReport, StoreConfig, StoreQuery, StoreRunReport,
+    answer_query, build_store, open_store, BuildReport, StoreConfig, StoreQuery, StoreRunReport,
 };
+use netsim_store::ShardStore;
 use std::error::Error;
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const SPEC: Spec = Spec::new(
@@ -40,7 +41,7 @@ const SPEC: Spec = Spec::new(
         Flag::value("--sites", "N", "population size (growth only appends chunks)"),
         Flag::value("--chunk-sites", "N", "sites per shard (changes the fingerprint)"),
         Flag::value("--seed", "N", "root seed (changes the fingerprint)"),
-        Flag::value("--threads", "N", "worker threads for building and query folds"),
+        Flag::value("--threads", "N", "worker threads for building the store"),
         Flag::value(
             "--query",
             "Q",
@@ -77,29 +78,24 @@ fn main() -> ExitCode {
         let out: Option<PathBuf> = args.value("--out")?;
         Ok(move || {
             let start = std::time::Instant::now();
-            let report = if build {
-                run_store(&config, &dir, &queries)
-            } else {
-                // Serve-only: the store must already exist and match the
-                // config; nothing on disk is touched.
-                open_store(&config, &dir).and_then(|store| {
-                    let mut answers = Vec::with_capacity(queries.len());
-                    for query in &queries {
-                        answers.push(answer_query(&store, &config, query)?);
-                    }
-                    let build = BuildReport {
-                        config: config.clone(),
-                        fingerprint: store.manifest().fingerprint,
-                        chunk_count: store.chunk_count(),
-                        records_per_shard: store.manifest().keys.len(),
-                        rewritten: 0,
-                        reused: store.chunk_count(),
-                        removed: 0,
-                    };
-                    Ok(StoreRunReport { build, answers })
-                })
-            };
-            let report = report?;
+            // Without --build the store must already exist and match the
+            // config; nothing on disk is touched.
+            let built = if build { Some(build_store(&config, &dir)?) } else { None };
+            // One open verifies every shard; the flag queries and the stdin
+            // loop all fold from it.
+            let store = open_store(&config, &dir)?;
+            let build = built.unwrap_or_else(|| BuildReport {
+                config: config.clone(),
+                fingerprint: store.manifest().fingerprint,
+                chunk_count: store.chunk_count(),
+                records_per_shard: store.manifest().keys.len(),
+                rewritten: 0,
+                reused: store.chunk_count(),
+                removed: 0,
+            });
+            let answers =
+                queries.iter().map(|query| answer_query(&store, &config, query)).collect::<Result<_, _>>()?;
+            let report = StoreRunReport { build, answers };
             eprintln!(
                 "store at {} ready in {:.1}s ({} shards rewritten, {} reused)",
                 dir.display(),
@@ -113,19 +109,19 @@ fn main() -> ExitCode {
                 cli::write_output(path, &text)?;
             }
             if serve {
-                serve_stdin(&config, &dir)?;
+                serve_stdin(&config, &store)?;
             }
             Ok(())
         })
     })
 }
 
-/// The long-running loop: one query per stdin line, one answer per query.
-/// Malformed queries get an `error:` line and the loop continues; store
-/// corruption discovered mid-read is fatal (exit 1) — better down than
+/// The long-running loop: one query per stdin line, one answer per query,
+/// folded from the store as verified at open. Malformed queries get an
+/// `error:` line and the loop continues; a query that covers a chunk whose
+/// shard failed verification at open is fatal (exit 1) — better down than
 /// wrong.
-fn serve_stdin(config: &StoreConfig, dir: &Path) -> Result<(), Box<dyn Error>> {
-    let store = open_store(config, dir)?;
+fn serve_stdin(config: &StoreConfig, store: &ShardStore) -> Result<(), Box<dyn Error>> {
     eprintln!("serving queries from stdin (one per line; EOF ends the session)");
     for line in std::io::stdin().lock().lines() {
         let line = line.map_err(|error| format!("stdin: {error}"))?;
@@ -135,7 +131,7 @@ fn serve_stdin(config: &StoreConfig, dir: &Path) -> Result<(), Box<dyn Error>> {
         match StoreQuery::parse(&line, config) {
             Err(message) => println!("error: {message}"),
             Ok(query) => {
-                println!("{}", answer_query(&store, config, &query)?.render(config));
+                println!("{}", answer_query(store, config, &query)?.render(config));
             }
         }
     }

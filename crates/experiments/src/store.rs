@@ -32,19 +32,21 @@
 //! already match and crawls only the dirty ones. A second build over the
 //! same config rewrites zero shards.
 //!
-//! ## Backpressure
+//! ## Backpressure and the query snapshot
 //!
 //! Building streams each finished chunk's shard through a **bounded**
 //! channel ([`connreuse_executor::run_indexed_streaming`]) to the writer on
 //! the caller thread; crawl workers block when the writer lags instead of
-//! buffering unboundedly. Query answering reads shards through the same
-//! bounded stream, merging on the caller thread as chunks arrive.
+//! buffering unboundedly. Queries do not stream: [`open_store`] verifies
+//! every shard once and holds the verified records, O(chunks × cells)
+//! memory (1.46 MB for [`StoreConfig::full`]), and [`answer_query`] folds
+//! them on the caller thread with no I/O. The open is a snapshot; a shard
+//! file changed afterwards is not seen.
 
 use crate::grid::{atlas_population, chunk_layout, stream_grid, CellRecord, GridWorker};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use connreuse_core::DatasetSummary;
-use connreuse_executor::run_indexed_streaming;
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_store::{
     finalize_manifest, write_shard, BuildPlan, ShardFile, ShardStore, StoreError, StoreLayout,
@@ -52,6 +54,7 @@ use netsim_store::{
 use netsim_types::{Fingerprint, FingerprintBuilder, Mitigation, MitigationSet};
 use netsim_web::DeploymentCache;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::path::Path;
 
 /// Sizing, seeding and stored-deployment selection of one shard store.
@@ -66,8 +69,9 @@ pub struct StoreConfig {
     /// Root seed; population and crawl seeds derive from it via the shared
     /// Alexa offsets.
     pub seed: u64,
-    /// Worker threads for building and for folding queries. Not part of the
-    /// fingerprint: any thread count produces the identical store.
+    /// Worker threads for building (and for [`answer_in_memory`]'s crawl).
+    /// Not part of the fingerprint: any thread count produces the identical
+    /// store.
     pub threads: usize,
     /// Exponent of the Zipf head-profile mix (as the atlas).
     pub zipf_exponent: f64,
@@ -75,9 +79,9 @@ pub struct StoreConfig {
     /// per (deployment × link profile); queries can only ask about stored
     /// deployments.
     pub mitigations: Vec<MitigationSet>,
-    /// Bound of the build/query streaming channel: how many finished chunk
-    /// results may await the caller-thread writer/merger before workers
-    /// block. Not part of the fingerprint.
+    /// Bound of the build's streaming channel: how many finished chunk
+    /// results may await the caller-thread writer before workers block. Not
+    /// part of the fingerprint.
     pub channel_capacity: usize,
 }
 
@@ -439,7 +443,8 @@ pub fn build_store(config: &StoreConfig, dir: &Path) -> Result<BuildReport, Stor
     })
 }
 
-/// Open a store directory and require it to match `config`'s fingerprint.
+/// Open a store directory, require it to match `config`'s fingerprint, and
+/// verify every shard once ([`ShardStore::open`]).
 pub fn open_store(config: &StoreConfig, dir: &Path) -> Result<ShardStore, StoreError> {
     ShardStore::open_with_fingerprint(dir, config.fingerprint())
 }
@@ -488,29 +493,27 @@ pub struct QueryAnswer {
     pub cost: CostTotals,
 }
 
-/// The record index of a query's (deployment, profile) cell, and the chunk
-/// indices its rank slice covers.
-fn query_targets(config: &StoreConfig, query: &StoreQuery) -> Result<(usize, Vec<usize>), StoreError> {
+/// The record index of a query's (deployment, profile) cell, and the
+/// contiguous range of chunk indices its rank slice covers.
+fn query_targets(config: &StoreConfig, query: &StoreQuery) -> Result<(usize, Range<usize>), StoreError> {
     let key = (query.mitigations.bits() as u64, query.profile_index as u64);
     let record_index =
         config.keys().iter().position(|&k| k == key).ok_or_else(|| StoreError::LayoutMismatch {
             path: String::new(),
             message: format!("the store does not price cell ({}, profile {})", query.mitigations, key.1),
         })?;
-    let covered = config
-        .chunks()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &(start, len))| start as u64 >= query.lo && (start + len) as u64 <= query.hi)
-        .map(|(index, _)| index)
-        .collect();
-    Ok((record_index, covered))
+    let chunks = config.chunks();
+    let first = chunks.partition_point(|&(start, _)| (start as u64) < query.lo);
+    let end = chunks.partition_point(|&(start, len)| (start + len) as u64 <= query.hi);
+    Ok((record_index, first..end.max(first)))
 }
 
-/// Answer a query from a persisted store: read each covered chunk's shard
-/// (workers verify checksums in parallel) and fold the queried record
-/// through the shard-merge monoid as results stream in over the bounded
-/// channel. No site is ever re-crawled.
+/// Answer a query from an opened store: fold the queried record of each
+/// covered chunk, in chunk order, through the shard-merge monoid. The
+/// records were verified when the store was opened, so the fold does no I/O
+/// and starts no thread; a covered chunk that failed verification fails the
+/// query with its refusal (the lowest-indexed one, if several). No site is
+/// ever re-crawled.
 pub fn answer_query(
     store: &ShardStore,
     config: &StoreConfig,
@@ -518,24 +521,8 @@ pub fn answer_query(
 ) -> Result<QueryAnswer, StoreError> {
     let (record_index, covered) = query_targets(config, query)?;
     let mut fold = CellRecord::default();
-    let mut failure: Option<StoreError> = None;
-    run_indexed_streaming(
-        config.threads,
-        covered.len(),
-        config.channel_capacity,
-        |_worker| (),
-        |_state, task| store.read_chunk(covered[task]),
-        |_task, result| match result {
-            Ok(shard) => fold.merge(&CellRecord::from_shard(&shard.records[record_index])),
-            Err(error) => {
-                if failure.is_none() {
-                    failure = Some(error);
-                }
-            }
-        },
-    );
-    if let Some(error) = failure {
-        return Err(error);
+    for chunk in covered.clone() {
+        fold.merge(&CellRecord::from_shard(store.record(chunk, record_index)?));
     }
     Ok(QueryAnswer::from_fold(config, query, covered.len(), fold))
 }
@@ -553,7 +540,7 @@ pub fn answer_in_memory(config: &StoreConfig, query: &StoreQuery) -> Result<Quer
         config.threads,
         covered.len(),
         config.channel_capacity,
-        |worker, task| measure_chunk(worker, config, chunks[covered[task]], &deployments),
+        |worker, task| measure_chunk(worker, config, chunks[covered.start + task], &deployments),
         |_task, cells| fold.merge(&cells[record_index]),
     );
     Ok(QueryAnswer::from_fold(config, query, covered.len(), fold))
@@ -607,7 +594,7 @@ impl QueryAnswer {
 }
 
 /// One full service round: build (or refresh) the store, then answer the
-/// queries from disk. Shared by the `store` experiment and the
+/// queries from it. Shared by the `store` experiment and the
 /// `connreuse-serve` bin, so the CI smoke can diff the bin's output against
 /// the experiment's golden snapshot.
 #[derive(Clone, Debug, PartialEq)]

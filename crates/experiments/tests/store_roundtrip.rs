@@ -9,6 +9,9 @@
 //! * **Corruption** — truncation, bit flips, fingerprint tampering and
 //!   re-sealed shards whose records drift off the layout are refused with
 //!   the matching typed [`StoreError`], never served.
+//! * **Snapshot** — opening a store verifies every shard once; queries fold
+//!   the verified records without touching the disk, and a shard refused at
+//!   open fails exactly the queries that cover it, lowest chunk first.
 //! * **Untrusted input** — shard decoding over arbitrary and damaged bytes
 //!   and query parsing over arbitrary text return typed errors and never
 //!   panic (proptest).
@@ -296,6 +299,108 @@ fn corruption_is_refused_with_typed_errors_and_repaired_incrementally() {
     std::fs::remove_file(&victim).unwrap();
     assert!(matches!(store.read_chunk(1), Err(StoreError::Missing { .. })));
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every chunk-aligned rank slice of `config`, under its first and last
+/// stored cell.
+fn slice_queries(config: &StoreConfig) -> Vec<StoreQuery> {
+    let bounds: Vec<u64> =
+        config.chunks().iter().map(|&(start, _)| start as u64).chain([config.sites as u64]).collect();
+    let keys = config.keys();
+    let cells = [keys[0], keys[keys.len() - 1]];
+    let mut queries = Vec::new();
+    for (at, &lo) in bounds.iter().enumerate() {
+        for &hi in &bounds[at + 1..] {
+            for (bits, profile_index) in cells {
+                queries.push(StoreQuery {
+                    mitigations: MitigationSet::from_bits(bits as u8),
+                    profile_index: profile_index as usize,
+                    lo,
+                    hi,
+                });
+            }
+        }
+    }
+    queries
+}
+
+/// Opening verifies and holds every shard, so queries never touch the disk:
+/// with the store directory deleted after the open, every demo query still
+/// equals the in-memory computation.
+#[test]
+fn queries_fold_the_snapshot_taken_at_open_without_io() {
+    let config = tiny(30, 8, 11, 2);
+    let dir = temp_store("snapshot");
+    build_store(&config, &dir).expect("build");
+    let store = open_store(&config, &dir).expect("open");
+    std::fs::remove_dir_all(&dir).unwrap();
+    for query in config.demo_queries() {
+        assert_eq!(
+            answer_query(&store, &config, &query).expect("answer from the snapshot"),
+            answer_in_memory(&config, &query).expect("in-memory answer"),
+            "{}",
+            query.render(&config)
+        );
+    }
+}
+
+/// A shard damaged before the open does not fail the open: every query that
+/// covers it fails with the typed refusal naming that file, and every other
+/// query is still answered exactly.
+#[test]
+fn a_shard_refused_at_open_fails_only_the_queries_that_cover_it() {
+    let config = tiny(24, 6, 13, 2); // chunks: (0,6) (6,6) (12,6) (18,6)
+    let dir = temp_store("refusal");
+    build_store(&config, &dir).expect("build");
+    let victim = dir.join("shards").join("chunk-000001.shard");
+    let bytes = std::fs::read(&victim).expect("read shard");
+    std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+
+    let store = open_store(&config, &dir).expect("a bad shard does not fail the open");
+    let (mut refused, mut answered) = (0, 0);
+    for query in slice_queries(&config) {
+        let answer = answer_query(&store, &config, &query);
+        if query.lo <= 6 && query.hi >= 12 {
+            refused += 1;
+            match answer {
+                Err(StoreError::ChecksumMismatch { path }) => {
+                    assert!(path.ends_with("chunk-000001.shard"), "{path}")
+                }
+                other => panic!("{} covers chunk 1: {other:?}", query.render(&config)),
+            }
+        } else {
+            answered += 1;
+            assert_eq!(answer.expect("chunk 1 not covered"), answer_in_memory(&config, &query).unwrap());
+        }
+    }
+    assert_eq!((refused, answered), (12, 8));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// With several shards refused, a query reports the lowest-indexed one,
+/// whatever the configured thread count.
+#[test]
+fn the_lowest_refused_chunk_names_the_error_at_any_thread_count() {
+    let config = tiny(24, 6, 17, 2);
+    let dir = temp_store("first-error");
+    build_store(&config, &dir).expect("build");
+    let shard = |index: usize| StoreLayout::shard_path(&dir, index);
+    let bytes = std::fs::read(shard(2)).expect("read shard");
+    std::fs::write(shard(2), &bytes[..bytes.len() - 8]).unwrap();
+    std::fs::remove_file(shard(1)).unwrap();
+
+    let whole = StoreQuery { mitigations: MitigationSet::all(), profile_index: 0, lo: 0, hi: 24 };
+    let errors: Vec<StoreError> = [1, 8]
+        .into_iter()
+        .map(|threads| {
+            let config = StoreConfig { threads, ..config.clone() };
+            let store = open_store(&config, &dir).expect("open");
+            answer_query(&store, &config, &whole).expect_err("chunks 1 and 2 are refused")
+        })
+        .collect();
+    assert_eq!(errors[0], StoreError::Missing { path: shard(1).display().to_string() });
+    assert_eq!(errors[0], errors[1]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -26,7 +26,10 @@
 //! * **Integrity** — every shard carries a trailing FNV-1a checksum and the
 //!   config fingerprint; [`ShardStore::read_chunk`] refuses corrupt or
 //!   foreign shards with a typed [`StoreError`] instead of serving wrong
-//!   numbers.
+//!   numbers. [`ShardStore::open`] runs that check once per shard and keeps
+//!   the verified records in memory; [`ShardStore::record`] serves them and
+//!   returns a bad chunk's refusal for every read of it. The open is a
+//!   snapshot: a shard file changed afterwards is not seen.
 //! * **Incremental rebuild** — [`BuildPlan::assess`] decodes what is already
 //!   on disk and schedules only chunks whose shard is missing, corrupt, or
 //!   written under a different fingerprint/layout. A second build over the
@@ -224,33 +227,75 @@ pub fn finalize_manifest(dir: &Path, layout: &StoreLayout) -> Result<Manifest, S
     Ok(manifest)
 }
 
-/// An opened, manifest-validated store, ready to serve chunk reads.
+/// An opened store: the manifest-validated layout plus every chunk's
+/// records, verified once at open and held in memory for the folds.
 #[derive(Clone, Debug)]
 pub struct ShardStore {
     dir: PathBuf,
     manifest: Manifest,
     /// The layout the manifest commits to; every read is checked against it.
     layout: StoreLayout,
+    /// Every chunk's records, chunk-major: record `r` of chunk `c` sits at
+    /// `c * keys + r`. A chunk refused at open holds default records here.
+    records: Vec<ShardRecord>,
+    /// Per chunk, the refusal its verification met at open, if any.
+    refusals: Vec<Option<StoreError>>,
 }
 
 impl ShardStore {
-    /// Open a store directory: load its manifest or refuse.
+    /// Open a store directory: load its manifest or refuse, then verify
+    /// every shard once ([`ShardStore::read_chunk`]) and keep its records.
+    /// A bad shard does not fail the open; [`ShardStore::record`] returns
+    /// its refusal for every read of that chunk.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
+        ShardStore::load(dir, None)
+    }
+
+    /// Open and additionally require the store's fingerprint to match the
+    /// configuration being served (checked before any shard is read).
+    pub fn open_with_fingerprint(dir: &Path, expected: u64) -> Result<Self, StoreError> {
+        ShardStore::load(dir, Some(expected))
+    }
+
+    fn load(dir: &Path, expected: Option<u64>) -> Result<Self, StoreError> {
         let manifest = Manifest::load(dir)?;
+        if let Some(expected) = expected.filter(|&expected| expected != manifest.fingerprint) {
+            return Err(StoreError::FingerprintMismatch { found: manifest.fingerprint, expected });
+        }
         let layout = StoreLayout {
             fingerprint: manifest.fingerprint,
             chunks: manifest.chunks.iter().map(|chunk| (chunk.start, chunk.len)).collect(),
             keys: manifest.keys.iter().map(|key| (key.mitigation_bits, key.profile_index)).collect(),
         };
-        Ok(ShardStore { dir: dir.to_path_buf(), manifest, layout })
-    }
-
-    /// Open and additionally require the store's fingerprint to match the
-    /// configuration being served.
-    pub fn open_with_fingerprint(dir: &Path, expected: u64) -> Result<Self, StoreError> {
-        let store = ShardStore::open(dir)?;
-        if store.manifest.fingerprint != expected {
-            return Err(StoreError::FingerprintMismatch { found: store.manifest.fingerprint, expected });
+        let (chunks, keys) = (layout.chunks.len(), layout.keys.len());
+        // The manifest is untrusted: refuse a record count that cannot be
+        // held instead of aborting on the allocation.
+        let mut records = Vec::new();
+        chunks.checked_mul(keys).and_then(|len| records.try_reserve_exact(len).ok()).ok_or_else(|| {
+            StoreError::ManifestCorrupt {
+                path: Manifest::path(dir).display().to_string(),
+                message: format!("{chunks} chunks of {keys} records each do not fit in memory"),
+            }
+        })?;
+        let mut store = ShardStore {
+            dir: dir.to_path_buf(),
+            manifest,
+            layout,
+            records,
+            refusals: Vec::with_capacity(chunks),
+        };
+        for index in 0..chunks {
+            let refusal = match store.read_chunk(index) {
+                Ok(shard) => {
+                    store.records.extend_from_slice(&shard.records);
+                    None
+                }
+                Err(error) => {
+                    store.records.resize((index + 1) * keys, ShardRecord::default());
+                    Some(error)
+                }
+            };
+            store.refusals.push(refusal);
         }
         Ok(store)
     }
@@ -270,14 +315,28 @@ impl ShardStore {
         self.manifest.chunks.len()
     }
 
-    /// Read and fully verify one chunk's shard: file checksum against the
-    /// manifest, format checksum, fingerprint, and the manifest's layout
-    /// (chunk bounds, record count and keys).
+    /// One record of one chunk, as verified at open: the chunk's refusal if
+    /// its shard failed verification, a [`StoreError::LayoutMismatch`] if
+    /// either index lies beyond the layout. Never touches the disk, so a
+    /// file changed after open is not seen.
+    pub fn record(&self, chunk: usize, record_index: usize) -> Result<&ShardRecord, StoreError> {
+        let keys = self.layout.keys.len();
+        match self.refusals.get(chunk) {
+            None => Err(self.beyond_manifest(chunk)),
+            Some(Some(refusal)) => Err(refusal.clone()),
+            Some(None) if record_index >= keys => Err(StoreError::LayoutMismatch {
+                path: StoreLayout::shard_path(&self.dir, chunk).display().to_string(),
+                message: format!("record {record_index} beyond the layout's {keys} records"),
+            }),
+            Some(None) => Ok(&self.records[chunk * keys + record_index]),
+        }
+    }
+
+    /// Read and fully verify one chunk's shard from disk: file checksum
+    /// against the manifest, format checksum, fingerprint, and the
+    /// manifest's layout (chunk bounds, record count and keys).
     pub fn read_chunk(&self, index: usize) -> Result<ShardFile, StoreError> {
-        let entry = self.manifest.chunks.get(index).ok_or_else(|| StoreError::LayoutMismatch {
-            path: StoreLayout::shard_path(&self.dir, index).display().to_string(),
-            message: format!("chunk {index} beyond the manifest's {} chunks", self.manifest.chunks.len()),
-        })?;
+        let entry = self.manifest.chunks.get(index).ok_or_else(|| self.beyond_manifest(index))?;
         let path = self.dir.join(SHARDS_DIR).join(&entry.file);
         let bytes = std::fs::read(&path).map_err(|error| StoreError::io(&path, error))?;
         if netsim_types::fnv1a(&bytes) != entry.checksum {
@@ -286,6 +345,14 @@ impl ShardStore {
         let shard = ShardFile::decode(&path.display().to_string(), &bytes, Some(self.manifest.fingerprint))?;
         self.layout.check(index, &path, &shard)?;
         Ok(shard)
+    }
+
+    /// The refusal of a chunk index the manifest does not list.
+    fn beyond_manifest(&self, index: usize) -> StoreError {
+        StoreError::LayoutMismatch {
+            path: StoreLayout::shard_path(&self.dir, index).display().to_string(),
+            message: format!("chunk {index} beyond the manifest's {} chunks", self.manifest.chunks.len()),
+        }
     }
 }
 
@@ -429,6 +496,31 @@ mod tests {
         let error = store.read_chunk(1).unwrap_err();
         assert!(matches!(error, StoreError::ChecksumMismatch { .. }), "{error:?}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_verifies_once_and_serves_records_from_memory() {
+        let dir = temp_store("records");
+        let layout = layout();
+        build(&dir, &layout);
+        std::fs::write(StoreLayout::shard_path(&dir, 1), MAGIC).unwrap();
+
+        let store = ShardStore::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        for index in [0, 2] {
+            for (record_index, record) in
+                shard_for(&layout, index, index as u64 + 1).records.iter().enumerate()
+            {
+                assert_eq!(store.record(index, record_index), Ok(record));
+            }
+        }
+        assert!(matches!(store.record(1, 0), Err(StoreError::ChecksumMismatch { .. })));
+        assert!(matches!(store.record(3, 0), Err(StoreError::LayoutMismatch { .. })));
+        assert!(matches!(store.record(0, 3), Err(StoreError::LayoutMismatch { .. })));
+        assert!(
+            matches!(store.read_chunk(0), Err(StoreError::Missing { .. })),
+            "read_chunk still reads disk"
+        );
     }
 
     #[test]

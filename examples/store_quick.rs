@@ -23,7 +23,8 @@ fn main() {
         again.rewritten, again.reused
     );
 
-    // What-ifs fold straight from disk; no site is crawled again.
+    // Opening verifies every shard once; what-ifs then fold the verified
+    // records in memory, and no site is crawled again.
     let store = open_store(&config, &dir).expect("open store");
     for text in [
         "mitigations=none",
