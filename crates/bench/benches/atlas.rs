@@ -181,10 +181,11 @@ fn bench_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The visit engine itself: the pre-scratch batch pipeline (owned
-/// `PageVisit` → observation → classification) against the zero-allocation
-/// scratch fast path (`visit_site_into` → `FastVisitClassifier`). The ratio
-/// is the per-visit win the atlas throughput target is built on.
+/// The visit engine itself: the batch pipeline (owned `PageVisit` →
+/// observation → `classify_site`) against the zero-allocation scratch fast
+/// path (`visit_site_into` → `classify_scratch`). Both run the same §4.1
+/// kernel; the ratio is what building the visit, the observation and the
+/// per-connection cause maps costs on top of it.
 fn bench_visit_paths(c: &mut Criterion) {
     use connreuse_core::{classify_site, site_from_visit, FastVisitClassifier};
     use netsim_browser::{BrowserConfig, Crawler, VisitScratch};

@@ -90,8 +90,8 @@ pub struct VisitScratch {
     netlog_enabled: bool,
     /// The reusable resolver; rebuilt only when the resolver id changes.
     resolver: Option<RecursiveResolver>,
-    /// `true` if any response of the current visit had a non-200 status —
-    /// the streaming classifier falls back to the full path then.
+    /// `true` if any response of the current visit had a non-200 status;
+    /// the streaming classifier assumes none did.
     pub(crate) any_non_ok: bool,
     /// The current visit's cost timeline. A block of `Copy` integer
     /// counters — accounting never allocates. The loader also reads it back:

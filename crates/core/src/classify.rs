@@ -1,7 +1,17 @@
-//! The redundancy classifier (§4.1 of the paper).
+//! The redundancy classifier (§4.1 of the paper): one pair rule
+//! (`pair_cause`) applied by one establishment-order loop (`for_each_pair`)
+//! over `Copy` [`ConnectionRecord`]s.
+//!
+//! Two adapters fill the records and collect the loop's output through a
+//! sink. [`classify_site`] reads a [`SiteObservation`] and keeps each
+//! connection's earlier partners per cause, which the attribution tables
+//! read through [`ClassifiedConnection::previous_for`].
+//! [`crate::FastVisitClassifier`] reads a visit's scratch buffers and ORs
+//! cause bits into the site's counts. Certificate coverage is looked up by
+//! record index, so each adapter keeps its own certificate form.
 
-use crate::observation::{Dataset, DurationModel, SiteObservation};
-use netsim_types::DomainName;
+use crate::observation::{Dataset, DurationModel, ObservedConnection, SiteObservation};
+use netsim_types::{ConnectionId, DomainName, Instant, IpAddr};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -103,26 +113,125 @@ impl SiteClassification {
     pub fn connections_with_cause(&self, cause: Cause) -> usize {
         self.connections.iter().filter(|c| c.has_cause(cause)).count()
     }
+}
 
-    /// `true` if any connection carries the given cause.
-    pub fn affected_by(&self, cause: Cause) -> bool {
-        self.connections_with_cause(cause) > 0
+/// One connection as the §4.1 rule reads it.
+#[derive(Clone, Copy, Debug)]
+pub struct ConnectionRecord {
+    /// Session identifier; breaks ties between equal establishment times.
+    pub id: ConnectionId,
+    /// The host the session was opened for.
+    pub initial_domain: DomainName,
+    /// Destination address.
+    pub ip: IpAddr,
+    /// Destination port.
+    pub port: u16,
+    /// When the session was established.
+    pub established_at: Instant,
+    /// When the session closed, if known.
+    pub closed_at: Option<Instant>,
+    /// Send time of the last request on the session (its establishment time
+    /// if it carried none).
+    pub last_request_at: Instant,
+    /// `true` if a server excluded the initial domain via HTTP 421 anywhere
+    /// on the site: the connection gets no causes, but stays an earlier
+    /// partner for the connections after it.
+    pub excluded: bool,
+}
+
+impl ConnectionRecord {
+    /// `true` if the session was open (established and not yet closed under
+    /// `model`) at instant `t`.
+    fn open_at(&self, t: Instant, model: DurationModel) -> bool {
+        let open_until = match model {
+            DurationModel::Endless => None,
+            DurationModel::Immediate => Some(self.last_request_at),
+            DurationModel::Recorded => self.closed_at,
+        };
+        self.established_at <= t && open_until.is_none_or(|end| t <= end)
     }
+}
 
-    /// `true` if the site opened at least one redundant connection.
-    pub fn has_redundancy(&self) -> bool {
-        self.redundant_connections() > 0
+/// The §4.1 pair rule: the cause an earlier `previous` connection gives
+/// `connection`, or `None` if it was on another port, not open at
+/// `connection`'s establishment, or an unavoidable third party. `covers`
+/// answers whether `previous`'s certificate covers `connection`'s initial
+/// domain; it is only asked for pairs that pass the port and open checks.
+fn pair_cause(
+    previous: &ConnectionRecord,
+    connection: &ConnectionRecord,
+    model: DurationModel,
+    covers: impl FnOnce() -> bool,
+) -> Option<Cause> {
+    if previous.port != connection.port || !previous.open_at(connection.established_at, model) {
+        return None;
+    }
+    let covers = covers();
+    if previous.ip == connection.ip {
+        Some(if covers { Cause::Cred } else { Cause::Cert })
+    } else if previous.initial_domain == connection.initial_domain {
+        // Same-initial-domain on different IPs: only happens when the
+        // credentials partition forbade reuse and DNS announced several
+        // addresses — counted as CRED, not IP (§4.1).
+        Some(Cause::Cred)
+    } else if covers {
+        Some(Cause::Ip)
+    } else {
+        None
+    }
+}
+
+/// The establishment-order loop. Fills `order` with the indices of
+/// `records` sorted by `(established_at, id)` and hands `sink` every
+/// `(connection, cause, earlier partner)` triple as record indices:
+/// connections in establishment order, each one's partners in establishment
+/// order. Excluded records get no causes. `covers(i, domain)` answers
+/// whether record `i`'s certificate covers `domain`.
+pub(crate) fn for_each_pair(
+    records: &[ConnectionRecord],
+    order: &mut Vec<u32>,
+    model: DurationModel,
+    covers: impl Fn(usize, &DomainName) -> bool,
+    mut sink: impl FnMut(usize, Cause, usize),
+) {
+    order.clear();
+    order.extend(0..records.len() as u32);
+    // The index tie-break keeps equal keys in record order, as a stable sort
+    // would, without the stable sort's scratch buffer.
+    order.sort_unstable_by_key(|&i| (records[i as usize].established_at, records[i as usize].id, i));
+    for (position, &index) in order.iter().enumerate() {
+        let connection = &records[index as usize];
+        if connection.excluded {
+            continue;
+        }
+        for &previous in &order[..position] {
+            let previous = previous as usize;
+            let covers = || covers(previous, &connection.initial_domain);
+            if let Some(cause) = pair_cause(&records[previous], connection, model, covers) {
+                sink(index as usize, cause, previous);
+            }
+        }
+    }
+}
+
+/// An observed connection as a kernel record.
+fn record(connection: &ObservedConnection, excluded: bool) -> ConnectionRecord {
+    ConnectionRecord {
+        id: connection.id,
+        initial_domain: connection.initial_domain,
+        ip: connection.ip,
+        port: connection.port,
+        established_at: connection.established_at,
+        closed_at: connection.closed_at,
+        last_request_at: connection.last_request_at(),
+        excluded,
     }
 }
 
 /// Classify one site's observed connections under a duration model.
 pub fn classify_site(site: &SiteObservation, model: DurationModel) -> SiteClassification {
-    // Establishment order: by start time, ties broken by id for determinism.
-    let mut order: Vec<usize> = (0..site.connections.len()).collect();
-    order.sort_by_key(|&i| (site.connections[i].established_at, site.connections[i].id));
-
     // Domains the servers explicitly excluded via HTTP 421 anywhere on the
-    // site: connections for them are ignored (§4.1 / §4.3).
+    // site: connections for them get no causes (§4.1 / §4.3).
     let excluded_domains: BTreeSet<&DomainName> = site
         .connections
         .iter()
@@ -130,58 +239,32 @@ pub fn classify_site(site: &SiteObservation, model: DurationModel) -> SiteClassi
         .filter(|r| r.status == 421)
         .map(|r| &r.domain)
         .collect();
+    let records: Vec<ConnectionRecord> =
+        site.connections.iter().map(|c| record(c, excluded_domains.contains(&c.initial_domain))).collect();
 
-    let mut classified = Vec::with_capacity(order.len());
-    for (position, &index) in order.iter().enumerate() {
-        let connection = &site.connections[index];
-        if excluded_domains.contains(&connection.initial_domain) {
-            classified.push(ClassifiedConnection {
+    let mut order = Vec::with_capacity(records.len());
+    let mut causes: Vec<BTreeMap<Cause, Vec<usize>>> = vec![BTreeMap::new(); records.len()];
+    for_each_pair(
+        &records,
+        &mut order,
+        model,
+        |index, domain| site.connections[index].covers(domain),
+        |index, cause, previous| causes[index].entry(cause).or_default().push(previous),
+    );
+
+    let connections = order
+        .iter()
+        .map(|&index| {
+            let index = index as usize;
+            ClassifiedConnection {
                 index,
-                origin: connection.initial_domain,
-                causes: BTreeMap::new(),
-                excluded: true,
-            });
-            continue;
-        }
-        let mut causes: BTreeMap<Cause, Vec<usize>> = BTreeMap::new();
-        for &previous_index in &order[..position] {
-            let previous = &site.connections[previous_index];
-            if previous.port != connection.port {
-                continue;
+                origin: records[index].initial_domain,
+                causes: std::mem::take(&mut causes[index]),
+                excluded: records[index].excluded,
             }
-            if !previous.open_at(connection.established_at, model) {
-                continue;
-            }
-            let covers = previous.covers(&connection.initial_domain);
-            let cause = if previous.ip == connection.ip {
-                if covers {
-                    Some(Cause::Cred)
-                } else {
-                    Some(Cause::Cert)
-                }
-            } else if previous.initial_domain == connection.initial_domain {
-                // Same-initial-domain on different IPs: only happens when the
-                // credentials partition forbade reuse and DNS announced
-                // several addresses — counted as CRED, not IP (§4.1).
-                Some(Cause::Cred)
-            } else if covers {
-                Some(Cause::Ip)
-            } else {
-                None
-            };
-            if let Some(cause) = cause {
-                causes.entry(cause).or_default().push(previous_index);
-            }
-        }
-        classified.push(ClassifiedConnection {
-            index,
-            origin: connection.initial_domain,
-            causes,
-            excluded: false,
-        });
-    }
-
-    SiteClassification { site: site.site, total_connections: site.connections.len(), connections: classified }
+        })
+        .collect();
+    SiteClassification { site: site.site, total_connections: records.len(), connections }
 }
 
 /// Classify every site of a dataset. The result is aligned index-by-index
@@ -196,7 +279,7 @@ mod tests {
     use super::*;
     use crate::observation::{ObservedConnection, ObservedRequest};
     use netsim_tls::{Issuer, SanEntry};
-    use netsim_types::{ConnectionId, Instant, IpAddr};
+    use netsim_types::Duration;
 
     fn d(s: &str) -> DomainName {
         DomainName::literal(s)
@@ -232,7 +315,6 @@ mod tests {
         let s = site(vec![conn(1, "example.com", IP_A, &["example.com"], 0)]);
         let result = classify_site(&s, DurationModel::Endless);
         assert_eq!(result.redundant_connections(), 0);
-        assert!(!result.has_redundancy());
         assert_eq!(result.total_connections, 1);
     }
 
@@ -258,8 +340,8 @@ mod tests {
         ]);
         let result = classify_site(&s, DurationModel::Endless);
         assert_eq!(result.connections_with_cause(Cause::Cert), 1);
-        assert!(result.affected_by(Cause::Cert));
-        assert!(!result.affected_by(Cause::Ip));
+        assert_eq!(result.connections_with_cause(Cause::Ip), 0);
+        assert_eq!(result.connections[1].previous_for(Cause::Cert), &[0]);
     }
 
     #[test]
@@ -272,6 +354,31 @@ mod tests {
         let result = classify_site(&s, DurationModel::Endless);
         assert_eq!(result.connections_with_cause(Cause::Ip), 1);
         assert_eq!(result.redundant_connections(), 1);
+
+        // Mixed with a CERT shard and a repeat of the covered domain: #2 is
+        // IP to #1; #3 is CERT to #1 (same IP, not covered) and unrelated to
+        // #2; #4 is IP to #1 and CRED to #2 (same IP, covered). Nothing
+        // closes, so Recorded equals Endless; under Immediate every earlier
+        // connection closed 1 ms after its start, long before the next.
+        let s = site(vec![
+            conn(1, "www.googletagmanager.com", IP_A, shared_san, 0),
+            conn(2, "www.google-analytics.com", IP_B, shared_san, 100),
+            conn(3, "static.klaviyo.com", IP_A, &["static.klaviyo.com"], 200),
+            conn(4, "www.google-analytics.com", IP_B, shared_san, 300),
+        ]);
+        for model in [DurationModel::Endless, DurationModel::Recorded] {
+            let result = classify_site(&s, model);
+            assert_eq!(result.redundant_connections(), 3, "{model:?}");
+            assert_eq!(result.connections_with_cause(Cause::Cert), 1, "{model:?}");
+            assert_eq!(result.connections_with_cause(Cause::Ip), 2, "{model:?}");
+            assert_eq!(result.connections_with_cause(Cause::Cred), 1, "{model:?}");
+            assert_eq!(result.connections[2].previous_for(Cause::Cert), &[0]);
+            assert_eq!(result.connections[3].previous_for(Cause::Ip), &[0]);
+            assert_eq!(result.connections[3].previous_for(Cause::Cred), &[1]);
+        }
+        let immediate = classify_site(&s, DurationModel::Immediate);
+        assert_eq!(immediate.total_connections, 4);
+        assert_eq!(immediate.redundant_connections(), 0);
     }
 
     #[test]
@@ -307,6 +414,32 @@ mod tests {
     }
 
     #[test]
+    fn http_421_excludes_other_connections_and_keeps_them_as_partners() {
+        // The 421 arrives on A's coalesced request for api.example.com, so B
+        // — a different connection opened for that host — is excluded. C,
+        // opened after B on the same IP with a certificate neither earlier
+        // one covers, is CERT-redundant to both, B included.
+        let mut a = conn(1, "example.com", IP_A, &["example.com", "api.example.com"], 0);
+        a.requests.push(ObservedRequest {
+            domain: d("api.example.com"),
+            status: 421,
+            started_at: Instant::from_millis(50),
+        });
+        let s = site(vec![
+            a,
+            conn(2, "api.example.com", IP_A, &["api.example.com"], 100),
+            conn(3, "static.example.com", IP_A, &["static.example.com"], 200),
+        ]);
+        let result = classify_site(&s, DurationModel::Endless);
+        assert!(!result.connections[0].excluded);
+        assert!(result.connections[1].excluded, "excluded by a 421 seen on another connection");
+        assert!(result.connections[1].causes.is_empty());
+        assert!(!result.connections[2].excluded);
+        assert_eq!(result.connections[2].previous_for(Cause::Cert), &[0, 1]);
+        assert_eq!(result.redundant_connections(), 1);
+    }
+
+    #[test]
     fn immediate_model_forgets_closed_connections() {
         // First connection's last request is at t=1ms; the second connection
         // opens at t=60s. Under the immediate model the first is gone.
@@ -322,6 +455,33 @@ mod tests {
     }
 
     #[test]
+    fn open_intervals_per_model() {
+        let observed = |id, start_ms, closed_ms: Option<u64>| {
+            let mut c = conn(id, "example.com", IP_A, &["example.com"], start_ms);
+            c.closed_at = closed_ms.map(Instant::from_millis);
+            c.requests.push(ObservedRequest {
+                domain: d("img.example.com"),
+                status: 200,
+                started_at: Instant::from_millis(start_ms + 80),
+            });
+            c
+        };
+        let (open_observed, closed_observed) = (observed(1, 100, None), observed(2, 100, Some(10_000)));
+        let (open, closed) = (record(&open_observed, false), record(&closed_observed, false));
+        assert_eq!(open.last_request_at, Instant::from_millis(180));
+        let probe = Instant::from_millis(5_000);
+        assert!(open.open_at(probe, DurationModel::Endless));
+        assert!(open.open_at(probe, DurationModel::Recorded));
+        assert!(!open.open_at(probe, DurationModel::Immediate), "last request was at t=180ms");
+        assert!(open.open_at(Instant::from_millis(150), DurationModel::Immediate));
+        assert!(closed.open_at(probe, DurationModel::Recorded));
+        assert!(!closed.open_at(Instant::from_millis(20_000), DurationModel::Recorded));
+        assert!(!open.open_at(Instant::from_millis(50), DurationModel::Endless), "not yet established");
+        assert_eq!(closed_observed.lifetime(), Some(Duration::from_millis(9_900)));
+        assert_eq!(open_observed.lifetime(), None);
+    }
+
+    #[test]
     fn recorded_model_uses_close_times() {
         let shared = &["a.example.com", "b.example.com"];
         let mut first = conn(1, "a.example.com", IP_A, shared, 0);
@@ -331,6 +491,9 @@ mod tests {
         assert_eq!(recorded.redundant_connections(), 0);
         let endless = classify_site(&s, DurationModel::Endless);
         assert_eq!(endless.redundant_connections(), 1);
+        assert_eq!(endless.connections[1].previous_for(Cause::Cred), &[0]);
+        // The first connection's last request was at 1 ms.
+        assert_eq!(classify_site(&s, DurationModel::Immediate).redundant_connections(), 0);
     }
 
     #[test]

@@ -6,60 +6,27 @@
 //! observation with cloned SAN lists, per-connection request vectors and a
 //! `BTreeMap` of causes per connection — all of which the atlas-scale
 //! aggregation immediately reduces to a handful of integers.
-//! [`FastVisitClassifier`] performs the same §4.1 classification directly on
-//! reusable buffers and returns those integers ([`SiteCounts`]).
-//!
-//! **Scope:** the fast path covers visits where every response carried
-//! status 200 (no HTTP 421 exclusions) — which is every visit the simulated
-//! browser currently produces; callers check
-//! `VisitScratch::all_ok` and fall back to the batch pipeline otherwise.
-//! Observational equivalence with `classify_site` + `observe` is
-//! property-tested in `crates/experiments/tests/fastpath_equivalence.rs`.
+//! [`FastVisitClassifier`] runs the same §4.1 kernel
+//! ([`crate::classify`]) on reusable buffers with a counts sink and returns
+//! those integers ([`SiteCounts`]). That both adapters and both sinks agree
+//! on real visits is property-tested in
+//! `crates/experiments/tests/fastpath_equivalence.rs`.
 
 use crate::aggregate::SiteCounts;
-use crate::classify::Cause;
+use crate::classify::{for_each_pair, Cause, ConnectionRecord};
 use crate::observation::DurationModel;
 use netsim_tls::Certificate;
-use netsim_types::{ConnectionId, DomainName, Instant, IpAddr};
+use netsim_types::Instant;
 use std::sync::Arc;
-
-/// One connection as the fast classifier sees it: the classification-relevant
-/// fields plus a shared handle to the presented certificate.
-#[derive(Clone, Debug)]
-struct FastConnRecord {
-    id: ConnectionId,
-    initial_domain: DomainName,
-    ip: IpAddr,
-    port: u16,
-    established_at: Instant,
-    closed_at: Option<Instant>,
-    last_request_at: Instant,
-    certificate: Arc<Certificate>,
-}
-
-impl FastConnRecord {
-    /// The end of the open interval under `model`, `None` meaning "open".
-    fn open_until(&self, model: DurationModel) -> Option<Instant> {
-        match model {
-            DurationModel::Endless => None,
-            DurationModel::Immediate => Some(self.last_request_at),
-            DurationModel::Recorded => self.closed_at,
-        }
-    }
-
-    /// `true` if the connection was open at `t` under `model` (mirrors
-    /// [`crate::observation::ObservedConnection::open_at`]).
-    fn open_at(&self, t: Instant, model: DurationModel) -> bool {
-        self.established_at <= t && self.open_until(model).is_none_or(|end| t <= end)
-    }
-}
 
 /// A reusable classifier for the per-worker visit loop. All buffers retain
 /// their capacity across sites, so classifying a site allocates nothing in
 /// the steady state.
 #[derive(Debug, Default)]
 pub struct FastVisitClassifier {
-    records: Vec<FastConnRecord>,
+    records: Vec<ConnectionRecord>,
+    /// The certificate each record's connection presented, by record index.
+    certificates: Vec<Arc<Certificate>>,
     /// Classification order: indices into `records` sorted by
     /// (established_at, id).
     order: Vec<u32>,
@@ -76,35 +43,15 @@ impl FastVisitClassifier {
     /// Start a new site: forget the previous site's connections.
     pub fn begin_site(&mut self) {
         self.records.clear();
+        self.certificates.clear();
         self.order.clear();
         self.cause_bits.clear();
     }
 
-    /// Add one of the site's connections. `last_request_at` is the send time
-    /// of the last request on the connection (the establishment time if it
-    /// carried none) — only consulted by [`DurationModel::Immediate`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_connection(
-        &mut self,
-        id: ConnectionId,
-        initial_domain: DomainName,
-        ip: IpAddr,
-        port: u16,
-        established_at: Instant,
-        closed_at: Option<Instant>,
-        last_request_at: Instant,
-        certificate: &Arc<Certificate>,
-    ) {
-        self.records.push(FastConnRecord {
-            id,
-            initial_domain,
-            ip,
-            port,
-            established_at,
-            closed_at,
-            last_request_at,
-            certificate: Arc::clone(certificate),
-        });
+    /// Add one of the site's connections with the certificate it presented.
+    pub fn push_connection(&mut self, record: ConnectionRecord, certificate: &Arc<Certificate>) {
+        self.records.push(record);
+        self.certificates.push(Arc::clone(certificate));
     }
 
     /// Raise the `record_index`-th pushed connection's last-request time to
@@ -118,61 +65,20 @@ impl FastVisitClassifier {
         }
     }
 
-    /// Classify the pushed connections under `model` — the same predicate as
-    /// [`crate::classify_site`] restricted to visits without HTTP 421
-    /// exclusions — and reduce to the site's cause counts.
+    /// Classify the pushed connections under `model` and reduce to the
+    /// site's cause counts.
     pub fn classify(&mut self, model: DurationModel) -> SiteCounts {
-        // Establishment order: by start time, ties broken by id.
-        self.order.clear();
-        self.order.extend(0..self.records.len() as u32);
-        let records = &self.records;
-        self.order.sort_unstable_by_key(|&i| {
-            let record = &records[i as usize];
-            (record.established_at, record.id)
-        });
-
         self.cause_bits.clear();
         self.cause_bits.resize(self.records.len(), 0);
+        for_each_pair(
+            &self.records,
+            &mut self.order,
+            model,
+            |index, domain| self.certificates[index].covers(domain),
+            |index, cause, _| self.cause_bits[index] |= 1 << cause.index(),
+        );
 
-        for (position, &index) in self.order.iter().enumerate() {
-            let connection = &self.records[index as usize];
-            let mut bits = 0u8;
-            for &previous_index in &self.order[..position] {
-                let previous = &self.records[previous_index as usize];
-                if previous.port != connection.port {
-                    continue;
-                }
-                if !previous.open_at(connection.established_at, model) {
-                    continue;
-                }
-                let covers = previous.certificate.covers(&connection.initial_domain);
-                let cause = if previous.ip == connection.ip {
-                    if covers {
-                        Some(Cause::Cred)
-                    } else {
-                        Some(Cause::Cert)
-                    }
-                } else if previous.initial_domain == connection.initial_domain {
-                    // Same-initial-domain on different IPs: counted as CRED,
-                    // not IP (§4.1).
-                    Some(Cause::Cred)
-                } else if covers {
-                    Some(Cause::Ip)
-                } else {
-                    None
-                };
-                if let Some(cause) = cause {
-                    bits |= 1 << cause.index();
-                }
-            }
-            self.cause_bits[index as usize] = bits;
-        }
-
-        let mut counts = SiteCounts {
-            total_connections: self.records.len(),
-            redundant_connections: 0,
-            cause_connections: [0; 3],
-        };
+        let mut counts = SiteCounts { total_connections: self.records.len(), ..SiteCounts::default() };
         for bits in &self.cause_bits {
             if *bits != 0 {
                 counts.redundant_connections += 1;
@@ -190,9 +96,8 @@ impl FastVisitClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify_site;
-    use crate::observation::{ObservedConnection, ObservedRequest, SiteObservation};
-    use netsim_tls::{CertificateStore, IssuancePolicy, Issuer, SanEntry};
+    use netsim_tls::{CertificateStore, IssuancePolicy, Issuer};
+    use netsim_types::{ConnectionId, DomainName, IpAddr};
 
     fn d(s: &str) -> DomainName {
         DomainName::literal(s)
@@ -210,119 +115,17 @@ mod tests {
         Arc::clone(store.get_arc(ids[0]).unwrap())
     }
 
-    struct Conn {
-        id: u64,
-        domain: &'static str,
-        ip: IpAddr,
-        san: &'static [&'static str],
-        start_ms: u64,
-        closed_ms: Option<u64>,
-    }
-
-    fn run_both(conns: &[Conn], model: DurationModel) -> (SiteCounts, SiteCounts) {
-        let mut fast = FastVisitClassifier::new();
-        fast.begin_site();
-        let mut observed = Vec::new();
-        for conn in conns {
-            let certificate = cert(conn.san);
-            fast.push_connection(
-                ConnectionId(conn.id),
-                d(conn.domain),
-                conn.ip,
-                443,
-                Instant::from_millis(conn.start_ms),
-                conn.closed_ms.map(Instant::from_millis),
-                Instant::from_millis(conn.start_ms + 1),
-                &certificate,
-            );
-            observed.push(ObservedConnection {
-                id: ConnectionId(conn.id),
-                initial_domain: d(conn.domain),
-                ip: conn.ip,
-                port: 443,
-                san: conn.san.iter().map(|s| SanEntry::parse(s).unwrap()).collect(),
-                issuer: Issuer::lets_encrypt(),
-                established_at: Instant::from_millis(conn.start_ms),
-                closed_at: conn.closed_ms.map(Instant::from_millis),
-                requests: vec![ObservedRequest {
-                    domain: d(conn.domain),
-                    status: 200,
-                    started_at: Instant::from_millis(conn.start_ms + 1),
-                }],
-            });
+    fn record(id: u64, domain: &str, start_ms: u64) -> ConnectionRecord {
+        ConnectionRecord {
+            id: ConnectionId(id),
+            initial_domain: d(domain),
+            ip: IpAddr::new(10, 0, 0, 1),
+            port: 443,
+            established_at: Instant::from_millis(start_ms),
+            closed_at: None,
+            last_request_at: Instant::from_millis(start_ms + 1),
+            excluded: false,
         }
-        let fast_counts = fast.classify(model);
-        let site = SiteObservation { site: d("example.com"), connections: observed };
-        let slow_counts = SiteCounts::from_classification(&classify_site(&site, model));
-        (fast_counts, slow_counts)
-    }
-
-    const IP_A: IpAddr = IpAddr::new(10, 0, 0, 1);
-    const IP_B: IpAddr = IpAddr::new(10, 0, 0, 2);
-
-    #[test]
-    fn fast_counts_match_batch_classification() {
-        let shared: &[&str] = &["www.googletagmanager.com", "www.google-analytics.com"];
-        let conns = [
-            Conn {
-                id: 1,
-                domain: "www.googletagmanager.com",
-                ip: IP_A,
-                san: shared,
-                start_ms: 0,
-                closed_ms: None,
-            },
-            Conn {
-                id: 2,
-                domain: "www.google-analytics.com",
-                ip: IP_B,
-                san: shared,
-                start_ms: 100,
-                closed_ms: None,
-            },
-            Conn {
-                id: 3,
-                domain: "static.klaviyo.com",
-                ip: IP_A,
-                san: &["static.klaviyo.com"],
-                start_ms: 200,
-                closed_ms: None,
-            },
-            Conn {
-                id: 4,
-                domain: "www.google-analytics.com",
-                ip: IP_B,
-                san: shared,
-                start_ms: 300,
-                closed_ms: None,
-            },
-        ];
-        for model in [DurationModel::Endless, DurationModel::Immediate, DurationModel::Recorded] {
-            let (fast, slow) = run_both(&conns, model);
-            assert_eq!(fast, slow, "model {model:?}");
-        }
-    }
-
-    #[test]
-    fn duration_models_respect_close_times() {
-        let shared: &[&str] = &["a.example.com", "b.example.com"];
-        let conns = [
-            Conn {
-                id: 1,
-                domain: "a.example.com",
-                ip: IP_A,
-                san: shared,
-                start_ms: 0,
-                closed_ms: Some(30_000),
-            },
-            Conn { id: 2, domain: "b.example.com", ip: IP_A, san: shared, start_ms: 60_000, closed_ms: None },
-        ];
-        let (fast_recorded, slow_recorded) = run_both(&conns, DurationModel::Recorded);
-        assert_eq!(fast_recorded, slow_recorded);
-        assert_eq!(fast_recorded.redundant_connections, 0);
-        let (fast_endless, slow_endless) = run_both(&conns, DurationModel::Endless);
-        assert_eq!(fast_endless, slow_endless);
-        assert_eq!(fast_endless.redundant_connections, 1);
     }
 
     #[test]
@@ -331,26 +134,8 @@ mod tests {
         for _ in 0..3 {
             fast.begin_site();
             let certificate = cert(&["www.example.com", "img.example.com"]);
-            fast.push_connection(
-                ConnectionId(1),
-                d("www.example.com"),
-                IP_A,
-                443,
-                Instant::EPOCH,
-                None,
-                Instant::EPOCH,
-                &certificate,
-            );
-            fast.push_connection(
-                ConnectionId(2),
-                d("img.example.com"),
-                IP_A,
-                443,
-                Instant::from_millis(50),
-                None,
-                Instant::from_millis(51),
-                &certificate,
-            );
+            fast.push_connection(record(1, "www.example.com", 0), &certificate);
+            fast.push_connection(record(2, "img.example.com", 50), &certificate);
             let counts = fast.classify(DurationModel::Endless);
             assert_eq!(counts.total_connections, 2);
             assert_eq!(counts.redundant_connections, 1);

@@ -10,7 +10,7 @@ use crate::observation::{Dataset, ObservedConnection, ObservedRequest, SiteObser
 use netsim_browser::{CrawlReport, PageVisit};
 use netsim_har::{HarDataset, HarDocument};
 use netsim_tls::{Issuer, SanEntry};
-use netsim_types::{ConnectionId, DomainName, Instant, IpAddr};
+use netsim_types::{ConnectionId, Instant, IpAddr};
 use std::collections::BTreeMap;
 
 /// Convert one browser visit (NetLog-grade information: exact connection
@@ -105,11 +105,6 @@ pub fn dataset_from_har(dataset: &HarDataset, label: &str) -> Dataset {
     Dataset::new(label, dataset.documents.iter().filter_map(site_from_har_document).collect())
 }
 
-/// Convenience for tests and examples: the landing domains of a dataset.
-pub fn site_domains(dataset: &Dataset) -> Vec<DomainName> {
-    dataset.sites.iter().map(|s| s.site).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +143,9 @@ mod tests {
         assert_eq!(dataset.label, "alexa");
         assert_eq!(dataset.sites.len(), env.sites.len());
         assert_eq!(dataset.total_connections(), report.total_connections());
-        assert_eq!(site_domains(&dataset).len(), env.sites.len());
+        for (site, observed) in env.sites.iter().zip(&dataset.sites) {
+            assert_eq!(observed.site, site.domain);
+        }
     }
 
     #[test]

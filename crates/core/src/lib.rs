@@ -21,7 +21,8 @@
 //! * same initial domain on different IPs → the corner case of §4.1, counted
 //!   as **CRED** (it only happens when the credentials partition forbids
 //!   reuse and DNS announces several addresses),
-//! * domains the server excluded via HTTP 421 are ignored entirely.
+//! * a session for a domain the server excluded via HTTP 421 gets no cause
+//!   (it still counts as an earlier session for the ones after it).
 //!
 //! A session can carry several causes at once (the paper's worked example in
 //! §4.1), so per-cause counts may exceed the number of redundant sessions.
@@ -49,7 +50,9 @@ pub mod overlap;
 pub mod report;
 
 pub use aggregate::{Accumulator, AccumulatorState, CauseCounts, DatasetSummary, SiteCounts};
-pub use classify::{classify_dataset, classify_site, Cause, ClassifiedConnection, SiteClassification};
+pub use classify::{
+    classify_dataset, classify_site, Cause, ClassifiedConnection, ConnectionRecord, SiteClassification,
+};
 pub use fastpath::FastVisitClassifier;
 pub use ingest::{dataset_from_crawl, dataset_from_har, site_from_har_document, site_from_visit};
 pub use observation::{Dataset, DurationModel, ObservedConnection, ObservedRequest, SiteObservation};

@@ -71,22 +71,6 @@ impl ObservedConnection {
         self.requests.iter().map(|r| r.started_at).max().unwrap_or(self.established_at)
     }
 
-    /// The end of the session's open interval under the given model, `None`
-    /// meaning "still open".
-    pub fn open_until(&self, model: DurationModel) -> Option<Instant> {
-        match model {
-            DurationModel::Endless => None,
-            DurationModel::Immediate => Some(self.last_request_at()),
-            DurationModel::Recorded => self.closed_at,
-        }
-    }
-
-    /// `true` if the session was open (established and not yet closed under
-    /// the model) at instant `t`.
-    pub fn open_at(&self, t: Instant, model: DurationModel) -> bool {
-        self.established_at <= t && self.open_until(model).is_none_or(|end| t <= end)
-    }
-
     /// The recorded lifetime, when a close time exists.
     pub fn lifetime(&self) -> Option<netsim_types::Duration> {
         self.closed_at.map(|end| end - self.established_at)
@@ -112,11 +96,6 @@ impl SiteObservation {
     pub fn request_count(&self) -> usize {
         self.connections.iter().map(|c| c.requests.len()).sum()
     }
-
-    /// `true` if at least one HTTP/2 session was observed.
-    pub fn has_http2(&self) -> bool {
-        !self.connections.is_empty()
-    }
 }
 
 /// A labelled collection of site observations (one measurement run).
@@ -134,11 +113,6 @@ impl Dataset {
         Dataset { label: label.to_string(), sites }
     }
 
-    /// Number of sites with at least one HTTP/2 session.
-    pub fn http2_site_count(&self) -> usize {
-        self.sites.iter().filter(|s| s.has_http2()).count()
-    }
-
     /// Total sessions across all sites.
     pub fn total_connections(&self) -> usize {
         self.sites.iter().map(|s| s.connection_count()).sum()
@@ -153,7 +127,6 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim_types::Duration;
 
     fn d(s: &str) -> DomainName {
         DomainName::literal(s)
@@ -193,22 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn open_intervals_per_model() {
-        let open = connection(1, 100, None);
-        let closed = connection(2, 100, Some(10_000));
-        let probe = Instant::from_millis(5_000);
-        assert!(open.open_at(probe, DurationModel::Endless));
-        assert!(open.open_at(probe, DurationModel::Recorded));
-        assert!(!open.open_at(probe, DurationModel::Immediate), "last request was at t=180ms");
-        assert!(open.open_at(Instant::from_millis(150), DurationModel::Immediate));
-        assert!(closed.open_at(probe, DurationModel::Recorded));
-        assert!(!closed.open_at(Instant::from_millis(20_000), DurationModel::Recorded));
-        assert!(!open.open_at(Instant::from_millis(50), DurationModel::Endless), "not yet established");
-        assert_eq!(closed.lifetime(), Some(Duration::from_millis(9_900)));
-        assert_eq!(open.lifetime(), None);
-    }
-
-    #[test]
     fn dataset_counters() {
         let dataset = Dataset::new(
             "test",
@@ -217,10 +174,9 @@ mod tests {
                 SiteObservation { site: d("b.com"), connections: vec![] },
             ],
         );
-        assert_eq!(dataset.http2_site_count(), 1);
         assert_eq!(dataset.total_connections(), 1);
         assert_eq!(dataset.total_requests(), 2);
         assert_eq!(dataset.sites[0].connection_count(), 1);
-        assert!(!dataset.sites[1].has_http2());
+        assert_eq!(dataset.sites[1].connection_count(), 0);
     }
 }

@@ -54,7 +54,7 @@
 use crate::grid::{atlas_population, chunk_layout, run_grid, CellRecord};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
-use connreuse_core::{Cause, DatasetSummary, DurationModel, FastVisitClassifier};
+use connreuse_core::{Cause, ConnectionRecord, DatasetSummary, DurationModel, FastVisitClassifier};
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::{interned_domain_count, interned_domain_octets, MitigationSet};
@@ -292,15 +292,15 @@ pub fn run_atlas_partitioned(config: &AtlasConfig, chunks: &[(usize, usize)]) ->
 
 /// Feed one scratch visit into the streaming classifier and reduce it to the
 /// site's cause counts. This is *the* contract between the visit engine and
-/// the classifier (the equivalence proptest and the criterion benches reuse
-/// it): connections are pushed in establishment order, then the request log
-/// is folded in one linear pass to set each connection's last-request time
-/// (its establishment time if it carried none, as
-/// `ObservedConnection::last_request_at` defines it).
+/// the classifier (the grid kernel, the equivalence proptest and the
+/// criterion benches all use it): connections are pushed in establishment
+/// order, then the request log is folded in one linear pass to set each
+/// connection's last-request time (its establishment time if it carried
+/// none, as `ObservedConnection::last_request_at` defines it).
 ///
-/// The caller must have checked [`VisitScratch::all_ok`]; visits with
-/// non-200 responses (HTTP 421 exclusions) go through the full
-/// `site_from_visit`/`classify_site` pipeline instead.
+/// No record is marked excluded: the visit must be [`VisitScratch::all_ok`],
+/// which every simulated visit is, since the loader answers each request
+/// with 200 and so never sends an HTTP 421.
 pub fn classify_scratch(
     classifier: &mut FastVisitClassifier,
     scratch: &VisitScratch,
@@ -313,16 +313,17 @@ pub fn classify_scratch(
         // Connection ids are issued sequentially in establishment order, so
         // a request's connection id maps straight back to its record index.
         debug_assert_eq!(connection.id.0, first_id + offset as u64);
-        classifier.push_connection(
-            connection.id,
-            connection.initial_origin.host,
-            connection.remote_ip,
-            connection.port,
-            connection.established_at,
-            connection.closed_at,
-            connection.established_at,
-            &connection.certificate,
-        );
+        let record = ConnectionRecord {
+            id: connection.id,
+            initial_domain: connection.initial_origin.host,
+            ip: connection.remote_ip,
+            port: connection.port,
+            established_at: connection.established_at,
+            closed_at: connection.closed_at,
+            last_request_at: connection.established_at,
+            excluded: false,
+        };
+        classifier.push_connection(record, &connection.certificate);
     }
     for request in scratch.requests() {
         classifier.bump_last_request((request.connection.0 - first_id) as usize, request.started_at);

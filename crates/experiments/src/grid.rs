@@ -8,7 +8,7 @@
 
 use crate::atlas::classify_scratch;
 use crate::scenario::ALEXA_POPULATION_SEED_OFFSET;
-use connreuse_core::{classify_site, site_from_visit, Accumulator, DurationModel, FastVisitClassifier};
+use connreuse_core::{Accumulator, DurationModel, FastVisitClassifier};
 use connreuse_executor::{run_indexed, run_indexed_streaming, PoolStats, RunOutcome};
 use netsim_browser::{BrowserConfig, Crawler, PooledScratch, ScratchPool};
 use netsim_cost::{CostTotals, LinkProfile};
@@ -78,18 +78,14 @@ impl GridWorker<'_> {
         let mut record =
             CellRecord { planned_requests: env.total_planned_requests() as u64, ..CellRecord::default() };
         for index in 0..env.sites.len() {
-            let times = crawler.visit_site_into(&mut self.scratch, env, index);
+            crawler.visit_site_into(&mut self.scratch, env, index);
             record.cost.absorb_visit(self.scratch.timeline());
             netsim_types::stage!(Stage::Classify);
-            if self.scratch.all_ok() {
-                let counts = classify_scratch(&mut self.classifier, &self.scratch, DurationModel::Recorded);
-                record.accumulator.observe_counts(&counts);
-            } else {
-                // A non-200 response (HTTP 421 exclusion) appeared: fall
-                // back to the full observation pipeline for this site.
-                let visit = self.scratch.to_page_visit(&env.sites[index], times);
-                record.accumulator.observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
-            }
+            // The simulated loader answers every request with 200, so no
+            // visit carries an HTTP 421 exclusion.
+            debug_assert!(self.scratch.all_ok());
+            let counts = classify_scratch(&mut self.classifier, &self.scratch, DurationModel::Recorded);
+            record.accumulator.observe_counts(&counts);
         }
         debug_assert!(conserved(&record), "{record:?}");
         record

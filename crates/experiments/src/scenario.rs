@@ -177,7 +177,8 @@ mod tests {
         assert_eq!(scenario.overlap_har.sites.len(), scenario.config.overlap_sites);
         assert_eq!(scenario.overlap_alexa.sites.len(), scenario.config.overlap_sites);
         assert!(scenario.har_filter_statistics.total_entries > 0);
-        assert!(scenario.alexa.total_connections() > scenario.alexa.http2_site_count());
+        let http2_sites = scenario.alexa.sites.iter().filter(|s| s.connection_count() > 0).count();
+        assert!(scenario.alexa.total_connections() > http2_sites);
         // The patched crawl never opens more connections than the stock one.
         assert!(scenario.alexa_without_fetch.total_connections() <= scenario.alexa.total_connections());
         // Both overlap crawls cover the same sites.

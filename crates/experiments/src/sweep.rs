@@ -8,8 +8,8 @@
 //! Alexa-shaped population deployed under its mitigation set (same sites,
 //! same request plans; only DNS/PKI deployment differs), crawls it with the
 //! matching browser policy and classifies the redundancy through the crate's
-//! grid kernel (the streaming classifier, licensed against the reference
-//! batch pipeline by `tests/fastpath_equivalence.rs`), and the report
+//! grid kernel (the streaming classifier, checked against `classify_site`
+//! by `tests/fastpath_equivalence.rs`), and the report
 //! compares:
 //!
 //! * per-cell measurements (connections opened, classified redundancy,

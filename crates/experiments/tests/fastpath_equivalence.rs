@@ -4,11 +4,13 @@
 //! accumulator as the batch pipeline (`PageVisit` → `site_from_visit` →
 //! `classify_site` → `observe`) over real generated page loads.
 //!
-//! This is the equivalence the crate's grid kernel rests on — the atlas, the
-//! store, the cost grid, the mitigation sweep and the `whatif` experiment all
-//! classify through the fast path — so it must agree with the reference
-//! pipeline on every visit, across duration models, profiles, seeds and
-//! every mitigation deployment.
+//! Both paths run the one §4.1 kernel, so this checks what lies around it:
+//! the two ingestion adapters (scratch buffers and `SiteObservation` into
+//! connection records) and the two sinks (cause bits and per-cause
+//! partners). The grid kernel rests on it — the atlas, the store, the cost
+//! grid, the mitigation sweep and the `whatif` experiment all classify
+//! through the fast path — so the two must agree on every visit, across
+//! duration models, profiles, seeds and every mitigation deployment.
 
 use connreuse_core::{classify_site, site_from_visit, Accumulator, DurationModel, FastVisitClassifier};
 use connreuse_experiments::atlas::classify_scratch;
