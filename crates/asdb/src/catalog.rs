@@ -4,12 +4,12 @@
 //! so the simulated attribution tables read like the original ones.
 
 use crate::registry::AutonomousSystem;
-use serde::{Deserialize, Serialize};
 
 /// Constructors for the ASes named in the paper plus generic hosting ASes for
 /// the long tail.
 pub mod well_known {
     use super::AutonomousSystem;
+    use netsim_types::NameTable;
 
     /// GOOGLE (AS15169) — Google's own CDN, hosts analytics/ads/gstatic.
     pub fn google() -> AutonomousSystem {
@@ -54,19 +54,20 @@ pub mod well_known {
     /// A generic shared-hosting AS for small independent sites; `index`
     /// spreads the long tail over several hosters.
     pub fn generic_hosting(index: u32) -> AutonomousSystem {
-        AutonomousSystem::new(64_512 + index, &format!("HOSTING-{index}"))
+        static NAMES: NameTable = NameTable::new();
+        AutonomousSystem::new(64_512 + index, NAMES.get(index.into(), || format!("HOSTING-{index}")))
     }
 }
 
 /// The catalog used by the population generator when it needs "one of the big
 /// CDNs/clouds" versus "a small hoster".
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AsCatalog {
     /// Large content/CDN providers, weighted roughly by their share of
     /// third-party hosting.
     pub major: Vec<(AutonomousSystem, f64)>,
-    /// Number of generic small hosting ASes available for the long tail.
-    pub generic_hosting_pool: u32,
+    /// The generic small hosting ASes available for the long tail.
+    generic: Vec<AutonomousSystem>,
 }
 
 impl Default for AsCatalog {
@@ -84,7 +85,7 @@ impl Default for AsCatalog {
                 (well_known::edgecast(), 0.03),
                 (well_known::automattic(), 0.03),
             ],
-            generic_hosting_pool: 64,
+            generic: (0..64).map(well_known::generic_hosting).collect(),
         }
     }
 }
@@ -102,7 +103,7 @@ impl AsCatalog {
 
     /// The generic hosting AS for a hash/index value.
     pub fn generic_for(&self, index: u32) -> AutonomousSystem {
-        well_known::generic_hosting(index % self.generic_hosting_pool.max(1))
+        self.generic[index as usize % self.generic.len()]
     }
 }
 
@@ -112,9 +113,9 @@ mod tests {
 
     #[test]
     fn catalog_names_match_paper_table6() {
-        let names: Vec<String> = AsCatalog::default().major.iter().map(|(a, _)| a.name.clone()).collect();
+        let names: Vec<&str> = AsCatalog::default().major.iter().map(|(a, _)| a.name).collect();
         for expected in ["GOOGLE", "AMAZON-02", "FACEBOOK", "CLOUDFLARENET", "FASTLY", "AUTOMATTIC"] {
-            assert!(names.contains(&expected.to_string()), "missing {expected}");
+            assert!(names.contains(&expected), "missing {expected}");
         }
     }
 
@@ -123,6 +124,7 @@ mod tests {
         let catalog = AsCatalog::default();
         assert_eq!(catalog.generic_for(0), catalog.generic_for(64));
         assert_ne!(catalog.generic_for(0), catalog.generic_for(1));
+        assert_eq!(catalog.generic_for(65).name, "HOSTING-1");
     }
 
     #[test]

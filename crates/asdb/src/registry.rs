@@ -2,8 +2,8 @@
 
 use netsim_types::{IpAddr, Prefix};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An autonomous-system number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -23,18 +23,20 @@ impl fmt::Debug for Asn {
 }
 
 /// An autonomous system: number plus the short name used in report tables.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// `Copy`: every name is a literal or comes from a process-wide table, so
+/// announcing a prefix copies two words instead of a string.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct AutonomousSystem {
     /// AS number.
     pub asn: Asn,
     /// Short AS name (e.g. `GOOGLE`, `AMAZON-02`).
-    pub name: String,
+    pub name: &'static str,
 }
 
 impl AutonomousSystem {
     /// Construct from number and name.
-    pub fn new(asn: u32, name: &str) -> Self {
-        AutonomousSystem { asn: Asn(asn), name: name.to_string() }
+    pub const fn new(asn: u32, name: &'static str) -> Self {
+        AutonomousSystem { asn: Asn(asn), name }
     }
 }
 
@@ -55,17 +57,19 @@ impl fmt::Debug for AutonomousSystem {
 /// hosting landscape.
 ///
 /// A registry can be *layered* over a shared immutable base
-/// ([`AsRegistry::with_base`]): allocation continues where the base stopped
+/// ([`AsRegistry::reset`]): allocation continues where the base stopped
 /// (so prefixes stay distinct and identical to a monolithic build) and
 /// lookups consult both layers.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AsRegistry {
-    /// Announced prefixes, keyed by base address (all /24 or shorter).
-    announcements: BTreeMap<Prefix, AutonomousSystem>,
+    /// Announced prefixes, sorted by prefix (all /24 or shorter). The
+    /// allocator hands out prefixes in increasing order, so allocating
+    /// appends.
+    announcements: Vec<(Prefix, AutonomousSystem)>,
     /// Next /16 block index used by [`AsRegistry::allocate_slash24`].
     next_block: u32,
     /// Shared read-only announcements consulted on lookup misses.
-    base: Option<std::sync::Arc<AsRegistry>>,
+    base: Option<Arc<AsRegistry>>,
 }
 
 impl AsRegistry {
@@ -74,15 +78,22 @@ impl AsRegistry {
         AsRegistry::default()
     }
 
-    /// An empty registry layered over a shared base: the /24 allocator
-    /// continues at the base's next block, lookups fall back to the base.
-    pub fn with_base(base: std::sync::Arc<AsRegistry>) -> Self {
-        AsRegistry { announcements: BTreeMap::new(), next_block: base.next_block, base: Some(base) }
+    /// Drop the local announcements, keeping their capacity, and layer the
+    /// registry over `base` (or over nothing): the allocator restarts where
+    /// the base stopped.
+    pub fn reset(&mut self, base: Option<Arc<AsRegistry>>) {
+        self.announcements.clear();
+        self.next_block = base.as_ref().map_or(0, |base| base.next_block);
+        self.base = base;
     }
 
-    /// Announce `prefix` as belonging to `system`.
+    /// Announce `prefix` as belonging to `system` (replacing an earlier
+    /// announcement of the same prefix).
     pub fn announce(&mut self, prefix: Prefix, system: AutonomousSystem) {
-        self.announcements.insert(prefix, system);
+        match self.announcements.binary_search_by_key(&prefix, |(announced, _)| *announced) {
+            Ok(index) => self.announcements[index].1 = system,
+            Err(index) => self.announcements.insert(index, (prefix, system)),
+        }
     }
 
     /// Allocate a fresh, previously unused /24 for `system` and announce it.
@@ -114,7 +125,8 @@ impl AsRegistry {
             .announcements
             .iter()
             .filter(|(prefix, _)| prefix.contains(ip))
-            .max_by_key(|(prefix, _)| prefix.len());
+            .max_by_key(|(prefix, _)| prefix.len())
+            .map(|(prefix, system)| (prefix, system));
         let base = self.base.as_ref().and_then(|base| base.best_match(ip));
         match (local, base) {
             (Some(local), Some(base)) => Some(if local.0.len() >= base.0.len() { local } else { base }),
@@ -125,11 +137,6 @@ impl AsRegistry {
     /// Number of announced prefixes.
     pub fn announcement_count(&self) -> usize {
         self.announcements.len()
-    }
-
-    /// All announcements.
-    pub fn announcements(&self) -> impl Iterator<Item = (&Prefix, &AutonomousSystem)> {
-        self.announcements.iter()
     }
 }
 

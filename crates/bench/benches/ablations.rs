@@ -6,7 +6,7 @@
 use connreuse_bench::{bench_environment, BENCH_SEED};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_browser::{BrowserConfig, Crawler};
-use netsim_dns::{LoadBalancePolicy, QueryContext, ResolverId};
+use netsim_dns::{AddressRun, LoadBalancePolicy, QueryContext, ResolverId};
 use netsim_tls::{HandshakeConfig, TlsVersion};
 use netsim_types::{DomainName, Duration, Instant, IpAddr};
 use std::hint::black_box;
@@ -34,12 +34,9 @@ fn bench_reuse_policy_ablation(c: &mut Criterion) {
 /// Resolve the same domain pair under unsynchronized vs. synchronized
 /// balancing: the fix the paper proposes for the IP cause.
 fn bench_dns_policy_ablation(c: &mut Criterion) {
-    let pool: Vec<IpAddr> = (0..16).map(|i| IpAddr::new(142, 250, 74, i)).collect();
-    let unsynchronized = LoadBalancePolicy::PerResolverPool {
-        pool: pool.clone(),
-        answer_size: 1,
-        epoch: Duration::from_mins(30),
-    };
+    let pool = AddressRun::new(IpAddr::new(142, 250, 74, 0), 16);
+    let unsynchronized =
+        LoadBalancePolicy::PerResolverPool { pool, answer_size: 1, epoch: Duration::from_mins(30) };
     let synchronized =
         LoadBalancePolicy::SynchronizedPool { pool, answer_size: 1, epoch: Duration::from_mins(30) };
     let analytics = DomainName::literal("www.google-analytics.com");

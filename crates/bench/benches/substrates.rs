@@ -39,9 +39,8 @@ fn bench_reuse_predicate(c: &mut Criterion) {
     let mut store = CertificateStore::new();
     let domains: Vec<DomainName> =
         (0..50).map(|i| DomainName::literal(&format!("host-{i}.example.com"))).collect();
-    let ids =
-        store.issue_with_policy(Issuer::digicert(), &IssuancePolicy::SharedSan, &domains, Instant::EPOCH);
-    let certificate = std::sync::Arc::clone(store.get_arc(ids[0]).unwrap());
+    store.issue_with_policy(&Issuer::digicert(), &IssuancePolicy::SharedSan, &domains, Instant::EPOCH);
+    let certificate = std::sync::Arc::clone(store.get_arc(netsim_tls::CertificateId(0)).unwrap());
     let connection = Connection::establish(
         ConnectionId(1),
         Origin::https(domains[0]),
@@ -128,13 +127,12 @@ fn bench_mitigation_sweep(c: &mut Criterion) {
     let mut store = CertificateStore::new();
     let domains: Vec<DomainName> =
         (0..16).map(|i| DomainName::literal(&format!("shard-{i}.example.com"))).collect();
-    let ids =
-        store.issue_with_policy(Issuer::digicert(), &IssuancePolicy::SharedSan, &domains, Instant::EPOCH);
+    store.issue_with_policy(&Issuer::digicert(), &IssuancePolicy::SharedSan, &domains, Instant::EPOCH);
     let mut connection = Connection::establish(
         ConnectionId(1),
         Origin::https(domains[0]),
         IpAddr::new(10, 0, 0, 1),
-        std::sync::Arc::clone(store.get_arc(ids[0]).unwrap()),
+        std::sync::Arc::clone(store.get_arc(netsim_tls::CertificateId(0)).unwrap()),
         true,
         Instant::EPOCH,
     );

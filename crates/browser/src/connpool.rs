@@ -386,9 +386,8 @@ mod tests {
     fn certificate(domain: &str) -> Arc<Certificate> {
         let mut store = CertificateStore::new();
         let names = vec![DomainName::literal(domain)];
-        let ids =
-            store.issue_with_policy(Issuer::digicert(), &IssuancePolicy::SharedSan, &names, Instant::EPOCH);
-        Arc::clone(store.get_arc(ids[0]).unwrap())
+        store.issue_with_policy(&Issuer::digicert(), &IssuancePolicy::SharedSan, &names, Instant::EPOCH);
+        Arc::clone(store.get_arc(netsim_tls::CertificateId(0)).unwrap())
     }
 
     fn connection(id: u64, domain: &str, established_ms: u64) -> Connection {

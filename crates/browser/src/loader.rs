@@ -776,7 +776,7 @@ mod tests {
         let ga = DomainName::literal("www.google-analytics.com");
         let mut split_seen = false;
         for (index, site) in env.sites.iter().enumerate() {
-            if !site.embeds("google-analytics") {
+            if !site.plan.iter().any(|request| request.domain == ga) {
                 continue;
             }
             // Spread visits across load-balancing epochs like a real crawl
@@ -811,7 +811,7 @@ mod tests {
         let ga = DomainName::literal("www.google-analytics.com");
         let mut cred_split_seen = false;
         for (index, site) in env.sites.iter().enumerate() {
-            if !site.embeds("google-analytics") {
+            if !site.plan.iter().any(|request| request.domain == ga) {
                 continue;
             }
             let v = visit(&env, index, BrowserConfig::alexa_measurement());

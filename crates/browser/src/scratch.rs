@@ -125,9 +125,11 @@ impl VisitScratch {
         &self.timeline
     }
 
-    /// Reset the per-page state and return the resolver, rebuilt only when
-    /// the resolver id changes.
-    fn begin_page(&mut self, resolver: ResolverId) -> &mut RecursiveResolver {
+    /// Drop the current visit's connections and logs, keeping their
+    /// capacity. This releases the certificate handles the connections hold,
+    /// so an environment rebuilt in place can rewrite those certificates
+    /// instead of allocating new ones.
+    pub fn clear(&mut self) {
         self.connections.clear();
         self.closed.clear();
         self.requests.clear();
@@ -135,6 +137,12 @@ impl VisitScratch {
         self.netlog.clear();
         self.any_non_ok = false;
         self.timeline.reset();
+    }
+
+    /// Reset the per-page state and return the resolver, rebuilt only when
+    /// the resolver id changes.
+    fn begin_page(&mut self, resolver: ResolverId) -> &mut RecursiveResolver {
+        self.clear();
         if self.resolver.as_ref().is_none_or(|existing| existing.id() != resolver) {
             self.resolver = Some(RecursiveResolver::new(resolver));
         }

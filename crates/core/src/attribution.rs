@@ -57,7 +57,7 @@ pub struct CertDomainAttribution {
 }
 
 /// One row of the AS table (Table 6).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct AsnAttribution {
     /// The autonomous system announcing the redundant connections' prefixes.
     pub system: AutonomousSystem,
@@ -234,8 +234,8 @@ pub fn asn_for_ip_cause(
             }
             let ip = observation.connections[connection.index].ip;
             let Some(system) = registry.lookup(ip) else { continue };
-            *connections.entry(system.clone()).or_default() += 1;
-            domains.entry(system.clone()).or_default().insert(connection.origin);
+            *connections.entry(*system).or_default() += 1;
+            domains.entry(*system).or_default().insert(connection.origin);
         }
     }
     let mut rows: Vec<AsnAttribution> = connections
@@ -245,7 +245,7 @@ pub fn asn_for_ip_cause(
             AsnAttribution { system, connections: count, unique_domains }
         })
         .collect();
-    rows.sort_by(|a, b| b.connections.cmp(&a.connections).then_with(|| a.system.name.cmp(&b.system.name)));
+    rows.sort_by(|a, b| b.connections.cmp(&a.connections).then_with(|| a.system.name.cmp(b.system.name)));
     rows.truncate(limit);
     rows
 }

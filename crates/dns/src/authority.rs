@@ -53,6 +53,13 @@ impl Authority {
         Authority { entries: FnvHashMap::default(), base: Some(base) }
     }
 
+    /// Empty the local layer, keeping its capacity, and layer it over `base`
+    /// (or over nothing): how a recycled environment starts its next build.
+    pub fn reset(&mut self, base: Option<Arc<Authority>>) {
+        self.entries.clear();
+        self.base = base;
+    }
+
     /// Insert (or replace) the policy answering for `name`. This is the
     /// common path for the population generator.
     pub fn insert(&mut self, name: DomainName, policy: LoadBalancePolicy) {

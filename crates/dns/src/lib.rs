@@ -32,6 +32,6 @@ pub mod query;
 pub mod resolver;
 
 pub use authority::Authority;
-pub use loadbalance::LoadBalancePolicy;
+pub use loadbalance::{AddressRun, LoadBalancePolicy};
 pub use query::{QueryContext, ResolverId};
 pub use resolver::{Answer, RecursiveResolver, ResolutionError, ANSWER_TTL};

@@ -15,15 +15,37 @@
 
 use crate::query::QueryContext;
 use netsim_types::{fnv1a, DomainName, Duration, IpAddr};
-use serde::{Deserialize, Serialize};
+
+/// A run of consecutive addresses: `first` and the `len - 1` addresses after
+/// it. Every answer list and pool the generated web deploys is consecutive
+/// hosts of one prefix, so a policy holds its addresses without a heap list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AddressRun {
+    /// The first address of the run.
+    pub first: IpAddr,
+    /// Number of addresses in the run.
+    pub len: u32,
+}
+
+impl AddressRun {
+    /// The run of `len` addresses starting at `first`.
+    pub const fn new(first: IpAddr, len: u32) -> Self {
+        AddressRun { first, len }
+    }
+
+    /// The `index`-th address of the run.
+    fn get(self, index: usize) -> IpAddr {
+        self.first.offset(index as u32)
+    }
+}
 
 /// How an authoritative server picks the A records it returns for a domain.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LoadBalancePolicy {
     /// Always return the same address list. Small single-host sites.
     Static {
         /// The fixed answer.
-        addresses: Vec<IpAddr>,
+        addresses: AddressRun,
     },
     /// Each (resolver, domain, time-bucket) triple is hashed to an offset into
     /// the pool — answers differ between resolvers and between domains even
@@ -31,7 +53,7 @@ pub enum LoadBalancePolicy {
     /// paper's Google-Analytics/Tag-Manager and Facebook findings.
     PerResolverPool {
         /// Candidate addresses.
-        pool: Vec<IpAddr>,
+        pool: AddressRun,
         /// Number of addresses per answer.
         answer_size: usize,
         /// Assignment stability: how long one resolver keeps getting the same
@@ -44,7 +66,7 @@ pub enum LoadBalancePolicy {
     /// "synchronized"/anycast-style deployment the paper recommends.
     SynchronizedPool {
         /// Candidate addresses.
-        pool: Vec<IpAddr>,
+        pool: AddressRun,
         /// Number of addresses per answer.
         answer_size: usize,
         /// Assignment stability window.
@@ -55,7 +77,7 @@ pub enum LoadBalancePolicy {
 impl LoadBalancePolicy {
     /// A static single-address policy.
     pub fn single(address: IpAddr) -> Self {
-        LoadBalancePolicy::Static { addresses: vec![address] }
+        LoadBalancePolicy::Static { addresses: AddressRun::new(address, 1) }
     }
 
     /// Select the answer addresses for `domain` under context `ctx`: call
@@ -65,19 +87,19 @@ impl LoadBalancePolicy {
     pub fn select_each<F: FnMut(IpAddr)>(&self, domain: &DomainName, ctx: &QueryContext, mut emit: F) {
         match self {
             LoadBalancePolicy::Static { addresses } => {
-                for ip in addresses {
-                    emit(*ip);
+                for index in 0..addresses.len as usize {
+                    emit(addresses.get(index));
                 }
             }
             LoadBalancePolicy::PerResolverPool { pool, answer_size, epoch } => {
                 let bucket = time_bucket(ctx, *epoch);
                 let h = mix(fnv1a(domain.as_str().as_bytes()) ^ ((ctx.resolver.0 as u64) << 32) ^ bucket);
-                emit_wrapped(pool, h as usize, *answer_size, &mut emit);
+                emit_wrapped(*pool, h as usize, *answer_size, &mut emit);
             }
             LoadBalancePolicy::SynchronizedPool { pool, answer_size, epoch } => {
                 let bucket = time_bucket(ctx, *epoch);
                 let h = mix(((ctx.resolver.0 as u64) << 32) ^ bucket);
-                emit_wrapped(pool, h as usize, *answer_size, &mut emit);
+                emit_wrapped(*pool, h as usize, *answer_size, &mut emit);
             }
         }
     }
@@ -106,13 +128,14 @@ fn time_bucket(ctx: &QueryContext, period: Duration) -> u64 {
 }
 
 /// Emit `count` pool members starting at `offset`, wrapping around.
-fn emit_wrapped<F: FnMut(IpAddr)>(pool: &[IpAddr], offset: usize, count: usize, emit: &mut F) {
-    if pool.is_empty() {
+fn emit_wrapped<F: FnMut(IpAddr)>(pool: AddressRun, offset: usize, count: usize, emit: &mut F) {
+    let len = pool.len as usize;
+    if len == 0 {
         return;
     }
-    let count = count.clamp(1, pool.len());
+    let count = count.clamp(1, len);
     for i in 0..count {
-        emit(pool[(offset + i) % pool.len()]);
+        emit(pool.get((offset + i) % len));
     }
 }
 
@@ -132,8 +155,12 @@ mod tests {
         DomainName::literal(s)
     }
 
-    fn pool(n: u8) -> Vec<IpAddr> {
-        (0..n).map(|i| IpAddr::new(142, 250, 74, i)).collect()
+    fn pool(n: u32) -> AddressRun {
+        AddressRun::new(IpAddr::new(142, 250, 74, 0), n)
+    }
+
+    fn members(n: u32) -> Vec<IpAddr> {
+        (0..n as u8).map(|i| IpAddr::new(142, 250, 74, i)).collect()
     }
 
     fn ctx(resolver: u32, millis: u64) -> QueryContext {
@@ -164,7 +191,7 @@ mod tests {
         assert_eq!(select(&synced, "a.example", &c), select(&synced, "b.example", &c));
         // Static policies are unchanged.
         let stat = LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 7));
-        assert_eq!(stat.clone().synchronized(), stat);
+        assert_eq!(stat.synchronized(), stat);
     }
 
     #[test]
@@ -208,7 +235,7 @@ mod tests {
         };
         assert_eq!(select(&p, "x.example", &ctx(0, 0)).len(), 3);
         let empty = LoadBalancePolicy::PerResolverPool {
-            pool: vec![],
+            pool: pool(0),
             answer_size: 2,
             epoch: Duration::from_secs(60),
         };
@@ -230,7 +257,7 @@ mod tests {
         };
         for r in 0..20 {
             for addr in select(&p, "cdn.example", &ctx(r, 1234)) {
-                assert!(pool(16).contains(&addr));
+                assert!(members(16).contains(&addr));
             }
         }
     }

@@ -213,7 +213,7 @@ fn recycled(answer: Answer) -> Vec<IpAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loadbalance::LoadBalancePolicy;
+    use crate::loadbalance::{AddressRun, LoadBalancePolicy};
 
     fn d(s: &str) -> DomainName {
         DomainName::literal(s)
@@ -226,11 +226,14 @@ mod tests {
     fn authority() -> Authority {
         let mut auth = Authority::new();
         auth.insert(d("example.com"), LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 1)));
-        auth.insert(d("empty.example.com"), LoadBalancePolicy::Static { addresses: Vec::new() });
+        auth.insert(
+            d("empty.example.com"),
+            LoadBalancePolicy::Static { addresses: AddressRun::new(IpAddr::new(192, 0, 2, 0), 0) },
+        );
         auth.insert(
             d("lb.example.com"),
             LoadBalancePolicy::PerResolverPool {
-                pool: (0..16).map(|i| IpAddr::new(10, 0, 0, i)).collect(),
+                pool: AddressRun::new(IpAddr::new(10, 0, 0, 0), 16),
                 answer_size: 1,
                 epoch: Duration::from_secs(60),
             },
@@ -385,7 +388,7 @@ mod tests {
         auth.insert(
             d("www.google-analytics.com"),
             LoadBalancePolicy::PerResolverPool {
-                pool: (0..32).map(|i| IpAddr::new(142, 250, 74, i)).collect(),
+                pool: AddressRun::new(IpAddr::new(142, 250, 74, 0), 32),
                 answer_size: 1,
                 epoch: Duration::from_mins(30),
             },

@@ -7,7 +7,7 @@
 //! shared base layered under a local one.
 
 use netsim_dns::{
-    Authority, LoadBalancePolicy, QueryContext, RecursiveResolver, ResolutionError, ResolverId,
+    AddressRun, Authority, LoadBalancePolicy, QueryContext, RecursiveResolver, ResolutionError, ResolverId,
 };
 use netsim_types::{DomainName, Duration, Instant, IpAddr};
 use proptest::prelude::*;
@@ -100,7 +100,7 @@ fn universe() -> Vec<DomainName> {
 /// One policy drawn from `(kind, value)`: a single address, a
 /// multi-address pool (answer order matters), or an empty pool.
 fn policy(kind: u8, value: usize) -> LoadBalancePolicy {
-    let pool = |size: usize| (0..size).map(|i| IpAddr::new(10, (value % 200) as u8, 0, i as u8)).collect();
+    let pool = |size: u32| AddressRun::new(IpAddr::new(10, (value % 200) as u8, 0, 0), size);
     match kind {
         0 => LoadBalancePolicy::single(IpAddr::new(192, 0, 2, (value % 250) as u8)),
         1 => LoadBalancePolicy::SynchronizedPool {
@@ -113,7 +113,7 @@ fn policy(kind: u8, value: usize) -> LoadBalancePolicy {
             answer_size: 3,
             epoch: Duration::from_mins(10),
         },
-        _ => LoadBalancePolicy::Static { addresses: Vec::new() },
+        _ => LoadBalancePolicy::Static { addresses: pool(0) },
     }
 }
 
@@ -225,7 +225,7 @@ fn pinned_suffix_nxdomain_and_layer_cases() {
         ("co.uk", LoadBalancePolicy::single(IpAddr::new(198, 51, 100, 8))),
     ];
     for (name, policy) in shared {
-        base.insert(d(name), policy.clone());
+        base.insert(d(name), policy);
         base_walk.insert(d(name), policy);
     }
     let mut local = Authority::with_base(Arc::new(base));
@@ -235,13 +235,16 @@ fn pinned_suffix_nxdomain_and_layer_cases() {
         (d("www.shop.co.uk"), LoadBalancePolicy::single(IpAddr::new(203, 0, 113, 1))),
         (d("shop.co.uk"), LoadBalancePolicy::single(IpAddr::new(203, 0, 113, 2))),
         (d("example.com"), LoadBalancePolicy::single(IpAddr::new(192, 0, 2, 1))),
-        (d("empty.example.com"), LoadBalancePolicy::Static { addresses: Vec::new() }),
+        (
+            d("empty.example.com"),
+            LoadBalancePolicy::Static { addresses: AddressRun::new(IpAddr::new(203, 0, 113, 0), 0) },
+        ),
     ];
     let mut names =
         vec![d("cdn.provider.net"), d("co.uk"), d("mail.example.com"), d("x.shop.co.uk"), d("uk")];
     for (name, policy) in entries {
         names.push(name);
-        local.insert(name, policy.clone());
+        local.insert(name, policy);
         local_walk.insert(name, policy);
     }
     assert_equivalent(&local, &local_walk, &names);

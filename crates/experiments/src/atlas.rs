@@ -12,9 +12,11 @@
 //! ## How it scales
 //!
 //! * **Chunked generation** — the population is built in fixed-size chunks
-//!   via [`netsim_web::PopulationBuilder::with_site_offset`]. A chunk
-//!   environment contains only its slice of sites (plus the shared service
-//!   catalog), so memory is bounded by `chunk_sites`, not `sites`.
+//!   by [`atlas_builder`]. A chunk environment contains only its slice of
+//!   sites (plus the shared service catalog), so memory is bounded by
+//!   `chunk_sites`, not `sites`. Each worker rebuilds one environment in
+//!   place ([`netsim_web::PopulationBuilder::build_into`]), chunk after
+//!   chunk, so a warm worker generates a chunk without allocating.
 //! * **Streaming classification** — each chunk is one task of the crate's
 //!   grid kernel: every visit is classified and folded into the chunk's
 //!   [`connreuse_core::Accumulator`] and cost totals immediately, then
@@ -51,15 +53,16 @@
 //! separately ([`AtlasMetrics`]) so golden snapshots and thread-invariance
 //! checks stay byte-stable.
 
-use crate::grid::{atlas_population, chunk_layout, run_grid, CellRecord};
+use crate::grid::{chunk_layout, run_grid, CellRecord};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
+use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
 use connreuse_core::{Cause, ConnectionRecord, DatasetSummary, DurationModel, FastVisitClassifier};
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::{interned_domain_count, interned_domain_octets, MitigationSet};
-use netsim_web::DeploymentCache;
+use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, SharedDeployment};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Sizing and seeding of one atlas run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -251,14 +254,10 @@ pub fn run_atlas_partitioned(config: &AtlasConfig, chunks: &[(usize, usize)]) ->
     // *chunks between workers*, never sites between chunks, so the merge
     // below sees exactly the same per-chunk values at any thread count.
     let outcome = run_grid(config.threads, chunks.len(), |worker, index| {
-        let env = atlas_population(
-            config.seed,
-            config.zipf_exponent,
-            chunks[index],
-            &deployments,
-            MitigationSet::empty(),
-        );
-        worker.measure(&env, &crawler)
+        let recipe = (config.seed, config.zipf_exponent);
+        worker.with_atlas_chunk(recipe, chunks[index], &deployments, MitigationSet::empty(), |worker, env| {
+            worker.measure(env, &crawler)
+        })
     });
 
     // Deterministic merge in chunk order (any order would do — merge is
@@ -288,6 +287,26 @@ pub fn run_atlas_partitioned(config: &AtlasConfig, chunks: &[(usize, usize)]) ->
             scheduler_steals: outcome.stats.steals,
         },
     }
+}
+
+/// The atlas population recipe: a population that mixes the Alexa profile
+/// in by Zipf rank over the archive profile, layered on `deployment` and
+/// deployed under its mitigations. The builder starts with no sites; point
+/// it at a chunk with [`PopulationBuilder::set_site_range`]. Every
+/// stochastic choice forks off the global site index, so any chunking
+/// generates the same sites.
+pub fn atlas_builder(seed: u64, zipf_exponent: f64, deployment: Arc<SharedDeployment>) -> PopulationBuilder {
+    // Both profiles carry the scenario name so generated domains read
+    // `atlas-site-000123.<tld>` regardless of which profile a rank draws.
+    let mut head = PopulationProfile::alexa();
+    head.name = "atlas".to_string();
+    let mut tail = PopulationProfile::archive();
+    tail.name = "atlas".to_string();
+    let mitigations = deployment.mitigations;
+    PopulationBuilder::new(tail, 0, seed + ALEXA_POPULATION_SEED_OFFSET)
+        .with_zipf_profile_mix(head, zipf_exponent)
+        .with_shared_deployment(deployment)
+        .with_mitigations(mitigations)
 }
 
 /// Feed one scratch visit into the streaming classifier and reduce it to the
@@ -629,14 +648,11 @@ mod tests {
         // chunk of a run.
         let config = AtlasConfig { sites: 4_000, chunk_sites: 200, ..tiny() };
         let deployments = DeploymentCache::standard();
-        let slice = |start| {
-            atlas_population(
-                config.seed,
-                config.zipf_exponent,
-                (start, 200),
-                &deployments,
-                MitigationSet::empty(),
-            )
+        let mut builder =
+            atlas_builder(config.seed, config.zipf_exponent, deployments.deployment(MitigationSet::empty()));
+        let mut slice = |start| {
+            builder.set_site_range(start, 200);
+            builder.build()
         };
         let head_env = slice(0);
         let tail_env = slice(3_800);

@@ -6,8 +6,7 @@
 //! and the site's global index, and the executor returns results by task
 //! index, so no record depends on the thread count or the steal schedule.
 
-use crate::atlas::classify_scratch;
-use crate::scenario::ALEXA_POPULATION_SEED_OFFSET;
+use crate::atlas::{atlas_builder, classify_scratch};
 use connreuse_core::{Accumulator, DurationModel, FastVisitClassifier};
 use connreuse_executor::{run_indexed, run_indexed_streaming, PoolStats, RunOutcome};
 use netsim_browser::{BrowserConfig, Crawler, PooledScratch, ScratchPool};
@@ -15,7 +14,7 @@ use netsim_cost::{CostTotals, LinkProfile};
 use netsim_store::ShardRecord;
 use netsim_types::profile::{self, Stage};
 use netsim_types::MitigationSet;
-use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, WebEnvironment};
+use netsim_web::{DeploymentCache, PopulationBuilder, WebEnvironment};
 
 /// What one measured cell leaves behind, or the fold of several.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -64,13 +63,53 @@ impl CellRecord {
 
 /// A grid worker's reusable state, kept across every task it runs (stolen or
 /// not): the visit scratch arena, checked out of the run's [`ScratchPool`],
-/// and the streaming classifier.
+/// the streaming classifier, and the chunk environment every atlas-shaped
+/// task rebuilds in place with the worker's atlas builders.
 pub(crate) struct GridWorker<'pool> {
     scratch: PooledScratch<'pool>,
     classifier: FastVisitClassifier,
+    env: WebEnvironment,
+    /// One atlas builder per (seed, Zipf exponent bits, mitigations) this
+    /// worker has built a chunk for.
+    builders: Vec<((u64, u64, MitigationSet), PopulationBuilder)>,
 }
 
 impl GridWorker<'_> {
+    /// Rebuild the worker's environment as the slice `(start, len)` of the
+    /// atlas population under `mitigations` ([`atlas_builder`]), then hand
+    /// it to `body` with the worker. The rebuild reuses the environment the
+    /// worker's previous chunk left, so a warm worker builds a chunk without
+    /// allocating and never drops one.
+    pub(crate) fn with_atlas_chunk<R>(
+        &mut self,
+        (seed, zipf_exponent): (u64, f64),
+        (start, len): (usize, usize),
+        deployments: &DeploymentCache,
+        mitigations: MitigationSet,
+        body: impl FnOnce(&mut Self, &WebEnvironment) -> R,
+    ) -> R {
+        let key = (seed, zipf_exponent.to_bits(), mitigations);
+        let slot = match self.builders.iter().position(|(built, _)| *built == key) {
+            Some(slot) => slot,
+            None => {
+                let builder = atlas_builder(seed, zipf_exponent, deployments.deployment(mitigations));
+                self.builders.push((key, builder));
+                self.builders.len() - 1
+            }
+        };
+        let builder = &mut self.builders[slot].1;
+        builder.set_site_range(start, len);
+        // The last visit still holds certificates of the previous chunk;
+        // release them so the rebuild rewrites them in place.
+        self.scratch.clear();
+        self.classifier.begin_site();
+        let mut env = std::mem::take(&mut self.env);
+        builder.build_into(&mut env);
+        let result = body(self, &env);
+        self.env = env;
+        result
+    }
+
     /// Visit every site of `env` with `crawler` → classify → fold. The
     /// scratch holds each visit only until the next one starts, so the
     /// steady-state loop allocates nothing.
@@ -159,7 +198,12 @@ pub(crate) fn stream_grid<R: Send>(
 fn worker(pool: &ScratchPool) -> GridWorker<'_> {
     // NetLog events would be dropped unread: the pool hands out
     // recording-disabled arenas so the visit loop stays allocation-free.
-    GridWorker { scratch: pool.checkout(), classifier: FastVisitClassifier::new() }
+    GridWorker {
+        scratch: pool.checkout(),
+        classifier: FastVisitClassifier::new(),
+        env: WebEnvironment::default(),
+        builders: Vec::new(),
+    }
 }
 
 /// Every grid task is one scaffold [`Stage::ChunkLoop`] scope: its wall-clock
@@ -180,30 +224,4 @@ fn in_chunk<R>(body: impl FnOnce() -> R) -> R {
 pub(crate) fn chunk_layout(sites: usize, chunk_sites: usize) -> Vec<(usize, usize)> {
     let chunk = chunk_sites.max(1);
     (0..sites.div_ceil(chunk)).map(|i| (i * chunk, chunk.min(sites - i * chunk))).collect()
-}
-
-/// The atlas population recipe: the slice `[start, start + len)` of a
-/// population that mixes the Alexa profile in by Zipf rank over the archive
-/// profile, deployed under `mitigations` from the run's shared deployment
-/// cache. Every stochastic choice forks off the global site index, so any
-/// chunking generates the same sites.
-pub(crate) fn atlas_population(
-    seed: u64,
-    zipf_exponent: f64,
-    (start, len): (usize, usize),
-    deployments: &DeploymentCache,
-    mitigations: MitigationSet,
-) -> WebEnvironment {
-    // Both profiles carry the scenario name so generated domains read
-    // `atlas-site-000123.<tld>` regardless of which profile a rank draws.
-    let mut head = PopulationProfile::alexa();
-    head.name = "atlas".to_string();
-    let mut tail = PopulationProfile::archive();
-    tail.name = "atlas".to_string();
-    PopulationBuilder::new(tail, len, seed + ALEXA_POPULATION_SEED_OFFSET)
-        .with_site_offset(start)
-        .with_zipf_profile_mix(head, zipf_exponent)
-        .with_shared_deployment(deployments.deployment(mitigations))
-        .with_mitigations(mitigations)
-        .build()
 }

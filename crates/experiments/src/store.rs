@@ -43,7 +43,7 @@
 //! them on the caller thread with no I/O. The open is a snapshot; a shard
 //! file changed afterwards is not seen.
 
-use crate::grid::{atlas_population, chunk_layout, stream_grid, CellRecord, GridWorker};
+use crate::grid::{chunk_layout, stream_grid, CellRecord, GridWorker};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use connreuse_core::DatasetSummary;
@@ -464,8 +464,10 @@ fn measure_chunk(
     let crawl_seed = config.seed + ALEXA_CRAWL_SEED_OFFSET;
     let mut cells = Vec::with_capacity(config.mitigations.len() * profiles.len());
     for &mitigations in &config.mitigations {
-        let env = atlas_population(config.seed, config.zipf_exponent, chunk, deployments, mitigations);
-        cells.extend(worker.measure_links(&env, mitigations, &profiles, crawl_seed));
+        let recipe = (config.seed, config.zipf_exponent);
+        cells.extend(worker.with_atlas_chunk(recipe, chunk, deployments, mitigations, |worker, env| {
+            worker.measure_links(env, mitigations, &profiles, crawl_seed)
+        }));
     }
     cells
 }

@@ -225,9 +225,8 @@ mod tests {
     fn certificate_for(domains: &[&str]) -> Arc<Certificate> {
         let mut store = CertificateStore::new();
         let names: Vec<DomainName> = domains.iter().map(|s| d(s)).collect();
-        let ids =
-            store.issue_with_policy(Issuer::digicert(), &IssuancePolicy::SharedSan, &names, Instant::EPOCH);
-        Arc::clone(store.get_arc(ids[0]).unwrap())
+        store.issue_with_policy(&Issuer::digicert(), &IssuancePolicy::SharedSan, &names, Instant::EPOCH);
+        Arc::clone(store.get_arc(netsim_tls::CertificateId(0)).unwrap())
     }
 
     fn connection() -> Connection {

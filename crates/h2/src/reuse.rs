@@ -291,8 +291,8 @@ mod tests {
     fn conn(cert_domains: &[&str], ip: IpAddr, credentialed: bool) -> Connection {
         let mut store = CertificateStore::new();
         let names: Vec<DomainName> = cert_domains.iter().map(|s| d(s)).collect();
-        let ids = store.issue_with_policy(
-            Issuer::google_trust_services(),
+        store.issue_with_policy(
+            &Issuer::google_trust_services(),
             &IssuancePolicy::SharedSan,
             &names,
             Instant::EPOCH,
@@ -301,7 +301,7 @@ mod tests {
             ConnectionId(1),
             Origin::https(names[0]),
             ip,
-            std::sync::Arc::clone(store.get_arc(ids[0]).unwrap()),
+            std::sync::Arc::clone(store.get_arc(netsim_tls::CertificateId(0)).unwrap()),
             credentialed,
             Instant::EPOCH,
         )

@@ -106,8 +106,7 @@ impl Certificate {
         now >= self.not_before && now <= self.not_after
     }
 
-    /// All exact DNS names listed in the SAN (wildcards excluded), used for
-    /// per-issuer unique-domain statistics (Tables 3 and 5).
+    /// All exact DNS names listed in the SAN (wildcards excluded).
     pub fn dns_names(&self) -> Vec<&DomainName> {
         self.san
             .iter()

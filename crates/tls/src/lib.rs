@@ -20,7 +20,7 @@
 //!   certificates (one shared SAN cert, per-subdomain certificates à la
 //!   default certbot, wildcards, …),
 //! * [`CertificateStore`] — the simulated CA: issues certificates, hands the
-//!   right one to a server given an SNI name, and keeps issuance statistics,
+//!   right one to a server given an SNI name,
 //! * [`handshake`] — a small TLS handshake cost model so the browser can
 //!   charge realistic connection-establishment latency.
 

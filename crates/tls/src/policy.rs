@@ -37,37 +37,42 @@ pub enum IssuancePolicy {
 }
 
 impl IssuancePolicy {
-    /// Partition `domains` into per-certificate SAN lists according to the
-    /// policy. The order of `domains` is preserved inside each group.
-    pub fn partition(&self, domains: &[DomainName]) -> Vec<Vec<SanEntry>> {
+    /// Partition `domains` into certificates according to the policy: call
+    /// `issue` once per certificate with its SAN entries. The order of
+    /// `domains` is preserved inside each certificate.
+    pub fn for_each_certificate(
+        &self,
+        domains: &[DomainName],
+        mut issue: impl FnMut(&mut dyn Iterator<Item = SanEntry>),
+    ) {
         match self {
             IssuancePolicy::SharedSan => {
-                if domains.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![domains.iter().cloned().map(SanEntry::Dns).collect()]
+                if !domains.is_empty() {
+                    issue(&mut domains.iter().copied().map(SanEntry::Dns));
                 }
             }
-            IssuancePolicy::PerDomain => domains.iter().cloned().map(|d| vec![SanEntry::Dns(d)]).collect(),
+            IssuancePolicy::PerDomain => {
+                for domain in domains {
+                    issue(&mut std::iter::once(SanEntry::Dns(*domain)));
+                }
+            }
             IssuancePolicy::Wildcard { zone } => {
-                if domains.is_empty() {
-                    Vec::new()
-                } else {
-                    let mut san = vec![SanEntry::Wildcard(*zone), SanEntry::Dns(*zone)];
+                if !domains.is_empty() {
                     // Domains not covered by the wildcard (deeper than one
                     // label, or outside the zone) still need exact entries.
-                    for d in domains {
-                        let covered = SanEntry::Wildcard(*zone).covers(d) || d == zone;
-                        if !covered {
-                            san.push(SanEntry::Dns(*d));
-                        }
-                    }
-                    vec![san]
+                    let wildcard = SanEntry::Wildcard(*zone);
+                    let uncovered = domains
+                        .iter()
+                        .filter(|d| !wildcard.covers(d) && *d != zone)
+                        .copied()
+                        .map(SanEntry::Dns);
+                    issue(&mut [wildcard.clone(), SanEntry::Dns(*zone)].into_iter().chain(uncovered));
                 }
             }
             IssuancePolicy::Grouped { group_size } => {
-                let size = (*group_size).max(1);
-                domains.chunks(size).map(|chunk| chunk.iter().cloned().map(SanEntry::Dns).collect()).collect()
+                for group in domains.chunks((*group_size).max(1)) {
+                    issue(&mut group.iter().copied().map(SanEntry::Dns));
+                }
             }
         }
     }
@@ -97,32 +102,32 @@ impl IssuancePolicy {
             other => other.clone(),
         }
     }
-
-    /// `true` if, under this policy, a connection presenting the certificate
-    /// for `established` can be reused for `requested` (certificate criterion
-    /// only). This is the property the `CERT` classifier ultimately observes.
-    pub fn allows_reuse_between(&self, established: &DomainName, requested: &DomainName) -> bool {
-        if established == requested {
-            return true;
-        }
-        match self {
-            IssuancePolicy::SharedSan => true,
-            IssuancePolicy::PerDomain => false,
-            IssuancePolicy::Wildcard { zone } => {
-                let wc = SanEntry::Wildcard(*zone);
-                (wc.covers(established) || established == zone) && (wc.covers(requested) || requested == zone)
-            }
-            IssuancePolicy::Grouped { .. } => false, // group membership unknown at this level
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CertificateStore, Issuer};
+    use netsim_types::Instant;
 
     fn d(s: &str) -> DomainName {
         DomainName::literal(s)
+    }
+
+    fn partition(policy: &IssuancePolicy, domains: &[DomainName]) -> Vec<Vec<SanEntry>> {
+        let mut groups = Vec::new();
+        policy.for_each_certificate(domains, |san| groups.push(san.collect()));
+        groups
+    }
+
+    /// With `domains` issued under `policy`, whether the certificate a
+    /// server presents for `established` also covers `requested` — the
+    /// certificate half of connection reuse, which the `CERT` classifier
+    /// observes.
+    fn reusable(policy: &IssuancePolicy, domains: &[DomainName], established: &str, requested: &str) -> bool {
+        let mut store = CertificateStore::new();
+        store.issue_with_policy(&Issuer::lets_encrypt(), policy, domains, Instant::EPOCH);
+        store.select_for_sni(&d(established)).is_some_and(|cert| cert.covers(&d(requested)))
     }
 
     fn domains() -> Vec<DomainName> {
@@ -131,41 +136,41 @@ mod tests {
 
     #[test]
     fn shared_san_single_certificate() {
-        let groups = IssuancePolicy::SharedSan.partition(&domains());
+        let groups = partition(&IssuancePolicy::SharedSan, &domains());
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 4);
         assert_eq!(IssuancePolicy::SharedSan.certificate_count(4), 1);
         assert_eq!(IssuancePolicy::SharedSan.certificate_count(0), 0);
-        assert!(IssuancePolicy::SharedSan.partition(&[]).is_empty());
+        assert!(partition(&IssuancePolicy::SharedSan, &[]).is_empty());
     }
 
     #[test]
     fn per_domain_disjunct_certificates() {
         let policy = IssuancePolicy::PerDomain;
-        let groups = policy.partition(&domains());
+        let groups = partition(&policy, &domains());
         assert_eq!(groups.len(), 4);
         assert!(groups.iter().all(|g| g.len() == 1));
         assert_eq!(policy.certificate_count(4), 4);
-        assert!(!policy.allows_reuse_between(&d("example.com"), &d("img.example.com")));
-        assert!(policy.allows_reuse_between(&d("example.com"), &d("example.com")));
+        assert!(!reusable(&policy, &domains(), "example.com", "img.example.com"));
+        assert!(reusable(&policy, &domains(), "example.com", "example.com"));
     }
 
     #[test]
     fn wildcard_covers_one_level() {
         let policy = IssuancePolicy::Wildcard { zone: d("example.com") };
-        let groups = policy.partition(&domains());
+        let groups = partition(&policy, &domains());
         assert_eq!(groups.len(), 1);
         // wildcard + apex, no extra entries needed for one-level shards
         assert_eq!(groups[0].len(), 2);
-        assert!(policy.allows_reuse_between(&d("img.example.com"), &d("static.example.com")));
-        assert!(policy.allows_reuse_between(&d("example.com"), &d("img.example.com")));
-        assert!(!policy.allows_reuse_between(&d("img.example.com"), &d("a.b.example.com")));
+        assert!(reusable(&policy, &domains(), "img.example.com", "static.example.com"));
+        assert!(reusable(&policy, &domains(), "example.com", "img.example.com"));
+        assert!(!reusable(&policy, &domains(), "img.example.com", "a.b.example.com"));
     }
 
     #[test]
     fn wildcard_adds_exact_entries_for_deep_names() {
         let policy = IssuancePolicy::Wildcard { zone: d("example.com") };
-        let groups = policy.partition(&[d("a.b.example.com"), d("img.example.com")]);
+        let groups = partition(&policy, &[d("a.b.example.com"), d("img.example.com")]);
         let texts: Vec<String> = groups[0].iter().map(|s| s.as_text()).collect();
         assert!(texts.contains(&"a.b.example.com".to_string()));
         assert!(!texts.contains(&"img.example.com".to_string()));
@@ -181,14 +186,14 @@ mod tests {
         // After coalescing, every pair of domains can share a connection
         // (certificate criterion only).
         let coalesced = IssuancePolicy::PerDomain.coalesced();
-        assert!(coalesced.allows_reuse_between(&d("example.com"), &d("img.example.com")));
+        assert!(reusable(&coalesced, &domains(), "example.com", "img.example.com"));
         assert_eq!(coalesced.certificate_count(4), 1);
     }
 
     #[test]
     fn grouped_partitions_in_chunks() {
         let policy = IssuancePolicy::Grouped { group_size: 3 };
-        let groups = policy.partition(&domains());
+        let groups = partition(&policy, &domains());
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].len(), 3);
         assert_eq!(groups[1].len(), 1);

@@ -2,17 +2,14 @@
 //!
 //! Web servers in the simulation do not carry key material; they reference
 //! certificates by [`CertificateId`] inside a shared [`CertificateStore`].
-//! The store issues certificates (applying an [`IssuancePolicy`]), answers
-//! SNI lookups ("which certificate does this server present for this name?")
-//! and keeps per-issuer statistics used to sanity-check the generated PKI
-//! against Table 5.
+//! The store issues certificates (applying an [`IssuancePolicy`]) and
+//! answers SNI lookups ("which certificate does this server present for
+//! this name?").
 
 use crate::certificate::{Certificate, CertificateId, SanEntry};
 use crate::issuer::Issuer;
 use crate::policy::IssuancePolicy;
 use netsim_types::{DomainName, Duration, FnvHashMap, Instant};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Default validity of issued certificates (90 days, the Let's Encrypt norm).
@@ -27,17 +24,26 @@ const DEFAULT_VALIDITY: Duration = Duration::from_days(90);
 /// ([`CertificateStore::with_base`]): ids continue after the base's, lookups
 /// consult both layers, and the newest certificate still wins SNI selection.
 ///
+/// [`CertificateStore::reset`] empties the local layer but keeps its
+/// certificate allocations: the next issue into a retired slot rewrites the
+/// certificate in place when no connection still holds it.
+///
 /// Both name indexes are hash maps that serve lookups only — nothing
-/// iterates them into output. The exact index is keyed by interned id; the
-/// wildcard index by the zone's canonical `'static` text, so an SNI lookup
-/// probes it with [`DomainName::parent_str`] and never interns a parent.
+/// iterates them into output. Each maps a name to the newest local
+/// certificate listing it, the only one SNI selection can pick. The exact
+/// index is keyed by interned id; the wildcard index by the zone's canonical
+/// `'static` text, so an SNI lookup probes it with [`DomainName::parent_str`]
+/// and never interns a parent.
 #[derive(Clone, Debug, Default)]
 pub struct CertificateStore {
+    /// Issued certificates in `..live`; retired ones, kept for reuse, after.
     certificates: Vec<Arc<Certificate>>,
-    /// Exact-name index: domain → certificates listing it as a DNS SAN.
-    by_domain: FnvHashMap<DomainName, Vec<CertificateId>>,
-    /// Wildcard index: zone text → certificates listing `*.zone`.
-    by_wildcard_zone: FnvHashMap<&'static str, Vec<CertificateId>>,
+    /// Number of issued certificates in the local layer.
+    live: usize,
+    /// Exact-name index: domain → newest certificate listing it as a DNS SAN.
+    by_domain: FnvHashMap<DomainName, CertificateId>,
+    /// Wildcard index: zone text → newest certificate listing `*.zone`.
+    by_wildcard_zone: FnvHashMap<&'static str, CertificateId>,
     /// Shared read-only certificates with ids `0..base.len()`.
     base: Option<Arc<CertificateStore>>,
 }
@@ -51,12 +57,17 @@ impl CertificateStore {
     /// An empty store layered over a shared base: newly issued certificates
     /// get ids continuing after the base's, and lookups consult both layers.
     pub fn with_base(base: Arc<CertificateStore>) -> Self {
-        CertificateStore {
-            certificates: Vec::new(),
-            by_domain: FnvHashMap::default(),
-            by_wildcard_zone: FnvHashMap::default(),
-            base: Some(base),
-        }
+        CertificateStore { base: Some(base), ..CertificateStore::default() }
+    }
+
+    /// Retire every local certificate, keeping the allocations for reuse,
+    /// and layer the store over `base` (or over nothing): how a recycled
+    /// environment starts its next build.
+    pub fn reset(&mut self, base: Option<Arc<CertificateStore>>) {
+        self.live = 0;
+        self.by_domain.clear();
+        self.by_wildcard_zone.clear();
+        self.base = base;
     }
 
     /// Number of ids below which this store's own certificates start.
@@ -66,7 +77,7 @@ impl CertificateStore {
 
     /// Number of issued certificates (including any shared base).
     pub fn len(&self) -> usize {
-        self.base_len() + self.certificates.len()
+        self.base_len() + self.live
     }
 
     /// `true` if no certificate has been issued yet.
@@ -76,36 +87,68 @@ impl CertificateStore {
 
     /// Issue a single certificate with an explicit SAN list.
     pub fn issue(&mut self, issuer: Issuer, san: Vec<SanEntry>, not_before: Instant) -> CertificateId {
-        let id = CertificateId(self.len() as u64);
-        let subject = san
-            .first()
-            .map(|entry| match entry {
-                SanEntry::Dns(d) => *d,
-                SanEntry::Wildcard(z) => *z,
-            })
-            .unwrap_or_else(|| DomainName::literal("invalid.invalid"));
-        let cert =
-            Certificate { id, subject, san, issuer, not_before, not_after: not_before + DEFAULT_VALIDITY };
-        for entry in &cert.san {
-            match entry {
-                SanEntry::Dns(d) => self.by_domain.entry(*d).or_default().push(id),
-                SanEntry::Wildcard(z) => self.by_wildcard_zone.entry(z.as_str()).or_default().push(id),
-            }
-        }
-        self.certificates.push(Arc::new(cert));
-        id
+        self.issue_from(&issuer, &mut san.into_iter(), not_before)
     }
 
-    /// Issue certificates for `domains` according to `policy`, returning the
-    /// ids in partition order.
+    /// Issue certificates for `domains` according to `policy`, in partition
+    /// order.
     pub fn issue_with_policy(
         &mut self,
-        issuer: Issuer,
+        issuer: &Issuer,
         policy: &IssuancePolicy,
         domains: &[DomainName],
         not_before: Instant,
-    ) -> Vec<CertificateId> {
-        policy.partition(domains).into_iter().map(|san| self.issue(issuer.clone(), san, not_before)).collect()
+    ) {
+        policy.for_each_certificate(domains, |san| {
+            self.issue_from(issuer, san, not_before);
+        });
+    }
+
+    /// Issue one certificate listing `san`, into the next slot: a retired
+    /// certificate nothing else holds is rewritten in place, keeping its SAN
+    /// list's capacity.
+    fn issue_from(
+        &mut self,
+        issuer: &Issuer,
+        san: &mut dyn Iterator<Item = SanEntry>,
+        not_before: Instant,
+    ) -> CertificateId {
+        let id = CertificateId(self.len() as u64);
+        let slot = self.live;
+        let mut entries = match self.certificates.get_mut(slot).and_then(Arc::get_mut) {
+            Some(retired) => std::mem::take(&mut retired.san),
+            None => Vec::new(),
+        };
+        entries.clear();
+        entries.extend(san);
+        let subject = match entries.first() {
+            Some(SanEntry::Dns(name) | SanEntry::Wildcard(name)) => *name,
+            None => DomainName::literal("invalid.invalid"),
+        };
+        let cert = Certificate {
+            id,
+            subject,
+            san: entries,
+            issuer: issuer.clone(),
+            not_before,
+            not_after: not_before + DEFAULT_VALIDITY,
+        };
+        match self.certificates.get_mut(slot) {
+            Some(held) => match Arc::get_mut(held) {
+                Some(retired) => *retired = cert,
+                None => *held = Arc::new(cert),
+            },
+            None => self.certificates.push(Arc::new(cert)),
+        }
+        let cert = &self.certificates[slot];
+        for entry in &cert.san {
+            match entry {
+                SanEntry::Dns(name) => self.by_domain.insert(*name, id),
+                SanEntry::Wildcard(zone) => self.by_wildcard_zone.insert(zone.as_str(), id),
+            };
+        }
+        self.live += 1;
+        id
     }
 
     /// Fetch a certificate by id.
@@ -121,7 +164,7 @@ impl CertificateStore {
         if index < base_len {
             self.base.as_ref().and_then(|base| base.get_arc(id))
         } else {
-            self.certificates.get(index - base_len)
+            self.certificates[..self.live].get(index - base_len)
         }
     }
 
@@ -138,37 +181,16 @@ impl CertificateStore {
         if let Some(base) = &self.base {
             base.collect_refs(out);
         }
-        out.extend(self.certificates.iter().map(Arc::as_ref));
+        out.extend(self.certificates[..self.live].iter().map(Arc::as_ref));
     }
 
     /// The certificates valid for `domain` (exact or wildcard match),
     /// most recently issued first — the order a server would prefer when
     /// selecting a certificate for an SNI name.
     pub fn certificates_for(&self, domain: &DomainName) -> Vec<&Certificate> {
-        let mut ids = Vec::new();
-        self.matching_ids(domain, &mut ids);
-        ids.sort_unstable_by_key(|id| std::cmp::Reverse(id.0));
-        ids.dedup();
-        ids.iter().filter_map(|id| self.get(*id)).collect()
-    }
-
-    /// Collect the ids of certificates matching `domain` in this layer and
-    /// any base layer.
-    fn matching_ids(&self, domain: &DomainName, out: &mut Vec<CertificateId>) {
-        if let Some(exact) = self.by_domain.get(domain) {
-            out.extend(exact.iter().copied());
-        }
-        if let Some(wc) = self.wildcards_for(domain) {
-            out.extend(wc.iter().copied());
-        }
-        if let Some(base) = &self.base {
-            base.matching_ids(domain, out);
-        }
-    }
-
-    /// This layer's certificates listing `*.parent` for `domain`'s parent.
-    fn wildcards_for(&self, domain: &DomainName) -> Option<&Vec<CertificateId>> {
-        self.by_wildcard_zone.get(domain.parent_str()?)
+        let mut matching: Vec<&Certificate> = self.iter().filter(|cert| cert.covers(domain)).collect();
+        matching.reverse();
+        matching
     }
 
     /// The certificate a server presents for SNI name `domain`, if any.
@@ -181,14 +203,9 @@ impl CertificateStore {
     pub fn select_arc_for_sni(&self, domain: &DomainName) -> Option<&Arc<Certificate>> {
         // Newest (highest-id) match wins; local ids are always newer than
         // base ids, so check the local indexes before the base.
-        let mut best: Option<CertificateId> = None;
-        if let Some(exact) = self.by_domain.get(domain) {
-            best = exact.iter().copied().max();
-        }
-        if let Some(wc) = self.wildcards_for(domain) {
-            best = best.into_iter().chain(wc.iter().copied()).max();
-        }
-        match (best, &self.base) {
+        let exact = self.by_domain.get(domain).copied();
+        let wildcard = domain.parent_str().and_then(|parent| self.by_wildcard_zone.get(parent).copied());
+        match (exact.max(wildcard), &self.base) {
             (Some(id), _) => self.get_arc(id),
             (None, Some(base)) => base.select_arc_for_sni(domain),
             (None, None) => None,
@@ -199,33 +216,6 @@ impl CertificateStore {
     pub fn has_coverage(&self, domain: &DomainName) -> bool {
         self.select_for_sni(domain).is_some()
     }
-
-    /// Per-issuer (certificate count, unique exact DNS names) statistics.
-    pub fn issuer_statistics(&self) -> BTreeMap<Issuer, IssuerStats> {
-        let mut stats: BTreeMap<Issuer, (usize, BTreeSet<DomainName>)> = BTreeMap::new();
-        for cert in self.iter() {
-            let entry = stats.entry(cert.issuer.clone()).or_default();
-            entry.0 += 1;
-            for name in cert.dns_names() {
-                entry.1.insert(*name);
-            }
-        }
-        stats
-            .into_iter()
-            .map(|(issuer, (certificates, domains))| {
-                (issuer, IssuerStats { certificates, unique_domains: domains.len() })
-            })
-            .collect()
-    }
-}
-
-/// Aggregate issuance statistics for one CA organisation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IssuerStats {
-    /// Number of certificates issued.
-    pub certificates: usize,
-    /// Number of distinct exact DNS names across those certificates.
-    pub unique_domains: usize,
 }
 
 #[cfg(test)]
@@ -279,13 +269,8 @@ mod tests {
     fn policy_issuance_produces_expected_counts() {
         let mut store = CertificateStore::new();
         let shards = vec![d("example.com"), d("img.example.com"), d("static.example.com")];
-        let ids = store.issue_with_policy(
-            Issuer::lets_encrypt(),
-            &IssuancePolicy::PerDomain,
-            &shards,
-            Instant::EPOCH,
-        );
-        assert_eq!(ids.len(), 3);
+        store.issue_with_policy(&Issuer::lets_encrypt(), &IssuancePolicy::PerDomain, &shards, Instant::EPOCH);
+        assert_eq!(store.len(), 3);
         // Each shard is covered, but by different certificates — the CERT setup.
         let a = store.select_for_sni(&d("example.com")).unwrap().id;
         let b = store.select_for_sni(&d("img.example.com")).unwrap().id;
@@ -293,21 +278,25 @@ mod tests {
     }
 
     #[test]
-    fn issuer_statistics_count_unique_domains() {
+    fn reset_recycles_certificates_nothing_else_holds() {
         let mut store = CertificateStore::new();
-        store.issue(Issuer::lets_encrypt(), vec![SanEntry::Dns(d("a.example.com"))], Instant::EPOCH);
-        store.issue(Issuer::lets_encrypt(), vec![SanEntry::Dns(d("b.example.com"))], Instant::EPOCH);
-        store.issue(
-            Issuer::google_trust_services(),
-            vec![SanEntry::Dns(d("adservice.google.com")), SanEntry::Dns(d("adservice.google.de"))],
-            Instant::EPOCH,
-        );
-        let stats = store.issuer_statistics();
-        assert_eq!(stats[&Issuer::lets_encrypt()], IssuerStats { certificates: 2, unique_domains: 2 });
-        assert_eq!(
-            stats[&Issuer::google_trust_services()],
-            IssuerStats { certificates: 1, unique_domains: 2 }
-        );
+        let first = store.issue(Issuer::lets_encrypt(), vec![SanEntry::Dns(d("a.example"))], Instant::EPOCH);
+        store.issue(Issuer::lets_encrypt(), vec![SanEntry::Dns(d("b.example"))], Instant::EPOCH);
+        // A connection still presents the second certificate.
+        let held = Arc::clone(store.get_arc(CertificateId(1)).unwrap());
+        let recycled: *const Certificate = store.get(first).unwrap();
+        store.reset(None);
+        assert!(store.is_empty());
+        assert!(!store.has_coverage(&d("a.example")));
+        let c = store.issue(Issuer::digicert(), vec![SanEntry::Dns(d("c.example"))], Instant::EPOCH);
+        let e = store.issue(Issuer::digicert(), vec![SanEntry::Dns(d("e.example"))], Instant::EPOCH);
+        assert_eq!((c, e), (CertificateId(0), CertificateId(1)));
+        assert!(std::ptr::eq(store.get(c).unwrap(), recycled), "an unshared slot is rewritten in place");
+        assert_eq!(store.select_for_sni(&d("c.example")).unwrap().issuer, Issuer::digicert());
+        // The held certificate is untouched; its slot got a fresh one.
+        assert_eq!(held.san, vec![SanEntry::Dns(d("b.example"))]);
+        assert_eq!(store.get(e).unwrap().san, vec![SanEntry::Dns(d("e.example"))]);
+        assert!(!store.has_coverage(&d("b.example")));
     }
 
     #[test]

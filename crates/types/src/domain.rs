@@ -72,9 +72,14 @@ impl DomainName {
         if trimmed.is_empty() {
             return Err(DomainError::Empty);
         }
-        let lowered = trimmed.to_ascii_lowercase();
+        // Generated names arrive canonical already: copy only to lowercase.
+        let lowered = if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            std::borrow::Cow::Owned(trimmed.to_ascii_lowercase())
+        } else {
+            std::borrow::Cow::Borrowed(trimmed)
+        };
         if lowered.len() > 253 {
-            return Err(DomainError::BadLength(lowered));
+            return Err(DomainError::BadLength(lowered.into_owned()));
         }
         for (index, label) in lowered.split('.').enumerate() {
             if label.is_empty() || label.len() > 63 {

@@ -98,6 +98,38 @@ pub(crate) fn intern_canonical(canonical: &str) -> (DomainId, &'static str) {
     (DomainId(id), leaked)
 }
 
+/// A process-wide table of `'static` names made on first use, keyed by a
+/// small integer: the finite run-time vocabularies (generated resource
+/// paths, generic hosting AS names) that `Copy` values point into. Each
+/// distinct key leaks its text once.
+pub struct NameTable {
+    names: OnceLock<RwLock<FnvHashMap<u64, &'static str>>>,
+}
+
+impl NameTable {
+    /// An empty table (usable in a `static`).
+    pub const fn new() -> Self {
+        NameTable { names: OnceLock::new() }
+    }
+
+    /// The name for `key`, made by `make` and leaked the first time `key` is
+    /// asked for.
+    pub fn get(&self, key: u64, make: impl FnOnce() -> String) -> &'static str {
+        let names = self.names.get_or_init(Default::default);
+        if let Some(&name) = names.read().expect("name table poisoned").get(&key) {
+            return name;
+        }
+        let mut names = names.write().expect("name table poisoned");
+        names.entry(key).or_insert_with(|| Box::leak(make().into_boxed_str()))
+    }
+}
+
+impl Default for NameTable {
+    fn default() -> Self {
+        NameTable::new()
+    }
+}
+
 /// Number of distinct domain strings interned so far (diagnostics /
 /// memory-footprint reporting).
 pub fn interned_domain_count() -> usize {
@@ -140,6 +172,15 @@ mod tests {
             handles.into_iter().map(|h| h.join().expect("no panic")).collect()
         });
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn name_tables_make_each_key_once() {
+        static NAMES: NameTable = NameTable::new();
+        let first = NAMES.get(7, || "seven".to_string());
+        let again = NAMES.get(7, || unreachable!("key 7 is already made"));
+        assert!(std::ptr::eq(first, again));
+        assert_eq!(NAMES.get(8, || "eight".to_string()), "eight");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use domain::{DomainError, DomainName};
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use hash::{fnv1a, FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use id::{ConnectionId, IdAllocator, PageId, RequestId, SiteId};
-pub use intern::{interned_domain_count, interned_domain_octets, DomainId};
+pub use intern::{interned_domain_count, interned_domain_octets, DomainId, NameTable};
 pub use ip::{IpAddr, Prefix};
 pub use mitigation::{Mitigation, MitigationSet};
 pub use origin::{Origin, OriginId, Scheme};

@@ -18,7 +18,7 @@
 //! certificates, same prefix allocation — is property-tested in
 //! `crates/web/tests/deployment_equivalence.rs`.
 
-use crate::population::install_service;
+use crate::population::{install_service, Layers};
 use crate::services::ServiceCatalog;
 use netsim_asdb::AsRegistry;
 use netsim_dns::Authority;
@@ -54,8 +54,10 @@ impl SharedDeployment {
         let mut authority = Authority::new();
         let mut certificates = CertificateStore::new();
         let mut registry = AsRegistry::new();
+        let mut layers =
+            Layers { authority: &mut authority, certificates: &mut certificates, registry: &mut registry };
         for service in mitigated.services() {
-            install_service(&mut authority, &mut certificates, &mut registry, service);
+            install_service(&mut layers, service);
         }
         Arc::new(SharedDeployment {
             authority: Arc::new(authority),

@@ -1,15 +1,21 @@
 //! The assembled simulation environment a browser crawls.
 
+use crate::population::BuildScratch;
 use crate::site::Website;
 use netsim_asdb::{AsRegistry, AutonomousSystem};
 use netsim_dns::Authority;
 use netsim_tls::{Certificate, CertificateStore};
-use netsim_types::{DomainName, IpAddr, SiteId};
+use netsim_types::{DomainName, IpAddr};
 
 /// Everything the browser substrate needs to load the generated population:
 /// the DNS authority, the certificate inventory (servers present the
 /// certificate selected for the SNI name), the IP → AS registry used by the
 /// attribution tables, and the per-site fetch plans.
+///
+/// An environment can be rebuilt in place
+/// ([`crate::PopulationBuilder::build_into`]): every layer is reset and
+/// regenerated, keeping its capacity, so a worker that builds chunk after
+/// chunk into one environment stops allocating once it is warm.
 #[derive(Clone, Debug, Default)]
 pub struct WebEnvironment {
     /// Authoritative DNS data for every generated domain.
@@ -20,6 +26,8 @@ pub struct WebEnvironment {
     pub registry: AsRegistry,
     /// The generated sites.
     pub sites: Vec<Website>,
+    /// What generation keeps between rebuilds; nothing here is observable.
+    pub(crate) scratch: BuildScratch,
 }
 
 impl WebEnvironment {
@@ -39,11 +47,6 @@ impl WebEnvironment {
     /// The AS announcing the prefix that contains `ip`.
     pub fn asn_for(&self, ip: IpAddr) -> Option<&AutonomousSystem> {
         self.registry.lookup(ip)
-    }
-
-    /// Fetch a site by id.
-    pub fn site(&self, id: SiteId) -> Option<&Website> {
-        self.sites.get(id.value() as usize).filter(|s| s.id == id)
     }
 
     /// Number of generated sites.

@@ -6,15 +6,16 @@ use crate::profiles::PopulationProfile;
 use crate::resources::PlannedRequest;
 use crate::services::{DnsDeployment, ServiceCatalog, ThirdPartyService};
 use crate::site::{ShardingPlan, Website};
-use netsim_asdb::{well_known, AsCatalog, AsRegistry};
-use netsim_dns::{Authority, LoadBalancePolicy};
+use netsim_asdb::{well_known, AsCatalog, AsRegistry, AutonomousSystem};
+use netsim_dns::{AddressRun, Authority, LoadBalancePolicy};
 use netsim_fetch::RequestDestination;
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer, IssuerCatalog};
-use netsim_types::{DomainName, Duration, Instant, IpAddr, Mitigation, MitigationSet, SimRng, SiteId};
+use netsim_types::{DomainName, Duration, Instant, Mitigation, MitigationSet, NameTable, SimRng, SiteId};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Subdomain labels used for first-party shards.
-const SHARD_LABELS: &[&str] = &["img", "static", "cdn", "assets", "media", "images", "shop", "api"];
+const SHARD_LABELS: [&str; 8] = ["img", "static", "cdn", "assets", "media", "images", "shop", "api"];
 
 /// Top-level domains (and their weights) for generated sites.
 const TLDS: &[(&str, f64)] = &[
@@ -40,6 +41,9 @@ const OWN_RESOURCE_KINDS: &[(RequestDestination, &str, f64)] = &[
     (RequestDestination::Xhr, "json", 0.08),
 ];
 
+/// The path every misc third party serves its widget from.
+const WIDGET_PATH: &str = "/embed/widget.js";
+
 /// Epoch length for unsynchronized / synchronized pool balancing. Ten minutes
 /// keeps per-resolver assignments stable across one page load (pages finish
 /// in seconds) while letting multi-hour crawls and the multi-day probe see
@@ -51,7 +55,9 @@ const LB_EPOCH: Duration = Duration::from_mins(10);
 #[derive(Clone, Debug)]
 pub struct PopulationBuilder {
     profile: PopulationProfile,
-    catalog: ServiceCatalog,
+    /// The service catalog; `None` is the standard one, made only when a
+    /// build issues it (a layered build reads its deployment's instead).
+    catalog: Option<ServiceCatalog>,
     as_catalog: AsCatalog,
     issuers: IssuerCatalog,
     site_count: usize,
@@ -75,7 +81,7 @@ impl PopulationBuilder {
         let issuers = IssuerCatalog::default_market();
         PopulationBuilder {
             profile,
-            catalog: ServiceCatalog::standard(),
+            catalog: None,
             site_count,
             site_offset: 0,
             seed,
@@ -112,6 +118,13 @@ impl PopulationBuilder {
         self
     }
 
+    /// Point the builder at the slice `[offset, offset + count)`, in place:
+    /// how a worker that builds chunk after chunk keeps one builder.
+    pub fn set_site_range(&mut self, offset: usize, count: usize) {
+        self.site_offset = offset;
+        self.site_count = count;
+    }
+
     /// Mix a second, heavier "head" profile in by Zipf rank: site at global
     /// rank `r` uses `head` with probability `(1 / (1 + r))^exponent`, the
     /// base profile otherwise. This reproduces the top-list effect the paper
@@ -125,7 +138,7 @@ impl PopulationBuilder {
 
     /// Replace the third-party service catalog.
     pub fn with_catalog(mut self, catalog: ServiceCatalog) -> Self {
-        self.catalog = catalog;
+        self.catalog = Some(catalog);
         self
     }
 
@@ -148,55 +161,68 @@ impl PopulationBuilder {
         &self.profile
     }
 
-    /// Generate the population.
+    /// Generate the population into a fresh environment.
     pub fn build(&self) -> WebEnvironment {
-        let root = SimRng::new(self.seed);
-        // The misc third parties this build has named and installed, by pool
-        // slot: each is formatted, parsed and installed once per build.
-        let misc_pool = self.zipf_head.as_ref().map_or(0, |(head, _)| head.misc_third_party_pool);
-        let mut misc_names: Vec<Option<DomainName>> =
-            vec![None; self.profile.misc_third_party_pool.max(misc_pool)];
+        let mut env = WebEnvironment::default();
+        self.build_into(&mut env);
+        env
+    }
+
+    /// Generate the population into `env`, replacing everything it held.
+    /// Every layer is reset over this builder's deployment (or over nothing)
+    /// and regenerated in place, keeping its capacity, and each site reuses
+    /// the plan and shard vectors of the site its slot held: rebuilding a
+    /// chunk the environment has held before allocates nothing. The result
+    /// is the environment [`PopulationBuilder::build`] returns.
+    pub fn build_into(&self, env: &mut WebEnvironment) {
+        let WebEnvironment { authority, certificates, registry, sites, scratch } = env;
+        let mut layers = Layers { authority, certificates, registry };
         let mitigated_catalog;
-        let (mut env, catalog): (WebEnvironment, &ServiceCatalog) = match &self.deployment {
+        let catalog = match &self.deployment {
             // Layered build: the shared deployment already carries the
-            // catalog's zones/certificates/prefixes; start the environment
-            // as views over it and only generate per-site state.
+            // catalog's zones/certificates/prefixes; reset the environment
+            // to views over it and only generate per-site state.
             Some(deployment) => {
                 assert_eq!(
                     deployment.mitigations, self.mitigations,
                     "shared deployment was issued under different mitigations"
                 );
-                let env = WebEnvironment {
-                    authority: Authority::with_base(Arc::clone(&deployment.authority)),
-                    certificates: CertificateStore::with_base(Arc::clone(&deployment.certificates)),
-                    registry: AsRegistry::with_base(Arc::clone(&deployment.registry)),
-                    sites: Vec::new(),
-                };
-                (env, &deployment.catalog)
+                layers.authority.reset(Some(Arc::clone(&deployment.authority)));
+                layers.certificates.reset(Some(Arc::clone(&deployment.certificates)));
+                layers.registry.reset(Some(Arc::clone(&deployment.registry)));
+                &deployment.catalog
             }
             None => {
-                mitigated_catalog = self.catalog.with_mitigations(self.mitigations);
-                let mut env = WebEnvironment::default();
+                mitigated_catalog = match &self.catalog {
+                    Some(catalog) => catalog.with_mitigations(self.mitigations),
+                    None => ServiceCatalog::standard().with_mitigations(self.mitigations),
+                };
+                layers.authority.reset(None);
+                layers.certificates.reset(None);
+                layers.registry.reset(None);
                 for service in mitigated_catalog.services() {
-                    install_service(&mut env.authority, &mut env.certificates, &mut env.registry, service);
+                    install_service(&mut layers, service);
                 }
-                (env, &mitigated_catalog)
+                &mitigated_catalog
             }
         };
 
-        // Hoisted per-build tables: service embed probabilities aligned with
-        // the catalog's service order (replacing a string-keyed lookup per
-        // service per site) and the shared own-resource path strings.
-        let caches = GenCaches::new(self, catalog);
-
+        scratch.begin(self, catalog);
+        sites.truncate(self.site_count);
+        let root = SimRng::new(self.seed);
         for local in 0..self.site_count {
             let index = self.site_offset + local;
             let mut rng = root.fork_indexed("site", index as u64);
-            let site =
-                self.generate_site(&mut env, catalog, &caches, &root, &mut misc_names, index, &mut rng);
-            env.sites.push(site);
+            let recycled = match sites.get_mut(local) {
+                Some(site) => (std::mem::take(&mut site.plan), site.sharding.take().map(|s| s.shards)),
+                None => (Vec::new(), None),
+            };
+            let site = self.generate_site(&mut layers, catalog, scratch, &root, index, &mut rng, recycled);
+            match sites.get_mut(local) {
+                Some(slot) => *slot = site,
+                None => sites.push(site),
+            }
         }
-        env
     }
 
     /// The Zipf head-profile weight for a global site rank.
@@ -204,27 +230,43 @@ impl PopulationBuilder {
         (1.0 / (1.0 + rank as f64)).powf(exponent)
     }
 
+    /// Generate the site at global `index` into `recycled` plan and shard
+    /// vectors. The plan is drafted in the scratch buffer and copied into
+    /// an exactly sized slot, so a recycled slot holds no more than the
+    /// longest plan it has carried.
     #[allow(clippy::too_many_arguments)]
     fn generate_site(
         &self,
-        env: &mut WebEnvironment,
+        layers: &mut Layers<'_>,
         catalog: &ServiceCatalog,
-        caches: &GenCaches,
+        scratch: &mut BuildScratch,
         root: &SimRng,
-        misc_names: &mut [Option<DomainName>],
         index: usize,
         rng: &mut SimRng,
+        (mut site_plan, recycled_shards): (Vec<PlannedRequest>, Option<Vec<DomainName>>),
     ) -> Website {
-        let domain = self.site_domain(index, rng);
+        let BuildScratch {
+            name,
+            plan,
+            first_party,
+            plan_index_of,
+            base_embed,
+            head_embed,
+            resource_paths,
+            misc,
+            misc_installed,
+            ..
+        } = scratch;
+        let domain = self.site_domain(index, rng, name);
 
         // Per-site profile: the Zipf head draw (if configured) comes first so
         // the remaining sampling reads one coherent profile. Without a mix,
         // the stream is untouched and existing populations stay byte-stable.
         let (profile, embed_probs) = match &self.zipf_head {
             Some((head, exponent)) if rng.chance(Self::zipf_weight(index, *exponent)) => {
-                (head, caches.head_embed.as_deref().expect("head probs built with the head profile"))
+                (head, head_embed.as_slice())
             }
-            _ => (&self.profile, caches.base_embed.as_slice()),
+            _ => (&self.profile, base_embed.as_slice()),
         };
 
         // Hosting: either fronted by Cloudflare or on a generic hoster.
@@ -245,12 +287,11 @@ impl PopulationBuilder {
         let sharding = if rng.chance(profile.sharding_probability) {
             let (low, high) = profile.shard_count_range;
             let count = rng.in_range(low..=high).min(SHARD_LABELS.len());
-            let mut labels: Vec<&str> = SHARD_LABELS.to_vec();
+            let mut labels = SHARD_LABELS;
             rng.shuffle(&mut labels);
-            let shards = labels[..count]
-                .iter()
-                .map(|label| domain.with_subdomain(label).expect("valid shard label"))
-                .collect();
+            let mut shards = recycled_shards.unwrap_or_default();
+            shards.clear();
+            shards.extend(labels[..count].iter().map(|label| subdomain(name, domain, label)));
             Some(ShardingPlan {
                 shards,
                 per_domain_certificates: rng.chance(profile.per_domain_cert_probability),
@@ -260,32 +301,31 @@ impl PopulationBuilder {
             None
         };
 
-        let mut first_party = vec![domain];
+        first_party.clear();
+        first_party.push(domain);
         if let Some(plan) = &sharding {
-            first_party.extend(plan.shards.iter().cloned());
+            first_party.extend_from_slice(&plan.shards);
         }
 
         // First-party DNS.
-        let prefix = env.registry.allocate_slash24(autonomous_system);
+        let prefix = layers.registry.allocate_slash24(autonomous_system);
         let multi_ip = sharding.as_ref().map(|s| s.multi_ip_cdn).unwrap_or(false);
-        if multi_ip {
-            let pool: Vec<IpAddr> = (0..4).map(|i| prefix.host(10 + i)).collect();
-            for fp_domain in &first_party {
-                let mut policy = LoadBalancePolicy::PerResolverPool {
-                    pool: pool.clone(),
-                    answer_size: 1,
-                    epoch: LB_EPOCH,
-                };
-                if self.mitigations.contains(Mitigation::SynchronizedDns) {
-                    policy = policy.synchronized();
-                }
-                env.authority.insert(*fp_domain, policy);
+        let policy = if multi_ip {
+            let pool = LoadBalancePolicy::PerResolverPool {
+                pool: AddressRun::new(prefix.host(10), 4),
+                answer_size: 1,
+                epoch: LB_EPOCH,
+            };
+            if self.mitigations.contains(Mitigation::SynchronizedDns) {
+                pool.synchronized()
+            } else {
+                pool
             }
         } else {
-            let ip = prefix.host(10);
-            for fp_domain in &first_party {
-                env.authority.insert(*fp_domain, LoadBalancePolicy::single(ip));
-            }
+            LoadBalancePolicy::single(prefix.host(10))
+        };
+        for fp_domain in first_party.iter() {
+            layers.authority.insert(*fp_domain, policy);
         }
 
         // First-party certificates.
@@ -294,11 +334,10 @@ impl PopulationBuilder {
         if self.mitigations.contains(Mitigation::CertificateCoalescing) {
             policy = policy.coalesced();
         }
-        env.certificates.issue_with_policy(issuer, &policy, &first_party, Instant::EPOCH);
+        layers.certificates.issue_with_policy(&issuer, &policy, first_party, Instant::EPOCH);
 
-        // Fetch plan: document first. Typical plans run to a few dozen
-        // requests; reserving up front skips the growth reallocations.
-        let mut plan = Vec::with_capacity(48);
+        // Fetch plan: document first.
+        plan.clear();
         plan.push(PlannedRequest::document(domain));
 
         // Own sub-resources, spread over the first-party hosts.
@@ -313,130 +352,168 @@ impl PopulationBuilder {
             let kind = rng.pick_weighted_index(&self.resource_kind_weights).unwrap_or(0);
             let (destination, _, _) = OWN_RESOURCE_KINDS[kind];
             let size = rng.in_range(1_500u64..250_000);
-            plan.push(PlannedRequest::subresource(
-                host,
-                caches.resource_path(resource_index, kind),
-                destination,
-                0,
-                size,
-            ));
+            let path = resource_paths[resource_index * OWN_RESOURCE_KINDS.len() + kind];
+            plan.push(PlannedRequest::subresource(host, path, destination, 0, size));
         }
 
         // Third-party services.
-        let mut embedded = Vec::new();
         for (service, embed_probability) in catalog.services().iter().zip(embed_probs) {
-            if !rng.chance(*embed_probability) {
-                continue;
+            if rng.chance(*embed_probability) {
+                append_service_requests(plan, plan_index_of, service, rng);
             }
-            embedded.push(service.name.clone());
-            append_service_requests(&mut plan, service, rng);
         }
 
-        // Unrelated one-off third parties (the "unknown third party" class).
+        // Unrelated one-off third parties (the "unknown third party" class),
+        // installed into this build on first touch.
         let (misc_low, misc_high) = profile.misc_third_party_range;
         let misc_count = rng.in_range(misc_low..=misc_high);
         for _ in 0..misc_count {
             let pool_index = rng.in_range(0..profile.misc_third_party_pool);
-            let misc_domain = match misc_names[pool_index] {
-                Some(name) => name,
-                None => {
-                    let name = misc_domain_for(pool_index);
-                    self.install_misc_third_party(env, root, pool_index, &name);
-                    misc_names[pool_index] = Some(name);
-                    name
-                }
-            };
+            let third_party = misc[pool_index].get_or_insert_with(|| self.misc_third_party(root, pool_index));
+            if !misc_installed[pool_index] {
+                misc_installed[pool_index] = true;
+                third_party.install(layers);
+            }
             let destination =
                 if rng.chance(0.6) { RequestDestination::Script } else { RequestDestination::Image };
             let size = rng.in_range(1_000u64..120_000);
-            plan.push(PlannedRequest::subresource(
-                misc_domain,
-                Arc::clone(&caches.widget_path),
-                destination,
-                0,
-                size,
-            ));
+            plan.push(PlannedRequest::subresource(third_party.domain, WIDGET_PATH, destination, 0, size));
         }
 
-        Website { id: SiteId(index as u64), domain, sharding, embedded_services: embedded, plan }
+        site_plan.clear();
+        site_plan.reserve_exact(plan.len());
+        site_plan.extend_from_slice(plan);
+        Website { id: SiteId(index as u64), domain, sharding, plan: site_plan }
     }
 
-    fn site_domain(&self, index: usize, rng: &mut SimRng) -> DomainName {
+    fn site_domain(&self, index: usize, rng: &mut SimRng, buffer: &mut String) -> DomainName {
         let tld = TLDS[rng.pick_weighted_index(&self.tld_weights).unwrap_or(0)].0;
-        DomainName::parse(&format!("{}-site-{index:06}.{tld}", self.profile.name))
-            .expect("generated domain is valid")
+        buffer.clear();
+        write!(buffer, "{}-site-{index:06}.{tld}", self.profile.name)
+            .expect("writing to a String cannot fail");
+        DomainName::parse(buffer).expect("generated domain is valid")
     }
 
-    fn install_misc_third_party(
-        &self,
-        env: &mut WebEnvironment,
-        root: &SimRng,
-        pool_index: usize,
-        domain: &DomainName,
-    ) {
-        // Deterministic regardless of which site touches the domain first.
+    /// Derive pool slot `pool_index`'s misc third party: a pure function of
+    /// the build seed and the slot, whichever site touches it first.
+    fn misc_third_party(&self, root: &SimRng, pool_index: usize) -> MiscThirdParty {
         let mut rng = root.fork_indexed("misc-third-party", pool_index as u64);
-        let autonomous_system = if rng.chance(0.35) {
+        let system = if rng.chance(0.35) {
             let pick = rng.pick_weighted_index(&self.major_as_weights).unwrap_or(0);
-            self.as_catalog.major_at(pick).clone()
+            *self.as_catalog.major_at(pick)
         } else {
             self.as_catalog.generic_for(rng.in_range(0..1_000_000u32))
         };
-        let prefix = env.registry.allocate_slash24(autonomous_system);
-        env.authority.insert(*domain, LoadBalancePolicy::single(prefix.host(20)));
         let issuer =
             self.issuers.issuer_at(rng.pick_weighted_index(&self.issuer_weights).unwrap_or(0)).clone();
-        env.certificates.issue_with_policy(
-            issuer,
+        MiscThirdParty { domain: misc_domain_for(pool_index), system, issuer }
+    }
+}
+
+/// The three deployment layers a build installs into.
+pub(crate) struct Layers<'a> {
+    pub(crate) authority: &'a mut Authority,
+    pub(crate) certificates: &'a mut CertificateStore,
+    pub(crate) registry: &'a mut AsRegistry,
+}
+
+/// One slot of the shared pool of unrelated third parties.
+#[derive(Clone, Debug)]
+struct MiscThirdParty {
+    domain: DomainName,
+    system: AutonomousSystem,
+    issuer: Issuer,
+}
+
+impl MiscThirdParty {
+    /// Install the third party into this build: a fresh prefix, a
+    /// single-address DNS entry and one certificate.
+    fn install(&self, layers: &mut Layers<'_>) {
+        let prefix = layers.registry.allocate_slash24(self.system);
+        layers.authority.insert(self.domain, LoadBalancePolicy::single(prefix.host(20)));
+        layers.certificates.issue_with_policy(
+            &self.issuer,
             &IssuancePolicy::SharedSan,
-            std::slice::from_ref(domain),
+            std::slice::from_ref(&self.domain),
             Instant::EPOCH,
         );
     }
 }
 
-/// Per-build lookup tables hoisted out of the per-site generation loop:
-/// embed probabilities aligned with the catalog's service order and the
-/// shared path strings every site's plan reuses.
-struct GenCaches {
+/// What an environment keeps between builds: buffers whose capacity
+/// outlives one build and the misc third parties derived under the last
+/// build seed. None of it is observable: a build overwrites each buffer
+/// before reading it, resets the per-build install marks, and a misc slot
+/// is a pure function of the seed and its index.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BuildScratch {
+    /// Site and shard names are formatted here before interning.
+    name: String,
+    /// The current site's plan, before it is copied into the site's slot.
+    plan: Vec<PlannedRequest>,
+    /// The current site's first-party hosts: landing domain, then shards.
+    first_party: Vec<DomainName>,
+    /// Plan index of each request of the service being appended.
+    plan_index_of: Vec<Option<usize>>,
     /// Embed probability per catalog service for the base profile.
     base_embed: Vec<f64>,
     /// Same for the Zipf head profile, when one is configured.
-    head_embed: Option<Vec<f64>>,
-    /// `resource_paths[resource_index * KINDS + kind]` — shared across sites.
-    resource_paths: Vec<Arc<str>>,
-    /// The misc third-party widget path.
-    widget_path: Arc<str>,
+    head_embed: Vec<f64>,
+    /// `resource_paths[resource_index * KINDS + kind]`.
+    resource_paths: Vec<&'static str>,
+    /// The seed the misc slots were derived under.
+    misc_seed: Option<u64>,
+    /// Derived misc third parties by pool slot.
+    misc: Vec<Option<MiscThirdParty>>,
+    /// Whether the current build has installed each misc slot.
+    misc_installed: Vec<bool>,
 }
 
-impl GenCaches {
-    fn new(builder: &PopulationBuilder, catalog: &ServiceCatalog) -> Self {
-        let base_embed =
-            catalog.services().iter().map(|s| builder.profile.embed_probability(&s.name)).collect();
-        let head_embed = builder
-            .zipf_head
-            .as_ref()
-            .map(|(head, _)| catalog.services().iter().map(|s| head.embed_probability(&s.name)).collect());
-        let max_resources = builder
-            .profile
-            .own_resource_range
-            .1
-            .max(builder.zipf_head.as_ref().map(|(head, _)| head.own_resource_range.1).unwrap_or(0));
-        let mut resource_paths = Vec::with_capacity(max_resources * OWN_RESOURCE_KINDS.len());
-        for resource_index in 0..max_resources {
-            for (_, extension, _) in OWN_RESOURCE_KINDS {
-                resource_paths
-                    .push(Arc::from(format!("/assets/resource-{resource_index}.{extension}").as_str()));
-            }
+impl BuildScratch {
+    /// Prepare for `builder`'s build over `catalog`: refill the per-build
+    /// tables.
+    fn begin(&mut self, builder: &PopulationBuilder, catalog: &ServiceCatalog) {
+        let services = catalog.services();
+        self.base_embed.clear();
+        self.base_embed.extend(services.iter().map(|s| builder.profile.embed_probability(&s.name)));
+        self.head_embed.clear();
+        let mut max_resources = builder.profile.own_resource_range.1;
+        let mut pool = builder.profile.misc_third_party_pool;
+        if let Some((head, _)) = &builder.zipf_head {
+            self.head_embed.extend(services.iter().map(|s| head.embed_probability(&s.name)));
+            max_resources = max_resources.max(head.own_resource_range.1);
+            pool = pool.max(head.misc_third_party_pool);
         }
-        GenCaches { base_embed, head_embed, resource_paths, widget_path: Arc::from("/embed/widget.js") }
+        self.resource_paths.clear();
+        for resource_index in 0..max_resources {
+            self.resource_paths
+                .extend((0..OWN_RESOURCE_KINDS.len()).map(|kind| resource_path(resource_index, kind)));
+        }
+        if self.misc_seed != Some(builder.seed) {
+            self.misc_seed = Some(builder.seed);
+            self.misc.clear();
+        }
+        if self.misc.len() < pool {
+            self.misc.resize(pool, None);
+        }
+        self.misc_installed.clear();
+        self.misc_installed.resize(pool, false);
     }
+}
 
-    /// The shared path of the `resource_index`-th own resource of kind
-    /// `kind` (an index into [`OWN_RESOURCE_KINDS`]).
-    fn resource_path(&self, resource_index: usize, kind: usize) -> Arc<str> {
-        Arc::clone(&self.resource_paths[resource_index * OWN_RESOURCE_KINDS.len() + kind])
-    }
+/// The shared path of the `resource_index`-th own resource of kind `kind`
+/// (an index into [`OWN_RESOURCE_KINDS`]).
+fn resource_path(resource_index: usize, kind: usize) -> &'static str {
+    static PATHS: NameTable = NameTable::new();
+    let key = (resource_index * OWN_RESOURCE_KINDS.len() + kind) as u64;
+    PATHS.get(key, || format!("/assets/resource-{resource_index}.{}", OWN_RESOURCE_KINDS[kind].1))
+}
+
+/// `label.parent`, formatted in `buffer` and interned.
+fn subdomain(buffer: &mut String, parent: DomainName, label: &str) -> DomainName {
+    buffer.clear();
+    write!(buffer, "{label}.{parent}").expect("writing to a String cannot fail");
+    DomainName::parse(buffer).expect("valid shard label")
 }
 
 /// The shared pool of unrelated third-party domains.
@@ -445,64 +522,54 @@ fn misc_domain_for(pool_index: usize) -> DomainName {
 }
 
 /// Install one third-party service: DNS entries per IP cluster, certificates
-/// per certificate group, prefixes in the AS registry. Takes the three
-/// deployment structures separately so that [`SharedDeployment::issue`] can
-/// install into standalone (environment-less) instances.
-pub(crate) fn install_service(
-    authority: &mut Authority,
-    certificates: &mut CertificateStore,
-    registry: &mut AsRegistry,
-    service: &ThirdPartyService,
-) {
+/// per certificate group, prefixes in the AS registry. Takes the layers
+/// apart from an environment so that [`SharedDeployment::issue`] can install
+/// into standalone instances.
+pub(crate) fn install_service(layers: &mut Layers<'_>, service: &ThirdPartyService) {
     let hosting = &service.hosting;
     for cluster in &hosting.ip_clusters {
+        let pool = |prefix: netsim_types::Prefix, size: u8| AddressRun::new(prefix.host(10), size.into());
         match &cluster.deployment {
             DnsDeployment::SingleHost => {
-                let prefix = registry.allocate_slash24(hosting.autonomous_system.clone());
+                let prefix = layers.registry.allocate_slash24(hosting.autonomous_system);
                 let ip = prefix.host(10);
                 for domain in &cluster.domains {
-                    authority.insert(*domain, LoadBalancePolicy::single(ip));
+                    layers.authority.insert(*domain, LoadBalancePolicy::single(ip));
                 }
             }
             DnsDeployment::UnsynchronizedPool { pool_size, answer_size } => {
-                let prefix = registry.allocate_slash24(hosting.autonomous_system.clone());
-                let pool: Vec<IpAddr> = (0..*pool_size).map(|i| prefix.host(10 + i as u64)).collect();
+                let prefix = layers.registry.allocate_slash24(hosting.autonomous_system);
+                let policy = LoadBalancePolicy::PerResolverPool {
+                    pool: pool(prefix, *pool_size),
+                    answer_size: *answer_size,
+                    epoch: LB_EPOCH,
+                };
                 for domain in &cluster.domains {
-                    authority.insert(
-                        *domain,
-                        LoadBalancePolicy::PerResolverPool {
-                            pool: pool.clone(),
-                            answer_size: *answer_size,
-                            epoch: LB_EPOCH,
-                        },
-                    );
+                    layers.authority.insert(*domain, policy);
                 }
             }
             DnsDeployment::SynchronizedPool { pool_size, answer_size } => {
-                let prefix = registry.allocate_slash24(hosting.autonomous_system.clone());
-                let pool: Vec<IpAddr> = (0..*pool_size).map(|i| prefix.host(10 + i as u64)).collect();
+                let prefix = layers.registry.allocate_slash24(hosting.autonomous_system);
+                let policy = LoadBalancePolicy::SynchronizedPool {
+                    pool: pool(prefix, *pool_size),
+                    answer_size: *answer_size,
+                    epoch: LB_EPOCH,
+                };
                 for domain in &cluster.domains {
-                    authority.insert(
-                        *domain,
-                        LoadBalancePolicy::SynchronizedPool {
-                            pool: pool.clone(),
-                            answer_size: *answer_size,
-                            epoch: LB_EPOCH,
-                        },
-                    );
+                    layers.authority.insert(*domain, policy);
                 }
             }
             DnsDeployment::DistinctNetworks => {
                 for domain in &cluster.domains {
-                    let prefix = registry.allocate_slash24(hosting.autonomous_system.clone());
-                    authority.insert(*domain, LoadBalancePolicy::single(prefix.host(10)));
+                    let prefix = layers.registry.allocate_slash24(hosting.autonomous_system);
+                    layers.authority.insert(*domain, LoadBalancePolicy::single(prefix.host(10)));
                 }
             }
         }
     }
     for group in &hosting.certificate_groups {
-        certificates.issue_with_policy(
-            hosting.issuer.clone(),
+        layers.certificates.issue_with_policy(
+            &hosting.issuer,
             &IssuancePolicy::SharedSan,
             group,
             Instant::EPOCH,
@@ -513,8 +580,13 @@ pub(crate) fn install_service(
 /// Append a service's request chain to a site plan, sampling per-request
 /// probabilities and remapping parent indices. Requests whose parent was
 /// skipped attach to the document instead.
-fn append_service_requests(plan: &mut Vec<PlannedRequest>, service: &ThirdPartyService, rng: &mut SimRng) {
-    let mut plan_index_of: Vec<Option<usize>> = Vec::with_capacity(service.requests.len());
+fn append_service_requests(
+    plan: &mut Vec<PlannedRequest>,
+    plan_index_of: &mut Vec<Option<usize>>,
+    service: &ThirdPartyService,
+    rng: &mut SimRng,
+) {
+    plan_index_of.clear();
     for request in &service.requests {
         if !rng.chance(request.probability) {
             plan_index_of.push(None);
@@ -526,7 +598,7 @@ fn append_service_requests(plan: &mut Vec<PlannedRequest>, service: &ThirdPartyS
         };
         let mut planned = PlannedRequest::subresource(
             request.domain,
-            Arc::clone(&request.path),
+            request.path,
             request.destination,
             parent,
             request.body_size,
@@ -615,7 +687,10 @@ mod tests {
     #[test]
     fn embed_rates_follow_the_profile_roughly() {
         let env = build_small(PopulationProfile::alexa(), 400, 3);
-        let ga_sites = env.sites.iter().filter(|s| s.embeds("google-analytics")).count();
+        // The tag-manager script is the analytics service's first request,
+        // planned on every embedding.
+        let gtm = DomainName::literal("www.googletagmanager.com");
+        let ga_sites = env.sites.iter().filter(|s| s.plan.iter().any(|r| r.domain == gtm)).count();
         let rate = ga_sites as f64 / env.site_count() as f64;
         let target = PopulationProfile::alexa().embed_probability("google-analytics");
         assert!((rate - target).abs() < 0.12, "rate {rate} too far from target {target}");

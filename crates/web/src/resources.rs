@@ -10,27 +10,18 @@
 
 use netsim_fetch::RequestDestination;
 use netsim_types::DomainName;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// The shared root-document path.
-fn root_path() -> Arc<str> {
-    static ROOT: std::sync::OnceLock<Arc<str>> = std::sync::OnceLock::new();
-    Arc::clone(ROOT.get_or_init(|| Arc::from("/")))
-}
 
 /// One resource fetch in a site's load plan.
 ///
-/// The path is an `Arc<str>`: the same handful of resource paths repeat
-/// across a whole generated population, so plans share the string
-/// allocations instead of cloning them per site (serde round-trips as a
-/// plain string).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// `Copy`: the path is `'static` text from a finite per-process vocabulary
+/// (catalog literals and the generated own-resource paths), so recycling a
+/// plan copies requests without touching a shared refcount.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlannedRequest {
     /// Host serving the resource.
     pub domain: DomainName,
     /// Path of the resource.
-    pub path: Arc<str>,
+    pub path: &'static str,
     /// Resource kind, which determines Fetch mode / credentials defaults.
     pub destination: RequestDestination,
     /// `true` if the embedding element carries `crossorigin="anonymous"` (or
@@ -48,7 +39,7 @@ impl PlannedRequest {
     pub fn document(domain: DomainName) -> Self {
         PlannedRequest {
             domain,
-            path: root_path(),
+            path: "/",
             destination: RequestDestination::Document,
             anonymous: false,
             depends_on: None,
@@ -56,23 +47,15 @@ impl PlannedRequest {
         }
     }
 
-    /// A sub-resource triggered by the request at index `parent`. Accepts a
-    /// `&str` (allocates once) or a shared `Arc<str>` (allocation-free).
+    /// A sub-resource triggered by the request at index `parent`.
     pub fn subresource(
         domain: DomainName,
-        path: impl Into<Arc<str>>,
+        path: &'static str,
         destination: RequestDestination,
         parent: usize,
         body_size: u64,
     ) -> Self {
-        PlannedRequest {
-            domain,
-            path: path.into(),
-            destination,
-            anonymous: false,
-            depends_on: Some(parent),
-            body_size,
-        }
+        PlannedRequest { domain, path, destination, anonymous: false, depends_on: Some(parent), body_size }
     }
 
     /// Mark the request as credential-less (`crossorigin="anonymous"`,
@@ -180,6 +163,6 @@ mod tests {
         let doc = PlannedRequest::document(d("shop.example.org"));
         assert_eq!(doc.depends_on, None);
         assert_eq!(doc.destination, RequestDestination::Document);
-        assert_eq!(&*doc.path, "/");
+        assert_eq!(doc.path, "/");
     }
 }

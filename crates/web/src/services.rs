@@ -22,12 +22,12 @@ use netsim_types::{DomainName, Mitigation, MitigationSet};
 use serde::{Deserialize, Serialize};
 
 /// One request a service triggers when embedded.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ServiceRequest {
     /// Host serving the resource.
     pub domain: DomainName,
     /// Resource path (shared across every site embedding the service).
-    pub path: std::sync::Arc<str>,
+    pub path: &'static str,
     /// Resource kind (fixes Fetch mode/credentials defaults).
     pub destination: RequestDestination,
     /// `true` if the request is made without credentials (anonymous CORS).
@@ -45,14 +45,14 @@ pub struct ServiceRequest {
 impl ServiceRequest {
     fn new(
         domain: &str,
-        path: &str,
+        path: &'static str,
         destination: RequestDestination,
         initiated_by: Option<usize>,
         body_size: u64,
     ) -> Self {
         ServiceRequest {
             domain: DomainName::literal(domain),
-            path: std::sync::Arc::from(path),
+            path,
             destination,
             anonymous: false,
             body_size,
@@ -110,7 +110,7 @@ pub struct IpCluster {
 }
 
 /// Hosting description of a service.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ServiceHosting {
     /// Operating party (used in reports only).
     pub operator: String,
@@ -126,7 +126,7 @@ pub struct ServiceHosting {
 }
 
 /// A third-party service that sites can embed.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ThirdPartyService {
     /// Stable catalog name (referenced by population profiles).
     pub name: String,
@@ -156,7 +156,7 @@ fn ds(names: &[&str]) -> Vec<DomainName> {
 }
 
 /// The full catalog of modelled services.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ServiceCatalog {
     services: Vec<ThirdPartyService>,
 }

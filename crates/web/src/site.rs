@@ -2,10 +2,9 @@
 
 use crate::resources::PlannedRequest;
 use netsim_types::{DomainName, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// How (and whether) a site still uses HTTP/1.1-era domain sharding.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardingPlan {
     /// The shard hostnames (e.g. `img.example.com`, `static.example.com`).
     pub shards: Vec<DomainName>,
@@ -27,7 +26,7 @@ impl ShardingPlan {
 }
 
 /// One generated website.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Website {
     /// Stable identifier within the population.
     pub id: SiteId,
@@ -36,22 +35,11 @@ pub struct Website {
     pub domain: DomainName,
     /// Sharding configuration, if the site shards at all.
     pub sharding: Option<ShardingPlan>,
-    /// Catalog names of the third-party services the site embeds.
-    pub embedded_services: Vec<String>,
     /// The full fetch plan for one landing-page load.
     pub plan: Vec<PlannedRequest>,
 }
 
 impl Website {
-    /// Every first-party hostname of the site (landing domain plus shards).
-    pub fn first_party_domains(&self) -> Vec<DomainName> {
-        let mut domains = vec![self.domain];
-        if let Some(sharding) = &self.sharding {
-            domains.extend(sharding.shards.iter().cloned());
-        }
-        domains
-    }
-
     /// Every distinct hostname the plan touches.
     pub fn contacted_domains(&self) -> Vec<DomainName> {
         let mut domains: Vec<DomainName> = self.plan.iter().map(|r| r.domain).collect();
@@ -69,11 +57,6 @@ impl Website {
     /// the cost model prices transfers against).
     pub fn planned_octets(&self) -> u64 {
         self.plan.iter().map(|r| r.body_size).sum()
-    }
-
-    /// `true` if the site embeds the named service.
-    pub fn embeds(&self, service: &str) -> bool {
-        self.embedded_services.iter().any(|s| s == service)
     }
 }
 
@@ -95,7 +78,6 @@ mod tests {
                 per_domain_certificates: true,
                 multi_ip_cdn: false,
             }),
-            embedded_services: vec!["google-analytics".to_string()],
             plan: vec![
                 PlannedRequest::document(d("example.com")),
                 PlannedRequest::subresource(
@@ -126,11 +108,8 @@ mod tests {
     #[test]
     fn domain_accessors() {
         let s = site();
-        assert_eq!(s.first_party_domains().len(), 3);
         assert_eq!(s.contacted_domains().len(), 3, "duplicate img.example.com collapses");
         assert_eq!(s.request_count(), 4);
-        assert!(s.embeds("google-analytics"));
-        assert!(!s.embeds("hotjar"));
         assert_eq!(s.sharding.as_ref().unwrap().shard_count(), 2);
     }
 }

@@ -6,7 +6,9 @@
 //! everything a browser can observe — the generated sites, DNS answers over
 //! time, SNI certificate selection and IP→AS attribution — must match the
 //! monolithic build exactly. The atlas scenario's byte-identical reports
-//! depend on precisely this equivalence.
+//! depend on precisely this equivalence, and on its twin for recycled
+//! environments: rebuilding a chunk in place
+//! (`PopulationBuilder::build_into`) must equal a fresh build of it.
 
 use netsim_dns::{QueryContext, ResolverId};
 use netsim_types::{Duration, Instant, Mitigation, MitigationSet};
@@ -44,6 +46,46 @@ fn mitigation_set(index: u8) -> MitigationSet {
     }
 }
 
+/// Everything a browser can observe of two builds is equal: the sites and
+/// their plans, the certificate inventory size, and for every planned host
+/// the SNI certificate, the DNS answers over several instants and
+/// resolvers, and the AS announcing each answered address.
+fn assert_observably_equal(expected: &WebEnvironment, actual: &WebEnvironment) {
+    // Same sites, same plans (the generator streams must be untouched).
+    assert_eq!(&expected.sites, &actual.sites);
+    assert_eq!(expected.certificates.len(), actual.certificates.len());
+    for site in &expected.sites {
+        for request in &site.plan {
+            let expected_cert = expected.certificate_for(&request.domain);
+            let actual_cert = actual.certificate_for(&request.domain);
+            assert_eq!(expected_cert, actual_cert, "certificate for {}", request.domain);
+
+            // Same DNS answers at several instants (load balancing is
+            // time- and resolver-dependent; equality must hold across
+            // epochs and resolver identities).
+            for (resolver, minutes) in [(1u32, 0u64), (1, 31), (2, 7), (1000, 123)] {
+                let ctx =
+                    QueryContext::new(ResolverId(resolver), Instant::EPOCH + Duration::from_mins(minutes));
+                let (mut expected_answer, mut actual_answer) = (Vec::new(), Vec::new());
+                let expected_known =
+                    expected.authority.addresses_into(&request.domain, &ctx, &mut expected_answer);
+                let actual_known = actual.authority.addresses_into(&request.domain, &ctx, &mut actual_answer);
+                assert_eq!(expected_known, actual_known, "{} known to one build only", request.domain);
+                assert_eq!(
+                    &expected_answer, &actual_answer,
+                    "answers diverge for {} at {} min via resolver {}",
+                    request.domain, minutes, resolver
+                );
+
+                // Same IP→AS attribution for every answered address.
+                for &ip in &expected_answer {
+                    assert_eq!(expected.asn_for(ip), actual.asn_for(ip));
+                }
+            }
+        }
+    }
+}
+
 proptest! {
 
     #[test]
@@ -59,41 +101,31 @@ proptest! {
             if profile_index == 0 { PopulationProfile::alexa() } else { PopulationProfile::archive() };
         let mitigations = mitigation_set(mitigation_index);
         let (monolithic, layered) = both_builds(profile, sites, offset, seed, mitigations);
+        assert_observably_equal(&monolithic, &layered);
+    }
 
-        // Same sites, same plans (the generator streams must be untouched).
-        prop_assert_eq!(&monolithic.sites, &layered.sites);
-
-        // Same certificate inventory size and same SNI selection + coverage
-        // for every domain any site contacts.
-        prop_assert_eq!(monolithic.certificates.len(), layered.certificates.len());
-        for site in &monolithic.sites {
-            for request in &site.plan {
-                let mono_cert = monolithic.certificate_for(&request.domain);
-                let layer_cert = layered.certificate_for(&request.domain);
-                prop_assert_eq!(mono_cert, layer_cert, "certificate for {}", request.domain);
-
-                // Same DNS answers at several instants (load balancing is
-                // time- and resolver-dependent; equality must hold across
-                // epochs and resolver identities).
-                for (resolver, minutes) in [(1u32, 0u64), (1, 31), (2, 7), (1000, 123)] {
-                    let ctx =
-                        QueryContext::new(ResolverId(resolver), Instant::EPOCH + Duration::from_mins(minutes));
-                    let (mut mono_answer, mut layer_answer) = (Vec::new(), Vec::new());
-                    let mono_known = monolithic.authority.addresses_into(&request.domain, &ctx, &mut mono_answer);
-                    let layer_known = layered.authority.addresses_into(&request.domain, &ctx, &mut layer_answer);
-                    prop_assert_eq!(mono_known, layer_known, "{} known to one build only", request.domain);
-                    prop_assert_eq!(
-                        &mono_answer, &layer_answer,
-                        "answers diverge for {} at {} min via resolver {}",
-                        request.domain, minutes, resolver
-                    );
-
-                    // Same IP→AS attribution for every answered address.
-                    for &ip in &mono_answer {
-                        prop_assert_eq!(monolithic.asn_for(ip), layered.asn_for(ip));
-                    }
-                }
+    /// One environment rebuilt through an arbitrary sequence of chunks,
+    /// seeds, mitigation sets and deployment modes equals, after every
+    /// rebuild, a fresh build of the same chunk: nothing leaks between
+    /// builds.
+    #[test]
+    fn rebuilt_environment_equals_a_fresh_build(
+        seed in 0u64..1_000,
+        steps in prop::collection::vec((0usize..60, 1usize..24, 0u64..2, 0u8..4, 0u8..2), 1usize..6),
+    ) {
+        let cache = DeploymentCache::standard();
+        let mut env = WebEnvironment::default();
+        for (offset, sites, seed_step, mitigation_index, layered) in steps {
+            let mitigations = mitigation_set(mitigation_index);
+            let mut builder = PopulationBuilder::new(PopulationProfile::archive(), sites, seed + seed_step)
+                .with_site_offset(offset)
+                .with_zipf_profile_mix(PopulationProfile::alexa(), 0.35)
+                .with_mitigations(mitigations);
+            if layered == 1 {
+                builder = builder.with_shared_deployment(cache.deployment(mitigations));
             }
+            builder.build_into(&mut env);
+            assert_observably_equal(&builder.build(), &env);
         }
     }
 }

@@ -9,7 +9,7 @@ use connreuse::core::{
     classify_site, Cause, DurationModel, ObservedConnection, ObservedRequest, SiteObservation,
 };
 use connreuse::cost::{CostTotals, LinkProfile, VisitTimeline};
-use connreuse::dns::{LoadBalancePolicy, QueryContext, ResolverId};
+use connreuse::dns::{AddressRun, LoadBalancePolicy, QueryContext, ResolverId};
 use connreuse::experiments::{run_cost, CostConfig, CostReport};
 use connreuse::h2::reuse::{evaluate, ReusePolicy};
 use connreuse::h2::{CloseReason, Connection, ConnectionState};
@@ -110,13 +110,12 @@ fn reuse_connection(
         names.push(initial);
     }
     let mut store = CertificateStore::new();
-    let ids =
-        store.issue_with_policy(Issuer::lets_encrypt(), &IssuancePolicy::SharedSan, &names, Instant::EPOCH);
+    store.issue_with_policy(&Issuer::lets_encrypt(), &IssuancePolicy::SharedSan, &names, Instant::EPOCH);
     let mut connection = Connection::establish(
         ConnectionId(1),
         Origin::https(initial),
         IpAddr::new(192, 0, 2, ip_index),
-        std::sync::Arc::clone(store.get_arc(ids[0]).unwrap()),
+        std::sync::Arc::clone(store.get_arc(CertificateId(0)).unwrap()),
         credentialed,
         Instant::EPOCH,
     );
@@ -352,7 +351,7 @@ proptest! {
     ) {
         let pool: Vec<IpAddr> = (0..pool_size).map(|i| IpAddr::new(10, 7, 0, i)).collect();
         let policy = LoadBalancePolicy::PerResolverPool {
-            pool: pool.clone(),
+            pool: AddressRun::new(pool[0], pool_size.into()),
             answer_size,
             epoch: Duration::from_mins(30),
         };
@@ -451,8 +450,8 @@ proptest! {
         let mut connections: Vec<Connection> = (0..count)
             .map(|index| {
                 let domain = DomainName::literal(&format!("host-{index}.pool.example"));
-                let ids = store.issue_with_policy(
-                    Issuer::lets_encrypt(),
+                store.issue_with_policy(
+                    &Issuer::lets_encrypt(),
                     &IssuancePolicy::SharedSan,
                     &[domain],
                     Instant::EPOCH,
@@ -461,7 +460,7 @@ proptest! {
                     ConnectionId(index as u64),
                     Origin::https(domain),
                     IpAddr::new(10, 9, 0, index as u8),
-                    std::sync::Arc::clone(store.get_arc(ids[0]).unwrap()),
+                    std::sync::Arc::clone(store.get_arc(CertificateId(index as u64)).unwrap()),
                     true,
                     Instant::EPOCH + Duration::from_millis(index as u64),
                 )
