@@ -581,8 +581,8 @@ impl Browser {
                 // Servers announce an origin set exactly where the client
                 // honours one (the ORIGIN-frame mitigation).
                 if self.config.reuse_policy.honor_origin_frame {
-                    let origins: Vec<_> = connection.certificate.dns_names().into_iter().cloned().collect();
-                    connection.receive_origin_set(origins);
+                    let certificate = Arc::clone(&connection.certificate);
+                    connection.receive_origin_set(certificate.dns_names().copied());
                 }
                 if scratch.netlog_enabled() {
                     scratch.netlog.record(

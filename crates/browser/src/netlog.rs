@@ -136,20 +136,6 @@ impl NetLog {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Connection-establishment events, in order — the sequence the analysis
-    /// reconstructs session lifecycles from.
-    pub fn establishments(&self) -> impl Iterator<Item = (&NetLogEvent, ConnectionId)> {
-        self.events.iter().filter_map(|event| match &event.kind {
-            NetLogEventKind::ConnectionEstablished { connection, .. } => Some((event, *connection)),
-            _ => None,
-        })
-    }
-
-    /// Count events matching a predicate.
-    pub fn count_matching<F: Fn(&NetLogEventKind) -> bool>(&self, predicate: F) -> usize {
-        self.events.iter().filter(|e| predicate(&e.kind)).count()
-    }
 }
 
 #[cfg(test)]
@@ -179,8 +165,10 @@ mod tests {
             NetLogEventKind::ConnectionReused { connection: ConnectionId(0), domain: d("img.example.com") },
         );
         assert_eq!(log.len(), 3);
-        assert_eq!(log.establishments().count(), 1);
-        assert_eq!(log.count_matching(|k| matches!(k, NetLogEventKind::ConnectionReused { .. })), 1);
+        let count =
+            |matches: fn(&NetLogEventKind) -> bool| log.events().iter().filter(|e| matches(&e.kind)).count();
+        assert_eq!(count(|kind| matches!(kind, NetLogEventKind::ConnectionEstablished { .. })), 1);
+        assert_eq!(count(|kind| matches!(kind, NetLogEventKind::ConnectionReused { .. })), 1);
         assert!(log.events()[0].time <= log.events()[1].time);
     }
 }

@@ -53,7 +53,7 @@
 //! separately ([`AtlasMetrics`]) so golden snapshots and thread-invariance
 //! checks stay byte-stable.
 
-use crate::grid::{chunk_layout, run_grid, CellRecord};
+use crate::grid::{chunk_layout, run_grid, CellRecord, Population};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
 use connreuse_core::{Cause, ConnectionRecord, DatasetSummary, DurationModel, FastVisitClassifier};
@@ -255,9 +255,8 @@ pub fn run_atlas_partitioned(config: &AtlasConfig, chunks: &[(usize, usize)]) ->
     // below sees exactly the same per-chunk values at any thread count.
     let outcome = run_grid(config.threads, chunks.len(), |worker, index| {
         let recipe = (config.seed, config.zipf_exponent);
-        worker.with_atlas_chunk(recipe, chunks[index], &deployments, MitigationSet::empty(), |worker, env| {
-            worker.measure(env, &crawler)
-        })
+        let chunk = Population::atlas_chunk(recipe, chunks[index], MitigationSet::empty());
+        worker.with_population(chunk, &deployments, |worker, env| worker.measure(env, &crawler))
     });
 
     // Deterministic merge in chunk order (any order would do — merge is

@@ -27,9 +27,11 @@
 //! ## Sharding and determinism
 //!
 //! The 16 mitigation combinations (one population build each, nine cells
-//! crawled from it) and the hedged cell are the 17 tasks of one
+//! crawled from it) are the 16 tasks of one
 //! [`connreuse_executor::run_indexed`] run, exactly like the cost sweep's
-//! cells; results come back in task order. Every cell replays the fleet's
+//! cells; results come back in task order. The hedged cell crawls the
+//! unmitigated web, so it rides that combination's task and build, and the
+//! report appends it after the grid. Every cell replays the fleet's
 //! session loop (`replay_sessions`) under the chaos stream labels. Every
 //! fault draw comes from a per-visit `fork("fault")` stream of the session
 //! RNGs, which fork off the global session index — never a worker id — so
@@ -39,12 +41,15 @@
 //! failure level, link and retry policy.
 
 use crate::fleet::{replay_sessions, SessionStreams};
-use crate::grid::run_grid;
+use crate::grid::{run_grid, Population};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{alexa_population, ScenarioConfig};
-use netsim_browser::{BrowserConfig, FaultProfile, PoolConfig, PoolLifecycleStats, RetryPolicy};
+use crate::scenario::ScenarioConfig;
+use netsim_browser::{
+    BrowserConfig, FaultProfile, PoolConfig, PoolLifecycleStats, RetryPolicy, VisitScratch,
+};
 use netsim_cost::{LinkProfile, SessionTotals};
 use netsim_types::MitigationSet;
+use netsim_web::{DeploymentCache, WebEnvironment};
 use serde::{Deserialize, Serialize};
 
 /// The chaos grid's session streams (seed offset clear of the fleet's).
@@ -131,23 +136,47 @@ pub struct ChaosReport {
 }
 
 /// Run the chaos grid: every mitigation combination builds its population
-/// once and crawls the nine (level × profile) cells from it; the hedged cell
-/// is one more task of the same run. Tasks are scheduled across
-/// `config.threads` workers and come back in task order.
+/// once and crawls the nine (level × profile) cells from it; the
+/// unmitigated combination's task also crawls the hedged cell. Tasks are
+/// scheduled across `config.threads` workers and come back in task order.
 pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
+    chaos_grid(config).0
+}
+
+/// [`run_chaos`], with the number of populations its workers built.
+fn chaos_grid(config: &ChaosConfig) -> (ChaosReport, usize) {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let rows = run_grid(config.threads, combos.len() + 1, |_, task| match combos.get(task) {
-        Some(&mitigations) => run_combo(config, mitigations, &profiles),
-        None => vec![run_hedged_cell(config, &profiles)],
+    let deployments = DeploymentCache::standard();
+    let rows = run_grid(config.threads, combos.len(), |worker, task| {
+        let mitigations = combos[task];
+        let population = Population::alexa(config.sites, config.seed, mitigations);
+        worker.with_population(population, &deployments, |worker, env| {
+            let cells = run_combo(worker.scratch(), config, env, mitigations, &profiles);
+            let hedged =
+                mitigations.is_empty().then(|| run_hedged_cell(worker.scratch(), config, env, &profiles));
+            (cells, hedged)
+        })
     });
-    ChaosReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() }
+    let mut cells = Vec::new();
+    let mut hedged = None;
+    for (row, row_hedged) in rows.results {
+        cells.extend(row);
+        hedged = hedged.or(row_hedged);
+    }
+    cells.push(hedged.expect("the unmitigated combination crawls the hedged cell"));
+    (ChaosReport { config: *config, profiles, cells }, rows.builds)
 }
 
 /// Crawl one mitigation combination's nine cells (level-major,
-/// profile-minor) from a single population build.
-fn run_combo(config: &ChaosConfig, mitigations: MitigationSet, profiles: &[LinkProfile]) -> Vec<ChaosCell> {
-    let env = alexa_population(config.sites, config.seed, mitigations);
+/// profile-minor) from its population `env`.
+fn run_combo(
+    scratch: &mut VisitScratch,
+    config: &ChaosConfig,
+    env: &WebEnvironment,
+    mitigations: MitigationSet,
+    profiles: &[LinkProfile],
+) -> Vec<ChaosCell> {
     let mut cells = Vec::with_capacity(FAULT_LEVELS.len() * profiles.len());
     for (level, (_, ppm)) in FAULT_LEVELS.iter().enumerate() {
         for (profile_index, profile) in profiles.iter().enumerate() {
@@ -156,10 +185,11 @@ fn run_combo(config: &ChaosConfig, mitigations: MitigationSet, profiles: &[LinkP
                 ..BrowserConfig::with_mitigations(mitigations).over_link(profile)
             };
             let (totals, lifecycle, degraded_pages) = replay_sessions(
+                scratch,
                 &CHAOS_STREAMS,
                 config.seed,
                 config.sessions,
-                &env,
+                env,
                 &browser_config,
                 Some(PoolConfig::default()),
             );
@@ -177,10 +207,14 @@ fn run_combo(config: &ChaosConfig, mitigations: MitigationSet, profiles: &[LinkP
     cells
 }
 
-/// The hedged-dial cell: the unmitigated web at the hostile level on lossy
-/// cellular, dialing redundantly instead of backing off.
-fn run_hedged_cell(config: &ChaosConfig, profiles: &[LinkProfile]) -> ChaosCell {
-    let env = alexa_population(config.sites, config.seed, MitigationSet::empty());
+/// The hedged-dial cell: the unmitigated web `env` at the hostile level on
+/// lossy cellular, dialing redundantly instead of backing off.
+fn run_hedged_cell(
+    scratch: &mut VisitScratch,
+    config: &ChaosConfig,
+    env: &WebEnvironment,
+    profiles: &[LinkProfile],
+) -> ChaosCell {
     let level = FAULT_LEVELS.len() - 1;
     let profile_index = profiles.len() - 1;
     let browser_config = BrowserConfig {
@@ -189,10 +223,11 @@ fn run_hedged_cell(config: &ChaosConfig, profiles: &[LinkProfile]) -> ChaosCell 
         ..BrowserConfig::with_mitigations(MitigationSet::empty()).over_link(&profiles[profile_index])
     };
     let (totals, lifecycle, degraded_pages) = replay_sessions(
+        scratch,
         &CHAOS_STREAMS,
         config.seed,
         config.sessions,
-        &env,
+        env,
         &browser_config,
         Some(PoolConfig::default()),
     );
@@ -502,11 +537,16 @@ mod tests {
     #[test]
     fn chaos_is_thread_invariant() {
         let config = ChaosConfig { sites: 16, sessions: 4, seed: 20_210_420, threads: 1 };
-        let sequential = run_chaos(&config);
-        // Three workers split the 17 tasks into uneven blocks, so steals
+        let (sequential, builds) = chaos_grid(&config);
+        // One build per combination at any thread count: the hedged cell
+        // rides the unmitigated combination's build.
+        assert_eq!(builds, MitigationSet::COMBINATIONS);
+        assert!(sequential.hedged().hedged);
+        // Three workers split the 16 tasks into uneven blocks, so steals
         // actually happen.
         for threads in [2, 3, 8] {
-            let sharded = run_chaos(&ChaosConfig { threads, ..config });
+            let (sharded, builds) = chaos_grid(&ChaosConfig { threads, ..config });
+            assert_eq!(builds, MitigationSet::COMBINATIONS, "builds at threads={threads}");
             assert_eq!(sequential.cells, sharded.cells, "cells diverged at threads={threads}");
             assert_eq!(sequential.render(), sharded.render(), "render diverged at threads={threads}");
         }

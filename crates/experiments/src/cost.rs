@@ -36,11 +36,12 @@
 //! `tests/determinism.rs`). Costs are integer counts plus integer
 //! simulated milliseconds — nothing machine-dependent enters the report.
 
-use crate::grid::{run_grid, GridWorker};
+use crate::grid::{run_grid, GridWorker, Population};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{alexa_population, ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
+use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::MitigationSet;
+use netsim_web::{DeploymentCache, WebEnvironment};
 use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one cost sweep.
@@ -107,28 +108,40 @@ pub struct CostReport {
 /// Run the cost sweep: every mitigation combination crawled under every
 /// link profile, scheduled across `config.threads` workers.
 pub fn run_cost(config: &CostConfig) -> CostReport {
-    let profiles = LinkProfile::presets();
-    let combos = MitigationSet::all_combinations();
-    let rows = run_grid(config.threads, combos.len(), |worker, task| {
-        run_cell(worker, config, combos[task], &profiles)
-    });
-    CostReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() }
+    cost_grid(config).0
 }
 
-/// Measure one mitigation cell under every profile: the population is built
-/// once (it depends on the deployment, not the link) and crawled per
+/// [`run_cost`], with the number of populations its workers built.
+fn cost_grid(config: &CostConfig) -> (CostReport, usize) {
+    let profiles = LinkProfile::presets();
+    let combos = MitigationSet::all_combinations();
+    let deployments = DeploymentCache::standard();
+    let rows = run_grid(config.threads, combos.len(), |worker, task| {
+        let mitigations = combos[task];
+        let population = Population::alexa(config.sites, config.seed, mitigations);
+        worker.with_population(population, &deployments, |worker, env| {
+            run_cell(worker, env, config, mitigations, &profiles)
+        })
+    });
+    let report =
+        CostReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() };
+    (report, rows.builds)
+}
+
+/// Measure one mitigation cell under every profile: `env`, the cell's
+/// population (it depends on the deployment, not the link), is crawled per
 /// profile through the grid kernel.
 fn run_cell(
     worker: &mut GridWorker<'_>,
+    env: &WebEnvironment,
     config: &CostConfig,
     mitigations: MitigationSet,
     profiles: &[LinkProfile],
 ) -> Vec<CostCell> {
-    let env = alexa_population(config.sites, config.seed, mitigations);
     let planned_octets = env.total_planned_octets();
     let label = mitigations.label();
     worker
-        .measure_links(&env, mitigations, profiles, config.seed + ALEXA_CRAWL_SEED_OFFSET)
+        .measure_links(env, mitigations, profiles, config.seed + ALEXA_CRAWL_SEED_OFFSET)
         .into_iter()
         .enumerate()
         .map(|(profile, record)| CostCell {
@@ -284,9 +297,19 @@ mod tests {
     use netsim_types::Mitigation;
     use std::sync::OnceLock;
 
+    fn shared_run() -> &'static (CostReport, usize) {
+        static RUN: OnceLock<(CostReport, usize)> = OnceLock::new();
+        RUN.get_or_init(|| cost_grid(&CostConfig { sites: 60, seed: 20_210_420, threads: 8 }))
+    }
+
     fn shared_report() -> &'static CostReport {
-        static REPORT: OnceLock<CostReport> = OnceLock::new();
-        REPORT.get_or_init(|| run_cost(&CostConfig { sites: 60, seed: 20_210_420, threads: 8 }))
+        &shared_run().0
+    }
+
+    #[test]
+    fn cost_builds_one_population_per_cell() {
+        // One build per mitigation cell, crawled under all three profiles.
+        assert_eq!(shared_run().1, MitigationSet::COMBINATIONS);
     }
 
     #[test]

@@ -27,7 +27,11 @@
 //!
 //! Cells are independent: the 29 of them are the tasks of one
 //! [`connreuse_executor::run_indexed`] run, whose results come back in task
-//! order whichever worker ran them. Within a cell, one session loop
+//! order whichever worker ran them. The tasks run grouped by deployment —
+//! the 14 cells on the unmitigated web first, then the other 15
+//! combinations — so a worker builds each population once and serves the
+//! cells after it from the same environment; the report keeps the plan
+//! order. Within a cell, one session loop
 //! (`replay_sessions`, shared with the chaos grid) draws every stochastic
 //! choice off the global *session* index (`fork_indexed("fleet-nav",
 //! session)` for the navigation trace, `fork_indexed("fleet-visit",
@@ -38,13 +42,13 @@
 //! Reports are byte-identical at any `--threads` value (asserted in
 //! `tests/determinism.rs`).
 
-use crate::grid::run_grid;
+use crate::grid::{run_grid, Population};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{alexa_population, ScenarioConfig};
+use crate::scenario::ScenarioConfig;
 use netsim_browser::{Browser, BrowserConfig, PoolConfig, PoolLifecycleStats, UserSession, VisitScratch};
 use netsim_cost::SessionTotals;
 use netsim_types::{Duration, Instant, MitigationSet, SimClock, SimRng};
-use netsim_web::WebEnvironment;
+use netsim_web::{DeploymentCache, WebEnvironment};
 use serde::{Deserialize, Serialize};
 
 /// Identifier spacing between sessions so connection/request ids never
@@ -149,16 +153,38 @@ fn cell_plans() -> Vec<(MitigationSet, Option<PoolConfig>)> {
 /// Run the fleet: every cell replays the same session trace, scheduled
 /// across `config.threads` workers.
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
+    fleet_grid(config).0
+}
+
+/// [`run_fleet`], with the number of populations its workers built.
+fn fleet_grid(config: &FleetConfig) -> (FleetReport, usize) {
     let plans = cell_plans();
-    let cells = run_grid(config.threads, plans.len(), |_, task| {
-        let (mitigations, pool) = plans[task];
-        let env = alexa_population(config.sites, config.seed, mitigations);
-        let browser_config = BrowserConfig::with_mitigations(mitigations);
-        let (totals, lifecycle, _) =
-            replay_sessions(&FLEET_STREAMS, config.seed, config.sessions, &env, &browser_config, pool);
-        FleetCell { mitigations, pool, totals, lifecycle }
+    // Task order groups the cells by deployment (a stable sort keeps plan
+    // order within each); `order[task]` is the plan index a task measures.
+    let mut order: Vec<usize> = (0..plans.len()).collect();
+    order.sort_by_key(|&plan| plans[plan].0.bits());
+    let deployments = DeploymentCache::standard();
+    let outcome = run_grid(config.threads, plans.len(), |worker, task| {
+        let (mitigations, pool) = plans[order[task]];
+        let population = Population::alexa(config.sites, config.seed, mitigations);
+        worker.with_population(population, &deployments, |worker, env| {
+            let browser_config = BrowserConfig::with_mitigations(mitigations);
+            let (totals, lifecycle, _) = replay_sessions(
+                worker.scratch(),
+                &FLEET_STREAMS,
+                config.seed,
+                config.sessions,
+                env,
+                &browser_config,
+                pool,
+            );
+            FleetCell { mitigations, pool, totals, lifecycle }
+        })
     });
-    FleetReport { config: *config, cells: cells.results }
+    let mut cells: Vec<(usize, FleetCell)> = order.into_iter().zip(outcome.results).collect();
+    cells.sort_by_key(|&(plan, _)| plan);
+    let cells = cells.into_iter().map(|(_, cell)| cell).collect();
+    (FleetReport { config: *config, cells }, outcome.builds)
 }
 
 /// Pick the next page of a session: revisit a page already seen with
@@ -191,10 +217,10 @@ pub(crate) struct SessionStreams {
 const FLEET_STREAMS: SessionStreams =
     SessionStreams { seed_offset: 40, nav: "fleet-nav", visit: "fleet-visit" };
 
-/// Replay `sessions` multi-page sessions over `env` under `browser_config`:
-/// warm through one [`UserSession`] when `pool` is set, cold through the
-/// per-visit path when it is `None`. The session loop of both the fleet and
-/// the chaos grid.
+/// Replay `sessions` multi-page sessions over `env` under `browser_config`
+/// on the grid worker's `scratch`: warm through one [`UserSession`] when
+/// `pool` is set, cold through the per-visit path when it is `None`. The
+/// session loop of both the fleet and the chaos grid.
 ///
 /// The navigation trace (sites, page counts, dwells, simulated instants)
 /// forks off the global session index and is identical in every cell that
@@ -202,6 +228,7 @@ const FLEET_STREAMS: SessionStreams =
 /// differ. Returns the cross-page totals, the pool lifecycle (all zero when
 /// cold) and the pages that ended degraded.
 pub(crate) fn replay_sessions(
+    scratch: &mut VisitScratch,
     streams: &SessionStreams,
     seed: u64,
     sessions: usize,
@@ -209,7 +236,6 @@ pub(crate) fn replay_sessions(
     browser_config: &BrowserConfig,
     pool: Option<PoolConfig>,
 ) -> (SessionTotals, PoolLifecycleStats, u64) {
-    let mut scratch = VisitScratch::without_netlog();
     let mut totals = SessionTotals::new();
     let mut session_state = pool.map(UserSession::new);
     let mut visited: Vec<usize> = Vec::new();
@@ -232,17 +258,10 @@ pub(crate) fn replay_sessions(
             let site = &env.sites[site_index];
             match session_state.as_mut() {
                 Some(session) => {
-                    browser.load_session_page_into(
-                        &mut scratch,
-                        session,
-                        env,
-                        site,
-                        &mut clock,
-                        &mut page_rng,
-                    );
+                    browser.load_session_page_into(scratch, session, env, site, &mut clock, &mut page_rng);
                 }
                 None => {
-                    browser.load_page_into(&mut scratch, env, site, &mut clock, &mut page_rng);
+                    browser.load_page_into(scratch, env, site, &mut clock, &mut page_rng);
                 }
             }
             totals.absorb_page(scratch.timeline());
@@ -255,7 +274,7 @@ pub(crate) fn replay_sessions(
             clock.advance(Duration::from_secs(dwell));
         }
         if let Some(session) = session_state.as_mut() {
-            session.end(&mut scratch, clock.now());
+            session.end(scratch, clock.now());
         }
         totals.end_session();
     }
@@ -497,6 +516,24 @@ mod tests {
         let sharded = run_fleet(&FleetConfig { threads: 5, ..config });
         assert_eq!(sequential.cells, sharded.cells);
         assert_eq!(sequential.render(), sharded.render());
+    }
+
+    #[test]
+    fn fleet_builds_each_deployment_once_per_worker() {
+        let config = FleetConfig { sites: 20, sessions: 4, seed: 20_210_420, threads: 1 };
+        // One worker builds the unmitigated web once for its 14 cells, then
+        // each other combination once.
+        let (serial, builds) = fleet_grid(&config);
+        assert_eq!(builds, MitigationSet::COMBINATIONS);
+        // Two workers split the task list after the 14 unmitigated cells
+        // and the first other combination; at most one more build happens,
+        // when the second worker steals unmitigated cells.
+        let (sharded, builds) = fleet_grid(&FleetConfig { threads: 2, ..config });
+        assert!(
+            (MitigationSet::COMBINATIONS..=MitigationSet::COMBINATIONS + 1).contains(&builds),
+            "{builds}"
+        );
+        assert_eq!(serial.cells, sharded.cells);
     }
 
     #[test]

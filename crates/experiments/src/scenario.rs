@@ -18,14 +18,14 @@ pub const ALEXA_POPULATION_SEED_OFFSET: u64 = 1;
 /// seed. Shared with the mitigation sweep and the `whatif` experiment.
 pub const ALEXA_CRAWL_SEED_OFFSET: u64 = 10;
 
-/// The Alexa-shaped population of `sites` sites under root seed `seed`,
-/// deployed with `mitigations`. Every mitigation grid (sweep, cost, fleet,
-/// chaos) builds its cells from this one population recipe, and with no
-/// mitigation it is the scenario's own Alexa environment.
-pub(crate) fn alexa_population(sites: usize, seed: u64, mitigations: MitigationSet) -> WebEnvironment {
+/// The recipe of the Alexa-shaped population of `sites` sites under root
+/// seed `seed`, deployed with `mitigations`. Every mitigation grid (sweep,
+/// cost, fleet, chaos) builds its cells from it, layered on a shared
+/// deployment ([`crate::grid::Population::alexa`]), and with no mitigation
+/// it is the scenario's own Alexa environment.
+pub(crate) fn alexa_builder(sites: usize, seed: u64, mitigations: MitigationSet) -> PopulationBuilder {
     PopulationBuilder::new(PopulationProfile::alexa(), sites, seed + ALEXA_POPULATION_SEED_OFFSET)
         .with_mitigations(mitigations)
-        .build()
 }
 
 /// [`Crawler::crawl`] on `threads` executor workers, one [`VisitScratch`]
@@ -123,7 +123,7 @@ impl Scenario {
     pub fn build(config: ScenarioConfig) -> Scenario {
         let archive_env =
             PopulationBuilder::new(PopulationProfile::archive(), config.archive_sites, config.seed).build();
-        let alexa_env = alexa_population(config.alexa_sites, config.seed, MitigationSet::empty());
+        let alexa_env = alexa_builder(config.alexa_sites, config.seed, MitigationSet::empty()).build();
         let overlap_env =
             PopulationBuilder::new(PopulationProfile::alexa(), config.overlap_sites, config.seed + 2).build();
 

@@ -43,7 +43,7 @@
 //! them on the caller thread with no I/O. The open is a snapshot; a shard
 //! file changed afterwards is not seen.
 
-use crate::grid::{chunk_layout, stream_grid, CellRecord, GridWorker};
+use crate::grid::{chunk_layout, stream_grid, CellRecord, GridWorker, Population};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use connreuse_core::DatasetSummary;
@@ -464,8 +464,8 @@ fn measure_chunk(
     let crawl_seed = config.seed + ALEXA_CRAWL_SEED_OFFSET;
     let mut cells = Vec::with_capacity(config.mitigations.len() * profiles.len());
     for &mitigations in &config.mitigations {
-        let recipe = (config.seed, config.zipf_exponent);
-        cells.extend(worker.with_atlas_chunk(recipe, chunk, deployments, mitigations, |worker, env| {
+        let population = Population::atlas_chunk((config.seed, config.zipf_exponent), chunk, mitigations);
+        cells.extend(worker.with_population(population, deployments, |worker, env| {
             worker.measure_links(env, mitigations, &profiles, crawl_seed)
         }));
     }

@@ -41,12 +41,13 @@
 //! from the baseline only by its deployment, which is what makes the
 //! per-mitigation deltas meaningful.
 
-use crate::grid::{run_grid, GridWorker};
+use crate::grid::{run_grid, GridWorker, Population};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{alexa_population, ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
+use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use connreuse_core::{Cause, DatasetSummary};
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_types::{Mitigation, MitigationSet};
+use netsim_web::{DeploymentCache, WebEnvironment};
 use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one sweep run.
@@ -104,27 +105,43 @@ pub struct SweepReport {
 /// Run the full mitigation sweep: all 16 cells, scheduled across
 /// `config.threads` workers.
 pub fn run_sweep(config: &SweepConfig) -> SweepReport {
-    let combos = MitigationSet::all_combinations();
-    let cells = run_grid(config.threads, combos.len(), |worker, task| run_cell(worker, config, combos[task]));
-    SweepReport { config: *config, cells: cells.results }
+    sweep_grid(config).0
 }
 
-/// Measure one cell: population deployed under the mitigations, crawled with
-/// the matching browser policy through the grid kernel, classified with
-/// recorded durations.
+/// [`run_sweep`], with the number of populations its workers built.
+fn sweep_grid(config: &SweepConfig) -> (SweepReport, usize) {
+    let combos = MitigationSet::all_combinations();
+    let deployments = DeploymentCache::standard();
+    let cells = run_grid(config.threads, combos.len(), |worker, task| {
+        let mitigations = combos[task];
+        let population = Population::alexa(config.sites, config.seed, mitigations);
+        worker.with_population(population, &deployments, |worker, env| {
+            run_cell(worker, env, config, mitigations)
+        })
+    });
+    (SweepReport { config: *config, cells: cells.results }, cells.builds)
+}
+
+/// Measure one cell: `env`, the population deployed under the mitigations,
+/// crawled with the matching browser policy through the grid kernel,
+/// classified with recorded durations.
 ///
 /// The seeds reuse [`crate::scenario::Scenario::build`]'s Alexa offsets, so
 /// the baseline cell equals the scenario's own Alexa run (asserted in the
 /// tests below).
-fn run_cell(worker: &mut GridWorker<'_>, config: &SweepConfig, mitigations: MitigationSet) -> SweepCell {
-    let env = alexa_population(config.sites, config.seed, mitigations);
+fn run_cell(
+    worker: &mut GridWorker<'_>,
+    env: &WebEnvironment,
+    config: &SweepConfig,
+    mitigations: MitigationSet,
+) -> SweepCell {
     let label = mitigations.label();
     let crawler = Crawler::new(
         &label,
         BrowserConfig::with_mitigations(mitigations),
         config.seed + ALEXA_CRAWL_SEED_OFFSET,
     );
-    SweepCell { mitigations, summary: worker.measure(&env, &crawler).accumulator.finish(&label) }
+    SweepCell { mitigations, summary: worker.measure(env, &crawler).accumulator.finish(&label) }
 }
 
 impl SweepReport {
@@ -263,9 +280,18 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
+    fn shared_run() -> &'static (SweepReport, usize) {
+        static RUN: OnceLock<(SweepReport, usize)> = OnceLock::new();
+        RUN.get_or_init(|| sweep_grid(&SweepConfig { sites: 80, seed: 20_210_420, threads: 8 }))
+    }
+
     fn shared_report() -> &'static SweepReport {
-        static REPORT: OnceLock<SweepReport> = OnceLock::new();
-        REPORT.get_or_init(|| run_sweep(&SweepConfig { sites: 80, seed: 20_210_420, threads: 8 }))
+        &shared_run().0
+    }
+
+    #[test]
+    fn sweep_builds_one_population_per_cell() {
+        assert_eq!(shared_run().1, MitigationSet::COMBINATIONS);
     }
 
     #[test]

@@ -95,7 +95,7 @@ fn warm_chunk_rebuild_allocates_nothing() {
     builder.build_into(&mut env);
 
     // The worker crawls the chunk, then releases the last visit's
-    // certificates before its next rebuild (`GridWorker::with_atlas_chunk`).
+    // certificates before its next rebuild (`GridWorker::with_population`).
     let mut connections = 0;
     for index in 0..env.sites.len() {
         crawler.visit_site_into(&mut scratch, &env, index);

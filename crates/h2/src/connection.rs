@@ -169,9 +169,13 @@ impl Connection {
         }
     }
 
-    /// Handle a received ORIGIN frame: replace the origin set.
+    /// Handle a received ORIGIN frame: replace the origin set. The names are
+    /// inserted one by one, so the set allocates its tree nodes and nothing
+    /// else (collecting would first buffer and sort them in a `Vec`).
     pub fn receive_origin_set(&mut self, origins: impl IntoIterator<Item = DomainName>) {
-        self.origin_set = Some(origins.into_iter().collect());
+        let mut set = BTreeSet::new();
+        set.extend(origins);
+        self.origin_set = Some(set);
     }
 
     /// Handle a received GOAWAY.

@@ -107,14 +107,11 @@ impl Certificate {
     }
 
     /// All exact DNS names listed in the SAN (wildcards excluded).
-    pub fn dns_names(&self) -> Vec<&DomainName> {
-        self.san
-            .iter()
-            .filter_map(|entry| match entry {
-                SanEntry::Dns(name) => Some(name),
-                SanEntry::Wildcard(_) => None,
-            })
-            .collect()
+    pub fn dns_names(&self) -> impl Iterator<Item = &DomainName> {
+        self.san.iter().filter_map(|entry| match entry {
+            SanEntry::Dns(name) => Some(name),
+            SanEntry::Wildcard(_) => None,
+        })
     }
 
     /// Number of SAN entries.
@@ -186,7 +183,7 @@ mod tests {
     #[test]
     fn dns_names_exclude_wildcards() {
         let c = cert(&["example.com", "*.example.com", "www.example.com"]);
-        let names: Vec<String> = c.dns_names().iter().map(|n| n.to_string()).collect();
+        let names: Vec<String> = c.dns_names().map(|n| n.to_string()).collect();
         assert_eq!(names, vec!["example.com", "www.example.com"]);
         assert_eq!(c.san_len(), 3);
     }

@@ -106,24 +106,6 @@ impl SimRng {
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         items.shuffle(&mut self.inner);
     }
-
-    /// A sample from a (truncated at zero) normal-ish distribution built from
-    /// the sum of uniform variates — good enough for latency jitter.
-    pub fn jitter(&mut self, mean: f64, spread: f64) -> f64 {
-        let sum: f64 = (0..4).map(|_| self.inner.gen::<f64>()).sum::<f64>() / 4.0; // ~N(0.5, .)
-        (mean + (sum - 0.5) * 2.0 * spread).max(0.0)
-    }
-
-    /// A sample from a discrete Zipf-like distribution over `n` ranks with
-    /// exponent `s` (rank 0 is most popular). Used for popularity skew in the
-    /// web-population generator.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-        self.pick_weighted_index(&weights).unwrap_or(0)
-    }
 }
 
 impl RngCore for SimRng {
@@ -234,27 +216,5 @@ mod tests {
             counts[rng.pick_weighted_index(&[3.0, 1.0]).unwrap()] += 1;
         }
         assert!(counts[0] > counts[1] * 2, "counts = {counts:?}");
-    }
-
-    #[test]
-    fn zipf_prefers_low_ranks() {
-        let mut rng = SimRng::new(5);
-        let mut head = 0;
-        for _ in 0..1000 {
-            if rng.zipf(50, 1.0) < 5 {
-                head += 1;
-            }
-        }
-        assert!(head > 400, "head = {head}");
-        assert_eq!(rng.zipf(1, 1.0), 0);
-        assert_eq!(rng.zipf(0, 1.0), 0);
-    }
-
-    #[test]
-    fn jitter_is_non_negative() {
-        let mut rng = SimRng::new(9);
-        for _ in 0..100 {
-            assert!(rng.jitter(5.0, 20.0) >= 0.0);
-        }
     }
 }
