@@ -14,11 +14,11 @@
 //!   (`core::attribution` today): same `BTreeMap` fold with textual `Ord`,
 //!   but records and keys are copyable `DomainName` handles. The delta vs.
 //!   `strings` isolates the clone removal alone.
-//! * `aggregate_per_origin_interned` — the fold interning newly *enables*:
-//!   keys are the 4-byte `DomainId` in a hash map (no per-key allocation,
-//!   no string compares). This is what the acceptance "≥2x over the
-//!   pre-intern batch path" refers to; the id-keyed fold is impossible
-//!   without a stable intern table.
+//! * `aggregate_per_origin_interned` — the fold the handles newly *enable*:
+//!   keys are the `DomainName` handles themselves in a hash map, hashed by
+//!   their cached text hash (no per-key allocation, no string compares).
+//!   This is what the acceptance "≥2x over the pre-intern batch path"
+//!   refers to.
 //!
 //! The streaming pair compares the shard-merged `Accumulator` against the
 //! single-pass batch summary (they are the same math; the comparison shows
@@ -28,8 +28,8 @@ use connreuse_bench::{bench_dataset, bench_environment};
 use connreuse_core::{classify_dataset, Accumulator, Cause, DatasetSummary, DurationModel};
 use connreuse_experiments::atlas::{run_atlas, AtlasConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
-use netsim_types::DomainId;
-use std::collections::{BTreeMap, HashMap};
+use netsim_types::{DomainName, FnvHashMap};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 
 /// The pre-intern shape of a classified connection: origins owned as heap
@@ -43,7 +43,7 @@ struct StringConnection {
 
 /// The post-migration shape: the origin is a copyable interned handle.
 struct InternedConnection {
-    origin: netsim_types::DomainName,
+    origin: DomainName,
     redundant: bool,
     causes: Vec<Cause>,
 }
@@ -87,15 +87,15 @@ fn bench_aggregation(c: &mut Criterion) {
                     })
                 })
                 .collect();
-            // Stage 2: per-origin fold keyed by the 4-byte interned id.
-            let mut per_origin: HashMap<DomainId, usize> = HashMap::new();
-            let mut per_cause: HashMap<(Cause, DomainId), usize> = HashMap::new();
+            // Stage 2: per-origin fold keyed by the handle's cached hash.
+            let mut per_origin: FnvHashMap<DomainName, usize> = FnvHashMap::default();
+            let mut per_cause: FnvHashMap<(Cause, DomainName), usize> = FnvHashMap::default();
             for record in &records {
                 if record.redundant {
-                    *per_origin.entry(record.origin.id()).or_default() += 1;
+                    *per_origin.entry(record.origin).or_default() += 1;
                 }
                 for cause in &record.causes {
-                    *per_cause.entry((*cause, record.origin.id())).or_default() += 1;
+                    *per_cause.entry((*cause, record.origin)).or_default() += 1;
                 }
             }
             black_box((per_origin.len(), per_cause.len()))
@@ -117,8 +117,8 @@ fn bench_aggregation(c: &mut Criterion) {
                     })
                 })
                 .collect();
-            let mut per_origin: BTreeMap<netsim_types::DomainName, usize> = BTreeMap::new();
-            let mut per_cause: BTreeMap<(Cause, netsim_types::DomainName), usize> = BTreeMap::new();
+            let mut per_origin: BTreeMap<DomainName, usize> = BTreeMap::new();
+            let mut per_cause: BTreeMap<(Cause, DomainName), usize> = BTreeMap::new();
             for record in &records {
                 if record.redundant {
                     *per_origin.entry(record.origin).or_default() += 1;

@@ -218,12 +218,12 @@ fn warm_session_pages_keep_the_zero_allocation_guarantee() {
 #[test]
 fn origin_frame_sessions_allocate_only_their_origin_sets() {
     // The one exception to the session fast path's zero: a connection that
-    // receives an ORIGIN frame owns its origin set, a `BTreeSet` the reuse
+    // receives an ORIGIN frame owns its origin set, which the reuse
     // predicate reads (a server may announce any set), so every
-    // establishment under the ORIGIN-frame policy allocates the set's tree
-    // node: one for up to eleven names, which covers every certificate this
-    // population presents. Everything else recycles as in the gate above, so a warm
-    // pass allocates exactly one node per connection it opens.
+    // establishment under the ORIGIN-frame policy allocates the set once,
+    // sized by the certificate's name count. Everything else recycles as in
+    // the gate above, so a warm pass allocates exactly once per connection
+    // it opens.
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 24, 99).build();
     let config = BrowserConfig::with_origin_frames();
     let mut scratch = VisitScratch::without_netlog();
@@ -247,7 +247,7 @@ fn origin_frame_sessions_allocate_only_their_origin_sets() {
     let mut opens = 0;
     let allocations = allocations_in(|| opens = run_warm_sessions(&env, &config, &mut scratch, &mut session));
     assert_eq!(opens, 207, "the measured pass opens a fixed set of connections");
-    assert_eq!(allocations, opens, "one origin-set node per opened connection, nothing else");
+    assert_eq!(allocations, opens, "one origin set per opened connection, nothing else");
 }
 
 #[test]

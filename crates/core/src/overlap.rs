@@ -60,7 +60,7 @@ mod tests {
         assert_eq!(rb.sites.len(), 2);
         assert_eq!(ra.label, "har (overlap)");
         assert_eq!(rb.label, "alexa (overlap)");
-        let names: Vec<&str> = ra.sites.iter().map(|s| s.site.as_str()).collect();
+        let names: Vec<String> = ra.sites.iter().map(|s| s.site.to_string()).collect();
         assert_eq!(names, vec!["b.com", "c.com"]);
     }
 

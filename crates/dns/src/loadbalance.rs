@@ -14,7 +14,7 @@
 //! the [`QueryContext`], so simulation runs are reproducible.
 
 use crate::query::QueryContext;
-use netsim_types::{fnv1a, DomainName, Duration, IpAddr};
+use netsim_types::{DomainName, Duration, IpAddr};
 
 /// A run of consecutive addresses: `first` and the `len - 1` addresses after
 /// it. Every answer list and pool the generated web deploys is consecutive
@@ -93,7 +93,7 @@ impl LoadBalancePolicy {
             }
             LoadBalancePolicy::PerResolverPool { pool, answer_size, epoch } => {
                 let bucket = time_bucket(ctx, *epoch);
-                let h = mix(fnv1a(domain.as_str().as_bytes()) ^ ((ctx.resolver.0 as u64) << 32) ^ bucket);
+                let h = mix(domain.text_hash() ^ ((ctx.resolver.0 as u64) << 32) ^ bucket);
                 emit_wrapped(*pool, h as usize, *answer_size, &mut emit);
             }
             LoadBalancePolicy::SynchronizedPool { pool, answer_size, epoch } => {

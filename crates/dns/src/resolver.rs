@@ -399,7 +399,7 @@ mod tests {
         let a2 = r2.resolve(&auth, &d("www.google-analytics.com"), Instant::EPOCH).unwrap();
         assert_ne!(a1.addresses, a2.addresses);
         // But both stay within the same /24 — the paper's observation.
-        assert!(a1.primary_address().unwrap().same_slash24(a2.primary_address().unwrap()));
+        assert_eq!(a1.primary_address().unwrap().slash24(), a2.primary_address().unwrap().slash24());
     }
 
     #[test]

@@ -21,16 +21,17 @@ const MULTI_LABEL_SUFFIXES: [&str; 1] = ["co.uk"];
 /// The registrable domain: the public suffix plus one label, or the name
 /// itself when it has no label ahead of its suffix.
 fn registrable(name: &DomainName) -> DomainName {
-    let text = name.as_str();
+    let text = name.to_string();
     let multi = MULTI_LABEL_SUFFIXES.iter().any(|suffix| text.ends_with(&format!(".{suffix}")));
     let labels: Vec<&str> = text.split('.').collect();
     let keep = labels.len().min(if multi { 3 } else { 2 });
     DomainName::literal(&labels[labels.len() - keep..].join("."))
 }
 
-/// The parent domain, or `None` for a single-label name.
+/// The parent domain, or `None` for a single-label name: interned from the
+/// name's text.
 fn parent(name: &DomainName) -> Option<DomainName> {
-    name.parent_str().map(DomainName::literal)
+    name.to_string().split_once('.').map(|(_, parent)| DomainName::literal(parent))
 }
 
 /// The pre-index authority: zones keyed by the registrable domain of the

@@ -171,7 +171,10 @@ impl GridWorker<'_> {
         // release them so the rebuild rewrites them in place.
         self.scratch.clear();
         self.classifier.begin_site();
-        builder.build_into(&mut self.env);
+        {
+            netsim_types::stage!(Stage::Generate);
+            builder.build_into(&mut self.env);
+        }
         self.held = Some(population);
         self.builds.fetch_add(1, Ordering::Relaxed);
     }

@@ -13,10 +13,11 @@
 //!   compared against each fresh record's `share` field (see
 //!   `scripts/bench_guard.sh` and the PERF.md runbook).
 //!
-//! Shares are of [`StageTable::measured_total_nanos`] — the non-scaffold
-//! stages only. The scaffold `chunk-loop` row still appears in both outputs
-//! (its total is the wall-clock envelope, its share is reported as the
-//! *coverage* of the measured stages within it), but it carries no budget.
+//! Shares are of [`StageTable::measured_total_nanos`] — the visit stages
+//! only. The `generate` row and the scaffold `chunk-loop` row still appear
+//! in both outputs, with no share and no budget: the envelope's total is the
+//! wall-clock bound, and the rendered table reports the *coverage* of every
+//! named stage within it ([`StageTable::covered_nanos`]).
 
 use crate::render::TextTable;
 use netsim_types::profile::{Stage, StageTable};
@@ -42,8 +43,8 @@ pub struct ProfileRecord {
     pub max_nanos: u64,
     /// Mean nanoseconds per entry.
     pub mean_nanos: f64,
-    /// Share of the measured (non-scaffold) total, in `[0, 1]`; `0` for
-    /// scaffold rows.
+    /// Share of the measured (visit-stage) total, in `[0, 1]`; `0` for the
+    /// `generate` and scaffold rows.
     pub share: f64,
 }
 
@@ -77,7 +78,7 @@ impl ProfileFile {
 }
 
 /// Render the merged stage table as a human-readable text table (one row
-/// per stage that ran, plus a coverage line relating the measured stages to
+/// per stage that ran, plus a coverage line relating the named stages to
 /// the scaffold envelope). Returns a diagnostic hint instead when the table
 /// is empty — typically a build without the `hotpath-profile` feature.
 pub fn render_stage_table(table: &StageTable) -> String {
@@ -99,7 +100,7 @@ pub fn render_stage_table(table: &StageTable) -> String {
         if stats.count == 0 {
             continue;
         }
-        let share = if stage.is_scaffold() {
+        let share = if !stage.is_visit() {
             "—".to_string()
         } else {
             format!("{:.1} %", table.share_of_measured(stage) * 100.0)
@@ -119,9 +120,9 @@ pub fn render_stage_table(table: &StageTable) -> String {
     let envelope = table.stats(Stage::ChunkLoop).total_nanos;
     if envelope > 0 {
         out.push_str(&format!(
-            "measured stages cover {:.1} % of the chunk-loop envelope (rest: generation, \
-             scheduling, unprofiled glue)\n",
-            table.measured_total_nanos() as f64 / envelope as f64 * 100.0
+            "named stages cover {:.1} % of the chunk-loop envelope (rest: scheduling, \
+             unprofiled glue)\n",
+            table.covered_nanos() as f64 / envelope as f64 * 100.0
         ));
     }
     out
@@ -137,6 +138,7 @@ mod tests {
             table.record(Stage::DnsWalk, nanos);
         }
         table.record(Stage::Handshake, 6_000);
+        table.record(Stage::Generate, 2_000);
         table.record(Stage::ChunkLoop, 20_000);
         table
     }
@@ -146,13 +148,14 @@ mod tests {
         let file = ProfileFile::from_table(&sample_table());
         assert_eq!(file.schema, PROFILE_SCHEMA);
         let names: Vec<&str> = file.stages.iter().map(|row| row.stage.as_str()).collect();
-        assert_eq!(names, vec!["dns-walk", "handshake", "chunk-loop"]);
+        assert_eq!(names, vec!["dns-walk", "handshake", "generate", "chunk-loop"]);
         let dns = &file.stages[0];
         assert_eq!((dns.count, dns.total_nanos, dns.min_nanos, dns.max_nanos), (2, 4_000, 1_000, 3_000));
         assert_eq!(dns.mean_nanos, 2_000.0);
         assert_eq!(dns.share, 0.4);
-        // The scaffold envelope is recorded but budget-free.
+        // Generation and the scaffold envelope are recorded but budget-free.
         assert_eq!(file.stages[2].share, 0.0);
+        assert_eq!(file.stages[3].share, 0.0);
     }
 
     #[test]
@@ -168,9 +171,10 @@ mod tests {
         let text = render_stage_table(&sample_table());
         assert!(text.contains("dns-walk"));
         assert!(text.contains("handshake"));
+        assert!(text.contains("generate"));
         assert!(text.contains("chunk-loop"));
         assert!(text.contains("40.0 %"), "dns-walk share of the measured total:\n{text}");
-        assert!(text.contains("cover 50.0 %"), "coverage of the scaffold envelope:\n{text}");
+        assert!(text.contains("cover 60.0 %"), "coverage of the scaffold envelope:\n{text}");
     }
 
     #[test]

@@ -8,11 +8,17 @@
 //! a counting global allocator, that rebuilding an atlas chunk the worker
 //! has built before allocates nothing — after the worker has crawled it, as
 //! between two chunks of a run. Building the same chunk with a fresh
-//! `build()` makes 34,419 allocations at the parent of this gate.
+//! `build()` made 34,419 allocations before chunk environments were
+//! recycled.
 //!
-//! The counter is thread-local, so concurrently running tests in the same
-//! binary cannot perturb it. Gated `#[cfg(not(miri))]`: Miri interposes its
-//! own allocator bookkeeping.
+//! The same test pins the intern-table work: generated site and shard names
+//! are handles over a per-process vocabulary, so a warm rebuild plus a crawl
+//! of the chunk makes no intern-table call at all (the interned names made
+//! over 1,000 such calls), and building a chunk never seen before interns no
+//! new name. The allocation and intern-call counters are thread-local, but
+//! the interned-name count is process-wide: keep this the only test in its
+//! binary. Gated `#[cfg(not(miri))]`: Miri interposes its own allocator
+//! bookkeeping.
 
 #![cfg(not(miri))]
 
@@ -20,7 +26,7 @@ use connreuse_core::{DurationModel, FastVisitClassifier};
 use connreuse_experiments::atlas::{atlas_builder, classify_scratch};
 use connreuse_experiments::AtlasConfig;
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
-use netsim_types::MitigationSet;
+use netsim_types::{intern_calls, interned_domain_count, MitigationSet};
 use netsim_web::{DeploymentCache, WebEnvironment};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -105,8 +111,18 @@ fn warm_chunk_rebuild_allocates_nothing() {
     scratch.clear();
     classifier.begin_site();
 
+    let calls_before = intern_calls();
     let ((), allocations) = allocations_in(|| builder.build_into(&mut env));
     assert_eq!(allocations, WARM_REBUILD_ALLOCATIONS, "a warm chunk rebuild allocated {allocations} times");
+
+    // Crawling the rebuilt chunk names hosts, certificates and origin sets
+    // without the intern table too.
+    for index in 0..env.sites.len() {
+        crawler.visit_site_into(&mut scratch, &env, index);
+        classify_scratch(&mut classifier, &scratch, DurationModel::Recorded);
+    }
+    let calls = intern_calls() - calls_before;
+    assert_eq!(calls, 0, "a warm rebuild plus crawl made {calls} intern-table calls");
 
     // The rebuilt chunk is the chunk a fresh build generates.
     let fresh = builder.build();
@@ -117,4 +133,11 @@ fn warm_chunk_rebuild_allocates_nothing() {
         let selected = |env: &WebEnvironment| env.certificate_for(&request.domain).map(|cert| cert.id);
         assert_eq!(selected(&env), selected(&fresh), "certificate for {}", request.domain);
     }
+
+    // The next chunk's thousand sites and their shards add no interned name.
+    let interned = interned_domain_count();
+    builder.set_site_range(2 * config.chunk_sites, config.chunk_sites);
+    builder.build_into(&mut env);
+    assert_eq!(env.sites[0].id.0, 2 * config.chunk_sites as u64);
+    assert_eq!(interned_domain_count(), interned, "a new chunk's names entered the intern table");
 }

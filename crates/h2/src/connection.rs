@@ -103,8 +103,10 @@ pub struct Connection {
     /// Domains the server answered with HTTP 421 (Misdirected Request):
     /// excluded from future reuse on this connection.
     pub excluded_domains: BTreeSet<DomainName>,
-    /// The origin set announced via an RFC 8336 ORIGIN frame, if any.
-    pub origin_set: Option<BTreeSet<DomainName>>,
+    /// The origin set announced via an RFC 8336 ORIGIN frame, if any: an
+    /// unordered membership set without duplicates (reuse only asks whether
+    /// a host is in it).
+    pub origin_set: Option<Vec<DomainName>>,
     /// Number of requests sent on this connection.
     pub requests_sent: u64,
     /// Total body octets received.
@@ -169,12 +171,21 @@ impl Connection {
         }
     }
 
-    /// Handle a received ORIGIN frame: replace the origin set. The names are
-    /// inserted one by one, so the set allocates its tree nodes and nothing
-    /// else (collecting would first buffer and sort them in a `Vec`).
+    /// Handle a received ORIGIN frame: replace the origin set. The set is
+    /// sized by the first name to the iterator's upper bound, so a bounded
+    /// frame allocates once (and an empty one not at all).
     pub fn receive_origin_set(&mut self, origins: impl IntoIterator<Item = DomainName>) {
-        let mut set = BTreeSet::new();
-        set.extend(origins);
+        let origins = origins.into_iter();
+        let bound = origins.size_hint().1.unwrap_or(0);
+        let mut set = Vec::new();
+        for origin in origins {
+            if set.is_empty() {
+                set.reserve_exact(bound.max(1));
+            }
+            if !set.contains(&origin) {
+                set.push(origin);
+            }
+        }
         self.origin_set = Some(set);
     }
 
@@ -305,9 +316,9 @@ mod tests {
         let mut conn = connection();
         assert!(conn.origin_set.is_none());
         conn.receive_origin_set([d("a.example.com"), d("b.example.com")]);
-        conn.receive_origin_set([d("c.example.com")]);
+        conn.receive_origin_set([d("c.example.com"), d("C.example.com")]);
         let set = conn.origin_set.as_ref().unwrap();
-        assert_eq!(set.len(), 1);
+        assert_eq!(set.len(), 1, "a set keeps no duplicates");
         assert!(set.contains(&d("c.example.com")));
     }
 }

@@ -183,9 +183,9 @@ mod tests {
     #[test]
     fn entry_accessors() {
         let doc = sample();
-        assert_eq!(doc.landing_domain().unwrap().as_str(), "example.com");
+        assert_eq!(doc.landing_domain().unwrap().to_string(), "example.com");
         assert_eq!(doc.load_time_ms(), 150);
-        assert_eq!(doc.entries[1].host().unwrap().as_str(), "www.google-analytics.com");
+        assert_eq!(doc.entries[1].host().unwrap().to_string(), "www.google-analytics.com");
         assert!(doc.entries[0].is_http2());
         assert_eq!(doc.entries[0].started_at(), Instant::from_millis(1_010));
     }

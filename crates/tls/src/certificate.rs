@@ -43,12 +43,13 @@ impl SanEntry {
     }
 
     /// `true` if this entry makes the certificate valid for `domain`.
+    #[inline]
     pub fn covers(&self, domain: &DomainName) -> bool {
         match self {
             SanEntry::Dns(name) => name == domain,
             // A wildcard spans exactly one label: the candidate's parent must
             // be the wildcard base (which also makes it a strict subdomain).
-            SanEntry::Wildcard(base) => domain.parent_str() == Some(base.as_str()),
+            SanEntry::Wildcard(base) => domain.is_child_of(base),
         }
     }
 

@@ -30,10 +30,10 @@ const DEFAULT_VALIDITY: Duration = Duration::from_days(90);
 ///
 /// Both name indexes are hash maps that serve lookups only — nothing
 /// iterates them into output. Each maps a name to the newest local
-/// certificate listing it, the only one SNI selection can pick. The exact
-/// index is keyed by interned id; the wildcard index by the zone's canonical
-/// `'static` text, so an SNI lookup probes it with [`DomainName::parent_str`]
-/// and never interns a parent.
+/// certificate listing it, the only one SNI selection can pick. Both are
+/// keyed by name, hashed by the name's cached text hash: an SNI lookup
+/// probes the wildcard index with [`DomainName::parent`], which compares on
+/// that hash first and never interns a parent.
 #[derive(Clone, Debug, Default)]
 pub struct CertificateStore {
     /// Issued certificates in `..live`; retired ones, kept for reuse, after.
@@ -42,8 +42,8 @@ pub struct CertificateStore {
     live: usize,
     /// Exact-name index: domain → newest certificate listing it as a DNS SAN.
     by_domain: FnvHashMap<DomainName, CertificateId>,
-    /// Wildcard index: zone text → newest certificate listing `*.zone`.
-    by_wildcard_zone: FnvHashMap<&'static str, CertificateId>,
+    /// Wildcard index: zone → newest certificate listing `*.zone`.
+    by_wildcard_zone: FnvHashMap<DomainName, CertificateId>,
     /// Shared read-only certificates with ids `0..base.len()`.
     base: Option<Arc<CertificateStore>>,
 }
@@ -144,7 +144,7 @@ impl CertificateStore {
         for entry in &cert.san {
             match entry {
                 SanEntry::Dns(name) => self.by_domain.insert(*name, id),
-                SanEntry::Wildcard(zone) => self.by_wildcard_zone.insert(zone.as_str(), id),
+                SanEntry::Wildcard(zone) => self.by_wildcard_zone.insert(*zone, id),
             };
         }
         self.live += 1;
@@ -204,7 +204,12 @@ impl CertificateStore {
         // Newest (highest-id) match wins; local ids are always newer than
         // base ids, so check the local indexes before the base.
         let exact = self.by_domain.get(domain).copied();
-        let wildcard = domain.parent_str().and_then(|parent| self.by_wildcard_zone.get(parent).copied());
+        // Most local layers list no wildcard: skip making the parent.
+        let wildcard = if self.by_wildcard_zone.is_empty() {
+            None
+        } else {
+            domain.parent().and_then(|parent| self.by_wildcard_zone.get(&parent).copied())
+        };
         match (exact.max(wildcard), &self.base) {
             (Some(id), _) => self.get_arc(id),
             (None, Some(base)) => base.select_arc_for_sni(domain),

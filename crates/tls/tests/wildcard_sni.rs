@@ -1,6 +1,6 @@
-//! Wildcard coverage and SNI selection compare `'static` name slices; these
-//! tests hold them to the interned-parent definition they
-//! replaced, for names of one to four labels and stores layered over a
+//! Wildcard coverage and SNI selection compare parents made without the
+//! intern table (`DomainName::parent`); these tests hold them to the
+//! interned-parent definition they replaced, for names of one to four labels and stores layered over a
 //! shared base. The single-label cases (`*.example.com` covers
 //! `a.example.com` but neither `example.com` nor `a.b.example.com`) are
 //! pinned next to the code, in `certificate.rs` and `store.rs`.
@@ -16,7 +16,8 @@ fn covers_by_parent(entry: &SanEntry, domain: &DomainName) -> bool {
     match entry {
         SanEntry::Dns(name) => name == domain,
         SanEntry::Wildcard(base) => {
-            domain.parent_str().map(DomainName::literal).as_ref() == Some(base) && domain != base
+            let parent = domain.to_string().split_once('.').map(|(_, parent)| DomainName::literal(parent));
+            parent.as_ref() == Some(base) && domain != base
         }
     }
 }

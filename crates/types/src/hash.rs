@@ -16,14 +16,21 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a hash of a byte string — the workspace's one shared definition
-/// (used by the shard-store checksums and DNS load-balance bucketing).
+/// (used by the shard-store checksums, DNS load-balance bucketing and the
+/// text hash every [`crate::DomainName`] carries).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash whose state after the bytes before `bytes` is
+/// `state`: `fnv1a(a ++ b) == fnv1a_continue(fnv1a(a), b)`.
+#[inline]
+pub(crate) fn fnv1a_continue(mut state: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+        state ^= byte as u64;
+        state = state.wrapping_mul(0x1000_0000_01b3);
     }
-    hash
+    state
 }
 
 /// FNV-1a streaming hasher.

@@ -1,101 +1,89 @@
-//! Global string interning for domain names.
+//! Global string interning for domain names parsed from text.
 //!
-//! The analysis pipeline shuttles the same few thousand domain strings
-//! through dns → tls → h2 → fetch → browser → core millions of times when a
-//! population is crawled at scale. Before interning, every hop cloned a heap
-//! `String`; at 100 k sites that clone storm dominated the profile. The
-//! intern table stores each *canonical* (lower-case, validated) domain string
-//! exactly once and hands out a copyable 32-bit [`DomainId`] instead.
+//! Names that arrive as text — the service catalog, the misc third-party
+//! pool, HAR files, ORIGIN frames, test literals — are canonicalised once
+//! and stored here exactly once, so the value that flows through dns → tls
+//! → h2 → fetch → browser → core is a `Copy` handle instead of a heap
+//! `String`. Each entry also carries the 64-bit FNV-1a hash of its text,
+//! which every [`crate::DomainName`] caches.
 //!
-//! Interned strings are leaked (`Box::leak`) so lookups return `&'static
-//! str` and no read path ever holds a lock while user code runs. The leak is
-//! bounded by the number of *distinct* domains a process touches — a few
-//! megabytes even for the 100 k-site atlas scenario — and lets
-//! [`crate::DomainName`] carry the string pointer inline, making `Display`,
-//! `Ord` and hashing lock-free.
+//! Generated site and shard names never come here: they are structured
+//! handles over a [`crate::SiteNames`] vocabulary entry plus the global site
+//! index, so the table's size depends on the catalog and the vocabularies,
+//! not on the number of sites a run generates.
 //!
-//! Identifiers are assigned in first-intern order, which depends on thread
+//! Interned strings are leaked (`Box::leak`) so lookups return `'static`
+//! data and no read path ever holds a lock while user code runs. The leak is
+//! bounded by the number of *distinct* parsed names a process touches.
+//!
+//! Entries are made in first-intern order, which depends on thread
 //! interleaving when populations are generated in parallel. Nothing may
-//! therefore *order* by raw id: [`crate::DomainName`]'s `Ord` stays textual,
+//! therefore order by entry: [`crate::DomainName`]'s `Ord` is textual,
 //! which keeps every `BTreeMap`-backed report byte-identical regardless of
 //! thread count.
+//!
+//! [`intern_calls`] counts this thread's calls into the table: the visit
+//! and chunk-build paths promise to make none, and
+//! `crates/experiments/tests/build_zero_alloc.rs` holds them to it.
 
-use crate::hash::FnvHashMap;
+use crate::domain::{DomainName, Entry};
+use crate::hash::{fnv1a, FnvHashMap};
+use std::cell::Cell;
 use std::sync::{OnceLock, RwLock};
 
-/// A copyable handle to one interned canonical domain string.
-///
-/// Two `DomainId`s compare equal **iff** their lowercase-normalized strings
-/// are equal (canonicalisation happens before interning). The raw index is
-/// assignment-order dependent — never sort by it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DomainId(u32);
-
-impl DomainId {
-    /// The interned canonical string.
-    pub fn as_str(self) -> &'static str {
-        table().read().expect("intern table poisoned").strings[self.0 as usize]
-    }
-
-    /// The raw table index (diagnostics only — assignment-order dependent).
-    pub const fn index(self) -> u32 {
-        self.0
-    }
-
-    /// Rebuild a handle from a raw index. Only sound for indices previously
-    /// produced by interning — kept crate-private for [`crate::OriginId`]'s
-    /// unpacking.
-    pub(crate) const fn from_index(index: u32) -> Self {
-        DomainId(index)
-    }
-}
-
-impl std::fmt::Display for DomainId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::fmt::Debug for DomainId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DomainId({} -> {})", self.0, self.as_str())
-    }
+/// One interned canonical domain string, and where its parent's text starts
+/// with the parent's hash (`None` for a single label): wildcard coverage
+/// asks for the parent on every candidate.
+pub(crate) struct Interned {
+    pub(crate) text: &'static str,
+    pub(crate) parent: Option<(u32, u64)>,
 }
 
 struct InternTable {
-    // Deterministic FNV keys: the lookup happens on every domain parse and
-    // every `DomainName::parent` walk — SipHash was measurable there.
-    ids: FnvHashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+    // Deterministic FNV keys: the lookup happens on every domain parse —
+    // SipHash was measurable there.
+    entries: FnvHashMap<&'static str, DomainName>,
+    octets: usize,
 }
 
 fn table() -> &'static RwLock<InternTable> {
     static TABLE: OnceLock<RwLock<InternTable>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(InternTable { ids: FnvHashMap::default(), strings: Vec::new() }))
+    TABLE.get_or_init(|| RwLock::new(InternTable { entries: FnvHashMap::default(), octets: 0 }))
 }
 
-/// Intern a canonical (already validated + lowercased) string, returning its
-/// id and the leaked `'static` copy. Idempotent: the same string always maps
-/// to the same id, across threads.
-pub(crate) fn intern_canonical(canonical: &str) -> (DomainId, &'static str) {
+thread_local! {
+    static INTERN_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Intern a canonical (already validated + lowercased) string, returning
+/// the handle of its leaked entry. Idempotent: the same string always maps
+/// to the same entry, across threads.
+pub(crate) fn intern_canonical(canonical: &str) -> DomainName {
+    INTERN_CALLS.with(|calls| calls.set(calls.get() + 1));
     // Fast path: shared read lock for strings seen before.
-    {
-        let guard = table().read().expect("intern table poisoned");
-        if let Some(&id) = guard.ids.get(canonical) {
-            return (DomainId(id), guard.strings[id as usize]);
-        }
+    if let Some(&name) = table().read().expect("intern table poisoned").entries.get(canonical) {
+        return name;
     }
     let mut guard = table().write().expect("intern table poisoned");
     // Re-check: another thread may have interned it between the locks.
-    if let Some(&id) = guard.ids.get(canonical) {
-        let leaked = guard.strings[id as usize];
-        return (DomainId(id), leaked);
+    if let Some(&name) = guard.entries.get(canonical) {
+        return name;
     }
-    let id = u32::try_from(guard.strings.len()).expect("more than u32::MAX interned domains");
-    let leaked: &'static str = Box::leak(canonical.to_string().into_boxed_str());
-    guard.strings.push(leaked);
-    guard.ids.insert(leaked, id);
-    (DomainId(id), leaked)
+    let text: &'static str = Box::leak(canonical.to_string().into_boxed_str());
+    let parent = text.find('.').map(|dot| (dot as u32 + 1, fnv1a(&text.as_bytes()[dot + 1..])));
+    let entry = Box::leak(Box::new(Entry::Interned(Interned { text, parent })));
+    let name = DomainName::interned(fnv1a(text.as_bytes()), entry);
+    guard.entries.insert(text, name);
+    guard.octets += text.len();
+    name
+}
+
+/// Calls the current thread has made into the intern table so far (every
+/// [`crate::DomainName::parse`] is one). A work counter: take the
+/// difference around a section to see how many names it interned or looked
+/// up.
+pub fn intern_calls() -> u64 {
+    INTERN_CALLS.with(Cell::get)
 }
 
 /// A process-wide table of `'static` names made on first use, keyed by a
@@ -133,12 +121,12 @@ impl Default for NameTable {
 /// Number of distinct domain strings interned so far (diagnostics /
 /// memory-footprint reporting).
 pub fn interned_domain_count() -> usize {
-    table().read().expect("intern table poisoned").strings.len()
+    table().read().expect("intern table poisoned").entries.len()
 }
 
 /// Total octets of interned canonical strings (diagnostics).
 pub fn interned_domain_octets() -> usize {
-    table().read().expect("intern table poisoned").strings.iter().map(|s| s.len()).sum()
+    table().read().expect("intern table poisoned").octets
 }
 
 #[cfg(test)]
@@ -147,31 +135,34 @@ mod tests {
 
     #[test]
     fn interning_is_idempotent() {
-        let (a, sa) = intern_canonical("intern-test.example");
-        let (b, sb) = intern_canonical("intern-test.example");
-        assert_eq!(a, b);
-        assert_eq!(sa, "intern-test.example");
-        // Both resolve to the same leaked allocation.
-        assert!(std::ptr::eq(sa, sb));
-        assert_eq!(a.as_str(), "intern-test.example");
+        let a = intern_canonical("intern-test.example");
+        let b = intern_canonical("intern-test.example");
+        assert_eq!(a.to_string(), "intern-test.example");
+        assert_eq!(a.text_hash(), fnv1a(b"intern-test.example"));
+        // Both point at the same leaked entry.
+        assert_eq!(entry(a), entry(b));
+    }
+
+    fn entry(name: DomainName) -> usize {
+        name.entry_address()
     }
 
     #[test]
     fn distinct_strings_get_distinct_ids() {
-        let (a, _) = intern_canonical("intern-a.example");
-        let (b, _) = intern_canonical("intern-b.example");
+        let a = intern_canonical("intern-a.example");
+        let b = intern_canonical("intern-b.example");
+        assert_ne!(entry(a), entry(b));
         assert_ne!(a, b);
-        assert_ne!(a.as_str(), b.as_str());
     }
 
     #[test]
     fn concurrent_interning_agrees_on_ids() {
-        let ids: Vec<DomainId> = std::thread::scope(|scope| {
+        let entries: Vec<usize> = std::thread::scope(|scope| {
             let handles: Vec<_> =
-                (0..8).map(|_| scope.spawn(|| intern_canonical("intern-race.example").0)).collect();
+                (0..8).map(|_| scope.spawn(|| entry(intern_canonical("intern-race.example")))).collect();
             handles.into_iter().map(|h| h.join().expect("no panic")).collect()
         });
-        assert!(ids.windows(2).all(|w| w[0] == w[1]));
+        assert!(entries.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
@@ -186,7 +177,9 @@ mod tests {
     #[test]
     fn table_statistics_are_monotone() {
         let before = interned_domain_count();
+        let calls = intern_calls();
         intern_canonical("intern-stats.example");
+        assert_eq!(intern_calls(), calls + 1, "the call counter is per thread");
         assert!(interned_domain_count() > 0);
         assert!(interned_domain_count() >= before);
         assert!(interned_domain_octets() >= "intern-stats.example".len());

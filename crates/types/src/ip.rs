@@ -42,11 +42,6 @@ impl IpAddr {
     pub const fn offset(self, offset: u32) -> IpAddr {
         IpAddr(self.0.wrapping_add(offset))
     }
-
-    /// `true` if both addresses fall into the same /24.
-    pub fn same_slash24(self, other: IpAddr) -> bool {
-        self.slash24() == other.slash24()
-    }
 }
 
 impl fmt::Display for IpAddr {
@@ -153,15 +148,6 @@ impl Prefix {
     pub fn host(&self, i: u64) -> IpAddr {
         IpAddr(self.base.0 + (i % self.size()) as u32)
     }
-
-    /// Split the prefix into consecutive sub-prefixes of length `sub_len`.
-    pub fn subnets(&self, sub_len: u8) -> Vec<Prefix> {
-        let sub_len = sub_len.clamp(self.len, 32);
-        let count = 1u64 << (sub_len - self.len) as u32;
-        (0..count)
-            .map(|i| Prefix::new(IpAddr(self.base.0 + (i << (32 - sub_len as u32)) as u32), sub_len))
-            .collect()
-    }
 }
 
 impl fmt::Display for Prefix {
@@ -216,8 +202,8 @@ mod tests {
         let a = IpAddr::new(142, 250, 74, 14);
         let b = IpAddr::new(142, 250, 74, 206);
         let c = IpAddr::new(142, 250, 75, 14);
-        assert!(a.same_slash24(b));
-        assert!(!a.same_slash24(c));
+        assert_eq!(a.slash24(), b.slash24());
+        assert_ne!(a.slash24(), c.slash24());
         assert_eq!(a.slash24().to_string(), "142.250.74.0/24");
     }
 
@@ -238,9 +224,10 @@ mod tests {
         assert_eq!(p.host(0), IpAddr::new(192, 0, 2, 0));
         assert_eq!(p.host(255), IpAddr::new(192, 0, 2, 255));
         assert_eq!(p.host(256), IpAddr::new(192, 0, 2, 0));
-        let subs = p.subnets(26);
-        assert_eq!(subs.len(), 4);
-        assert_eq!(subs[1].base(), IpAddr::new(192, 0, 2, 64));
+        let sub = Prefix::new(p.host(64), 26);
+        assert!(p.covers(&sub));
+        assert_eq!(sub.base(), IpAddr::new(192, 0, 2, 64));
+        assert_eq!(sub.host(64), sub.base());
     }
 
     #[test]

@@ -33,14 +33,14 @@ pub mod rng;
 pub mod time;
 
 pub use counters::Counters;
-pub use domain::{DomainError, DomainName};
+pub use domain::{DomainError, DomainName, SiteNames};
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use hash::{fnv1a, FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use id::{ConnectionId, IdAllocator, PageId, RequestId, SiteId};
-pub use intern::{interned_domain_count, interned_domain_octets, DomainId, NameTable};
+pub use intern::{intern_calls, interned_domain_count, interned_domain_octets, NameTable};
 pub use ip::{IpAddr, Prefix};
 pub use mitigation::{Mitigation, MitigationSet};
-pub use origin::{Origin, OriginId, Scheme};
+pub use origin::{Origin, Scheme};
 pub use profile::{Stage, StageStats, StageTable};
 pub use rng::SimRng;
 pub use time::{Duration, Instant, SimClock};

@@ -6,12 +6,10 @@
 //! and port follow the measurement setup (HTTPS, 443), since only TLS
 //! connections participate in HTTP/2 Connection Reuse.
 //!
-//! With [`crate::DomainName`] interned, `Origin` is a 32-byte `Copy` value;
-//! [`OriginId`] additionally packs the whole triple into one `u64` (interned
-//! host id, port, scheme) for code that wants a single-word key.
+//! With [`crate::DomainName`] a `Copy` handle, `Origin` is a 32-byte `Copy`
+//! value.
 
 use crate::domain::DomainName;
-use crate::intern::DomainId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -52,7 +50,7 @@ impl fmt::Display for Scheme {
     }
 }
 
-/// A web origin: scheme, host and port. `Copy` — the host is an interned
+/// A web origin: scheme, host and port. `Copy` — the host is a
 /// [`DomainName`] handle.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Origin {
@@ -64,68 +62,6 @@ pub struct Origin {
     pub port: u16,
 }
 
-/// The whole origin triple packed into a single copyable word:
-/// `[interned host id:32][port:16][scheme:8][reserved:8]`.
-///
-/// Two `OriginId`s are equal iff scheme, canonical host and port are all
-/// equal. Like [`DomainId`], the packed value embeds a first-touch-ordered
-/// intern index — use it as a key, never as a sort criterion.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OriginId(u64);
-
-impl OriginId {
-    fn pack(scheme: Scheme, host: DomainId, port: u16) -> Self {
-        let scheme_bits = match scheme {
-            Scheme::Http => 0u64,
-            Scheme::Https => 1u64,
-        };
-        OriginId((u64::from(host.index()) << 32) | (u64::from(port) << 16) | (scheme_bits << 8))
-    }
-
-    /// The interned host id.
-    pub fn host(self) -> DomainId {
-        // The upper 32 bits were produced from a live DomainId, so the
-        // reconstruction below cannot index out of the intern table.
-        DomainId::from_index((self.0 >> 32) as u32)
-    }
-
-    /// The TCP port.
-    pub const fn port(self) -> u16 {
-        (self.0 >> 16) as u16
-    }
-
-    /// The URL scheme.
-    pub const fn scheme(self) -> Scheme {
-        if (self.0 >> 8) & 0xff == 0 {
-            Scheme::Http
-        } else {
-            Scheme::Https
-        }
-    }
-
-    /// Rebuild the full [`Origin`] value.
-    pub fn resolve(self) -> Origin {
-        Origin { scheme: self.scheme(), host: self.host().resolve(), port: self.port() }
-    }
-
-    /// The raw packed word (diagnostics only).
-    pub const fn packed(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for OriginId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.resolve())
-    }
-}
-
-impl fmt::Debug for OriginId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "OriginId({})", self.resolve())
-    }
-}
-
 impl Origin {
     /// An `https://host:443` origin — the common case throughout the study.
     pub fn https(host: DomainName) -> Self {
@@ -135,11 +71,6 @@ impl Origin {
     /// An origin with an explicit scheme and port.
     pub fn new(scheme: Scheme, host: DomainName, port: u16) -> Self {
         Origin { scheme, host, port }
-    }
-
-    /// The packed single-word id of this origin.
-    pub fn id(&self) -> OriginId {
-        OriginId::pack(self.scheme, self.host.id(), self.port)
     }
 
     /// Parse `scheme://host[:port]`.
@@ -230,30 +161,5 @@ mod tests {
         assert_eq!(a.to_string(), "https://x.example.org");
         let b = Origin::new(Scheme::Https, d("x.example.org"), 444);
         assert_eq!(b.to_string(), "https://x.example.org:444");
-    }
-
-    #[test]
-    fn origin_id_roundtrips_the_triple() {
-        for origin in [
-            Origin::https(d("packed.example.com")),
-            Origin::new(Scheme::Http, d("packed.example.com"), 80),
-            Origin::new(Scheme::Https, d("packed.example.org"), 8443),
-        ] {
-            let id = origin.id();
-            assert_eq!(id.resolve(), origin);
-            assert_eq!(id.port(), origin.port);
-            assert_eq!(id.scheme(), origin.scheme);
-            assert_eq!(id.host(), origin.host.id());
-            assert_eq!(id.to_string(), origin.to_string());
-        }
-    }
-
-    #[test]
-    fn origin_ids_compare_like_origins() {
-        let a = Origin::https(d("id-cmp.example.com"));
-        let b = Origin::https(d("ID-CMP.example.com"));
-        let c = Origin::new(Scheme::Https, d("id-cmp.example.com"), 444);
-        assert_eq!(a.id(), b.id());
-        assert_ne!(a.id(), c.id());
     }
 }

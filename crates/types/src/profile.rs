@@ -68,6 +68,11 @@ pub enum Stage {
     CostFold,
     /// Streaming classification of a finished visit.
     Classify,
+    /// Generating a grid worker's population in place
+    /// (`PopulationBuilder::build_into`). It runs between visits, not
+    /// inside one: it counts toward the chunk-loop coverage but not toward
+    /// the visit stages' shares, so their budgets keep their meaning.
+    Generate,
     /// One worker chunk: generate + crawl + classify a site range. A
     /// *scaffold* stage — it envelopes the others and is excluded from
     /// share-of-measured arithmetic.
@@ -76,7 +81,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the fixed size of every [`StageTable`]).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 9;
 
     /// Every stage, in table order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -87,6 +92,7 @@ impl Stage {
         Stage::TransferClock,
         Stage::CostFold,
         Stage::Classify,
+        Stage::Generate,
         Stage::ChunkLoop,
     ];
 
@@ -101,6 +107,7 @@ impl Stage {
             Stage::TransferClock => "transfer-clock",
             Stage::CostFold => "cost-fold",
             Stage::Classify => "classify",
+            Stage::Generate => "generate",
             Stage::ChunkLoop => "chunk-loop",
         }
     }
@@ -112,11 +119,19 @@ impl Stage {
 
     /// `true` for envelope stages that *contain* other stages (currently
     /// [`Stage::ChunkLoop`]). Scaffold time double-counts its interior, so
-    /// it is excluded from [`StageTable::measured_total_nanos`] and the
-    /// share-of-measured columns; it stays in the table because its total
-    /// *is* the wall-clock bound the interior stages must sum under.
+    /// it is excluded from [`StageTable::measured_total_nanos`],
+    /// [`StageTable::covered_nanos`] and the share-of-measured columns; it
+    /// stays in the table because its total *is* the wall-clock bound the
+    /// interior stages must sum under.
     pub fn is_scaffold(self) -> bool {
         matches!(self, Stage::ChunkLoop)
+    }
+
+    /// `true` for the stages of one visit — the ones whose shares of each
+    /// other the stage budgets bound. Neither the scaffold envelope nor
+    /// [`Stage::Generate`] is one.
+    pub fn is_visit(self) -> bool {
+        !matches!(self, Stage::Generate | Stage::ChunkLoop)
     }
 }
 
@@ -219,21 +234,32 @@ impl StageTable {
         Stage::ALL.iter().map(move |&stage| (stage, self.stats(stage)))
     }
 
-    /// Total nanoseconds across the non-scaffold stages — the denominator
-    /// of every share-of-measured figure. Scaffold stages envelope the
-    /// others; counting them would double every interior nanosecond.
+    /// Total nanoseconds across the visit stages ([`Stage::is_visit`]) —
+    /// the denominator of every share-of-measured figure.
     pub fn measured_total_nanos(&self) -> u64 {
+        self.total_where(Stage::is_visit)
+    }
+
+    /// Total nanoseconds across every named stage inside the scaffold
+    /// envelope: the visit stages plus [`Stage::Generate`]. Scaffold stages
+    /// envelope the others; counting them would double every interior
+    /// nanosecond.
+    pub fn covered_nanos(&self) -> u64 {
+        self.total_where(|stage| !stage.is_scaffold())
+    }
+
+    fn total_where(&self, keep: impl Fn(Stage) -> bool) -> u64 {
         Stage::ALL
-            .iter()
-            .filter(|stage| !stage.is_scaffold())
-            .fold(0u64, |sum, &stage| sum.saturating_add(self.stats(stage).total_nanos))
+            .into_iter()
+            .filter(|&stage| keep(stage))
+            .fold(0u64, |sum, stage| sum.saturating_add(self.stats(stage).total_nanos))
     }
 
     /// `stage`'s share of [`StageTable::measured_total_nanos`], in `[0, 1]`
-    /// (0 for scaffold stages and empty tables).
+    /// (0 for stages outside a visit and for empty tables).
     pub fn share_of_measured(&self, stage: Stage) -> f64 {
         let total = self.measured_total_nanos();
-        if stage.is_scaffold() || total == 0 {
+        if !stage.is_visit() || total == 0 {
             0.0
         } else {
             self.stats(stage).total_nanos as f64 / total as f64
@@ -420,10 +446,13 @@ mod tests {
         table.record(Stage::DnsWalk, 300);
         table.record(Stage::Handshake, 100);
         table.record(Stage::ChunkLoop, 10_000); // envelope: not a share
+        table.record(Stage::Generate, 600); // covered, but not a visit share
         assert_eq!(table.measured_total_nanos(), 400);
+        assert_eq!(table.covered_nanos(), 1_000);
         assert_eq!(table.share_of_measured(Stage::DnsWalk), 0.75);
         assert_eq!(table.share_of_measured(Stage::Handshake), 0.25);
         assert_eq!(table.share_of_measured(Stage::ChunkLoop), 0.0);
+        assert_eq!(table.share_of_measured(Stage::Generate), 0.0);
         assert!(!table.is_empty());
     }
 

@@ -74,12 +74,12 @@ proptest! {
                 prop_assert_eq!(stats.max_nanos, *mine.iter().max().expect("non-empty"));
             }
         }
-        // The measured total is the non-scaffold slice of the same fold.
-        let measured: u64 = a
-            .iter()
-            .filter(|(s, _)| !Stage::ALL[s % Stage::COUNT].is_scaffold())
-            .map(|&(_, nanos)| nanos)
-            .sum();
-        prop_assert_eq!(table.measured_total_nanos(), measured);
+        // The measured total is the visit slice of the same fold, the
+        // covered total its non-scaffold slice.
+        let total_where = |keep: fn(Stage) -> bool| -> u64 {
+            a.iter().filter(|(s, _)| keep(Stage::ALL[s % Stage::COUNT])).map(|&(_, nanos)| nanos).sum()
+        };
+        prop_assert_eq!(table.measured_total_nanos(), total_where(Stage::is_visit));
+        prop_assert_eq!(table.covered_nanos(), total_where(|stage| !stage.is_scaffold()));
     }
 }

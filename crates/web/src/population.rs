@@ -10,12 +10,17 @@ use netsim_asdb::{well_known, AsCatalog, AsRegistry, AutonomousSystem};
 use netsim_dns::{AddressRun, Authority, LoadBalancePolicy};
 use netsim_fetch::RequestDestination;
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer, IssuerCatalog};
-use netsim_types::{DomainName, Duration, Instant, Mitigation, MitigationSet, NameTable, SimRng, SiteId};
-use std::fmt::Write;
+use netsim_types::{
+    DomainName, Duration, Instant, Mitigation, MitigationSet, NameTable, SimRng, SiteId, SiteNames,
+};
 use std::sync::Arc;
 
 /// Subdomain labels used for first-party shards.
 const SHARD_LABELS: [&str; 8] = ["img", "static", "cdn", "assets", "media", "images", "shop", "api"];
+
+/// The generated-name vocabulary of one TLD: the site names, then the shard
+/// names of each [`SHARD_LABELS`] entry.
+type TldNames = [SiteNames; 1 + SHARD_LABELS.len()];
 
 /// Top-level domains (and their weights) for generated sites.
 const TLDS: &[(&str, f64)] = &[
@@ -72,6 +77,9 @@ pub struct PopulationBuilder {
     resource_kind_weights: Vec<f64>,
     issuer_weights: Vec<f64>,
     major_as_weights: Vec<f64>,
+    /// Site and shard name families per [`TLDS`] entry, for the profile's
+    /// stem: generated names are handles into them, never interned.
+    names: Vec<TldNames>,
 }
 
 impl PopulationBuilder {
@@ -79,6 +87,7 @@ impl PopulationBuilder {
     pub fn new(profile: PopulationProfile, site_count: usize, seed: u64) -> Self {
         let as_catalog = AsCatalog::default();
         let issuers = IssuerCatalog::default_market();
+        let names = TLDS.iter().map(|(tld, _)| tld_names(&profile.name, tld)).collect();
         PopulationBuilder {
             profile,
             catalog: None,
@@ -92,6 +101,7 @@ impl PopulationBuilder {
             resource_kind_weights: OWN_RESOURCE_KINDS.iter().map(|(_, _, w)| *w).collect(),
             issuer_weights: issuers.weights(),
             major_as_weights: as_catalog.major_weights(),
+            names,
             as_catalog,
             issuers,
         }
@@ -217,7 +227,7 @@ impl PopulationBuilder {
                 Some(site) => (std::mem::take(&mut site.plan), site.sharding.take().map(|s| s.shards)),
                 None => (Vec::new(), None),
             };
-            let site = self.generate_site(&mut layers, catalog, scratch, &root, index, &mut rng, recycled);
+            let site = self.generate_site(&mut layers, catalog, scratch, index, &mut rng, recycled);
             match sites.get_mut(local) {
                 Some(slot) => *slot = site,
                 None => sites.push(site),
@@ -234,19 +244,16 @@ impl PopulationBuilder {
     /// vectors. The plan is drafted in the scratch buffer and copied into
     /// an exactly sized slot, so a recycled slot holds no more than the
     /// longest plan it has carried.
-    #[allow(clippy::too_many_arguments)]
     fn generate_site(
         &self,
         layers: &mut Layers<'_>,
         catalog: &ServiceCatalog,
         scratch: &mut BuildScratch,
-        root: &SimRng,
         index: usize,
         rng: &mut SimRng,
         (mut site_plan, recycled_shards): (Vec<PlannedRequest>, Option<Vec<DomainName>>),
     ) -> Website {
         let BuildScratch {
-            name,
             plan,
             first_party,
             plan_index_of,
@@ -257,7 +264,9 @@ impl PopulationBuilder {
             misc_installed,
             ..
         } = scratch;
-        let domain = self.site_domain(index, rng, name);
+        let names = &self.names[rng.pick_weighted_index(&self.tld_weights).unwrap_or(0)];
+        let index_u32 = u32::try_from(index).expect("site index fits generated names");
+        let domain = names[0].name(index_u32);
 
         // Per-site profile: the Zipf head draw (if configured) comes first so
         // the remaining sampling reads one coherent profile. Without a mix,
@@ -287,11 +296,13 @@ impl PopulationBuilder {
         let sharding = if rng.chance(profile.sharding_probability) {
             let (low, high) = profile.shard_count_range;
             let count = rng.in_range(low..=high).min(SHARD_LABELS.len());
-            let mut labels = SHARD_LABELS;
+            // A shuffle's draws depend only on the length: shuffling slots
+            // picks the labels the label array itself would.
+            let mut labels: [usize; SHARD_LABELS.len()] = std::array::from_fn(|slot| slot);
             rng.shuffle(&mut labels);
             let mut shards = recycled_shards.unwrap_or_default();
             shards.clear();
-            shards.extend(labels[..count].iter().map(|label| subdomain(name, domain, label)));
+            shards.extend(labels[..count].iter().map(|&slot| names[1 + slot].name(index_u32)));
             Some(ShardingPlan {
                 shards,
                 per_domain_certificates: rng.chance(profile.per_domain_cert_probability),
@@ -369,7 +380,7 @@ impl PopulationBuilder {
         let misc_count = rng.in_range(misc_low..=misc_high);
         for _ in 0..misc_count {
             let pool_index = rng.in_range(0..profile.misc_third_party_pool);
-            let third_party = misc[pool_index].get_or_insert_with(|| self.misc_third_party(root, pool_index));
+            let third_party = &misc[pool_index];
             if !misc_installed[pool_index] {
                 misc_installed[pool_index] = true;
                 third_party.install(layers);
@@ -386,16 +397,8 @@ impl PopulationBuilder {
         Website { id: SiteId(index as u64), domain, sharding, plan: site_plan }
     }
 
-    fn site_domain(&self, index: usize, rng: &mut SimRng, buffer: &mut String) -> DomainName {
-        let tld = TLDS[rng.pick_weighted_index(&self.tld_weights).unwrap_or(0)].0;
-        buffer.clear();
-        write!(buffer, "{}-site-{index:06}.{tld}", self.profile.name)
-            .expect("writing to a String cannot fail");
-        DomainName::parse(buffer).expect("generated domain is valid")
-    }
-
     /// Derive pool slot `pool_index`'s misc third party: a pure function of
-    /// the build seed and the slot, whichever site touches it first.
+    /// the build seed and the slot.
     fn misc_third_party(&self, root: &SimRng, pool_index: usize) -> MiscThirdParty {
         let mut rng = root.fork_indexed("misc-third-party", pool_index as u64);
         let system = if rng.chance(0.35) {
@@ -444,11 +447,11 @@ impl MiscThirdParty {
 /// outlives one build and the misc third parties derived under the last
 /// build seed. None of it is observable: a build overwrites each buffer
 /// before reading it, resets the per-build install marks, and a misc slot
-/// is a pure function of the seed and its index.
+/// is a pure function of the seed and its index. The whole pool is derived
+/// up front, so its names are interned before the first site is generated
+/// and no later chunk adds one.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BuildScratch {
-    /// Site and shard names are formatted here before interning.
-    name: String,
     /// The current site's plan, before it is copied into the site's slot.
     plan: Vec<PlannedRequest>,
     /// The current site's first-party hosts: landing domain, then shards.
@@ -464,7 +467,7 @@ pub(crate) struct BuildScratch {
     /// The seed the misc slots were derived under.
     misc_seed: Option<u64>,
     /// Derived misc third parties by pool slot.
-    misc: Vec<Option<MiscThirdParty>>,
+    misc: Vec<MiscThirdParty>,
     /// Whether the current build has installed each misc slot.
     misc_installed: Vec<bool>,
 }
@@ -494,7 +497,9 @@ impl BuildScratch {
             self.misc.clear();
         }
         if self.misc.len() < pool {
-            self.misc.resize(pool, None);
+            let root = SimRng::new(builder.seed);
+            let missing = self.misc.len()..pool;
+            self.misc.extend(missing.map(|slot| builder.misc_third_party(&root, slot)));
         }
         self.misc_installed.clear();
         self.misc_installed.resize(pool, false);
@@ -509,11 +514,11 @@ fn resource_path(resource_index: usize, kind: usize) -> &'static str {
     PATHS.get(key, || format!("/assets/resource-{resource_index}.{}", OWN_RESOURCE_KINDS[kind].1))
 }
 
-/// `label.parent`, formatted in `buffer` and interned.
-fn subdomain(buffer: &mut String, parent: DomainName, label: &str) -> DomainName {
-    buffer.clear();
-    write!(buffer, "{label}.{parent}").expect("writing to a String cannot fail");
-    DomainName::parse(buffer).expect("valid shard label")
+/// The name families of `tld` for profile stem `stem`:
+/// `{stem}-site-{index:06}.{tld}` and `{label}.{stem}-site-{index:06}.{tld}`.
+fn tld_names(stem: &str, tld: &str) -> TldNames {
+    let family = |label| SiteNames::get(stem, tld, label).expect("generated names are valid");
+    std::array::from_fn(|slot| family(slot.checked_sub(1).map(|label| SHARD_LABELS[label])))
 }
 
 /// The shared pool of unrelated third-party domains.
@@ -705,7 +710,7 @@ mod tests {
             let sharding = site.sharding.as_ref().unwrap();
             assert!(!sharding.shards.is_empty());
             for shard in &sharding.shards {
-                assert!(shard.is_subdomain_of(&site.domain));
+                assert_eq!(shard.parent(), Some(site.domain));
                 assert!(env.authority.knows(shard));
             }
         }
@@ -730,7 +735,7 @@ mod tests {
             .sites
             .iter()
             .flat_map(|s| s.contacted_domains())
-            .filter(|d| d.as_str().contains("thirdparty-"))
+            .filter(|d| d.to_string().contains("thirdparty-"))
             .collect();
         assert!(!misc_domains.is_empty());
         misc_domains.sort();

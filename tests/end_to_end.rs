@@ -147,7 +147,7 @@ fn probe_and_crawl_agree_on_the_analytics_pair() {
     let classifications = classify_dataset(&dataset, DurationModel::Recorded);
     let origins = attribution::top_origins_for_cause(&dataset, &classifications, Cause::Ip, 30);
     assert!(
-        origins.iter().any(|o| o.origin.as_str() == "www.google-analytics.com"),
+        origins.iter().any(|o| o.origin == DomainName::literal("www.google-analytics.com")),
         "analytics should appear among the IP-cause origins"
     );
 }
