@@ -133,11 +133,6 @@ impl AsRegistry {
             (hit, None) | (None, hit) => hit,
         }
     }
-
-    /// Number of announced prefixes.
-    pub fn announcement_count(&self) -> usize {
-        self.announcements.len()
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +158,7 @@ mod tests {
         let a = registry.allocate_slash24(AutonomousSystem::new(1, "A"));
         let b = registry.allocate_slash24(AutonomousSystem::new(2, "B"));
         assert_ne!(a, b);
-        assert_eq!(registry.announcement_count(), 2);
+        assert_eq!(registry.announcements.len(), 2);
         assert_eq!(registry.lookup(a.host(5)).unwrap().name, "A");
         assert_eq!(registry.lookup(b.host(200)).unwrap().name, "B");
     }

@@ -1,14 +1,14 @@
 //! Micro-benchmarks of the substrates everything else is built on: DNS
-//! resolution, the reuse predicate, HTTP/2 frame codec, population
-//! generation and single page loads.
+//! resolution, the reuse predicate, population generation and single page
+//! loads.
 
 use connreuse_bench::{bench_environment, BENCH_SEED};
 use connreuse_experiments::sweep::{run_sweep, SweepConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_browser::{Browser, BrowserConfig};
 use netsim_dns::{RecursiveResolver, ResolverId};
-use netsim_h2::reuse::{evaluate, ReusePolicy};
-use netsim_h2::{Connection, Frame, OriginEntry, StreamId};
+use netsim_h2::reuse::{evaluate_set, ReusePolicy};
+use netsim_h2::Connection;
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer};
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr, MitigationSet, Origin, SimClock, SimRng};
 use netsim_web::{PopulationBuilder, PopulationProfile};
@@ -54,7 +54,7 @@ fn bench_reuse_predicate(c: &mut Criterion) {
     group.sample_size(100);
     group.bench_function("evaluate_match", |b| {
         b.iter(|| {
-            black_box(evaluate(
+            black_box(evaluate_set(
                 &connection,
                 &target,
                 IpAddr::new(10, 0, 0, 1),
@@ -65,37 +65,13 @@ fn bench_reuse_predicate(c: &mut Criterion) {
     });
     group.bench_function("evaluate_mismatch", |b| {
         b.iter(|| {
-            black_box(evaluate(
+            black_box(evaluate_set(
                 &connection,
                 &target,
                 IpAddr::new(10, 0, 0, 9),
                 false,
                 &ReusePolicy::chromium(),
             ))
-        })
-    });
-    group.finish();
-}
-
-fn bench_h2_frames(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate_h2");
-    group.sample_size(100);
-    let origin_frame = Frame::Origin {
-        origins: (0..20)
-            .map(|i| OriginEntry::https(&DomainName::literal(&format!("shard-{i}.example.com"))))
-            .collect(),
-    };
-    group.bench_function("origin_frame_roundtrip", |b| {
-        b.iter(|| {
-            let mut wire = origin_frame.encode();
-            black_box(Frame::decode(&mut wire).unwrap())
-        })
-    });
-    let headers_frame = Frame::Headers { stream: StreamId::new(1), block: vec![0x82; 64], end_stream: true };
-    group.bench_function("headers_frame_roundtrip", |b| {
-        b.iter(|| {
-            let mut wire = headers_frame.encode();
-            black_box(Frame::decode(&mut wire).unwrap())
         })
     });
     group.finish();
@@ -140,7 +116,7 @@ fn bench_mitigation_sweep(c: &mut Criterion) {
     let target = Origin::https(domains[15]);
     let relaxed = ReusePolicy::with_mitigations(MitigationSet::all());
     group.bench_function("evaluate_mitigated_policy", |b| {
-        b.iter(|| black_box(evaluate(&connection, &target, IpAddr::new(10, 0, 0, 9), false, &relaxed)))
+        b.iter(|| black_box(evaluate_set(&connection, &target, IpAddr::new(10, 0, 0, 9), false, &relaxed)))
     });
     // One full 16-cell sweep on a small population: the end-to-end cost of
     // the what-if matrix (population builds, crawls, classification, report).
@@ -154,7 +130,6 @@ criterion_group!(
     substrates,
     bench_dns_resolution,
     bench_reuse_predicate,
-    bench_h2_frames,
     bench_population_and_page_load,
     bench_mitigation_sweep
 );

@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn defaults_match_methodology() {
         let cfg = BrowserConfig::default();
-        assert!(cfg.faults.is_inert(), "measurement presets inject no faults");
+        assert_eq!(cfg.faults, FaultProfile::default(), "measurement presets inject no faults");
         assert!(!cfg.retry.hedged_dials);
         assert!(!cfg.reuse_policy.honor_origin_frame, "Chromium ignores ORIGIN frames");
         assert_eq!(cfg.page_timeout, Duration::from_secs(300));

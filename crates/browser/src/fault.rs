@@ -64,12 +64,6 @@ impl FaultProfile {
             goaway_ppm: ppm,
         }
     }
-
-    /// `true` when every rate is zero — the default — in which case the
-    /// fault layer draws nothing and charges nothing.
-    pub fn is_inert(&self) -> bool {
-        *self == FaultProfile::default()
-    }
 }
 
 /// Bounded-retry policy: how a visit recovers from an injected fault.
@@ -179,9 +173,6 @@ mod tests {
 
     #[test]
     fn the_default_profile_is_inert() {
-        assert!(FaultProfile::default().is_inert());
-        assert!(!FaultProfile::uniform(1).is_inert());
-        assert!(!FaultProfile { goaway_ppm: 5, ..Default::default() }.is_inert());
         assert_eq!(FaultProfile::uniform(0), FaultProfile::default());
     }
 

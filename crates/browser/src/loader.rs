@@ -451,7 +451,11 @@ impl Browser {
 
         if chosen.is_none() {
             stage!(Stage::ReuseScan);
-            scratch.refusals.clear();
+            // Only the NetLog reads the refused candidates.
+            let netlog_enabled = scratch.netlog_enabled();
+            if netlog_enabled {
+                scratch.refusals.clear();
+            }
             for (index, connection) in scratch.connections.iter().enumerate() {
                 if !connection.is_open_at(clock.now()) {
                     continue;
@@ -467,9 +471,11 @@ impl Browser {
                     chosen = Some(index);
                     break;
                 }
-                scratch.refusals.push((connection.id, refusals));
+                if netlog_enabled {
+                    scratch.refusals.push((connection.id, refusals));
+                }
             }
-            if chosen.is_none() && scratch.netlog_enabled() {
+            if chosen.is_none() && netlog_enabled {
                 for index in 0..scratch.refusals.len() {
                     let (connection, reasons) = scratch.refusals[index];
                     scratch.netlog.record(
@@ -697,6 +703,7 @@ fn transfer_time(body_size: u64, config: &BrowserConfig) -> Duration {
 mod tests {
     use super::*;
     use crate::crawler::Crawler;
+    use netsim_h2::ReuseRefusal;
     use netsim_types::DomainName;
     use netsim_web::{PopulationBuilder, PopulationProfile};
 
@@ -803,6 +810,75 @@ mod tests {
             }
         }
         assert!(split_seen, "expected at least one GTM/GA connection split across the sample");
+    }
+
+    #[test]
+    fn netlog_logs_every_candidate_a_scan_refused() {
+        // The analytics chain: GTM and GA share a certificate but resolve
+        // apart, so GA's connection opens after its scan refuses GTM's for
+        // the IP cause. Each opened connection must follow one refusal event
+        // per open candidate, carrying exactly the predicate's reasons.
+        // Keeping connections open leaves each one, after the visit, in the
+        // state every scan saw.
+        let env = environment(60, 5);
+        let ga = DomainName::literal("www.google-analytics.com");
+        let config = BrowserConfig {
+            duration_model: crate::config::ConnectionDurationModel::KeepOpen,
+            ..BrowserConfig::alexa_measurement()
+        };
+        let mut logged = VisitScratch::new();
+        let mut silent = VisitScratch::without_netlog();
+        let mut ip_refusals = 0;
+        for (index, site) in env.sites.iter().enumerate() {
+            if !site.plan.iter().any(|request| request.domain == ga) {
+                continue;
+            }
+            let start = Instant::EPOCH + Duration::from_mins(31 * index as u64);
+            for scratch in [&mut logged, &mut silent] {
+                let mut browser = Browser::new(config.clone());
+                let mut clock = SimClock::starting_at(start);
+                let mut rng = SimRng::new(99);
+                browser.load_page_into(scratch, &env, site, &mut clock, &mut rng);
+            }
+            assert_eq!(logged.connections(), silent.connections(), "site {}", site.domain);
+            let mut pending = Vec::new();
+            for event in logged.netlog().events() {
+                match &event.kind {
+                    NetLogEventKind::ReuseRefused { connection, domain, reasons } => {
+                        pending.push((*connection, *domain, reasons.clone()));
+                    }
+                    NetLogEventKind::ConnectionEstablished { connection, domain, ip, credentialed } => {
+                        let expected: Vec<_> = logged
+                            .connections()
+                            .iter()
+                            .take_while(|candidate| candidate.id != *connection)
+                            .filter(|candidate| candidate.is_open_at(event.time))
+                            .map(|candidate| {
+                                let reasons = evaluate_set(
+                                    candidate,
+                                    &Origin::https(*domain),
+                                    *ip,
+                                    *credentialed,
+                                    &config.reuse_policy,
+                                );
+                                (candidate.id, *domain, reasons.to_vec())
+                            })
+                            .collect();
+                        ip_refusals += expected
+                            .iter()
+                            .filter(|(_, _, reasons)| reasons.contains(&ReuseRefusal::IpMismatch))
+                            .count();
+                        assert_eq!(pending, expected, "site {} opening {connection}", site.domain);
+                        pending.clear();
+                    }
+                    // A scan that found a connection logs no refusals.
+                    NetLogEventKind::ConnectionReused { .. } => assert!(pending.is_empty()),
+                    _ => {}
+                }
+            }
+            assert!(pending.is_empty(), "site {}: refusals without an opened connection", site.domain);
+        }
+        assert!(ip_refusals > 0, "expected the analytics chain to refuse a candidate for the IP cause");
     }
 
     #[test]
@@ -979,7 +1055,7 @@ mod tests {
         let cold = *scratch.timeline();
         assert_eq!(cold.resumed_handshakes, 0);
         assert!(cold.connections_opened > 0);
-        assert!(session.ticket_count() > 0, "every handshake mints a ticket");
+        assert!(!session.tickets_mut().is_empty(), "every handshake mints a ticket");
         assert!(!session.pool().is_empty(), "open connections are pooled at page end");
 
         // Page 2, same site a few seconds later: pooled connections carry

@@ -137,11 +137,6 @@ impl UserSession {
         &mut self.tickets
     }
 
-    /// Origins this session holds a TLS ticket for.
-    pub fn ticket_count(&self) -> usize {
-        self.tickets.len()
-    }
-
     /// Pages loaded so far in this session.
     pub fn pages_loaded(&self) -> u64 {
         self.pages_loaded
@@ -233,11 +228,11 @@ mod tests {
             .insert(Origin::https(DomainName::literal("www.example.com")), Instant::from_millis(500));
         session.note_page_loaded();
         assert_eq!(session.pages_loaded(), 1);
-        assert_eq!(session.ticket_count(), 1);
+        assert_eq!(session.tickets.len(), 1);
         let mut scratch = VisitScratch::without_netlog();
         session.end(&mut scratch, Instant::from_millis(1_000));
         assert_eq!(session.pages_loaded(), 0);
-        assert_eq!(session.ticket_count(), 0);
+        assert!(session.tickets.is_empty());
         assert!(session.pool().is_empty());
     }
 }

@@ -399,7 +399,7 @@ mod tests {
         let a2 = r2.resolve(&auth, &d("www.google-analytics.com"), Instant::EPOCH).unwrap();
         assert_ne!(a1.addresses, a2.addresses);
         // But both stay within the same /24 — the paper's observation.
-        assert_eq!(a1.primary_address().unwrap().slash24(), a2.primary_address().unwrap().slash24());
+        assert_eq!(a1.primary_address().unwrap().prefix(24), a2.primary_address().unwrap().prefix(24));
     }
 
     #[test]

@@ -118,15 +118,6 @@ impl AtlasConfig {
         AtlasConfig { sites: 1_000_000, chunk_sites: 2_000, ..AtlasConfig::default() }
     }
 
-    /// A prefix of the million-site run: the same seed, chunk size and Zipf
-    /// mix, truncated to the first `sites` sites. Because chunk layout and
-    /// per-site RNG streams depend only on the global site index, a prefix
-    /// run reproduces the million run's first chunks byte-for-byte — the
-    /// determinism tests use this to pin the 1 M configuration at CI size.
-    pub fn million_prefix(sites: usize) -> Self {
-        AtlasConfig { sites: sites.min(1_000_000), ..AtlasConfig::million() }
-    }
-
     /// The atlas sized to match a scenario: same root seed and thread
     /// budget, population scaled to the scenario's Alexa share.
     pub fn from_scenario(config: &ScenarioConfig) -> Self {
@@ -615,16 +606,10 @@ mod tests {
     #[test]
     fn million_prefix_shares_the_million_layout() {
         let million = AtlasConfig::million();
-        let prefix = AtlasConfig::million_prefix(4_000);
-        assert_eq!(prefix.chunk_sites, million.chunk_sites);
-        assert_eq!(prefix.seed, million.seed);
-        assert_eq!(prefix.zipf_exponent, million.zipf_exponent);
-        assert_eq!(prefix.sites, 4_000);
+        let prefix = AtlasConfig { sites: 4_000, ..million };
         // The prefix layout is literally the first chunks of the million
         // layout.
         assert_eq!(prefix.chunks(), million.chunks()[..prefix.chunks().len()].to_vec());
-        // And the prefix clamp cannot exceed the full run.
-        assert_eq!(AtlasConfig::million_prefix(2_000_000).sites, 1_000_000);
     }
 
     #[test]

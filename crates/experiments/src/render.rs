@@ -1,4 +1,4 @@
-//! Plain-text table rendering and CSV export.
+//! Plain-text table rendering.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,11 +32,6 @@ impl TextTable {
         self.rows.push(row.into_iter().map(Into::into).collect());
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let columns = self.headers.len().max(self.rows.iter().map(Vec::len).max().unwrap_or(0));
@@ -58,16 +53,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV (title omitted).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&csv_row(&self.headers));
-        for row in &self.rows {
-            out.push_str(&csv_row(row));
-        }
-        out
-    }
 }
 
 fn render_row(cells: &[String], widths: &[usize]) -> String {
@@ -86,20 +71,6 @@ fn render_separator(widths: &[usize]) -> String {
         line.push_str("  ");
     }
     line.trim_end().to_string() + "\n"
-}
-
-fn csv_row(cells: &[String]) -> String {
-    let escaped: Vec<String> = cells
-        .iter()
-        .map(|cell| {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.clone()
-            }
-        })
-        .collect();
-    escaped.join(",") + "\n"
 }
 
 /// Format a count with thousands separators (the tables in the paper use
@@ -135,21 +106,13 @@ mod tests {
         assert!(rendered.starts_with("## Demo\n"));
         assert!(rendered.contains("Origin"));
         assert!(rendered.contains("www.facebook.com"));
-        assert_eq!(table.row_count(), 2);
+        // Title, header, separator and the two data rows.
+        assert_eq!(rendered.lines().count(), 5);
         // Aligned: both data lines have the count starting at the same column.
         let lines: Vec<&str> = rendered.lines().collect();
         let position_a = lines[3].find("2,250,000").unwrap();
         let position_b = lines[4].find("1,520,000").unwrap();
         assert_eq!(position_a, position_b);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut table = TextTable::new("Demo", &["a", "b"]);
-        table.push_row(["1,5", "say \"hi\""]);
-        let csv = table.to_csv();
-        assert!(csv.contains("\"1,5\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

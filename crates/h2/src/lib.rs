@@ -7,10 +7,6 @@
 //! per server. To reason about that, the simulation needs a faithful model of
 //! the protocol pieces that govern connection reuse:
 //!
-//! * [`frame`] — the HTTP/2 framing layer (RFC 7540 §4/§6) plus the ORIGIN
-//!   frame of RFC 8336, with a binary codec over [`bytes`] and the
-//!   [`StreamId`]s it carries,
-//! * [`settings`] — connection settings exchanged in SETTINGS frames,
 //! * [`cwnd`] — the cold congestion-window model: the slow-start round trips
 //!   a fresh connection pays that a reused one would not (the transfer-side
 //!   cost of redundancy, priced by `netsim-cost`),
@@ -21,6 +17,9 @@
 //! * [`reuse`] — the §9.1.1 Connection Reuse predicate that decides whether a
 //!   request for another domain may ride an existing connection, and a
 //!   diagnosis of *why not* when it may not (the paper's CERT / IP causes).
+//!
+//! No wire format is modelled: the paper's §4.1 method reads only which
+//! §9.1.1 check refused reuse, never the bytes of a frame.
 
 // The zero-allocation visit fast path made these hot paths clone-free;
 // keep them that way.
@@ -29,14 +28,8 @@
 
 pub mod connection;
 pub mod cwnd;
-pub mod frame;
 pub mod reuse;
-pub mod settings;
-pub mod stream;
 
 pub use connection::{CloseReason, Connection, ConnectionError, ConnectionState};
 pub use cwnd::{slow_start_rounds, INITIAL_CWND_OCTETS};
-pub use frame::{Frame, FrameDecodeError, FrameType, OriginEntry};
-pub use reuse::{RefusalSet, ReuseDecision, ReuseRefusal};
-pub use settings::Settings;
-pub use stream::StreamId;
+pub use reuse::{RefusalSet, ReuseRefusal};

@@ -12,10 +12,11 @@
 //! following the WHATWG Fetch Standard additionally require the *credentials
 //! partition* to match — the mechanism behind the paper's `CRED` cause.
 //!
-//! [`evaluate`] returns either `Reusable` or the complete list of reasons
-//! reuse fails. Keeping *all* failing conditions (not just the first) is what
-//! allows the analysis layer to attribute one redundant connection to several
-//! root causes, exactly as described in §4.1 of the paper.
+//! [`evaluate_set`] returns the complete set of reasons reuse fails; the
+//! empty set means reusable. Keeping *all* failing conditions (not just the
+//! first) is what allows the analysis layer to attribute one redundant
+//! connection to several root causes, exactly as described in §4.1 of the
+//! paper.
 
 use crate::connection::Connection;
 use netsim_types::{DomainName, IpAddr, Mitigation, MitigationSet, Origin};
@@ -64,9 +65,8 @@ impl ReuseRefusal {
 
 /// A set of [`ReuseRefusal`]s packed into one copyable word — the
 /// allocation-free result the visit fast path keeps per candidate
-/// connection. Iteration order equals the sorted order of the equivalent
-/// deduplicated vector, so [`RefusalSet::to_vec`] reproduces exactly what
-/// [`evaluate`] reports.
+/// connection. Iteration order is the `Ord` order of [`ReuseRefusal`], so
+/// [`RefusalSet::to_vec`] is sorted and deduplicated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RefusalSet(u16);
 
@@ -99,47 +99,9 @@ impl RefusalSet {
         ReuseRefusal::ALL.into_iter().filter(move |reason| self.contains(*reason))
     }
 
-    /// Materialise as the sorted, deduplicated vector [`evaluate`] reports.
+    /// Materialise as the sorted, deduplicated vector of reasons.
     pub fn to_vec(self) -> Vec<ReuseRefusal> {
         self.iter().collect()
-    }
-
-    /// The decision this set denotes.
-    pub fn decision(self) -> ReuseDecision {
-        if self.is_empty() {
-            ReuseDecision::Reusable
-        } else {
-            ReuseDecision::Refused(self.to_vec())
-        }
-    }
-}
-
-/// The outcome of a reuse check.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReuseDecision {
-    /// The request may ride the existing connection.
-    Reusable,
-    /// The request may not; every failing condition is listed.
-    Refused(Vec<ReuseRefusal>),
-}
-
-impl ReuseDecision {
-    /// `true` if reuse is allowed.
-    pub fn is_reusable(&self) -> bool {
-        matches!(self, ReuseDecision::Reusable)
-    }
-
-    /// The refusal reasons (empty when reusable).
-    pub fn refusals(&self) -> &[ReuseRefusal] {
-        match self {
-            ReuseDecision::Reusable => &[],
-            ReuseDecision::Refused(reasons) => reasons,
-        }
-    }
-
-    /// `true` if `reason` is among the refusals.
-    pub fn refused_because(&self, reason: ReuseRefusal) -> bool {
-        self.refusals().contains(&reason)
     }
 }
 
@@ -209,19 +171,8 @@ impl ReusePolicy {
 
 /// Evaluate whether `connection` can carry a request for `target` origin that
 /// resolves to `target_ip` and whose Fetch credentials mode is
-/// `request_credentialed`.
-pub fn evaluate(
-    connection: &Connection,
-    target: &Origin,
-    target_ip: IpAddr,
-    request_credentialed: bool,
-    policy: &ReusePolicy,
-) -> ReuseDecision {
-    evaluate_set(connection, target, target_ip, request_credentialed, policy).decision()
-}
-
-/// Allocation-free form of [`evaluate`]: the complete refusal set packed in
-/// one word (empty = reusable). This is what the visit fast path calls per
+/// `request_credentialed`: the complete refusal set packed in one word (empty
+/// = reusable). It allocates nothing; the visit fast path calls it per
 /// candidate connection.
 pub fn evaluate_set(
     connection: &Connection,
@@ -310,58 +261,64 @@ mod tests {
     const IP_A: IpAddr = IpAddr::new(142, 250, 74, 10);
     const IP_B: IpAddr = IpAddr::new(142, 250, 74, 77);
 
+    /// The refusals for a request to `https://{host}` that resolved to `ip`,
+    /// in the given credentials mode.
+    fn refusals_for(
+        c: &Connection,
+        host: &str,
+        ip: IpAddr,
+        credentialed: bool,
+        policy: ReusePolicy,
+    ) -> RefusalSet {
+        evaluate_set(c, &Origin::https(d(host)), ip, credentialed, &policy)
+    }
+
     #[test]
     fn reusable_when_everything_matches() {
         let c = conn(&["www.googletagmanager.com", "www.google-analytics.com"], IP_A, true);
-        let decision =
-            evaluate(&c, &Origin::https(d("www.google-analytics.com")), IP_A, true, &ReusePolicy::chromium());
-        assert!(decision.is_reusable());
-        assert!(decision.refusals().is_empty());
+        let refusals = refusals_for(&c, "www.google-analytics.com", IP_A, true, ReusePolicy::chromium());
+        assert!(refusals.is_empty());
     }
 
     #[test]
     fn ip_mismatch_is_the_paper_ip_cause() {
         let c = conn(&["www.googletagmanager.com", "www.google-analytics.com"], IP_A, true);
-        let decision =
-            evaluate(&c, &Origin::https(d("www.google-analytics.com")), IP_B, true, &ReusePolicy::chromium());
-        assert_eq!(decision, ReuseDecision::Refused(vec![ReuseRefusal::IpMismatch]));
+        let refusals = refusals_for(&c, "www.google-analytics.com", IP_B, true, ReusePolicy::chromium());
+        assert_eq!(refusals.to_vec(), [ReuseRefusal::IpMismatch]);
     }
 
     #[test]
     fn certificate_mismatch_is_the_cert_cause() {
         let c = conn(&["static.klaviyo.com"], IP_A, true);
-        let decision =
-            evaluate(&c, &Origin::https(d("fast.a.klaviyo.com")), IP_A, true, &ReusePolicy::chromium());
-        assert_eq!(decision, ReuseDecision::Refused(vec![ReuseRefusal::CertificateMismatch]));
+        let refusals = refusals_for(&c, "fast.a.klaviyo.com", IP_A, true, ReusePolicy::chromium());
+        assert_eq!(refusals.to_vec(), [ReuseRefusal::CertificateMismatch]);
     }
 
     #[test]
     fn credentials_partition_is_the_cred_cause() {
         let c = conn(&["fonts.gstatic.com", "www.gstatic.com"], IP_A, true);
         // Cross-origin font fetch: no credentials, same IP, covered by SAN.
-        let strict =
-            evaluate(&c, &Origin::https(d("fonts.gstatic.com")), IP_A, false, &ReusePolicy::chromium());
-        assert_eq!(strict, ReuseDecision::Refused(vec![ReuseRefusal::CredentialsMismatch]));
+        let strict = refusals_for(&c, "fonts.gstatic.com", IP_A, false, ReusePolicy::chromium());
+        assert_eq!(strict.to_vec(), [ReuseRefusal::CredentialsMismatch]);
         // The patched browser ("Alexa w/o Fetch") reuses it.
-        let patched = evaluate(
-            &c,
-            &Origin::https(d("fonts.gstatic.com")),
-            IP_A,
-            false,
-            &ReusePolicy::chromium_without_fetch(),
-        );
-        assert!(patched.is_reusable());
+        let patched =
+            refusals_for(&c, "fonts.gstatic.com", IP_A, false, ReusePolicy::chromium_without_fetch());
+        assert!(patched.is_empty());
     }
 
     #[test]
     fn multiple_reasons_are_all_reported() {
         let c = conn(&["static.klaviyo.com"], IP_A, true);
-        let decision =
-            evaluate(&c, &Origin::https(d("fast.a.klaviyo.com")), IP_B, false, &ReusePolicy::chromium());
-        assert!(decision.refused_because(ReuseRefusal::CertificateMismatch));
-        assert!(decision.refused_because(ReuseRefusal::IpMismatch));
-        assert!(decision.refused_because(ReuseRefusal::CredentialsMismatch));
-        assert_eq!(decision.refusals().len(), 3);
+        let refusals = refusals_for(&c, "fast.a.klaviyo.com", IP_B, false, ReusePolicy::chromium());
+        assert!(refusals.contains(ReuseRefusal::CertificateMismatch));
+        assert!(refusals.contains(ReuseRefusal::IpMismatch));
+        assert!(refusals.contains(ReuseRefusal::CredentialsMismatch));
+        assert_eq!(refusals.len(), 3);
+        // Iteration follows the `Ord` order of the reasons.
+        assert_eq!(
+            refusals.iter().collect::<Vec<_>>(),
+            [ReuseRefusal::IpMismatch, ReuseRefusal::CertificateMismatch, ReuseRefusal::CredentialsMismatch]
+        );
     }
 
     #[test]
@@ -369,9 +326,8 @@ mod tests {
         let mut c = conn(&["www.example.com", "api.example.com"], IP_A, true);
         c.send_request().unwrap();
         c.complete_response(&d("api.example.com"), 421, 0);
-        let decision =
-            evaluate(&c, &Origin::https(d("api.example.com")), IP_A, true, &ReusePolicy::chromium());
-        assert!(decision.refused_because(ReuseRefusal::ExcludedByServer));
+        let refusals = refusals_for(&c, "api.example.com", IP_A, true, ReusePolicy::chromium());
+        assert!(refusals.contains(ReuseRefusal::ExcludedByServer));
     }
 
     #[test]
@@ -380,27 +336,19 @@ mod tests {
         c.receive_origin_set([d("img.example.com")]);
         // Different IP, but origin-set membership + cert coverage suffice
         // when the client honours RFC 8336.
-        let honored =
-            evaluate(&c, &Origin::https(d("img.example.com")), IP_B, true, &ReusePolicy::with_origin_frame());
-        assert!(honored.is_reusable());
+        let honored = refusals_for(&c, "img.example.com", IP_B, true, ReusePolicy::with_origin_frame());
+        assert!(honored.is_empty());
         // Chromium ignores the frame, so the IP mismatch still refuses reuse.
-        let chromium =
-            evaluate(&c, &Origin::https(d("img.example.com")), IP_B, true, &ReusePolicy::chromium());
-        assert_eq!(chromium, ReuseDecision::Refused(vec![ReuseRefusal::IpMismatch]));
+        let chromium = refusals_for(&c, "img.example.com", IP_B, true, ReusePolicy::chromium());
+        assert_eq!(chromium.to_vec(), [ReuseRefusal::IpMismatch]);
     }
 
     #[test]
     fn origin_frame_restricts_non_members() {
         let mut c = conn(&["cdn.example.com", "img.example.com", "other.example.com"], IP_A, true);
         c.receive_origin_set([d("img.example.com")]);
-        let decision = evaluate(
-            &c,
-            &Origin::https(d("other.example.com")),
-            IP_A,
-            true,
-            &ReusePolicy::with_origin_frame(),
-        );
-        assert!(decision.refused_because(ReuseRefusal::NotInOriginSet));
+        let refusals = refusals_for(&c, "other.example.com", IP_A, true, ReusePolicy::with_origin_frame());
+        assert!(refusals.contains(ReuseRefusal::NotInOriginSet));
     }
 
     #[test]
@@ -411,14 +359,14 @@ mod tests {
         );
         let c = conn(&["www.example.com"], IP_A, true);
         // Without an announced origin set the strictness flag is inert.
-        let decision = evaluate(
+        let refusals = refusals_for(
             &c,
-            &Origin::https(d("www.example.com")),
+            "www.example.com",
             IP_B,
             true,
-            &ReusePolicy::with_mitigations(MitigationSet::empty()),
+            ReusePolicy::with_mitigations(MitigationSet::empty()),
         );
-        assert_eq!(decision, ReuseDecision::Refused(vec![ReuseRefusal::IpMismatch]));
+        assert_eq!(refusals.to_vec(), [ReuseRefusal::IpMismatch]);
     }
 
     #[test]
@@ -427,38 +375,31 @@ mod tests {
         c.receive_origin_set([d("img.example.com")]);
         let relaxed = ReusePolicy::with_mitigations(MitigationSet::single(Mitigation::OriginFrames));
         // Membership substitutes for the IP check, as in strict mode.
-        assert!(evaluate(&c, &Origin::https(d("img.example.com")), IP_B, true, &relaxed).is_reusable());
+        assert!(refusals_for(&c, "img.example.com", IP_B, true, relaxed).is_empty());
         // Non-members fall back to the IP rule instead of refusing outright.
-        assert!(evaluate(&c, &Origin::https(d("other.example.com")), IP_A, true, &relaxed).is_reusable());
-        let mismatch = evaluate(&c, &Origin::https(d("other.example.com")), IP_B, true, &relaxed);
-        assert_eq!(mismatch, ReuseDecision::Refused(vec![ReuseRefusal::IpMismatch]));
+        assert!(refusals_for(&c, "other.example.com", IP_A, true, relaxed).is_empty());
+        let mismatch = refusals_for(&c, "other.example.com", IP_B, true, relaxed);
+        assert_eq!(mismatch.to_vec(), [ReuseRefusal::IpMismatch]);
         // The strict RFC 8336 client still refuses the same non-member.
-        let strict = evaluate(
-            &c,
-            &Origin::https(d("other.example.com")),
-            IP_A,
-            true,
-            &ReusePolicy::with_origin_frame(),
-        );
-        assert!(strict.refused_because(ReuseRefusal::NotInOriginSet));
+        let strict = refusals_for(&c, "other.example.com", IP_A, true, ReusePolicy::with_origin_frame());
+        assert!(strict.contains(ReuseRefusal::NotInOriginSet));
     }
 
     #[test]
     fn credential_pooling_mitigation_drops_the_cred_refusal() {
         let c = conn(&["fonts.gstatic.com", "www.gstatic.com"], IP_A, true);
         let pooled = ReusePolicy::with_mitigations(MitigationSet::single(Mitigation::CredentialPooling));
-        assert!(evaluate(&c, &Origin::https(d("fonts.gstatic.com")), IP_A, false, &pooled).is_reusable());
+        assert!(refusals_for(&c, "fonts.gstatic.com", IP_A, false, pooled).is_empty());
     }
 
     #[test]
     fn scheme_port_and_lifecycle_checks() {
         let mut c = conn(&["www.example.com"], IP_A, true);
         let other_port = Origin::new(netsim_types::Scheme::Https, d("www.example.com"), 8443);
-        let decision = evaluate(&c, &other_port, IP_A, true, &ReusePolicy::chromium());
-        assert!(decision.refused_because(ReuseRefusal::SchemePortMismatch));
+        let refusals = evaluate_set(&c, &other_port, IP_A, true, &ReusePolicy::chromium());
+        assert!(refusals.contains(ReuseRefusal::SchemePortMismatch));
         c.receive_goaway();
-        let draining =
-            evaluate(&c, &Origin::https(d("www.example.com")), IP_A, true, &ReusePolicy::chromium());
-        assert!(draining.refused_because(ReuseRefusal::NotAcceptingStreams));
+        let draining = refusals_for(&c, "www.example.com", IP_A, true, ReusePolicy::chromium());
+        assert!(draining.contains(ReuseRefusal::NotAcceptingStreams));
     }
 }

@@ -102,22 +102,12 @@ impl Certificate {
         self.san.iter().any(|entry| entry.covers(domain))
     }
 
-    /// `true` if the certificate is within its validity window at `now`.
-    pub fn valid_at(&self, now: Instant) -> bool {
-        now >= self.not_before && now <= self.not_after
-    }
-
     /// All exact DNS names listed in the SAN (wildcards excluded).
     pub fn dns_names(&self) -> impl Iterator<Item = &DomainName> {
         self.san.iter().filter_map(|entry| match entry {
             SanEntry::Dns(name) => Some(name),
             SanEntry::Wildcard(_) => None,
         })
-    }
-
-    /// Number of SAN entries.
-    pub fn san_len(&self) -> usize {
-        self.san.len()
     }
 }
 
@@ -174,19 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn validity_window() {
-        let c = cert(&["example.com"]);
-        assert!(c.valid_at(Instant::EPOCH));
-        assert!(c.valid_at(Instant::EPOCH + Duration::from_days(90)));
-        assert!(!c.valid_at(Instant::EPOCH + Duration::from_days(91)));
-    }
-
-    #[test]
     fn dns_names_exclude_wildcards() {
         let c = cert(&["example.com", "*.example.com", "www.example.com"]);
         let names: Vec<String> = c.dns_names().map(|n| n.to_string()).collect();
         assert_eq!(names, vec!["example.com", "www.example.com"]);
-        assert_eq!(c.san_len(), 3);
     }
 
     #[test]

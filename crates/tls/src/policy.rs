@@ -77,18 +77,6 @@ impl IssuancePolicy {
         }
     }
 
-    /// Number of certificates the policy produces for `n` domains.
-    pub fn certificate_count(&self, n: usize) -> usize {
-        match self {
-            IssuancePolicy::SharedSan | IssuancePolicy::Wildcard { .. } => usize::from(n > 0),
-            IssuancePolicy::PerDomain => n,
-            IssuancePolicy::Grouped { group_size } => {
-                let size = (*group_size).max(1);
-                n.div_ceil(size)
-            }
-        }
-    }
-
     /// The certificate-coalescing mitigation applied to this policy: the
     /// sharding-hostile partitions ([`IssuancePolicy::PerDomain`] and
     /// [`IssuancePolicy::Grouped`]) collapse into one
@@ -139,8 +127,6 @@ mod tests {
         let groups = partition(&IssuancePolicy::SharedSan, &domains());
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 4);
-        assert_eq!(IssuancePolicy::SharedSan.certificate_count(4), 1);
-        assert_eq!(IssuancePolicy::SharedSan.certificate_count(0), 0);
         assert!(partition(&IssuancePolicy::SharedSan, &[]).is_empty());
     }
 
@@ -150,7 +136,6 @@ mod tests {
         let groups = partition(&policy, &domains());
         assert_eq!(groups.len(), 4);
         assert!(groups.iter().all(|g| g.len() == 1));
-        assert_eq!(policy.certificate_count(4), 4);
         assert!(!reusable(&policy, &domains(), "example.com", "img.example.com"));
         assert!(reusable(&policy, &domains(), "example.com", "example.com"));
     }
@@ -187,7 +172,7 @@ mod tests {
         // (certificate criterion only).
         let coalesced = IssuancePolicy::PerDomain.coalesced();
         assert!(reusable(&coalesced, &domains(), "example.com", "img.example.com"));
-        assert_eq!(coalesced.certificate_count(4), 1);
+        assert_eq!(partition(&coalesced, &domains()).len(), 1);
     }
 
     #[test]
@@ -197,7 +182,7 @@ mod tests {
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].len(), 3);
         assert_eq!(groups[1].len(), 1);
-        assert_eq!(policy.certificate_count(4), 2);
-        assert_eq!(IssuancePolicy::Grouped { group_size: 0 }.certificate_count(4), 4);
+        // A zero group size issues one certificate per domain.
+        assert_eq!(partition(&IssuancePolicy::Grouped { group_size: 0 }, &domains()).len(), 4);
     }
 }

@@ -184,15 +184,6 @@ impl CertificateStore {
         out.extend(self.certificates[..self.live].iter().map(Arc::as_ref));
     }
 
-    /// The certificates valid for `domain` (exact or wildcard match),
-    /// most recently issued first — the order a server would prefer when
-    /// selecting a certificate for an SNI name.
-    pub fn certificates_for(&self, domain: &DomainName) -> Vec<&Certificate> {
-        let mut matching: Vec<&Certificate> = self.iter().filter(|cert| cert.covers(domain)).collect();
-        matching.reverse();
-        matching
-    }
-
     /// The certificate a server presents for SNI name `domain`, if any.
     pub fn select_for_sni(&self, domain: &DomainName) -> Option<&Certificate> {
         self.select_arc_for_sni(domain).map(Arc::as_ref)
@@ -216,11 +207,6 @@ impl CertificateStore {
             (None, None) => None,
         }
     }
-
-    /// `true` if any certificate in the store covers `domain`.
-    pub fn has_coverage(&self, domain: &DomainName) -> bool {
-        self.select_for_sni(domain).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -243,8 +229,8 @@ mod tests {
         assert!(!store.is_empty());
         let cert = store.get(id).unwrap();
         assert_eq!(cert.subject, d("www.example.com"));
-        assert!(store.has_coverage(&d("example.com")));
-        assert!(!store.has_coverage(&d("img.example.com")));
+        assert!(store.select_for_sni(&d("example.com")).is_some());
+        assert!(store.select_for_sni(&d("img.example.com")).is_none());
     }
 
     #[test]
@@ -265,9 +251,9 @@ mod tests {
     fn wildcard_lookup() {
         let mut store = CertificateStore::new();
         store.issue(Issuer::cloudflare(), vec![SanEntry::Wildcard(d("example.com"))], Instant::EPOCH);
-        assert!(store.has_coverage(&d("img.example.com")));
-        assert!(!store.has_coverage(&d("example.com")));
-        assert!(!store.has_coverage(&d("a.b.example.com")));
+        assert!(store.select_for_sni(&d("img.example.com")).is_some());
+        assert!(store.select_for_sni(&d("example.com")).is_none());
+        assert!(store.select_for_sni(&d("a.b.example.com")).is_none());
     }
 
     #[test]
@@ -292,7 +278,7 @@ mod tests {
         let recycled: *const Certificate = store.get(first).unwrap();
         store.reset(None);
         assert!(store.is_empty());
-        assert!(!store.has_coverage(&d("a.example")));
+        assert!(store.select_for_sni(&d("a.example")).is_none());
         let c = store.issue(Issuer::digicert(), vec![SanEntry::Dns(d("c.example"))], Instant::EPOCH);
         let e = store.issue(Issuer::digicert(), vec![SanEntry::Dns(d("e.example"))], Instant::EPOCH);
         assert_eq!((c, e), (CertificateId(0), CertificateId(1)));
@@ -301,7 +287,7 @@ mod tests {
         // The held certificate is untouched; its slot got a fresh one.
         assert_eq!(held.san, vec![SanEntry::Dns(d("b.example"))]);
         assert_eq!(store.get(e).unwrap().san, vec![SanEntry::Dns(d("e.example"))]);
-        assert!(!store.has_coverage(&d("b.example")));
+        assert!(store.select_for_sni(&d("b.example")).is_none());
     }
 
     #[test]

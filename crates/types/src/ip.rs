@@ -27,12 +27,6 @@ impl IpAddr {
         [(self.0 >> 24) as u8, (self.0 >> 16) as u8, (self.0 >> 8) as u8, self.0 as u8]
     }
 
-    /// The enclosing /24 prefix — the granularity at which the paper observes
-    /// load-balanced "slightly different IPs".
-    pub const fn slash24(self) -> Prefix {
-        Prefix { base: IpAddr(self.0 & 0xFFFF_FF00), len: 24 }
-    }
-
     /// The enclosing prefix of arbitrary length.
     pub fn prefix(self, len: u8) -> Prefix {
         Prefix::new(self, len)
@@ -202,9 +196,9 @@ mod tests {
         let a = IpAddr::new(142, 250, 74, 14);
         let b = IpAddr::new(142, 250, 74, 206);
         let c = IpAddr::new(142, 250, 75, 14);
-        assert_eq!(a.slash24(), b.slash24());
-        assert_ne!(a.slash24(), c.slash24());
-        assert_eq!(a.slash24().to_string(), "142.250.74.0/24");
+        assert_eq!(a.prefix(24), b.prefix(24));
+        assert_ne!(a.prefix(24), c.prefix(24));
+        assert_eq!(a.prefix(24).to_string(), "142.250.74.0/24");
     }
 
     #[test]

@@ -152,11 +152,6 @@ impl MitigationSet {
         self.bits.count_ones() as usize
     }
 
-    /// `true` if every mitigation of `self` is also in `other`.
-    pub fn is_subset_of(self, other: MitigationSet) -> bool {
-        self.bits & other.bits == self.bits
-    }
-
     /// The mitigations in the set, in canonical order.
     pub fn iter(self) -> impl Iterator<Item = Mitigation> {
         Mitigation::ALL.into_iter().filter(move |m| self.contains(*m))
@@ -215,16 +210,6 @@ mod tests {
         for m in Mitigation::ALL {
             assert!(combos.contains(&MitigationSet::single(m)));
         }
-    }
-
-    #[test]
-    fn subset_relation_matches_bits() {
-        let small = MitigationSet::single(Mitigation::SynchronizedDns);
-        let large = small.with(Mitigation::CertificateCoalescing);
-        assert!(small.is_subset_of(large));
-        assert!(!large.is_subset_of(small));
-        assert!(MitigationSet::empty().is_subset_of(small));
-        assert!(large.is_subset_of(MitigationSet::all()));
     }
 
     #[test]

@@ -128,6 +128,6 @@ mod tests {
         assert!(!deployment.certificates.is_empty());
         let analytics = netsim_types::DomainName::literal("www.google-analytics.com");
         assert!(deployment.authority.knows(&analytics));
-        assert!(deployment.certificates.has_coverage(&analytics));
+        assert!(deployment.certificates.select_for_sni(&analytics).is_some());
     }
 }

@@ -82,21 +82,6 @@ pub fn plan_is_well_formed(plan: &[PlannedRequest]) -> bool {
     })
 }
 
-/// The maximum dependency depth of a plan (document = depth 0).
-pub fn plan_depth(plan: &[PlannedRequest]) -> usize {
-    let mut depths = vec![0usize; plan.len()];
-    let mut max = 0;
-    for (index, request) in plan.iter().enumerate() {
-        if let Some(parent) = request.depends_on {
-            if parent < index {
-                depths[index] = depths[parent] + 1;
-                max = max.max(depths[index]);
-            }
-        }
-    }
-    max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +123,6 @@ mod tests {
     fn plan_validation() {
         let plan = sample_plan();
         assert!(plan_is_well_formed(&plan));
-        assert_eq!(plan_depth(&plan), 3);
         assert!(!plan_is_well_formed(&[]));
         // A child referencing a later index is rejected.
         let mut bad = sample_plan();

@@ -84,16 +84,15 @@ fn atlas_reports_are_thread_count_invariant() {
 }
 
 /// The million-site configuration, pinned at CI size through a **prefix
-/// run**: `AtlasConfig::million_prefix(n)` keeps the million run's seed,
-/// chunk size and Zipf mix and truncates the population to its first `n`
-/// sites — so these chunks are byte-for-byte the first chunks of the real
+/// run**: `AtlasConfig { sites: n, ..AtlasConfig::million() }` keeps the
+/// million run's seed, chunk size and Zipf mix and truncates the population
+/// to its first `n` sites — so these chunks are byte-for-byte the first chunks of the real
 /// 1 M crawl (chunk layout and per-site RNG streams depend only on the
 /// global site index, never on the population size). The work-stealing
 /// executor must produce the identical report for threads ∈ {1, 2, 8}.
 #[test]
 fn million_config_prefix_is_thread_count_invariant() {
-    let prefix = AtlasConfig::million_prefix(6_000);
-    assert_eq!(prefix.chunk_sites, AtlasConfig::million().chunk_sites);
+    let prefix = AtlasConfig { sites: 6_000, ..AtlasConfig::million() };
     let reference = run_atlas(&AtlasConfig { threads: 1, ..prefix });
     assert_eq!(reference.observed_sites, 6_000);
     assert_eq!(reference.chunk_count, 3);

@@ -11,7 +11,7 @@ use connreuse::core::{
 use connreuse::cost::{CostTotals, LinkProfile, VisitTimeline};
 use connreuse::dns::{AddressRun, LoadBalancePolicy, QueryContext, ResolverId};
 use connreuse::experiments::{run_cost, CostConfig, CostReport};
-use connreuse::h2::reuse::{evaluate, ReusePolicy};
+use connreuse::h2::reuse::{evaluate_set, ReusePolicy};
 use connreuse::h2::{CloseReason, Connection, ConnectionState};
 use connreuse::tls::{Certificate, CertificateId, CertificateStore, IssuancePolicy, Issuer, SanEntry};
 use connreuse::types::{
@@ -225,7 +225,7 @@ proptest! {
         let target = Origin::https(domain_universe()[target_index]);
         let target_ip = IpAddr::new(192, 0, 2, target_ip_index);
         for combo in MitigationSet::all_combinations() {
-            let base = evaluate(
+            let base = evaluate_set(
                 &connection,
                 &target,
                 target_ip,
@@ -236,24 +236,24 @@ proptest! {
                 if combo.contains(mitigation) {
                     continue;
                 }
-                let relaxed = evaluate(
+                let relaxed = evaluate_set(
                     &connection,
                     &target,
                     target_ip,
                     request_credentialed,
                     &ReusePolicy::with_mitigations(combo.with(mitigation)),
                 );
-                for refusal in relaxed.refusals() {
+                for refusal in relaxed.iter() {
                     prop_assert!(
-                        base.refusals().contains(refusal),
+                        base.contains(refusal),
                         "adding {mitigation} to {combo} introduced {refusal:?} \
                          (base {:?}, relaxed {:?})",
-                        base.refusals(),
-                        relaxed.refusals()
+                        base.to_vec(),
+                        relaxed.to_vec()
                     );
                 }
-                if base.is_reusable() {
-                    prop_assert!(relaxed.is_reusable());
+                if base.is_empty() {
+                    prop_assert!(relaxed.is_empty());
                 }
             }
         }
