@@ -1,13 +1,11 @@
 //! Prefix allocation and IP-to-AS lookup.
 
 use netsim_types::{IpAddr, Prefix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// An autonomous-system number.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -25,7 +23,7 @@ impl fmt::Debug for Asn {
 /// An autonomous system: number plus the short name used in report tables.
 /// `Copy`: every name is a literal or comes from a process-wide table, so
 /// announcing a prefix copies two words instead of a string.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AutonomousSystem {
     /// AS number.
     pub asn: Asn,

@@ -14,7 +14,6 @@ use netsim_dns::ResolverId;
 use netsim_h2::reuse::ReusePolicy;
 use netsim_tls::HandshakeConfig;
 use netsim_types::{Duration, MitigationSet};
-use serde::{Deserialize, Serialize};
 
 /// How connection end times are produced by the simulation.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// the HTTP Archive ("endless" and "immediate"); the own measurements know
 /// real end times, where most connections stay open until the test ends and
 /// the few that close early live a median of ~122 s.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ConnectionDurationModel {
     /// Connections stay open until the visit ends (no recorded close).
     KeepOpen,
@@ -37,7 +36,7 @@ pub enum ConnectionDurationModel {
 }
 
 /// Full browser configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BrowserConfig {
     /// Connection-reuse policy (Fetch credentials partition, ORIGIN frames).
     /// Simulated servers announce an RFC 8336 ORIGIN frame — every exact DNS

@@ -32,10 +32,9 @@ use crate::config::ConnectionDurationModel;
 use crate::fault::FaultProfile;
 use netsim_h2::{CloseReason, Connection, ConnectionState};
 use netsim_types::{ConnectionId, Duration, Instant, Origin, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle policy knobs of a [`ConnectionPool`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Maximum pooled connections; LRU eviction beyond it. Chromium's
     /// per-pool cap is 6 sockets per group / 256 total — the default here is
@@ -57,7 +56,7 @@ impl Default for PoolConfig {
 
 netsim_types::counters! {
     /// Lifecycle counters of one pool (or, merged, of a whole fleet cell).
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct PoolLifecycleStats {
         /// Connections newly absorbed into the pool.
         pub inserted: u64,

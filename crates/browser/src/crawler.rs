@@ -16,14 +16,13 @@ use crate::scratch::{VisitScratch, VisitTimes};
 use crate::visit::PageVisit;
 use netsim_types::{Duration, Instant, SimClock, SimRng};
 use netsim_web::WebEnvironment;
-use serde::{Deserialize, Serialize};
 
 /// Identifier spacing between sites so connection/request ids never collide
 /// across visits.
 const ID_STRIDE: u64 = 1_000_000;
 
 /// The result of crawling a population.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CrawlReport {
     /// Name of the browser configuration used (for report headings).
     pub label: String,

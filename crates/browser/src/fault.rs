@@ -32,11 +32,10 @@
 //! [`VisitOutcome::Degraded`] instead of panicking the crawl.
 
 use netsim_types::{Duration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Integer-ppm rates for the five failure processes. `Default` is fully
 /// inert: every rate zero, no randomness consumed anywhere.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultProfile {
     /// Probability (ppm) that one DNS resolution attempt fails.
     pub dns_failure_ppm: u32,
@@ -75,7 +74,7 @@ impl FaultProfile {
 /// visit's fault stream. Cumulative backoff per resource is capped by
 /// `stage_budget`: a retry whose wait would burst the budget is abandoned
 /// instead, degrading the visit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per resource stage (first try included); at least 1.
     pub max_attempts: u32,
@@ -138,7 +137,7 @@ impl RetryPolicy {
 }
 
 /// How a page visit ended once the fault layer has had its say.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum VisitOutcome {
     /// Every resource was fetched (possibly after retries).
     #[default]

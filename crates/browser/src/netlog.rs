@@ -8,10 +8,9 @@
 
 use netsim_h2::reuse::ReuseRefusal;
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr, RequestId};
-use serde::{Deserialize, Serialize};
 
 /// What happened.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum NetLogEventKind {
     /// A page load began for the given landing domain.
     PageLoadStarted {
@@ -91,7 +90,7 @@ pub enum NetLogEventKind {
 }
 
 /// One timestamped event.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetLogEvent {
     /// When the event happened.
     pub time: Instant,
@@ -100,7 +99,7 @@ pub struct NetLogEvent {
 }
 
 /// An append-only event log for one page visit.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetLog {
     events: Vec<NetLogEvent>,
 }

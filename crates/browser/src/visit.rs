@@ -4,11 +4,10 @@ use crate::netlog::NetLog;
 use netsim_fetch::RequestDestination;
 use netsim_h2::Connection;
 use netsim_types::{ConnectionId, DomainName, Instant, RequestId, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// One request as logged by the browser (the per-request granularity HAR
 /// files carry).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestLogEntry {
     /// Request id (unique within the visit).
     pub id: RequestId,
@@ -31,7 +30,7 @@ pub struct RequestLogEntry {
 }
 
 /// Everything recorded while loading one site's landing page.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PageVisit {
     /// The site that was visited.
     pub site: SiteId,

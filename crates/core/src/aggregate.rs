@@ -15,11 +15,10 @@
 //! the accumulators survive.
 
 use crate::classify::{Cause, SiteClassification};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Sites and connections affected by one cause (one cell pair of Table 1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CauseCounts {
     /// Number of sites with at least one connection carrying the cause.
     pub sites: usize,
@@ -31,7 +30,7 @@ pub struct CauseCounts {
 /// allocation-free form the streaming fast path
 /// ([`crate::FastVisitClassifier`]) produces and
 /// [`Accumulator::observe_counts`] folds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SiteCounts {
     /// Total HTTP/2 connections the site opened.
     pub total_connections: usize,
@@ -65,7 +64,7 @@ impl SiteCounts {
 /// [`AccumulatorState`] the shard store persists — a handful of integer adds
 /// per site; the table-ordered `BTreeMap` of [`DatasetSummary`] is built once
 /// in [`Accumulator::finish`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Accumulator {
     state: AccumulatorState,
 }
@@ -190,7 +189,7 @@ netsim_types::counters! {
     /// tracks, nothing derived. `to_words` / `from_words` give the
     /// fixed-width layout the shard store writes; the field order is frozen —
     /// appending is a schema bump, reordering is forbidden.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct AccumulatorState {
         /// Sites per cause, in [`Cause::ALL`] order.
         pub cause_sites: [u64; 3],
@@ -211,7 +210,7 @@ netsim_types::counters! {
 
 /// The aggregated view of one classified dataset — one column block of
 /// Table 1 plus the numbers quoted in §5.1.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DatasetSummary {
     /// Dataset label.
     pub label: String,

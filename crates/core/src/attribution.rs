@@ -7,13 +7,12 @@ use crate::observation::Dataset;
 use netsim_asdb::{AsRegistry, AutonomousSystem};
 use netsim_tls::Issuer;
 use netsim_types::DomainName;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One row of an origin table (Tables 2, 8 and 12): an origin, how many of
 /// its connections were redundant with the given cause, and which earlier
 /// connections' origins could have carried them.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OriginAttribution {
     /// The redundant connection's origin domain.
     pub origin: DomainName,
@@ -32,7 +31,7 @@ impl OriginAttribution {
 }
 
 /// One row of an issuer table (Tables 3, 5 and 9).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IssuerAttribution {
     /// Certificate issuer organisation.
     pub issuer: Issuer,
@@ -44,7 +43,7 @@ pub struct IssuerAttribution {
 }
 
 /// One row of the CERT domain table (Tables 4 and 10).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CertDomainAttribution {
     /// The redundant connection's domain.
     pub domain: DomainName,
@@ -57,7 +56,7 @@ pub struct CertDomainAttribution {
 }
 
 /// One row of the AS table (Table 6).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AsnAttribution {
     /// The autonomous system announcing the redundant connections' prefixes.
     pub system: AutonomousSystem,

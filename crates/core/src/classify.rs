@@ -12,11 +12,10 @@
 
 use crate::observation::{Dataset, DurationModel, ObservedConnection, SiteObservation};
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The root causes a redundant connection can be attributed to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Cause {
     /// Same IP, certificate does not cover the domain: domain sharding with
     /// disjunct certificates.
@@ -60,7 +59,7 @@ impl std::fmt::Display for Cause {
 }
 
 /// One connection after classification.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClassifiedConnection {
     /// Index of the connection within the site observation.
     pub index: usize,
@@ -93,7 +92,7 @@ impl ClassifiedConnection {
 }
 
 /// The classification of one site.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SiteClassification {
     /// The site's landing domain.
     pub site: DomainName,

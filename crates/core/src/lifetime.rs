@@ -7,10 +7,9 @@
 
 use crate::observation::Dataset;
 use netsim_types::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate lifetime statistics for a dataset.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LifetimeStatistics {
     /// Total observed connections.
     pub total_connections: usize,

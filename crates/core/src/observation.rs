@@ -9,11 +9,10 @@
 
 use netsim_tls::{Issuer, SanEntry};
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr};
-use serde::{Deserialize, Serialize};
 
 /// How a connection's open interval is derived when checking whether it was
 /// available for reuse at a later connection's establishment time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DurationModel {
     /// Connections never close (upper bound used for the HTTP Archive).
     Endless,
@@ -24,7 +23,7 @@ pub enum DurationModel {
 }
 
 /// One request observed on a connection.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObservedRequest {
     /// Requested host.
     pub domain: DomainName,
@@ -35,7 +34,7 @@ pub struct ObservedRequest {
 }
 
 /// One observed HTTP/2 session.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObservedConnection {
     /// Session identifier (HAR socket id / NetLog source id).
     pub id: ConnectionId,
@@ -78,7 +77,7 @@ impl ObservedConnection {
 }
 
 /// Everything observed while visiting one site.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SiteObservation {
     /// Landing-page host, used as the site key when intersecting datasets.
     pub site: DomainName,
@@ -99,7 +98,7 @@ impl SiteObservation {
 }
 
 /// A labelled collection of site observations (one measurement run).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dataset {
     /// Human-readable label ("HAR Endless", "Alexa", ...).
     pub label: String,

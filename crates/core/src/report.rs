@@ -1,12 +1,11 @@
 //! Distribution reports: the Figure 2 series.
 
 use crate::classify::SiteClassification;
-use serde::{Deserialize, Serialize};
 
 /// A survival-function series over "redundant connections per site":
 /// `points[k]` is the fraction of sites that opened at least `k` redundant
 /// connections. This is the "1 − CDF" plotted in Figure 2.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CdfSeries {
     /// Series label (dataset name).
     pub label: String,

@@ -25,10 +25,9 @@
 //! cost is bit-identical across machines and thread counts.
 
 use netsim_types::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Named RTT / bandwidth / loss parameters of one simulated network path.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinkProfile {
     /// Human-readable preset name (report headings).
     pub name: String,

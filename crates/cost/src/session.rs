@@ -15,14 +15,13 @@
 
 use crate::timeline::VisitTimeline;
 use crate::totals::CostTotals;
-use serde::{Deserialize, Serialize};
 
 netsim_types::counters! {
     /// Aggregate cost counters over a set of multi-page sessions; the
     /// generated `merge` folds another shard's totals.
     ///
     /// `totals.visits` counts *pages*; `sessions` counts completed sessions.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct SessionTotals {
         /// Number of completed sessions folded in.
         pub sessions: u64,

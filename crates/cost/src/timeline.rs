@@ -13,14 +13,12 @@
 //! are recorded alongside, because per-connection integer rounding makes them
 //! impossible to reproduce exactly from the totals afterwards.
 
-use serde::{Deserialize, Serialize};
-
 netsim_types::counters! {
     merge = absorb;
     /// Fixed-size per-visit cost counters. All fields are totals over one page
     /// visit; the aggregating side ([`crate::CostTotals`]) sums them across
     /// visits and shards with the generated `absorb`.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct VisitTimeline {
         /// DNS lookups answered from the resolver cache (free).
         pub dns_cache_hits: u64,

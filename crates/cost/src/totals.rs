@@ -14,14 +14,13 @@
 use crate::link::LinkProfile;
 use crate::timeline::VisitTimeline;
 use netsim_types::Duration;
-use serde::{Deserialize, Serialize};
 
 netsim_types::counters! {
     /// Aggregate cost counters over a set of visits. The generated `merge`
     /// folds another shard's totals (associative, order-insensitive); the
     /// word layout is the visit count followed by the [`VisitTimeline`]
     /// words.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct CostTotals {
         /// Number of visits folded in.
         pub visits: u64,

@@ -7,13 +7,11 @@
 //! [`crate::LoadBalancePolicy`] implementations can condition on them.
 
 use netsim_types::Instant;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a recursive resolver (one of the 14 probe resolvers, the
 /// measurement host's own resolver, or an arbitrary client resolver).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ResolverId(pub u32);
 
 impl fmt::Display for ResolverId {

@@ -14,7 +14,6 @@
 use crate::authority::Authority;
 use crate::query::{QueryContext, ResolverId};
 use netsim_types::{DomainName, Duration, FnvHashMap, Instant, IpAddr};
-use serde::{Deserialize, Serialize};
 
 /// The TTL of every address answer (5 minutes, a common value for
 /// load-balanced names). A resolver caches an answer for exactly this long.
@@ -49,7 +48,7 @@ impl Answer {
 }
 
 /// Errors a resolution can produce.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ResolutionError {
     /// No authoritative addresses exist for the name.
     NxDomain(DomainName),
@@ -89,7 +88,7 @@ pub struct RecursiveResolver {
 }
 
 /// Counters describing a resolver's activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Queries answered from cache.
     pub cache_hits: u64,

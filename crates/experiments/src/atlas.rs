@@ -68,7 +68,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Sizing and seeding of one atlas run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AtlasConfig {
     /// Total population size (the paper's own crawl: 100 k).
     pub sites: usize,
@@ -139,7 +139,7 @@ impl AtlasConfig {
 /// Non-deterministic run metrics: wall-clock throughput and memory footprint.
 /// Kept out of [`AtlasReport::render`] so reports stay byte-identical across
 /// thread counts and machines.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AtlasMetrics {
     /// Wall-clock seconds the run took.
     pub elapsed_secs: f64,
@@ -184,7 +184,7 @@ impl AtlasMetrics {
 /// Equality deliberately ignores [`AtlasReport::metrics`]: two runs of the
 /// same config are *equal* (byte-identical report) even though their
 /// wall-clock and RSS readings differ.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AtlasReport {
     /// The configuration the run used.
     pub config: AtlasConfig,

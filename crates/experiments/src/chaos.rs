@@ -50,7 +50,6 @@ use netsim_browser::{
 use netsim_cost::{LinkProfile, SessionTotals};
 use netsim_types::MitigationSet;
 use netsim_web::{DeploymentCache, WebEnvironment};
-use serde::{Deserialize, Serialize};
 
 /// The chaos grid's session streams (seed offset clear of the fleet's).
 const CHAOS_STREAMS: SessionStreams =
@@ -62,7 +61,7 @@ const CHAOS_STREAMS: SessionStreams =
 pub const FAULT_LEVELS: [(&str, u32); 3] = [("calm", 0), ("degraded", 10_000), ("hostile", 50_000)];
 
 /// Sizing and seeding of one chaos run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Sites per cell population (Alexa-shaped, shared navigation universe).
     pub sites: usize,
@@ -103,7 +102,7 @@ impl ChaosConfig {
 
 /// One cell of the chaos grid: a mitigation deployment driven through warm
 /// sessions at one failure level, under one link profile and retry policy.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChaosCell {
     /// The deployed mitigation combination.
     pub mitigations: MitigationSet,
@@ -124,7 +123,7 @@ pub struct ChaosCell {
 
 /// The completed chaos run: the mitigation × level × link grid plus the
 /// hedged-dial cell, all over the same navigation trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChaosReport {
     /// The configuration the grid ran with.
     pub config: ChaosConfig,

@@ -42,10 +42,9 @@ use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::MitigationSet;
 use netsim_web::{DeploymentCache, WebEnvironment};
-use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one cost sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostConfig {
     /// Sites per cell population (Alexa-shaped, shared by every profile).
     pub sites: usize,
@@ -79,7 +78,7 @@ impl CostConfig {
 
 /// One cell of the cost grid: a mitigation combination crawled under one
 /// link profile.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostCell {
     /// The deployed mitigation combination.
     pub mitigations: MitigationSet,
@@ -95,7 +94,7 @@ pub struct CostCell {
 }
 
 /// The completed cost sweep: 16 mitigation cells × the three link profiles.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostReport {
     /// The configuration the sweep ran with.
     pub config: CostConfig,

@@ -49,7 +49,6 @@ use netsim_browser::{Browser, BrowserConfig, PoolConfig, PoolLifecycleStats, Use
 use netsim_cost::SessionTotals;
 use netsim_types::{Duration, Instant, MitigationSet, SimClock, SimRng};
 use netsim_web::{DeploymentCache, WebEnvironment};
-use serde::{Deserialize, Serialize};
 
 /// Identifier spacing between sessions so connection/request ids never
 /// collide across a cell (mirrors the crawler's per-site stride).
@@ -68,7 +67,7 @@ const POOL_SIZES: [usize; 4] = [2, 4, 8, 16];
 const IDLE_TIMEOUT_SECS: [u64; 3] = [10, 60, 300];
 
 /// Sizing and seeding of one fleet run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Sites per cell population (Alexa-shaped, shared navigation universe).
     pub sites: usize,
@@ -108,7 +107,7 @@ impl FleetConfig {
 
 /// One cell of the fleet grid: a mitigation deployment driven either cold
 /// (`pool: None`) or through warm sessions under one pool policy.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FleetCell {
     /// The deployed mitigation combination.
     pub mitigations: MitigationSet,
@@ -122,7 +121,7 @@ pub struct FleetCell {
 
 /// The completed fleet run: cold baseline + warm mitigation grid + pool
 /// policy sweep, all over the same navigation trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FleetReport {
     /// The configuration the fleet ran with.
     pub config: FleetConfig,

@@ -5,14 +5,9 @@
 //! visible at a glance. Absolute counts are not expected to match — the
 //! populations are scaled down — but the percentages and rankings should.
 
-use serde::Serialize;
-
 /// Reference percentages from Table 1 (relative to the HTTP/2 site and
 /// connection totals of each dataset).
-///
-/// Not `Deserialize`: the dataset label is a `&'static str`, which cannot be
-/// deserialized from owned input.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PaperTable1Reference {
     /// Dataset label used in the paper.
     pub dataset: &'static str,

@@ -1,9 +1,7 @@
 //! Plain-text table rendering.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned text table.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TextTable {
     /// Table title (printed above the header).
     pub title: String,

@@ -14,7 +14,6 @@ use connreuse_core::{
 use connreuse_probe::{ProbeConfig, ProbeExperiment};
 use netsim_asdb::AsRegistry;
 use netsim_types::Duration;
-use serde::{Deserialize, Serialize};
 
 /// All experiment names understood by [`run_experiment`], in paper order.
 /// `whatif` is not a published table; it quantifies the mitigations the
@@ -28,7 +27,7 @@ pub const EXPERIMENTS: &[&str] = &[
 ];
 
 /// The rendered result of one experiment.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExperimentOutput {
     /// Experiment name (one of [`EXPERIMENTS`]).
     pub name: String,

@@ -7,7 +7,6 @@ use netsim_browser::{BrowserConfig, CrawlReport, Crawler, VisitScratch};
 use netsim_har::{ArchivePipeline, FilterStatistics, HarDataset};
 use netsim_types::MitigationSet;
 use netsim_web::{PopulationBuilder, PopulationProfile, WebEnvironment};
-use serde::{Deserialize, Serialize};
 
 /// Seed offset of the Alexa-shaped population relative to the root seed.
 /// Shared with the mitigation sweep so its baseline cell reproduces the
@@ -52,7 +51,7 @@ fn capture_har(pipeline: &ArchivePipeline, env: &WebEnvironment, threads: usize)
 }
 
 /// Sizing and seeding of the simulated measurement campaign.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScenarioConfig {
     /// Number of sites in the HTTP-Archive-shaped population (paper: 6.24 M).
     pub archive_sites: usize,

@@ -53,12 +53,11 @@ use netsim_store::{
 };
 use netsim_types::{Fingerprint, FingerprintBuilder, Mitigation, MitigationSet};
 use netsim_web::DeploymentCache;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::path::Path;
 
 /// Sizing, seeding and stored-deployment selection of one shard store.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StoreConfig {
     /// Total population size (the paper's own crawl: 100 k).
     pub sites: usize,
@@ -211,7 +210,7 @@ impl StoreConfig {
 
 /// A priced what-if question: one stored deployment, one link profile, one
 /// chunk-aligned slice `[lo, hi)` of the site-rank list.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreQuery {
     /// The deployment to price (must be one of [`StoreConfig::mitigations`]).
     pub mitigations: MitigationSet,

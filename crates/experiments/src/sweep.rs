@@ -48,10 +48,9 @@ use connreuse_core::{Cause, DatasetSummary};
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_types::{Mitigation, MitigationSet};
 use netsim_web::{DeploymentCache, WebEnvironment};
-use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one sweep run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Sites per cell population (Alexa-shaped).
     pub sites: usize,
@@ -84,7 +83,7 @@ impl SweepConfig {
 
 /// One cell of the sweep grid: a mitigation combination and the classified
 /// summary of the crawl measured under it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepCell {
     /// The deployed mitigation combination.
     pub mitigations: MitigationSet,
@@ -94,7 +93,7 @@ pub struct SweepCell {
 
 /// The completed sweep: all 16 cells, ordered by mitigation bits (cell 0 is
 /// the measured web, cell 15 the full deployment).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepReport {
     /// The configuration the sweep ran with.
     pub config: SweepConfig,

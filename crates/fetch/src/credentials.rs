@@ -11,11 +11,10 @@
 
 use crate::request::{CredentialsMode, RequestDestination};
 use netsim_types::Origin;
-use serde::{Deserialize, Serialize};
 
 /// The two connection-pool partitions Chromium derives from the credentials
 /// decision (`privacy_mode` in `//net`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CredentialsPartition {
     /// Requests that include credentials.
     Credentialed,

@@ -7,11 +7,8 @@
 //! "include"). That mode decides whether a request carries credentials
 //! cross-origin, which in turn decides its connection-pool partition.
 
-use serde::{Deserialize, Serialize};
-
 /// What kind of resource the request is for (Fetch "destination").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RequestDestination {
     /// The top-level HTML document (navigation).
     Document,

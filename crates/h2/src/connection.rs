@@ -6,17 +6,16 @@
 //! whether requests on it carry credentials (the Fetch "privacy mode"
 //! partition), which domains the server refused with HTTP 421, an optional
 //! RFC 8336 origin set, and the request/transfer counts that the HAR and
-//! NetLog substrates serialise.
+//! NetLog substrates record.
 
 use netsim_tls::Certificate;
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr, Origin};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// Lifecycle state of a connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConnectionState {
     /// Established and usable for new streams.
     Open,
@@ -30,7 +29,7 @@ pub enum ConnectionState {
 /// multi-page session model. Single-page visits close connections implicitly
 /// (the visit ends) and leave the reason unset; the pool records which of its
 /// policies pulled the trigger so fleet reports can attribute churn.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CloseReason {
     /// Sat unused in the pool past the client's idle timeout.
     IdleTimeout,
@@ -73,7 +72,7 @@ impl std::error::Error for ConnectionError {}
 /// opens its stream and completes its response in the same step, so no
 /// stream table is kept: there is never more than one stream open, far below
 /// any peer's concurrency limit.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Connection {
     /// Identifier, equal to the socket id recorded in HAR files.
     pub id: ConnectionId,

@@ -20,10 +20,9 @@
 
 use crate::connection::Connection;
 use netsim_types::{DomainName, IpAddr, Mitigation, MitigationSet, Origin};
-use serde::{Deserialize, Serialize};
 
 /// A single reason why an existing connection cannot serve a new request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ReuseRefusal {
     /// Scheme or port differ.
     SchemePortMismatch,
@@ -67,7 +66,7 @@ impl ReuseRefusal {
 /// allocation-free result the visit fast path keeps per candidate
 /// connection. Iteration order is the `Ord` order of [`ReuseRefusal`], so
 /// [`RefusalSet::to_vec`] is sorted and deduplicated.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RefusalSet(u16);
 
 impl RefusalSet {
@@ -108,7 +107,7 @@ impl RefusalSet {
 /// Policy knobs governing the reuse check. Defaults model Chromium 87 as used
 /// in the paper's measurements: the Fetch credentials partition is enforced
 /// and ORIGIN frames are ignored.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReusePolicy {
     /// Enforce the Fetch Standard credentials partition ("privacy mode").
     /// Disabling this reproduces the paper's "Alexa w/o Fetch" run.

@@ -11,10 +11,9 @@
 
 use crate::model::HarDocument;
 use netsim_types::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// The defect classes of §4.3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InconsistencyKind {
     /// Socket / connection id logged as 0 (indistinguishable sessions).
     ZeroSocketId,
@@ -46,7 +45,7 @@ impl InconsistencyKind {
 }
 
 /// Per-class injection rates (probability per entry).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InconsistencyConfig {
     /// Probability of a zero socket id.
     pub zero_socket_id: f64,

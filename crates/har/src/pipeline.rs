@@ -14,7 +14,6 @@ use crate::model::HarDocument;
 use netsim_browser::{Browser, BrowserConfig};
 use netsim_types::{Duration, Instant, SimClock, SimRng};
 use netsim_web::WebEnvironment;
-use serde::{Deserialize, Serialize};
 
 /// How many times each landing page is loaded before taking the median.
 const LOADS_PER_SITE: usize = 3;
@@ -25,7 +24,7 @@ const ID_STRIDE: u64 = 1_000_000;
 netsim_types::counters! {
     /// Counters describing what the filter step removed — the §4.3
     /// bookkeeping. The generated `merge` folds another site's statistics.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct FilterStatistics {
         /// Entries with socket id 0.
         pub zero_socket_id: u64,
@@ -56,7 +55,7 @@ impl FilterStatistics {
 }
 
 /// A corpus of HAR documents (one per site) plus filter bookkeeping.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HarDataset {
     /// One median-load HAR per site, in site order.
     pub documents: Vec<HarDocument>,

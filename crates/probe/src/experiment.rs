@@ -4,10 +4,9 @@ use crate::pairs::{default_pairs, DomainPair};
 use crate::resolvers::{panel_resolver_id, resolver_panel, ResolverDescription};
 use netsim_dns::{Authority, RecursiveResolver};
 use netsim_types::{Duration, Instant};
-use serde::{Deserialize, Serialize};
 
 /// Probe parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProbeConfig {
     /// How often every resolver is queried (the paper: every 6 minutes).
     pub interval: Duration,
@@ -45,7 +44,7 @@ impl ProbeConfig {
 
 /// The Figure 3 data: for every pair and time slot, the number of resolvers
 /// whose answers for the two domains overlapped.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OverlapMatrix {
     /// The probed pairs, row order of the matrix.
     pub pairs: Vec<DomainPair>,

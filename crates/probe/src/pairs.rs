@@ -7,10 +7,9 @@
 //! catalog serves.
 
 use netsim_types::DomainName;
-use serde::{Deserialize, Serialize};
 
 /// One probed pair: the redundant origin and its reusable previous origin.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DomainPair {
     /// The origin whose connections were redundant.
     pub origin: DomainName,

@@ -6,13 +6,12 @@
 //! only (the simulation routes queries by [`netsim_dns::ResolverId`]).
 
 use netsim_dns::ResolverId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The coarse world region a panel resolver sits in (Table 11's location
 /// column, summarised). A label only: no simulated load balancer steers by
 /// it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Vantage {
     /// North America.
     NorthAmerica,
@@ -37,7 +36,7 @@ impl fmt::Display for Vantage {
 }
 
 /// One row of Table 11.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResolverDescription {
     /// Address (or "internal" for the university resolver).
     pub address: String,

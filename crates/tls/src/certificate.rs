@@ -1,12 +1,10 @@
 //! Certificates and SAN coverage.
 
 use netsim_types::{DomainName, Instant};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one issued certificate within a [`crate::CertificateStore`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct CertificateId(pub u64);
 
 impl fmt::Display for CertificateId {
@@ -24,7 +22,7 @@ impl fmt::Debug for CertificateId {
 /// One Subject-Alternative-Name entry. Only DNS names matter for Connection
 /// Reuse; a wildcard entry covers exactly one additional left-most label
 /// (RFC 6125 §6.4.3).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum SanEntry {
     /// An exact DNS name, e.g. `www.example.com`.
     Dns(DomainName),
@@ -80,7 +78,7 @@ impl fmt::Debug for SanEntry {
 /// only needs SAN coverage, the issuer organisation (Tables 3, 5, 9) and the
 /// validity window (the Alexa crawl "does not ignore certificate errors", so
 /// expired certificates abort the page load).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Store-assigned identifier (doubles as the serial number).
     pub id: CertificateId,

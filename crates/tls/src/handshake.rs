@@ -7,10 +7,9 @@
 //! benches quantifying the price of redundancy) are meaningful.
 
 use netsim_types::Duration;
-use serde::{Deserialize, Serialize};
 
 /// TLS protocol version; determines the number of handshake round trips.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TlsVersion {
     /// TLS 1.2 — 2 round trips for a full handshake.
     Tls12,
@@ -29,7 +28,7 @@ impl TlsVersion {
 }
 
 /// Parameters of the connection-establishment cost model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HandshakeConfig {
     /// TLS version spoken by both endpoints.
     pub version: TlsVersion,

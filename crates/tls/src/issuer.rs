@@ -7,7 +7,6 @@
 //! dominates by connection volume on few heavy-hitter domains, Let's Encrypt
 //! dominates by unique-domain count with a long tail of small operators.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,8 +15,7 @@ use std::sync::Arc;
 /// The organisation string is shared (`Arc<str>`): the population generator
 /// stamps an issuer on every generated certificate, so cloning an issuer must
 /// be a refcount bump, not a string copy.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Issuer {
     organization: Arc<str>,
 }
@@ -138,7 +136,7 @@ impl fmt::Debug for Issuer {
 /// independent website (the long tail). Heavy hitters (Google properties,
 /// Facebook, CDNs) pin their issuer explicitly in the service catalog instead
 /// of sampling from these weights.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IssuerCatalog {
     entries: Vec<(Issuer, f64)>,
 }

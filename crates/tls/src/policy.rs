@@ -9,11 +9,10 @@
 
 use crate::certificate::SanEntry;
 use netsim_types::DomainName;
-use serde::{Deserialize, Serialize};
 
 /// How a set of domains served by one operator is partitioned into
 /// certificates.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum IssuancePolicy {
     /// One certificate listing every domain as a SAN entry. Connection reuse
     /// across the domains is possible whenever they share an IP.

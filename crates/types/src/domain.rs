@@ -18,14 +18,13 @@
 //! Both forms cache the 64-bit FNV-1a hash of their canonical text, so the
 //! traits mean the same whatever the form: equality is textual (checked on
 //! the hash first, then confirmed by entry, by fields or by text), hashing
-//! writes the cached word, ordering is textual, and `Display`/`Serialize`
-//! print the canonical text. A parsed `atlas-site-000123.com` equals the
-//! generated one, and `BTreeMap`-backed reports are byte-identical to the
+//! writes the cached word, ordering is textual, and `Display` prints the
+//! canonical text. A parsed `atlas-site-000123.com` equals the generated
+//! one, and `BTreeMap`-backed reports are byte-identical to the
 //! plain-string representation.
 
 use crate::hash::{fnv1a, fnv1a_continue};
 use crate::intern::{intern_canonical, Interned};
-use serde::{de, value::Value, Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -342,21 +341,6 @@ impl Ord for DomainName {
     }
 }
 
-impl Serialize for DomainName {
-    fn serialize_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for DomainName {
-    fn deserialize_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::String(s) => DomainName::parse(s).map_err(de::Error::custom),
-            _ => Err(de::Error::custom("expected domain-name string")),
-        }
-    }
-}
-
 impl fmt::Display for DomainName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut digits = [0u8; 10];
@@ -636,17 +620,6 @@ mod tests {
     fn display_and_fromstr_roundtrip() {
         let d: DomainName = "Static.Hotjar.com".parse().unwrap();
         assert_eq!(d.to_string(), "static.hotjar.com");
-    }
-
-    #[test]
-    fn serde_roundtrip_revalidates() {
-        let d = DomainName::literal("www.example.co.uk");
-        let value = d.serialize_value();
-        assert_eq!(value.as_str(), Some("www.example.co.uk"));
-        let back = DomainName::deserialize_value(&value).unwrap();
-        assert_eq!(back, d);
-        assert!(DomainName::deserialize_value(&Value::String("bad domain!".to_string())).is_err());
-        assert!(DomainName::deserialize_value(&Value::Null).is_err());
     }
 
     #[test]

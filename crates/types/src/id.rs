@@ -6,16 +6,12 @@
 //! ids keep those joins type-safe and make accidental cross-keying a compile
 //! error.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -74,7 +70,7 @@ define_id!(
 );
 
 /// A monotonically increasing allocator for any of the id types.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IdAllocator {
     next: u64,
 }

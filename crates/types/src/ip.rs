@@ -7,13 +7,11 @@
 //! neighbourhood, iteration) rather than `std::net::Ipv4Addr` plus ad-hoc bit
 //! twiddling scattered across crates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// An IPv4 address stored as a host-order `u32`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IpAddr(pub u32);
 
 impl IpAddr {
@@ -88,7 +86,7 @@ impl FromStr for IpAddr {
 }
 
 /// An IPv4 CIDR prefix, e.g. `142.250.74.0/24`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     base: IpAddr,
     len: u8,

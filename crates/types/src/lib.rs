@@ -8,9 +8,9 @@
 //! simulation substrates (DNS, TLS, HTTP/2, browser) and the analysis core
 //! agree on what a "domain", an "IP" and a "point in time" are.
 //!
-//! All types are plain data: cloneable, comparable, hashable and
-//! serde-serialisable, so they can flow through HAR files, NetLog events and
-//! report tables without conversion layers.
+//! All types are plain data: cloneable, comparable and hashable, so they can
+//! flow through NetLog events, shard records and report tables without
+//! conversion layers.
 //!
 //! The [`mod@counters`] module declares the additive tallies every report is
 //! built from once each ([`counters!`]), with their merge and word layout.

@@ -16,10 +16,8 @@
 //! The experiment harness sweeps all 2^4 = 16 combinations and reports the
 //! marginal and combined redundancy reduction of each mitigation.
 
-use serde::{Deserialize, Serialize};
-
 /// One deployable mitigation against redundant HTTP/2 connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Mitigation {
     /// Servers announce RFC 8336 ORIGIN frames listing the exact DNS names of
     /// their certificate, and clients let origin-set membership substitute
@@ -91,7 +89,7 @@ impl std::fmt::Display for Mitigation {
 /// set is the paper's best case. [`MitigationSet::all_combinations`]
 /// enumerates the whole 2^4 grid in a stable order, which the sweep engine
 /// relies on for deterministic sharding.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MitigationSet {
     bits: u8,
 }

@@ -10,15 +10,13 @@
 //! value.
 
 use crate::domain::DomainName;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// URL scheme of an origin. The simulation only ever speaks `https` (HTTP/2
 /// Connection Reuse requires TLS), but `http` is kept so that HAR
 /// inconsistency injection can produce the HTTP/1-over-cleartext requests the
 /// paper filters out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scheme {
     /// Cleartext HTTP.
     Http,
@@ -52,7 +50,7 @@ impl fmt::Display for Scheme {
 
 /// A web origin: scheme, host and port. `Copy` — the host is a
 /// [`DomainName`] handle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Origin {
     /// URL scheme.
     pub scheme: Scheme,

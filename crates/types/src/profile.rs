@@ -41,8 +41,6 @@
 //! because [`StageTable::merge`] is associative and order-insensitive the
 //! *counts* are thread-invariant even though the nanoseconds are not.
 
-use serde::{Deserialize, Serialize};
-
 /// Named hot sections of the visit fast path and its surrounding loops.
 ///
 /// The enum is the table's index space: adding a stage grows every
@@ -132,7 +130,7 @@ impl Stage {
 
 /// Aggregated timings of one stage: how often it ran and the
 /// total/min/max nanoseconds it took. `Copy`, fixed-size, heap-free.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Times the stage scope was entered.
     pub count: u64,

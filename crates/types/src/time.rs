@@ -8,13 +8,11 @@
 //! and [`SimClock`] is a monotonically advancing clock handed around by the
 //! drivers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A span of simulated time with millisecond resolution.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Duration {
     millis: u64,
 }
@@ -100,8 +98,7 @@ impl Add for Duration {
 }
 
 /// A point in simulated time, measured from the simulation epoch.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Instant {
     millis: u64,
 }
@@ -163,7 +160,7 @@ impl Sub<Instant> for Instant {
 /// Drivers (the browser page loader, the DNS probe) own a `SimClock` and
 /// advance it explicitly; every recorded event carries the `Instant` read from
 /// the clock, making entire runs reproducible.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimClock {
     now: Instant,
 }

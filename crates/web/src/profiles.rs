@@ -8,10 +8,8 @@
 //! difference; the calibration constants sit next to the paper value they are
 //! aimed at.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable description of a site population.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PopulationProfile {
     /// Profile name (used in report headings).
     pub name: String,

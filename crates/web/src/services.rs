@@ -19,10 +19,9 @@ use netsim_asdb::{well_known, AutonomousSystem};
 use netsim_fetch::RequestDestination;
 use netsim_tls::Issuer;
 use netsim_types::{DomainName, Mitigation, MitigationSet};
-use serde::{Deserialize, Serialize};
 
 /// One request a service triggers when embedded.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceRequest {
     /// Host serving the resource.
     pub domain: DomainName,
@@ -73,7 +72,7 @@ impl ServiceRequest {
 }
 
 /// How the domains of one IP cluster are mapped to addresses.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DnsDeployment {
     /// Every domain of the cluster resolves to one shared static address.
     SingleHost,
@@ -101,7 +100,7 @@ pub enum DnsDeployment {
 }
 
 /// A group of domains that share address infrastructure.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IpCluster {
     /// Domains in the cluster.
     pub domains: Vec<DomainName>,
@@ -110,7 +109,7 @@ pub struct IpCluster {
 }
 
 /// Hosting description of a service.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceHosting {
     /// Operating party (used in reports only).
     pub operator: String,
@@ -126,7 +125,7 @@ pub struct ServiceHosting {
 }
 
 /// A third-party service that sites can embed.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ThirdPartyService {
     /// Stable catalog name (referenced by population profiles).
     pub name: String,
@@ -156,7 +155,7 @@ fn ds(names: &[&str]) -> Vec<DomainName> {
 }
 
 /// The full catalog of modelled services.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceCatalog {
     services: Vec<ThirdPartyService>,
 }
