@@ -208,7 +208,7 @@ fn bench_visit_paths(c: &mut Criterion) {
     });
 
     group.bench_function("visit_scratch_fast_path", |b| {
-        let mut scratch = VisitScratch::without_netlog();
+        let mut scratch = VisitScratch::new();
         let mut classifier = FastVisitClassifier::new();
         b.iter(|| {
             let mut accumulator = Accumulator::new();

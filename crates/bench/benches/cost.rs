@@ -27,7 +27,7 @@ fn bench_cost_accounting(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("visit_and_fold", |b| {
-        let mut scratch = VisitScratch::without_netlog();
+        let mut scratch = VisitScratch::new();
         b.iter(|| {
             let mut totals = CostTotals::new();
             for index in 0..env.sites.len() {
@@ -45,7 +45,7 @@ fn bench_pricing(c: &mut Criterion) {
     // A crawl's worth of timelines, captured once.
     let env = bench_environment();
     let crawler = Crawler::new("cost-bench", BrowserConfig::alexa_measurement(), 0xC0FFEE);
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
     let timelines: Vec<VisitTimeline> = (0..env.sites.len())
         .map(|index| {
             let _ = crawler.visit_site_into(&mut scratch, &env, index);

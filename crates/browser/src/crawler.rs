@@ -99,9 +99,8 @@ impl Crawler {
 
     /// Visit one site into a reusable per-worker scratch — the
     /// zero-allocation form of [`Crawler::visit_site`]. The visit's
-    /// connections, requests and (if the scratch records one) NetLog are left
-    /// in `scratch`; the returned [`VisitTimes`] carries the start/finish
-    /// instants.
+    /// connections and requests are left in `scratch`; the returned
+    /// [`VisitTimes`] carries the start/finish instants.
     pub fn visit_site_into(
         &self,
         scratch: &mut VisitScratch,

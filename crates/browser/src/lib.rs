@@ -18,8 +18,9 @@
 //! a [`netsim_dns::RecursiveResolver`], consults its session pool (direct
 //! same-origin match first, then the coalescing predicate of
 //! [`netsim_h2::reuse`]), opens new [`netsim_h2::Connection`]s when no
-//! session qualifies, and records everything as NetLog-style events plus a
-//! structured [`visit::PageVisit`].
+//! session qualifies, and records the visit once: the connections and
+//! requests of a structured [`visit::PageVisit`] (the connection lifecycles
+//! the paper rebuilds from NetLog events, §4.2.2).
 //!
 //! [`crawler::Crawler`] is the Browsertime stand-in: it visits every site of
 //! a population (optionally in parallel), producing the dataset the analysis
@@ -35,7 +36,6 @@ pub mod connpool;
 pub mod crawler;
 pub mod fault;
 pub mod loader;
-pub mod netlog;
 pub mod pool;
 pub mod scratch;
 pub mod session;
@@ -46,7 +46,6 @@ pub use connpool::{ConnectionPool, PoolConfig, PoolLifecycleStats};
 pub use crawler::{CrawlReport, Crawler};
 pub use fault::{FaultProfile, RetryPolicy, VisitOutcome};
 pub use loader::Browser;
-pub use netlog::{NetLog, NetLogEvent, NetLogEventKind};
 pub use pool::{PooledScratch, ScratchPool};
 pub use scratch::{ScratchRequest, VisitScratch, VisitTimes};
 pub use session::{ResumptionCache, UserSession};

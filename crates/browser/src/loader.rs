@@ -2,7 +2,6 @@
 
 use crate::config::BrowserConfig;
 use crate::connpool::sample_server_lifetime;
-use crate::netlog::NetLogEventKind;
 use crate::scratch::{ScratchRequest, VisitScratch, VisitTimes};
 use crate::session::{ResumptionCache, UserSession};
 use crate::visit::PageVisit;
@@ -12,7 +11,7 @@ use netsim_h2::reuse::evaluate_set;
 use netsim_h2::{CloseReason, Connection, ConnectionState};
 use netsim_types::profile::Stage;
 use netsim_types::stage;
-use netsim_types::{ConnectionId, Duration, IdAllocator, Instant, Origin, RequestId, SimClock, SimRng};
+use netsim_types::{ConnectionId, Duration, IdAllocator, Instant, Origin, SimClock, SimRng};
 use netsim_web::{PlannedRequest, WebEnvironment, Website};
 use std::sync::Arc;
 
@@ -83,9 +82,9 @@ impl Browser {
     /// Load one site's landing page into a reusable [`VisitScratch`].
     ///
     /// Behaviourally identical to [`Browser::load_page`] — same connections,
-    /// requests, ids, clock advancement and (if enabled) NetLog events — but
-    /// all visit state lands in `scratch`'s recycled buffers. In the steady
-    /// state this performs zero heap allocations per visit.
+    /// requests, ids and clock advancement — but all visit state lands in
+    /// `scratch`'s recycled buffers. In the steady state this performs zero
+    /// heap allocations per visit.
     pub fn load_page_into(
         &mut self,
         scratch: &mut VisitScratch,
@@ -98,9 +97,6 @@ impl Browser {
         // Caches are reset between visits (only in-visit DNS reuse happens);
         // the scratch flushes rather than drops the resolver.
         scratch.begin_visit(self.config.resolver);
-        if scratch.netlog_enabled() {
-            scratch.netlog.record(started_at, NetLogEventKind::PageLoadStarted { domain: site.domain });
-        }
 
         // The fault stream is a label fork of the visit rng: it derives from
         // the stored seed (never the stream position), so the visit rng's own
@@ -113,21 +109,11 @@ impl Browser {
         // draw per connection through the shared sampler (the session pool's
         // absorb uses the same one, so both paths stay distribution- and
         // RNG-order-identical). `KeepOpen` draws nothing and closes nothing.
-        {
-            let netlog_enabled = scratch.netlog_enabled();
-            let (connections, netlog) = scratch.connections_and_netlog_mut();
-            for connection in connections.iter_mut() {
-                if let Some(closed_at) =
-                    sample_server_lifetime(rng, &self.config.duration_model, connection.established_at)
-                {
-                    connection.close(closed_at);
-                    if netlog_enabled {
-                        netlog.record(
-                            closed_at,
-                            NetLogEventKind::ConnectionClosed { connection: connection.id },
-                        );
-                    }
-                }
+        for connection in scratch.connections.iter_mut() {
+            if let Some(closed_at) =
+                sample_server_lifetime(rng, &self.config.duration_model, connection.established_at)
+            {
+                connection.close(closed_at);
             }
         }
 
@@ -151,8 +137,7 @@ impl Browser {
     ///   this page* — a pooled connection's window is already grown.
     ///
     /// Pool lifecycle events are accounted in the session's
-    /// [`crate::PoolLifecycleStats`], not the NetLog (the fleet experiment
-    /// runs without a NetLog).
+    /// [`crate::PoolLifecycleStats`].
     pub fn load_session_page_into(
         &mut self,
         scratch: &mut VisitScratch,
@@ -165,9 +150,6 @@ impl Browser {
         let started_at = clock.now();
         let first_page = session.pages_loaded() == 0;
         scratch.begin_session_page(self.config.resolver, first_page, started_at);
-        if scratch.netlog_enabled() {
-            scratch.netlog.record(started_at, NetLogEventKind::PageLoadStarted { domain: site.domain });
-        }
 
         // Per-page fault stream (see `load_page_into`); the pool's
         // dead-on-reuse draws come first (insertion order), then the
@@ -244,7 +226,7 @@ impl Browser {
         finished_at
     }
 
-    /// Record the end-of-page NetLog event and fold the page-level costs.
+    /// Fold the page-level costs into the visit's timeline.
     /// `first_new` is the index of the first connection this page opened
     /// itself — connections before it were lent warm by a session pool and
     /// already paid their slow-start.
@@ -255,11 +237,6 @@ impl Browser {
         finished_at: Instant,
         first_new: usize,
     ) -> VisitTimes {
-        if scratch.netlog_enabled() {
-            scratch
-                .netlog
-                .record(finished_at, NetLogEventKind::PageLoadFinished { requests: scratch.requests.len() });
-        }
         stage!(Stage::CostFold);
         // Cold-window penalty: every opened connection pays the slow-start
         // rounds its delivered bytes needed (a reused connection would have
@@ -394,7 +371,6 @@ impl Browser {
         //    against every live session.
         let target_ip = {
             stage!(Stage::DnsWalk);
-            let netlog_enabled = scratch.netlog_enabled();
             // Injected SERVFAIL/lost-query: drawn before the resolver runs,
             // so a faulted attempt performs no authority walk (and caches
             // nothing) — exactly a query that never came back.
@@ -402,15 +378,13 @@ impl Browser {
             let resolver = scratch.resolver_mut();
             let stats_before = resolver.stats();
             // Extract what the rest of the visit needs while the answer
-            // borrow is live; the address list is cloned only for NetLog.
+            // borrow is live.
             let outcome = if injected {
                 resolver.note_injected_failure();
                 Err(true)
             } else {
                 match resolver.resolve(&env.authority, &planned.domain, clock.now()) {
-                    Ok(answer) => {
-                        Ok((answer.primary_address(), netlog_enabled.then(|| answer.addresses.clone())))
-                    }
+                    Ok(answer) => Ok(answer.primary_address()),
                     Err(_) => Err(false),
                 }
             };
@@ -424,26 +398,11 @@ impl Browser {
                 scratch.timeline.faults_injected += 1;
             }
             match outcome {
-                Ok((target_ip, addresses)) => {
-                    if let Some(addresses) = addresses {
-                        scratch.netlog.record(
-                            clock.now(),
-                            NetLogEventKind::DnsResolved { domain: planned.domain, addresses },
-                        );
-                    }
-                    match target_ip {
-                        Some(ip) => ip,
-                        None => return FetchAttempt::Skip,
-                    }
-                }
+                Ok(Some(ip)) => ip,
+                Ok(None) => return FetchAttempt::Skip,
+                // An injected failure retries; a genuinely unresolvable name
+                // keeps the historical silent skip.
                 Err(was_injected) => {
-                    if netlog_enabled {
-                        scratch
-                            .netlog
-                            .record(clock.now(), NetLogEventKind::DnsFailed { domain: planned.domain });
-                    }
-                    // An injected failure retries; a genuinely unresolvable
-                    // name keeps the historical silent skip.
                     return if was_injected { FetchAttempt::Fault } else { FetchAttempt::Skip };
                 }
             }
@@ -451,58 +410,26 @@ impl Browser {
 
         if chosen.is_none() {
             stage!(Stage::ReuseScan);
-            // Only the NetLog reads the refused candidates.
-            let netlog_enabled = scratch.netlog_enabled();
-            if netlog_enabled {
-                scratch.refusals.clear();
-            }
-            for (index, connection) in scratch.connections.iter().enumerate() {
-                if !connection.is_open_at(clock.now()) {
-                    continue;
-                }
-                let refusals = evaluate_set(
-                    connection,
-                    &target_origin,
-                    target_ip,
-                    credentialed,
-                    &self.config.reuse_policy,
-                );
-                if refusals.is_empty() {
-                    chosen = Some(index);
-                    break;
-                }
-                if netlog_enabled {
-                    scratch.refusals.push((connection.id, refusals));
-                }
-            }
-            if chosen.is_none() && netlog_enabled {
-                for index in 0..scratch.refusals.len() {
-                    let (connection, reasons) = scratch.refusals[index];
-                    scratch.netlog.record(
-                        clock.now(),
-                        NetLogEventKind::ReuseRefused {
-                            connection,
-                            domain: planned.domain,
-                            reasons: reasons.to_vec(),
-                        },
-                    );
-                }
-            }
+            // The first session in pool order that is still open and the
+            // predicate refuses for no reason.
+            let now = clock.now();
+            chosen = scratch.connections.iter().position(|connection| {
+                connection.is_open_at(now)
+                    && evaluate_set(
+                        connection,
+                        &target_origin,
+                        target_ip,
+                        credentialed,
+                        &self.config.reuse_policy,
+                    )
+                    .is_empty()
+            });
         }
 
         // 3. Open a new session when nothing qualified.
         let index = match chosen {
             Some(index) => {
                 scratch.timeline.connections_reused += 1;
-                if scratch.netlog_enabled() {
-                    scratch.netlog.record(
-                        clock.now(),
-                        NetLogEventKind::ConnectionReused {
-                            connection: scratch.connections[index].id,
-                            domain: planned.domain,
-                        },
-                    );
-                }
                 index
             }
             None => {
@@ -590,17 +517,6 @@ impl Browser {
                     let certificate = Arc::clone(&connection.certificate);
                     connection.receive_origin_set(certificate.dns_names().copied());
                 }
-                if scratch.netlog_enabled() {
-                    scratch.netlog.record(
-                        clock.now(),
-                        NetLogEventKind::ConnectionEstablished {
-                            connection: id,
-                            domain: planned.domain,
-                            ip: target_ip,
-                            credentialed,
-                        },
-                    );
-                }
                 scratch.connections.push(connection);
                 scratch.connections.len() - 1
             }
@@ -615,15 +531,9 @@ impl Browser {
         // died before the response completed. The connection is torn down —
         // the retry (if any) must redial — and the attempt fails.
         if fault_rng.chance_ppm(self.config.faults.reset_ppm) {
-            let connection_id = connection.id;
             connection.close_with_reason(clock.now(), CloseReason::TransportReset);
             drop(encode_guard);
             scratch.timeline.faults_injected += 1;
-            if scratch.netlog_enabled() {
-                scratch
-                    .netlog
-                    .record(clock.now(), NetLogEventKind::ConnectionClosed { connection: connection_id });
-            }
             return FetchAttempt::Fault;
         }
         let status = 200;
@@ -643,29 +553,8 @@ impl Browser {
             scratch.any_non_ok = true;
         }
 
-        let request_id: RequestId = self.request_ids.issue_as();
-        if scratch.netlog_enabled() {
-            scratch.netlog.record(
-                clock.now(),
-                NetLogEventKind::RequestSent {
-                    request: request_id,
-                    connection: connection_id,
-                    domain: planned.domain,
-                    path: planned.path.to_string(),
-                },
-            );
-            scratch.netlog.record(
-                clock.now() + rtt,
-                NetLogEventKind::ResponseCompleted {
-                    request: request_id,
-                    status,
-                    body_size: planned.body_size,
-                },
-            );
-        }
-
         FetchAttempt::Success(ScratchRequest {
-            id: request_id,
+            id: self.request_ids.issue_as(),
             connection: connection_id,
             domain: planned.domain,
             plan_index: plan_index as u32,
@@ -754,7 +643,6 @@ mod tests {
         let b = visit(&env, 2, BrowserConfig::alexa_measurement());
         assert_eq!(a.requests, b.requests);
         assert_eq!(a.connection_count(), b.connection_count());
-        assert_eq!(a.netlog, b.netlog);
     }
 
     #[test]
@@ -813,70 +701,53 @@ mod tests {
     }
 
     #[test]
-    fn netlog_logs_every_candidate_a_scan_refused() {
+    fn each_connection_opens_only_after_every_open_candidate_is_refused() {
         // The analytics chain: GTM and GA share a certificate but resolve
-        // apart, so GA's connection opens after its scan refuses GTM's for
-        // the IP cause. Each opened connection must follow one refusal event
-        // per open candidate, carrying exactly the predicate's reasons.
-        // Keeping connections open leaves each one, after the visit, in the
-        // state every scan saw.
+        // apart, so GA's connection opens only after the predicate refuses
+        // GTM's for the IP cause. Every connection a visit opened must have
+        // found each earlier connection open at its establishment refused by
+        // the predicate (else the scan would have reused it). Keeping
+        // connections open leaves each one, after the visit, in the state
+        // every scan saw.
         let env = environment(60, 5);
         let ga = DomainName::literal("www.google-analytics.com");
         let config = BrowserConfig {
             duration_model: crate::config::ConnectionDurationModel::KeepOpen,
             ..BrowserConfig::alexa_measurement()
         };
-        let mut logged = VisitScratch::new();
-        let mut silent = VisitScratch::without_netlog();
+        let mut scratch = VisitScratch::new();
         let mut ip_refusals = 0;
         for (index, site) in env.sites.iter().enumerate() {
             if !site.plan.iter().any(|request| request.domain == ga) {
                 continue;
             }
-            let start = Instant::EPOCH + Duration::from_mins(31 * index as u64);
-            for scratch in [&mut logged, &mut silent] {
-                let mut browser = Browser::new(config.clone());
-                let mut clock = SimClock::starting_at(start);
-                let mut rng = SimRng::new(99);
-                browser.load_page_into(scratch, &env, site, &mut clock, &mut rng);
-            }
-            assert_eq!(logged.connections(), silent.connections(), "site {}", site.domain);
-            let mut pending = Vec::new();
-            for event in logged.netlog().events() {
-                match &event.kind {
-                    NetLogEventKind::ReuseRefused { connection, domain, reasons } => {
-                        pending.push((*connection, *domain, reasons.clone()));
+            let mut browser = Browser::new(config.clone());
+            let mut clock = SimClock::starting_at(Instant::EPOCH + Duration::from_mins(31 * index as u64));
+            let mut rng = SimRng::new(99);
+            browser.load_page_into(&mut scratch, &env, site, &mut clock, &mut rng);
+            let connections = scratch.connections();
+            for (opened_index, opened) in connections.iter().enumerate() {
+                for candidate in &connections[..opened_index] {
+                    if !candidate.is_open_at(opened.established_at) {
+                        continue;
                     }
-                    NetLogEventKind::ConnectionEstablished { connection, domain, ip, credentialed } => {
-                        let expected: Vec<_> = logged
-                            .connections()
-                            .iter()
-                            .take_while(|candidate| candidate.id != *connection)
-                            .filter(|candidate| candidate.is_open_at(event.time))
-                            .map(|candidate| {
-                                let reasons = evaluate_set(
-                                    candidate,
-                                    &Origin::https(*domain),
-                                    *ip,
-                                    *credentialed,
-                                    &config.reuse_policy,
-                                );
-                                (candidate.id, *domain, reasons.to_vec())
-                            })
-                            .collect();
-                        ip_refusals += expected
-                            .iter()
-                            .filter(|(_, _, reasons)| reasons.contains(&ReuseRefusal::IpMismatch))
-                            .count();
-                        assert_eq!(pending, expected, "site {} opening {connection}", site.domain);
-                        pending.clear();
-                    }
-                    // A scan that found a connection logs no refusals.
-                    NetLogEventKind::ConnectionReused { .. } => assert!(pending.is_empty()),
-                    _ => {}
+                    let reasons = evaluate_set(
+                        candidate,
+                        &opened.initial_origin,
+                        opened.remote_ip,
+                        opened.credentialed,
+                        &config.reuse_policy,
+                    );
+                    assert!(
+                        !reasons.is_empty(),
+                        "site {}: {} opened although {} qualified",
+                        site.domain,
+                        opened.id,
+                        candidate.id
+                    );
+                    ip_refusals += usize::from(reasons.contains(ReuseRefusal::IpMismatch));
                 }
             }
-            assert!(pending.is_empty(), "site {}: refusals without an opened connection", site.domain);
         }
         assert!(ip_refusals > 0, "expected the analytics chain to refuse a candidate for the IP cause");
     }
@@ -1041,7 +912,7 @@ mod tests {
 
         let env = environment(8, 21);
         let config = BrowserConfig::alexa_measurement();
-        let mut scratch = VisitScratch::without_netlog();
+        let mut scratch = VisitScratch::new();
         // A roomy pool: no capacity eviction, so the only page-2 opens are
         // replacements for server-churned connections (ticketed origins).
         let pool = PoolConfig { max_connections: 64, idle_timeout: Duration::from_secs(600) };
@@ -1085,8 +956,8 @@ mod tests {
     #[test]
     fn scratch_and_legacy_paths_produce_identical_visits() {
         // `load_page` is defined as materialising the scratch fast path; an
-        // explicit reusable scratch must reproduce it byte for byte,
-        // including the NetLog, across several sites sharing one scratch.
+        // explicit reusable scratch must reproduce it byte for byte, across
+        // several sites sharing one scratch.
         let env = environment(12, 10);
         let crawler = Crawler::new("compat", BrowserConfig::alexa_measurement(), 5);
         let mut scratch = VisitScratch::new();
@@ -1096,7 +967,6 @@ mod tests {
             let fast = scratch.to_page_visit(&env.sites[index], times);
             assert_eq!(legacy.requests, fast.requests);
             assert_eq!(legacy.connections, fast.connections);
-            assert_eq!(legacy.netlog, fast.netlog);
             assert_eq!(legacy.started_at, fast.started_at);
             assert_eq!(legacy.finished_at, fast.finished_at);
         }

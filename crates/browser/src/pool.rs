@@ -18,54 +18,36 @@ use crate::scratch::VisitScratch;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
-/// A thread-safe pool of recycled [`VisitScratch`] arenas.
-///
-/// All arenas in one pool share a configuration (NetLog recording on or
-/// off), fixed at pool construction — a checked-out arena is always ready to
-/// use as-is.
-#[derive(Debug)]
+/// A thread-safe pool of recycled [`VisitScratch`] arenas; a checked-out
+/// arena is always ready to use as-is.
+#[derive(Debug, Default)]
 pub struct ScratchPool {
     idle: Mutex<Vec<VisitScratch>>,
-    netlog_enabled: bool,
 }
 
 impl ScratchPool {
-    /// A pool of measurement-compatible arenas ([`VisitScratch::new`]:
-    /// NetLog recording on).
+    /// An empty pool.
     pub fn new() -> Self {
-        ScratchPool { idle: Mutex::new(Vec::new()), netlog_enabled: true }
+        ScratchPool::default()
     }
 
-    /// A pool of streaming-path arenas ([`VisitScratch::without_netlog`]) —
-    /// what chunked crawl executors want.
+    /// Same as [`ScratchPool::new`]. The `simbench` workspace is its only
+    /// caller.
     pub fn without_netlog() -> Self {
-        ScratchPool { netlog_enabled: false, ..ScratchPool::new() }
+        ScratchPool::new()
     }
 
     /// Check an arena out: recycle an idle one, or build a fresh one if the
     /// pool has run dry. The arena returns to the pool when the guard drops.
     pub fn checkout(&self) -> PooledScratch<'_> {
         let recycled = self.idle.lock().expect("scratch pool poisoned").pop();
-        let scratch = recycled.unwrap_or_else(|| {
-            if self.netlog_enabled {
-                VisitScratch::new()
-            } else {
-                VisitScratch::without_netlog()
-            }
-        });
+        let scratch = recycled.unwrap_or_default();
         PooledScratch { pool: self, scratch: Some(scratch) }
     }
 
     /// Number of idle arenas currently waiting in the pool.
     pub fn idle_arenas(&self) -> usize {
         self.idle.lock().expect("scratch pool poisoned").len()
-    }
-}
-
-impl Default for ScratchPool {
-    /// Same as [`ScratchPool::new`].
-    fn default() -> Self {
-        ScratchPool::new()
     }
 }
 
@@ -105,14 +87,12 @@ mod tests {
 
     #[test]
     fn checkout_builds_fresh_arenas_and_drop_returns_them() {
-        let pool = ScratchPool::without_netlog();
+        let pool = ScratchPool::new();
         assert_eq!(pool.idle_arenas(), 0);
         {
-            let first = pool.checkout();
-            let second = pool.checkout();
+            let _first = pool.checkout();
+            let _second = pool.checkout();
             assert_eq!(pool.idle_arenas(), 0);
-            assert!(!first.netlog_enabled());
-            assert!(!second.netlog_enabled());
         }
         assert_eq!(pool.idle_arenas(), 2);
     }
@@ -126,20 +106,16 @@ mod tests {
         // new one.
         let guard = pool.checkout();
         assert_eq!(pool.idle_arenas(), 0);
-        assert!(guard.netlog_enabled());
         drop(guard);
         assert_eq!(pool.idle_arenas(), 1);
     }
 
     #[test]
     fn arenas_can_be_checked_out_from_worker_threads() {
-        let pool = ScratchPool::without_netlog();
+        let pool = ScratchPool::new();
         std::thread::scope(|scope| {
             for _ in 0..3 {
-                scope.spawn(|| {
-                    let arena = pool.checkout();
-                    assert!(!arena.netlog_enabled());
-                });
+                scope.spawn(|| drop(pool.checkout()));
             }
         });
         // Each worker returned its arena; how many distinct arenas were built

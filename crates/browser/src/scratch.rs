@@ -14,8 +14,6 @@
 //!   full [`PageVisit`] is needed),
 //! * the recursive resolver is flushed — not dropped — between visits, so
 //!   its cache lines recycle their answer buffers,
-//! * NetLog recording is optional: the measurement-compatible path keeps it,
-//!   the streaming classification path turns it off,
 //! * the per-visit cost timeline ([`netsim_cost::VisitTimeline`]) is a
 //!   fixed-size `Copy` block of integer counters reset — never reallocated —
 //!   between visits, so latency/byte accounting rides the fast path for
@@ -27,12 +25,10 @@
 //! `crates/browser/tests/zero_alloc.rs`.
 
 use crate::fault::VisitOutcome;
-use crate::netlog::NetLog;
 use crate::visit::{PageVisit, RequestLogEntry};
 use netsim_cost::VisitTimeline;
 use netsim_dns::{RecursiveResolver, ResolverId};
 use netsim_fetch::RequestDestination;
-use netsim_h2::reuse::RefusalSet;
 use netsim_h2::Connection;
 use netsim_types::{ConnectionId, DomainName, Instant, RequestId};
 use netsim_web::Website;
@@ -83,11 +79,6 @@ pub struct VisitScratch {
     closed: Vec<Connection>,
     /// Requests sent by the current visit, in send order.
     pub(crate) requests: Vec<ScratchRequest>,
-    /// Per-request buffer of refused reuse candidates.
-    pub(crate) refusals: Vec<(ConnectionId, RefusalSet)>,
-    /// The current visit's event log (empty while disabled).
-    pub(crate) netlog: NetLog,
-    netlog_enabled: bool,
     /// The reusable resolver; rebuilt only when the resolver id changes.
     resolver: Option<RecursiveResolver>,
     /// `true` if any response of the current visit had a non-200 status;
@@ -101,23 +92,15 @@ pub struct VisitScratch {
 }
 
 impl VisitScratch {
-    /// A scratch with NetLog recording enabled (the measurement-compatible
-    /// default: materialised [`PageVisit`]s carry the full event log).
+    /// An empty scratch; its buffers grow on the first visits.
     pub fn new() -> Self {
-        VisitScratch { netlog_enabled: true, ..VisitScratch::default() }
+        VisitScratch::default()
     }
 
-    /// A scratch with NetLog recording disabled — the streaming
-    /// classification path, where the event log would be dropped unread and
-    /// its per-event allocations (answer address lists, request paths) would
-    /// break the zero-allocation property.
+    /// Same as [`VisitScratch::new`]. The `simbench` workspace is its only
+    /// caller.
     pub fn without_netlog() -> Self {
-        VisitScratch { netlog_enabled: false, ..VisitScratch::default() }
-    }
-
-    /// `true` if this scratch records NetLog events.
-    pub fn netlog_enabled(&self) -> bool {
-        self.netlog_enabled
+        VisitScratch::new()
     }
 
     /// The cost timeline of the current visit.
@@ -125,7 +108,7 @@ impl VisitScratch {
         &self.timeline
     }
 
-    /// Drop the current visit's connections and logs, keeping their
+    /// Drop the current visit's connections and requests, keeping their
     /// capacity. This releases the certificate handles the connections hold,
     /// so an environment rebuilt in place can rewrite those certificates
     /// instead of allocating new ones.
@@ -133,8 +116,6 @@ impl VisitScratch {
         self.connections.clear();
         self.closed.clear();
         self.requests.clear();
-        self.refusals.clear();
-        self.netlog.clear();
         self.any_non_ok = false;
         self.timeline.reset();
     }
@@ -150,7 +131,7 @@ impl VisitScratch {
     }
 
     /// Prepare for the next visit: drop the previous visit's connections,
-    /// clear the logs and flush (not drop) the resolver cache.
+    /// clear the request log and flush (not drop) the resolver cache.
     pub(crate) fn begin_visit(&mut self, resolver: ResolverId) {
         self.begin_page(resolver).flush_cache();
     }
@@ -188,13 +169,6 @@ impl VisitScratch {
         &mut self.closed
     }
 
-    /// Split borrows of the connection list and the NetLog (the
-    /// duration-model pass mutates connections while recording close
-    /// events).
-    pub(crate) fn connections_and_netlog_mut(&mut self) -> (&mut Vec<Connection>, &mut NetLog) {
-        (&mut self.connections, &mut self.netlog)
-    }
-
     /// Sessions opened by the current visit, in establishment order.
     pub fn connections(&self) -> &[Connection] {
         &self.connections
@@ -203,11 +177,6 @@ impl VisitScratch {
     /// Requests sent by the current visit, in send order.
     pub fn requests(&self) -> &[ScratchRequest] {
         &self.requests
-    }
-
-    /// The current visit's event log (empty when recording is disabled).
-    pub fn netlog(&self) -> &NetLog {
-        &self.netlog
     }
 
     /// `true` if every response of the current visit had status 200.
@@ -248,7 +217,6 @@ impl VisitScratch {
                     started_at: request.started_at,
                 })
                 .collect(),
-            netlog: self.netlog.clone(),
         }
     }
 }

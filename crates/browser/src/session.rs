@@ -229,7 +229,7 @@ mod tests {
         session.note_page_loaded();
         assert_eq!(session.pages_loaded(), 1);
         assert_eq!(session.tickets.len(), 1);
-        let mut scratch = VisitScratch::without_netlog();
+        let mut scratch = VisitScratch::new();
         session.end(&mut scratch, Instant::from_millis(1_000));
         assert_eq!(session.pages_loaded(), 0);
         assert!(session.tickets.is_empty());

@@ -1,6 +1,5 @@
 //! The structured record of one page visit.
 
-use crate::netlog::NetLog;
 use netsim_fetch::RequestDestination;
 use netsim_h2::Connection;
 use netsim_types::{ConnectionId, DomainName, Instant, RequestId, SiteId};
@@ -44,8 +43,6 @@ pub struct PageVisit {
     pub connections: Vec<Connection>,
     /// Every request, in send order.
     pub requests: Vec<RequestLogEntry>,
-    /// The low-level event log.
-    pub netlog: NetLog,
 }
 
 impl PageVisit {

@@ -21,7 +21,7 @@ use netsim_web::{PopulationBuilder, PopulationProfile};
 fn stage_totals_stay_inside_the_visit_loop_wall_clock() {
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 50, 777).build();
     let crawler = Crawler::new("profile-stages", BrowserConfig::alexa_measurement(), 7);
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
 
     // Drain anything a previously-run test on this thread left behind.
     let _ = profile::take_local();

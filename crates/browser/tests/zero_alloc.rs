@@ -2,11 +2,11 @@
 //!
 //! The whole point of [`netsim_browser::VisitScratch`] is that a steady-state
 //! page visit performs **zero** heap allocations: every buffer (connection
-//! list, request log, DNS cache lines, refusal sets) is recycled across
-//! visits, and opening a connection allocates nothing. This test pins that property with a counting
-//! global allocator: after two warm-up passes over a population (which grow
-//! every buffer to its high-water mark), a third pass over the same sites
-//! must allocate exactly **nothing**. Any regression — a stray `clone`, a
+//! list, request log, DNS cache lines) is recycled across visits, and
+//! opening a connection allocates nothing. This test pins that property with
+//! a counting global allocator: after two warm-up passes over a population
+//! (which grow every buffer to its high-water mark), a third pass over the
+//! same sites must allocate exactly **nothing**. Any regression — a stray `clone`, a
 //! map rebuilt per visit, a vector constructed in the loop — fails loudly
 //! with the exact allocation count.
 //!
@@ -74,7 +74,7 @@ fn allocations_in<F: FnOnce()>(f: F) -> u64 {
 fn steady_state_visits_allocate_nothing() {
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 60, 4242).build();
     let crawler = Crawler::new("alloc-gate", BrowserConfig::alexa_measurement(), 7);
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
 
     // Warm-up: every pooled buffer's capacity only ever ratchets upwards,
     // so a handful of passes reaches the fixed point where nothing grows any
@@ -123,7 +123,7 @@ fn cost_accounting_keeps_the_zero_allocation_guarantee() {
     // the zero cannot be explained by the accounting doing nothing.
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 40, 2024).build();
     let crawler = Crawler::new("alloc-gate-cost", BrowserConfig::alexa_measurement(), 5);
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
 
     // Warm-up to the buffers' high-water marks (see the main gate above).
     for _ in 0..8 {
@@ -187,7 +187,7 @@ fn warm_session_pages_keep_the_zero_allocation_guarantee() {
     // TTL sweeps, session teardown included — allocates exactly nothing.
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 24, 99).build();
     let config = BrowserConfig::alexa_measurement();
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
     let mut session = UserSession::new(PoolConfig::default());
 
     const MAX_WARMUP_PASSES: usize = 8;
@@ -226,7 +226,7 @@ fn origin_frame_sessions_allocate_only_their_origin_sets() {
     // it opens.
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 24, 99).build();
     let config = BrowserConfig::with_origin_frames();
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
     let mut session = UserSession::new(PoolConfig::default());
 
     const MAX_WARMUP_PASSES: usize = 8;
@@ -262,7 +262,7 @@ fn faulted_visits_keep_the_zero_allocation_guarantee() {
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 24, 77).build();
     let config =
         BrowserConfig { faults: FaultProfile::uniform(50_000), ..BrowserConfig::alexa_measurement() };
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
     let mut session = UserSession::new(PoolConfig::default());
 
     // Faults perturb how many connections a page opens and closes, so the
@@ -317,7 +317,7 @@ fn profiled_visits_keep_the_zero_allocation_guarantee() {
 
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 40, 1337).build();
     let crawler = Crawler::new("alloc-gate-profile", BrowserConfig::alexa_measurement(), 7);
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
 
     const MAX_WARMUP_PASSES: usize = 8;
     let mut converged = false;
@@ -351,25 +351,4 @@ fn profiled_visits_keep_the_zero_allocation_guarantee() {
         assert!(stats.count > 0, "stage {} recorded nothing in the measured pass", stage.name());
         assert!(stats.total_nanos > 0, "stage {} recorded zero time", stage.name());
     }
-}
-
-#[test]
-fn netlog_scratch_reaches_zero_allocations_once_netlog_is_disabled() {
-    // The same loop with NetLog recording enabled must allocate (events own
-    // address lists and path strings) — demonstrating that the measured
-    // zero above is a property of the fast path, not of the workload.
-    let env = PopulationBuilder::new(PopulationProfile::alexa(), 20, 4242).build();
-    let crawler = Crawler::new("alloc-gate-netlog", BrowserConfig::alexa_measurement(), 7);
-    let mut scratch = VisitScratch::new();
-    for _ in 0..2 {
-        for index in 0..env.sites.len() {
-            let _ = crawler.visit_site_into(&mut scratch, &env, index);
-        }
-    }
-    let allocations = allocations_in(|| {
-        for index in 0..env.sites.len() {
-            let _ = crawler.visit_site_into(&mut scratch, &env, index);
-        }
-    });
-    assert!(allocations > 0, "NetLog recording inherently allocates per event");
 }

@@ -257,7 +257,7 @@ pub(crate) fn run_grid<R: Send>(
     tasks: usize,
     task: impl Fn(&mut GridWorker<'_>, usize) -> R + Sync,
 ) -> GridOutcome<R> {
-    let pool = ScratchPool::without_netlog();
+    let pool = ScratchPool::new();
     let builds = AtomicUsize::new(0);
     let run = |worker: &mut GridWorker<'_>, index| in_chunk(|| task(worker, index));
     let RunOutcome { results, stats } = run_indexed(threads, tasks, |_| worker(&pool, &builds), run);
@@ -274,15 +274,13 @@ pub(crate) fn stream_grid<R: Send>(
     task: impl Fn(&mut GridWorker<'_>, usize) -> R + Sync,
     consume: impl FnMut(usize, R),
 ) -> PoolStats {
-    let pool = ScratchPool::without_netlog();
+    let pool = ScratchPool::new();
     let builds = AtomicUsize::new(0);
     let run = |worker: &mut GridWorker<'_>, index| in_chunk(|| task(worker, index));
     run_indexed_streaming(threads, tasks, capacity, |_| worker(&pool, &builds), run, consume)
 }
 
 fn worker<'run>(pool: &'run ScratchPool, builds: &'run AtomicUsize) -> GridWorker<'run> {
-    // NetLog events would be dropped unread: the pool hands out
-    // recording-disabled arenas so the visit loop stays allocation-free.
     GridWorker {
         scratch: pool.checkout(),
         classifier: FastVisitClassifier::new(),

@@ -91,7 +91,7 @@ fn warm_chunk_rebuild_allocates_nothing() {
     // The second chunk of the default layout, as a worker runs it.
     builder.set_site_range(config.chunk_sites, config.chunk_sites);
     let crawler = Crawler::new("build-alloc-gate", BrowserConfig::alexa_measurement(), 7);
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
     let mut classifier = FastVisitClassifier::new();
     let mut env = WebEnvironment::default();
 

@@ -74,7 +74,7 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
 fn warm_classification_allocates_nothing() {
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 60, 4242).build();
     let crawler = Crawler::new("classify-alloc-gate", BrowserConfig::alexa_measurement(), 7);
-    let mut scratch = VisitScratch::without_netlog();
+    let mut scratch = VisitScratch::new();
     let mut classifier = FastVisitClassifier::new();
 
     // One pass over the population: visit each site untracked, then count

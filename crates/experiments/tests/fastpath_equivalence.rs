@@ -44,7 +44,7 @@ proptest! {
         let env = PopulationBuilder::new(profile, sites, seed).with_mitigations(mitigations).build();
         let crawler = Crawler::new("equivalence", BrowserConfig::with_mitigations(mitigations), crawl_seed);
 
-        let mut scratch = VisitScratch::without_netlog();
+        let mut scratch = VisitScratch::new();
         let mut classifier = FastVisitClassifier::new();
         let mut fast = Accumulator::new();
         let mut batch = Accumulator::new();

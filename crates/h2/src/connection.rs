@@ -5,8 +5,8 @@
 //! during the handshake, the domain the connection was initially opened for,
 //! whether requests on it carry credentials (the Fetch "privacy mode"
 //! partition), which domains the server refused with HTTP 421, an optional
-//! RFC 8336 origin set, and the request/transfer counts that the HAR and
-//! NetLog substrates record.
+//! RFC 8336 origin set, and the request/transfer counts that HAR files and
+//! browser visits record.
 
 use netsim_tls::Certificate;
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr, Origin};

@@ -13,10 +13,13 @@
 //! partition* to match — the mechanism behind the paper's `CRED` cause.
 //!
 //! [`evaluate_set`] returns the complete set of reasons reuse fails; the
-//! empty set means reusable. Keeping *all* failing conditions (not just the
-//! first) is what allows the analysis layer to attribute one redundant
-//! connection to several root causes, exactly as described in §4.1 of the
-//! paper.
+//! empty set means reusable. The browser's reuse scan reads only
+//! [`RefusalSet::is_empty`]. The full set is read by this module's unit
+//! tests, the monotonicity proptest in `tests/properties.rs` and the three
+//! predicate benches in `crates/bench/benches/substrates.rs`; the planned
+//! per-connection explain view (ROADMAP item 6) will print it. The paper's
+//! §4.1 root causes are not derived from it: `connreuse_core::classify`
+//! attributes them from connection records alone.
 
 use crate::connection::Connection;
 use netsim_types::{DomainName, IpAddr, Mitigation, MitigationSet, Origin};
@@ -62,9 +65,8 @@ impl ReuseRefusal {
     }
 }
 
-/// A set of [`ReuseRefusal`]s packed into one copyable word — the
-/// allocation-free result the visit fast path keeps per candidate
-/// connection. Iteration order is the `Ord` order of [`ReuseRefusal`], so
+/// A set of [`ReuseRefusal`]s packed into one copyable word, so evaluating
+/// a candidate connection never allocates. Iteration order is the `Ord` order of [`ReuseRefusal`], so
 /// [`RefusalSet::to_vec`] is sorted and deduplicated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RefusalSet(u16);

@@ -1,8 +1,8 @@
 //! Stable identifiers.
 //!
 //! Connections, requests, pages and sites are referenced across crates (the
-//! browser emits NetLog events keyed by connection id, the HAR pipeline keys
-//! requests by socket id, the classifier joins them back together). Newtype
+//! browser logs requests by connection id, the HAR pipeline keys requests by
+//! socket id, the classifier joins them back together). Newtype
 //! ids keep those joins type-safe and make accidental cross-keying a compile
 //! error.
 

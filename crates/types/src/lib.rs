@@ -9,7 +9,7 @@
 //! agree on what a "domain", an "IP" and a "point in time" are.
 //!
 //! All types are plain data: cloneable, comparable and hashable, so they can
-//! flow through NetLog events, shard records and report tables without
+//! flow through visit records, shard records and report tables without
 //! conversion layers.
 //!
 //! The [`mod@counters`] module declares the additive tallies every report is

@@ -94,7 +94,7 @@ proptest! {
         let pool = PoolConfig { max_connections: 4, idle_timeout: Duration::from_secs(30) };
         let mut session = UserSession::new(pool);
         let mut browser = Browser::with_id_base(browser_config, 0);
-        let mut scratch = VisitScratch::without_netlog();
+        let mut scratch = VisitScratch::new();
         let mut rng = SimRng::new(seed).fork("conservation");
         let mut clock = SimClock::new();
         for page in 0..pages {

@@ -390,7 +390,7 @@ proptest! {
         // 10-minute DNS load-balancer epoch, so cached answers never diverge
         // from fresh ones.
         let page_start = |index: usize| Instant::EPOCH + Duration::from_secs(60 * index as u64);
-        let mut scratch = VisitScratch::without_netlog();
+        let mut scratch = VisitScratch::new();
 
         let mut cold_opens = 0u64;
         {
