@@ -138,7 +138,13 @@ impl Accumulator {
     /// assert_eq!(forward.observed_sites(), 2);
     /// ```
     pub fn merge(&mut self, other: &Accumulator) {
-        self.state.merge(&other.state);
+        self.merge_state(&other.state);
+    }
+
+    /// Merge an exported snapshot's counts into this accumulator: the same
+    /// sums as `merge(&Accumulator::from_state(state))`.
+    pub fn merge_state(&mut self, state: &AccumulatorState) {
+        self.state.merge(state);
     }
 
     /// Number of sites observed so far (including non-HTTP/2 sites).

@@ -76,9 +76,23 @@ impl LinkProfile {
         LinkProfile::new("lossy-cellular", 120, 1_500, 20_000)
     }
 
+    /// Number of [`LinkProfile::presets`].
+    pub const PRESET_COUNT: usize = 3;
+
     /// The three presets, in increasing order of per-connection pain.
     pub fn presets() -> Vec<LinkProfile> {
-        vec![LinkProfile::datacenter(), LinkProfile::broadband(), LinkProfile::lossy_cellular()]
+        (0..LinkProfile::PRESET_COUNT).filter_map(LinkProfile::preset).collect()
+    }
+
+    /// Preset `index` in [`LinkProfile::presets`] order, built alone; `None`
+    /// past the last preset.
+    pub fn preset(index: usize) -> Option<LinkProfile> {
+        match index {
+            0 => Some(LinkProfile::datacenter()),
+            1 => Some(LinkProfile::broadband()),
+            2 => Some(LinkProfile::lossy_cellular()),
+            _ => None,
+        }
     }
 
     /// The round-trip time as a [`Duration`].
@@ -137,6 +151,7 @@ mod tests {
         assert!(bb.bandwidth_bytes_per_ms > cell.bandwidth_bytes_per_ms);
         assert!(dc.loss_ppm < bb.loss_ppm && bb.loss_ppm < cell.loss_ppm);
         assert_eq!(dc.name, "datacenter");
+        assert_eq!(LinkProfile::preset(LinkProfile::PRESET_COUNT), None, "PRESET_COUNT is the last one");
     }
 
     #[test]

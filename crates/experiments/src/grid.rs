@@ -56,13 +56,12 @@ impl CellRecord {
         }
     }
 
-    /// A persisted store record, back in memory.
-    pub(crate) fn from_shard(record: &ShardRecord) -> Self {
-        CellRecord {
-            accumulator: Accumulator::from_state(&record.accumulator),
-            planned_requests: record.planned_requests,
-            cost: record.cost,
-        }
+    /// Fold a persisted store record into this one: the same sums as
+    /// [`CellRecord::merge`], read straight from the record.
+    pub(crate) fn absorb_shard(&mut self, record: &ShardRecord) {
+        self.accumulator.merge_state(&record.accumulator);
+        self.planned_requests += record.planned_requests;
+        self.cost.merge(&record.cost);
     }
 }
 

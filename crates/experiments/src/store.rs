@@ -495,18 +495,35 @@ pub struct QueryAnswer {
 }
 
 /// The record index of a query's (deployment, profile) cell, and the
-/// contiguous range of chunk indices its rank slice covers.
+/// contiguous range of chunk indices its rank slice covers: the chunks lying
+/// wholly inside `[lo, hi)`. Computed from the layout's shape, not from
+/// [`StoreConfig::keys`] and [`StoreConfig::chunks`], so a query allocates
+/// nothing here: keys run deployment-major over the profiles, so a cell's
+/// record is `deployment × profiles + profile` (the first listing of a
+/// deployment stored twice), and every chunk but the last spans
+/// `chunk_sites` sites.
 fn query_targets(config: &StoreConfig, query: &StoreQuery) -> Result<(usize, Range<usize>), StoreError> {
-    let key = (query.mitigations.bits() as u64, query.profile_index as u64);
-    let record_index =
-        config.keys().iter().position(|&k| k == key).ok_or_else(|| StoreError::LayoutMismatch {
+    let profiles = LinkProfile::PRESET_COUNT;
+    let record_index = config
+        .mitigations
+        .iter()
+        .position(|&set| set == query.mitigations)
+        .filter(|_| query.profile_index < profiles)
+        .map(|deployment| deployment * profiles + query.profile_index)
+        .ok_or_else(|| StoreError::LayoutMismatch {
             path: String::new(),
-            message: format!("the store does not price cell ({}, profile {})", query.mitigations, key.1),
+            message: format!(
+                "the store does not price cell ({}, profile {})",
+                query.mitigations, query.profile_index
+            ),
         })?;
-    let chunks = config.chunks();
-    let first = chunks.partition_point(|&(start, _)| (start as u64) < query.lo);
-    let end = chunks.partition_point(|&(start, len)| (start + len) as u64 <= query.hi);
-    Ok((record_index, first..end.max(first)))
+    let (sites, chunk) = (config.sites as u64, config.chunk_sites.max(1) as u64);
+    let count = sites.div_ceil(chunk);
+    // The first chunk starting at or after `lo`, and one past the last
+    // chunk ending at or before `hi` (only the last chunk ends at `sites`).
+    let first = query.lo.div_ceil(chunk).min(count);
+    let end = if query.hi >= sites { count } else { query.hi / chunk };
+    Ok((record_index, first as usize..end.max(first) as usize))
 }
 
 /// Answer a query from an opened store: fold the queried record of each
@@ -523,9 +540,9 @@ pub fn answer_query(
     let (record_index, covered) = query_targets(config, query)?;
     let mut fold = CellRecord::default();
     for chunk in covered.clone() {
-        fold.merge(&CellRecord::from_shard(store.record(chunk, record_index)?));
+        fold.absorb_shard(store.record(chunk, record_index)?);
     }
-    Ok(QueryAnswer::from_fold(config, query, covered.len(), fold))
+    Ok(QueryAnswer::from_fold(query, covered.len(), fold))
 }
 
 /// Answer the same query **without** a store: crawl the covered chunks in
@@ -544,15 +561,15 @@ pub fn answer_in_memory(config: &StoreConfig, query: &StoreQuery) -> Result<Quer
         |worker, task| measure_chunk(worker, config, chunks[covered.start + task], &deployments),
         |_task, cells| fold.merge(&cells[record_index]),
     );
-    Ok(QueryAnswer::from_fold(config, query, covered.len(), fold))
+    Ok(QueryAnswer::from_fold(query, covered.len(), fold))
 }
 
 impl QueryAnswer {
     /// The answer to `query` from the fold of its `chunks` covered records.
-    fn from_fold(config: &StoreConfig, query: &StoreQuery, chunks: usize, fold: CellRecord) -> Self {
+    fn from_fold(query: &StoreQuery, chunks: usize, fold: CellRecord) -> Self {
         QueryAnswer {
             query: *query,
-            profile: config.profiles()[query.profile_index].clone(),
+            profile: LinkProfile::preset(query.profile_index).expect("query_targets checked the profile"),
             chunks,
             observed_sites: fold.accumulator.observed_sites(),
             summary: fold.accumulator.finish(&query.mitigations.label()),
@@ -655,6 +672,7 @@ pub fn run_store_demo(config: &StoreConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> StoreConfig {
         StoreConfig {
@@ -760,6 +778,68 @@ mod tests {
             full.cost.sums.handshake_rtts
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The query targeting that scanned freshly built key and chunk lists.
+    fn listed_targets(config: &StoreConfig, query: &StoreQuery) -> Result<(usize, Range<usize>), String> {
+        let key = (query.mitigations.bits() as u64, query.profile_index as u64);
+        let record_index = config.keys().iter().position(|&k| k == key).ok_or_else(|| {
+            StoreError::LayoutMismatch {
+                path: String::new(),
+                message: format!("the store does not price cell ({}, profile {})", query.mitigations, key.1),
+            }
+            .to_string()
+        })?;
+        let chunks = config.chunks();
+        let first = chunks.partition_point(|&(start, _)| (start as u64) < query.lo);
+        let end = chunks.partition_point(|&(start, len)| (start + len) as u64 <= query.hi);
+        Ok((record_index, first..end.max(first)))
+    }
+
+    proptest! {
+        /// The arithmetic targeting picks the record and chunks the key and
+        /// chunk lists name, and refuses with the same text: every cell
+        /// (unpriced and twice-stored deployments, profile indices past the
+        /// presets) and bounds on, beside and between chunk boundaries and
+        /// past the population end.
+        #[test]
+        fn query_targets_agree_with_the_listed_layout(
+            sites in 0usize..300,
+            chunk_sites in 0usize..70,
+            stored in prop::collection::vec(0u8..16, 0usize..6),
+            lo in 0u64..400,
+            hi in 0u64..400,
+        ) {
+            let config = StoreConfig {
+                sites,
+                chunk_sites,
+                mitigations: stored.into_iter().map(MitigationSet::from_bits).collect(),
+                ..tiny()
+            };
+            let (sites, chunk) = (sites as u64, chunk_sites as u64);
+            let mut bounds = vec![lo, hi, 0, 1, sites.saturating_sub(1), sites, sites + 1, sites + chunk];
+            for multiple in 1..4 {
+                let boundary = multiple * chunk;
+                bounds.extend([boundary.saturating_sub(1), boundary, boundary + 1]);
+            }
+            let stored = config.mitigations.last().copied().unwrap_or_default();
+            let whole = StoreQuery { mitigations: stored, profile_index: 2, lo, hi };
+            let cells = (0..16u8).flat_map(|bits| {
+                (0..5).map(move |profile_index| {
+                    StoreQuery { mitigations: MitigationSet::from_bits(bits), profile_index, ..whole }
+                })
+            });
+            let slices =
+                bounds.iter().flat_map(|&lo| bounds.iter().map(move |&hi| StoreQuery { lo, hi, ..whole }));
+            for query in cells.chain(slices) {
+                prop_assert_eq!(
+                    query_targets(&config, &query).map_err(|error| error.to_string()),
+                    listed_targets(&config, &query),
+                    "{:?}",
+                    query
+                );
+            }
+        }
     }
 
     #[test]

@@ -302,6 +302,44 @@ fn corruption_is_refused_with_typed_errors_and_repaired_incrementally() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The shard's own trailer is checked even where the manifest's file
+/// checksum passes: a body edit behind a re-sealed manifest checksum (stale
+/// trailer), and a flip in the trailer alone with the manifest re-sealed or
+/// not, are each refused as `ChecksumMismatch` by the read, by the record
+/// served from the open and by a query that covers the chunk.
+#[test]
+fn a_stale_or_flipped_trailer_is_refused_on_every_read_path() {
+    let config = tiny(18, 6, 19, 2);
+    let dir = temp_store("stale-trailer");
+    build_store(&config, &dir).expect("build");
+    let victim = StoreLayout::shard_path(&dir, 1);
+    let pristine = std::fs::read(&victim).expect("read shard");
+    let pristine_manifest = std::fs::read(dir.join(MANIFEST_FILE)).expect("read manifest");
+    let body = pristine.len() - 8;
+    let mut stale_trailer = pristine.clone();
+    stale_trailer[(MAGIC.len() + HEADER_WORDS * 8 + body) / 2] ^= 0x40;
+    let mut flipped_trailer = pristine.clone();
+    flipped_trailer[body + 3] ^= 0x01;
+
+    let whole = StoreQuery { mitigations: MitigationSet::all(), profile_index: 2, lo: 0, hi: 18 };
+    let refused = StoreError::ChecksumMismatch { path: victim.display().to_string() };
+    for (damaged, reseal) in [(&stale_trailer, true), (&flipped_trailer, true), (&flipped_trailer, false)] {
+        std::fs::write(&victim, damaged).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), &pristine_manifest).unwrap();
+        if reseal {
+            let mut manifest = Manifest::load(&dir).expect("manifest");
+            manifest.chunks[1].checksum = fnv1a(damaged);
+            manifest.write(&dir).expect("rewrite manifest");
+        }
+        let store = open_store(&config, &dir).expect("a bad shard does not fail the open");
+        assert_eq!(store.read_chunk(1).map(|_| ()), Err(refused.clone()), "reseal {reseal}");
+        assert_eq!(store.record(1, 0), Err(refused.clone()), "reseal {reseal}");
+        assert_eq!(answer_query(&store, &config, &whole), Err(refused.clone()), "reseal {reseal}");
+        assert!(store.record(0, 0).is_ok() && store.record(2, 0).is_ok());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Every chunk-aligned rank slice of `config`, under its first and last
 /// stored cell.
 fn slice_queries(config: &StoreConfig) -> Vec<StoreQuery> {

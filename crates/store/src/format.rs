@@ -27,7 +27,7 @@
 use crate::error::StoreError;
 use connreuse_core::AccumulatorState;
 use netsim_cost::CostTotals;
-use netsim_types::{fnv1a, Counters};
+use netsim_types::{fnv1a, fnv1a_continue, Counters};
 
 /// First eight bytes of every shard file.
 pub const MAGIC: [u8; 8] = *b"CRSHARD1";
@@ -87,6 +87,28 @@ impl ShardRecord {
     }
 }
 
+/// The two FNV-1a checksums of a shard file's bytes, from one pass: the
+/// body checksum over every byte before the 8-byte trailer (what the trailer
+/// seals) and, continued over the trailer, the whole-file checksum (what the
+/// manifest pins).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ShardChecksums {
+    /// FNV-1a of every byte but the last eight.
+    pub(crate) body: u64,
+    /// FNV-1a of every byte.
+    pub(crate) file: u64,
+}
+
+impl ShardChecksums {
+    /// Hash `bytes` once. A file shorter than the trailer has an empty body;
+    /// the decoder refuses it as truncated before the body checksum matters.
+    pub(crate) fn of(bytes: &[u8]) -> Self {
+        let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(8));
+        let body = fnv1a(body);
+        ShardChecksums { body, file: fnv1a_continue(body, trailer) }
+    }
+}
+
 /// One chunk's persisted shard: header fields plus its records.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardFile {
@@ -142,6 +164,19 @@ impl ShardFile {
         bytes: &[u8],
         expected_fingerprint: Option<u64>,
     ) -> Result<ShardFile, StoreError> {
+        ShardFile::decode_hashed(path, bytes, ShardChecksums::of(bytes).body, expected_fingerprint)
+    }
+
+    /// [`ShardFile::decode`] with the body checksum already computed by the
+    /// caller ([`ShardChecksums::body`] of `bytes`), so a reader that also
+    /// needs the whole-file checksum hashes the bytes once. The checks and
+    /// their order are [`ShardFile::decode`]'s.
+    pub(crate) fn decode_hashed(
+        path: &str,
+        bytes: &[u8],
+        body_checksum: u64,
+        expected_fingerprint: Option<u64>,
+    ) -> Result<ShardFile, StoreError> {
         let minimum = MAGIC.len() + (HEADER_WORDS + 1) * 8;
         if bytes.len() < minimum {
             return Err(StoreError::Truncated {
@@ -193,7 +228,7 @@ impl ShardFile {
         }
         let body_len = bytes.len() - 8;
         let stored_checksum = u64::from_le_bytes(bytes[body_len..].try_into().expect("8-byte slice"));
-        if fnv1a(&bytes[..body_len]) != stored_checksum {
+        if body_checksum != stored_checksum {
             return Err(StoreError::ChecksumMismatch { path: path.to_string() });
         }
         let fingerprint = word(1);
@@ -323,6 +358,18 @@ mod tests {
         bytes[body..].copy_from_slice(&checksum.to_le_bytes());
         let error = ShardFile::decode("t", &bytes, None).unwrap_err();
         assert!(matches!(error, StoreError::RecordWidthMismatch { .. }), "{error:?}");
+    }
+
+    #[test]
+    fn one_pass_yields_the_body_and_the_file_checksum() {
+        let bytes = sample_shard().encode();
+        let body = bytes.len() - 8;
+        let checksums = ShardChecksums::of(&bytes);
+        assert_eq!(checksums, ShardChecksums { body: fnv1a(&bytes[..body]), file: fnv1a(&bytes) });
+        assert_eq!(bytes[body..], checksums.body.to_le_bytes(), "the trailer seals the body");
+        for short in [&[][..], &bytes[..5]] {
+            assert_eq!(ShardChecksums::of(short), ShardChecksums { body: fnv1a(&[]), file: fnv1a(short) });
+        }
     }
 
     #[test]

@@ -24,12 +24,17 @@
 //!   (config, chunk), so builds at any thread count, in any steal order,
 //!   produce byte-identical directories ([`mod@format`] explains the layout).
 //! * **Integrity** — every shard carries a trailing FNV-1a checksum and the
-//!   config fingerprint; [`ShardStore::read_chunk`] refuses corrupt or
-//!   foreign shards with a typed [`StoreError`] instead of serving wrong
-//!   numbers. [`ShardStore::open`] runs that check once per shard and keeps
-//!   the verified records in memory; [`ShardStore::record`] serves them and
-//!   returns a bad chunk's refusal for every read of it. The open is a
-//!   snapshot: a shard file changed afterwards is not seen.
+//!   config fingerprint, and the manifest pins each file's FNV-1a checksum;
+//!   [`ShardStore::read_chunk`] refuses corrupt or foreign shards with a
+//!   typed [`StoreError`] instead of serving wrong numbers. One pass over a
+//!   file's bytes yields both checksums (`ShardChecksums`): the state after
+//!   the body is what the trailer seals, and continued over the trailer it is
+//!   what the manifest pins. The build's manifest commit, the rebuild plan
+//!   and every read verify through that one pass. [`ShardStore::open`] runs
+//!   the check once per shard and keeps the verified records in memory;
+//!   [`ShardStore::record`] serves them and returns a bad chunk's refusal for
+//!   every read of it. The open is a snapshot: a shard file changed
+//!   afterwards is not seen.
 //! * **Incremental rebuild** — [`BuildPlan::assess`] decodes what is already
 //!   on disk and schedules only chunks whose shard is missing, corrupt, or
 //!   written under a different fingerprint/layout. A second build over the
@@ -51,6 +56,7 @@ pub use error::StoreError;
 pub use format::{ShardFile, ShardRecord, HEADER_WORDS, MAGIC, RECORD_WORDS, SHARD_SCHEMA};
 pub use manifest::{Manifest, ManifestChunk, ManifestKey, MANIFEST_FILE, MANIFEST_SCHEMA};
 
+use format::ShardChecksums;
 use std::path::{Path, PathBuf};
 
 /// Subdirectory holding the binary shards.
@@ -86,13 +92,39 @@ impl StoreLayout {
         dir.join(SHARDS_DIR).join(StoreLayout::shard_name(index))
     }
 
+    /// Read the shard file at `path` and verify it as chunk `index` in one
+    /// FNV-1a pass: the whole-file checksum against `pinned` (the manifest's,
+    /// when there is one), then the format's checks through the trailer and
+    /// fingerprint ([`ShardFile::decode_hashed`]), then this layout. Returns
+    /// the shard and its whole-file checksum. The build's manifest commit,
+    /// its rebuild plan and every read verify through here.
+    fn verify(&self, index: usize, path: &Path, pinned: Option<u64>) -> Result<(ShardFile, u64), StoreError> {
+        let bytes = std::fs::read(path).map_err(|error| StoreError::io(path, error))?;
+        let checksums = ShardChecksums::of(&bytes);
+        let label = path.display().to_string();
+        if pinned.is_some_and(|pinned| pinned != checksums.file) {
+            return Err(StoreError::ChecksumMismatch { path: label });
+        }
+        let shard = ShardFile::decode_hashed(&label, &bytes, checksums.body, Some(self.fingerprint))?;
+        self.check(index, path, &shard)?;
+        Ok((shard, checksums.file))
+    }
+
     /// Refuse a decoded shard that does not match this layout at `index`:
-    /// the one predicate the build's manifest commit and every read apply.
+    /// fingerprint, chunk bounds, record count and record keys in order.
     fn check(&self, index: usize, path: &Path, shard: &ShardFile) -> Result<(), StoreError> {
-        if self.matches(index, shard) {
+        let (start, len) = self.chunks[index];
+        if shard.fingerprint == self.fingerprint
+            && shard.chunk_index == index as u64
+            && shard.start == start
+            && shard.len == len
+            && shard.records.len() == self.keys.len()
+            && shard.records.iter().zip(&self.keys).all(|(record, &(bits, profile))| {
+                record.mitigation_bits == bits && record.profile_index == profile
+            })
+        {
             return Ok(());
         }
-        let (start, len) = self.chunks[index];
         Err(StoreError::LayoutMismatch {
             path: path.display().to_string(),
             message: format!(
@@ -106,20 +138,6 @@ impl StoreLayout {
                 shard.records.len()
             ),
         })
-    }
-
-    /// Does a decoded shard match this layout at `index`: fingerprint, chunk
-    /// bounds, record count and record keys in order?
-    fn matches(&self, index: usize, shard: &ShardFile) -> bool {
-        let (start, len) = self.chunks[index];
-        shard.fingerprint == self.fingerprint
-            && shard.chunk_index == index as u64
-            && shard.start == start
-            && shard.len == len
-            && shard.records.len() == self.keys.len()
-            && shard.records.iter().zip(&self.keys).all(|(record, &(bits, profile))| {
-                record.mitigation_bits == bits && record.profile_index == profile
-            })
     }
 }
 
@@ -148,17 +166,7 @@ impl BuildPlan {
     pub fn assess(dir: &Path, layout: &StoreLayout) -> Result<BuildPlan, StoreError> {
         let mut plan = BuildPlan::default();
         for index in 0..layout.chunks.len() {
-            let path = StoreLayout::shard_path(dir, index);
-            let clean = match std::fs::read(&path) {
-                Err(_) => false,
-                Ok(bytes) => {
-                    match ShardFile::decode(&path.display().to_string(), &bytes, Some(layout.fingerprint)) {
-                        Ok(shard) => layout.matches(index, &shard),
-                        Err(_) => false,
-                    }
-                }
-            };
-            if clean {
+            if layout.verify(index, &StoreLayout::shard_path(dir, index), None).is_ok() {
                 plan.clean.push(index);
             } else {
                 plan.dirty.push(index);
@@ -200,16 +208,13 @@ pub fn write_shard(dir: &Path, shard: &ShardFile) -> Result<(), StoreError> {
 pub fn finalize_manifest(dir: &Path, layout: &StoreLayout) -> Result<Manifest, StoreError> {
     let mut chunks = Vec::with_capacity(layout.chunks.len());
     for (index, &(start, len)) in layout.chunks.iter().enumerate() {
-        let path = StoreLayout::shard_path(dir, index);
-        let bytes = std::fs::read(&path).map_err(|error| StoreError::io(&path, error))?;
-        let shard = ShardFile::decode(&path.display().to_string(), &bytes, Some(layout.fingerprint))?;
-        layout.check(index, &path, &shard)?;
+        let (_, checksum) = layout.verify(index, &StoreLayout::shard_path(dir, index), None)?;
         chunks.push(ManifestChunk {
             index: index as u64,
             start,
             len,
             file: StoreLayout::shard_name(index),
-            checksum: netsim_types::fnv1a(&bytes),
+            checksum,
         });
     }
     let manifest = Manifest {
@@ -332,19 +337,14 @@ impl ShardStore {
         }
     }
 
-    /// Read and fully verify one chunk's shard from disk: file checksum
-    /// against the manifest, format checksum, fingerprint, and the
-    /// manifest's layout (chunk bounds, record count and keys).
+    /// Read and fully verify one chunk's shard from disk in one pass over
+    /// its bytes: file checksum against the manifest, format checksum,
+    /// fingerprint, and the manifest's layout (chunk bounds, record count and
+    /// keys).
     pub fn read_chunk(&self, index: usize) -> Result<ShardFile, StoreError> {
         let entry = self.manifest.chunks.get(index).ok_or_else(|| self.beyond_manifest(index))?;
         let path = self.dir.join(SHARDS_DIR).join(&entry.file);
-        let bytes = std::fs::read(&path).map_err(|error| StoreError::io(&path, error))?;
-        if netsim_types::fnv1a(&bytes) != entry.checksum {
-            return Err(StoreError::ChecksumMismatch { path: path.display().to_string() });
-        }
-        let shard = ShardFile::decode(&path.display().to_string(), &bytes, Some(self.manifest.fingerprint))?;
-        self.layout.check(index, &path, &shard)?;
-        Ok(shard)
+        Ok(self.layout.verify(index, &path, Some(entry.checksum))?.0)
     }
 
     /// The refusal of a chunk index the manifest does not list.

@@ -23,9 +23,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Continue an FNV-1a hash whose state after the bytes before `bytes` is
-/// `state`: `fnv1a(a ++ b) == fnv1a_continue(fnv1a(a), b)`.
+/// `state`: `fnv1a(a ++ b) == fnv1a_continue(fnv1a(a), b)`, so one pass over a
+/// file yields the hash of a prefix and of the whole file.
 #[inline]
-pub(crate) fn fnv1a_continue(mut state: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a_continue(mut state: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         state ^= byte as u64;
         state = state.wrapping_mul(0x1000_0000_01b3);
@@ -91,7 +92,18 @@ pub type FnvHashMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::hash::{BuildHasher, Hash};
+
+    proptest! {
+        #[test]
+        fn continuing_a_prefix_hash_equals_hashing_the_whole(
+            a in prop::collection::vec(any::<u8>(), 0usize..64),
+            b in prop::collection::vec(any::<u8>(), 0usize..64),
+        ) {
+            prop_assert_eq!(fnv1a(&[a.as_slice(), &b].concat()), fnv1a_continue(fnv1a(&a), &b));
+        }
+    }
 
     #[test]
     fn deterministic_across_instances() {
