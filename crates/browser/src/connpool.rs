@@ -31,7 +31,7 @@
 use crate::config::ConnectionDurationModel;
 use crate::fault::FaultProfile;
 use netsim_h2::{CloseReason, Connection, ConnectionState};
-use netsim_types::{ConnectionId, Duration, Instant, Origin, SimRng};
+use netsim_types::{ConnectionId, Duration, Instant, SimRng};
 
 /// Lifecycle policy knobs of a [`ConnectionPool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,28 +144,6 @@ impl ConnectionPool {
     /// `true` if nothing is pooled.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Keyed lookup: the pooled connection for the `(scheme, host, port)` ×
-    /// credentials-partition key that is still live at `now`, if any. The
-    /// loader's in-page scan performs the same match over lent connections;
-    /// this is the pool-side API (and what the unit tests pin).
-    pub fn find(&self, origin: &Origin, credentialed: bool, now: Instant) -> Option<&Connection> {
-        self.entries
-            .iter()
-            .find(|entry| {
-                entry.connection.initial_origin == *origin
-                    && entry.connection.credentialed == credentialed
-                    && self.entry_live_at(entry, now)
-            })
-            .map(|entry| &entry.connection)
-    }
-
-    /// `true` if the entry survives every lifecycle policy at `now`.
-    fn entry_live_at(&self, entry: &PoolEntry, now: Instant) -> bool {
-        entry.connection.can_open_stream()
-            && entry.expires_at.map(|expires| now < expires).unwrap_or(true)
-            && now.since(entry.last_used_at) <= self.config.idle_timeout
     }
 
     /// Start a page: move every pooled connection that survives the idle
@@ -379,7 +357,7 @@ mod tests {
         assert_eq!(rng.unit().to_bits(), probe.unit().to_bits());
     }
     use netsim_tls::{Certificate, CertificateStore, IssuancePolicy, Issuer};
-    use netsim_types::{DomainName, IpAddr};
+    use netsim_types::{DomainName, IpAddr, Origin};
     use std::sync::Arc;
 
     fn certificate(domain: &str) -> Arc<Certificate> {
@@ -409,34 +387,13 @@ mod tests {
     }
 
     #[test]
-    fn find_matches_origin_and_credentials_partition() {
-        let mut pool = ConnectionPool::new(PoolConfig::default());
-        let mut credentialed = connection(1, "www.example.com", 0);
-        credentialed.credentialed = true;
-        let mut anonymous = connection(2, "www.example.com", 0);
-        anonymous.credentialed = false;
-        absorb_fresh(&mut pool, Instant::from_millis(100), vec![credentialed, anonymous]);
-
-        let origin = Origin::https(DomainName::literal("www.example.com"));
-        let now = Instant::from_millis(200);
-        assert_eq!(pool.find(&origin, true, now).unwrap().id, ConnectionId(1));
-        assert_eq!(pool.find(&origin, false, now).unwrap().id, ConnectionId(2));
-        let other = Origin::https(DomainName::literal("cdn.example.com"));
-        assert!(pool.find(&other, true, now).is_none());
-    }
-
-    #[test]
     fn idle_timeout_closes_on_lend_and_hides_from_find() {
         let config = PoolConfig { max_connections: 8, idle_timeout: Duration::from_secs(10) };
         let mut pool = ConnectionPool::new(config);
         absorb_fresh(&mut pool, Instant::from_millis(1_000), vec![connection(1, "www.example.com", 0)]);
 
-        let origin = Origin::https(DomainName::literal("www.example.com"));
-        // Inside the timeout: visible and lendable.
-        assert!(pool.find(&origin, true, Instant::from_millis(9_000)).is_some());
-        // Past it: invisible to find…
-        assert!(pool.find(&origin, true, Instant::from_millis(12_000)).is_none());
-        // …and closed (with the idle reason, at the timeout instant) on lend.
+        // Past the timeout: not lent to the page (hidden from its reuse
+        // scan) but closed, with the idle reason, at the timeout instant.
         let mut live = Vec::new();
         let mut closed = Vec::new();
         pool.lend(
@@ -505,13 +462,16 @@ mod tests {
         // Cap 1: the unused returnee (LRU clock still at 1 000) loses to the
         // fresh connection (used at 3 000).
         assert_eq!(pool.len(), 1);
-        let survivor = pool.find(
-            &Origin::https(DomainName::literal("b.example.com")),
-            true,
-            Instant::from_millis(3_100),
-        );
-        assert!(survivor.is_some());
         assert_eq!(closed.iter().filter(|s| s.id == ConnectionId(1)).count(), 1);
+        live.clear();
+        pool.lend(
+            Instant::from_millis(3_100),
+            &mut live,
+            &mut closed,
+            &FaultProfile::default(),
+            &mut SimRng::new(0),
+        );
+        assert_eq!(live.iter().map(|s| s.id).collect::<Vec<_>>(), vec![ConnectionId(2)]);
     }
 
     #[test]

@@ -62,9 +62,8 @@ use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_
 use connreuse_core::{Cause, ConnectionRecord, DatasetSummary, DurationModel, FastVisitClassifier};
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 use netsim_cost::{CostTotals, LinkProfile};
-use netsim_types::{interned_domain_count, interned_domain_octets, MitigationSet};
+use netsim_types::{interned_domain_count, interned_domain_octets, Json, MitigationSet};
 use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, SharedDeployment};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Sizing and seeding of one atlas run.
@@ -362,7 +361,7 @@ fn peak_rss_bytes() -> u64 {
 /// One run's machine-readable benchmark record. Deterministic configuration
 /// fields first, then the machine-dependent measurements. Collected into a
 /// [`BenchFile`] by `connreuse-atlas --bench-json`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchRecord {
     /// Record format version (2: multi-record files with scheduler fields;
     /// 1 was the single-record schema).
@@ -401,7 +400,7 @@ pub struct BenchRecord {
 /// count over the identical population). The committed `BENCH_atlas.json`
 /// is a `BenchFile`; `scripts/bench_guard.sh` pairs its records with a fresh
 /// file's by serial (`threads == 1`) vs parallel (`threads > 1`) role.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchFile {
     /// File format version (2; version 1 files held a single bare record).
     pub schema: u32,
@@ -415,6 +414,33 @@ impl BenchFile {
     /// Wrap per-run records into the versioned file format.
     pub fn new(records: Vec<BenchRecord>) -> Self {
         BenchFile { schema: 2, scenario: "atlas".to_string(), records }
+    }
+
+    /// The file's JSON value, fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        let record = |record: &BenchRecord| {
+            Json::obj([
+                ("schema", record.schema.into()),
+                ("scenario", Json::str(&record.scenario)),
+                ("sites", record.sites.into()),
+                ("chunk_sites", record.chunk_sites.into()),
+                ("threads", record.threads.into()),
+                ("available_cores", record.available_cores.into()),
+                ("seed", record.seed.into()),
+                ("zipf_exponent", record.zipf_exponent.into()),
+                ("elapsed_secs", record.elapsed_secs.into()),
+                ("sites_per_second", record.sites_per_second.into()),
+                ("peak_rss_bytes", record.peak_rss_bytes.into()),
+                ("interned_domains", record.interned_domains.into()),
+                ("interned_octets", record.interned_octets.into()),
+                ("scheduler_steals", record.scheduler_steals.into()),
+            ])
+        };
+        Json::obj([
+            ("schema", self.schema.into()),
+            ("scenario", Json::str(&self.scenario)),
+            ("records", Json::arr(&self.records, record)),
+        ])
     }
 }
 
@@ -622,9 +648,52 @@ mod tests {
         let file = BenchFile::new(vec![record.clone(), record]);
         assert_eq!(file.schema, 2);
         assert_eq!(file.records.len(), 2);
-        let json = serde_json::to_string_pretty(&file).expect("bench file serialises");
-        assert!(json.contains("\"records\""));
-        assert!(json.contains("\"available_cores\""));
+    }
+
+    /// The bench file's JSON, pinned byte for byte (`scripts/bench_guard.sh`
+    /// reads it with awk): field order, `.0` on whole floats, `null` for
+    /// non-finite ones.
+    #[test]
+    fn bench_file_json_is_pinned() {
+        let record = BenchRecord {
+            schema: 2,
+            scenario: "atlas".to_string(),
+            sites: 100_000,
+            chunk_sites: 1_000,
+            threads: 1,
+            available_cores: 2,
+            seed: 42,
+            zipf_exponent: 0.35,
+            elapsed_secs: 2.0,
+            sites_per_second: 50_000.5,
+            peak_rss_bytes: 10_485_760,
+            interned_domains: 1_551,
+            interned_octets: 30_000,
+            scheduler_steals: 0,
+        };
+        let odd = BenchRecord {
+            threads: 2,
+            elapsed_secs: 1e-7,
+            sites_per_second: f64::INFINITY,
+            zipf_exponent: f64::NAN,
+            scheduler_steals: u64::MAX,
+            ..record.clone()
+        };
+        let expected = "{\n  \"schema\": 2,\n  \"scenario\": \"atlas\",\n  \"records\": [\n    {\n      \
+            \"schema\": 2,\n      \"scenario\": \"atlas\",\n      \"sites\": 100000,\n      \"chunk_sites\": 1000,\n      \
+            \"threads\": 1,\n      \"available_cores\": 2,\n      \"seed\": 42,\n      \"zipf_exponent\": 0.35,\n      \
+            \"elapsed_secs\": 2.0,\n      \"sites_per_second\": 50000.5,\n      \"peak_rss_bytes\": 10485760,\n      \
+            \"interned_domains\": 1551,\n      \"interned_octets\": 30000,\n      \"scheduler_steals\": 0\n    },\n    \
+            {\n      \"schema\": 2,\n      \"scenario\": \"atlas\",\n      \"sites\": 100000,\n      \
+            \"chunk_sites\": 1000,\n      \"threads\": 2,\n      \"available_cores\": 2,\n      \"seed\": 42,\n      \
+            \"zipf_exponent\": null,\n      \"elapsed_secs\": 0.0000001,\n      \"sites_per_second\": null,\n      \
+            \"peak_rss_bytes\": 10485760,\n      \"interned_domains\": 1551,\n      \"interned_octets\": 30000,\n      \
+            \"scheduler_steals\": 18446744073709551615\n    }\n  ]\n}";
+        assert_eq!(BenchFile::new(vec![record, odd]).to_json().to_pretty(), expected);
+        assert_eq!(
+            BenchFile::new(vec![]).to_json().to_pretty(),
+            "{\n  \"schema\": 2,\n  \"scenario\": \"atlas\",\n  \"records\": []\n}"
+        );
     }
 
     #[test]

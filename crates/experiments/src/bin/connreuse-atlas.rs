@@ -20,6 +20,7 @@
 use connreuse_experiments::atlas::{run_atlas, AtlasConfig, BenchFile};
 use connreuse_experiments::cli::{self, CliError, Flag, Spec};
 use connreuse_experiments::profile::{render_stage_table, ProfileFile};
+use netsim_types::Json;
 use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -116,14 +117,15 @@ fn main() -> ExitCode {
                 let table = netsim_types::profile::take_global();
                 eprint!("{}", render_stage_table(&table));
                 if let Some(path) = &profile_json {
-                    write_json(path, &ProfileFile::from_table(&table), "stage profile")?;
+                    write_json(path, &ProfileFile::from_table(&table).to_json(), "stage profile")?;
                 }
             }
             println!("{text}");
             if let Some(path) = &out {
                 cli::write_output(path, &text)?;
             }
-            bench_json.map_or(Ok(()), |path| write_json(&path, &BenchFile::new(records), "bench records"))
+            bench_json
+                .map_or(Ok(()), |path| write_json(&path, &BenchFile::new(records).to_json(), "bench records"))
         })
     })
 }
@@ -147,10 +149,8 @@ fn resolves_to_default_baseline(path: &Path) -> bool {
     }
 }
 
-fn write_json(path: &Path, value: &impl serde::Serialize, what: &str) -> Result<(), Box<dyn Error>> {
-    let json =
-        serde_json::to_string_pretty(value).map_err(|error| format!("cannot serialise {what}: {error}"))?;
-    cli::write_output(path, &format!("{json}\n"))?;
+fn write_json(path: &Path, value: &Json, what: &str) -> Result<(), Box<dyn Error>> {
+    cli::write_output(path, &format!("{}\n", value.to_pretty()))?;
     eprintln!("{what} written to {}", path.display());
     Ok(())
 }

@@ -21,15 +21,15 @@
 
 use crate::render::TextTable;
 use netsim_types::profile::{Stage, StageTable};
-use serde::{Deserialize, Serialize};
+use netsim_types::Json;
 
 /// Schema version of [`ProfileFile`]. Version 1: `stages` rows with
 /// `stage` / `count` / `total_nanos` / `min_nanos` / `max_nanos` /
 /// `mean_nanos` / `share` fields.
 pub const PROFILE_SCHEMA: u32 = 1;
 
-/// One stage's aggregate, flattened for serialisation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One stage's aggregate, flattened for the JSON file.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProfileRecord {
     /// Stable stage name ([`Stage::name`]) — the budget key.
     pub stage: String,
@@ -49,7 +49,7 @@ pub struct ProfileRecord {
 }
 
 /// The `--profile-json` file: every stage that recorded at least once.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProfileFile {
     /// Schema version ([`PROFILE_SCHEMA`]).
     pub schema: u32,
@@ -58,7 +58,7 @@ pub struct ProfileFile {
 }
 
 impl ProfileFile {
-    /// Flatten a merged stage table into the serialisable schema.
+    /// Flatten a merged stage table into the file's schema.
     pub fn from_table(table: &StageTable) -> Self {
         let stages = table
             .iter()
@@ -74,6 +74,22 @@ impl ProfileFile {
             })
             .collect();
         ProfileFile { schema: PROFILE_SCHEMA, stages }
+    }
+
+    /// The file's JSON value, fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        let record = |record: &ProfileRecord| {
+            Json::obj([
+                ("stage", Json::str(&record.stage)),
+                ("count", record.count.into()),
+                ("total_nanos", record.total_nanos.into()),
+                ("min_nanos", record.min_nanos.into()),
+                ("max_nanos", record.max_nanos.into()),
+                ("mean_nanos", record.mean_nanos.into()),
+                ("share", record.share.into()),
+            ])
+        };
+        Json::obj([("schema", self.schema.into()), ("stages", Json::arr(&self.stages, record))])
     }
 }
 
@@ -159,11 +175,21 @@ mod tests {
     }
 
     #[test]
-    fn profile_json_round_trips() {
-        let file = ProfileFile::from_table(&sample_table());
-        let json = serde_json::to_string_pretty(&file).unwrap();
-        let back: ProfileFile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, file);
+    fn profile_json_is_pinned() {
+        let expected = "{\n  \"schema\": 1,\n  \"stages\": [\n    {\n      \"stage\": \"dns-walk\",\n      \
+            \"count\": 2,\n      \"total_nanos\": 4000,\n      \"min_nanos\": 1000,\n      \"max_nanos\": 3000,\n      \
+            \"mean_nanos\": 2000.0,\n      \"share\": 0.4\n    },\n    {\n      \"stage\": \"handshake\",\n      \
+            \"count\": 1,\n      \"total_nanos\": 6000,\n      \"min_nanos\": 6000,\n      \"max_nanos\": 6000,\n      \
+            \"mean_nanos\": 6000.0,\n      \"share\": 0.6\n    },\n    {\n      \"stage\": \"generate\",\n      \
+            \"count\": 1,\n      \"total_nanos\": 2000,\n      \"min_nanos\": 2000,\n      \"max_nanos\": 2000,\n      \
+            \"mean_nanos\": 2000.0,\n      \"share\": 0.0\n    },\n    {\n      \"stage\": \"chunk-loop\",\n      \
+            \"count\": 1,\n      \"total_nanos\": 20000,\n      \"min_nanos\": 20000,\n      \"max_nanos\": 20000,\n      \
+            \"mean_nanos\": 20000.0,\n      \"share\": 0.0\n    }\n  ]\n}";
+        assert_eq!(ProfileFile::from_table(&sample_table()).to_json().to_pretty(), expected);
+        assert_eq!(
+            ProfileFile::from_table(&StageTable::new()).to_json().to_pretty(),
+            "{\n  \"schema\": 1,\n  \"stages\": []\n}"
+        );
     }
 
     #[test]

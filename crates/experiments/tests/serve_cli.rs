@@ -128,3 +128,23 @@ fn corrupt_and_foreign_stores_exit_1() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_million_deep_manifest_exits_1() {
+    let dir = temp_store("deep");
+    let mut args = tiny_flags(&dir);
+    args.push("--build".into());
+    assert_eq!(serve(&args.iter().map(String::as_str).collect::<Vec<_>>()).status.code(), Some(0));
+
+    let depth = 1_000_000;
+    std::fs::write(dir.join("MANIFEST.json"), "[".repeat(depth) + &"]".repeat(depth)).unwrap();
+    let mut args = tiny_flags(&dir);
+    args.extend(["--query".into(), "mitigations=none".into()]);
+    let output = serve(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.starts_with("error: corrupt manifest"), "{stderr}");
+    assert!(stderr.contains("expected `{` at byte 0"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}

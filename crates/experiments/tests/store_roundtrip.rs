@@ -12,16 +12,17 @@
 //! * **Snapshot** — opening a store verifies every shard once; queries fold
 //!   the verified records without touching the disk, and a shard refused at
 //!   open fails exactly the queries that cover it, lowest chunk first.
-//! * **Untrusted input** — shard decoding over arbitrary and damaged bytes
-//!   and query parsing over arbitrary text return typed errors and never
-//!   panic (proptest).
+//! * **Untrusted input** — shard decoding over arbitrary and damaged bytes,
+//!   manifest loading over damaged, deeply nested or oversized text, and
+//!   query parsing over arbitrary text return typed errors and never panic
+//!   (proptest).
 
 use connreuse_experiments::store::{
     answer_in_memory, answer_query, build_store, open_store, run_store, StoreConfig, StoreQuery,
 };
 use netsim_store::{
-    BuildPlan, Manifest, ShardFile, ShardRecord, ShardStore, StoreError, StoreLayout, HEADER_WORDS, MAGIC,
-    MANIFEST_FILE,
+    BuildPlan, Manifest, ManifestChunk, ManifestKey, ShardFile, ShardRecord, ShardStore, StoreError,
+    StoreLayout, HEADER_WORDS, MAGIC, MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 use netsim_types::{fnv1a, MitigationSet};
 use proptest::prelude::*;
@@ -58,6 +59,22 @@ fn store_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     }
     files
 }
+
+/// Every field name the manifest's objects use, top level first.
+const MANIFEST_FIELDS: [&str; 12] = [
+    "schema",
+    "fingerprint",
+    "sites",
+    "keys",
+    "chunks",
+    "mitigation_bits",
+    "profile_index",
+    "index",
+    "start",
+    "len",
+    "file",
+    "checksum",
+];
 
 /// Grammar fragments that steer generated queries into every parse branch.
 const QUERY_KEYS: [&str; 3] = ["mitigations=", "profile=", "ranks="];
@@ -119,6 +136,83 @@ proptest! {
                 Err(error) => prop_assert!(!error.to_string().is_empty()),
             }
         }
+    }
+
+    /// Manifest loading is total. A written manifest with byte edits and a
+    /// truncation, bare or field-deep nesting, an oversized number, or a
+    /// duplicate or unknown field inserted into any of its objects either
+    /// loads to a manifest that writes and loads back to itself, or is
+    /// refused as `ManifestCorrupt` with the byte offset it stopped at.
+    #[test]
+    fn manifest_load_is_total(
+        lens in prop::collection::vec(0u64..100, 0usize..4),
+        keys in prop::collection::vec((0u64..16, 0u64..3), 0usize..3),
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0usize..4),
+        cut in any::<usize>(),
+        depth in 1usize..20_000,
+        digits in prop::collection::vec(0u8..10, 1usize..40),
+        insert in (any::<usize>(), 0..MANIFEST_FIELDS.len() + 2),
+    ) {
+        let dir = temp_store("manifest-total");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut start = 0;
+        let chunks = lens.iter().enumerate().map(|(index, &len)| {
+            start += len;
+            ManifestChunk {
+                index: index as u64,
+                start: start - len,
+                len,
+                file: StoreLayout::shard_name(index),
+                checksum: start.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            }
+        });
+        let manifest = Manifest {
+            schema: MANIFEST_SCHEMA,
+            fingerprint: u64::MAX - depth as u64,
+            sites: lens.iter().sum(),
+            keys: keys
+                .iter()
+                .map(|&(mitigation_bits, profile_index)| ManifestKey { mitigation_bits, profile_index })
+                .collect(),
+            chunks: chunks.collect(),
+        };
+        manifest.write(&dir).unwrap();
+        let text = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        prop_assert_eq!(Manifest::load(&dir), Ok(manifest));
+
+        let mut damaged = text.clone();
+        for (position, mask) in edits {
+            let len = damaged.len();
+            damaged[position % len] ^= mask;
+        }
+        damaged.truncate(cut % (damaged.len() + 1));
+        let nested = "[".repeat(depth) + &"]".repeat(depth);
+        let text = String::from_utf8(text).unwrap();
+        let fingerprint = text.find("\"fingerprint\": ").unwrap() + "\"fingerprint\": ".len();
+        let mut deep_field = text.clone();
+        deep_field.insert_str(fingerprint, &nested);
+        let mut oversized = text.clone();
+        let number: String = digits.iter().map(|digit| char::from(b'0' + digit)).collect();
+        oversized.insert_str(fingerprint, &number);
+        let objects: Vec<usize> = text.match_indices('{').map(|(at, _)| at + 1).collect();
+        let field = MANIFEST_FIELDS.get(insert.1).copied().unwrap_or(["bogus", ""][insert.1 % 2]);
+        let mut inserted = text.clone();
+        inserted.insert_str(objects[insert.0 % objects.len()], &format!("\"{field}\": 1, "));
+        let texts = [deep_field, oversized, inserted, nested].map(String::into_bytes);
+        for bytes in texts.into_iter().chain([damaged]) {
+            std::fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
+            match Manifest::load(&dir) {
+                Ok(loaded) => {
+                    loaded.write(&dir).unwrap();
+                    prop_assert_eq!(Manifest::load(&dir), Ok(loaded));
+                }
+                Err(error) => prop_assert!(
+                    matches!(&error, StoreError::ManifestCorrupt { message, .. } if message.contains(" at byte ")),
+                    "{error:?}"
+                ),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Query parsing is total: arbitrary text is refused with a message,
@@ -491,5 +585,50 @@ fn shrinking_the_population_removes_stale_shards() {
     assert_eq!(report.removed, 2);
     assert!(!StoreLayout::shard_path(&dir, 2).exists());
     assert!(!StoreLayout::shard_path(&dir, 3).exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A manifest nested a million levels deep is refused at its first byte:
+/// the reader's nesting is the manifest's fixed shape, never the input's.
+#[test]
+fn a_million_deep_manifest_is_refused_without_recursion() {
+    let dir = temp_store("deep-manifest");
+    std::fs::create_dir_all(&dir).unwrap();
+    let depth = 1_000_000;
+    std::fs::write(dir.join(MANIFEST_FILE), "[".repeat(depth) + &"]".repeat(depth)).unwrap();
+    let error = ShardStore::open(&dir).expect_err("must refuse");
+    assert!(
+        matches!(&error, StoreError::ManifestCorrupt { message, .. } if message == "expected `{` at byte 0"),
+        "{error:?}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Chunk lengths are summed with checked arithmetic: `u64::MAX` and `1`
+/// overflow instead of wrapping to the `sites: 0` the manifest claims.
+#[test]
+fn chunk_lengths_that_overflow_u64_are_refused() {
+    let dir = temp_store("overflow-manifest");
+    std::fs::create_dir_all(&dir).unwrap();
+    let chunk = |index: u64, start, len| ManifestChunk {
+        index,
+        start,
+        len,
+        file: StoreLayout::shard_name(index as usize),
+        checksum: 0,
+    };
+    let manifest = Manifest {
+        schema: MANIFEST_SCHEMA,
+        fingerprint: 1,
+        sites: 0,
+        keys: vec![ManifestKey { mitigation_bits: 0, profile_index: 0 }],
+        chunks: vec![chunk(0, 0, u64::MAX), chunk(1, u64::MAX, 1)],
+    };
+    manifest.write(&dir).unwrap();
+    let error = ShardStore::open(&dir).expect_err("must refuse");
+    assert!(
+        matches!(&error, StoreError::ManifestCorrupt { message, .. } if message.contains("overflow u64")),
+        "{error:?}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -14,8 +14,8 @@
 //!
 //! This crate reproduces all of that:
 //!
-//! * [`model`] — a serde-serialisable HAR document model (the subset of
-//!   fields the analysis needs, using the HAR field names),
+//! * [`model`] — a HAR document model (the subset of fields the analysis
+//!   needs) that prints as JSON with the HAR field names,
 //! * [`capture`] — converting a browser [`netsim_browser::PageVisit`] into a
 //!   HAR document, exactly as the crawler's logging would,
 //! * [`inconsistency`] — injecting the §4.3 logging defects at configurable

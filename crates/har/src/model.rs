@@ -4,12 +4,10 @@
 //! `_securityDetails` / `_protocol` extensions the HTTP Archive exposes, so
 //! exported JSON looks like (a trimmed-down version of) the real corpus.
 
-use netsim_types::{DomainName, Instant};
-use serde::{Deserialize, Serialize};
+use netsim_types::{DomainName, Instant, Json};
 
 /// TLS details attached to an entry (Chrome's `_securityDetails`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "camelCase")]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SecurityDetails {
     /// Certificate subject common name.
     pub subject_name: String,
@@ -20,8 +18,7 @@ pub struct SecurityDetails {
 }
 
 /// One page in the HAR log.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "camelCase")]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HarPage {
     /// Page identifier referenced by entries.
     pub id: String,
@@ -32,8 +29,7 @@ pub struct HarPage {
 }
 
 /// One request/response pair in the HAR log.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "camelCase")]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HarEntry {
     /// The page this entry belongs to.
     pub pageref: String,
@@ -48,15 +44,12 @@ pub struct HarEntry {
     /// Response body size in octets.
     pub body_size: i64,
     /// Negotiated protocol (`h2`, `h3`, `http/1.1`).
-    #[serde(rename = "_protocol")]
     pub protocol: String,
     /// Destination address as dotted quad ("" when the logger lost it).
-    #[serde(rename = "serverIPAddress")]
     pub server_ip_address: String,
     /// Socket / connection identifier ("0" when unknown, as for QUIC).
     pub connection: String,
     /// TLS details, absent for the entries §4.3 reports as lacking them.
-    #[serde(rename = "_securityDetails", skip_serializing_if = "Option::is_none")]
     pub security_details: Option<SecurityDetails>,
 }
 
@@ -78,11 +71,33 @@ impl HarEntry {
     pub fn is_http2(&self) -> bool {
         self.protocol == "h2"
     }
+
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("pageref", Json::str(&self.pageref)),
+            ("startedDateTime", self.started_date_time.into()),
+            ("method", Json::str(&self.method)),
+            ("url", Json::str(&self.url)),
+            ("status", self.status.into()),
+            ("bodySize", self.body_size.into()),
+            ("_protocol", Json::str(&self.protocol)),
+            ("serverIPAddress", Json::str(&self.server_ip_address)),
+            ("connection", Json::str(&self.connection)),
+        ];
+        if let Some(details) = &self.security_details {
+            let details = Json::obj([
+                ("subjectName", Json::str(&details.subject_name)),
+                ("sanList", Json::arr(&details.san_list, |name| Json::str(name))),
+                ("issuer", Json::str(&details.issuer)),
+            ]);
+            fields.push(("_securityDetails", details));
+        }
+        Json::Obj(fields)
+    }
 }
 
 /// One HAR document: the log for one page visit.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "camelCase")]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HarDocument {
     /// Log creator, kept for fidelity with real HAR files.
     pub creator: String,
@@ -113,14 +128,21 @@ impl HarDocument {
         last.saturating_sub(start)
     }
 
-    /// Serialise to pretty JSON.
+    /// Serialise to pretty JSON, with the HAR field names.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("HAR documents always serialise")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let page = |page: &HarPage| {
+            Json::obj([
+                ("id", Json::str(&page.id)),
+                ("title", Json::str(&page.title)),
+                ("startedDateTime", page.started_date_time.into()),
+            ])
+        };
+        Json::obj([
+            ("creator", Json::str(&self.creator)),
+            ("pages", Json::arr(&self.pages, page)),
+            ("entries", Json::arr(&self.entries, HarEntry::to_json)),
+        ])
+        .to_pretty()
     }
 }
 
@@ -159,25 +181,32 @@ mod tests {
                     method: "GET".to_string(),
                     url: "https://www.google-analytics.com/analytics.js".to_string(),
                     status: 200,
-                    body_size: 50_000,
+                    body_size: -1,
                     protocol: "h2".to_string(),
-                    server_ip_address: "20.0.1.11".to_string(),
-                    connection: "2".to_string(),
+                    server_ip_address: "".to_string(),
+                    connection: "0".to_string(),
                     security_details: None,
                 },
             ],
         }
     }
 
+    /// [`sample`]'s JSON, pinned byte for byte: HAR field names, and no
+    /// `_securityDetails` where the entry has none.
     #[test]
-    fn json_roundtrip() {
-        let doc = sample();
-        let json = doc.to_json();
-        assert!(json.contains("\"_securityDetails\""));
-        assert!(json.contains("\"serverIPAddress\""));
-        assert!(json.contains("\"_protocol\""));
-        let parsed = HarDocument::from_json(&json).unwrap();
-        assert_eq!(parsed, doc);
+    fn to_json_writes_the_pinned_text() {
+        let expected = "{\n  \"creator\": \"connreuse-sim\",\n  \"pages\": [\n    {\n      \"id\": \"page_1\",\n      \
+            \"title\": \"https://example.com/\",\n      \"startedDateTime\": 1000\n    }\n  ],\n  \"entries\": [\n    \
+            {\n      \"pageref\": \"page_1\",\n      \"startedDateTime\": 1010,\n      \"method\": \"GET\",\n      \
+            \"url\": \"https://example.com/\",\n      \"status\": 200,\n      \"bodySize\": 40000,\n      \
+            \"_protocol\": \"h2\",\n      \"serverIPAddress\": \"20.0.0.10\",\n      \"connection\": \"1\",\n      \
+            \"_securityDetails\": {\n        \"subjectName\": \"example.com\",\n        \"sanList\": [\n          \
+            \"example.com\",\n          \"www.example.com\"\n        ],\n        \"issuer\": \"Let's Encrypt\"\n      \
+            }\n    },\n    {\n      \"pageref\": \"page_1\",\n      \"startedDateTime\": 1150,\n      \
+            \"method\": \"GET\",\n      \"url\": \"https://www.google-analytics.com/analytics.js\",\n      \
+            \"status\": 200,\n      \"bodySize\": -1,\n      \"_protocol\": \"h2\",\n      \
+            \"serverIPAddress\": \"\",\n      \"connection\": \"0\"\n    }\n  ]\n}";
+        assert_eq!(sample().to_json(), expected);
     }
 
     #[test]

@@ -34,7 +34,12 @@
 //!   the check once per shard and keeps the verified records in memory;
 //!   [`ShardStore::record`] serves them and returns a bad chunk's refusal for
 //!   every read of it. The open is a snapshot: a shard file changed
-//!   afterwards is not seen.
+//!   afterwards is not seen. A build verifies every shard twice on purpose:
+//!   [`BuildPlan::assess`] to plan, and [`finalize_manifest`] again at
+//!   commit, clean shards included, so the manifest pins only bytes that
+//!   verified when it was written. A shard changed between plan and commit
+//!   fails the build with its typed error and leaves the old manifest as it
+//!   was.
 //! * **Incremental rebuild** — [`BuildPlan::assess`] decodes what is already
 //!   on disk and schedules only chunks whose shard is missing, corrupt, or
 //!   written under a different fingerprint/layout. A second build over the
@@ -540,6 +545,26 @@ mod tests {
         write_shard(&dir, &shard_for(&layout, 0, 1)).unwrap();
         // Chunk 1 and 2 never written.
         assert!(matches!(finalize_manifest(&dir, &layout).unwrap_err(), StoreError::Missing { .. }));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn finalize_reverifies_a_shard_changed_after_the_plan() {
+        let dir = temp_store("replan");
+        let layout = layout();
+        build(&dir, &layout);
+        let manifest = std::fs::read(Manifest::path(&dir)).unwrap();
+        assert_eq!(BuildPlan::assess(&dir, &layout).unwrap().clean, vec![0, 1, 2]);
+
+        let victim = StoreLayout::shard_path(&dir, 1);
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x01;
+        std::fs::write(&victim, &bytes).unwrap();
+
+        let error = finalize_manifest(&dir, &layout).unwrap_err();
+        assert_eq!(error, StoreError::ChecksumMismatch { path: victim.display().to_string() });
+        assert_eq!(std::fs::read(Manifest::path(&dir)).unwrap(), manifest, "the manifest must not move");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

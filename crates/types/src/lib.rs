@@ -15,6 +15,9 @@
 //! The [`mod@counters`] module declares the additive tallies every report is
 //! built from once each ([`counters!`]), with their merge and word layout.
 //!
+//! The [`json`] module is the workspace's one JSON writer: the store
+//! manifest, the bench and profile files and the HAR model print through it.
+//!
 //! The [`profile`] module is the one observability exception: feature-gated
 //! (`hotpath-profile`) wall-clock stage attribution for the visit fast path,
 //! compiled to nothing by default.
@@ -26,6 +29,7 @@ pub mod hash;
 pub mod id;
 pub mod intern;
 pub mod ip;
+pub mod json;
 pub mod mitigation;
 pub mod origin;
 pub mod profile;
@@ -39,6 +43,7 @@ pub use hash::{fnv1a, fnv1a_continue, FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use id::{ConnectionId, IdAllocator, PageId, RequestId, SiteId};
 pub use intern::{intern_calls, interned_domain_count, interned_domain_octets, NameTable};
 pub use ip::{IpAddr, Prefix};
+pub use json::Json;
 pub use mitigation::{Mitigation, MitigationSet};
 pub use origin::{Origin, Scheme};
 pub use profile::{Stage, StageStats, StageTable};
