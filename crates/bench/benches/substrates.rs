@@ -7,7 +7,7 @@ use connreuse_experiments::sweep::{run_sweep, SweepConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_browser::{Browser, BrowserConfig};
 use netsim_dns::{RecursiveResolver, ResolverId};
-use netsim_h2::reuse::{evaluate_set, ReusePolicy};
+use netsim_h2::reuse::{admits, evaluate_set, ReusePolicy};
 use netsim_h2::Connection;
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer};
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr, MitigationSet, Origin, SimClock, SimRng};
@@ -72,6 +72,18 @@ fn bench_reuse_predicate(c: &mut Criterion) {
                 false,
                 &ReusePolicy::chromium(),
             ))
+        })
+    });
+    // The loader's call: the verdict alone, coverage asked last. A match
+    // walks the SAN list to its last entry; an IP refusal never reads it.
+    group.bench_function("admits_match", |b| {
+        b.iter(|| {
+            black_box(admits(&connection, &target, IpAddr::new(10, 0, 0, 1), true, &ReusePolicy::chromium()))
+        })
+    });
+    group.bench_function("admits_ip_refused", |b| {
+        b.iter(|| {
+            black_box(admits(&connection, &target, IpAddr::new(10, 0, 0, 9), true, &ReusePolicy::chromium()))
         })
     });
     group.finish();

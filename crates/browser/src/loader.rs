@@ -7,7 +7,7 @@ use crate::session::{ResumptionCache, UserSession};
 use crate::visit::PageVisit;
 use netsim_cost::loss_retransmit_extra_micros;
 use netsim_fetch::partition_for_planned;
-use netsim_h2::reuse::evaluate_set;
+use netsim_h2::reuse::admits;
 use netsim_h2::{CloseReason, Connection, ConnectionState};
 use netsim_types::profile::Stage;
 use netsim_types::stage;
@@ -411,18 +411,11 @@ impl Browser {
         if chosen.is_none() {
             stage!(Stage::ReuseScan);
             // The first session in pool order that is still open and the
-            // predicate refuses for no reason.
+            // predicate admits.
             let now = clock.now();
             chosen = scratch.connections.iter().position(|connection| {
                 connection.is_open_at(now)
-                    && evaluate_set(
-                        connection,
-                        &target_origin,
-                        target_ip,
-                        credentialed,
-                        &self.config.reuse_policy,
-                    )
-                    .is_empty()
+                    && admits(connection, &target_origin, target_ip, credentialed, &self.config.reuse_policy)
             });
         }
 
@@ -592,6 +585,7 @@ fn transfer_time(body_size: u64, config: &BrowserConfig) -> Duration {
 mod tests {
     use super::*;
     use crate::crawler::Crawler;
+    use netsim_h2::reuse::evaluate_set;
     use netsim_h2::ReuseRefusal;
     use netsim_types::DomainName;
     use netsim_web::{PopulationBuilder, PopulationProfile};

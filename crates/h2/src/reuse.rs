@@ -12,17 +12,26 @@
 //! following the WHATWG Fetch Standard additionally require the *credentials
 //! partition* to match — the mechanism behind the paper's `CRED` cause.
 //!
-//! [`evaluate_set`] returns the complete set of reasons reuse fails; the
-//! empty set means reusable. The browser's reuse scan reads only
-//! [`RefusalSet::is_empty`]. The full set is read by this module's unit
-//! tests, the monotonicity proptest in `tests/properties.rs` and the three
-//! predicate benches in `crates/bench/benches/substrates.rs`; the planned
-//! per-connection explain view (ROADMAP item 6) will print it. The paper's
-//! §4.1 root causes are not derived from it: `connreuse_core::classify`
+//! Two functions answer it. [`admits`] is the browser's question, "may this
+//! request ride this connection?": it runs the checks in the order the
+//! paper's causes make cheapest (credentials partition, origin set / IP,
+//! scheme and port, stream state, 421 exclusion) and asks for certificate
+//! coverage, the only check that walks a SAN list, last, returning at the
+//! first refusal. The loader's coalescing scan calls it for every open
+//! candidate. [`evaluate_set`] returns the complete set of reasons reuse
+//! fails (the empty set means reusable, exactly when [`admits`] is `true`);
+//! it is for readers of the reasons: this module's unit tests, the
+//! monotonicity and equivalence proptests in `tests/properties.rs` and the
+//! predicate benches in `crates/bench/benches/substrates.rs`. The paper's
+//! §4.1 root causes are not derived from either: `connreuse_core::classify`
 //! attributes them from connection records alone.
+//!
+//! [`coverage_checks`] counts this thread's certificate-coverage checks made
+//! by [`admits`], a deterministic measure of the scan's SAN work.
 
 use crate::connection::Connection;
 use netsim_types::{DomainName, IpAddr, Mitigation, MitigationSet, Origin};
+use std::cell::Cell;
 
 /// A single reason why an existing connection cannot serve a new request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -173,8 +182,8 @@ impl ReusePolicy {
 /// Evaluate whether `connection` can carry a request for `target` origin that
 /// resolves to `target_ip` and whose Fetch credentials mode is
 /// `request_credentialed`: the complete refusal set packed in one word (empty
-/// = reusable). It allocates nothing; the visit fast path calls it per
-/// candidate connection.
+/// = reusable). It allocates nothing. It asks every check, coverage
+/// included; a caller that needs only the verdict calls [`admits`].
 pub fn evaluate_set(
     connection: &Connection,
     target: &Origin,
@@ -224,6 +233,48 @@ pub fn evaluate_set(
     refusals
 }
 
+thread_local! {
+    static COVERAGE_CHECKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Whether `connection` can carry a request for `target` origin that
+/// resolves to `target_ip` in the given credentials mode: `true` exactly
+/// when [`evaluate_set`] returns the empty set. The checks run cheapest and
+/// most often refusing first, and the first refusal returns, so certificate
+/// coverage is asked only of a candidate every other check admits.
+pub fn admits(
+    connection: &Connection,
+    target: &Origin,
+    target_ip: IpAddr,
+    request_credentialed: bool,
+    policy: &ReusePolicy,
+) -> bool {
+    if policy.follow_fetch_credentials && connection.credentialed != request_credentialed {
+        return false;
+    }
+    let ip_rule_holds = match origin_set_contains(connection, &target.host) {
+        Some(true) if policy.honor_origin_frame => true,
+        Some(false) if policy.honor_origin_frame && policy.strict_origin_set => false,
+        _ => connection.remote_ip == target_ip,
+    };
+    if !ip_rule_holds
+        || !connection.initial_origin.same_scheme_port(target)
+        || !connection.can_open_stream()
+        || connection.excluded_domains.contains(&target.host)
+    {
+        return false;
+    }
+    COVERAGE_CHECKS.with(|checks| checks.set(checks.get() + 1));
+    connection.certificate.covers(&target.host)
+}
+
+/// This thread's certificate-coverage checks made by [`admits`]. A work
+/// counter: take the difference around a section to see how many candidates
+/// passed every cheaper check.
+pub fn coverage_checks() -> u64 {
+    COVERAGE_CHECKS.with(Cell::get)
+}
+
 /// Whether the connection's origin set (if announced) contains `host`.
 fn origin_set_contains(connection: &Connection, host: &DomainName) -> Option<bool> {
     connection.origin_set.as_ref().map(|set| set.contains(host))
@@ -263,7 +314,7 @@ mod tests {
     const IP_B: IpAddr = IpAddr::new(142, 250, 74, 77);
 
     /// The refusals for a request to `https://{host}` that resolved to `ip`,
-    /// in the given credentials mode.
+    /// in the given credentials mode; [`admits`] must agree with them.
     fn refusals_for(
         c: &Connection,
         host: &str,
@@ -271,7 +322,27 @@ mod tests {
         credentialed: bool,
         policy: ReusePolicy,
     ) -> RefusalSet {
-        evaluate_set(c, &Origin::https(d(host)), ip, credentialed, &policy)
+        let target = Origin::https(d(host));
+        let refusals = evaluate_set(c, &target, ip, credentialed, &policy);
+        assert_eq!(admits(c, &target, ip, credentialed, &policy), refusals.is_empty());
+        refusals
+    }
+
+    #[test]
+    fn admits_asks_coverage_only_of_candidates_every_cheaper_check_admits() {
+        let c = conn(&["www.googletagmanager.com", "www.google-analytics.com"], IP_A, true);
+        let chromium = ReusePolicy::chromium();
+        let ga = Origin::https(d("www.google-analytics.com"));
+        let other = Origin::https(d("www.example.com"));
+        let checks = coverage_checks();
+        // Refused by the credentials partition, then by the IP rule.
+        assert!(!admits(&c, &ga, IP_A, false, &chromium));
+        assert!(!admits(&c, &ga, IP_B, true, &chromium));
+        assert_eq!(coverage_checks(), checks, "a cheap refusal walked the SAN list");
+        // Past every cheap check, coverage decides.
+        assert!(admits(&c, &ga, IP_A, true, &chromium));
+        assert!(!admits(&c, &other, IP_A, true, &chromium));
+        assert_eq!(coverage_checks(), checks + 2);
     }
 
     #[test]
@@ -399,6 +470,7 @@ mod tests {
         let other_port = Origin::new(netsim_types::Scheme::Https, d("www.example.com"), 8443);
         let refusals = evaluate_set(&c, &other_port, IP_A, true, &ReusePolicy::chromium());
         assert!(refusals.contains(ReuseRefusal::SchemePortMismatch));
+        assert!(!admits(&c, &other_port, IP_A, true, &ReusePolicy::chromium()));
         c.receive_goaway();
         let draining = refusals_for(&c, "www.example.com", IP_A, true, ReusePolicy::chromium());
         assert!(draining.contains(ReuseRefusal::NotAcceptingStreams));

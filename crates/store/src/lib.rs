@@ -348,8 +348,7 @@ impl ShardStore {
     /// keys).
     pub fn read_chunk(&self, index: usize) -> Result<ShardFile, StoreError> {
         let entry = self.manifest.chunks.get(index).ok_or_else(|| self.beyond_manifest(index))?;
-        let path = self.dir.join(SHARDS_DIR).join(&entry.file);
-        Ok(self.layout.verify(index, &path, Some(entry.checksum))?.0)
+        Ok(self.layout.verify(index, &StoreLayout::shard_path(&self.dir, index), Some(entry.checksum))?.0)
     }
 
     /// The refusal of a chunk index the manifest does not list.

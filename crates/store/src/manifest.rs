@@ -5,7 +5,10 @@
 //! [`crate::ShardStore::open`] refuses it with
 //! [`crate::StoreError::Missing`]. The manifest names the configuration
 //! fingerprint, the chunk layout and each shard's checksum, so a reader can
-//! cross-check every shard it loads without trusting file names.
+//! cross-check every shard it loads. File names are not the manifest's to
+//! choose: a chunk entry must carry its position as `index` and name that
+//! chunk's canonical shard ([`crate::StoreLayout::shard_name`]), and the
+//! reader opens the canonical path, never a name read from the file.
 //!
 //! JSON (not the binary word format) on purpose: the manifest is the one
 //! artifact operators read and diff by hand. It prints through
@@ -15,10 +18,12 @@
 //! reader whose nesting is that shape's, never the input's. Numbers are
 //! decimal `u64`s only, so checksums and fingerprints survive verbatim; the
 //! chunk lengths are summed with checked arithmetic; a duplicate, unknown or
-//! missing field is refused. Every refusal is a
+//! missing field, and a chunk entry off its position or canonical file name,
+//! is refused. Every refusal is a
 //! [`StoreError::ManifestCorrupt`] naming the byte offset it met.
 
 use crate::error::StoreError;
+use crate::StoreLayout;
 use netsim_types::Json;
 use std::path::{Path, PathBuf};
 
@@ -46,7 +51,8 @@ pub struct ManifestChunk {
     pub start: u64,
     /// Sites in the chunk.
     pub len: u64,
-    /// Shard file name, relative to the store's `shards/` directory.
+    /// Shard file name, relative to the store's `shards/` directory: always
+    /// `StoreLayout::shard_name(index)` in a loaded manifest.
     pub file: String,
     /// FNV-1a checksum of the shard file's bytes (trailer word included).
     pub checksum: u64,
@@ -128,7 +134,7 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn manifest(&mut self) -> Result<Manifest, String> {
         let mut manifest = Manifest { schema: MANIFEST_SCHEMA, ..Manifest::default() };
-        let (mut sites_at, mut counted) = (0, 0u64);
+        let (mut sites_at, mut counted, mut counted_chunks) = (0, 0u64, 0usize);
         self.object(&["schema", "fingerprint", "sites", "keys", "chunks"], |reader, field| {
             match field {
                 "schema" => {
@@ -150,6 +156,18 @@ impl<'a> Reader<'a> {
                     manifest.chunks = reader.array(|reader| {
                         let at = reader.at();
                         let chunk = reader.chunk()?;
+                        let position = counted_chunks;
+                        counted_chunks += 1;
+                        if chunk.index != position as u64 {
+                            return Err(format!("chunk {position} has index {} at byte {at}", chunk.index));
+                        }
+                        let file = StoreLayout::shard_name(position);
+                        if chunk.file != file {
+                            return Err(format!(
+                                "chunk {position} names file {:?}, not {file:?} at byte {at}",
+                                chunk.file
+                            ));
+                        }
                         counted = counted
                             .checked_add(chunk.len)
                             .ok_or_else(|| format!("chunk lengths overflow u64 at byte {at}"))?;
@@ -395,6 +413,37 @@ mod tests {
         ];
         for (from, to, expected) in edits {
             std::fs::write(Manifest::path(&dir), SAMPLE_TEXT.replacen(from, to, 1)).unwrap();
+            match Manifest::load(&dir).unwrap_err() {
+                StoreError::ManifestCorrupt { message, .. } => {
+                    assert!(message.ends_with(expected), "{message}")
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn chunk_entries_must_name_their_own_canonical_shard() {
+        let dir = temp_dir("names");
+        let swapped = SAMPLE_TEXT
+            .replacen("chunk-000000", "chunk-swap", 1)
+            .replacen("chunk-000001", "chunk-000000", 1)
+            .replacen("chunk-swap", "chunk-000001", 1);
+        let texts = [
+            (
+                SAMPLE_TEXT.replacen("chunk-000000.shard", "/etc/hostname", 1),
+                "chunk 0 names file \"/etc/hostname\", not \"chunk-000000.shard\" at byte 239",
+            ),
+            (
+                SAMPLE_TEXT.replacen("chunk-000001.shard", "../chunk-000001.shard", 1),
+                "chunk 1 names file \"../chunk-000001.shard\", not \"chunk-000001.shard\" at byte 361",
+            ),
+            (swapped, "chunk 0 names file \"chunk-000001.shard\", not \"chunk-000000.shard\" at byte 239"),
+            (SAMPLE_TEXT.replacen("\"index\": 1", "\"index\": 0", 1), "chunk 1 has index 0 at byte 361"),
+        ];
+        for (text, expected) in texts {
+            std::fs::write(Manifest::path(&dir), text).unwrap();
             match Manifest::load(&dir).unwrap_err() {
                 StoreError::ManifestCorrupt { message, .. } => {
                     assert!(message.ends_with(expected), "{message}")

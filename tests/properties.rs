@@ -11,11 +11,12 @@ use connreuse::core::{
 use connreuse::cost::{CostTotals, LinkProfile, VisitTimeline};
 use connreuse::dns::{AddressRun, LoadBalancePolicy, QueryContext, ResolverId};
 use connreuse::experiments::{run_cost, CostConfig, CostReport};
-use connreuse::h2::reuse::{evaluate_set, ReusePolicy};
+use connreuse::h2::reuse::{admits, evaluate_set, ReusePolicy};
 use connreuse::h2::{CloseReason, Connection, ConnectionState};
 use connreuse::tls::{Certificate, CertificateId, CertificateStore, IssuancePolicy, Issuer, SanEntry};
 use connreuse::types::{
-    ConnectionId, DomainName, Duration, Instant, IpAddr, Mitigation, MitigationSet, Origin, SimClock, SimRng,
+    ConnectionId, DomainName, Duration, Instant, IpAddr, Mitigation, MitigationSet, Origin, Scheme, SimClock,
+    SimRng,
 };
 use connreuse::web::{PopulationBuilder, PopulationProfile};
 use proptest::prelude::*;
@@ -256,6 +257,71 @@ proptest! {
                     prop_assert!(relaxed.is_empty());
                 }
             }
+        }
+    }
+
+    /// The loader's verdict is the refusal set's emptiness: `admits` (cheap
+    /// checks first, coverage last, first refusal returns) equals
+    /// `evaluate_set(..).is_empty()` for any connection — any address,
+    /// partition and lifecycle state, SAN lists with wildcards, with or
+    /// without an announced origin set, with 421 exclusions — and any
+    /// request, under the strict Chromium, without-Fetch and ORIGIN-frame
+    /// policies and every mitigation set's relaxed policy.
+    #[test]
+    fn admits_is_an_empty_refusal_set(
+        certificate in (0usize..7, 0u8..128, 0u8..16),
+        ip_index in 0u8..4,
+        credentialed_bit in 0u8..2,
+        origin_set_mask in proptest::option::of(0u8..128),
+        excluded_mask in 0u8..128,
+        state_index in 0u8..3,
+        target in (0usize..7, prop_oneof![Just(443u16), Just(443u16), Just(8443u16)]),
+        request in (0u8..4, 0u8..2),
+    ) {
+        let (domain_index, san_mask, wildcard_mask) = certificate;
+        let (target_index, target_port) = target;
+        let (target_ip_index, request_credentialed_bit) = request;
+        let universe = domain_universe();
+        let mut connection =
+            reuse_connection(domain_index, san_mask, ip_index, credentialed_bit == 1, origin_set_mask);
+        let mut certificate = (*connection.certificate).clone();
+        certificate.san.extend(
+            ["example.com", "other.net", "ads.org", "provider.io"]
+                .iter()
+                .enumerate()
+                .filter(|(index, _)| wildcard_mask & (1 << index) != 0)
+                .map(|(_, zone)| SanEntry::Wildcard(DomainName::literal(zone))),
+        );
+        connection.certificate = std::sync::Arc::new(certificate);
+        for (index, domain) in universe.iter().enumerate() {
+            if excluded_mask & (1 << index) != 0 {
+                connection.complete_response(domain, 421, 0);
+            }
+        }
+        match state_index {
+            0 => {}
+            1 => connection.receive_goaway(),
+            _ => connection.close(Instant::EPOCH),
+        }
+        let target = Origin::new(Scheme::Https, universe[target_index], target_port);
+        let target_ip = IpAddr::new(192, 0, 2, target_ip_index);
+        let request_credentialed = request_credentialed_bit == 1;
+        let policies = [
+            ReusePolicy::chromium(),
+            ReusePolicy::chromium_without_fetch(),
+            ReusePolicy::with_origin_frame(),
+        ]
+        .into_iter()
+        .chain(MitigationSet::all_combinations().into_iter().map(ReusePolicy::with_mitigations));
+        for policy in policies {
+            let refusals = evaluate_set(&connection, &target, target_ip, request_credentialed, &policy);
+            prop_assert_eq!(
+                admits(&connection, &target, target_ip, request_credentialed, &policy),
+                refusals.is_empty(),
+                "{:?} under {:?}",
+                refusals.to_vec(),
+                policy
+            );
         }
     }
 
