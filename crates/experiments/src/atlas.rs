@@ -63,7 +63,7 @@ use connreuse_core::{Cause, ConnectionRecord, DatasetSummary, DurationModel, Fas
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::{interned_domain_count, interned_domain_octets, Json, MitigationSet};
-use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, SharedDeployment};
+use netsim_web::{PopulationBuilder, PopulationProfile, SharedDeployment};
 use std::sync::Arc;
 
 /// Sizing and seeding of one atlas run.
@@ -237,19 +237,18 @@ pub fn run_atlas(config: &AtlasConfig) -> AtlasReport {
 pub fn run_atlas_partitioned(config: &AtlasConfig, chunks: &[(usize, usize)]) -> AtlasReport {
     let started = std::time::Instant::now();
 
-    // One memoized service deployment for the whole run: the catalog's
-    // zones/certs/prefixes are issued once and shared by every chunk.
-    let deployments = DeploymentCache::standard();
     let crawler =
         Crawler::new("atlas", BrowserConfig::alexa_measurement(), config.seed + ALEXA_CRAWL_SEED_OFFSET);
 
     // Work-stealing execution with index-addressed results: scheduling moves
     // *chunks between workers*, never sites between chunks, so the merge
     // below sees exactly the same per-chunk values at any thread count.
+    // Every chunk is layered on the run's one memoized service deployment:
+    // the catalog's zones/certs/prefixes are issued once.
     let outcome = run_grid(config.threads, chunks.len(), |worker, index| {
         let recipe = (config.seed, config.zipf_exponent);
         let chunk = Population::atlas_chunk(recipe, chunks[index], MitigationSet::empty());
-        worker.with_population(chunk, &deployments, |worker, env| worker.measure(env, &crawler))
+        worker.with_population(chunk, |worker, env| worker.measure(env, &crawler))
     });
 
     // Deterministic merge in chunk order (any order would do — merge is
@@ -566,6 +565,7 @@ impl AtlasReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim_web::DeploymentCache;
 
     fn tiny() -> AtlasConfig {
         AtlasConfig { sites: 60, chunk_sites: 16, seed: 7, threads: 2, zipf_exponent: 0.35 }

@@ -120,12 +120,13 @@ fn main() -> ExitCode {
                     write_json(path, &ProfileFile::from_table(&table).to_json(), "stage profile")?;
                 }
             }
-            println!("{text}");
             if let Some(path) = &out {
                 cli::write_output(path, &text)?;
             }
-            bench_json
-                .map_or(Ok(()), |path| write_json(&path, &BenchFile::new(records).to_json(), "bench records"))
+            if let Some(path) = &bench_json {
+                write_json(path, &BenchFile::new(records).to_json(), "bench records")?;
+            }
+            cli::print_line(&text)
         })
     })
 }

@@ -55,8 +55,10 @@ fn main() -> ExitCode {
                 eprintln!("chaos done in {:.1}s", start.elapsed().as_secs_f64());
                 text
             })?;
-            println!("{text}");
-            out.map_or(Ok(()), |path| cli::write_output(&path, &text))
+            if let Some(path) = &out {
+                cli::write_output(path, &text)?;
+            }
+            cli::print_line(&text)
         })
     })
 }

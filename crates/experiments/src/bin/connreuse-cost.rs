@@ -40,8 +40,10 @@ fn main() -> ExitCode {
             let start = std::time::Instant::now();
             let text = run_cost(&config).render();
             eprintln!("cost sweep done in {:.1}s", start.elapsed().as_secs_f64());
-            println!("{text}");
-            out.map_or(Ok(()), |path| cli::write_output(&path, &text))
+            if let Some(path) = &out {
+                cli::write_output(path, &text)?;
+            }
+            cli::print_line(&text)
         })
     })
 }

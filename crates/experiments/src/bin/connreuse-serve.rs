@@ -104,10 +104,10 @@ fn main() -> ExitCode {
                 report.build.reused
             );
             let text = report.render();
-            println!("{text}");
             if let Some(path) = &out {
                 cli::write_output(path, &text)?;
             }
+            cli::print_line(&text)?;
             if serve {
                 serve_stdin(&config, &store)?;
             }
@@ -129,10 +129,8 @@ fn serve_stdin(config: &StoreConfig, store: &ShardStore) -> Result<(), Box<dyn E
             continue;
         }
         match StoreQuery::parse(&line, config) {
-            Err(message) => println!("error: {message}"),
-            Ok(query) => {
-                println!("{}", answer_query(store, config, &query)?.render(config));
-            }
+            Err(message) => cli::print_line(format_args!("error: {message}"))?,
+            Ok(query) => cli::print_line(answer_query(store, config, &query)?.render(config))?,
         }
     }
     Ok(())

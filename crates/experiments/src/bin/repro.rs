@@ -66,10 +66,10 @@ fn main() -> ExitCode {
             eprintln!("scenario ready in {:.1}s", start.elapsed().as_secs_f64());
             for name in &experiments {
                 let output = run_experiment(name, &scenario)?;
-                println!("{}", output.text);
                 if let Some(dir) = &out_dir {
                     cli::write_output(&dir.join(format!("{name}.txt")), &output.text)?;
                 }
+                cli::print_line(&output.text)?;
             }
             Ok(())
         })

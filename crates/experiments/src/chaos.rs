@@ -26,10 +26,10 @@
 //!
 //! ## Sharding and determinism
 //!
-//! The 16 mitigation combinations (one population build each, nine cells
-//! crawled from it) are the 16 tasks of one
+//! The 16 mitigation combinations (nine cells each) are the 16 tasks of one
 //! [`connreuse_executor::run_indexed`] run, exactly like the cost sweep's
-//! cells; results come back in task order. The hedged cell crawls the
+//! cells, grouped by the 4 webs they deploy so a worker builds each once;
+//! results come back in task order. The hedged cell crawls the
 //! unmitigated web, so it rides that combination's task and build, and the
 //! report appends it after the grid. Every cell replays the fleet's
 //! session loop (`replay_sessions`) under the chaos stream labels. Every
@@ -41,7 +41,7 @@
 //! failure level, link and retry policy.
 
 use crate::fleet::{replay_sessions, SessionStreams};
-use crate::grid::{run_grid, Population};
+use crate::grid::{run_deployments, GridWork, Population};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::ScenarioConfig;
 use netsim_browser::{
@@ -49,7 +49,7 @@ use netsim_browser::{
 };
 use netsim_cost::{LinkProfile, SessionTotals};
 use netsim_types::MitigationSet;
-use netsim_web::{DeploymentCache, WebEnvironment};
+use netsim_web::WebEnvironment;
 
 /// The chaos grid's session streams (seed offset clear of the fleet's).
 const CHAOS_STREAMS: SessionStreams =
@@ -134,23 +134,22 @@ pub struct ChaosReport {
     pub cells: Vec<ChaosCell>,
 }
 
-/// Run the chaos grid: every mitigation combination builds its population
-/// once and crawls the nine (level × profile) cells from it; the
+/// Run the chaos grid: every mitigation combination crawls the nine
+/// (level × profile) cells from the population of its environment; the
 /// unmitigated combination's task also crawls the hedged cell. Tasks are
 /// scheduled across `config.threads` workers and come back in task order.
 pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     chaos_grid(config).0
 }
 
-/// [`run_chaos`], with the number of populations its workers built.
-fn chaos_grid(config: &ChaosConfig) -> (ChaosReport, usize) {
+/// [`run_chaos`], with the generation work its workers did.
+fn chaos_grid(config: &ChaosConfig) -> (ChaosReport, GridWork) {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let deployments = DeploymentCache::standard();
-    let rows = run_grid(config.threads, combos.len(), |worker, task| {
+    let rows = run_deployments(config.threads, &combos, |worker, task| {
         let mitigations = combos[task];
         let population = Population::alexa(config.sites, config.seed, mitigations);
-        worker.with_population(population, &deployments, |worker, env| {
+        worker.with_population(population, |worker, env| {
             let cells = run_combo(worker.scratch(), config, env, mitigations, &profiles);
             let hedged =
                 mitigations.is_empty().then(|| run_hedged_cell(worker.scratch(), config, env, &profiles));
@@ -164,7 +163,7 @@ fn chaos_grid(config: &ChaosConfig) -> (ChaosReport, usize) {
         hedged = hedged.or(row_hedged);
     }
     cells.push(hedged.expect("the unmitigated combination crawls the hedged cell"));
-    (ChaosReport { config: *config, profiles, cells }, rows.builds)
+    (ChaosReport { config: *config, profiles, cells }, rows.work)
 }
 
 /// Crawl one mitigation combination's nine cells (level-major,
@@ -536,16 +535,22 @@ mod tests {
     #[test]
     fn chaos_is_thread_invariant() {
         let config = ChaosConfig { sites: 16, sessions: 4, seed: 20_210_420, threads: 1 };
-        let (sequential, builds) = chaos_grid(&config);
-        // One build per combination at any thread count: the hedged cell
-        // rides the unmitigated combination's build.
-        assert_eq!(builds, MitigationSet::COMBINATIONS);
+        let (sequential, work) = chaos_grid(&config);
+        // One worker builds each of the 4 environments once; the hedged
+        // cell rides the unmitigated combination's build.
+        assert_eq!(work, GridWork { builds: 4, issued: 4 });
         assert!(sequential.hedged().hedged);
         // Three workers split the 16 tasks into uneven blocks, so steals
         // actually happen.
         for threads in [2, 3, 8] {
-            let (sharded, builds) = chaos_grid(&ChaosConfig { threads, ..config });
-            assert_eq!(builds, MitigationSet::COMBINATIONS, "builds at threads={threads}");
+            let (sharded, work) = chaos_grid(&ChaosConfig { threads, ..config });
+            // Workers that split an environment each build it; no task
+            // builds more than once.
+            assert_eq!(work.issued, 4, "threads={threads}");
+            assert!(
+                (4..=MitigationSet::COMBINATIONS).contains(&work.builds),
+                "{work:?} at threads={threads}"
+            );
             assert_eq!(sequential.cells, sharded.cells, "cells diverged at threads={threads}");
             assert_eq!(sequential.render(), sharded.render(), "render diverged at threads={threads}");
         }

@@ -4,10 +4,13 @@
 //! preset (`--quick`, `--full`, `--million`) picks the base configuration
 //! and explicit flags override it wherever they appear. [`run`] owns the
 //! exit contract: 0 on success, 1 when the run fails, 2 on a bad argument,
-//! whose `error:` line and usage go to stderr.
+//! whose `error:` line and usage go to stderr. Everything a binary prints to
+//! stdout goes through [`print_line`]: a reader that has gone away ends the
+//! run quietly with 0, like `yes | head`, instead of a panic.
 
 use std::error::Error;
 use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -235,31 +238,49 @@ pub fn run<F: FnOnce() -> Result<(), Box<dyn Error>>>(
         other => other.map(|_| None),
     };
     match parsed {
-        Ok(Some(body)) => match body() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(error) => {
-                eprintln!("error: {error}");
-                ExitCode::from(1)
-            }
-        },
-        Ok(None) => print_usage(spec, None),
-        Err(error) => print_usage(spec, Some(error)),
-    }
-}
-
-/// Prints the usage: to stdout when it was asked for (exit 0), to stderr
-/// after the `error:` line of a refused command line (exit 2).
-fn print_usage(spec: &Spec, error: Option<CliError>) -> ExitCode {
-    match error {
-        None => {
-            println!("{spec}");
-            ExitCode::SUCCESS
-        }
-        Some(error) => {
+        Ok(Some(body)) => exit(body()),
+        Ok(None) => exit(print_line(spec)),
+        Err(error) => {
             eprintln!("error: {error}\n{spec}");
             ExitCode::from(2)
         }
     }
+}
+
+/// The exit code of a finished run: 0 on success or when stdout's reader
+/// went away, 1 after an `error:` line for any other failure.
+fn exit(outcome: Result<(), Box<dyn Error>>) -> ExitCode {
+    match outcome {
+        Err(error) if !error.is::<StdoutClosed>() => {
+            eprintln!("error: {error}");
+            ExitCode::from(1)
+        }
+        _ => ExitCode::SUCCESS,
+    }
+}
+
+/// The reader of stdout has gone away (`EPIPE`): nobody reads what is left,
+/// so [`run`] stops with exit 0.
+#[derive(Debug)]
+struct StdoutClosed;
+
+impl fmt::Display for StdoutClosed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("stdout closed")
+    }
+}
+
+impl Error for StdoutClosed {}
+
+/// Writes `text` and a newline to stdout and flushes it. A closed reader
+/// yields the error [`run`] turns into a quiet exit 0; any other write
+/// error is a failed run.
+pub fn print_line(text: impl fmt::Display) -> Result<(), Box<dyn Error>> {
+    let mut stdout = std::io::stdout().lock();
+    writeln!(stdout, "{text}").and_then(|()| stdout.flush()).map_err(|error| match error.kind() {
+        ErrorKind::BrokenPipe => Box::new(StdoutClosed) as Box<dyn Error>,
+        _ => format!("cannot write to stdout: {error}").into(),
+    })
 }
 
 /// Writes `text` to `path`, creating the parent directory first.

@@ -36,12 +36,12 @@
 //! `tests/determinism.rs`). Costs are integer counts plus integer
 //! simulated milliseconds — nothing machine-dependent enters the report.
 
-use crate::grid::{run_grid, GridWorker, Population};
+use crate::grid::{run_deployments, GridWork, GridWorker, Population};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::MitigationSet;
-use netsim_web::{DeploymentCache, WebEnvironment};
+use netsim_web::WebEnvironment;
 
 /// Sizing and seeding of one cost sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,21 +110,19 @@ pub fn run_cost(config: &CostConfig) -> CostReport {
     cost_grid(config).0
 }
 
-/// [`run_cost`], with the number of populations its workers built.
-fn cost_grid(config: &CostConfig) -> (CostReport, usize) {
+/// [`run_cost`], with the generation work its workers did.
+fn cost_grid(config: &CostConfig) -> (CostReport, GridWork) {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let deployments = DeploymentCache::standard();
-    let rows = run_grid(config.threads, combos.len(), |worker, task| {
+    let rows = run_deployments(config.threads, &combos, |worker, task| {
         let mitigations = combos[task];
         let population = Population::alexa(config.sites, config.seed, mitigations);
-        worker.with_population(population, &deployments, |worker, env| {
-            run_cell(worker, env, config, mitigations, &profiles)
-        })
+        worker
+            .with_population(population, |worker, env| run_cell(worker, env, config, mitigations, &profiles))
     });
     let report =
         CostReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() };
-    (report, rows.builds)
+    (report, rows.work)
 }
 
 /// Measure one mitigation cell under every profile: `env`, the cell's
@@ -296,19 +294,23 @@ mod tests {
     use netsim_types::Mitigation;
     use std::sync::OnceLock;
 
-    fn shared_run() -> &'static (CostReport, usize) {
-        static RUN: OnceLock<(CostReport, usize)> = OnceLock::new();
-        RUN.get_or_init(|| cost_grid(&CostConfig { sites: 60, seed: 20_210_420, threads: 8 }))
-    }
-
     fn shared_report() -> &'static CostReport {
-        &shared_run().0
+        static RUN: OnceLock<CostReport> = OnceLock::new();
+        RUN.get_or_init(|| run_cost(&CostConfig { sites: 60, seed: 20_210_420, threads: 8 }))
     }
 
     #[test]
-    fn cost_builds_one_population_per_cell() {
-        // One build per mitigation cell, crawled under all three profiles.
-        assert_eq!(shared_run().1, MitigationSet::COMBINATIONS);
+    fn cost_builds_one_population_per_environment() {
+        // One worker builds each of the 4 environments once for the 16
+        // mitigation cells, each crawled under all three profiles; any
+        // schedule issues 4 deployments and prices the same cells.
+        let config = CostConfig { sites: 20, seed: 20_210_420, threads: 1 };
+        let (serial, work) = cost_grid(&config);
+        assert_eq!(work, GridWork { builds: 4, issued: 4 });
+        let (sharded, work) = cost_grid(&CostConfig { threads: 3, ..config });
+        assert_eq!(work.issued, 4);
+        assert!((4..=MitigationSet::COMBINATIONS).contains(&work.builds), "{work:?}");
+        assert_eq!(serial.cells, sharded.cells);
     }
 
     #[test]

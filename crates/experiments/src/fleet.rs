@@ -27,11 +27,12 @@
 //!
 //! Cells are independent: the 29 of them are the tasks of one
 //! [`connreuse_executor::run_indexed`] run, whose results come back in task
-//! order whichever worker ran them. The tasks run grouped by deployment —
-//! the 14 cells on the unmitigated web first, then the other 15
-//! combinations — so a worker builds each population once and serves the
-//! cells after it from the same environment; the report keeps the plan
-//! order. Within a cell, one session loop
+//! order whichever worker ran them. The tasks run grouped by the web they
+//! deploy ([`netsim_types::MitigationSet::environment`]) — the 17 cells on
+//! the unmitigated web first (the browser-only combinations among them),
+//! then the other 3 environments — so a worker builds each population once
+//! and serves the cells after it from the same environment; the report
+//! keeps the plan order. Within a cell, one session loop
 //! (`replay_sessions`, shared with the chaos grid) draws every stochastic
 //! choice off the global *session* index (`fork_indexed("fleet-nav",
 //! session)` for the navigation trace, `fork_indexed("fleet-visit",
@@ -42,13 +43,13 @@
 //! Reports are byte-identical at any `--threads` value (asserted in
 //! `tests/determinism.rs`).
 
-use crate::grid::{run_grid, Population};
+use crate::grid::{run_deployments, GridWork, Population};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::ScenarioConfig;
 use netsim_browser::{Browser, BrowserConfig, PoolConfig, PoolLifecycleStats, UserSession, VisitScratch};
 use netsim_cost::SessionTotals;
 use netsim_types::{Duration, Instant, MitigationSet, SimClock, SimRng};
-use netsim_web::{DeploymentCache, WebEnvironment};
+use netsim_web::WebEnvironment;
 
 /// Identifier spacing between sessions so connection/request ids never
 /// collide across a cell (mirrors the crawler's per-site stride).
@@ -155,18 +156,14 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     fleet_grid(config).0
 }
 
-/// [`run_fleet`], with the number of populations its workers built.
-fn fleet_grid(config: &FleetConfig) -> (FleetReport, usize) {
+/// [`run_fleet`], with the generation work its workers did.
+fn fleet_grid(config: &FleetConfig) -> (FleetReport, GridWork) {
     let plans = cell_plans();
-    // Task order groups the cells by deployment (a stable sort keeps plan
-    // order within each); `order[task]` is the plan index a task measures.
-    let mut order: Vec<usize> = (0..plans.len()).collect();
-    order.sort_by_key(|&plan| plans[plan].0.bits());
-    let deployments = DeploymentCache::standard();
-    let outcome = run_grid(config.threads, plans.len(), |worker, task| {
-        let (mitigations, pool) = plans[order[task]];
+    let deployments: Vec<MitigationSet> = plans.iter().map(|&(mitigations, _)| mitigations).collect();
+    let outcome = run_deployments(config.threads, &deployments, |worker, plan| {
+        let (mitigations, pool) = plans[plan];
         let population = Population::alexa(config.sites, config.seed, mitigations);
-        worker.with_population(population, &deployments, |worker, env| {
+        worker.with_population(population, |worker, env| {
             let browser_config = BrowserConfig::with_mitigations(mitigations);
             let (totals, lifecycle, _) = replay_sessions(
                 worker.scratch(),
@@ -180,10 +177,7 @@ fn fleet_grid(config: &FleetConfig) -> (FleetReport, usize) {
             FleetCell { mitigations, pool, totals, lifecycle }
         })
     });
-    let mut cells: Vec<(usize, FleetCell)> = order.into_iter().zip(outcome.results).collect();
-    cells.sort_by_key(|&(plan, _)| plan);
-    let cells = cells.into_iter().map(|(_, cell)| cell).collect();
-    (FleetReport { config: *config, cells }, outcome.builds)
+    (FleetReport { config: *config, cells: outcome.results }, outcome.work)
 }
 
 /// Pick the next page of a session: revisit a page already seen with
@@ -520,18 +514,18 @@ mod tests {
     #[test]
     fn fleet_builds_each_deployment_once_per_worker() {
         let config = FleetConfig { sites: 20, sessions: 4, seed: 20_210_420, threads: 1 };
-        // One worker builds the unmitigated web once for its 14 cells, then
-        // each other combination once.
-        let (serial, builds) = fleet_grid(&config);
-        assert_eq!(builds, MitigationSet::COMBINATIONS);
-        // Two workers split the task list after the 14 unmitigated cells
-        // and the first other combination; at most one more build happens,
-        // when the second worker steals unmitigated cells.
-        let (sharded, builds) = fleet_grid(&FleetConfig { threads: 2, ..config });
-        assert!(
-            (MitigationSet::COMBINATIONS..=MitigationSet::COMBINATIONS + 1).contains(&builds),
-            "{builds}"
-        );
+        // One worker builds the unmitigated web once for its 17 cells (the
+        // cold baseline, the four browser-only combinations and the pool
+        // sweep), then each other environment once.
+        let (serial, work) = fleet_grid(&config);
+        assert_eq!(work, GridWork { builds: 4, issued: 4 });
+        // Two workers split the 29 tasks after 15 unmitigated cells. The
+        // second builds the unmitigated web and the 3 other environments;
+        // at most one more build happens where a steal splits an
+        // environment between the workers.
+        let (sharded, work) = fleet_grid(&FleetConfig { threads: 2, ..config });
+        assert_eq!(work.issued, 4);
+        assert!((5..=6).contains(&work.builds), "{work:?}");
         assert_eq!(serial.cells, sharded.cells);
     }
 

@@ -2,12 +2,16 @@
 //! cost and sweep cells, the `whatif` deployments, the fleet and chaos
 //! session cells — runs its tasks on per-worker [`GridWorker`]s: one
 //! environment, rebuilt in place only when a task asks for a different
-//! population, one scratch arena and one streaming classifier. The crawl
-//! grids run one visit → classify → fold loop ([`GridWorker::measure`]) and
-//! fold their [`CellRecord`]s through one merge. Every visit is a pure
-//! function of the crawler's seed and the site's global index, and the
-//! executor returns results by task index, so no record depends on the
-//! thread count or the steal schedule.
+//! population, one scratch arena and one streaming classifier. A population
+//! is keyed by the environment its mitigations deploy
+//! ([`MitigationSet::environment`]), and the mitigation grids run their
+//! tasks grouped by it ([`environment_order`]), so a worker builds each of
+//! the 4 distinct webs once for the 16 mitigation sets. The crawl grids run
+//! one visit → classify → fold loop ([`GridWorker::measure`]) and fold their
+//! [`CellRecord`]s through one merge. Every visit is a pure function of the
+//! crawler's seed and the site's global index, and the executor returns
+//! results by task index, so no record depends on the thread count or the
+//! steal schedule.
 
 use crate::atlas::{atlas_builder, classify_scratch};
 use crate::scenario::alexa_builder;
@@ -75,13 +79,14 @@ enum Recipe {
 }
 
 /// The population a grid task measures: its recipe, the site range
-/// `(start, len)` and the deployed mitigations. Tasks asking for equal
-/// populations are served the same environment.
+/// `(start, len)` and the environment its mitigations deploy
+/// ([`MitigationSet::environment`]). Tasks asking for equal populations are
+/// served the same environment, whatever browser-side mitigations they add.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Population {
     recipe: Recipe,
     range: (usize, usize),
-    mitigations: MitigationSet,
+    environment: MitigationSet,
 }
 
 impl Population {
@@ -92,26 +97,30 @@ impl Population {
         mitigations: MitigationSet,
     ) -> Self {
         let recipe = Recipe::Atlas { seed, zipf_exponent_bits: zipf_exponent.to_bits() };
-        Population { recipe, range, mitigations }
+        Population { recipe, range, environment: mitigations.environment() }
     }
 
     /// The whole `sites`-site Alexa population under root seed `seed`,
     /// deployed with `mitigations`: what every cell of the mitigation grids
     /// (sweep, cost, fleet, chaos) measures.
     pub(crate) fn alexa(sites: usize, seed: u64, mitigations: MitigationSet) -> Self {
-        Population { recipe: Recipe::Alexa { seed }, range: (0, sites), mitigations }
+        Population {
+            recipe: Recipe::Alexa { seed },
+            range: (0, sites),
+            environment: mitigations.environment(),
+        }
     }
 
     /// A builder for this population's recipe, layered on the shared
-    /// deployment of its mitigations.
+    /// deployment of its environment.
     fn builder(&self, deployments: &DeploymentCache) -> PopulationBuilder {
-        let deployment = deployments.deployment(self.mitigations);
+        let deployment = deployments.deployment(self.environment);
         match self.recipe {
             Recipe::Atlas { seed, zipf_exponent_bits } => {
                 atlas_builder(seed, f64::from_bits(zipf_exponent_bits), deployment)
             }
             Recipe::Alexa { seed } => {
-                alexa_builder(self.range.1, seed, self.mitigations).with_shared_deployment(deployment)
+                alexa_builder(self.range.1, seed, self.environment).with_shared_deployment(deployment)
             }
         }
     }
@@ -127,26 +136,26 @@ pub(crate) struct GridWorker<'run> {
     env: WebEnvironment,
     /// The population `env` holds, once the worker has built one.
     held: Option<Population>,
-    /// One builder per (recipe, mitigations) this worker has built.
+    /// One builder per (recipe, environment) this worker has built.
     builders: Vec<((Recipe, MitigationSet), PopulationBuilder)>,
-    /// The run's population builds, over every worker.
-    builds: &'run AtomicUsize,
+    /// The run's shared deployments and population builds, over every
+    /// worker.
+    run: &'run GridRun,
 }
 
 impl GridWorker<'_> {
     /// Hand the worker's environment, holding `population`, to `body` with
-    /// the worker. The environment is rebuilt in place over the shared
-    /// deployment from `deployments` only when it holds another population:
-    /// tasks in a row on one population build it once, and a warm worker
-    /// rebuilds without allocating and never drops an environment.
+    /// the worker. The environment is rebuilt in place over the run's shared
+    /// deployment only when it holds another population: tasks in a row on
+    /// one population build it once, and a warm worker rebuilds without
+    /// allocating and never drops an environment.
     pub(crate) fn with_population<R>(
         &mut self,
         population: Population,
-        deployments: &DeploymentCache,
         body: impl FnOnce(&mut Self, &WebEnvironment) -> R,
     ) -> R {
         if self.held != Some(population) {
-            self.rebuild(population, deployments);
+            self.rebuild(population);
         }
         let env = std::mem::take(&mut self.env);
         let result = body(self, &env);
@@ -154,12 +163,12 @@ impl GridWorker<'_> {
         result
     }
 
-    fn rebuild(&mut self, population: Population, deployments: &DeploymentCache) {
-        let key = (population.recipe, population.mitigations);
+    fn rebuild(&mut self, population: Population) {
+        let key = (population.recipe, population.environment);
         let slot = match self.builders.iter().position(|(built, _)| *built == key) {
             Some(slot) => slot,
             None => {
-                self.builders.push((key, population.builder(deployments)));
+                self.builders.push((key, population.builder(&self.run.deployments)));
                 self.builders.len() - 1
             }
         };
@@ -175,7 +184,7 @@ impl GridWorker<'_> {
             builder.build_into(&mut self.env);
         }
         self.held = Some(population);
-        self.builds.fetch_add(1, Ordering::Relaxed);
+        self.run.builds.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The worker's visit scratch arena, for the session grids' replay loop.
@@ -240,13 +249,56 @@ fn conserved(record: &CellRecord) -> bool {
         && causes
 }
 
+/// What one grid run shares between its workers: the scratch pool, the
+/// memoized service deployments every population is layered on, and the
+/// build counter.
+struct GridRun {
+    pool: ScratchPool,
+    deployments: DeploymentCache,
+    builds: AtomicUsize,
+}
+
+impl GridRun {
+    fn new() -> Self {
+        GridRun {
+            pool: ScratchPool::new(),
+            deployments: DeploymentCache::standard(),
+            builds: AtomicUsize::new(0),
+        }
+    }
+
+    fn worker(&self) -> GridWorker<'_> {
+        GridWorker {
+            scratch: self.pool.checkout(),
+            classifier: FastVisitClassifier::new(),
+            env: WebEnvironment::default(),
+            held: None,
+            builders: Vec::new(),
+            run: self,
+        }
+    }
+
+    fn work(&self) -> GridWork {
+        GridWork { builds: self.builds.load(Ordering::Relaxed), issued: self.deployments.issued() }
+    }
+}
+
+/// The generation work of one grid run: both counts are deterministic for a
+/// serial run, and `issued` at any thread count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct GridWork {
+    /// Environment builds ([`GridWorker::with_population`]) over every worker.
+    pub(crate) builds: usize,
+    /// Shared deployments issued, one per distinct environment.
+    pub(crate) issued: usize,
+}
+
 /// The results of a [`run_grid`] run, in task order, with its scheduling
-/// stats and the populations its workers built.
+/// stats and the generation work its workers did.
 pub(crate) struct GridOutcome<R> {
     pub(crate) results: Vec<R>,
     pub(crate) stats: PoolStats,
-    /// Environment builds ([`GridWorker::with_population`]) over every worker.
-    pub(crate) builds: usize,
+    pub(crate) work: GridWork,
 }
 
 /// Run `tasks` grid tasks on the work-stealing executor, results in task
@@ -256,11 +308,10 @@ pub(crate) fn run_grid<R: Send>(
     tasks: usize,
     task: impl Fn(&mut GridWorker<'_>, usize) -> R + Sync,
 ) -> GridOutcome<R> {
-    let pool = ScratchPool::new();
-    let builds = AtomicUsize::new(0);
+    let grid = GridRun::new();
     let run = |worker: &mut GridWorker<'_>, index| in_chunk(|| task(worker, index));
-    let RunOutcome { results, stats } = run_indexed(threads, tasks, |_| worker(&pool, &builds), run);
-    GridOutcome { results, stats, builds: builds.into_inner() }
+    let RunOutcome { results, stats } = run_indexed(threads, tasks, |_| grid.worker(), run);
+    GridOutcome { results, stats, work: grid.work() }
 }
 
 /// [`run_grid`], streaming each `(task, result)` to `consume` on the caller
@@ -273,21 +324,35 @@ pub(crate) fn stream_grid<R: Send>(
     task: impl Fn(&mut GridWorker<'_>, usize) -> R + Sync,
     consume: impl FnMut(usize, R),
 ) -> PoolStats {
-    let pool = ScratchPool::new();
-    let builds = AtomicUsize::new(0);
+    let grid = GridRun::new();
     let run = |worker: &mut GridWorker<'_>, index| in_chunk(|| task(worker, index));
-    run_indexed_streaming(threads, tasks, capacity, |_| worker(&pool, &builds), run, consume)
+    run_indexed_streaming(threads, tasks, capacity, |_| grid.worker(), run, consume)
 }
 
-fn worker<'run>(pool: &'run ScratchPool, builds: &'run AtomicUsize) -> GridWorker<'run> {
-    GridWorker {
-        scratch: pool.checkout(),
-        classifier: FastVisitClassifier::new(),
-        env: WebEnvironment::default(),
-        held: None,
-        builders: Vec::new(),
-        builds,
-    }
+/// The order to visit `deployments` in: their indices grouped by the
+/// environment each deploys ([`MitigationSet::environment`]). The sort is
+/// stable, so indices on one environment keep their order, and a worker
+/// walking them builds each environment once.
+pub(crate) fn environment_order(deployments: &[MitigationSet]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..deployments.len()).collect();
+    order.sort_by_key(|&index| deployments[index].environment());
+    order
+}
+
+/// [`run_grid`] over one task per entry of `deployments`, scheduled in
+/// [`environment_order`]; `task` receives the entry's index, and the
+/// results come back in entry order.
+pub(crate) fn run_deployments<R: Send>(
+    threads: usize,
+    deployments: &[MitigationSet],
+    task: impl Fn(&mut GridWorker<'_>, usize) -> R + Sync,
+) -> GridOutcome<R> {
+    let order = environment_order(deployments);
+    let GridOutcome { results, stats, work } =
+        run_grid(threads, order.len(), |worker, slot| task(worker, order[slot]));
+    let mut indexed: Vec<(usize, R)> = order.into_iter().zip(results).collect();
+    indexed.sort_unstable_by_key(|&(index, _)| index);
+    GridOutcome { results: indexed.into_iter().map(|(_, result)| result).collect(), stats, work }
 }
 
 /// Every grid task is one scaffold [`Stage::ChunkLoop`] scope: its wall-clock
@@ -313,11 +378,14 @@ pub(crate) fn chunk_layout(sites: usize, chunk_sites: usize) -> Vec<(usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim_types::Mitigation;
 
     #[test]
     fn a_worker_builds_each_population_once_in_a_row() {
-        let deployments = DeploymentCache::standard();
         let alexa = Population::alexa(30, 7, MitigationSet::empty());
+        // A browser-side mitigation deploys the same web.
+        let browser_only = Population::alexa(30, 7, MitigationSet::single(Mitigation::OriginFrames));
+        assert_eq!(alexa, browser_only);
         let chunk = Population::atlas_chunk((7, 0.35), (0, 30), MitigationSet::empty());
         let fresh = alexa_builder(30, 7, MitigationSet::empty()).build();
         let crawler = Crawler::new("grid", BrowserConfig::alexa_measurement(), 17);
@@ -325,8 +393,8 @@ mod tests {
         // Two tasks on the Alexa population, then an atlas chunk, on one
         // worker: the second task reuses the first one's build.
         let outcome = run_grid(1, 3, |worker, task| {
-            let population = if task < 2 { alexa } else { chunk };
-            worker.with_population(population, &deployments, |worker, env| {
+            let population = [alexa, browser_only, chunk][task];
+            worker.with_population(population, |worker, env| {
                 if population == alexa {
                     // The held environment is the fresh, unlayered build.
                     assert_eq!(env.sites, fresh.sites);
@@ -340,17 +408,106 @@ mod tests {
                 } else {
                     assert_ne!(env.sites, fresh.sites);
                 }
-                (worker.builds.load(Ordering::Relaxed), worker.measure(env, &crawler))
+                (worker.run.builds.load(Ordering::Relaxed), worker.measure(env, &crawler))
             })
         });
         let builds: Vec<usize> = outcome.results.iter().map(|(builds, _)| *builds).collect();
         assert_eq!(builds, [1, 1, 2]);
-        assert_eq!(outcome.builds, 2);
+        assert_eq!(outcome.work, GridWork { builds: 2, issued: 1 });
 
         // What a browser observes of the held environment (DNS answers,
         // certificates, addresses) matches the fresh build visit for visit.
         let expected = run_grid(1, 1, |worker, _| worker.measure(&fresh, &crawler)).results;
         assert_eq!(outcome.results[0].1, expected[0]);
         assert_eq!(outcome.results[1].1, expected[0]);
+    }
+
+    /// Every mitigation set measured on the web its worker holds — built
+    /// for whichever set asked first — equals the same crawl of a fresh
+    /// build under the set's environment, for the Alexa population and an
+    /// atlas chunk: sites, certificate inventory and the measured record.
+    /// A mitigation the web reads but [`MitigationSet::environment`] drops
+    /// would make two sets share an environment they do not deploy alike.
+    #[test]
+    fn a_mitigation_set_measures_the_same_as_its_environment() {
+        let combos = MitigationSet::all_combinations();
+        for (label, population) in [
+            (
+                "alexa",
+                &(|set| Population::alexa(40, 7, set)) as &(dyn Fn(MitigationSet) -> Population + Sync),
+            ),
+            ("atlas", &|set| Population::atlas_chunk((7, 0.35), (1_000, 40), set)),
+        ] {
+            // One worker in set order: browser-only neighbours share a build.
+            let held = run_grid(1, combos.len(), |worker, task| {
+                let set = combos[task];
+                worker.with_population(population(set), |worker, env| {
+                    let certificates: Vec<_> = env.certificates.iter().cloned().collect();
+                    let crawler = Crawler::new("grid", BrowserConfig::with_mitigations(set), 17);
+                    (env.sites.clone(), certificates, worker.measure(env, &crawler))
+                })
+            });
+            assert_eq!(held.work, GridWork { builds: 8, issued: 4 }, "{label}");
+            for (set, (sites, certificates, record)) in combos.iter().zip(held.results) {
+                let fresh = run_grid(1, 1, |worker, _| {
+                    worker.with_population(population(set.environment()), |worker, env| {
+                        let crawler = Crawler::new("grid", BrowserConfig::with_mitigations(*set), 17);
+                        (
+                            env.sites.clone(),
+                            env.certificates.iter().cloned().collect(),
+                            worker.measure(env, &crawler),
+                        )
+                    })
+                });
+                let (fresh_sites, fresh_certificates, fresh_record): (_, Vec<_>, _) =
+                    fresh.results.into_iter().next().expect("one task");
+                assert_eq!(sites, fresh_sites, "{label} {set}");
+                assert_eq!(certificates, fresh_certificates, "{label} {set}");
+                assert_eq!(record, fresh_record, "{label} {set}");
+            }
+        }
+    }
+
+    /// Every mitigation acts somewhere: a web mitigation changes what a
+    /// stock browser measures, a browser mitigation changes the browser's
+    /// configuration. A mitigation that did neither would be one the
+    /// environment projection dropped although the web reads it.
+    #[test]
+    fn every_mitigation_acts_on_the_web_or_in_the_browser() {
+        let crawler = Crawler::new("grid", BrowserConfig::alexa_measurement(), 17);
+        let measured = run_deployments(1, &MitigationSet::all_combinations(), |worker, bits| {
+            let set = MitigationSet::from_bits(bits as u8);
+            worker.with_population(Population::alexa(40, 7, set), |worker, env| worker.measure(env, &crawler))
+        });
+        let stock = BrowserConfig::with_mitigations(MitigationSet::empty());
+        for mitigation in Mitigation::ALL {
+            let single = MitigationSet::single(mitigation);
+            if single.environment().is_empty() {
+                assert_ne!(BrowserConfig::with_mitigations(single), stock, "{mitigation}");
+            } else {
+                assert_ne!(measured.results[single.bits() as usize], measured.results[0], "{mitigation}");
+            }
+        }
+    }
+
+    #[test]
+    fn deployment_grids_run_grouped_by_environment_in_task_order() {
+        let combos = MitigationSet::all_combinations();
+        let order = environment_order(&combos);
+        assert_eq!(order, [0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15]);
+        let run = |threads| {
+            run_deployments(threads, &combos, |worker, task| {
+                let population = Population::alexa(20, 7, combos[task]);
+                worker.with_population(population, |_, env| (task, env.sites.len()))
+            })
+        };
+        let serial = run(1);
+        assert_eq!(serial.results, (0..16).map(|task| (task, 20)).collect::<Vec<_>>());
+        // One worker builds each of the 4 environments once.
+        assert_eq!(serial.work, GridWork { builds: 4, issued: 4 });
+        let sharded = run(3);
+        assert_eq!(sharded.results, serial.results);
+        assert_eq!(sharded.work.issued, 4);
+        assert!((4..=combos.len()).contains(&sharded.work.builds), "{:?}", sharded.work);
     }
 }

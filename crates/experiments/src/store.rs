@@ -43,7 +43,7 @@
 //! them on the caller thread with no I/O. The open is a snapshot; a shard
 //! file changed afterwards is not seen.
 
-use crate::grid::{chunk_layout, stream_grid, CellRecord, GridWorker, Population};
+use crate::grid::{chunk_layout, environment_order, stream_grid, CellRecord, GridWorker, Population};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use connreuse_core::DatasetSummary;
@@ -52,7 +52,6 @@ use netsim_store::{
     finalize_manifest, write_shard, BuildPlan, ShardFile, ShardStore, StoreError, StoreLayout,
 };
 use netsim_types::{Fingerprint, FingerprintBuilder, Mitigation, MitigationSet};
-use netsim_web::DeploymentCache;
 use std::ops::Range;
 use std::path::Path;
 
@@ -399,7 +398,6 @@ pub fn build_store(config: &StoreConfig, dir: &Path) -> Result<BuildReport, Stor
     let layout = config.layout();
     let plan = BuildPlan::assess(dir, &layout)?;
     let chunks = config.chunks();
-    let deployments = DeploymentCache::standard();
 
     let dirty = &plan.dirty;
     let mut write_error: Option<StoreError> = None;
@@ -409,7 +407,7 @@ pub fn build_store(config: &StoreConfig, dir: &Path) -> Result<BuildReport, Stor
         config.channel_capacity,
         |worker, task| {
             let (start, len) = chunks[dirty[task]];
-            let cells = measure_chunk(worker, config, (start, len), &deployments);
+            let cells = measure_chunk(worker, config, (start, len));
             ShardFile {
                 fingerprint: layout.fingerprint,
                 chunk_index: dirty[task] as u64,
@@ -449,26 +447,27 @@ pub fn open_store(config: &StoreConfig, dir: &Path) -> Result<ShardStore, StoreE
 }
 
 /// Measure one chunk under every stored (deployment × profile) cell, in
-/// record order ([`StoreConfig::keys`]): the population is generated once
-/// per deployment (it depends on the deployment, never on the link) and
-/// crawled once per profile — the cost engine's cell discipline at the
-/// atlas's population shape.
+/// record order ([`StoreConfig::keys`]): the deployments are walked grouped
+/// by environment ([`environment_order`]), so the population is generated
+/// once per environment (it depends on the web's mitigations, never on the
+/// browser's or the link) and crawled once per deployment and profile — the
+/// cost engine's cell discipline at the atlas's population shape.
 fn measure_chunk(
     worker: &mut GridWorker<'_>,
     config: &StoreConfig,
     chunk: (usize, usize),
-    deployments: &DeploymentCache,
 ) -> Vec<CellRecord> {
     let profiles = config.profiles();
     let crawl_seed = config.seed + ALEXA_CRAWL_SEED_OFFSET;
-    let mut cells = Vec::with_capacity(config.mitigations.len() * profiles.len());
-    for &mitigations in &config.mitigations {
+    let mut deployments = vec![Vec::new(); config.mitigations.len()];
+    for index in environment_order(&config.mitigations) {
+        let mitigations = config.mitigations[index];
         let population = Population::atlas_chunk((config.seed, config.zipf_exponent), chunk, mitigations);
-        cells.extend(worker.with_population(population, deployments, |worker, env| {
+        deployments[index] = worker.with_population(population, |worker, env| {
             worker.measure_links(env, mitigations, &profiles, crawl_seed)
-        }));
+        });
     }
-    cells
+    deployments.into_iter().flatten().collect()
 }
 
 /// The answer to one what-if query: the queried slice's classification
@@ -552,13 +551,12 @@ pub fn answer_query(
 pub fn answer_in_memory(config: &StoreConfig, query: &StoreQuery) -> Result<QueryAnswer, StoreError> {
     let (record_index, covered) = query_targets(config, query)?;
     let chunks = config.chunks();
-    let deployments = DeploymentCache::standard();
     let mut fold = CellRecord::default();
     stream_grid(
         config.threads,
         covered.len(),
         config.channel_capacity,
-        |worker, task| measure_chunk(worker, config, chunks[covered.start + task], &deployments),
+        |worker, task| measure_chunk(worker, config, chunks[covered.start + task]),
         |_task, cells| fold.merge(&cells[record_index]),
     );
     Ok(QueryAnswer::from_fold(query, covered.len(), fold))
@@ -743,6 +741,32 @@ mod tests {
             assert_eq!(stored.render(&config), computed.render(&config));
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_store_chunk_builds_one_population_per_environment() {
+        use crate::grid::{run_grid, GridWork};
+        let config = StoreConfig {
+            sites: 20,
+            chunk_sites: 10,
+            mitigations: MitigationSet::all_combinations(),
+            ..tiny()
+        };
+        let chunks = config.chunks();
+        let measured = run_grid(1, chunks.len(), |worker, task| measure_chunk(worker, &config, chunks[task]));
+        // 4 builds per chunk for its 16 deployments, over the run's 4
+        // shared deployments.
+        assert_eq!(measured.work, GridWork { builds: 4 * chunks.len(), issued: 4 });
+        // The records still come in key order: deployment-major, each
+        // deployment's block what measuring it alone yields.
+        let records = &measured.results[0];
+        assert_eq!(records.len(), config.keys().len());
+        let profiles = config.profiles().len();
+        for (index, &set) in config.mitigations.iter().enumerate() {
+            let alone = StoreConfig { mitigations: vec![set], ..config.clone() };
+            let expected = run_grid(1, 1, |worker, _| measure_chunk(worker, &alone, chunks[0])).results;
+            assert_eq!(&records[index * profiles..(index + 1) * profiles], &expected[0][..], "{set}");
+        }
     }
 
     #[test]

@@ -41,13 +41,13 @@
 //! from the baseline only by its deployment, which is what makes the
 //! per-mitigation deltas meaningful.
 
-use crate::grid::{run_grid, GridWorker, Population};
+use crate::grid::{run_deployments, GridWork, GridWorker, Population};
 use crate::render::{format_count, format_percent, TextTable};
 use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
 use connreuse_core::{Cause, DatasetSummary};
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_types::{Mitigation, MitigationSet};
-use netsim_web::{DeploymentCache, WebEnvironment};
+use netsim_web::WebEnvironment;
 
 /// Sizing and seeding of one sweep run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,18 +107,15 @@ pub fn run_sweep(config: &SweepConfig) -> SweepReport {
     sweep_grid(config).0
 }
 
-/// [`run_sweep`], with the number of populations its workers built.
-fn sweep_grid(config: &SweepConfig) -> (SweepReport, usize) {
+/// [`run_sweep`], with the generation work its workers did.
+fn sweep_grid(config: &SweepConfig) -> (SweepReport, GridWork) {
     let combos = MitigationSet::all_combinations();
-    let deployments = DeploymentCache::standard();
-    let cells = run_grid(config.threads, combos.len(), |worker, task| {
+    let cells = run_deployments(config.threads, &combos, |worker, task| {
         let mitigations = combos[task];
         let population = Population::alexa(config.sites, config.seed, mitigations);
-        worker.with_population(population, &deployments, |worker, env| {
-            run_cell(worker, env, config, mitigations)
-        })
+        worker.with_population(population, |worker, env| run_cell(worker, env, config, mitigations))
     });
-    (SweepReport { config: *config, cells: cells.results }, cells.builds)
+    (SweepReport { config: *config, cells: cells.results }, cells.work)
 }
 
 /// Measure one cell: `env`, the population deployed under the mitigations,
@@ -279,18 +276,23 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    fn shared_run() -> &'static (SweepReport, usize) {
-        static RUN: OnceLock<(SweepReport, usize)> = OnceLock::new();
-        RUN.get_or_init(|| sweep_grid(&SweepConfig { sites: 80, seed: 20_210_420, threads: 8 }))
-    }
-
     fn shared_report() -> &'static SweepReport {
-        &shared_run().0
+        static RUN: OnceLock<SweepReport> = OnceLock::new();
+        RUN.get_or_init(|| run_sweep(&SweepConfig { sites: 80, seed: 20_210_420, threads: 8 }))
     }
 
     #[test]
-    fn sweep_builds_one_population_per_cell() {
-        assert_eq!(shared_run().1, MitigationSet::COMBINATIONS);
+    fn sweep_builds_one_population_per_environment() {
+        // One worker builds each of the 4 environments once for the 16
+        // cells; any schedule issues 4 deployments and measures the same
+        // cells.
+        let config = SweepConfig { sites: 20, seed: 20_210_420, threads: 1 };
+        let (serial, work) = sweep_grid(&config);
+        assert_eq!(work, GridWork { builds: 4, issued: 4 });
+        let (sharded, work) = sweep_grid(&SweepConfig { threads: 3, ..config });
+        assert_eq!(work.issued, 4);
+        assert!((4..=MitigationSet::COMBINATIONS).contains(&work.builds), "{work:?}");
+        assert_eq!(serial.cells, sharded.cells);
     }
 
     #[test]

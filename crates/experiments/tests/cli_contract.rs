@@ -1,12 +1,13 @@
 //! The command-line contract all seven binaries share, exercised through the
 //! real binaries — exit 2 with an `error:` line naming the flag and nothing
 //! on stdout for a bad argument, presets that explicit flags override in any
-//! order — plus the flag-table parser in `connreuse_experiments::cli` it is
-//! built on.
+//! order, exit 0 when stdout's reader has gone away and 1 on any other
+//! stdout error — plus the flag-table parser in `connreuse_experiments::cli`
+//! it is built on.
 
 use connreuse_experiments::cli::{check_threads, write_output, Args, CliError, Flag, Spec, EXIT_STATUS};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const BINS: [(&str, &str); 7] = [
     ("repro", env!("CARGO_BIN_EXE_repro")),
@@ -122,6 +123,61 @@ fn explicit_flags_override_a_preset_in_any_order() {
     let header = serve("seed-first", &["--seed", "7", "--quick"]);
     assert_eq!(header, serve("seed-last", &["--quick", "--seed", "7"]));
     assert_eq!(header, "## Shard store: 180 sites in 4 chunks of 45, seed 7");
+}
+
+/// One small real report per binary: each reaches its report print.
+fn report_args(name: &str, store: &str) -> Vec<String> {
+    let args: &[&str] = match name {
+        "repro" => {
+            &["--quick", "--archive-sites", "12", "--alexa-sites", "12", "--overlap-sites", "4", "table1"]
+        }
+        "connreuse-serve" => &["--store", store, "--quick", "--build", "--sites", "12"],
+        "connreuse-fleet" | "connreuse-chaos" => {
+            &["--quick", "--sites", "6", "--sessions", "2", "--threads", "1"]
+        }
+        "connreuse-atlas" => &["--quick", "--sites", "8", "--threads", "1"],
+        _ => &["--sites", "6", "--threads", "1"],
+    };
+    args.iter().map(|arg| arg.to_string()).collect()
+}
+
+/// Runs `bin` with `args` and `stdout` as its standard output; returns the
+/// exit code and stderr.
+fn run_into(bin: &str, args: &[String], stdout: impl Into<Stdio>) -> (Option<i32>, String) {
+    let output = Command::new(bin).args(args).stdout(stdout).output().expect("run binary");
+    (output.status.code(), String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+#[test]
+fn a_closed_stdout_ends_every_binary_quietly_with_exit_0() {
+    let store = temp_dir("closed-stdout");
+    for (name, bin) in BINS {
+        for args in [vec!["--help".to_string()], report_args(name, store.to_str().expect("utf-8 path"))] {
+            let (reader, writer) = std::io::pipe().expect("pipe");
+            drop(reader);
+            let (code, stderr) = run_into(bin, &args, writer);
+            assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+            assert!(!stderr.contains("error:"), "{name} {args:?}: {stderr}");
+            assert_eq!(code, Some(0), "{name} {args:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn any_other_stdout_error_is_a_failed_run() {
+    // Writes to /dev/full fail with ENOSPC.
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else { return };
+    let store = temp_dir("full-stdout");
+    for (name, bin) in BINS {
+        for args in [vec!["--help".to_string()], report_args(name, store.to_str().expect("utf-8 path"))] {
+            let (code, stderr) = run_into(bin, &args, full.try_clone().expect("clone /dev/full"));
+            assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+            assert!(stderr.contains("error: cannot write to stdout"), "{name} {args:?}: {stderr}");
+            assert_eq!(code, Some(1), "{name} {args:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 const FLAGS: &[Flag] = &[

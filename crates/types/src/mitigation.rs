@@ -6,15 +6,17 @@
 //! because the individual mitigations plug into different layers of the
 //! stack:
 //!
-//! | mitigation | layer it changes |
-//! |---|---|
-//! | [`Mitigation::OriginFrames`] | `netsim-h2` reuse policy + `netsim-browser` servers |
-//! | [`Mitigation::SynchronizedDns`] | `netsim-dns` load balancing + `netsim-web` deployments |
-//! | [`Mitigation::CertificateCoalescing`] | `netsim-tls` issuance + `netsim-web` certificate groups |
-//! | [`Mitigation::CredentialPooling`] | `netsim-h2` reuse policy (collapses the `netsim-fetch` credentials partition) |
+//! | mitigation | acts on | layer it changes |
+//! |---|---|---|
+//! | [`Mitigation::OriginFrames`] | browser | `netsim-h2` reuse policy + `netsim-browser` servers |
+//! | [`Mitigation::SynchronizedDns`] | web | `netsim-dns` load balancing + `netsim-web` deployments |
+//! | [`Mitigation::CertificateCoalescing`] | web | `netsim-tls` issuance + `netsim-web` certificate groups |
+//! | [`Mitigation::CredentialPooling`] | browser | `netsim-h2` reuse policy (collapses the `netsim-fetch` credentials partition) |
 //!
 //! The experiment harness sweeps all 2^4 = 16 combinations and reports the
-//! marginal and combined redundancy reduction of each mitigation.
+//! marginal and combined redundancy reduction of each mitigation. Only the
+//! two web mitigations change the generated environment, so the 16
+//! combinations deploy 4 distinct webs ([`MitigationSet::environment`]).
 
 /// One deployable mitigation against redundant HTTP/2 connections.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,18 +24,21 @@ pub enum Mitigation {
     /// Servers announce RFC 8336 ORIGIN frames listing the exact DNS names of
     /// their certificate, and clients let origin-set membership substitute
     /// for the IP-equality check — dissolving the paper's `IP` cause where
-    /// certificates already span the sharded domains.
+    /// certificates already span the sharded domains. Acts in the browser:
+    /// the frame's origin set is the certificate the web already serves.
     OriginFrames,
     /// Providers synchronize their DNS load balancing (shared CNAME /
     /// anycast-style): co-hosted domains resolve to the *same* pool member
     /// for a given resolver and epoch, so the RFC 7540 IP check succeeds.
+    /// Acts on the web: it changes the deployed DNS zones.
     SynchronizedDns,
     /// Operators coalesce their per-domain certificates into one certificate
-    /// covering every shard, removing the `CERT` cause.
+    /// covering every shard, removing the `CERT` cause. Acts on the web: it
+    /// changes the issued certificates.
     CertificateCoalescing,
     /// Clients stop partitioning the HTTP/2 session pool by the Fetch
     /// credentials flag (the paper's patched-Chromium run), removing the
-    /// `CRED` cause.
+    /// `CRED` cause. Acts in the browser only.
     CredentialPooling,
 }
 
@@ -140,6 +145,18 @@ impl MitigationSet {
         MitigationSet { bits: self.bits & !mitigation.bit() }
     }
 
+    /// The part of the set the web deploys: [`Mitigation::SynchronizedDns`]
+    /// and [`Mitigation::CertificateCoalescing`]. [`Mitigation::OriginFrames`]
+    /// and [`Mitigation::CredentialPooling`] act only through the browser's
+    /// configuration, so two sets with the same environment generate the
+    /// same web, and a generated environment is keyed by this projection.
+    #[must_use]
+    pub fn environment(self) -> Self {
+        MitigationSet {
+            bits: self.bits & (Mitigation::SynchronizedDns.bit() | Mitigation::CertificateCoalescing.bit()),
+        }
+    }
+
     /// `true` for the empty set.
     pub fn is_empty(self) -> bool {
         self.bits == 0
@@ -207,6 +224,23 @@ mod tests {
         // Every singleton appears.
         for m in Mitigation::ALL {
             assert!(combos.contains(&MitigationSet::single(m)));
+        }
+    }
+
+    #[test]
+    fn the_environment_keeps_only_the_web_mitigations() {
+        let web = MitigationSet::single(Mitigation::SynchronizedDns).with(Mitigation::CertificateCoalescing);
+        assert_eq!(MitigationSet::all().environment(), web);
+        assert_eq!(MitigationSet::single(Mitigation::OriginFrames).environment(), MitigationSet::empty());
+        assert_eq!(
+            MitigationSet::single(Mitigation::CredentialPooling).environment(),
+            MitigationSet::empty()
+        );
+        let environments: std::collections::BTreeSet<_> =
+            MitigationSet::all_combinations().into_iter().map(MitigationSet::environment).collect();
+        assert_eq!(environments.len(), 4);
+        for set in MitigationSet::all_combinations() {
+            assert_eq!(set.environment().environment(), set.environment());
         }
     }
 

@@ -1,6 +1,6 @@
 //! Memoized service deployments: issue the third-party catalog's DNS zones,
-//! certificates and prefix announcements **once** per mitigation set and
-//! share them across population chunks.
+//! certificates and prefix announcements **once** per deployed environment
+//! ([`MitigationSet::environment`]) and share them across population chunks.
 //!
 //! Generating a population installs two kinds of state into the environment:
 //! the *shared* deployment of the third-party service catalog (zones,
@@ -27,8 +27,8 @@ use netsim_types::MitigationSet;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// The immutable, shareable deployment of one service catalog under one
-/// mitigation set.
+/// The immutable, shareable deployment of one service catalog under the
+/// environment of one mitigation set.
 #[derive(Debug)]
 pub struct SharedDeployment {
     /// Authoritative zones of every catalog service.
@@ -40,7 +40,8 @@ pub struct SharedDeployment {
     pub registry: Arc<AsRegistry>,
     /// The (already mitigated) catalog this deployment was issued from.
     pub catalog: ServiceCatalog,
-    /// The mitigation set the deployment was issued under.
+    /// The environment the deployment was issued under: the web part
+    /// ([`MitigationSet::environment`]) of the requested set.
     pub mitigations: MitigationSet,
 }
 
@@ -48,8 +49,10 @@ impl SharedDeployment {
     /// Issue the deployment: install every service of `catalog` (with
     /// `mitigations` applied) into fresh authority/certificate/registry
     /// structures, exactly as [`crate::PopulationBuilder::build`] would at
-    /// the start of a monolithic build.
+    /// the start of a monolithic build. Only `mitigations`' environment is
+    /// deployed and recorded.
     pub fn issue(catalog: &ServiceCatalog, mitigations: MitigationSet) -> Arc<SharedDeployment> {
+        let mitigations = mitigations.environment();
         let mitigated = catalog.with_mitigations(mitigations);
         let mut authority = Authority::new();
         let mut certificates = CertificateStore::new();
@@ -69,10 +72,12 @@ impl SharedDeployment {
     }
 }
 
-/// A concurrent memo of [`SharedDeployment`]s keyed by mitigation set, for
-/// one service catalog. Issuing is O(catalog); every further request for the
-/// same mitigation set is a map lookup plus an `Arc` clone, so generating a
-/// population in N chunks issues the catalog once instead of N times.
+/// A concurrent memo of [`SharedDeployment`]s keyed by environment
+/// ([`MitigationSet::environment`]), for one service catalog. Issuing is
+/// O(catalog); every further request for a set with the same environment is
+/// a map lookup plus an `Arc` clone, so generating a population in N chunks
+/// issues the catalog once instead of N times, and the 16 mitigation sets
+/// share 4 deployments.
 #[derive(Debug)]
 pub struct DeploymentCache {
     catalog: ServiceCatalog,
@@ -90,15 +95,17 @@ impl DeploymentCache {
         DeploymentCache::new(ServiceCatalog::standard())
     }
 
-    /// The memoized deployment for `mitigations`, issuing it on first use.
+    /// The memoized deployment of `mitigations`' environment, issuing it on
+    /// first use.
     pub fn deployment(&self, mitigations: MitigationSet) -> Arc<SharedDeployment> {
+        let environment = mitigations.environment();
         let mut cells = self.cells.lock().expect("deployment cache poisoned");
         Arc::clone(
-            cells.entry(mitigations).or_insert_with(|| SharedDeployment::issue(&self.catalog, mitigations)),
+            cells.entry(environment).or_insert_with(|| SharedDeployment::issue(&self.catalog, environment)),
         )
     }
 
-    /// Number of distinct mitigation sets issued so far.
+    /// Number of distinct environments issued so far.
     pub fn issued(&self) -> usize {
         self.cells.lock().expect("deployment cache poisoned").len()
     }
@@ -116,9 +123,21 @@ mod tests {
         let b = cache.deployment(MitigationSet::empty());
         assert!(Arc::ptr_eq(&a, &b), "same mitigation set must share one deployment");
         assert_eq!(cache.issued(), 1);
+        // A browser-only set shares its environment's deployment.
+        let browser_only =
+            MitigationSet::single(Mitigation::OriginFrames).with(Mitigation::CredentialPooling);
+        assert!(Arc::ptr_eq(&a, &cache.deployment(browser_only)));
+        assert_eq!(cache.issued(), 1);
         let c = cache.deployment(MitigationSet::single(Mitigation::SynchronizedDns));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.issued(), 2);
+        let all = cache.deployment(MitigationSet::all());
+        assert!(Arc::ptr_eq(&all, &cache.deployment(MitigationSet::all().environment())));
+        assert_eq!(all.mitigations, MitigationSet::all().environment());
+        for set in MitigationSet::all_combinations() {
+            assert!(Arc::ptr_eq(&cache.deployment(set), &cache.deployment(set.environment())), "{set}");
+        }
+        assert_eq!(cache.issued(), 4);
     }
 
     #[test]

@@ -160,9 +160,11 @@ impl PopulationBuilder {
     /// the RNG streams identically, so two builders differing only in
     /// mitigations produce populations with the *same* sites and request
     /// plans — only the deployment differs, which is what makes sweep cells
-    /// comparable.
+    /// comparable. The builder keeps only the set's
+    /// [`MitigationSet::environment`]: the browser-side mitigations do not
+    /// change the web.
     pub fn with_mitigations(mut self, mitigations: MitigationSet) -> Self {
-        self.mitigations = mitigations;
+        self.mitigations = mitigations.environment();
         self
     }
 

@@ -12,7 +12,7 @@
 
 use netsim_dns::{QueryContext, ResolverId};
 use netsim_types::{Duration, Instant, Mitigation, MitigationSet};
-use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, WebEnvironment};
+use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, ServiceCatalog, WebEnvironment};
 use proptest::prelude::*;
 
 /// Build the same population slice both ways.
@@ -144,6 +144,82 @@ fn chunked_layered_builds_match_one_monolithic_build() {
             .build();
         for (local, site) in chunk.sites.iter().enumerate() {
             assert_eq!(site, &whole.sites[start + local], "site {} diverges", start + local);
+        }
+    }
+}
+
+/// The 40-site slices the environment tests compare: the head of the Alexa
+/// population and an archive chunk at rank 1000 with the atlas's Zipf mix.
+fn slices(configure: impl Fn(PopulationBuilder) -> PopulationBuilder) -> [WebEnvironment; 2] {
+    let alexa = PopulationBuilder::new(PopulationProfile::alexa(), 40, 7);
+    let atlas = PopulationBuilder::new(PopulationProfile::archive(), 40, 7)
+        .with_site_offset(1_000)
+        .with_zipf_profile_mix(PopulationProfile::alexa(), 0.35);
+    [configure(alexa).build(), configure(atlas).build()]
+}
+
+/// Every DNS answer of every planned host, over several resolvers and
+/// instants.
+fn dns_answers(env: &WebEnvironment) -> Vec<(bool, Vec<netsim_types::IpAddr>)> {
+    let mut answers = Vec::new();
+    for request in env.sites.iter().flat_map(|site| &site.plan) {
+        for (resolver, minutes) in [(1u32, 0u64), (2, 7), (1000, 123)] {
+            let ctx = QueryContext::new(ResolverId(resolver), Instant::EPOCH + Duration::from_mins(minutes));
+            let mut answer = Vec::new();
+            let known = env.authority.addresses_into(&request.domain, &ctx, &mut answer);
+            answers.push((known, answer));
+        }
+    }
+    answers
+}
+
+/// A mitigation set builds the web of its environment: the catalog
+/// mitigated under the whole set, generated monolithically, equals the
+/// environment's build layered on the shared deployment — same sites, same
+/// certificate inventory in issuance order, same DNS answers. A mitigation
+/// the catalog reads but `MitigationSet::environment` drops fails here.
+#[test]
+fn a_mitigation_set_builds_the_web_of_its_environment() {
+    let cache = DeploymentCache::standard();
+    for set in MitigationSet::all_combinations() {
+        let whole = slices(|builder| {
+            builder.with_catalog(ServiceCatalog::standard().with_mitigations(set)).with_mitigations(set)
+        });
+        let environment = set.environment();
+        let projected = slices(|builder| {
+            builder.with_mitigations(environment).with_shared_deployment(cache.deployment(environment))
+        });
+        for (whole, projected) in whole.iter().zip(&projected) {
+            assert_observably_equal(whole, projected);
+            assert_eq!(
+                whole.certificates.iter().collect::<Vec<_>>(),
+                projected.certificates.iter().collect::<Vec<_>>(),
+                "{set}"
+            );
+        }
+    }
+    assert_eq!(cache.issued(), 4);
+}
+
+/// The negative case: two sets that differ in a web mitigation deploy
+/// different webs — their certificates or their DNS answers differ.
+#[test]
+fn environments_differ_in_certificates_or_dns_answers() {
+    let environments: Vec<MitigationSet> =
+        MitigationSet::all_combinations().into_iter().filter(|set| *set == set.environment()).collect();
+    assert_eq!(environments.len(), 4);
+    let webs: Vec<[WebEnvironment; 2]> =
+        environments.iter().map(|&set| slices(|builder| builder.with_mitigations(set))).collect();
+    for (a, web_a) in environments.iter().zip(&webs) {
+        for (b, web_b) in environments.iter().zip(&webs).filter(|(b, _)| *b > a) {
+            for (x, y) in web_a.iter().zip(web_b) {
+                assert_eq!(x.sites, y.sites, "{a} vs {b}: the site layout never depends on mitigations");
+                let certificates_differ = !x.certificates.iter().eq(y.certificates.iter());
+                assert!(
+                    certificates_differ || dns_answers(x) != dns_answers(y),
+                    "{a} and {b} deploy one web"
+                );
+            }
         }
     }
 }
