@@ -197,10 +197,12 @@ fn bench_visit_paths(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("visit_legacy_batch_pipeline", |b| {
+        let mut scratch = VisitScratch::new();
         b.iter(|| {
             let mut accumulator = Accumulator::new();
             for index in 0..env.sites.len() {
-                let visit = crawler.visit_site(&env, index);
+                let times = crawler.visit_site_into(&mut scratch, &env, index);
+                let visit = scratch.to_page_visit(&env.sites[index], times);
                 accumulator.observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
             }
             black_box(accumulator.finish("legacy"))

@@ -5,7 +5,7 @@
 use connreuse_bench::{bench_environment, BENCH_SEED};
 use connreuse_experiments::sweep::{run_sweep, SweepConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
-use netsim_browser::{Browser, BrowserConfig};
+use netsim_browser::{Browser, BrowserConfig, VisitScratch};
 use netsim_dns::{RecursiveResolver, ResolverId};
 use netsim_h2::reuse::{admits, evaluate_set, ReusePolicy};
 use netsim_h2::Connection;
@@ -101,7 +101,9 @@ fn bench_population_and_page_load(c: &mut Criterion) {
             let mut browser = Browser::new(BrowserConfig::alexa_measurement());
             let mut clock = SimClock::new();
             let mut rng = SimRng::new(BENCH_SEED);
-            black_box(browser.load_page(&env, &env.sites[0], &mut clock, &mut rng))
+            let mut scratch = VisitScratch::new();
+            let times = browser.load_page_into(&mut scratch, &env, &env.sites[0], &mut clock, &mut rng);
+            black_box(scratch.to_page_visit(&env.sites[0], times))
         })
     });
     group.finish();

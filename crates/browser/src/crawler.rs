@@ -83,7 +83,10 @@ impl Crawler {
         CrawlReport { label: self.label.clone(), visits }
     }
 
-    /// Visit one site at its slot in the crawl timeline.
+    /// Visit one site at its slot in the crawl timeline, into a reusable
+    /// per-worker scratch. The visit's connections and requests are left in
+    /// `scratch` ([`VisitScratch::to_page_visit`] materialises them); the
+    /// returned [`VisitTimes`] carries the start/finish instants.
     ///
     /// The visit's clock offset, id base and RNG stream are all derived from
     /// the site's *global* id (`Website::id`), not its position in
@@ -91,16 +94,6 @@ impl Crawler {
     /// populations (`PopulationBuilder::with_site_offset`, used by the atlas
     /// scale scenario) this keeps every visit byte-identical to the one a
     /// single giant environment would produce.
-    pub fn visit_site(&self, env: &WebEnvironment, index: usize) -> PageVisit {
-        let mut scratch = VisitScratch::new();
-        let times = self.visit_site_into(&mut scratch, env, index);
-        scratch.to_page_visit(&env.sites[index], times)
-    }
-
-    /// Visit one site into a reusable per-worker scratch — the
-    /// zero-allocation form of [`Crawler::visit_site`]. The visit's
-    /// connections and requests are left in `scratch`; the returned
-    /// [`VisitTimes`] carries the start/finish instants.
     pub fn visit_site_into(
         &self,
         scratch: &mut VisitScratch,

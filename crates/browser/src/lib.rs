@@ -13,7 +13,7 @@
 //!    to an already-connected IP, and
 //! 3. the DNS answers the configured recursive resolver happens to return.
 //!
-//! [`Browser::load_page`] reproduces that interaction for one generated site:
+//! [`Browser::load_page_into`] reproduces that interaction for one generated site:
 //! it walks the site's fetch plan in dependency order, resolves hosts through
 //! a [`netsim_dns::RecursiveResolver`], consults its session pool (direct
 //! same-origin match first, then the coalescing predicate of

@@ -4,7 +4,6 @@ use crate::config::BrowserConfig;
 use crate::connpool::sample_server_lifetime;
 use crate::scratch::{ScratchRequest, VisitScratch, VisitTimes};
 use crate::session::{ResumptionCache, UserSession};
-use crate::visit::PageVisit;
 use netsim_cost::loss_retransmit_extra_micros;
 use netsim_fetch::partition_for_planned;
 use netsim_h2::reuse::admits;
@@ -58,33 +57,15 @@ impl Browser {
         &self.config
     }
 
-    /// Load one site's landing page against the given environment.
+    /// Load one site's landing page against the given environment into a
+    /// reusable [`VisitScratch`].
     ///
     /// `clock` supplies (and is advanced past) the simulated wall-clock time
-    /// of the visit; `rng` drives connection-lifetime sampling.
-    ///
-    /// This is the compatibility entry point: it runs the visit through a
-    /// throwaway [`VisitScratch`] and materialises an owned [`PageVisit`].
-    /// Workers that process many visits should hold one scratch and call
-    /// [`Browser::load_page_into`] instead.
-    pub fn load_page(
-        &mut self,
-        env: &WebEnvironment,
-        site: &Website,
-        clock: &mut SimClock,
-        rng: &mut SimRng,
-    ) -> PageVisit {
-        let mut scratch = VisitScratch::new();
-        let times = self.load_page_into(&mut scratch, env, site, clock, rng);
-        scratch.to_page_visit(site, times)
-    }
-
-    /// Load one site's landing page into a reusable [`VisitScratch`].
-    ///
-    /// Behaviourally identical to [`Browser::load_page`] — same connections,
-    /// requests, ids and clock advancement — but all visit state lands in
-    /// `scratch`'s recycled buffers. In the steady state this performs zero
-    /// heap allocations per visit.
+    /// of the visit; `rng` drives connection-lifetime sampling. All visit
+    /// state lands in `scratch`'s recycled buffers, so in the steady state
+    /// this performs zero heap allocations per visit;
+    /// [`VisitScratch::to_page_visit`] materialises an owned
+    /// [`PageVisit`](crate::PageVisit).
     pub fn load_page_into(
         &mut self,
         scratch: &mut VisitScratch,
@@ -584,7 +565,7 @@ fn transfer_time(body_size: u64, config: &BrowserConfig) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crawler::Crawler;
+    use crate::visit::PageVisit;
     use netsim_h2::reuse::evaluate_set;
     use netsim_h2::ReuseRefusal;
     use netsim_types::DomainName;
@@ -598,7 +579,10 @@ mod tests {
         let mut browser = Browser::new(config);
         let mut clock = SimClock::new();
         let mut rng = SimRng::new(99);
-        browser.load_page(env, &env.sites[site_index], &mut clock, &mut rng)
+        let site = &env.sites[site_index];
+        let mut scratch = VisitScratch::new();
+        let times = browser.load_page_into(&mut scratch, env, site, &mut clock, &mut rng);
+        scratch.to_page_visit(site, times)
     }
 
     #[test]
@@ -674,7 +658,9 @@ mod tests {
             let mut browser = Browser::new(BrowserConfig::alexa_measurement());
             let mut clock = SimClock::starting_at(Instant::EPOCH + Duration::from_mins(31 * index as u64));
             let mut rng = SimRng::new(99);
-            let v = browser.load_page(&env, site, &mut clock, &mut rng);
+            let mut scratch = VisitScratch::new();
+            let times = browser.load_page_into(&mut scratch, &env, site, &mut clock, &mut rng);
+            let v = scratch.to_page_visit(site, times);
             let gtm_conn: Vec<_> =
                 v.requests.iter().filter(|r| r.domain == gtm).map(|r| r.connection).collect();
             let ga_conn: Vec<_> = v
@@ -829,13 +815,10 @@ mod tests {
         let config = BrowserConfig::alexa_measurement();
         let mut any_closed = false;
         for index in 0..env.sites.len() {
-            let mut browser = Browser::new(config.clone());
-            let mut clock = SimClock::new();
-            let mut rng = SimRng::new(99);
-            let visit = browser.load_page(&env, &env.sites[index], &mut clock, &mut rng);
+            let visit = visit(&env, index, config.clone());
 
-            // The visit rng is consumed only by the duration pass, so a
-            // fresh same-seed rng replays it draw for draw.
+            // The visit rng (seeded 99 by `visit`) is consumed only by the
+            // duration pass, so a fresh same-seed rng replays it draw for draw.
             let mut replay = SimRng::new(99);
             for connection in &visit.connections {
                 let expected =
@@ -945,24 +928,5 @@ mod tests {
         // Ending the session closes every pooled connection.
         session.end(&mut scratch, clock.now());
         assert!(session.pool().is_empty());
-    }
-
-    #[test]
-    fn scratch_and_legacy_paths_produce_identical_visits() {
-        // `load_page` is defined as materialising the scratch fast path; an
-        // explicit reusable scratch must reproduce it byte for byte, across
-        // several sites sharing one scratch.
-        let env = environment(12, 10);
-        let crawler = Crawler::new("compat", BrowserConfig::alexa_measurement(), 5);
-        let mut scratch = VisitScratch::new();
-        for index in 0..env.sites.len() {
-            let legacy = crawler.visit_site(&env, index);
-            let times = crawler.visit_site_into(&mut scratch, &env, index);
-            let fast = scratch.to_page_visit(&env.sites[index], times);
-            assert_eq!(legacy.requests, fast.requests);
-            assert_eq!(legacy.connections, fast.connections);
-            assert_eq!(legacy.started_at, fast.started_at);
-            assert_eq!(legacy.finished_at, fast.finished_at);
-        }
     }
 }

@@ -1,6 +1,5 @@
-//! Integration test for the hotpath profiler riding the real visit loop
-//! (only meaningful with `--features hotpath-profile`; the whole file is
-//! compiled out otherwise).
+//! Integration test for the hotpath profiler riding the real visit loop,
+//! with collection turned on at run time.
 //!
 //! Two guarantees:
 //!
@@ -10,8 +9,6 @@
 //!   overlap on one thread except by strict nesting, so the sum of the
 //!   non-nested stage totals cannot exceed the wall-clock time of the loop
 //!   that contained them.
-
-#![cfg(feature = "hotpath-profile")]
 
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 use netsim_types::profile::{self, Stage};
@@ -23,6 +20,7 @@ fn stage_totals_stay_inside_the_visit_loop_wall_clock() {
     let crawler = Crawler::new("profile-stages", BrowserConfig::alexa_measurement(), 7);
     let mut scratch = VisitScratch::new();
 
+    profile::set_enabled(true);
     // Drain anything a previously-run test on this thread left behind.
     let _ = profile::take_local();
 

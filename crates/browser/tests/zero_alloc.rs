@@ -305,16 +305,17 @@ fn faulted_visits_keep_the_zero_allocation_guarantee() {
     assert!(totals.sums.retry_backoff_millis > 0, "retries charged no backoff: {:?}", totals.sums);
 }
 
-#[cfg(feature = "hotpath-profile")]
 #[test]
 fn profiled_visits_keep_the_zero_allocation_guarantee() {
     // The hotpath profiler must be free on the fast path even when it is
     // *recording*: stage guards write into a fixed-size thread-local table,
-    // so a steady-state pass with `hotpath-profile` enabled still allocates
-    // exactly nothing — and the drained table proves the instrumentation
-    // was live, not compiled out.
+    // so a steady-state pass with collection on still allocates exactly
+    // nothing — and the drained table proves the guards were live. The
+    // switch is process-wide, so the other gates in this binary may run
+    // with collection on too; none of them depends on it being off.
     use netsim_types::profile::{self, Stage};
 
+    profile::set_enabled(true);
     let env = PopulationBuilder::new(PopulationProfile::alexa(), 40, 1337).build();
     let crawler = Crawler::new("alloc-gate-profile", BrowserConfig::alexa_measurement(), 7);
     let mut scratch = VisitScratch::new();
@@ -334,16 +335,20 @@ fn profiled_visits_keep_the_zero_allocation_guarantee() {
     }
     assert!(converged, "profiled visit loop still allocating after {MAX_WARMUP_PASSES} full passes");
 
-    // Drop the warm-up's recordings so the assertion below covers exactly
-    // the measured pass.
+    // Measured passes with collection off, then on again: only this test
+    // touches the switch, so each pass runs in the state it set. Dropping
+    // the warm-up's recordings makes the table below cover exactly the
+    // last pass.
     let _ = profile::take_local();
-
-    let allocations = allocations_in(|| {
-        for index in 0..env.sites.len() {
-            let _ = crawler.visit_site_into(&mut scratch, &env, index);
-        }
-    });
-    assert_eq!(allocations, 0, "stage guards must not allocate on the visit fast path");
+    for on in [false, true] {
+        profile::set_enabled(on);
+        let allocations = allocations_in(|| {
+            for index in 0..env.sites.len() {
+                let _ = crawler.visit_site_into(&mut scratch, &env, index);
+            }
+        });
+        assert_eq!(allocations, 0, "visits with collection on={on} must not allocate");
+    }
 
     let table = profile::take_local();
     for stage in [Stage::DnsWalk, Stage::Handshake, Stage::RequestEncode, Stage::TransferClock] {

@@ -140,14 +140,17 @@ pub struct ConnectionRecord {
 
 impl ConnectionRecord {
     /// `true` if the session was open (established and not yet closed under
-    /// `model`) at instant `t`.
+    /// `model`) at instant `t`. A recorded close at `t` means closed at `t`:
+    /// such a connection cannot carry a request at `t`, the same half-open
+    /// interval the loader's `Connection::is_open_at` uses. Under
+    /// `Immediate` the last request's own instant still counts as open.
     fn open_at(&self, t: Instant, model: DurationModel) -> bool {
-        let open_until = match model {
-            DurationModel::Endless => None,
-            DurationModel::Immediate => Some(self.last_request_at),
-            DurationModel::Recorded => self.closed_at,
+        let open = match model {
+            DurationModel::Endless => true,
+            DurationModel::Immediate => t <= self.last_request_at,
+            DurationModel::Recorded => self.closed_at.is_none_or(|closed| t < closed),
         };
-        self.established_at <= t && open_until.is_none_or(|end| t <= end)
+        self.established_at <= t && open
     }
 }
 
@@ -378,6 +381,27 @@ mod tests {
         let immediate = classify_site(&s, DurationModel::Immediate);
         assert_eq!(immediate.total_connections, 4);
         assert_eq!(immediate.redundant_connections(), 0);
+    }
+
+    #[test]
+    fn close_instant_boundaries_are_pinned() {
+        // The first connection's last request and its recorded close both
+        // fall at `end_ms`, so Recorded and Immediate read the same instant;
+        // the second connection is CRED to it whenever it is still open.
+        let san = &["fonts.googleapis.com", "ajax.googleapis.com"];
+        let redundant = |end_ms: u64, second_ms: u64, model: DurationModel| {
+            let mut first = conn(1, "fonts.googleapis.com", IP_A, san, 0);
+            first.closed_at = Some(Instant::from_millis(end_ms));
+            first.requests[0].started_at = Instant::from_millis(end_ms);
+            let s = site(vec![first, conn(2, "ajax.googleapis.com", IP_A, san, second_ms)]);
+            classify_site(&s, model).redundant_connections()
+        };
+        for model in [DurationModel::Recorded, DurationModel::Immediate] {
+            assert_eq!(redundant(100, 99, model), 1, "{model:?}: open before its end");
+            assert_eq!(redundant(100, 101, model), 0, "{model:?}: closed after its end");
+        }
+        assert_eq!(redundant(100, 100, DurationModel::Recorded), 0, "closed at its close instant");
+        assert_eq!(redundant(100, 100, DurationModel::Immediate), 1, "open at its last request");
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub fn dataset_from_har(dataset: &HarDataset, label: &str) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim_browser::{Browser, BrowserConfig, Crawler};
+    use netsim_browser::{Browser, BrowserConfig, Crawler, VisitScratch};
     use netsim_har::ArchivePipeline;
     use netsim_types::{SimClock, SimRng};
     use netsim_web::{PopulationBuilder, PopulationProfile, WebEnvironment};
@@ -123,7 +123,9 @@ mod tests {
         let mut browser = Browser::new(BrowserConfig::alexa_measurement());
         let mut clock = SimClock::new();
         let mut rng = SimRng::new(1);
-        let visit = browser.load_page(&env, &env.sites[0], &mut clock, &mut rng);
+        let mut scratch = VisitScratch::new();
+        let times = browser.load_page_into(&mut scratch, &env, &env.sites[0], &mut clock, &mut rng);
+        let visit = scratch.to_page_visit(&env.sites[0], times);
         let observation = site_from_visit(&visit);
         assert_eq!(observation.site, env.sites[0].domain);
         assert_eq!(observation.connection_count(), visit.connection_count());

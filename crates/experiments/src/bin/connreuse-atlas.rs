@@ -51,7 +51,7 @@ const SPEC: Spec = Spec::new(
             "FILE",
             "write one bench record per run to FILE (not the baseline\nBENCH_atlas.json under --quick)",
         ),
-        Flag::switch("--profile", "print the per-stage table to stderr (needs --features hotpath-profile)"),
+        Flag::switch("--profile", "collect stage timings and print the per-stage table to stderr"),
         Flag::value(
             "--profile-json",
             "FILE",
@@ -91,11 +91,8 @@ fn main() -> ExitCode {
         let profile_json: Option<PathBuf> = args.value("--profile-json")?;
         let profile = args.has("--profile") || profile_json.is_some();
         Ok(move || {
-            if profile && !netsim_types::profile::enabled() {
-                eprintln!(
-                    "profile: this build carries no instrumentation — rebuild with \
-                     `--features hotpath-profile` to collect stage timings"
-                );
+            if profile {
+                netsim_types::profile::set_enabled(true);
             }
             let mut records = Vec::new();
             let text = cli::check_threads(&thread_counts, |threads| {

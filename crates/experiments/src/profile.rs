@@ -96,16 +96,10 @@ impl ProfileFile {
 /// Render the merged stage table as a human-readable text table (one row
 /// per stage that ran, plus a coverage line relating the named stages to
 /// the scaffold envelope). Returns a diagnostic hint instead when the table
-/// is empty — typically a build without the `hotpath-profile` feature.
+/// is empty.
 pub fn render_stage_table(table: &StageTable) -> String {
     if table.is_empty() {
-        return if netsim_types::profile::enabled() {
-            "profile: no stages recorded (nothing ran inside instrumented scopes)\n".to_string()
-        } else {
-            "profile: this build carries no instrumentation — rebuild with \
-             `--features hotpath-profile` to collect stage timings\n"
-                .to_string()
-        };
+        return "profile: no stages recorded (nothing ran inside instrumented scopes)\n".to_string();
     }
 
     let mut text_table = TextTable::new(
@@ -207,9 +201,6 @@ mod tests {
     fn empty_table_renders_a_hint_not_a_table() {
         let text = render_stage_table(&StageTable::new());
         assert!(text.starts_with("profile:"));
-        // The hint names the feature whenever this build lacks it.
-        if !netsim_types::profile::enabled() {
-            assert!(text.contains("hotpath-profile"));
-        }
+        assert!(!text.contains("rebuild"), "every build collects once --profile turns it on:\n{text}");
     }
 }

@@ -5,8 +5,9 @@
 //! population's largest site, classifying a visit allocates nothing. This
 //! test pins that with a counting global allocator around exactly what the
 //! grid kernel runs per visit: the `Classify` stage guard plus
-//! [`classify_scratch`]. The visits themselves run outside the counted
-//! window; `crates/browser/tests/zero_alloc.rs` gates those.
+//! [`classify_scratch`], with stage collection both off and on. The visits
+//! themselves run outside the counted window;
+//! `crates/browser/tests/zero_alloc.rs` gates those.
 //!
 //! The counter is thread-local, so concurrently running tests in the same
 //! binary cannot perturb it. Gated `#[cfg(not(miri))]`: Miri interposes its
@@ -17,7 +18,7 @@
 use connreuse_core::{Accumulator, DurationModel, FastVisitClassifier};
 use connreuse_experiments::atlas::classify_scratch;
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
-use netsim_types::profile::Stage;
+use netsim_types::profile::{self, Stage};
 use netsim_web::{PopulationBuilder, PopulationProfile};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,9 +100,18 @@ fn warm_classification_allocates_nothing() {
     assert!(first > 0, "the first pass grows the classifier's buffers");
     let _ = pass();
 
-    let (summary, allocations) = pass();
-    assert_eq!(allocations, 0, "warm classification must not allocate: {allocations} allocations");
-    // The zero cannot be explained by the classifier doing nothing.
-    assert!(summary.total.connections > 100, "{summary:?}");
-    assert!(summary.redundant.connections > 0, "{summary:?}");
+    // Measured with collection off, then on: the only test in this binary,
+    // so each pass runs in the state it set, and the live guard's table
+    // shows it recorded one scope per site.
+    for on in [false, true] {
+        profile::set_enabled(on);
+        let _ = profile::take_local();
+        let (summary, allocations) = pass();
+        assert_eq!(allocations, 0, "warm classification (collection on={on}) allocated {allocations} times");
+        // The zero cannot be explained by the classifier doing nothing.
+        assert!(summary.total.connections > 100, "{summary:?}");
+        assert!(summary.redundant.connections > 0, "{summary:?}");
+        let classified = profile::take_local().stats(Stage::Classify).count;
+        assert_eq!(classified, if on { env.sites.len() as u64 } else { 0 });
+    }
 }

@@ -52,7 +52,7 @@ fn security_details_for(certificate: &Certificate) -> SecurityDetails {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim_browser::{Browser, BrowserConfig};
+    use netsim_browser::{Browser, BrowserConfig, VisitScratch};
     use netsim_types::{SimClock, SimRng};
     use netsim_web::{PopulationBuilder, PopulationProfile};
 
@@ -61,7 +61,9 @@ mod tests {
         let mut browser = Browser::new(BrowserConfig::http_archive_crawler());
         let mut clock = SimClock::new();
         let mut rng = SimRng::new(1);
-        browser.load_page(&env, &env.sites[0], &mut clock, &mut rng)
+        let mut scratch = VisitScratch::new();
+        let times = browser.load_page_into(&mut scratch, &env, &env.sites[0], &mut clock, &mut rng);
+        scratch.to_page_visit(&env.sites[0], times)
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::capture::capture_visit;
 use crate::inconsistency::InconsistencyConfig;
 use crate::model::HarDocument;
-use netsim_browser::{Browser, BrowserConfig};
+use netsim_browser::{Browser, BrowserConfig, VisitScratch};
 use netsim_types::{Duration, Instant, SimClock, SimRng};
 use netsim_web::WebEnvironment;
 
@@ -167,13 +167,14 @@ impl ArchivePipeline {
         let site = &env.sites[index];
         let base = Instant::EPOCH + Duration::from_secs(self.config.visit_spacing_secs * index as u64);
         let mut loads = Vec::with_capacity(LOADS_PER_SITE);
+        let mut scratch = VisitScratch::new();
         for attempt in 0..LOADS_PER_SITE {
             let mut clock = SimClock::starting_at(base + Duration::from_secs(60 * attempt as u64));
             let id_base = (index * LOADS_PER_SITE + attempt) as u64 * ID_STRIDE;
             let mut browser = Browser::with_id_base(self.config.clone(), id_base);
             let mut rng = SimRng::new(self.seed).fork_indexed("har-load", id_base);
-            let visit = browser.load_page(env, site, &mut clock, &mut rng);
-            loads.push(capture_visit(&visit));
+            let times = browser.load_page_into(&mut scratch, env, site, &mut clock, &mut rng);
+            loads.push(capture_visit(&scratch.to_page_visit(site, times)));
         }
         loads.sort_by_key(|d| d.load_time_ms());
         let mut median = loads.swap_remove(LOADS_PER_SITE / 2);

@@ -18,9 +18,10 @@
 //! The [`json`] module is the workspace's one JSON writer: the store
 //! manifest, the bench and profile files and the HAR model print through it.
 //!
-//! The [`profile`] module is the one observability exception: feature-gated
-//! (`hotpath-profile`) wall-clock stage attribution for the visit fast path,
-//! compiled to nothing by default.
+//! The [`profile`] module is the one observability exception: wall-clock
+//! stage attribution for the visit fast path, compiled into every build and
+//! switched on at run time ([`profile::set_enabled`]); while off, a guard
+//! costs one branch.
 
 pub mod counters;
 pub mod domain;

@@ -34,13 +34,12 @@
 #      scheduler overhead (0.5).
 #   4. Per-stage budgets: when both the committed budget file (default
 #      BENCH_stages.json) and a fresh stage profile (default
-#      ci-artifacts/PROFILE_atlas.json, from `connreuse-atlas --profile-json`
-#      on a `--features hotpath-profile` build) exist, every budgeted
+#      ci-artifacts/PROFILE_atlas.json, from `connreuse-atlas --profile-json`,
+#      which switches stage collection on in any build) exist, every budgeted
 #      stage's share of the measured total must stay under its `max_share`.
 #      A violation fails the guard *naming the stage*, so a regression says
 #      "dns-walk blew its budget" rather than just "the run got slower".
-#      Skipped with a note when the fresh profile is absent (feature-off
-#      builds record nothing).
+#      Skipped with a note when the fresh profile is absent.
 #
 # Override the floors for noisy environments:
 #   BENCH_GUARD_MIN_RATIO=0.5 BENCH_GUARD_MIN_SPEEDUP=1.0 scripts/bench_guard.sh
@@ -163,7 +162,7 @@ if [ ! -f "$stage_budgets" ]; then
     echo "bench guard: no stage budget file ($stage_budgets) — stage check skipped"
 elif [ ! -f "$stage_profile" ]; then
     echo "bench guard: no fresh stage profile ($stage_profile) — stage check skipped"
-    echo "bench guard: (profiles come from 'connreuse-atlas --profile-json' on a --features hotpath-profile build)"
+    echo "bench guard: (profiles come from 'connreuse-atlas --threads 1 --profile-json FILE')"
 else
     budget_pairs=$(extract_stage_pairs "$stage_budgets" max_share)
     share_pairs=$(extract_stage_pairs "$stage_profile" share)
