@@ -12,6 +12,10 @@
 //! * **Snapshot** — opening a store verifies every shard once; queries fold
 //!   the verified records without touching the disk, and a shard refused at
 //!   open fails exactly the queries that cover it, lowest chunk first.
+//! * **Grouped verification** — shards are verified four at a time; a
+//!   damaged shard in a full or a partial group gets exactly its own
+//!   refusal on every path (open, read, plan, manifest commit), and the
+//!   verifier hashes each shard's bytes exactly once.
 //! * **Untrusted input** — shard decoding over arbitrary and damaged bytes,
 //!   manifest loading over damaged, deeply nested or oversized text, and
 //!   query parsing over arbitrary text return typed errors and never panic
@@ -21,8 +25,8 @@ use connreuse_experiments::store::{
     answer_in_memory, answer_query, build_store, open_store, run_store, StoreConfig, StoreQuery,
 };
 use netsim_store::{
-    BuildPlan, Manifest, ManifestChunk, ManifestKey, ShardFile, ShardRecord, ShardStore, StoreError,
-    StoreLayout, HEADER_WORDS, MAGIC, MANIFEST_FILE, MANIFEST_SCHEMA,
+    finalize_manifest, hashed_bytes, BuildPlan, Manifest, ManifestChunk, ManifestKey, ShardFile, ShardRecord,
+    ShardStore, StoreError, StoreLayout, HEADER_WORDS, MAGIC, MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 use netsim_types::{fnv1a, MitigationSet};
 use proptest::prelude::*;
@@ -432,6 +436,120 @@ fn a_stale_or_flipped_trailer_is_refused_on_every_read_path() {
         assert!(store.record(0, 0).is_ok() && store.record(2, 0).is_ok());
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The verifier reads and hashes shards four at a time. Over a 6-chunk store
+/// (a full group of four, then a partial group of two), each chunk in turn
+/// is damaged four ways (a flipped body byte, a truncation, a deletion, and
+/// a shard re-sealed under another layout with the manifest re-pinned to
+/// it). The open refuses that chunk exactly as `read_chunk` does, every
+/// other chunk still serves its records, the plan marks only that chunk
+/// dirty and the manifest commit fails with that chunk's error.
+#[test]
+fn a_damaged_shard_is_refused_alone_in_a_full_or_partial_group() {
+    let config = tiny(36, 6, 23, 2);
+    let dir = temp_store("groups");
+    build_store(&config, &dir).expect("build");
+    let layout = config.layout();
+    assert_eq!(layout.chunks.len(), 6);
+    let pristine_store = open_store(&config, &dir).expect("open");
+    let pristine_manifest = std::fs::read(dir.join(MANIFEST_FILE)).expect("read manifest");
+    let keys = config.keys().len();
+
+    for victim in 0..6 {
+        let path = StoreLayout::shard_path(&dir, victim);
+        let label = path.display().to_string();
+        let pristine = std::fs::read(&path).expect("read shard");
+        let mut flipped = pristine.clone();
+        flipped[MAGIC.len() + HEADER_WORDS * 8 + 3] ^= 0x10;
+        let mut foreign = ShardFile::decode(&label, &pristine, None).expect("pristine decodes");
+        foreign.len += 1;
+        let damages: [(&str, Option<Vec<u8>>); 4] = [
+            ("flip", Some(flipped)),
+            ("truncate", Some(pristine[..pristine.len() - 5].to_vec())),
+            ("delete", None),
+            ("reseal", Some(foreign.encode())),
+        ];
+        for (damage, bytes) in damages {
+            match &bytes {
+                Some(bytes) => std::fs::write(&path, bytes).unwrap(),
+                None => std::fs::remove_file(&path).unwrap(),
+            }
+            if damage == "reseal" {
+                let mut manifest = Manifest::load(&dir).expect("manifest");
+                manifest.chunks[victim].checksum = fnv1a(bytes.as_deref().unwrap());
+                manifest.write(&dir).expect("re-pin the manifest");
+            }
+            let case = format!("chunk {victim}, {damage}");
+
+            let store = ShardStore::open(&dir).expect("a bad shard does not fail the open");
+            let refusal = store.read_chunk(victim).expect_err(&case);
+            assert_eq!(store.record(victim, 0), Err(refusal.clone()), "{case}");
+            for other in (0..6).filter(|&other| other != victim) {
+                for record in 0..keys {
+                    assert_eq!(store.record(other, record), pristine_store.record(other, record), "{case}");
+                }
+            }
+
+            let plan = BuildPlan::assess(&dir, &layout).expect("assess");
+            assert_eq!(plan.dirty, vec![victim], "{case}");
+            let committed = finalize_manifest(&dir, &layout).expect_err(&case);
+            let expected = match damage {
+                "flip" => StoreError::ChecksumMismatch { path: label.clone() },
+                "truncate" => StoreError::Truncated {
+                    path: label.clone(),
+                    expected: pristine.len(),
+                    found: pristine.len() - 5,
+                },
+                "delete" => StoreError::Missing { path: label.clone() },
+                _ => match &refusal {
+                    StoreError::LayoutMismatch { .. } => refusal.clone(),
+                    other => panic!("{case}: {other:?}"),
+                },
+            };
+            assert_eq!(committed, expected, "{case}");
+
+            std::fs::write(&path, &pristine).unwrap();
+            std::fs::write(dir.join(MANIFEST_FILE), &pristine_manifest).unwrap();
+        }
+    }
+    finalize_manifest(&dir, &layout).expect("the repaired store commits");
+    assert_eq!(std::fs::read(dir.join(MANIFEST_FILE)).unwrap(), pristine_manifest);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The verifier's work counter (`hashed_bytes`, this thread's bytes run
+/// through FNV-1a): an open, a plan and a manifest commit each hash every
+/// shard's bytes once, whether the chunk count fills the last group of four
+/// or not, and a read hashes its one shard.
+#[test]
+fn the_verifier_hashes_each_shard_once() {
+    for (sites, chunks) in [(24, 4), (30, 5), (42, 7)] {
+        let config = tiny(sites, 6, 29, 2);
+        let dir = temp_store(&format!("hashed-{chunks}"));
+        build_store(&config, &dir).expect("build");
+        let layout = config.layout();
+        assert_eq!(layout.chunks.len(), chunks);
+        let lengths: Vec<u64> = (0..chunks)
+            .map(|index| std::fs::metadata(StoreLayout::shard_path(&dir, index)).expect("shard").len())
+            .collect();
+        let total: u64 = lengths.iter().sum();
+        let hashed = |work: &mut dyn FnMut()| {
+            let before = hashed_bytes();
+            work();
+            hashed_bytes() - before
+        };
+
+        let mut store = None;
+        assert_eq!(hashed(&mut || store = Some(ShardStore::open(&dir).expect("open"))), total);
+        assert_eq!(hashed(&mut || drop(BuildPlan::assess(&dir, &layout).expect("assess"))), total);
+        assert_eq!(hashed(&mut || drop(finalize_manifest(&dir, &layout).expect("commit"))), total);
+        let store = store.expect("opened");
+        for (index, &length) in lengths.iter().enumerate() {
+            assert_eq!(hashed(&mut || drop(store.read_chunk(index).expect("read"))), length);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// Every chunk-aligned rank slice of `config`, under its first and last

@@ -27,7 +27,7 @@
 use crate::error::StoreError;
 use connreuse_core::AccumulatorState;
 use netsim_cost::CostTotals;
-use netsim_types::{fnv1a, fnv1a_continue, Counters};
+use netsim_types::{fnv1a, fnv1a_continue, fnv1a_continue_lockstep, Counters};
 
 /// First eight bytes of every shard file.
 pub const MAGIC: [u8; 8] = *b"CRSHARD1";
@@ -106,6 +106,19 @@ impl ShardChecksums {
         let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(8));
         let body = fnv1a(body);
         ShardChecksums { body, file: fnv1a_continue(body, trailer) }
+    }
+
+    /// [`ShardChecksums::of`] for four files in one pass: their bodies are
+    /// hashed in lockstep ([`fnv1a_continue_lockstep`]) over the common
+    /// prefix, each lane finishing its own body and trailer serially, so
+    /// `of_four(files)[lane] == of(files[lane])` for files of any length.
+    pub(crate) fn of_four(files: [&[u8]; 4]) -> [Self; 4] {
+        let split = files.map(|bytes| bytes.split_at(bytes.len().saturating_sub(8)));
+        let bodies = fnv1a_continue_lockstep([fnv1a(&[]); 4], split.map(|(body, _)| body));
+        std::array::from_fn(|lane| ShardChecksums {
+            body: bodies[lane],
+            file: fnv1a_continue(bodies[lane], split[lane].1),
+        })
     }
 }
 
@@ -254,6 +267,7 @@ impl ShardFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_record(salt: u64) -> ShardRecord {
         let accumulator_words: [u64; AccumulatorState::WORDS] =
@@ -369,6 +383,38 @@ mod tests {
         assert_eq!(bytes[body..], checksums.body.to_le_bytes(), "the trailer seals the body");
         for short in [&[][..], &bytes[..5]] {
             assert_eq!(ShardChecksums::of(short), ShardChecksums { body: fnv1a(&[]), file: fnv1a(short) });
+        }
+    }
+
+    proptest! {
+        /// The four-file form is four calls of the one-file form: files of
+        /// equal and unequal length, empty and shorter than the trailer.
+        #[test]
+        fn four_files_in_one_pass_equal_four_single_passes(
+            lengths in (0usize..40, 0usize..40, 0usize..40, 0usize..40),
+            salt in any::<u8>(),
+        ) {
+            let shard = sample_shard().encode();
+            let lengths = [lengths.0, lengths.1, lengths.2, lengths.3];
+            let prefixes = lengths.map(|len| &shard[..len]);
+            // Whole shards with a flipped byte per lane, cut to unequal and
+            // to equal lengths.
+            let edited = |cut: &dyn Fn(usize) -> usize| -> [Vec<u8>; 4] {
+                std::array::from_fn(|lane| {
+                    let mut bytes = shard.clone();
+                    bytes[lane * 11] ^= salt;
+                    bytes.truncate(bytes.len() - cut(lane));
+                    bytes
+                })
+            };
+            let unequal = edited(&|lane| lengths[lane]);
+            let equal = edited(&|_| lengths[0]);
+            for files in [prefixes, unequal.each_ref().map(Vec::as_slice), equal.each_ref().map(Vec::as_slice)] {
+                let four = ShardChecksums::of_four(files);
+                for lane in 0..4 {
+                    prop_assert_eq!(four[lane], ShardChecksums::of(files[lane]));
+                }
+            }
         }
     }
 

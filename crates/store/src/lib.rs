@@ -26,12 +26,19 @@
 //! * **Integrity** — every shard carries a trailing FNV-1a checksum and the
 //!   config fingerprint, and the manifest pins each file's FNV-1a checksum;
 //!   [`ShardStore::read_chunk`] refuses corrupt or foreign shards with a
-//!   typed [`StoreError`] instead of serving wrong numbers. One pass over a
-//!   file's bytes yields both checksums (`ShardChecksums`): the state after
-//!   the body is what the trailer seals, and continued over the trailer it is
-//!   what the manifest pins. The build's manifest commit, the rebuild plan
-//!   and every read verify through that one pass. [`ShardStore::open`] runs
-//!   the check once per shard and keeps the verified records in memory;
+//!   typed [`StoreError`] instead of serving wrong numbers. One FNV-1a pass
+//!   over a file's bytes yields both checksums (`ShardChecksums`): the state
+//!   after the body is what the trailer seals, and continued over the
+//!   trailer it is what the manifest pins. The verifier reads shards four at
+//!   a time and hashes the four in lockstep on one thread
+//!   ([`netsim_types::fnv1a_continue_lockstep`]: four independent chains,
+//!   bit-identical to four serial passes), then checks each shard on its
+//!   own in the one-shard order, so every chunk keeps its own typed refusal.
+//!   The build's manifest commit, the rebuild plan, the open and every read
+//!   (a group of one) verify through that one verifier, and
+//!   [`hashed_bytes`] counts the bytes it hashes: each shard's once.
+//!   [`ShardStore::open`] runs the check once per shard and keeps the
+//!   verified records in memory;
 //!   [`ShardStore::record`] serves them and returns a bad chunk's refusal for
 //!   every read of it. The open is a snapshot: a shard file changed
 //!   afterwards is not seen. A build verifies every shard twice on purpose:
@@ -62,10 +69,40 @@ pub use format::{ShardFile, ShardRecord, HEADER_WORDS, MAGIC, RECORD_WORDS, SHAR
 pub use manifest::{Manifest, ManifestChunk, ManifestKey, MANIFEST_FILE, MANIFEST_SCHEMA};
 
 use format::ShardChecksums;
+use std::cell::Cell;
+use std::fs::File;
+use std::io::Read;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Subdirectory holding the binary shards.
 pub const SHARDS_DIR: &str = "shards";
+
+/// Shards the verifier reads and hashes together ([`ShardChecksums::of_four`]).
+const VERIFY_LANES: usize = 4;
+
+thread_local! {
+    static HASHED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// This thread's shard-file bytes the store's verifier has run through
+/// FNV-1a. A work counter: take the difference around an open, a plan or a
+/// manifest commit to see how many bytes it hashed. It is never written to
+/// a shard, a manifest or a report.
+pub fn hashed_bytes() -> u64 {
+    HASHED_BYTES.with(Cell::get)
+}
+
+/// Replace `buffer`'s contents with the file at `path`, leaving it empty if
+/// the read fails.
+fn read_into(path: &Path, buffer: &mut Vec<u8>) -> Result<(), StoreError> {
+    buffer.clear();
+    let read = File::open(path).and_then(|mut file| file.read_to_end(buffer));
+    read.map(drop).map_err(|error| {
+        buffer.clear();
+        StoreError::io(path, error)
+    })
+}
 
 /// The shape a complete store must have: which chunks exist, which record
 /// keys every shard carries, and the configuration fingerprint everything is
@@ -97,20 +134,65 @@ impl StoreLayout {
         dir.join(SHARDS_DIR).join(StoreLayout::shard_name(index))
     }
 
-    /// Read the shard file at `path` and verify it as chunk `index` in one
-    /// FNV-1a pass: the whole-file checksum against `pinned` (the manifest's,
-    /// when there is one), then the format's checks through the trailer and
-    /// fingerprint ([`ShardFile::decode_hashed`]), then this layout. Returns
-    /// the shard and its whole-file checksum. The build's manifest commit,
-    /// its rebuild plan and every read verify through here.
-    fn verify(&self, index: usize, path: &Path, pinned: Option<u64>) -> Result<(ShardFile, u64), StoreError> {
-        let bytes = std::fs::read(path).map_err(|error| StoreError::io(path, error))?;
-        let checksums = ShardChecksums::of(&bytes);
+    /// Read and verify the shards of `chunks` under `dir`, handing each
+    /// chunk's verdict to `each` in chunk order; the first error `each`
+    /// returns stops the walk and is returned. The build's manifest commit,
+    /// its rebuild plan, the open and every read verify through here.
+    ///
+    /// Shards are read [`VERIFY_LANES`] at a time into reused buffers and
+    /// hashed in one lockstep FNV-1a pass ([`ShardChecksums::of_four`]);
+    /// each is then checked on its own, in the one-shard order: the
+    /// whole-file checksum against `pinned` (the manifest's, when there is
+    /// one), the format's checks through the trailer and fingerprint
+    /// ([`ShardFile::decode_hashed`]), then this layout. A verdict is the
+    /// shard and its whole-file checksum.
+    fn verify_each(
+        &self,
+        dir: &Path,
+        chunks: Range<usize>,
+        pinned: impl Fn(usize) -> Option<u64>,
+        mut each: impl FnMut(usize, Result<(ShardFile, u64), StoreError>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut buffers: [Vec<u8>; VERIFY_LANES] = Default::default();
+        for first in chunks.clone().step_by(VERIFY_LANES) {
+            let group = first..chunks.end.min(first + VERIFY_LANES);
+            let paths: Vec<PathBuf> =
+                group.clone().map(|index| StoreLayout::shard_path(dir, index)).collect();
+            let reads: Vec<Result<(), StoreError>> =
+                paths.iter().zip(&mut buffers).map(|(path, buffer)| read_into(path, buffer)).collect();
+            for buffer in &mut buffers[group.len()..] {
+                buffer.clear();
+            }
+            let files = buffers.each_ref().map(Vec::as_slice);
+            HASHED_BYTES.with(|hashed| {
+                hashed.set(hashed.get() + files.iter().map(|file| file.len() as u64).sum::<u64>())
+            });
+            let checksums = ShardChecksums::of_four(files);
+            for (lane, (index, read)) in group.zip(reads).enumerate() {
+                let verdict = read.and_then(|()| {
+                    self.verify_hashed(index, &paths[lane], files[lane], checksums[lane], pinned(index))
+                });
+                each(index, verdict)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Verify one shard's bytes, already hashed, as chunk `index`: see
+    /// [`StoreLayout::verify_each`] for the order of the checks.
+    fn verify_hashed(
+        &self,
+        index: usize,
+        path: &Path,
+        bytes: &[u8],
+        checksums: ShardChecksums,
+        pinned: Option<u64>,
+    ) -> Result<(ShardFile, u64), StoreError> {
         let label = path.display().to_string();
         if pinned.is_some_and(|pinned| pinned != checksums.file) {
             return Err(StoreError::ChecksumMismatch { path: label });
         }
-        let shard = ShardFile::decode_hashed(&label, &bytes, checksums.body, Some(self.fingerprint))?;
+        let shard = ShardFile::decode_hashed(&label, bytes, checksums.body, Some(self.fingerprint))?;
         self.check(index, path, &shard)?;
         Ok((shard, checksums.file))
     }
@@ -170,13 +252,18 @@ impl BuildPlan {
     /// [`BuildPlan::removed`].
     pub fn assess(dir: &Path, layout: &StoreLayout) -> Result<BuildPlan, StoreError> {
         let mut plan = BuildPlan::default();
-        for index in 0..layout.chunks.len() {
-            if layout.verify(index, &StoreLayout::shard_path(dir, index), None).is_ok() {
-                plan.clean.push(index);
-            } else {
-                plan.dirty.push(index);
-            }
-        }
+        layout.verify_each(
+            dir,
+            0..layout.chunks.len(),
+            |_| None,
+            |index, verdict| {
+                match verdict {
+                    Ok(_) => plan.clean.push(index),
+                    Err(_) => plan.dirty.push(index),
+                }
+                Ok(())
+            },
+        )?;
 
         let shards_dir = dir.join(SHARDS_DIR);
         let expected: std::collections::BTreeSet<String> =
@@ -212,16 +299,23 @@ pub fn write_shard(dir: &Path, shard: &ShardFile) -> Result<(), StoreError> {
 /// off-layout; on success the store opens cleanly.
 pub fn finalize_manifest(dir: &Path, layout: &StoreLayout) -> Result<Manifest, StoreError> {
     let mut chunks = Vec::with_capacity(layout.chunks.len());
-    for (index, &(start, len)) in layout.chunks.iter().enumerate() {
-        let (_, checksum) = layout.verify(index, &StoreLayout::shard_path(dir, index), None)?;
-        chunks.push(ManifestChunk {
-            index: index as u64,
-            start,
-            len,
-            file: StoreLayout::shard_name(index),
-            checksum,
-        });
-    }
+    layout.verify_each(
+        dir,
+        0..layout.chunks.len(),
+        |_| None,
+        |index, verdict| {
+            let (start, len) = layout.chunks[index];
+            let (_, checksum) = verdict?;
+            chunks.push(ManifestChunk {
+                index: index as u64,
+                start,
+                len,
+                file: StoreLayout::shard_name(index),
+                checksum,
+            });
+            Ok(())
+        },
+    )?;
     let manifest = Manifest {
         schema: MANIFEST_SCHEMA,
         fingerprint: layout.fingerprint,
@@ -287,27 +381,23 @@ impl ShardStore {
                 message: format!("{chunks} chunks of {keys} records each do not fit in memory"),
             }
         })?;
-        let mut store = ShardStore {
-            dir: dir.to_path_buf(),
-            manifest,
-            layout,
-            records,
-            refusals: Vec::with_capacity(chunks),
-        };
-        for index in 0..chunks {
-            let refusal = match store.read_chunk(index) {
-                Ok(shard) => {
-                    store.records.extend_from_slice(&shard.records);
+        let mut refusals = Vec::with_capacity(chunks);
+        let pinned = |index: usize| Some(manifest.chunks[index].checksum);
+        layout.verify_each(dir, 0..chunks, pinned, |index, verdict| {
+            let refusal = match verdict {
+                Ok((shard, _)) => {
+                    records.extend_from_slice(&shard.records);
                     None
                 }
                 Err(error) => {
-                    store.records.resize((index + 1) * keys, ShardRecord::default());
+                    records.resize((index + 1) * keys, ShardRecord::default());
                     Some(error)
                 }
             };
-            store.refusals.push(refusal);
-        }
-        Ok(store)
+            refusals.push(refusal);
+            Ok(())
+        })?;
+        Ok(ShardStore { dir: dir.to_path_buf(), manifest, layout, records, refusals })
     }
 
     /// The validated manifest.
@@ -348,7 +438,17 @@ impl ShardStore {
     /// keys).
     pub fn read_chunk(&self, index: usize) -> Result<ShardFile, StoreError> {
         let entry = self.manifest.chunks.get(index).ok_or_else(|| self.beyond_manifest(index))?;
-        Ok(self.layout.verify(index, &StoreLayout::shard_path(&self.dir, index), Some(entry.checksum))?.0)
+        let mut shard = None;
+        self.layout.verify_each(
+            &self.dir,
+            index..index + 1,
+            |_| Some(entry.checksum),
+            |_, verdict| {
+                shard = Some(verdict?.0);
+                Ok(())
+            },
+        )?;
+        Ok(shard.expect("a group of one yields one verdict"))
     }
 
     /// The refusal of a chunk index the manifest does not list.

@@ -9,10 +9,10 @@
 //! The builder is a labelled, length-prefixed FNV-1a stream: every field is
 //! hashed as `label` + separator + value bytes, so reordering fields,
 //! renaming them, or concatenating two adjacent values differently all
-//! produce different fingerprints. The hash is [`crate::hash::fnv1a`]'s
-//! incremental form — the same function the workspace already trusts for
-//! deterministic hashing — so fingerprints are stable across platforms,
-//! thread counts and process runs.
+//! produce different fingerprints. The hash is FNV-1a with the published
+//! 64-bit prime (not [`crate::hash::fnv1a`]'s multiplier, which differs and
+//! is frozen in the shard bytes), so fingerprints are stable across
+//! platforms, thread counts and process runs.
 
 /// A 64-bit digest of a labelled field stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

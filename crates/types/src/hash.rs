@@ -15,11 +15,20 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
+/// FNV-1a's 64-bit offset basis: the state before the first byte.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The multiplier of every byte step. It is not the published 64-bit FNV
+/// prime (`0x100_0000_01b3`, `2^40 + 0x1b3`, which `crate::fingerprint`
+/// uses) but `2^44 + 0x1b3`, and it stays: shard checksums, seed forks and
+/// every golden output are computed with it.
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
 /// FNV-1a hash of a byte string — the workspace's one shared definition
-/// (used by the shard-store checksums, DNS load-balance bucketing and the
-/// text hash every [`crate::DomainName`] carries).
+/// (used by the shard-store checksums, DNS load-balance bucketing, seed
+/// forking and the text hash every [`crate::DomainName`] carries).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a_continue(FNV_OFFSET, bytes)
 }
 
 /// Continue an FNV-1a hash whose state after the bytes before `bytes` is
@@ -28,10 +37,27 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[inline]
 pub fn fnv1a_continue(mut state: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
-        state ^= byte as u64;
-        state = state.wrapping_mul(0x1000_0000_01b3);
+        state = (state ^ byte as u64).wrapping_mul(FNV_PRIME);
     }
     state
+}
+
+/// Continue four independent FNV-1a hashes in one pass:
+/// `fnv1a_continue_lockstep(states, inputs)[lane] == fnv1a_continue(states[lane], inputs[lane])`
+/// for every lane. One chain is bound by the latency of its xor → multiply
+/// step; advancing four chains byte by byte over the inputs' common prefix
+/// keeps four multiplies in flight instead. Each lane then finishes the rest
+/// of its input on its own, so inputs of unequal length (or empty ones) are
+/// hashed exactly as the serial loop would.
+pub fn fnv1a_continue_lockstep(mut states: [u64; 4], inputs: [&[u8]; 4]) -> [u64; 4] {
+    let common = inputs.iter().map(|input| input.len()).min().unwrap_or(0);
+    let [a, b, c, d] = inputs.map(|input| &input[..common]);
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        for (state, byte) in states.iter_mut().zip([a, b, c, d]) {
+            *state = (*state ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+    std::array::from_fn(|lane| fnv1a_continue(states[lane], &inputs[lane][common..]))
 }
 
 /// FNV-1a streaming hasher.
@@ -49,14 +75,9 @@ impl Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut hash = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for b in bytes {
-            hash ^= *b as u64;
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
         // Same per-byte step as [`fnv1a`], seeded with the running state so
         // chained writes keep mixing.
-        self.0 = hash;
+        self.0 = fnv1a_continue(if self.0 == 0 { FNV_OFFSET } else { self.0 }, bytes);
     }
 
     fn write_u32(&mut self, value: u32) {
@@ -103,6 +124,44 @@ mod tests {
         ) {
             prop_assert_eq!(fnv1a(&[a.as_slice(), &b].concat()), fnv1a_continue(fnv1a(&a), &b));
         }
+
+        /// The lockstep kernel is four serial hashes: random start states,
+        /// inputs of equal and unequal length, empty and shorter than a
+        /// shard trailer (8 bytes) included.
+        #[test]
+        fn lockstep_equals_four_serial_hashes(
+            states in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            inputs in (lane_bytes(), lane_bytes(), lane_bytes(), lane_bytes()),
+            shared in 0usize..48,
+        ) {
+            let states = [states.0, states.1, states.2, states.3];
+            let unequal = [inputs.0, inputs.1, inputs.2, inputs.3];
+            // The same lanes cut or padded to one common length.
+            let equal = unequal.clone().map(|mut input| {
+                input.resize(shared, 0xa5);
+                input
+            });
+            for lanes in [&unequal, &equal] {
+                let slices = lanes.each_ref().map(Vec::as_slice);
+                let serial: [u64; 4] = std::array::from_fn(|lane| fnv1a_continue(states[lane], slices[lane]));
+                prop_assert_eq!(fnv1a_continue_lockstep(states, slices), serial);
+            }
+        }
+    }
+
+    /// One lane's input: empty, shorter than a shard trailer, or longer.
+    fn lane_bytes() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(any::<u8>(), 0usize..48)
+    }
+
+    #[test]
+    fn lockstep_handles_empty_and_short_lanes() {
+        let long: Vec<u8> = (0..200u8).collect();
+        let inputs: [&[u8]; 4] = [&[], &long[..3], &long[..8], &long];
+        let states = [fnv1a(&[]), 1, u64::MAX, fnv1a(b"prefix")];
+        let serial: [u64; 4] = std::array::from_fn(|lane| fnv1a_continue(states[lane], inputs[lane]));
+        assert_eq!(fnv1a_continue_lockstep(states, inputs), serial);
+        assert_eq!(fnv1a_continue_lockstep(states, [&[]; 4]), states, "empty inputs leave every state");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod time;
 pub use counters::Counters;
 pub use domain::{DomainError, DomainName, SiteNames};
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
-pub use hash::{fnv1a, fnv1a_continue, FnvBuildHasher, FnvHashMap, FnvHasher};
+pub use hash::{fnv1a, fnv1a_continue, fnv1a_continue_lockstep, FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use id::{ConnectionId, IdAllocator, PageId, RequestId, SiteId};
 pub use intern::{intern_calls, interned_domain_count, interned_domain_octets, NameTable};
 pub use ip::{IpAddr, Prefix};

@@ -8,6 +8,7 @@
 //! subsystem does not perturb another, keeping experiment outputs stable
 //! across refactorings.
 
+use crate::hash::fnv1a;
 use rand::distributions::uniform::{SampleRange, SampleUniform};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
@@ -121,16 +122,6 @@ impl RngCore for SimRng {
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.inner.try_fill_bytes(dest)
     }
-}
-
-/// FNV-1a hash of a byte string, used to turn fork labels into seed material.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 /// SplitMix64 finaliser, used to decorrelate derived seeds.
