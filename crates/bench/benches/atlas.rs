@@ -24,8 +24,8 @@
 //! single-pass batch summary (they are the same math; the comparison shows
 //! merging is free).
 
-use connreuse_bench::{bench_dataset, bench_environment};
-use connreuse_core::{classify_dataset, Accumulator, Cause, DatasetSummary, DurationModel};
+use connreuse_bench::{bench_environment, bench_sites};
+use connreuse_core::{classify_site, Accumulator, Cause, DurationModel, SiteClassification};
 use connreuse_experiments::atlas::{run_atlas, AtlasConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim_types::{DomainName, FnvHashMap};
@@ -50,8 +50,8 @@ struct InternedConnection {
 
 fn bench_aggregation(c: &mut Criterion) {
     let env = bench_environment();
-    let dataset = bench_dataset(&env);
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
+    let classifications: Vec<SiteClassification> =
+        bench_sites(&env).iter().map(|site| classify_site(site, DurationModel::Recorded)).collect();
 
     // The pre-intern source data: origins owned as heap strings, as the
     // observation model held them before the migration.
@@ -161,7 +161,11 @@ fn bench_aggregation(c: &mut Criterion) {
     });
 
     group.bench_function("summary_batch", |b| {
-        b.iter(|| black_box(DatasetSummary::from_classifications("bench", &classifications)))
+        b.iter(|| {
+            let mut accumulator = Accumulator::new();
+            classifications.iter().for_each(|site| accumulator.observe(site));
+            black_box(accumulator.finish("bench"))
+        })
     });
 
     group.bench_function("summary_streaming_sharded", |b| {
@@ -187,7 +191,7 @@ fn bench_aggregation(c: &mut Criterion) {
 /// kernel; the ratio is what building the visit, the observation and the
 /// per-connection cause maps costs on top of it.
 fn bench_visit_paths(c: &mut Criterion) {
-    use connreuse_core::{classify_site, site_from_visit, FastVisitClassifier};
+    use connreuse_core::{site_from_visit, FastVisitClassifier};
     use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
 
     let env = bench_environment();

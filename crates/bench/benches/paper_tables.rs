@@ -5,109 +5,89 @@
 //! `cargo run -p connreuse-experiments --bin repro -- all`; these benches
 //! measure the cost of the pipeline stages that produce them.
 
-use connreuse_bench::{bench_dataset, bench_environment, crawl_dataset, BENCH_SEED};
-use connreuse_core::attribution::{
-    asn_for_ip_cause, cert_domains, cert_issuers, issuer_share, top_origins_for_cause,
-};
-use connreuse_core::lifetime::lifetime_statistics;
-use connreuse_core::{classify_dataset, overlap, Cause, CdfSeries, DatasetSummary, DurationModel};
+use connreuse_bench::{bench_environment, bench_sites, BENCH_SEED};
+use connreuse_core::{DurationModel, SiteObservation, TableFold};
 use connreuse_probe::{default_pairs, DomainPair, ProbeConfig, ProbeExperiment};
 use criterion::{criterion_group, criterion_main, Criterion};
-use netsim_browser::BrowserConfig;
 use netsim_har::ArchivePipeline;
 use netsim_types::Duration;
+use netsim_web::WebEnvironment;
 use std::hint::black_box;
 
-/// Figure 2 + §5.1 headline: classification and survival-function building.
+/// Every bench site classified under `model` and folded: the table pass's
+/// per-site work.
+fn fold(env: &WebEnvironment, sites: &[SiteObservation], model: DurationModel) -> TableFold {
+    let mut fold = TableFold::new(model);
+    for site in sites {
+        fold.observe(site, &env.registry);
+    }
+    fold
+}
+
+/// Figure 2 + §5.1 headline: the fold and the survival function and
+/// lifetimes it finishes into.
 fn bench_figure2_and_headline(c: &mut Criterion) {
     let env = bench_environment();
-    let dataset = bench_dataset(&env);
+    let sites = bench_sites(&env);
     let mut group = c.benchmark_group("figure2_headline");
     group.sample_size(20);
-    group.bench_function("classify_recorded", |b| {
-        b.iter(|| black_box(classify_dataset(&dataset, DurationModel::Recorded)))
+    group.bench_function("fold_recorded", |b| {
+        b.iter(|| black_box(fold(&env, &sites, DurationModel::Recorded)))
     });
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
-    group.bench_function("cdf_series", |b| {
-        b.iter(|| black_box(CdfSeries::from_classifications("bench", &classifications, 15)))
-    });
-    group.bench_function("lifetime_statistics", |b| b.iter(|| black_box(lifetime_statistics(&dataset))));
+    let folded = fold(&env, &sites, DurationModel::Recorded);
+    group.bench_function("cdf_series", |b| b.iter(|| black_box(folded.redundancy_series("bench", 15))));
+    group.bench_function("lifetime_statistics", |b| b.iter(|| black_box(folded.lifetimes())));
     group.finish();
 }
 
-/// Table 1: cause aggregation under both duration bounds.
+/// Table 1: the fold under each duration model, finished into a summary.
 fn bench_table1(c: &mut Criterion) {
     let env = bench_environment();
-    let dataset = bench_dataset(&env);
+    let sites = bench_sites(&env);
     let mut group = c.benchmark_group("table1_causes");
     group.sample_size(20);
     for model in [DurationModel::Endless, DurationModel::Immediate, DurationModel::Recorded] {
         group.bench_function(format!("summary_{model:?}"), |b| {
-            b.iter(|| {
-                let classifications = classify_dataset(&dataset, model);
-                black_box(DatasetSummary::from_classifications("bench", &classifications))
-            })
+            b.iter(|| black_box(fold(&env, &sites, model).summary("bench")))
         });
     }
     group.finish();
 }
 
-/// Tables 2 and 12: IP-cause origin attribution.
+/// Tables 2 and 12: ranking the folded IP-cause origins.
 fn bench_table2_origins(c: &mut Criterion) {
     let env = bench_environment();
-    let dataset = bench_dataset(&env);
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
+    let folded = fold(&env, &bench_sites(&env), DurationModel::Recorded);
+    let attribution = folded.attribution();
     let mut group = c.benchmark_group("table2_ip_origins");
     group.sample_size(20);
-    group.bench_function("top4", |b| {
-        b.iter(|| black_box(top_origins_for_cause(&dataset, &classifications, Cause::Ip, 4)))
-    });
-    group.bench_function("top20_table12", |b| {
-        b.iter(|| black_box(top_origins_for_cause(&dataset, &classifications, Cause::Ip, 20)))
-    });
+    group.bench_function("top4", |b| b.iter(|| black_box(attribution.ip_origins(4))));
+    group.bench_function("top20_table12", |b| b.iter(|| black_box(attribution.ip_origins(20))));
     group.finish();
 }
 
-/// Tables 3, 4 and 5: certificate attribution.
+/// Tables 3, 4 and 5: ranking the folded certificate attribution.
 fn bench_table3_to_5_certificates(c: &mut Criterion) {
     let env = bench_environment();
-    let dataset = bench_dataset(&env);
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
+    let folded = fold(&env, &bench_sites(&env), DurationModel::Recorded);
+    let attribution = folded.attribution();
     let mut group = c.benchmark_group("table3_4_5_certificates");
     group.sample_size(20);
-    group.bench_function("cert_issuers_table3", |b| {
-        b.iter(|| black_box(cert_issuers(&dataset, &classifications, 7)))
-    });
-    group.bench_function("cert_domains_table4", |b| {
-        b.iter(|| black_box(cert_domains(&dataset, &classifications, 5)))
-    });
-    group.bench_function("issuer_share_table5", |b| b.iter(|| black_box(issuer_share(&dataset, 10))));
+    group.bench_function("cert_issuers_table3", |b| b.iter(|| black_box(attribution.cert_issuers(7))));
+    group.bench_function("cert_domains_table4", |b| b.iter(|| black_box(attribution.cert_domains(5))));
+    group.bench_function("issuer_share_table5", |b| b.iter(|| black_box(attribution.issuer_share(10))));
     group.finish();
 }
 
-/// Table 6: AS attribution of the IP cause.
+/// Table 6: the fold with its AS lookups, ranked by AS.
 fn bench_table6_asn(c: &mut Criterion) {
     let env = bench_environment();
-    let dataset = bench_dataset(&env);
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
+    let sites = bench_sites(&env);
     let mut group = c.benchmark_group("table6_asn");
     group.sample_size(20);
     group.bench_function("asn_lookup", |b| {
-        b.iter(|| black_box(asn_for_ip_cause(&dataset, &classifications, &env.registry, 10)))
+        b.iter(|| black_box(fold(&env, &sites, DurationModel::Recorded).attribution().ip_systems(10)))
     });
-    group.finish();
-}
-
-/// Tables 7–10: the dataset-overlap re-analysis.
-fn bench_table7_overlap(c: &mut Criterion) {
-    let env = bench_environment();
-    let alexa = crawl_dataset(&env, "alexa", BrowserConfig::alexa_measurement());
-    let mut har_corpus = ArchivePipeline::new(BENCH_SEED).run(&env);
-    har_corpus.filter();
-    let har = connreuse_core::dataset_from_har(&har_corpus, "har");
-    let mut group = c.benchmark_group("table7_overlap");
-    group.sample_size(20);
-    group.bench_function("intersect", |b| b.iter(|| black_box(overlap::intersect(&har, &alexa))));
     group.finish();
 }
 
@@ -157,7 +137,6 @@ criterion_group!(
     bench_table2_origins,
     bench_table3_to_5_certificates,
     bench_table6_asn,
-    bench_table7_overlap,
     bench_figure3_probe,
     bench_har_pipeline
 );

@@ -2,9 +2,9 @@
 //!
 //! Every bench group works on the same small, deterministic fixture so that
 //! run-to-run numbers are comparable: a bench-sized population per profile,
-//! the corresponding crawls, and their ingested datasets.
+//! the corresponding crawls, and their ingested site observations.
 
-use connreuse_core::{dataset_from_crawl, Dataset};
+use connreuse_core::{site_from_visit, SiteObservation};
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_web::{PopulationBuilder, PopulationProfile, WebEnvironment};
 
@@ -20,20 +20,10 @@ pub fn bench_environment() -> WebEnvironment {
     PopulationBuilder::new(PopulationProfile::alexa(), BENCH_SITES, BENCH_SEED).build()
 }
 
-/// Build the bench-sized archive-profile population.
-pub fn bench_archive_environment() -> WebEnvironment {
-    PopulationBuilder::new(PopulationProfile::archive(), BENCH_SITES, BENCH_SEED + 1).build()
-}
-
-/// Crawl an environment with the given configuration and ingest the result.
-pub fn crawl_dataset(env: &WebEnvironment, label: &str, config: BrowserConfig) -> Dataset {
-    let report = Crawler::new(label, config, BENCH_SEED).crawl(env);
-    dataset_from_crawl(&report)
-}
-
-/// The stock-Chromium crawl of the bench population.
-pub fn bench_dataset(env: &WebEnvironment) -> Dataset {
-    crawl_dataset(env, "bench", BrowserConfig::alexa_measurement())
+/// The stock-Chromium crawl of the bench population, every visit ingested.
+pub fn bench_sites(env: &WebEnvironment) -> Vec<SiteObservation> {
+    let report = Crawler::new("bench", BrowserConfig::alexa_measurement(), BENCH_SEED).crawl(env);
+    report.visits.iter().map(site_from_visit).collect()
 }
 
 #[cfg(test)]
@@ -44,8 +34,8 @@ mod tests {
     fn fixtures_build() {
         let env = bench_environment();
         assert_eq!(env.site_count(), BENCH_SITES);
-        let dataset = bench_dataset(&env);
-        assert_eq!(dataset.sites.len(), BENCH_SITES);
-        assert!(dataset.total_connections() > BENCH_SITES);
+        let sites = bench_sites(&env);
+        assert_eq!(sites.len(), BENCH_SITES);
+        assert!(sites.iter().map(SiteObservation::connection_count).sum::<usize>() > BENCH_SITES);
     }
 }

@@ -231,16 +231,6 @@ pub struct DatasetSummary {
 }
 
 impl DatasetSummary {
-    /// Aggregate a set of per-site classifications — the batch pass, defined
-    /// as the single-shard case of the streaming [`Accumulator`].
-    pub fn from_classifications(label: &str, classifications: &[SiteClassification]) -> Self {
-        let mut accumulator = Accumulator::new();
-        for classification in classifications {
-            accumulator.observe(classification);
-        }
-        accumulator.finish(label)
-    }
-
     /// Counts for one cause.
     pub fn cause(&self, cause: Cause) -> CauseCounts {
         self.causes.get(&cause).copied().unwrap_or_default()
@@ -297,6 +287,13 @@ mod tests {
         SiteClassification { site: DomainName::literal(site), total_connections: total, connections }
     }
 
+    /// The batch pass: every classification folded by one accumulator.
+    fn summary(label: &str, classifications: &[SiteClassification]) -> DatasetSummary {
+        let mut accumulator = Accumulator::new();
+        classifications.iter().for_each(|classification| accumulator.observe(classification));
+        accumulator.finish(label)
+    }
+
     #[test]
     fn summary_counts_sites_and_connections() {
         let classifications = vec![
@@ -304,7 +301,7 @@ mod tests {
             classified("b.com", 3, vec![vec![], vec![Cause::Cert]]),
             classified("c.com", 2, vec![vec![], vec![]]),
         ];
-        let summary = DatasetSummary::from_classifications("test", &classifications);
+        let summary = summary("test", &classifications);
         assert_eq!(summary.total, CauseCounts { sites: 3, connections: 10 });
         assert_eq!(summary.redundant, CauseCounts { sites: 2, connections: 3 });
         assert_eq!(summary.cause(Cause::Ip), CauseCounts { sites: 1, connections: 2 });
@@ -321,7 +318,7 @@ mod tests {
         // per cause — mirroring the paper's note that cause sums may exceed
         // the redundant totals.
         let classifications = vec![classified("a.com", 2, vec![vec![], vec![Cause::Ip, Cause::Cred]])];
-        let summary = DatasetSummary::from_classifications("test", &classifications);
+        let summary = summary("test", &classifications);
         let cause_sum: usize = Cause::ALL.iter().map(|c| summary.cause(*c).connections).sum();
         assert_eq!(summary.redundant.connections, 1);
         assert_eq!(cause_sum, 2);
@@ -329,7 +326,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_has_zero_shares() {
-        let summary = DatasetSummary::from_classifications("empty", &[]);
+        let summary = summary("empty", &[]);
         assert_eq!(summary.redundant_site_share(), 0.0);
         assert_eq!(summary.connection_share(Cause::Ip), 0.0);
         assert_eq!(summary.redundant_connection_share(), 0.0);
@@ -343,7 +340,7 @@ mod tests {
             classified("c.com", 2, vec![vec![], vec![]]),
             classified("d.com", 0, vec![]),
         ];
-        let batch = DatasetSummary::from_classifications("test", &classifications);
+        let batch = summary("test", &classifications);
 
         // Two shards, merged in both orders.
         let mut left = Accumulator::new();

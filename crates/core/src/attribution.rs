@@ -3,7 +3,7 @@
 //! and 12 of the paper).
 
 use crate::classify::{Cause, SiteClassification};
-use crate::observation::Dataset;
+use crate::observation::SiteObservation;
 use netsim_asdb::{AsRegistry, AutonomousSystem};
 use netsim_tls::Issuer;
 use netsim_types::DomainName;
@@ -66,194 +66,211 @@ pub struct AsnAttribution {
     pub unique_domains: usize,
 }
 
-/// Pair each site observation with its classification. Callers produce the
-/// classifications with [`crate::classify::classify_dataset`], which keeps
-/// them index-aligned with `dataset.sites`.
-fn zipped<'a>(
-    dataset: &'a Dataset,
-    classifications: &'a [SiteClassification],
-) -> impl Iterator<Item = (&'a crate::observation::SiteObservation, &'a SiteClassification)> {
-    dataset.sites.iter().zip(classifications.iter())
+/// Connections behind one table row, the distinct origins among them, and
+/// how many of them each previous origin could have carried.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Tally {
+    connections: usize,
+    domains: BTreeSet<DomainName>,
+    previous: BTreeMap<DomainName, usize>,
 }
 
-/// Top origins for connections redundant with `cause` (Table 2 uses
-/// `Cause::Ip`; Table 12 is the same with a larger `limit`).
-pub fn top_origins_for_cause(
-    dataset: &Dataset,
-    classifications: &[SiteClassification],
-    cause: Cause,
-    limit: usize,
-) -> Vec<OriginAttribution> {
-    let mut connections_per_origin: BTreeMap<DomainName, usize> = BTreeMap::new();
-    let mut previous_per_origin: BTreeMap<DomainName, BTreeMap<DomainName, usize>> = BTreeMap::new();
-    for (observation, classification) in zipped(dataset, classifications) {
-        for connection in &classification.connections {
-            let previous_indices = connection.previous_for(cause);
-            if previous_indices.is_empty() {
-                continue;
-            }
-            *connections_per_origin.entry(connection.origin).or_default() += 1;
-            let mut seen: BTreeSet<&DomainName> = BTreeSet::new();
-            for &previous_index in previous_indices {
-                let previous_domain = &observation.connections[previous_index].initial_domain;
-                if seen.insert(previous_domain) {
-                    *previous_per_origin
-                        .entry(connection.origin)
-                        .or_default()
-                        .entry(*previous_domain)
-                        .or_default() += 1;
-                }
+impl Tally {
+    /// Count one connection of `origin` (the issuer and AS tables).
+    fn count(&mut self, origin: DomainName) {
+        self.connections += 1;
+        self.domains.insert(origin);
+    }
+
+    /// Count one redundant connection with the origins of its earlier
+    /// `partners` in `site`, each distinct origin once (the origin and
+    /// CERT-domain tables).
+    fn count_partners(&mut self, site: &SiteObservation, partners: &[usize]) {
+        self.connections += 1;
+        let mut seen: BTreeSet<&DomainName> = BTreeSet::new();
+        for &partner in partners {
+            let domain = &site.connections[partner].initial_domain;
+            if seen.insert(domain) {
+                *self.previous.entry(*domain).or_default() += 1;
             }
         }
     }
-    let mut rows: Vec<OriginAttribution> = connections_per_origin
-        .into_iter()
-        .map(|(origin, connections)| {
-            let mut previous: Vec<(DomainName, usize)> =
-                previous_per_origin.remove(&origin).unwrap_or_default().into_iter().collect();
-            previous.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            OriginAttribution { origin, connections, previous }
-        })
-        .collect();
-    rows.sort_by(|a, b| b.connections.cmp(&a.connections).then_with(|| a.origin.cmp(&b.origin)));
+
+    /// Add every row of `later` into `into`.
+    fn merge<K: Ord + Clone>(into: &mut BTreeMap<K, Tally>, later: &BTreeMap<K, Tally>) {
+        for (key, tally) in later {
+            let row = into.entry(key.clone()).or_default();
+            row.connections += tally.connections;
+            row.domains.extend(tally.domains.iter().copied());
+            for (domain, count) in &tally.previous {
+                *row.previous.entry(*domain).or_default() += count;
+            }
+        }
+    }
+
+    /// The previous origins, most frequent first.
+    fn ranked_previous(&self) -> Vec<(DomainName, usize)> {
+        let mut previous: Vec<(DomainName, usize)> = self.previous.iter().map(|(d, c)| (*d, *c)).collect();
+        rank(&mut previous, |row| row.1, |row| row.0, usize::MAX);
+        previous
+    }
+}
+
+/// The one sort-and-truncate step of every attribution table: most
+/// connections first, ties broken by ascending `tie` key, then `limit` rows.
+/// The sort is stable, so rows equal in both keep their map order.
+fn rank<T, K: Ord>(
+    rows: &mut Vec<T>,
+    connections: impl Fn(&T) -> usize,
+    tie: impl Fn(&T) -> K,
+    limit: usize,
+) {
+    rows.sort_by(|a, b| connections(b).cmp(&connections(a)).then_with(|| tie(a).cmp(&tie(b))));
     rows.truncate(limit);
-    rows
 }
 
-/// Issuers of the certificates presented on CERT-redundant connections
-/// (Tables 3 and 9).
-pub fn cert_issuers(
-    dataset: &Dataset,
-    classifications: &[SiteClassification],
-    limit: usize,
-) -> Vec<IssuerAttribution> {
-    let mut connections: BTreeMap<Issuer, usize> = BTreeMap::new();
-    let mut domains: BTreeMap<Issuer, BTreeSet<DomainName>> = BTreeMap::new();
-    for (observation, classification) in zipped(dataset, classifications) {
-        for connection in &classification.connections {
-            if !connection.has_cause(Cause::Cert) {
-                continue;
-            }
-            let issuer = observation.connections[connection.index].issuer.clone();
-            *connections.entry(issuer.clone()).or_default() += 1;
-            domains.entry(issuer).or_default().insert(connection.origin);
-        }
-    }
-    collect_issuer_rows(connections, domains, limit)
+/// The attribution tables' fold over one stream of classified sites.
+///
+/// [`AttributionFold::observe`] folds one site with its classification;
+/// folds over consecutive site ranges combine with
+/// [`AttributionFold::merge`], earlier range first, because a CERT domain
+/// keeps the issuer of its *first* redundant connection. Every other figure
+/// is a sum or a set union. The row accessors finish the fold into ranked,
+/// truncated table rows; ties break by key (AS name for Table 6).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct AttributionFold {
+    /// IP-cause redundant connections per origin (Tables 2, 8 and 12).
+    ip_origins: BTreeMap<DomainName, Tally>,
+    /// CERT-cause redundant connections per issuer (Tables 3 and 9).
+    cert_issuers: BTreeMap<Issuer, Tally>,
+    /// Every connection per issuer (Table 5).
+    issuers: BTreeMap<Issuer, Tally>,
+    /// CERT-cause redundant connections per domain (Tables 4 and 10)...
+    cert_domains: BTreeMap<DomainName, Tally>,
+    /// ...and the issuer of each domain's first one.
+    cert_domain_issuers: BTreeMap<DomainName, Issuer>,
+    /// IP-cause redundant connections per announcing AS (Table 6).
+    ip_systems: BTreeMap<AutonomousSystem, Tally>,
 }
 
-/// Issuer share over *all* observed connections (Table 5).
-pub fn issuer_share(dataset: &Dataset, limit: usize) -> Vec<IssuerAttribution> {
-    let mut connections: BTreeMap<Issuer, usize> = BTreeMap::new();
-    let mut domains: BTreeMap<Issuer, BTreeSet<DomainName>> = BTreeMap::new();
-    for site in &dataset.sites {
+impl AttributionFold {
+    /// Fold one site: `classification` is `site`'s, and `registry` resolves
+    /// the site's addresses to the ASes announcing them.
+    pub fn observe(
+        &mut self,
+        site: &SiteObservation,
+        classification: &SiteClassification,
+        registry: &AsRegistry,
+    ) {
         for connection in &site.connections {
-            *connections.entry(connection.issuer.clone()).or_default() += 1;
-            domains.entry(connection.issuer.clone()).or_default().insert(connection.initial_domain);
+            self.issuers.entry(connection.issuer.clone()).or_default().count(connection.initial_domain);
         }
-    }
-    collect_issuer_rows(connections, domains, limit)
-}
-
-fn collect_issuer_rows(
-    connections: BTreeMap<Issuer, usize>,
-    mut domains: BTreeMap<Issuer, BTreeSet<DomainName>>,
-    limit: usize,
-) -> Vec<IssuerAttribution> {
-    let mut rows: Vec<IssuerAttribution> = connections
-        .into_iter()
-        .map(|(issuer, connections)| {
-            let unique_domains = domains.remove(&issuer).map(|set| set.len()).unwrap_or(0);
-            IssuerAttribution { issuer, connections, unique_domains }
-        })
-        .collect();
-    rows.sort_by(|a, b| b.connections.cmp(&a.connections).then_with(|| a.issuer.cmp(&b.issuer)));
-    rows.truncate(limit);
-    rows
-}
-
-/// Domains of CERT-redundant connections with their reusable previous
-/// origins and issuers (Tables 4 and 10).
-pub fn cert_domains(
-    dataset: &Dataset,
-    classifications: &[SiteClassification],
-    limit: usize,
-) -> Vec<CertDomainAttribution> {
-    let mut connections: BTreeMap<DomainName, usize> = BTreeMap::new();
-    let mut previous: BTreeMap<DomainName, BTreeMap<DomainName, usize>> = BTreeMap::new();
-    let mut issuers: BTreeMap<DomainName, Issuer> = BTreeMap::new();
-    for (observation, classification) in zipped(dataset, classifications) {
         for connection in &classification.connections {
-            let cert_previous = connection.previous_for(Cause::Cert);
-            if cert_previous.is_empty() {
-                continue;
-            }
-            *connections.entry(connection.origin).or_default() += 1;
-            issuers
-                .entry(connection.origin)
-                .or_insert_with(|| observation.connections[connection.index].issuer.clone());
-            let mut seen: BTreeSet<&DomainName> = BTreeSet::new();
-            for &previous_index in cert_previous {
-                let previous_domain = &observation.connections[previous_index].initial_domain;
-                if seen.insert(previous_domain) {
-                    *previous.entry(connection.origin).or_default().entry(*previous_domain).or_default() += 1;
+            let (origin, observed) = (connection.origin, &site.connections[connection.index]);
+            let ip_partners = connection.previous_for(Cause::Ip);
+            if !ip_partners.is_empty() {
+                self.ip_origins.entry(origin).or_default().count_partners(site, ip_partners);
+                if let Some(system) = registry.lookup(observed.ip) {
+                    self.ip_systems.entry(*system).or_default().count(origin);
                 }
             }
+            let cert_partners = connection.previous_for(Cause::Cert);
+            if !cert_partners.is_empty() {
+                self.cert_issuers.entry(observed.issuer.clone()).or_default().count(origin);
+                self.cert_domains.entry(origin).or_default().count_partners(site, cert_partners);
+                self.cert_domain_issuers.entry(origin).or_insert_with(|| observed.issuer.clone());
+            }
         }
     }
-    let mut rows: Vec<CertDomainAttribution> = connections
-        .into_iter()
-        .map(|(domain, count)| {
-            let mut prev: Vec<(DomainName, usize)> =
-                previous.remove(&domain).unwrap_or_default().into_iter().collect();
-            prev.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            let issuer = issuers.remove(&domain).unwrap_or_else(|| Issuer::named("Unknown"));
-            CertDomainAttribution { domain, connections: count, previous: prev, issuer }
+
+    /// Fold a later site range's attribution into this one. A CERT domain
+    /// both ranges saw keeps this (earlier) range's issuer.
+    pub fn merge(&mut self, later: &AttributionFold) {
+        Tally::merge(&mut self.ip_origins, &later.ip_origins);
+        Tally::merge(&mut self.cert_issuers, &later.cert_issuers);
+        Tally::merge(&mut self.issuers, &later.issuers);
+        Tally::merge(&mut self.cert_domains, &later.cert_domains);
+        Tally::merge(&mut self.ip_systems, &later.ip_systems);
+        for (domain, issuer) in &later.cert_domain_issuers {
+            self.cert_domain_issuers.entry(*domain).or_insert_with(|| issuer.clone());
+        }
+    }
+
+    /// Top origins of IP-cause redundant connections (Table 2; Table 12 is
+    /// the same with a larger `limit`).
+    pub fn ip_origins(&self, limit: usize) -> Vec<OriginAttribution> {
+        let rows = ranked(&self.ip_origins, limit, |origin| *origin);
+        rows.map(|(origin, tally)| OriginAttribution {
+            origin: *origin,
+            connections: tally.connections,
+            previous: tally.ranked_previous(),
         })
-        .collect();
-    rows.sort_by(|a, b| b.connections.cmp(&a.connections).then_with(|| a.domain.cmp(&b.domain)));
-    rows.truncate(limit);
-    rows
+        .collect()
+    }
+
+    /// Issuers of the certificates presented on CERT-redundant connections
+    /// (Tables 3 and 9).
+    pub fn cert_issuers(&self, limit: usize) -> Vec<IssuerAttribution> {
+        issuer_rows(&self.cert_issuers, limit)
+    }
+
+    /// Issuer share over *all* observed connections (Table 5).
+    pub fn issuer_share(&self, limit: usize) -> Vec<IssuerAttribution> {
+        issuer_rows(&self.issuers, limit)
+    }
+
+    /// Domains of CERT-redundant connections with their reusable previous
+    /// origins and issuers (Tables 4 and 10).
+    pub fn cert_domains(&self, limit: usize) -> Vec<CertDomainAttribution> {
+        let rows = ranked(&self.cert_domains, limit, |domain| *domain);
+        rows.map(|(domain, tally)| CertDomainAttribution {
+            domain: *domain,
+            connections: tally.connections,
+            previous: tally.ranked_previous(),
+            issuer: self.cert_domain_issuers[domain].clone(),
+        })
+        .collect()
+    }
+
+    /// Autonomous systems hosting the destinations of IP-cause redundant
+    /// connections (Table 6).
+    pub fn ip_systems(&self, limit: usize) -> Vec<AsnAttribution> {
+        let rows = ranked(&self.ip_systems, limit, |system| system.name);
+        let row = |(system, tally): (&AutonomousSystem, &Tally)| AsnAttribution {
+            system: *system,
+            connections: tally.connections,
+            unique_domains: tally.domains.len(),
+        };
+        rows.map(row).collect()
+    }
 }
 
-/// Autonomous systems hosting the destinations of IP-cause redundant
-/// connections (Table 6).
-pub fn asn_for_ip_cause(
-    dataset: &Dataset,
-    classifications: &[SiteClassification],
-    registry: &AsRegistry,
+/// The `limit` top rows of `tallies` by [`rank`], ties broken by `tie` of
+/// the key.
+fn ranked<K, T: Ord>(
+    tallies: &BTreeMap<K, Tally>,
     limit: usize,
-) -> Vec<AsnAttribution> {
-    let mut connections: BTreeMap<AutonomousSystem, usize> = BTreeMap::new();
-    let mut domains: BTreeMap<AutonomousSystem, BTreeSet<DomainName>> = BTreeMap::new();
-    for (observation, classification) in zipped(dataset, classifications) {
-        for connection in &classification.connections {
-            if !connection.has_cause(Cause::Ip) {
-                continue;
-            }
-            let ip = observation.connections[connection.index].ip;
-            let Some(system) = registry.lookup(ip) else { continue };
-            *connections.entry(*system).or_default() += 1;
-            domains.entry(*system).or_default().insert(connection.origin);
-        }
-    }
-    let mut rows: Vec<AsnAttribution> = connections
-        .into_iter()
-        .map(|(system, count)| {
-            let unique_domains = domains.remove(&system).map(|set| set.len()).unwrap_or(0);
-            AsnAttribution { system, connections: count, unique_domains }
-        })
-        .collect();
-    rows.sort_by(|a, b| b.connections.cmp(&a.connections).then_with(|| a.system.name.cmp(b.system.name)));
-    rows.truncate(limit);
-    rows
+    tie: impl Fn(&K) -> T,
+) -> impl Iterator<Item = (&K, &Tally)> {
+    let mut rows: Vec<(&K, &Tally)> = tallies.iter().collect();
+    rank(&mut rows, |(_, tally)| tally.connections, |(key, _)| tie(key), limit);
+    rows.into_iter()
+}
+
+fn issuer_rows(tallies: &BTreeMap<Issuer, Tally>, limit: usize) -> Vec<IssuerAttribution> {
+    let row = |(issuer, tally): (&Issuer, &Tally)| IssuerAttribution {
+        issuer: issuer.clone(),
+        connections: tally.connections,
+        unique_domains: tally.domains.len(),
+    };
+    ranked(tallies, limit, Issuer::clone).map(row).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify_dataset;
-    use crate::observation::{DurationModel, ObservedConnection, ObservedRequest, SiteObservation};
+    use crate::classify::classify_site;
+    use crate::observation::{DurationModel, ObservedConnection, ObservedRequest};
     use netsim_tls::SanEntry;
     use netsim_types::{ConnectionId, Instant, IpAddr};
 
@@ -309,22 +326,32 @@ mod tests {
         }
     }
 
-    fn dataset() -> Dataset {
-        Dataset::new(
-            "test",
-            vec![
-                analytics_site(IpAddr::new(142, 250, 74, 1), IpAddr::new(142, 250, 74, 2)),
-                analytics_site(IpAddr::new(142, 250, 74, 3), IpAddr::new(142, 250, 74, 4)),
-                klaviyo_site(),
-            ],
-        )
+    fn sites() -> Vec<SiteObservation> {
+        vec![
+            analytics_site(IpAddr::new(142, 250, 74, 1), IpAddr::new(142, 250, 74, 2)),
+            analytics_site(IpAddr::new(142, 250, 74, 3), IpAddr::new(142, 250, 74, 4)),
+            klaviyo_site(),
+        ]
+    }
+
+    /// The test sites folded under the endless model, the first site in one
+    /// fold and the rest in a later one, merged in order.
+    fn fold(registry: &AsRegistry) -> AttributionFold {
+        let sites = sites();
+        let observe = |fold: &mut AttributionFold, site: &SiteObservation| {
+            fold.observe(site, &classify_site(site, DurationModel::Endless), registry)
+        };
+        let mut first = AttributionFold::default();
+        observe(&mut first, &sites[0]);
+        let mut later = AttributionFold::default();
+        sites[1..].iter().for_each(|site| observe(&mut later, site));
+        first.merge(&later);
+        first
     }
 
     #[test]
     fn ip_origin_attribution_names_analytics() {
-        let data = dataset();
-        let classifications = classify_dataset(&data, DurationModel::Endless);
-        let rows = top_origins_for_cause(&data, &classifications, Cause::Ip, 5);
+        let rows = fold(&AsRegistry::new()).ip_origins(5);
         assert_eq!(rows[0].origin, d("www.google-analytics.com"));
         assert_eq!(rows[0].connections, 2);
         let (prev, count) = rows[0].top_previous().unwrap();
@@ -334,15 +361,14 @@ mod tests {
 
     #[test]
     fn cert_issuer_and_domain_attribution_names_klaviyo() {
-        let data = dataset();
-        let classifications = classify_dataset(&data, DurationModel::Endless);
-        let issuers = cert_issuers(&data, &classifications, 5);
+        let fold = fold(&AsRegistry::new());
+        let issuers = fold.cert_issuers(5);
         assert_eq!(issuers.len(), 1);
         assert_eq!(issuers[0].issuer, Issuer::lets_encrypt());
         assert_eq!(issuers[0].connections, 1);
         assert_eq!(issuers[0].unique_domains, 1);
 
-        let domains = cert_domains(&data, &classifications, 5);
+        let domains = fold.cert_domains(5);
         assert_eq!(domains[0].domain, d("fast.a.klaviyo.com"));
         assert_eq!(domains[0].previous[0].0, d("static.klaviyo.com"));
         assert_eq!(domains[0].issuer.short_code(), "LE");
@@ -350,10 +376,9 @@ mod tests {
 
     #[test]
     fn issuer_share_counts_all_connections() {
-        let data = dataset();
-        let rows = issuer_share(&data, 10);
+        let rows = fold(&AsRegistry::new()).issuer_share(10);
         let total: usize = rows.iter().map(|r| r.connections).sum();
-        assert_eq!(total, data.total_connections());
+        assert_eq!(total, sites().iter().map(SiteObservation::connection_count).sum::<usize>());
         let gts = rows.iter().find(|r| r.issuer == Issuer::google_trust_services()).unwrap();
         assert_eq!(gts.connections, 4);
         assert_eq!(gts.unique_domains, 2);
@@ -361,11 +386,9 @@ mod tests {
 
     #[test]
     fn asn_attribution_uses_the_registry() {
-        let data = dataset();
-        let classifications = classify_dataset(&data, DurationModel::Endless);
         let mut registry = AsRegistry::new();
         registry.announce("142.250.0.0/16".parse().unwrap(), AutonomousSystem::new(15169, "GOOGLE"));
-        let rows = asn_for_ip_cause(&data, &classifications, &registry, 5);
+        let rows = fold(&registry).ip_systems(5);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].system.name, "GOOGLE");
         assert_eq!(rows[0].connections, 2);
@@ -374,9 +397,30 @@ mod tests {
 
     #[test]
     fn limits_are_respected() {
-        let data = dataset();
-        let classifications = classify_dataset(&data, DurationModel::Endless);
-        assert!(top_origins_for_cause(&data, &classifications, Cause::Ip, 0).is_empty());
-        assert_eq!(issuer_share(&data, 1).len(), 1);
+        let fold = fold(&AsRegistry::new());
+        assert!(fold.ip_origins(0).is_empty());
+        assert_eq!(fold.issuer_share(1).len(), 1);
+    }
+
+    #[test]
+    fn cert_domain_keeps_the_issuer_of_the_earlier_fold() {
+        // The klaviyo site with every certificate signed by `issuer`, folded.
+        let folded = |issuer: Issuer| {
+            let mut site = klaviyo_site();
+            site.connections.iter_mut().for_each(|connection| connection.issuer = issuer.clone());
+            let mut fold = AttributionFold::default();
+            fold.observe(&site, &classify_site(&site, DurationModel::Endless), &AsRegistry::new());
+            fold
+        };
+        for (earlier, later) in [
+            (Issuer::lets_encrypt(), Issuer::google_trust_services()),
+            (Issuer::google_trust_services(), Issuer::lets_encrypt()),
+        ] {
+            let mut fold = folded(earlier.clone());
+            fold.merge(&folded(later));
+            let rows = fold.cert_domains(5);
+            assert_eq!(rows[0].connections, 2);
+            assert_eq!(rows[0].issuer, earlier);
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! cause bits into the site's counts. Certificate coverage is looked up by
 //! record index, so each adapter keeps its own certificate form.
 
-use crate::observation::{Dataset, DurationModel, ObservedConnection, SiteObservation};
+use crate::observation::{DurationModel, ObservedConnection, SiteObservation};
 use netsim_types::{ConnectionId, DomainName, Instant, IpAddr};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -267,13 +267,6 @@ pub fn classify_site(site: &SiteObservation, model: DurationModel) -> SiteClassi
         })
         .collect();
     SiteClassification { site: site.site, total_connections: records.len(), connections }
-}
-
-/// Classify every site of a dataset. The result is aligned index-by-index
-/// with `dataset.sites`; sites without any HTTP/2 connection yield an empty
-/// classification (they are excluded from aggregate totals downstream).
-pub fn classify_dataset(dataset: &Dataset, model: DurationModel) -> Vec<SiteClassification> {
-    dataset.sites.iter().map(|s| classify_site(s, model)).collect()
 }
 
 #[cfg(test)]
@@ -540,21 +533,5 @@ mod tests {
         let fourth = &result.connections[3];
         assert_eq!(fourth.previous_for(Cause::Cert).len(), 2);
         assert_eq!(fourth.previous_for(Cause::Cred).len(), 1);
-    }
-
-    #[test]
-    fn classify_dataset_is_aligned_with_sites() {
-        let dataset = Dataset::new(
-            "test",
-            vec![
-                site(vec![conn(1, "example.com", IP_A, &["example.com"], 0)]),
-                SiteObservation { site: d("empty.com"), connections: vec![] },
-            ],
-        );
-        let results = classify_dataset(&dataset, DurationModel::Endless);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].total_connections, 1);
-        assert_eq!(results[1].total_connections, 0);
-        assert_eq!(results[1].site, d("empty.com"));
     }
 }

@@ -6,9 +6,9 @@
 //! [`netsim_har::HarDocument`]s; both are converted here into
 //! [`SiteObservation`]s the classifier understands.
 
-use crate::observation::{Dataset, ObservedConnection, ObservedRequest, SiteObservation};
-use netsim_browser::{CrawlReport, PageVisit};
-use netsim_har::{HarDataset, HarDocument};
+use crate::observation::{ObservedConnection, ObservedRequest, SiteObservation};
+use netsim_browser::PageVisit;
+use netsim_har::HarDocument;
 use netsim_tls::{Issuer, SanEntry};
 use netsim_types::{ConnectionId, Instant, IpAddr};
 use std::collections::BTreeMap;
@@ -39,11 +39,6 @@ pub fn site_from_visit(visit: &PageVisit) -> SiteObservation {
         })
         .collect();
     SiteObservation { site: visit.landing_domain, connections }
-}
-
-/// Convert a whole crawl into a dataset.
-pub fn dataset_from_crawl(report: &CrawlReport) -> Dataset {
-    Dataset::new(&report.label, report.visits.iter().map(site_from_visit).collect())
 }
 
 /// Convert one (already filtered) HAR document into an observation.
@@ -100,11 +95,6 @@ pub fn site_from_har_document(document: &HarDocument) -> Option<SiteObservation>
     Some(SiteObservation { site, connections })
 }
 
-/// Convert a HAR corpus into a dataset labelled `label`.
-pub fn dataset_from_har(dataset: &HarDataset, label: &str) -> Dataset {
-    Dataset::new(label, dataset.documents.iter().filter_map(site_from_har_document).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,11 +131,11 @@ mod tests {
     fn crawl_ingestion_builds_a_dataset() {
         let env = environment();
         let report = Crawler::new("alexa", BrowserConfig::alexa_measurement(), 3).crawl(&env);
-        let dataset = dataset_from_crawl(&report);
-        assert_eq!(dataset.label, "alexa");
-        assert_eq!(dataset.sites.len(), env.sites.len());
-        assert_eq!(dataset.total_connections(), report.total_connections());
-        for (site, observed) in env.sites.iter().zip(&dataset.sites) {
+        let sites: Vec<SiteObservation> = report.visits.iter().map(site_from_visit).collect();
+        assert_eq!(sites.len(), env.sites.len());
+        let connections: usize = sites.iter().map(SiteObservation::connection_count).sum();
+        assert_eq!(connections, report.total_connections());
+        for (site, observed) in env.sites.iter().zip(&sites) {
             assert_eq!(observed.site, site.domain);
         }
     }
@@ -158,17 +148,18 @@ mod tests {
         let env = environment();
         let config = BrowserConfig::http_archive_crawler();
         let report = Crawler::new("har", config.clone(), 5).crawl(&env);
-        let netlog_dataset = dataset_from_crawl(&report);
 
         let mut har = ArchivePipeline::new(5)
             .with_config(config)
             .with_inconsistencies(netsim_har::InconsistencyConfig::none())
             .run(&env);
         har.filter();
-        let har_dataset = dataset_from_har(&har, "har");
+        let har_sites: Vec<SiteObservation> =
+            har.documents.iter().filter_map(site_from_har_document).collect();
 
-        assert_eq!(har_dataset.sites.len(), netlog_dataset.sites.len());
-        for (har_site, netlog_site) in har_dataset.sites.iter().zip(netlog_dataset.sites.iter()) {
+        assert_eq!(har_sites.len(), report.visits.len());
+        for (har_site, visit) in har_sites.iter().zip(&report.visits) {
+            let netlog_site = site_from_visit(visit);
             assert_eq!(har_site.site, netlog_site.site);
             assert_eq!(har_site.connection_count(), netlog_site.connection_count());
             assert_eq!(har_site.request_count(), netlog_site.request_count());
@@ -180,8 +171,7 @@ mod tests {
         let env = environment();
         let mut har = ArchivePipeline::new(9).run(&env);
         har.filter();
-        let dataset = dataset_from_har(&har, "har");
-        for site in &dataset.sites {
+        for site in har.documents.iter().filter_map(site_from_har_document) {
             for connection in &site.connections {
                 assert_ne!(connection.id, ConnectionId(0));
                 assert!(!connection.san.is_empty());

@@ -29,10 +29,11 @@
 //!
 //! The surrounding modules turn classifications into the paper's published
 //! artifacts: [`aggregate`] produces the Table 1 cause counts, [`report`] the
-//! Figure 2 distribution, [`attribution`] Tables 2–6 and 12, [`overlap`]
-//! Tables 7–10, [`lifetime`] the §5.1 connection-lifetime statistics, and
-//! [`ingest`] adapts both data sources (NetLog-style browser visits and
-//! HTTP-Archive HAR corpora) into the common [`observation`] model.
+//! Figure 2 distribution, [`attribution`] Tables 2–6 and 8–12, [`lifetime`]
+//! the §5.1 connection-lifetime statistics, and [`fold`] streams one site at
+//! a time through all of them. [`ingest`] adapts both data sources
+//! (NetLog-style browser visits and HTTP-Archive HAR documents) into the
+//! common [`observation`] model.
 
 // The interned-id migration made `DomainName`/`Origin` copyable; keep the
 // hot ingest/attribution/classify paths free of the clone storm for good.
@@ -43,17 +44,16 @@ pub mod aggregate;
 pub mod attribution;
 pub mod classify;
 pub mod fastpath;
+pub mod fold;
 pub mod ingest;
 pub mod lifetime;
 pub mod observation;
-pub mod overlap;
 pub mod report;
 
 pub use aggregate::{Accumulator, AccumulatorState, CauseCounts, DatasetSummary, SiteCounts};
-pub use classify::{
-    classify_dataset, classify_site, Cause, ClassifiedConnection, ConnectionRecord, SiteClassification,
-};
+pub use classify::{classify_site, Cause, ClassifiedConnection, ConnectionRecord, SiteClassification};
 pub use fastpath::FastVisitClassifier;
-pub use ingest::{dataset_from_crawl, dataset_from_har, site_from_har_document, site_from_visit};
-pub use observation::{Dataset, DurationModel, ObservedConnection, ObservedRequest, SiteObservation};
+pub use fold::TableFold;
+pub use ingest::{site_from_har_document, site_from_visit};
+pub use observation::{DurationModel, ObservedConnection, ObservedRequest, SiteObservation};
 pub use report::CdfSeries;

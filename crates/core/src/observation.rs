@@ -97,32 +97,6 @@ impl SiteObservation {
     }
 }
 
-/// A labelled collection of site observations (one measurement run).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Dataset {
-    /// Human-readable label ("HAR Endless", "Alexa", ...).
-    pub label: String,
-    /// Per-site observations.
-    pub sites: Vec<SiteObservation>,
-}
-
-impl Dataset {
-    /// A dataset with the given label and sites.
-    pub fn new(label: &str, sites: Vec<SiteObservation>) -> Self {
-        Dataset { label: label.to_string(), sites }
-    }
-
-    /// Total sessions across all sites.
-    pub fn total_connections(&self) -> usize {
-        self.sites.iter().map(|s| s.connection_count()).sum()
-    }
-
-    /// Total requests across all sites.
-    pub fn total_requests(&self) -> usize {
-        self.sites.iter().map(|s| s.request_count()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,16 +140,13 @@ mod tests {
 
     #[test]
     fn dataset_counters() {
-        let dataset = Dataset::new(
-            "test",
-            vec![
-                SiteObservation { site: d("a.com"), connections: vec![connection(1, 0, None)] },
-                SiteObservation { site: d("b.com"), connections: vec![] },
-            ],
-        );
-        assert_eq!(dataset.total_connections(), 1);
-        assert_eq!(dataset.total_requests(), 2);
-        assert_eq!(dataset.sites[0].connection_count(), 1);
-        assert_eq!(dataset.sites[1].connection_count(), 0);
+        let sites = [
+            SiteObservation { site: d("a.com"), connections: vec![connection(1, 0, None)] },
+            SiteObservation { site: d("b.com"), connections: vec![] },
+        ];
+        assert_eq!(sites[0].connection_count(), 1);
+        assert_eq!(sites[0].request_count(), 2);
+        assert_eq!(sites[1].connection_count(), 0);
+        assert_eq!(sites[1].request_count(), 0);
     }
 }

@@ -1,7 +1,5 @@
 //! Distribution reports: the Figure 2 series.
 
-use crate::classify::SiteClassification;
-
 /// A survival-function series over "redundant connections per site":
 /// `points[k]` is the fraction of sites that opened at least `k` redundant
 /// connections. This is the "1 − CDF" plotted in Figure 2.
@@ -14,18 +12,17 @@ pub struct CdfSeries {
 }
 
 impl CdfSeries {
-    /// Build the series from per-site classifications, with `max_k`
-    /// inclusive as the largest x value (the paper plots 0..15).
-    pub fn from_classifications(label: &str, classifications: &[SiteClassification], max_k: usize) -> Self {
-        let site_count = classifications.len();
+    /// Build the series from a histogram, `sites[k]` sites having opened
+    /// exactly `k` redundant connections, with `max_k` inclusive as the
+    /// largest x value (the paper plots 0..15).
+    pub fn from_histogram(label: &str, sites: &[u64], max_k: usize) -> Self {
+        let site_count: u64 = sites.iter().sum();
         let mut points = vec![0.0; max_k + 1];
-        if site_count == 0 {
-            points[0] = 0.0;
-            return CdfSeries { label: label.to_string(), points };
-        }
-        for (k, point) in points.iter_mut().enumerate() {
-            let at_least = classifications.iter().filter(|c| c.redundant_connections() >= k).count();
-            *point = at_least as f64 / site_count as f64;
+        if site_count > 0 {
+            for (k, point) in points.iter_mut().enumerate() {
+                let at_least: u64 = sites.iter().skip(k).sum();
+                *point = at_least as f64 / site_count as f64;
+            }
         }
         CdfSeries { label: label.to_string(), points }
     }
@@ -46,39 +43,11 @@ impl CdfSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{Cause, ClassifiedConnection};
-    use netsim_types::DomainName;
-    use std::collections::BTreeMap;
-
-    fn site_with_redundant(count: usize) -> SiteClassification {
-        let connections = (0..count + 1)
-            .map(|index| ClassifiedConnection {
-                index,
-                origin: DomainName::literal("example.com"),
-                causes: if index == 0 {
-                    BTreeMap::new()
-                } else {
-                    [(Cause::Ip, vec![0usize])].into_iter().collect()
-                },
-                excluded: false,
-            })
-            .collect();
-        SiteClassification {
-            site: DomainName::literal("example.com"),
-            total_connections: count + 1,
-            connections,
-        }
-    }
 
     #[test]
     fn survival_function_is_monotone_and_starts_at_one() {
-        let sites: Vec<SiteClassification> = vec![
-            site_with_redundant(0),
-            site_with_redundant(1),
-            site_with_redundant(2),
-            site_with_redundant(6),
-        ];
-        let series = CdfSeries::from_classifications("test", &sites, 10);
+        // Sites with 0, 1, 2 and 6 redundant connections.
+        let series = CdfSeries::from_histogram("test", &[1, 1, 1, 0, 0, 0, 1], 10);
         assert_eq!(series.points.len(), 11);
         assert!((series.at_least(0) - 1.0).abs() < 1e-9);
         assert!((series.at_least(1) - 0.75).abs() < 1e-9);
@@ -93,7 +62,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_zero_series() {
-        let series = CdfSeries::from_classifications("empty", &[], 5);
+        let series = CdfSeries::from_histogram("empty", &[], 5);
         assert_eq!(series.points.len(), 6);
         assert!(series.points.iter().all(|p| *p == 0.0));
         assert_eq!(series.median(), 0);

@@ -23,7 +23,11 @@ const SPEC: Spec = Spec {
             Flag::value("--alexa-sites", "N", "size of the Alexa-shaped population (default 1500)"),
             Flag::value("--overlap-sites", "N", "size of the shared overlap population (default 600)"),
             Flag::value("--seed", "N", "root seed (default 20210420)"),
-            Flag::value("--threads", "N", "crawl worker threads (default: available parallelism)"),
+            Flag::value(
+                "--threads",
+                "N",
+                "worker threads of every grid and table pass (default: available parallelism)",
+            ),
             Flag::switch("--quick", "start from the small test-sized populations"),
             Flag::value("--out", "DIR", "also write each experiment's report to DIR/<name>.txt"),
         ],
@@ -40,8 +44,8 @@ fn main() -> ExitCode {
         args.set("--overlap-sites", &mut config.overlap_sites)?;
         args.set("--seed", &mut config.seed)?;
         args.set_count("--threads", &mut config.threads)?;
-        // Names are checked before the scenario is built, which takes
-        // minutes at the default sizes.
+        // Names are checked before any experiment runs, so a typo costs no
+        // measurement.
         if let Some(unknown) =
             args.operands.iter().find(|name| *name != "all" && !EXPERIMENTS.contains(&name.as_str()))
         {
@@ -58,12 +62,13 @@ fn main() -> ExitCode {
         let out_dir: Option<PathBuf> = args.value("--out")?;
         Ok(move || {
             eprintln!(
-                "building scenario: archive={} alexa={} overlap={} seed={} threads={}",
+                "scenario: archive={} alexa={} overlap={} seed={} threads={}",
                 config.archive_sites, config.alexa_sites, config.overlap_sites, config.seed, config.threads
             );
             let start = std::time::Instant::now();
-            let scenario = Scenario::build(config);
-            eprintln!("scenario ready in {:.1}s", start.elapsed().as_secs_f64());
+            // Each table population is measured when the first experiment
+            // reading it runs.
+            let scenario = Scenario::new(config);
             for name in &experiments {
                 let output = run_experiment(name, &scenario)?;
                 if let Some(dir) = &out_dir {
@@ -71,6 +76,7 @@ fn main() -> ExitCode {
                 }
                 cli::print_line(&output.text)?;
             }
+            eprintln!("done in {:.1}s", start.elapsed().as_secs_f64());
             Ok(())
         })
     })

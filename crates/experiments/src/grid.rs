@@ -8,13 +8,15 @@
 //! tasks grouped by it ([`environment_order`]), so a worker builds each of
 //! the 4 distinct webs once for the 16 mitigation sets. The crawl grids run
 //! one visit → classify → fold loop ([`GridWorker::measure`]) and fold their
-//! [`CellRecord`]s through one merge. Every visit is a pure function of the
+//! [`CellRecord`]s through one merge; the paper tables' pass
+//! ([`crate::scenario`]) runs its own task body on the same workers. Every
+//! visit is a pure function of the
 //! crawler's seed and the site's global index, and the executor returns
 //! results by task index, so no record depends on the thread count or the
 //! steal schedule.
 
 use crate::atlas::{atlas_builder, classify_scratch};
-use crate::scenario::alexa_builder;
+use crate::scenario::ALEXA_POPULATION_SEED_OFFSET;
 use connreuse_core::{Accumulator, DurationModel, FastVisitClassifier};
 use connreuse_executor::{run_indexed, run_indexed_streaming, PoolStats, RunOutcome};
 use netsim_browser::{BrowserConfig, Crawler, PooledScratch, ScratchPool, VisitScratch};
@@ -22,7 +24,7 @@ use netsim_cost::{CostTotals, LinkProfile};
 use netsim_store::ShardRecord;
 use netsim_types::profile::{self, Stage};
 use netsim_types::MitigationSet;
-use netsim_web::{DeploymentCache, PopulationBuilder, WebEnvironment};
+use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, WebEnvironment};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What one measured cell leaves behind, or the fold of several.
@@ -74,7 +76,10 @@ impl CellRecord {
 enum Recipe {
     /// The atlas mix ([`atlas_builder`]): root seed and Zipf exponent bits.
     Atlas { seed: u64, zipf_exponent_bits: u64 },
-    /// The Alexa population of the mitigation grids ([`alexa_builder`]).
+    /// The HTTP-Archive-shaped population under its population seed.
+    Archive { seed: u64 },
+    /// An Alexa-shaped population under its population seed: the one every
+    /// mitigation grid measures, or the paper tables' overlap population.
     Alexa { seed: u64 },
 }
 
@@ -104,25 +109,36 @@ impl Population {
     /// deployed with `mitigations`: what every cell of the mitigation grids
     /// (sweep, cost, fleet, chaos) measures.
     pub(crate) fn alexa(sites: usize, seed: u64, mitigations: MitigationSet) -> Self {
-        Population {
-            recipe: Recipe::Alexa { seed },
-            range: (0, sites),
-            environment: mitigations.environment(),
-        }
+        let recipe = Recipe::Alexa { seed: seed + ALEXA_POPULATION_SEED_OFFSET };
+        Population { recipe, range: (0, sites), environment: mitigations.environment() }
+    }
+
+    /// The slice `(start, len)` of the unmitigated Alexa-shaped population
+    /// with population seed `seed`.
+    pub(crate) fn alexa_chunk(seed: u64, range: (usize, usize)) -> Self {
+        Population { recipe: Recipe::Alexa { seed }, range, environment: MitigationSet::empty() }
+    }
+
+    /// The slice `(start, len)` of the unmitigated HTTP-Archive-shaped
+    /// population with population seed `seed`.
+    pub(crate) fn archive_chunk(seed: u64, range: (usize, usize)) -> Self {
+        Population { recipe: Recipe::Archive { seed }, range, environment: MitigationSet::empty() }
     }
 
     /// A builder for this population's recipe, layered on the shared
     /// deployment of its environment.
     fn builder(&self, deployments: &DeploymentCache) -> PopulationBuilder {
         let deployment = deployments.deployment(self.environment);
-        match self.recipe {
+        let (profile, seed) = match self.recipe {
             Recipe::Atlas { seed, zipf_exponent_bits } => {
-                atlas_builder(seed, f64::from_bits(zipf_exponent_bits), deployment)
+                return atlas_builder(seed, f64::from_bits(zipf_exponent_bits), deployment)
             }
-            Recipe::Alexa { seed } => {
-                alexa_builder(self.range.1, seed, self.environment).with_shared_deployment(deployment)
-            }
-        }
+            Recipe::Archive { seed } => (PopulationProfile::archive(), seed),
+            Recipe::Alexa { seed } => (PopulationProfile::alexa(), seed),
+        };
+        PopulationBuilder::new(profile, 0, seed)
+            .with_mitigations(self.environment)
+            .with_shared_deployment(deployment)
     }
 }
 
@@ -387,7 +403,8 @@ mod tests {
         let browser_only = Population::alexa(30, 7, MitigationSet::single(Mitigation::OriginFrames));
         assert_eq!(alexa, browser_only);
         let chunk = Population::atlas_chunk((7, 0.35), (0, 30), MitigationSet::empty());
-        let fresh = alexa_builder(30, 7, MitigationSet::empty()).build();
+        let fresh =
+            PopulationBuilder::new(PopulationProfile::alexa(), 30, 7 + ALEXA_POPULATION_SEED_OFFSET).build();
         let crawler = Crawler::new("grid", BrowserConfig::alexa_measurement(), 17);
 
         // Two tasks on the Alexa population, then an atlas chunk, on one

@@ -6,9 +6,10 @@
 //! The harness builds two site populations (an HTTP-Archive-shaped one and an
 //! Alexa-shaped one) plus a shared "overlap" population, crawls them with the
 //! browser configurations the paper uses (stock Chromium, Chromium without
-//! the Fetch credentials flag, the HTTP-Archive HAR pipeline), classifies the
-//! resulting datasets with [`connreuse_core`], and renders the same tables
-//! and series the paper publishes:
+//! the Fetch credentials flag, the HTTP-Archive HAR pipeline), classifies
+//! every visited site with [`connreuse_core`] in one streaming pass per
+//! population ([`scenario`]), and renders the same tables and series the
+//! paper publishes:
 //!
 //! | target | paper artifact |
 //! |---|---|
@@ -68,7 +69,7 @@ pub use fleet::{run_fleet, FleetCell, FleetConfig, FleetReport};
 pub use profile::{render_stage_table, ProfileFile, ProfileRecord};
 pub use render::TextTable;
 pub use runner::{run_experiment, ExperimentOutput, EXPERIMENTS};
-pub use scenario::{Scenario, ScenarioConfig};
+pub use scenario::{Crawl, Scenario, ScenarioConfig};
 pub use store::{
     answer_in_memory, answer_query, build_store, open_store, run_store, BuildReport, QueryAnswer,
     StoreConfig, StoreQuery, StoreRunReport,

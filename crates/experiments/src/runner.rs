@@ -2,17 +2,10 @@
 
 use crate::paper;
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::Scenario;
-use connreuse_core::attribution::{
-    asn_for_ip_cause, cert_domains, cert_issuers, issuer_share, top_origins_for_cause,
-};
-use connreuse_core::lifetime::lifetime_statistics;
-use connreuse_core::overlap;
-use connreuse_core::{
-    classify_dataset, Cause, CdfSeries, Dataset, DatasetSummary, DurationModel, SiteClassification,
-};
+use crate::scenario::{Crawl, Scenario};
+use connreuse_core::attribution::{AttributionFold, IssuerAttribution};
+use connreuse_core::{Cause, DatasetSummary, DurationModel};
 use connreuse_probe::{ProbeConfig, ProbeExperiment};
-use netsim_asdb::AsRegistry;
 use netsim_types::Duration;
 
 /// All experiment names understood by [`run_experiment`], in paper order.
@@ -41,18 +34,18 @@ pub fn run_experiment(name: &str, scenario: &Scenario) -> Result<ExperimentOutpu
         "headline" => headline(scenario),
         "figure2" => figure2(scenario),
         "table1" => table1(scenario),
-        "table2" => origin_table(scenario, "Table 2: top origins for cause IP", 4),
-        "table3" => issuer_table(scenario, "Table 3: top certificate issuers for cause CERT"),
-        "table4" => cert_domain_table(scenario, "Table 4: top domains for cause CERT", 5),
+        "table2" => origin_table(scenario, TABLES, "Table 2: top origins for cause IP", 4),
+        "table3" => issuer_table(scenario, TABLES, "Table 3: top certificate issuers for cause CERT", 7),
+        "table4" => cert_domain_table(scenario, TABLES, "Table 4: top domains for cause CERT"),
         "table5" => table5(scenario),
         "table6" => table6(scenario),
         "table7" => table7(scenario),
-        "table8" => table8(scenario),
-        "table9" => table9(scenario),
-        "table10" => table10(scenario),
+        "table8" => origin_table(scenario, OVERLAP_TABLES, "Table 8: top origins for cause IP (overlap)", 5),
+        "table9" => issuer_table(scenario, OVERLAP_TABLES, "Table 9: top CERT issuers (overlap)", 5),
+        "table10" => cert_domain_table(scenario, OVERLAP_TABLES, "Table 10: top CERT domains (overlap)"),
         "table11" => table11(),
-        "table12" => origin_table(scenario, "Table 12: top 20 domains for the IP case", 20),
-        "figure3" => figure3(scenario),
+        "table12" => origin_table(scenario, TABLES, "Table 12: top 20 domains for the IP case", 20),
+        "figure3" => figure3(),
         "filters" => filters(scenario),
         "whatif" => whatif(scenario),
         "sweep" => sweep(scenario),
@@ -66,68 +59,75 @@ pub fn run_experiment(name: &str, scenario: &Scenario) -> Result<ExperimentOutpu
     Ok(ExperimentOutput { name: name.to_string(), text })
 }
 
-/// Classify a dataset under a duration model (helper shared by experiments).
-fn classified(dataset: &Dataset, model: DurationModel) -> Vec<SiteClassification> {
-    classify_dataset(dataset, model)
+fn summary(scenario: &Scenario, crawl: Crawl, model: DurationModel, label: &str) -> DatasetSummary {
+    scenario.fold(crawl, model).summary(label)
 }
 
-fn summary(dataset: &Dataset, model: DurationModel, label: &str) -> DatasetSummary {
-    DatasetSummary::from_classifications(label, &classified(dataset, model))
-}
+/// The (crawl, model) pairs of the attribution tables: the HAR corpus under
+/// the endless model and the Alexa crawl as recorded.
+const TABLES: [(Crawl, DurationModel); 2] =
+    [(Crawl::Har, DurationModel::Endless), (Crawl::Alexa, DurationModel::Recorded)];
+
+/// The same pairs on the overlap population (Tables 8–10).
+const OVERLAP_TABLES: [(Crawl, DurationModel); 2] =
+    [(Crawl::OverlapHar, DurationModel::Endless), (Crawl::OverlapAlexa, DurationModel::Recorded)];
 
 /// §5.1 headline numbers, paper vs. measured.
 fn headline(scenario: &Scenario) -> String {
-    let har_endless = summary(&scenario.har, DurationModel::Endless, "HAR Endless");
-    let har_immediate = summary(&scenario.har, DurationModel::Immediate, "HAR Immediate");
-    let alexa = summary(&scenario.alexa, DurationModel::Recorded, "Alexa");
-    let alexa_endless = summary(&scenario.alexa, DurationModel::Endless, "Alexa Endless");
-    let patched = summary(&scenario.alexa_without_fetch, DurationModel::Recorded, "Alexa w/o Fetch");
-    let lifetimes = lifetime_statistics(&scenario.alexa);
+    let har_endless = summary(scenario, Crawl::Har, DurationModel::Endless, "HAR Endless");
+    let har_immediate = summary(scenario, Crawl::Har, DurationModel::Immediate, "HAR Immediate");
+    let alexa = summary(scenario, Crawl::Alexa, DurationModel::Recorded, "Alexa");
+    let alexa_endless = summary(scenario, Crawl::Alexa, DurationModel::Endless, "Alexa Endless");
+    let patched = summary(scenario, Crawl::AlexaWithoutFetch, DurationModel::Recorded, "Alexa w/o Fetch");
+    let lifetimes = scenario.fold(Crawl::Alexa, DurationModel::Recorded).lifetimes();
 
-    let mut table = TextTable::new("Headline (§5.1): paper vs. measured", &["metric", "paper", "measured"]);
-    table.push_row([
-        "HAR endless: sites with redundant connections".to_string(),
-        format_percent(paper::headline::HAR_ENDLESS_REDUNDANT_SITES),
-        format_percent(har_endless.redundant_site_share()),
-    ]);
-    table.push_row([
-        "HAR immediate: sites with redundant connections".to_string(),
-        format_percent(paper::headline::HAR_IMMEDIATE_REDUNDANT_SITES),
-        format_percent(har_immediate.redundant_site_share()),
-    ]);
-    table.push_row([
-        "Alexa: sites with redundant connections".to_string(),
-        format_percent(paper::headline::ALEXA_REDUNDANT_SITES),
-        format_percent(alexa.redundant_site_share()),
-    ]);
-    table.push_row([
-        "Alexa endless vs recorded: redundant sites delta".to_string(),
-        "~0 %".to_string(),
-        format_percent(alexa_endless.redundant_site_share() - alexa.redundant_site_share()),
-    ]);
-    table.push_row([
-        "connections closing before test end".to_string(),
-        format_percent(paper::headline::CLOSED_CONNECTION_SHARE),
-        format_percent(lifetimes.closed_share()),
-    ]);
-    table.push_row([
-        "median lifetime of early-closing connections".to_string(),
-        format!("{:.1} s", paper::headline::MEDIAN_LIFETIME_SECS),
-        lifetimes
-            .median_lifetime
-            .map(|d| format!("{:.1} s", d.as_secs_f64()))
-            .unwrap_or_else(|| "n/a".to_string()),
-    ]);
+    let median_lifetime = lifetimes.median_lifetime.map(|d| format!("{:.1} s", d.as_secs_f64()));
     let reduction = if alexa.redundant.connections == 0 {
         0.0
     } else {
         1.0 - patched.redundant.connections as f64 / alexa.redundant.connections as f64
     };
-    table.push_row([
-        "redundancy reduction when ignoring the Fetch flag".to_string(),
-        format_percent(paper::headline::WITHOUT_FETCH_REDUCTION),
-        format_percent(reduction),
-    ]);
+    let rows = [
+        (
+            "HAR endless: sites with redundant connections",
+            format_percent(paper::headline::HAR_ENDLESS_REDUNDANT_SITES),
+            format_percent(har_endless.redundant_site_share()),
+        ),
+        (
+            "HAR immediate: sites with redundant connections",
+            format_percent(paper::headline::HAR_IMMEDIATE_REDUNDANT_SITES),
+            format_percent(har_immediate.redundant_site_share()),
+        ),
+        (
+            "Alexa: sites with redundant connections",
+            format_percent(paper::headline::ALEXA_REDUNDANT_SITES),
+            format_percent(alexa.redundant_site_share()),
+        ),
+        (
+            "Alexa endless vs recorded: redundant sites delta",
+            "~0 %".to_string(),
+            format_percent(alexa_endless.redundant_site_share() - alexa.redundant_site_share()),
+        ),
+        (
+            "connections closing before test end",
+            format_percent(paper::headline::CLOSED_CONNECTION_SHARE),
+            format_percent(lifetimes.closed_share()),
+        ),
+        (
+            "median lifetime of early-closing connections",
+            format!("{:.1} s", paper::headline::MEDIAN_LIFETIME_SECS),
+            median_lifetime.unwrap_or_else(|| "n/a".to_string()),
+        ),
+        (
+            "redundancy reduction when ignoring the Fetch flag",
+            format_percent(paper::headline::WITHOUT_FETCH_REDUCTION),
+            format_percent(reduction),
+        ),
+    ];
+    let mut table = TextTable::new("Headline (§5.1): paper vs. measured", &["metric", "paper", "measured"]);
+    for (metric, paper, measured) in rows {
+        table.push_row([metric.to_string(), paper, measured]);
+    }
     table.render()
 }
 
@@ -135,22 +135,11 @@ fn headline(scenario: &Scenario) -> String {
 fn figure2(scenario: &Scenario) -> String {
     let max_k = 15;
     let series = [
-        CdfSeries::from_classifications(
-            "HTTP Archive Endless",
-            &classified(&scenario.har, DurationModel::Endless),
-            max_k,
-        ),
-        CdfSeries::from_classifications(
-            "Alexa Top",
-            &classified(&scenario.alexa, DurationModel::Recorded),
-            max_k,
-        ),
-        CdfSeries::from_classifications(
-            "Alexa w/o Fetch",
-            &classified(&scenario.alexa_without_fetch, DurationModel::Recorded),
-            max_k,
-        ),
-    ];
+        (Crawl::Har, DurationModel::Endless, "HTTP Archive Endless"),
+        (Crawl::Alexa, DurationModel::Recorded, "Alexa Top"),
+        (Crawl::AlexaWithoutFetch, DurationModel::Recorded, "Alexa w/o Fetch"),
+    ]
+    .map(|(crawl, model, label)| scenario.fold(crawl, model).redundancy_series(label, max_k));
     let mut table = TextTable::new(
         "Figure 2: fraction of sites with >= k redundant connections (1 - CDF)",
         &["k", &series[0].label, &series[1].label, &series[2].label],
@@ -174,42 +163,15 @@ fn figure2(scenario: &Scenario) -> String {
 
 /// Table 1: cause counts per dataset and duration model.
 fn table1(scenario: &Scenario) -> String {
-    let columns = vec![
-        ("HAR Endless", summary(&scenario.har, DurationModel::Endless, "HAR Endless")),
-        ("HAR Immediate", summary(&scenario.har, DurationModel::Immediate, "HAR Immediate")),
-        ("Alexa Endless", summary(&scenario.alexa, DurationModel::Endless, "Alexa Endless")),
-        ("Alexa", summary(&scenario.alexa, DurationModel::Recorded, "Alexa")),
-        (
-            "Alexa w/o Fetch",
-            summary(&scenario.alexa_without_fetch, DurationModel::Recorded, "Alexa w/o Fetch"),
-        ),
-    ];
-    let mut headers: Vec<String> = vec!["Cause".to_string()];
-    for (label, _) in &columns {
-        headers.push(format!("{label} Sites"));
-        headers.push(format!("{label} Conns."));
-    }
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table = TextTable::new("Table 1: causes of redundant connections", &header_refs);
-    for cause in Cause::ALL {
-        let mut row = vec![cause.label().to_string()];
-        for (_, column) in &columns {
-            let counts = column.cause(cause);
-            row.push(format_count(counts.sites));
-            row.push(format_count(counts.connections));
-        }
-        table.push_row(row);
-    }
-    let mut redundant_row = vec!["Redund.".to_string()];
-    let mut total_row = vec!["Total".to_string()];
-    for (_, column) in &columns {
-        redundant_row.push(format_count(column.redundant.sites));
-        redundant_row.push(format_count(column.redundant.connections));
-        total_row.push(format_count(column.total.sites));
-        total_row.push(format_count(column.total.connections));
-    }
-    table.push_row(redundant_row);
-    table.push_row(total_row);
+    let columns = [
+        ("HAR Endless", Crawl::Har, DurationModel::Endless),
+        ("HAR Immediate", Crawl::Har, DurationModel::Immediate),
+        ("Alexa Endless", Crawl::Alexa, DurationModel::Endless),
+        ("Alexa", Crawl::Alexa, DurationModel::Recorded),
+        ("Alexa w/o Fetch", Crawl::AlexaWithoutFetch, DurationModel::Recorded),
+    ]
+    .map(|(label, crawl, model)| (label, summary(scenario, crawl, model, label)));
+    let table = cause_table("Table 1: causes of redundant connections", &columns);
 
     // Percentage comparison against the paper.
     let mut comparison = TextTable::new(
@@ -252,270 +214,170 @@ fn table1(scenario: &Scenario) -> String {
     format!("{}\n{}", table.render(), comparison.render())
 }
 
-/// Tables 2, 8 and 12: top IP-cause origins with their previous origins.
-fn origin_table(scenario: &Scenario, title: &str, limit: usize) -> String {
+/// Sites and connections per cause, redundant and in total, one column
+/// pair per labelled summary (Tables 1 and 7).
+fn cause_table(title: &str, columns: &[(&str, DatasetSummary)]) -> TextTable {
+    let mut headers: Vec<String> = vec!["Cause".to_string()];
+    for (label, _) in columns {
+        headers.push(format!("{label} Sites"));
+        headers.push(format!("{label} Conns."));
+    }
+    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let mut table = TextTable::new(title, &header_refs);
+    // One row per cause, then the redundant and the total counts.
+    let counts = |summary: &DatasetSummary, row: usize| match Cause::ALL.get(row) {
+        Some(cause) => summary.cause(*cause),
+        None if row == Cause::ALL.len() => summary.redundant,
+        None => summary.total,
+    };
+    for (row, label) in Cause::ALL.map(Cause::label).into_iter().chain(["Redund.", "Total"]).enumerate() {
+        let mut cells = vec![label.to_string()];
+        for (_, summary) in columns {
+            let counts = counts(summary, row);
+            cells.extend([format_count(counts.sites), format_count(counts.connections)]);
+        }
+        table.push_row(cells);
+    }
+    table
+}
+
+/// One attribution table per (crawl, model) pair of `pairs`: `rows` turns
+/// the pair's fold into ranked rows, each led here by its rank.
+fn attribution_tables(
+    scenario: &Scenario,
+    pairs: [(Crawl, DurationModel); 2],
+    title: &str,
+    headers: &[&str],
+    rows: impl Fn(&AttributionFold) -> Vec<Vec<String>>,
+) -> String {
     let mut out = String::new();
-    for (dataset, model) in
-        [(&scenario.har, DurationModel::Endless), (&scenario.alexa, DurationModel::Recorded)]
-    {
-        let classifications = classified(dataset, model);
-        let rows = top_origins_for_cause(dataset, &classifications, Cause::Ip, limit);
-        let mut table = TextTable::new(
-            &format!("{title} — {}", dataset.label),
-            &["rank", "origin", "conns.", "prev", "prev conns."],
-        );
-        for (rank, row) in rows.iter().enumerate() {
-            let (previous, previous_count) = row
-                .top_previous()
-                .map(|(domain, count)| (domain.to_string(), format_count(*count)))
-                .unwrap_or_else(|| ("-".to_string(), "0".to_string()));
-            table.push_row([
-                (rank + 1).to_string(),
-                row.origin.to_string(),
-                format_count(row.connections),
-                previous,
-                previous_count,
-            ]);
+    for (crawl, model) in pairs {
+        let mut table = TextTable::new(&format!("{title} — {}", crawl.label()), headers);
+        for (rank, row) in rows(scenario.fold(crawl, model).attribution()).into_iter().enumerate() {
+            table.push_row(std::iter::once((rank + 1).to_string()).chain(row));
         }
         out.push_str(&table.render());
         out.push('\n');
     }
-    out.push_str(&format!("paper top origins: {}\n", paper::TABLE2_TOP_ORIGINS.join(", ")));
     out
 }
 
-/// Tables 3 and 9: issuers behind CERT redundancy.
-fn issuer_table(scenario: &Scenario, title: &str) -> String {
-    let mut out = String::new();
-    for (dataset, model) in
-        [(&scenario.har, DurationModel::Endless), (&scenario.alexa, DurationModel::Recorded)]
-    {
-        let classifications = classified(dataset, model);
-        let rows = cert_issuers(dataset, &classifications, 7);
-        let mut table = TextTable::new(
-            &format!("{title} — {}", dataset.label),
-            &["rank", "issuer", "conns.", "unique domains"],
-        );
-        for (rank, row) in rows.iter().enumerate() {
-            table.push_row([
-                (rank + 1).to_string(),
-                row.issuer.organization().to_string(),
-                format_count(row.connections),
-                format_count(row.unique_domains),
-            ]);
-        }
-        out.push_str(&table.render());
-        out.push('\n');
+/// Tables 2, 8 and 12: top IP-cause origins with their most frequent
+/// previous origin. The full-dataset tables also count the previous origin
+/// and name the paper's top origins.
+fn origin_table(
+    scenario: &Scenario,
+    pairs: [(Crawl, DurationModel); 2],
+    title: &str,
+    limit: usize,
+) -> String {
+    let counted = pairs == TABLES;
+    let headers: &[&str] = &["rank", "origin", "conns.", "prev", "prev conns."];
+    let mut out =
+        attribution_tables(scenario, pairs, title, &headers[..4 + counted as usize], |attribution| {
+            let rows = attribution.ip_origins(limit).into_iter();
+            rows.map(|row| {
+                let (previous, count) = row
+                    .top_previous()
+                    .map(|(domain, count)| (domain.to_string(), format_count(*count)))
+                    .unwrap_or_else(|| ("-".to_string(), "0".to_string()));
+                let cells = [row.origin.to_string(), format_count(row.connections), previous, count];
+                cells[..3 + counted as usize].to_vec()
+            })
+            .collect()
+        });
+    if counted {
+        out.push_str(&format!("paper top origins: {}\n", paper::TABLE2_TOP_ORIGINS.join(", ")));
     }
-    out.push_str(&format!("paper top issuers: {}\n", paper::TABLE3_TOP_ISSUERS.join(", ")));
     out
 }
 
-/// Tables 4 and 10: CERT domains with previous origins and issuers.
-fn cert_domain_table(scenario: &Scenario, title: &str, limit: usize) -> String {
-    let mut out = String::new();
-    for (dataset, model) in
-        [(&scenario.har, DurationModel::Endless), (&scenario.alexa, DurationModel::Recorded)]
-    {
-        let classifications = classified(dataset, model);
-        let rows = cert_domains(dataset, &classifications, limit);
-        let mut table = TextTable::new(
-            &format!("{title} — {}", dataset.label),
-            &["rank", "domain", "conns.", "prev", "issuer"],
-        );
-        for (rank, row) in rows.iter().enumerate() {
-            let previous =
-                row.previous.first().map(|(d, _)| d.to_string()).unwrap_or_else(|| "-".to_string());
-            table.push_row([
-                (rank + 1).to_string(),
-                row.domain.to_string(),
-                format_count(row.connections),
-                previous,
-                row.issuer.short_code().to_string(),
-            ]);
-        }
-        out.push_str(&table.render());
-        out.push('\n');
+const ISSUER_HEADERS: [&str; 4] = ["rank", "issuer", "conns.", "unique domains"];
+
+fn issuer_rows(rows: Vec<IssuerAttribution>) -> Vec<Vec<String>> {
+    let cells = |row: IssuerAttribution| {
+        vec![
+            row.issuer.organization().to_string(),
+            format_count(row.connections),
+            format_count(row.unique_domains),
+        ]
+    };
+    rows.into_iter().map(cells).collect()
+}
+
+/// Tables 3 and 9: certificate issuers behind CERT redundancy. Table 3
+/// names the paper's top issuers.
+fn issuer_table(
+    scenario: &Scenario,
+    pairs: [(Crawl, DurationModel); 2],
+    title: &str,
+    limit: usize,
+) -> String {
+    let mut out = attribution_tables(scenario, pairs, title, &ISSUER_HEADERS, |attribution| {
+        issuer_rows(attribution.cert_issuers(limit))
+    });
+    if pairs == TABLES {
+        out.push_str(&format!("paper top issuers: {}\n", paper::TABLE3_TOP_ISSUERS.join(", ")));
     }
-    out.push_str(&format!("paper top CERT domains: {}\n", paper::TABLE4_TOP_DOMAINS.join(", ")));
     out
 }
 
 /// Table 5: issuer share over all connections.
 fn table5(scenario: &Scenario) -> String {
-    let mut out = String::new();
-    for dataset in [&scenario.har, &scenario.alexa] {
-        let rows = issuer_share(dataset, 10);
-        let mut table = TextTable::new(
-            &format!("Table 5: top certificate issuers over all connections — {}", dataset.label),
-            &["rank", "issuer", "conns.", "unique domains"],
-        );
-        for (rank, row) in rows.iter().enumerate() {
-            table.push_row([
-                (rank + 1).to_string(),
-                row.issuer.organization().to_string(),
-                format_count(row.connections),
-                format_count(row.unique_domains),
-            ]);
-        }
-        out.push_str(&table.render());
-        out.push('\n');
+    let title = "Table 5: top certificate issuers over all connections";
+    attribution_tables(scenario, TABLES, title, &ISSUER_HEADERS, |attribution| {
+        issuer_rows(attribution.issuer_share(10))
+    })
+}
+
+/// Tables 4 and 10: the top 5 CERT domains with a previous origin and the
+/// issuer. Table 4 names the paper's top domains.
+fn cert_domain_table(scenario: &Scenario, pairs: [(Crawl, DurationModel); 2], title: &str) -> String {
+    let headers = ["rank", "domain", "conns.", "prev", "issuer"];
+    let mut out = attribution_tables(scenario, pairs, title, &headers, |attribution| {
+        let rows = attribution.cert_domains(5).into_iter();
+        rows.map(|row| {
+            let previous =
+                row.previous.first().map(|(d, _)| d.to_string()).unwrap_or_else(|| "-".to_string());
+            let issuer = row.issuer.short_code().to_string();
+            vec![row.domain.to_string(), format_count(row.connections), previous, issuer]
+        })
+        .collect()
+    });
+    if pairs == TABLES {
+        out.push_str(&format!("paper top CERT domains: {}\n", paper::TABLE4_TOP_DOMAINS.join(", ")));
     }
     out
 }
 
 /// Table 6: ASes behind the IP cause.
 fn table6(scenario: &Scenario) -> String {
-    let mut out = String::new();
-    let pairs: [(&Dataset, DurationModel, &AsRegistry); 2] = [
-        (&scenario.har, DurationModel::Endless, &scenario.archive_env.registry),
-        (&scenario.alexa, DurationModel::Recorded, &scenario.alexa_env.registry),
-    ];
-    for (dataset, model, registry) in pairs {
-        let classifications = classified(dataset, model);
-        let rows = asn_for_ip_cause(dataset, &classifications, registry, 10);
-        let mut table = TextTable::new(
-            &format!("Table 6: top ASes for connections of cause IP — {}", dataset.label),
-            &["rank", "AS", "conns.", "unique domains"],
-        );
-        for (rank, row) in rows.iter().enumerate() {
-            table.push_row([
-                (rank + 1).to_string(),
-                row.system.to_string(),
-                format_count(row.connections),
-                format_count(row.unique_domains),
-            ]);
-        }
-        out.push_str(&table.render());
-        out.push('\n');
-    }
+    let headers = ["rank", "AS", "conns.", "unique domains"];
+    let mut out = attribution_tables(
+        scenario,
+        TABLES,
+        "Table 6: top ASes for connections of cause IP",
+        &headers,
+        |attribution| {
+            let rows = attribution.ip_systems(10).into_iter();
+            rows.map(|row| {
+                vec![row.system.to_string(), format_count(row.connections), format_count(row.unique_domains)]
+            })
+            .collect()
+        },
+    );
     out.push_str(&format!("paper top ASes: {}\n", paper::TABLE6_TOP_ASES.join(", ")));
     out
 }
 
 /// Table 7: causes on the overlap datasets.
 fn table7(scenario: &Scenario) -> String {
-    let (har, alexa) = overlap::intersect(&scenario.overlap_har, &scenario.overlap_alexa);
-    let har_summary = summary(&har, DurationModel::Endless, "HAR Overlap Endless");
-    let alexa_summary = summary(&alexa, DurationModel::Endless, "Alexa Overlap Endless");
-    let mut table = TextTable::new(
-        "Table 7: causes on the HTTP-Archive / Alexa overlap",
-        &["Cause", "HAR Sites", "HAR Conns.", "Alexa Sites", "Alexa Conns."],
-    );
-    for cause in Cause::ALL {
-        table.push_row([
-            cause.label().to_string(),
-            format_count(har_summary.cause(cause).sites),
-            format_count(har_summary.cause(cause).connections),
-            format_count(alexa_summary.cause(cause).sites),
-            format_count(alexa_summary.cause(cause).connections),
-        ]);
-    }
-    table.push_row([
-        "Redund.".to_string(),
-        format_count(har_summary.redundant.sites),
-        format_count(har_summary.redundant.connections),
-        format_count(alexa_summary.redundant.sites),
-        format_count(alexa_summary.redundant.connections),
-    ]);
-    table.push_row([
-        "Total".to_string(),
-        format_count(har_summary.total.sites),
-        format_count(har_summary.total.connections),
-        format_count(alexa_summary.total.sites),
-        format_count(alexa_summary.total.connections),
-    ]);
-    format!(
-        "{}\noverlapping sites: {}\n",
-        table.render(),
-        format_count(overlap::overlap_size(&scenario.overlap_har, &scenario.overlap_alexa))
-    )
-}
-
-/// Table 8: top IP origins on the overlap.
-fn table8(scenario: &Scenario) -> String {
-    overlap_attribution(scenario, OverlapTable::Origins)
-}
-
-/// Table 9: top CERT issuers on the overlap.
-fn table9(scenario: &Scenario) -> String {
-    overlap_attribution(scenario, OverlapTable::Issuers)
-}
-
-/// Table 10: top CERT domains on the overlap.
-fn table10(scenario: &Scenario) -> String {
-    overlap_attribution(scenario, OverlapTable::CertDomains)
-}
-
-enum OverlapTable {
-    Origins,
-    Issuers,
-    CertDomains,
-}
-
-fn overlap_attribution(scenario: &Scenario, which: OverlapTable) -> String {
-    let (har, alexa) = overlap::intersect(&scenario.overlap_har, &scenario.overlap_alexa);
-    let mut out = String::new();
-    for (dataset, model) in [(&har, DurationModel::Endless), (&alexa, DurationModel::Recorded)] {
-        let classifications = classified(dataset, model);
-        match which {
-            OverlapTable::Origins => {
-                let rows = top_origins_for_cause(dataset, &classifications, Cause::Ip, 5);
-                let mut table = TextTable::new(
-                    &format!("Table 8: top origins for cause IP (overlap) — {}", dataset.label),
-                    &["rank", "origin", "conns.", "prev"],
-                );
-                for (rank, row) in rows.iter().enumerate() {
-                    let previous =
-                        row.top_previous().map(|(d, _)| d.to_string()).unwrap_or_else(|| "-".to_string());
-                    table.push_row([
-                        (rank + 1).to_string(),
-                        row.origin.to_string(),
-                        format_count(row.connections),
-                        previous,
-                    ]);
-                }
-                out.push_str(&table.render());
-            }
-            OverlapTable::Issuers => {
-                let rows = cert_issuers(dataset, &classifications, 5);
-                let mut table = TextTable::new(
-                    &format!("Table 9: top CERT issuers (overlap) — {}", dataset.label),
-                    &["rank", "issuer", "conns.", "unique domains"],
-                );
-                for (rank, row) in rows.iter().enumerate() {
-                    table.push_row([
-                        (rank + 1).to_string(),
-                        row.issuer.organization().to_string(),
-                        format_count(row.connections),
-                        format_count(row.unique_domains),
-                    ]);
-                }
-                out.push_str(&table.render());
-            }
-            OverlapTable::CertDomains => {
-                let rows = cert_domains(dataset, &classifications, 5);
-                let mut table = TextTable::new(
-                    &format!("Table 10: top CERT domains (overlap) — {}", dataset.label),
-                    &["rank", "domain", "conns.", "prev", "issuer"],
-                );
-                for (rank, row) in rows.iter().enumerate() {
-                    let previous =
-                        row.previous.first().map(|(d, _)| d.to_string()).unwrap_or_else(|| "-".to_string());
-                    table.push_row([
-                        (rank + 1).to_string(),
-                        row.domain.to_string(),
-                        format_count(row.connections),
-                        previous,
-                        row.issuer.short_code().to_string(),
-                    ]);
-                }
-                out.push_str(&table.render());
-            }
-        }
-        out.push('\n');
-    }
-    out
+    let columns = [
+        ("HAR", summary(scenario, Crawl::OverlapHar, DurationModel::Endless, "HAR Overlap Endless")),
+        ("Alexa", summary(scenario, Crawl::OverlapAlexa, DurationModel::Endless, "Alexa Overlap Endless")),
+    ];
+    let table = cause_table("Table 7: causes on the HTTP-Archive / Alexa overlap", &columns);
+    format!("{}\noverlapping sites: {}\n", table.render(), format_count(scenario.overlap_sites()))
 }
 
 /// Table 11: the DNS resolver panel.
@@ -535,15 +397,18 @@ fn table11() -> String {
     table.render()
 }
 
-/// Figure 3: the DNS overlap time series.
-fn figure3(scenario: &Scenario) -> String {
+/// Figure 3: the DNS overlap time series. The probed pairs are catalog
+/// names, so the unmitigated service deployment answers them as the Alexa
+/// population's authority would.
+fn figure3() -> String {
     let config = ProbeConfig {
         interval: Duration::from_mins(6),
         duration: Duration::from_days(2),
         pairs: connreuse_probe::default_pairs(),
     };
     let experiment = ProbeExperiment::new(config);
-    let matrix = experiment.run(&scenario.alexa_env.authority);
+    let deployment = netsim_web::DeploymentCache::standard().deployment(netsim_types::MitigationSet::empty());
+    let matrix = experiment.run(&deployment.authority);
     let mut table = TextTable::new(
         "Figure 3: resolvers with overlapping answers per probed pair (2-day probe, 6-minute interval)",
         &["pair", "mean overlap", "slots with any overlap", "sparkline (hourly max of 14)"],
@@ -573,7 +438,7 @@ fn sparkline(row: &[u32], max_value: usize, slots_per_bucket: usize) -> String {
 
 /// §4.3: HAR filter statistics.
 fn filters(scenario: &Scenario) -> String {
-    let stats = scenario.har_filter_statistics;
+    let stats = scenario.har_filter_statistics();
     let mut table = TextTable::new("HAR filter statistics (§4.3)", &["defect class", "entries"]);
     table.push_row(["socket id 0", &format_count(stats.zero_socket_id as usize)]);
     table.push_row(["missing IP", &format_count(stats.missing_ip as usize)]);
@@ -596,13 +461,15 @@ fn filters(scenario: &Scenario) -> String {
 /// honour them, if providers synchronize their DNS load balancing, if the
 /// Fetch credentials flag is dropped, and if all three happen at once.
 fn whatif(scenario: &Scenario) -> String {
+    use crate::grid::Population;
     use crate::scenario::{ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
     use netsim_browser::{BrowserConfig, Crawler};
+    use netsim_types::MitigationSet;
     use netsim_web::{PopulationBuilder, PopulationProfile, ServiceCatalog};
 
     let config = scenario.config;
-    let baseline = summary(&scenario.alexa, DurationModel::Recorded, "baseline");
-    let without_fetch = summary(&scenario.alexa_without_fetch, DurationModel::Recorded, "w/o Fetch");
+    let baseline = summary(scenario, Crawl::Alexa, DurationModel::Recorded, "baseline");
+    let without_fetch = summary(scenario, Crawl::AlexaWithoutFetch, DurationModel::Recorded, "w/o Fetch");
 
     // Providers synchronize their DNS (same population size and seed, fixed
     // catalog).
@@ -617,17 +484,22 @@ fn whatif(scenario: &Scenario) -> String {
     all_mitigations.reuse_policy.follow_fetch_credentials = false;
 
     // One grid cell per deployment: ORIGIN-frame adoption on the unchanged
-    // web, synchronized DNS measured with stock Chromium, and everything at
-    // once.
+    // web (`None`: the worker's Alexa population), synchronized DNS measured
+    // with stock Chromium, and everything at once.
     let cells = [
-        ("ORIGIN frames", &scenario.alexa_env, BrowserConfig::with_origin_frames()),
-        ("synchronized DNS", &synchronized_env, BrowserConfig::alexa_measurement()),
-        ("all mitigations", &synchronized_env, all_mitigations),
+        ("ORIGIN frames", None, BrowserConfig::with_origin_frames()),
+        ("synchronized DNS", Some(&synchronized_env), BrowserConfig::alexa_measurement()),
+        ("all mitigations", Some(&synchronized_env), all_mitigations),
     ];
+    let unmitigated = Population::alexa(config.alexa_sites, config.seed, MitigationSet::empty());
     let measured = crate::grid::run_grid(config.threads, cells.len(), |worker, task| {
         let (label, env, browser) = &cells[task];
         let crawler = Crawler::new(label, browser.clone(), config.seed + ALEXA_CRAWL_SEED_OFFSET);
-        worker.measure(env, &crawler).accumulator.finish(label)
+        let record = match env {
+            Some(env) => worker.measure(env, &crawler),
+            None => worker.with_population(unmitigated, |worker, env| worker.measure(env, &crawler)),
+        };
+        record.accumulator.finish(label)
     });
     let [origin_frames, synchronized, all_mitigations] =
         <[DatasetSummary; 3]>::try_from(measured.results).expect("one summary per cell");
@@ -711,7 +583,23 @@ mod tests {
 
     fn shared_scenario() -> &'static Scenario {
         static SCENARIO: OnceLock<Scenario> = OnceLock::new();
-        SCENARIO.get_or_init(|| Scenario::build(ScenarioConfig::quick()))
+        SCENARIO.get_or_init(|| Scenario::new(ScenarioConfig::quick()))
+    }
+
+    #[test]
+    fn experiments_reading_only_the_config_build_no_table_population() {
+        let scenario = Scenario::new(ScenarioConfig { threads: 1, ..ScenarioConfig::quick() });
+        for name in ["table11", "atlas", "fleet", "sweep", "cost", "chaos", "store"] {
+            run_experiment(name, &scenario).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(scenario.work(), (0, 0), "{name} built a table population");
+        }
+        // Table 1 reads the archive and Alexa populations: one pass each, one
+        // build per chunk, and nothing more when it is asked again.
+        let first = run_experiment("table1", &scenario).expect("table1");
+        let work = scenario.work();
+        assert_eq!(work, (2, 3), "300 archive sites in 2 chunks, 180 Alexa sites in 1");
+        assert_eq!(run_experiment("table1", &scenario).expect("table1"), first);
+        assert_eq!(scenario.work(), work);
     }
 
     #[test]
@@ -728,7 +616,7 @@ mod tests {
     #[test]
     fn table1_shape_matches_the_paper_ordering() {
         let scenario = shared_scenario();
-        let har = summary(&scenario.har, DurationModel::Endless, "HAR Endless");
+        let har = summary(scenario, Crawl::Har, DurationModel::Endless, "HAR Endless");
         // IP affects the most connections, CERT the fewest (paper §5.2).
         assert!(har.cause(Cause::Ip).connections > har.cause(Cause::Cred).connections);
         assert!(har.cause(Cause::Cred).connections > har.cause(Cause::Cert).connections);
@@ -736,16 +624,16 @@ mod tests {
         assert!(har.redundant_site_share() > 0.5);
         assert!(har.site_share(Cause::Ip) >= har.site_share(Cause::Cert));
         // The immediate model reduces redundancy (it is the lower bound).
-        let immediate = summary(&scenario.har, DurationModel::Immediate, "HAR Immediate");
+        let immediate = summary(scenario, Crawl::Har, DurationModel::Immediate, "HAR Immediate");
         assert!(immediate.redundant.connections <= har.redundant.connections);
     }
 
     #[test]
     fn ignoring_fetch_removes_the_cred_cause() {
         let scenario = shared_scenario();
-        let patched = summary(&scenario.alexa_without_fetch, DurationModel::Recorded, "Alexa w/o Fetch");
+        let patched = summary(scenario, Crawl::AlexaWithoutFetch, DurationModel::Recorded, "Alexa w/o Fetch");
         assert_eq!(patched.cause(Cause::Cred).connections, 0, "CRED must vanish without the Fetch flag");
-        let stock = summary(&scenario.alexa, DurationModel::Recorded, "Alexa");
+        let stock = summary(scenario, Crawl::Alexa, DurationModel::Recorded, "Alexa");
         assert!(stock.cause(Cause::Cred).connections > 0);
         assert!(patched.redundant.connections < stock.redundant.connections);
     }
@@ -753,8 +641,7 @@ mod tests {
     #[test]
     fn ip_attribution_is_led_by_the_analytics_and_social_origins() {
         let scenario = shared_scenario();
-        let classifications = classified(&scenario.alexa, DurationModel::Recorded);
-        let rows = top_origins_for_cause(&scenario.alexa, &classifications, Cause::Ip, 6);
+        let rows = scenario.fold(Crawl::Alexa, DurationModel::Recorded).attribution().ip_origins(6);
         assert!(!rows.is_empty());
         let names: Vec<String> = rows.iter().map(|r| r.origin.to_string()).collect();
         assert!(

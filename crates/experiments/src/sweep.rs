@@ -122,8 +122,8 @@ fn sweep_grid(config: &SweepConfig) -> (SweepReport, GridWork) {
 /// crawled with the matching browser policy through the grid kernel,
 /// classified with recorded durations.
 ///
-/// The seeds reuse [`crate::scenario::Scenario::build`]'s Alexa offsets, so
-/// the baseline cell equals the scenario's own Alexa run (asserted in the
+/// The seeds reuse the [`crate::scenario`] Alexa offsets, so the baseline
+/// cell equals the scenario's own Alexa run (asserted in the
 /// tests below).
 fn run_cell(
     worker: &mut GridWorker<'_>,
@@ -350,8 +350,8 @@ mod tests {
 
     #[test]
     fn baseline_cell_reproduces_the_scenario_alexa_measurement() {
-        use crate::scenario::{Scenario, ScenarioConfig};
-        use connreuse_core::{classify_dataset, DurationModel};
+        use crate::scenario::{Crawl, Scenario, ScenarioConfig};
+        use connreuse_core::DurationModel;
 
         let config = ScenarioConfig {
             archive_sites: 30,
@@ -360,12 +360,10 @@ mod tests {
             seed: 20_210_420,
             threads: 4,
         };
-        let scenario = Scenario::build(config);
+        let scenario = Scenario::new(config);
         let report = run_sweep(&SweepConfig::from_scenario(&config));
-        let alexa = DatasetSummary::from_classifications(
-            "none", // match the baseline cell's label so the summaries compare whole
-            &classify_dataset(&scenario.alexa, DurationModel::Recorded),
-        );
+        // Labelled like the baseline cell so the summaries compare whole.
+        let alexa = scenario.fold(Crawl::Alexa, DurationModel::Recorded).summary("none");
         assert_eq!(report.baseline().summary, alexa);
     }
 

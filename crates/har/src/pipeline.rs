@@ -52,23 +52,56 @@ impl FilterStatistics {
     pub fn dropped(&self) -> u64 {
         self.total_entries - self.retained_http2
     }
+
+    /// Apply the §4.3 filter to one document: drop its defective entries in
+    /// place and count what was inspected and dropped.
+    pub fn filter(&mut self, document: &mut HarDocument) {
+        let valid_pages: std::collections::BTreeSet<&str> =
+            document.pages.iter().map(|p| p.id.as_str()).collect();
+        document.entries.retain(|entry| {
+            self.total_entries += 1;
+            if entry.protocol == "http/1.1" {
+                self.http1 += 1;
+                return false;
+            }
+            if entry.protocol == "h3" {
+                self.http3 += 1;
+                return false;
+            }
+            if entry.connection == "0" || entry.connection.is_empty() {
+                self.zero_socket_id += 1;
+                return false;
+            }
+            if entry.server_ip_address.is_empty() {
+                self.missing_ip += 1;
+                return false;
+            }
+            if entry.method != "GET" && entry.method != "POST" && entry.method != "HEAD" {
+                self.invalid_method += 1;
+                return false;
+            }
+            if entry.security_details.is_none() {
+                self.missing_certificate += 1;
+                return false;
+            }
+            if !valid_pages.contains(entry.pageref.as_str()) {
+                self.bad_page_reference += 1;
+                return false;
+            }
+            self.retained_http2 += 1;
+            true
+        });
+    }
 }
 
-/// A corpus of HAR documents (one per site) plus filter bookkeeping.
+/// A corpus of HAR documents, one per site.
 #[derive(Clone, Debug)]
 pub struct HarDataset {
     /// One median-load HAR per site, in site order.
     pub documents: Vec<HarDocument>,
-    /// Aggregate filter statistics (populated by [`HarDataset::filter`]).
-    pub filter_statistics: FilterStatistics,
 }
 
 impl HarDataset {
-    /// Number of sites in the corpus.
-    pub fn site_count(&self) -> usize {
-        self.documents.len()
-    }
-
     /// Total entries across all documents.
     pub fn total_entries(&self) -> usize {
         self.documents.iter().map(|d| d.entries.len()).sum()
@@ -78,44 +111,7 @@ impl HarDataset {
     /// was dropped. Returns the accumulated statistics.
     pub fn filter(&mut self) -> FilterStatistics {
         let mut stats = FilterStatistics::default();
-        for document in &mut self.documents {
-            let valid_pages: std::collections::BTreeSet<String> =
-                document.pages.iter().map(|p| p.id.clone()).collect();
-            document.entries.retain(|entry| {
-                stats.total_entries += 1;
-                if entry.protocol == "http/1.1" {
-                    stats.http1 += 1;
-                    return false;
-                }
-                if entry.protocol == "h3" {
-                    stats.http3 += 1;
-                    return false;
-                }
-                if entry.connection == "0" || entry.connection.is_empty() {
-                    stats.zero_socket_id += 1;
-                    return false;
-                }
-                if entry.server_ip_address.is_empty() {
-                    stats.missing_ip += 1;
-                    return false;
-                }
-                if entry.method != "GET" && entry.method != "POST" && entry.method != "HEAD" {
-                    stats.invalid_method += 1;
-                    return false;
-                }
-                if entry.security_details.is_none() {
-                    stats.missing_certificate += 1;
-                    return false;
-                }
-                if !valid_pages.contains(&entry.pageref) {
-                    stats.bad_page_reference += 1;
-                    return false;
-                }
-                stats.retained_http2 += 1;
-                true
-            });
-        }
-        self.filter_statistics = stats;
+        self.documents.iter_mut().for_each(|document| stats.filter(document));
         stats
     }
 }
@@ -154,31 +150,35 @@ impl ArchivePipeline {
 
     /// Crawl the population and produce the HAR corpus (unfiltered).
     pub fn run(&self, env: &WebEnvironment) -> HarDataset {
+        let mut scratch = VisitScratch::new();
         HarDataset {
-            documents: (0..env.sites.len()).map(|index| self.crawl_site(env, index)).collect(),
-            filter_statistics: FilterStatistics::default(),
+            documents: (0..env.sites.len()).map(|index| self.crawl_site(&mut scratch, env, index)).collect(),
         }
     }
 
-    /// Crawl one site: three loads, median selection, defect injection.
-    /// Sites are independent, so a caller may crawl them on several threads
-    /// and collect the documents in site order.
-    pub fn crawl_site(&self, env: &WebEnvironment, index: usize) -> HarDocument {
+    /// Crawl one site into the caller's reusable `scratch`: three loads,
+    /// median selection, defect injection. Like
+    /// `netsim_browser::Crawler::visit_site_into`, the visit times, id bases
+    /// and RNG streams derive from the site's *global* id, so a population
+    /// captured chunk by chunk (`PopulationBuilder::with_site_offset`) yields
+    /// the documents of one whole capture, and sites may be crawled on
+    /// several threads.
+    pub fn crawl_site(&self, scratch: &mut VisitScratch, env: &WebEnvironment, index: usize) -> HarDocument {
         let site = &env.sites[index];
-        let base = Instant::EPOCH + Duration::from_secs(self.config.visit_spacing_secs * index as u64);
+        let global = site.id.value();
+        let base = Instant::EPOCH + Duration::from_secs(self.config.visit_spacing_secs * global);
         let mut loads = Vec::with_capacity(LOADS_PER_SITE);
-        let mut scratch = VisitScratch::new();
-        for attempt in 0..LOADS_PER_SITE {
-            let mut clock = SimClock::starting_at(base + Duration::from_secs(60 * attempt as u64));
-            let id_base = (index * LOADS_PER_SITE + attempt) as u64 * ID_STRIDE;
+        for attempt in 0..LOADS_PER_SITE as u64 {
+            let mut clock = SimClock::starting_at(base + Duration::from_secs(60 * attempt));
+            let id_base = (global * LOADS_PER_SITE as u64 + attempt) * ID_STRIDE;
             let mut browser = Browser::with_id_base(self.config.clone(), id_base);
             let mut rng = SimRng::new(self.seed).fork_indexed("har-load", id_base);
-            let times = browser.load_page_into(&mut scratch, env, site, &mut clock, &mut rng);
+            let times = browser.load_page_into(scratch, env, site, &mut clock, &mut rng);
             loads.push(capture_visit(&scratch.to_page_visit(site, times)));
         }
         loads.sort_by_key(|d| d.load_time_ms());
         let mut median = loads.swap_remove(LOADS_PER_SITE / 2);
-        let mut rng = SimRng::new(self.seed).fork_indexed("har-defects", index as u64);
+        let mut rng = SimRng::new(self.seed).fork_indexed("har-defects", global);
         self.inconsistencies.apply(&mut median, &mut rng);
         median
     }
@@ -197,7 +197,7 @@ mod tests {
     fn pipeline_produces_one_document_per_site() {
         let environment = env(10);
         let dataset = ArchivePipeline::new(3).run(&environment);
-        assert_eq!(dataset.site_count(), 10);
+        assert_eq!(dataset.documents.len(), 10);
         assert!(dataset.total_entries() >= 10);
         for (index, document) in dataset.documents.iter().enumerate() {
             assert_eq!(
@@ -247,6 +247,44 @@ mod tests {
         let a = ArchivePipeline::new(11).run(&environment);
         let b = ArchivePipeline::new(11).run(&environment);
         assert_eq!(a.documents, b.documents);
+    }
+
+    /// `document` with each server address replaced by its first-seen rank.
+    /// A chunk build allocates its sites' address blocks from its own
+    /// counter, so across builds only which entries share an address is
+    /// comparable, as for the classifier.
+    fn addresses_ranked(mut document: HarDocument) -> HarDocument {
+        let mut seen: Vec<String> = Vec::new();
+        for entry in &mut document.entries {
+            if !seen.contains(&entry.server_ip_address) {
+                seen.push(entry.server_ip_address.clone());
+            }
+            let rank = seen.iter().position(|address| *address == entry.server_ip_address);
+            entry.server_ip_address = format!("#{rank:?}");
+        }
+        document
+    }
+
+    /// Visit times, id bases and RNG streams follow the global site id, so
+    /// a capture chunk by chunk is the whole capture, document for document.
+    #[test]
+    fn a_capture_built_in_chunks_equals_the_whole_capture() {
+        let pipeline = ArchivePipeline::new(17);
+        let whole = pipeline.run(&env(12));
+        let mut scratch = VisitScratch::new();
+        for start in (0..12).step_by(5) {
+            let len = 5.min(12 - start);
+            let chunk =
+                PopulationBuilder::new(PopulationProfile::archive(), len, 13).with_site_offset(start).build();
+            for index in 0..len {
+                let document = pipeline.crawl_site(&mut scratch, &chunk, index);
+                let expected = whole.documents[start + index].clone();
+                if start == 0 {
+                    assert_eq!(document, expected, "site {index}");
+                }
+                assert_eq!(addresses_ranked(document), addresses_ranked(expected), "site {}", start + index);
+            }
+        }
     }
 
     #[test]

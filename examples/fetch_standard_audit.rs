@@ -14,8 +14,8 @@ use connreuse::prelude::*;
 
 fn summarize(label: &str, env: &WebEnvironment, config: BrowserConfig, seed: u64) -> DatasetSummary {
     let report = Crawler::new(label, config, seed).crawl(env);
-    let dataset = dataset_from_crawl(&report);
-    DatasetSummary::from_classifications(label, &classify_dataset(&dataset, DurationModel::Recorded))
+    TableFold::of_sites(DurationModel::Recorded, &env.registry, report.visits.iter().map(site_from_visit))
+        .summary(label)
 }
 
 fn main() {

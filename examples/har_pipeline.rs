@@ -8,7 +8,6 @@
 //! cargo run --example har_pipeline --release
 //! ```
 
-use connreuse::core::DatasetSummary;
 use connreuse::prelude::*;
 
 fn main() {
@@ -48,9 +47,9 @@ fn main() {
 
     println!();
     println!("classifying under both duration bounds (HAR files carry no connection end times):");
-    let dataset = dataset_from_har(&corpus, "HAR");
     for model in [DurationModel::Endless, DurationModel::Immediate] {
-        let summary = DatasetSummary::from_classifications("HAR", &classify_dataset(&dataset, model));
+        let sites = corpus.documents.iter().filter_map(site_from_har_document);
+        let summary = TableFold::of_sites(model, &env.registry, sites).summary("HAR");
         println!(
             "  {:?}: {} of {} sites ({:.0} %) open redundant connections; causes IP={} CRED={} CERT={}",
             model,

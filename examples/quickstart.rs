@@ -6,7 +6,6 @@
 //! cargo run --example quickstart --release
 //! ```
 
-use connreuse::core::DatasetSummary;
 use connreuse::prelude::*;
 
 fn main() {
@@ -33,9 +32,12 @@ fn main() {
     );
 
     println!("classifying redundant connections (RFC 7540 §9.1.1 reuse analysis)...");
-    let dataset = dataset_from_crawl(&report);
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
-    let summary = DatasetSummary::from_classifications("Alexa", &classifications);
+    let fold = TableFold::of_sites(
+        DurationModel::Recorded,
+        &env.registry,
+        report.visits.iter().map(site_from_visit),
+    );
+    let summary = fold.summary("Alexa");
 
     println!();
     println!("cause      sites affected   connections affected");
@@ -60,7 +62,7 @@ fn main() {
     );
     println!("total      {:>6}            {:>7}", summary.total.sites, summary.total.connections);
 
-    let series = CdfSeries::from_classifications("Alexa", &classifications, 15);
+    let series = fold.redundancy_series("Alexa", 15);
     println!();
     println!(
         "half of all sites open at least {} redundant connections (paper: ~6 for the Alexa top list)",

@@ -14,18 +14,13 @@
 //!
 //! ```
 //! use connreuse::prelude::*;
-//! use connreuse::core::DatasetSummary;
 //!
 //! // Generate a tiny Alexa-like population, crawl it like the paper's own
 //! // measurement, and classify the redundant connections.
 //! let env = PopulationBuilder::new(PopulationProfile::alexa(), 25, 7).build();
 //! let report = Crawler::new("Alexa", BrowserConfig::alexa_measurement(), 7).crawl(&env);
-//! let dataset = dataset_from_crawl(&report);
-//! let summary = DatasetSummary::from_classifications(
-//!     "Alexa",
-//!     &classify_dataset(&dataset, DurationModel::Recorded),
-//! );
-//! assert!(summary.redundant_site_share() > 0.5);
+//! let fold = TableFold::of_sites(DurationModel::Recorded, &env.registry, report.visits.iter().map(site_from_visit));
+//! assert!(fold.summary("Alexa").redundant_site_share() > 0.5);
 //! ```
 
 pub use connreuse_core as core;
@@ -48,8 +43,8 @@ pub use netsim_web as web;
 /// experiments.
 pub mod prelude {
     pub use connreuse_core::{
-        classify_dataset, classify_site, dataset_from_crawl, dataset_from_har, Cause, CdfSeries, Dataset,
-        DatasetSummary, DurationModel, SiteObservation,
+        classify_site, site_from_har_document, site_from_visit, Cause, CdfSeries, DatasetSummary,
+        DurationModel, SiteObservation, TableFold,
     };
     pub use connreuse_experiments::{
         run_atlas, run_cost, run_sweep, AtlasConfig, AtlasReport, CostConfig, CostReport, SweepConfig,
@@ -74,9 +69,8 @@ pub fn quick_analysis(
     use prelude::*;
     let env = PopulationBuilder::new(profile, sites, seed).build();
     let report = Crawler::new("quick", BrowserConfig::alexa_measurement(), seed).crawl(&env);
-    let dataset = dataset_from_crawl(&report);
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
-    DatasetSummary::from_classifications("quick", &classifications)
+    TableFold::of_sites(DurationModel::Recorded, &env.registry, report.visits.iter().map(site_from_visit))
+        .summary("quick")
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! wall-clock time, thread interleavings), this test catches it.
 
 use connreuse::experiments::{
-    run_atlas, run_cost, run_fleet, run_store, AtlasConfig, CostConfig, FleetConfig, Scenario,
-    ScenarioConfig, StoreConfig,
+    run_atlas, run_cost, run_experiment, run_fleet, run_store, AtlasConfig, CostConfig, FleetConfig,
+    Scenario, ScenarioConfig, StoreConfig,
 };
 use connreuse::prelude::*;
 use connreuse::quick_analysis;
@@ -34,9 +34,13 @@ fn deterministic_across_profiles() {
     }
 }
 
-/// A scenario built with one worker thread and with two, three or eight must
-/// yield byte-identical datasets: the executor shards the work, never the
-/// RNG streams (which are forked per site, not per thread).
+/// Every table experiment renders byte-identical text with one worker
+/// thread and with two, three or eight, and under two more chunk layouts:
+/// one site per chunk, which puts the sites of every CERT domain (Table
+/// 4's third-party rows span sites) in different chunks, and one chunk per
+/// population. The executor shards the work, never the RNG
+/// streams (which are forked per site, not per thread), and chunk folds
+/// merge in task order, keeping a CERT domain's first-seen issuer.
 #[test]
 fn scenario_datasets_are_thread_count_invariant() {
     let config = ScenarioConfig {
@@ -46,16 +50,20 @@ fn scenario_datasets_are_thread_count_invariant() {
         seed: 20_210_420,
         threads: 1,
     };
-    let sequential = Scenario::build(config);
-    // Three workers split the sites into uneven blocks and steal.
-    for threads in [2, 3, 8] {
-        let parallel = Scenario::build(ScenarioConfig { threads, ..config });
-        assert_eq!(sequential.har, parallel.har, "threads = {threads}");
-        assert_eq!(sequential.har_filter_statistics, parallel.har_filter_statistics, "threads = {threads}");
-        assert_eq!(sequential.alexa, parallel.alexa, "threads = {threads}");
-        assert_eq!(sequential.alexa_without_fetch, parallel.alexa_without_fetch, "threads = {threads}");
-        assert_eq!(sequential.overlap_har, parallel.overlap_har, "threads = {threads}");
-        assert_eq!(sequential.overlap_alexa, parallel.overlap_alexa, "threads = {threads}");
+    let tables = [
+        "headline", "figure2", "figure3", "table1", "table2", "table3", "table4", "table5", "table6",
+        "table7", "table8", "table9", "table10", "table11", "table12", "filters", "whatif",
+    ];
+    let render = |scenario: Scenario| -> Vec<String> {
+        tables.iter().map(|name| run_experiment(name, &scenario).expect("table experiment").text).collect()
+    };
+    let sequential = render(Scenario::new(config));
+    // (threads, sites per chunk); 250 is the fixed chunk size.
+    for (threads, chunk_sites) in [(2, 250), (3, 250), (8, 250), (3, 1), (3, 60)] {
+        let scenario = Scenario::with_chunk_sites(ScenarioConfig { threads, ..config }, chunk_sites);
+        for (name, (expected, actual)) in tables.iter().zip(sequential.iter().zip(render(scenario))) {
+            assert_eq!(expected, &actual, "{name}, threads = {threads}, chunk = {chunk_sites}");
+        }
     }
 }
 

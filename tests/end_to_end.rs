@@ -2,27 +2,23 @@
 //! generation → browser crawl → ingestion → classification → aggregation,
 //! checking the structural findings the paper reports.
 
-use connreuse::core::{attribution, DatasetSummary};
 use connreuse::prelude::*;
 
-fn build_and_crawl(
-    profile: PopulationProfile,
-    sites: usize,
-    seed: u64,
-    config: BrowserConfig,
-) -> (WebEnvironment, Dataset) {
-    let env = PopulationBuilder::new(profile, sites, seed).build();
-    let report = Crawler::new("test", config, seed).crawl(&env);
-    let dataset = dataset_from_crawl(&report);
-    (env, dataset)
+/// Crawl `env` with `config` and fold every visit under `model`.
+fn crawl_fold(env: &WebEnvironment, config: BrowserConfig, seed: u64, model: DurationModel) -> TableFold {
+    let report = Crawler::new("test", config, seed).crawl(env);
+    TableFold::of_sites(model, &env.registry, report.visits.iter().map(site_from_visit))
+}
+
+/// An Alexa-like population crawled like the paper's own measurement.
+fn alexa_fold(sites: usize, seed: u64) -> TableFold {
+    let env = PopulationBuilder::new(PopulationProfile::alexa(), sites, seed).build();
+    crawl_fold(&env, BrowserConfig::alexa_measurement(), seed, DurationModel::Recorded)
 }
 
 #[test]
 fn full_pipeline_reproduces_the_cause_ordering() {
-    let (_env, dataset) =
-        build_and_crawl(PopulationProfile::alexa(), 250, 1, BrowserConfig::alexa_measurement());
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
-    let summary = DatasetSummary::from_classifications("alexa", &classifications);
+    let summary = alexa_fold(250, 1).summary("alexa");
 
     // The paper's qualitative findings: most sites are redundant, IP is the
     // leading cause by connections, CRED affects many sites but fewer
@@ -43,14 +39,12 @@ fn patched_browser_removes_cred_and_reduces_redundancy() {
     let stock = Crawler::new("stock", BrowserConfig::alexa_measurement(), 3).crawl(&env);
     let patched = Crawler::new("patched", BrowserConfig::alexa_without_fetch(), 3).crawl(&env);
 
-    let stock_summary = DatasetSummary::from_classifications(
-        "stock",
-        &classify_dataset(&dataset_from_crawl(&stock), DurationModel::Recorded),
-    );
-    let patched_summary = DatasetSummary::from_classifications(
-        "patched",
-        &classify_dataset(&dataset_from_crawl(&patched), DurationModel::Recorded),
-    );
+    let summary = |visits: &[PageVisit], label| {
+        TableFold::of_sites(DurationModel::Recorded, &env.registry, visits.iter().map(site_from_visit))
+            .summary(label)
+    };
+    let (stock_summary, patched_summary) =
+        (summary(&stock.visits, "stock"), summary(&patched.visits, "patched"));
 
     assert_eq!(patched_summary.cause(Cause::Cred).connections, 0);
     assert!(patched_summary.redundant.connections < stock_summary.redundant.connections);
@@ -61,11 +55,10 @@ fn patched_browser_removes_cred_and_reduces_redundancy() {
 
 #[test]
 fn attribution_points_at_the_services_the_paper_names() {
-    let (env, dataset) =
-        build_and_crawl(PopulationProfile::alexa(), 300, 5, BrowserConfig::alexa_measurement());
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
+    let fold = alexa_fold(300, 5);
+    let attribution = fold.attribution();
 
-    let origins = attribution::top_origins_for_cause(&dataset, &classifications, Cause::Ip, 10);
+    let origins = attribution.ip_origins(10);
     assert!(!origins.is_empty());
     let origin_names: Vec<String> = origins.iter().map(|o| o.origin.to_string()).collect();
     assert!(
@@ -73,7 +66,7 @@ fn attribution_points_at_the_services_the_paper_names() {
         "expected analytics or facebook among top IP origins, got {origin_names:?}"
     );
 
-    let issuers = attribution::cert_issuers(&dataset, &classifications, 5);
+    let issuers = attribution.cert_issuers(5);
     assert!(!issuers.is_empty());
     let issuer_names: Vec<&str> = issuers.iter().map(|row| row.issuer.organization()).collect();
     assert!(
@@ -83,7 +76,7 @@ fn attribution_points_at_the_services_the_paper_names() {
         "expected LE/GTS/DigiCert among the top CERT issuers, got {issuer_names:?}"
     );
 
-    let ases = attribution::asn_for_ip_cause(&dataset, &classifications, &env.registry, 5);
+    let ases = attribution.ip_systems(5);
     assert!(!ases.is_empty());
     assert!(
         ases.iter().any(|row| row.system.name == "GOOGLE" || row.system.name == "FACEBOOK"),
@@ -93,18 +86,13 @@ fn attribution_points_at_the_services_the_paper_names() {
 
 #[test]
 fn duration_models_are_ordered() {
-    let (_env, dataset) =
-        build_and_crawl(PopulationProfile::archive(), 200, 9, BrowserConfig::http_archive_crawler());
-    let endless =
-        DatasetSummary::from_classifications("endless", &classify_dataset(&dataset, DurationModel::Endless));
-    let immediate = DatasetSummary::from_classifications(
-        "immediate",
-        &classify_dataset(&dataset, DurationModel::Immediate),
-    );
-    let recorded = DatasetSummary::from_classifications(
-        "recorded",
-        &classify_dataset(&dataset, DurationModel::Recorded),
-    );
+    let env = PopulationBuilder::new(PopulationProfile::archive(), 200, 9).build();
+    let [endless, immediate, recorded] = [
+        (DurationModel::Endless, "endless"),
+        (DurationModel::Immediate, "immediate"),
+        (DurationModel::Recorded, "recorded"),
+    ]
+    .map(|(model, label)| crawl_fold(&env, BrowserConfig::http_archive_crawler(), 9, model).summary(label));
     // Endless is the upper bound; immediate the lower bound. The HTTP-Archive
     // crawl never records close times, so recorded == endless there.
     assert!(endless.redundant.connections >= immediate.redundant.connections);
@@ -116,12 +104,7 @@ fn duration_models_are_ordered() {
 
 #[test]
 fn whole_pipeline_is_deterministic() {
-    let run = || {
-        let (_env, dataset) =
-            build_and_crawl(PopulationProfile::alexa(), 60, 77, BrowserConfig::alexa_measurement());
-        let classifications = classify_dataset(&dataset, DurationModel::Recorded);
-        DatasetSummary::from_classifications("alexa", &classifications)
-    };
+    let run = || alexa_fold(60, 77).summary("alexa");
     assert_eq!(run(), run());
 }
 
@@ -142,10 +125,7 @@ fn probe_and_crawl_agree_on_the_analytics_pair() {
     // Space the visits out so the crawl covers several load-balancing epochs,
     // like the real multi-day measurement does.
     let config = BrowserConfig { visit_spacing_secs: 300, ..BrowserConfig::alexa_measurement() };
-    let report = Crawler::new("alexa", config, 13).crawl(&env);
-    let dataset = dataset_from_crawl(&report);
-    let classifications = classify_dataset(&dataset, DurationModel::Recorded);
-    let origins = attribution::top_origins_for_cause(&dataset, &classifications, Cause::Ip, 30);
+    let origins = crawl_fold(&env, config, 13, DurationModel::Recorded).attribution().ip_origins(30);
     assert!(
         origins.iter().any(|o| o.origin == DomainName::literal("www.google-analytics.com")),
         "analytics should appear among the IP-cause origins"

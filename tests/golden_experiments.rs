@@ -24,7 +24,7 @@ fn golden_path(name: &str) -> PathBuf {
 
 #[test]
 fn every_experiment_matches_its_golden_snapshot() {
-    let scenario = Scenario::build(ScenarioConfig::quick());
+    let scenario = Scenario::new(ScenarioConfig::quick());
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let mut failures: Vec<String> = Vec::new();
 

@@ -4,8 +4,18 @@
 //! lead to the same classification.
 
 use connreuse::core::DatasetSummary;
-use connreuse::har::FilterStatistics;
+use connreuse::har::{FilterStatistics, HarDataset};
 use connreuse::prelude::*;
+
+/// Every site of a filtered HAR corpus, ingested.
+fn har_sites(corpus: &HarDataset) -> Vec<SiteObservation> {
+    corpus.documents.iter().filter_map(site_from_har_document).collect()
+}
+
+/// The one-pass summary of `sites` under the endless model.
+fn endless_summary(env: &WebEnvironment, label: &str, sites: Vec<SiteObservation>) -> DatasetSummary {
+    TableFold::of_sites(DurationModel::Endless, &env.registry, sites).summary(label)
+}
 
 fn environment(sites: usize, seed: u64) -> WebEnvironment {
     PopulationBuilder::new(PopulationProfile::archive(), sites, seed).build()
@@ -17,21 +27,15 @@ fn clean_har_and_netlog_classify_identically_under_endless() {
     let config = BrowserConfig::http_archive_crawler();
 
     let report = Crawler::new("netlog", config.clone(), 5).crawl(&env);
-    let netlog_dataset = dataset_from_crawl(&report);
 
     let mut corpus = ArchivePipeline::new(5)
         .with_config(config)
         .with_inconsistencies(InconsistencyConfig::none())
         .run(&env);
     corpus.filter();
-    let har_dataset = dataset_from_har(&corpus, "har");
 
-    let netlog_summary = DatasetSummary::from_classifications(
-        "netlog",
-        &classify_dataset(&netlog_dataset, DurationModel::Endless),
-    );
-    let har_summary =
-        DatasetSummary::from_classifications("har", &classify_dataset(&har_dataset, DurationModel::Endless));
+    let netlog_summary = endless_summary(&env, "netlog", report.visits.iter().map(site_from_visit).collect());
+    let har_summary = endless_summary(&env, "har", har_sites(&corpus));
 
     assert_eq!(netlog_summary.total, har_summary.total);
     assert_eq!(netlog_summary.redundant, har_summary.redundant);
@@ -59,19 +63,21 @@ fn defect_injection_only_removes_information() {
     assert!(noisy_stats.retained_http2 <= clean_stats.retained_http2);
 
     // Conservative filtering can only shrink the analyzable dataset.
-    let clean_dataset = dataset_from_har(&clean, "clean");
-    let noisy_dataset = dataset_from_har(&noisy, "noisy");
-    assert!(noisy_dataset.total_requests() <= clean_dataset.total_requests());
-    assert!(noisy_dataset.total_connections() <= clean_dataset.total_connections());
+    let (clean_sites, noisy_sites) = (har_sites(&clean), har_sites(&noisy));
+    let total = |sites: &[SiteObservation], count: fn(&SiteObservation) -> usize| -> usize {
+        sites.iter().map(count).sum()
+    };
+    assert!(
+        total(&noisy_sites, SiteObservation::request_count)
+            <= total(&clean_sites, SiteObservation::request_count)
+    );
+    assert!(
+        total(&noisy_sites, SiteObservation::connection_count)
+            <= total(&clean_sites, SiteObservation::connection_count)
+    );
 
-    let clean_summary = DatasetSummary::from_classifications(
-        "clean",
-        &classify_dataset(&clean_dataset, DurationModel::Endless),
-    );
-    let noisy_summary = DatasetSummary::from_classifications(
-        "noisy",
-        &classify_dataset(&noisy_dataset, DurationModel::Endless),
-    );
+    let clean_summary = endless_summary(&env, "clean", clean_sites);
+    let noisy_summary = endless_summary(&env, "noisy", noisy_sites);
     assert!(noisy_summary.redundant.connections <= clean_summary.redundant.connections);
 }
 
@@ -106,11 +112,8 @@ fn har_json_carries_what_the_classification_reads() {
     let mut again = pipeline();
     again.filter();
     assert_eq!(again.documents, corpus.documents);
-    let summary = |corpus| {
-        DatasetSummary::from_classifications(
-            "har",
-            &classify_dataset(&dataset_from_har(corpus, "har"), DurationModel::Endless),
-        )
-    };
-    assert_eq!(summary(&corpus), summary(&again));
+    assert_eq!(
+        endless_summary(&env, "har", har_sites(&corpus)),
+        endless_summary(&env, "har", har_sites(&again))
+    );
 }

@@ -2,7 +2,7 @@
 //! `Accumulator`s and merging them — in any shard layout and any merge order
 //! — must reproduce the batch pass byte-for-byte.
 
-use connreuse::core::{Accumulator, Cause, ClassifiedConnection, DatasetSummary, SiteClassification};
+use connreuse::core::{Accumulator, Cause, ClassifiedConnection, SiteClassification};
 use connreuse::types::DomainName;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -65,7 +65,10 @@ proptest! {
         rotation in 0usize..97,
         stride in 1usize..13,
     ) {
-        let batch = DatasetSummary::from_classifications("prop", &classifications);
+        // The batch pass: one accumulator folding every classification.
+        let mut batch = Accumulator::new();
+        classifications.iter().for_each(|site| batch.observe(site));
+        let batch = batch.finish("prop");
 
         // Shard round-robin, fold each shard independently.
         let mut shards: Vec<Accumulator> = (0..shard_count).map(|_| Accumulator::new()).collect();
